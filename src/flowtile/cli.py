@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .generators import GeneratorSpec, generate
 from .loe import build_loe, verify_loe
-from .pipeline import (Schedule, TiledSection, build_schedule,
-                       full_pipeline, sparse_tile,
+from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
+                       build_schedule, full_pipeline, sparse_tile,
                        verify_uniform_frequency)
 from .quadratic import QuadReal, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, TilingError, WitnessError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
 

@@ -166,18 +166,8 @@ def build_loe(t1: TiledSection, t2: TiledSection,
         mapped_dst_b.add(b_dst)
     res_src = [b for b in b1 if b not in mapped_src_b]
     res_dst = [b for b in b2 if b not in mapped_dst_b]
-    pieces.sort(key=lambda p: _PosKey(p.src_lo))
+    pieces.sort(key=lambda p: p.src_lo)
     return PiecewiseTranslationMap(pieces, res_src, res_dst)
-
-
-class _PosKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
 
 
 class LoeReport(NamedTuple):
@@ -199,7 +189,7 @@ def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
     if not m.pieces:
         return LoeReport(True, [], 0, None)
     for label, key in (("source", lambda p: p.src_lo), ("target", lambda p: p.dst_lo)):
-        ordered = sorted(m.pieces, key=lambda p: _PosKey(key(p)))
+        ordered = sorted(m.pieces, key=key)
         for x, y in zip(ordered, ordered[1:]):
             if key(y) < key(x) + x.length:
                 failures.append(f"{label} pieces overlap at {key(y)}")

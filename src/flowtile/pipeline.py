@@ -86,8 +86,8 @@ class Schedule:
     def validate(self):
         p = self.params
         budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-        if budget < self.shift_budget():
-            raise ValueError("stage shift budgets exceed min(alpha,1)/3")
+        if not self.shift_budget() < budget:
+            raise ValueError("stage shift budgets reach min(alpha,1)/3")
         if self.eta[0] != 1:
             raise ValueError("eta_0 must be 1")
         if self.eta[1] > min(p.rho, 1 - p.rho):
@@ -617,7 +617,7 @@ def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
         t.notes.append(f"stage {stage}: eta band missed; using nearest frequency")
     counts, val, wit = min(
         elements, key=lambda e: (abs(alpha_frequency(e[0]) - rho),
-                                 _K(abs(e[1] - total))))
+                                 abs(e[1] - total)))
     gap_indices = [a.gap_index for a in atoms if a.kind == "gap"]
     t.shift_chains.append({
         "stage": stage, "anchor": left[1], "target": right[0],
@@ -627,16 +627,6 @@ def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
         "spans": [a.span for a in atoms if a.kind == "gap"],
     })
     return dict(zip(gap_indices, wit))
-
-
-class _K:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +837,9 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule, seed: int = 0,
 def _check_displacements(t: TiledSection, schedule: Schedule):
     budget = qmin(schedule.params.alpha, quad(1, 0, schedule.params.d)) / 3
     for oid, disp in t.displacements().items():
-        if budget < abs(disp):
-            raise TilingError(f"original point {oid} displaced {disp}, beyond "
-                              f"the min(alpha,1)/3 budget")
+        if not abs(disp) < budget:
+            raise TilingError(f"original point {oid} displaced {disp}, not "
+                              f"strictly below the min(alpha,1)/3 budget")
 
 
 def attach_witnesses(t: TiledSection, levels: Sequence[int] | None = None,

@@ -81,7 +81,7 @@ class ReachableSet:
 
     def __init__(self, problem: ShiftProblem, elements: Iterable[ReachableElement]):
         self.problem = problem
-        self.elements = sorted(elements, key=lambda e: _Key(e.value))
+        self.elements = sorted(elements, key=lambda e: e.value)
 
     def values(self) -> list[QuadReal]:
         return [e.value for e in self.elements]
@@ -111,16 +111,6 @@ class ReachableSet:
             if counts != el.counts or el.value != counts.value(prob.params):
                 return False
         return True
-
-
-class _Key:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return self.v < other.v
 
 
 def enumerate_reachable(problem: ShiftProblem) -> ReachableSet:
@@ -203,7 +193,7 @@ def rearrange_permutation(values: Sequence[QuadReal], d: QuadReal,
         total = total + v
     if not abs(d * n - total) < eps:
         raise ValueError("total strays from n*d by eps or more")
-    order = sorted(range(n), key=lambda i: _Key(values[i]))
+    order = sorted(range(n), key=lambda i: values[i])
     unused = list(order)  # kept sorted by value then index
     perm: list[int] = []
     run = quad(0, 0, d.d)
@@ -296,7 +286,7 @@ def frequency_boost(problem: ShiftProblem, gamma: Fraction, zeta: Fraction,
             d2 = dev + (d - yval)
             if not abs(d2) < problem.eps:
                 continue
-            key = (_Key(abs(d2)), _Key(yval))
+            key = abs(d2)  # strict <: ties keep the earlier choice
             if best is None or key < best_key:
                 best, best_key = (y, yval, d2), key
         if best is None:
@@ -368,7 +358,7 @@ def banded_dense_step(problem: ShiftProblem, delta: QuadReal, eta: Fraction,
             d2 = dev + (d - yval)
             if not abs(d2) < sixth:
                 continue
-            key = (_Key(abs(d2)), _Key(yval))
+            key = abs(d2)  # strict <: ties keep the earlier choice
             if best is None or key < best_key:
                 best, best_key = (yval, d2), key
         if best is None:

@@ -10,8 +10,11 @@ to certify that banded tileables fill every sufficiently high interval.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .quadratic import QuadReal, quad, real_gcd, sqrtD
@@ -24,7 +27,7 @@ class Params:
     rational strictly inside (0, 1).
     """
 
-    __slots__ = ("alpha", "beta", "rho", "d")
+    __slots__ = ("alpha", "beta", "rho", "d", "_coef")
 
     def __init__(self, alpha: QuadReal, beta: QuadReal, rho: Fraction):
         rho = Fraction(rho)
@@ -40,9 +43,15 @@ class Params:
         self.beta = beta
         self.rho = rho
         self.d = beta.d if beta.b else alpha.d
+        # alpha and beta over one common denominator c:
+        # p*alpha + q*beta == ((a1*p + a2*q) + (b1*p + b2*q)*sqrt(d)) / c
+        c = alpha.c * beta.c // math.gcd(alpha.c, beta.c)
+        ka, kb = c // alpha.c, c // beta.c
+        self._coef = (alpha.a * ka, beta.a * kb, alpha.b * ka, beta.b * kb, c)
 
     def value(self, p: int, q: int) -> QuadReal:
-        return self.alpha * p + self.beta * q
+        a1, a2, b1, b2, c = self._coef
+        return QuadReal._raw(a1 * p + a2 * q, b1 * p + b2 * q, c, self.d)
 
     def __repr__(self):
         return f"Params(alpha={self.alpha}, beta={self.beta}, rho={self.rho})"
@@ -173,18 +182,8 @@ def enumerate_tileable(params: Params, lo: QuadReal, hi: QuadReal,
             val = val + params.alpha
         q += 1
         base = base + params.beta
-    out.sort(key=_ValueKey)
+    out.sort(key=itemgetter(0))
     return [v for _, v in out]
-
-
-class _ValueKey:
-    __slots__ = ("val",)
-
-    def __init__(self, item):
-        self.val = item[0]
-
-    def __lt__(self, other):
-        return self.val < other.val
 
 
 class DensityReport(NamedTuple):
@@ -208,7 +207,8 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     half = eps / 2
     if hi - lo < eps:
         return DensityReport(True, None)  # no admissible x at all
-    pts = sorted((p for p in points if not (p < lo or hi < p)), key=_PointKey)
+    pts = sorted(points)
+    pts = pts[bisect_left(pts, lo):bisect_right(pts, hi)]
     if not pts:
         return DensityReport(False, lo + half)
     if not pts[0] - lo < eps:
@@ -219,16 +219,6 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     if not hi - pts[-1] < eps:
         return DensityReport(False, hi - half)
     return DensityReport(True, None)
-
-
-class _PointKey:
-    __slots__ = ("val",)
-
-    def __init__(self, val):
-        self.val = val
-
-    def __lt__(self, other):
-        return self.val < other.val
 
 
 def frequency_stability_ratio(params: Params, eps_freq: Fraction) -> QuadReal:
@@ -348,10 +338,22 @@ class DensityWitness:
     member, so all frequencies stay strictly inside the band, and the
     anchor offsets stitch consecutive k-runs into an eps-dense sweep of
     the half-line above the threshold.
+
+    The offsets must be nonempty, sorted by value, and span at most
+    value(x); the constructor raises ValueError otherwise.  ``values_in``
+    relies on this: members of one k then come out sorted, and none
+    exceeds any member of k + 1, so the per-k runs concatenate in order.
     """
 
     def __init__(self, params: Params, band: FreqBand, eps: QuadReal,
                  base: TileVector, offsets: list[TileVector], k_min: int):
+        vals = [s.value(params) for s in offsets]
+        if not vals:
+            raise ValueError("density witness needs at least one offset")
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValueError("density witness offsets must be sorted by value")
+        if base.value(params) < vals[-1] - vals[0]:
+            raise ValueError("density witness offsets span more than value(x)")
         self.params = params
         self.band = band
         self.eps = eps
@@ -365,21 +367,31 @@ class DensityWitness:
         return TileVector(k * self.base.p + s.p, k * self.base.q + s.q)
 
     def values_in(self, lo: QuadReal, hi: QuadReal) -> list[tuple[QuadReal, TileVector]]:
-        """(value, member) pairs with value inside [lo, hi], sorted."""
-        params = self.params
-        xval = self.base.value(params)
-        svals = [s.value(params) for s in self.offsets]
+        """(value, member) pairs with value inside [lo, hi], sorted.
+
+        For each k the offsets with value in [lo - k*x, hi - k*x] form one
+        slice of the sorted offsets, found by bisection; only that slice is
+        evaluated.
+        """
+        value = self.params.value
+        offsets = self.offsets
+        bp, bq = self.base
+        xval = value(bp, bq)
+
+        def key(s: TileVector) -> QuadReal:
+            return value(s.p, s.q)
+
+        k_lo = max(self.k_min, ((lo - key(offsets[-1])) / xval).ceil())
+        k_hi = ((hi - key(offsets[0])) / xval).floor()
         out = []
-        k_lo = max(self.k_min, ((lo - svals[-1]) / xval).ceil())
-        k_hi = ((hi - svals[0]) / xval).floor()
         for k in range(k_lo, k_hi + 1):
             kx = xval * k
-            for i, sv in enumerate(svals):
-                val = kx + sv
-                if val < lo or hi < val:
-                    continue
-                out.append((val, self.member(k, i)))
-        out.sort(key=_ValueKey)
+            i = bisect_left(offsets, lo - kx, key=key)
+            j = bisect_right(offsets, hi - kx, key=key)
+            kp, kq = k * bp, k * bq
+            for s in offsets[i:j]:
+                p, q = kp + s.p, kq + s.q
+                out.append((value(p, q), TileVector(p, q)))
         return out
 
     def members_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:

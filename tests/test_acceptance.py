@@ -69,7 +69,7 @@ def test_02_displacement_bound(pipeline_outputs):
         disp = t.displacements()
         assert len(disp) == len(w)
         for oid, d in disp.items():
-            assert not budget < abs(d), f"point {oid} displaced {d}"
+            assert abs(d) < budget, f"point {oid} displaced {d}"
             if worst < abs(d):
                 worst = abs(d)
     say(f"ACCEPT-02 PASS displacement: every original point moved at most "

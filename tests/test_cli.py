@@ -80,6 +80,16 @@ class TestCli:
         assert run(["density", "--eps", "1", "--band", "1/2,3/4",
                     "--windows", "2"]) == 0
 
+    def test_tile_failure_is_one_line_exit_1(self, tmp_path, capsys):
+        # a gap of 1/10 would need both ends to move by 1/3 or more
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"boundary": "open", "positions": ["0", "1/10"]}))
+        assert run(["tile", "--depth", "2", "--in", str(w),
+                    "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: stage 1: ")
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_code(self, tmp_path):
         assert run(["classes", "--in", str(tmp_path / "missing.json"),
                     "--k", "9"]) == 2

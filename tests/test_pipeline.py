@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -35,9 +36,16 @@ class TestSchedule:
         s = schedule4
         s.validate()
         total = s.shift_budget()
-        assert not (quad(1) / 3) < total
+        assert total < quad(1) / 3
         for a, b in zip(s.K, s.K[1:]):
             assert not b < a + 4
+
+    def test_shift_budget_must_stay_strictly_below(self, schedule2):
+        third = quad(1) / 3
+        at_budget = dataclasses.replace(
+            schedule2, eps=[quad(0), third / 2, third / 4, third / 4])
+        with pytest.raises(ValueError):
+            at_budget.validate()
 
     def test_eps_formula(self, schedule4):
         # eps_n = 2^-n * min(alpha, 1)/3

@@ -6,16 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile.quadratic import quad, sqrtD
-from flowtile.tiles import (FreqBand, Params, TileVector, TiledWord,
-                            alpha_frequency, balanced_word, default_params,
-                            density_witness, enumerate_tileable, eps_dense,
+from flowtile.tiles import (DensityWitness, FreqBand, Params, TileVector,
+                            TiledWord, alpha_frequency, balanced_word,
+                            default_params, density_witness,
+                            enumerate_tileable, eps_dense,
                             frequency_stability_ratio, is_far_from_rho,
                             is_near_rho, partition_into_pieces)
 
 P = default_params()
 
 
+# D in {2, 3}, rational and irrational alpha
+PARAM_SETS = [
+    P,
+    Params(quad(0, F(1, 2)), quad(1, 1), F(1, 3)),
+    Params(quad(1, 0, 3), quad(0, 1, 3), F(2, 5)),
+    Params(quad(-1, 1, 3), quad(3, 0, 3), F(1, 2)),
+]
+
+
 class TestParams:
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_value_matches_field_arithmetic(self, params):
+        for p in range(0, 40, 3):
+            for q in range(0, 40, 5):
+                assert params.value(p, q) == params.alpha * p + params.beta * q
+
     def test_rational_dependence_rejected(self):
         with pytest.raises(ValueError):
             Params(quad(1), quad(2), F(1, 2))
@@ -107,6 +123,26 @@ class TestEpsDense:
     def test_gap_at_exactly_eps_fails(self):
         rep = eps_dense([quad(0), quad(1)], quad(0), quad(1), quad(1))
         assert not rep.ok
+
+    def test_points_on_the_ends_are_inside(self):
+        # the failing gap is the one next to the end point, not the edge
+        rep = eps_dense([quad(2), quad(0)], quad(0), quad(3), quad(1))
+        assert rep == (False, quad(1))
+        rep = eps_dense([quad(3), quad(1), quad(F(1, 2)), quad(0)],
+                        quad(0), quad(3), quad(1))
+        assert rep == (False, quad(2))
+
+    def test_unsorted_duplicated_input_outside_points(self):
+        rng = random.Random(11)
+        lo, hi = quad(2), quad(9)
+        for _ in range(40):
+            inside = sorted({lo, hi} | {quad(F(rng.randint(16, 72), 8))
+                                        for _ in range(rng.randint(0, 12))})
+            outside = [lo - F(rng.randint(1, 9), 4), hi + F(rng.randint(1, 9), 4)]
+            messy = inside + inside[::3] + outside
+            rng.shuffle(messy)
+            for eps in (quad(F(1, 2)), quad(1), sqrtD()):
+                assert eps_dense(messy, lo, hi, eps) == eps_dense(inside, lo, hi, eps)
 
 
 class TestStabilityRatio:
@@ -277,3 +313,64 @@ class TestDensityWitness:
             rep = eps_dense([v for v, _ in wit.values_in(lo, hi)], lo, hi,
                             quad(F(1, 3)))
             assert rep.ok, (k, rep.witness)
+
+    def test_offsets_must_be_sorted_and_within_base(self):
+        band = FreqBand(F(0), F(1))
+        base = TileVector(1, 1)
+        offsets = enumerate_tileable(P, quad(0), base.value(P))
+        DensityWitness(P, band, quad(1), base, offsets, 1)
+        with pytest.raises(ValueError):
+            DensityWitness(P, band, quad(1), base, offsets[::-1], 1)
+        with pytest.raises(ValueError):
+            DensityWitness(P, band, quad(1), base, offsets + [TileVector(2, 1)], 1)
+        with pytest.raises(ValueError):
+            DensityWitness(P, band, quad(1), base, [], 1)
+
+
+def brute_values_in(wit, lo, hi):
+    """Oracle: every k x every offset, filtered, then stably sorted."""
+    params = wit.params
+    x = params.alpha * wit.base.p + params.beta * wit.base.q
+    out = []
+    k = wit.k_min
+    while not hi < x * k:  # offset values are >= 0
+        for s in wit.offsets:
+            p, q = k * wit.base.p + s.p, k * wit.base.q + s.q
+            val = params.alpha * p + params.beta * q
+            if lo <= val <= hi:
+                out.append((val, TileVector(p, q)))
+        k += 1
+    return sorted(out, key=lambda e: e[0])
+
+
+def witness_windows(wit):
+    params = wit.params
+    n = len(wit.offsets)
+    ends = (wit.member(wit.k_min + 2, n // 2).value(params),
+            wit.member(wit.k_min + 5, n - 1).value(params))
+    return [
+        ends,                                          # ends on members
+        (wit.threshold - 10, wit.threshold + 5),       # starts below N
+        (wit.threshold + params.beta * 7, wit.threshold + params.beta * 27),
+    ]
+
+
+class TestValuesIn:
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_matches_brute_force(self, params):
+        wit = density_witness(params, quad(1, 0, params.d),
+                              FreqBand(F(1, 4), F(3, 4)))
+        for lo, hi in witness_windows(wit):
+            got = wit.values_in(lo, hi)
+            assert got and got == brute_values_in(wit, lo, hi)
+
+    def test_offsets_spanning_exactly_value_x(self):
+        # the last offset of run k and the first of run k + 1 coincide
+        base = TileVector(1, 1)
+        offsets = enumerate_tileable(P, quad(0), base.value(P))
+        wit = DensityWitness(P, FreqBand(F(0), F(1)), quad(1), base, offsets, 3)
+        for lo, hi in witness_windows(wit):
+            got = wit.values_in(lo, hi)
+            assert got == brute_values_in(wit, lo, hi)
+            vals = [v for v, _ in got]
+            assert len(set(vals)) < len(vals)
