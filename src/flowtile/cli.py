@@ -33,10 +33,20 @@ class UsageError(ValueError):
     pass
 
 
+def _literal(parse, flag: str, text: str):
+    """Parse a command-line literal; a malformed one is a usage error."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag}: malformed literal {text!r}") from None
+
+
 def _params(args) -> Params:
-    alpha = parse_quadreal(args.alpha) if args.alpha else quad(1)
-    beta = parse_quadreal(args.beta) if args.beta else quad(0, 1)
-    return Params(alpha, beta, Fraction(args.rho))
+    alpha = (_literal(parse_quadreal, "--alpha", args.alpha) if args.alpha
+             else quad(1))
+    beta = (_literal(parse_quadreal, "--beta", args.beta) if args.beta
+            else quad(0, 1))
+    return Params(alpha, beta, _literal(Fraction, "--rho", args.rho))
 
 
 def _seed(args) -> int:
@@ -66,9 +76,11 @@ def _approx(x: QuadReal) -> str:
 
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(kind=args.kind, count=args.n, seed=_seed(args),
-                         k0=parse_quadreal(args.k0) if args.k0 else None,
+                         k0=(_literal(parse_quadreal, "--k0", args.k0)
+                             if args.k0 else None),
                          ratio=args.ratio,
-                         angle=parse_quadreal(args.angle) if args.angle else None,
+                         angle=(_literal(parse_quadreal, "--angle", args.angle)
+                                if args.angle else None),
                          path=args.infile)
     w = generate(spec)
     _write_json(args.out, w.to_json())
@@ -77,9 +89,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    k = _literal(parse_quadreal, "--k", args.k)
     with open(args.infile) as fh:
         w = OrbitWindow.from_json(json.load(fh))
-    k = parse_quadreal(args.k)
     cc = chain_classes(w, k)
     print(f"threshold {k}: {len(cc.classes)} classes, sizes "
           f"{[len(c) for c in cc.classes]}")
@@ -90,7 +102,8 @@ def cmd_classes(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    ks = [parse_quadreal(tok) for tok in args.k_list.split(",")]
+    ks = [_literal(parse_quadreal, "k_list", tok)
+          for tok in args.k_list.split(",")]
     pts, length = two_class_block(ks)
     print(f"block of {len(pts)} points, length {_approx(length)}")
     for p in pts:
@@ -103,8 +116,11 @@ def cmd_blocks(args) -> int:
 
 def cmd_density(args) -> int:
     params = _params(args)
-    lo, hi = (Fraction(tok) for tok in args.band.split(","))
-    wit = density_witness(params, parse_quadreal(args.eps), FreqBand(lo, hi))
+    band = [_literal(Fraction, "--band", tok) for tok in args.band.split(",")]
+    if len(band) != 2:
+        raise UsageError(f"--band: expected lo,hi, got {args.band!r}")
+    eps = _literal(parse_quadreal, "--eps", args.eps)
+    wit = density_witness(params, eps, FreqBand(*band))
     print(f"threshold {_approx(wit.threshold)}")
     print(f"family: {wit.describe()}")
     ok = True
@@ -129,8 +145,10 @@ def cmd_boost(args) -> int:
         params, parse_quadreal(data["eps"]),
         [parse_quadreal(d) for d in data["gaps"]],
         [[TileVector(p, q) for p, q in rk] for rk in data["choices"]])
-    el = frequency_boost(prob, Fraction(args.gamma), Fraction(args.zeta),
-                         Fraction(args.eta), enforce_bound=not args.test_mode)
+    el = frequency_boost(prob, _literal(Fraction, "--gamma", args.gamma),
+                         _literal(Fraction, "--zeta", args.zeta),
+                         _literal(Fraction, "--eta", args.eta),
+                         enforce_bound=not args.test_mode)
     print(f"value {_approx(el.value)} frequency {alpha_frequency(el.counts)}")
     if args.out:
         _write_json(args.out, {"value": str(el.value),
@@ -176,6 +194,7 @@ def cmd_tile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    eta = _literal(Fraction, "--eta", args.eta)
     with open(args.infile) as fh:
         t = TiledSection.from_json(json.load(fh))
     params = t.params
@@ -189,7 +208,7 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"FAIL: {len(bad)} untiled gaps")
         return 1
-    rep = verify_uniform_frequency(t, Fraction(args.eta))
+    rep = verify_uniform_frequency(t, eta)
     if rep.n_eta is None:
         print(f"FAIL: no uniform run length for eta={args.eta}; "
               f"counterexample window {rep.counterexample}")
@@ -314,7 +333,7 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, TilingError, WitnessError) as e:
+    except (ValueError, ZeroDivisionError, TilingError, WitnessError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
 

@@ -19,8 +19,11 @@ alpha-frequency of the result.  All checks are exact.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .quadratic import QuadReal, parse_quadreal, qmax, qmin, quad
@@ -46,6 +49,28 @@ class WitnessError(RuntimeError):
 # schedule
 
 
+class TileableTable:
+    """The nonzero tile vectors of value in (0, top], sorted by value, with
+    their values alongside, for exact corridor lookups by bisection."""
+
+    __slots__ = ("top", "values", "vectors")
+
+    def __init__(self, params: Params, top: QuadReal):
+        self.top = top
+        # the zero vector comes first: it is the only one of value 0
+        self.vectors = enumerate_tileable(params, quad(0, 0, params.d), top)[1:]
+        self.values = [v.value(params) for v in self.vectors]
+
+    def between(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
+        """Nonzero tile vectors of value strictly inside (lo, hi), in value
+        order."""
+        if self.top < hi:
+            raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
+                              f"tileable table's top {self.top}")
+        return self.vectors[bisect_right(self.values, lo):
+                            bisect_left(self.values, hi)]
+
+
 @dataclass
 class Schedule:
     """Stage constants for the pipelines.
@@ -54,6 +79,12 @@ class Schedule:
     tolerance certified at witness level j; K[n] are the chain thresholds;
     near[n] is the tile budget that can flip a stage-n block's frequency
     across rho; the last L sequence bounds witness piece values per level.
+
+    ``table`` is derived from params and K on construction and never
+    serialized: the tileable table up to K[depth] + 1.  Finishing looks its
+    corridors up there: a stage-n gap d <= K[n] with carry |c| < eps[n] has
+    corridor (d - c - eps[n], d - c + eps[n]), whose top stays below
+    K[n] + 2*eps[n] <= K[depth] + 1/3 < K[depth] + 1.
     """
 
     params: Params
@@ -68,6 +99,10 @@ class Schedule:
     pair_spacing: list[int]
     witnesses: list[tuple[int, FreqBand, DensityWitness]] = field(default_factory=list)
     density_log: list[str] = field(default_factory=list)
+    table: TileableTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.table = TileableTable(self.params, self.K[-1] + 1)
 
     @property
     def L(self) -> list[QuadReal]:
@@ -360,6 +395,9 @@ class TiledSection:
     def from_json(cls, data: dict) -> "TiledSection":
         params = Params(parse_quadreal(data["alpha"]), parse_quadreal(data["beta"]),
                         Fraction(data["rho"]))
+        for ch in data["letters"]:
+            if ch not in ("a", "b", ""):
+                raise ValueError(f"unknown gap letter {ch!r}")
         t = cls(params,
                 [parse_quadreal(p) for p in data["positions"]],
                 [None if ch == "" else ch for ch in data["letters"]],
@@ -444,10 +482,16 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     t.letters = new_letters
     t.ranks = new_ranks
     t.orig_ids = new_orig
-    # promote every run that swallowed a planned gap to the current stage
-    marks = set(planned_letter_idx)
+    _promote_runs(t, planned_letter_idx, stage)
+
+
+def _promote_runs(t: TiledSection, marks: list[int], stage: int):
+    """Raise to `stage` the ranks of every regular run that swallowed a
+    planned gap.  marks, the planned gaps' letter indices, increase
+    strictly, so run [i, j] holds one exactly when bisection separates i
+    from j."""
     for i, j in t.regular_runs():
-        if any(i <= g < j for g in marks):
+        if bisect_left(marks, i) < bisect_left(marks, j):
             for k in range(i, j + 1):
                 t.ranks[k] = max(t.ranks[k], stage)
 
@@ -739,7 +783,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
             peek = totals + TileVector(p, q)
             lo = d - carry - eps_s
             hi = d - carry + eps_s
-            vec = _choose_gap_word(params, lo, hi, peek)
+            try:
+                vec = _choose_gap_word(schedule, lo, hi, peek)
+            except TilingError as e:
+                raise TilingError(f"stage {stage}, gap {g}: {e}") from None
             if vec is None:
                 raise TilingError(f"stage {stage}: no tileable in the corridor "
                                   f"of gap {g} (window ({lo}, {hi}))")
@@ -751,11 +798,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     return plan
 
 
-def _choose_gap_word(params: Params, lo: QuadReal, hi: QuadReal,
+def _choose_gap_word(schedule: Schedule, lo: QuadReal, hi: QuadReal,
                      running: TileVector) -> Optional[TileVector]:
-    rho = params.rho
-    cands = [v for v in enumerate_tileable(params, lo, hi)
-             if not v.is_zero() and lo < v.value(params) < hi]
+    rho = schedule.params.rho
+    cands = schedule.table.between(lo, hi)
     if not cands:
         return None
     want_high = _wants_alpha(rho, running)
@@ -919,20 +965,18 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     n = len(t.letters)
     if n == 0:
         return UniformFrequencyReport(eta, 1, None, True)
-    dev = [0] * (n + 1)
-    for i, ch in enumerate(t.letters):
-        dev[i + 1] = dev[i] + (b_ - a_ if ch == "a" else -a_)
+    # dev[i] = (count of 'a' - rho * i) * b_ over the first i letters
+    dev = list(accumulate(map({"a": b_ - a_}.get, t.letters, repeat(-a_)),
+                          initial=0))
+    lim_den = eta.denominator
 
-    def ok(run: int) -> Optional[int]:
-        # |dev[i+run] - dev[i]| < eta * b_ * run  (strict), scaled to ints
-        lim_num = eta.numerator * b_ * run
-        lim_den = eta.denominator
-        for i in range(n - run + 1):
-            if abs(dev[i + run] - dev[i]) * lim_den >= lim_num:
-                return i
-        return None
+    def fails(run: int) -> bool:
+        # some window of `run` letters has |dev[i+run] - dev[i]| >= eta*b_*run,
+        # scaled to integers
+        return (max(map(abs, map(sub, dev[run:], dev))) * lim_den
+                >= eta.numerator * b_ * run)
 
-    if ok(n) is not None:
+    if fails(n):
         rep = UniformFrequencyReport(eta, None, (0, n), None)
         if witnesses:
             rep = rep._replace(witnesses_ok=all(w.replay(t) for w in t.witnesses))
@@ -945,7 +989,7 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     n_eta = start
     run = start - 1
     while run >= 1:
-        if ok(run) is not None:
+        if fails(run):
             break
         n_eta = run
         run -= 1

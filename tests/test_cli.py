@@ -95,6 +95,47 @@ class TestCli:
                     "--k", "9"]) == 2
         assert run(["gen", "--kind", "bogus", "--out", "x.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--in", "w.json", "--k", "foo"],
+        ["--rho", "abc", "density", "--eps", "1", "--band", "1/2,3/4"],
+        ["density", "--eps", "1", "--band", "x,1"],
+        ["density", "--eps", "1/0", "--band", "1/2,3/4"],
+        ["blocks", "2,four,8"],
+    ], ids=["k", "rho", "band", "eps", "k_list"])
+    def test_malformed_literal_is_usage_error(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.json").write_text(
+            json.dumps({"boundary": "open", "positions": ["0", "3"]}))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["foo", "1/0"])
+    def test_bad_literal_inside_input_file_exits_1(self, bad, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"boundary": "open", "positions": ["0", bad]}))
+        assert run(["classes", "--in", str(w), "--k", "9"]) == 1
+        assert capsys.readouterr().err.startswith("verification failure: ")
+
+    @pytest.mark.parametrize("letter", [[1], "c"], ids=["list", "c"])
+    def test_verify_rejects_unknown_letter(self, letter, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        run(["tile", "--mode", "full", "--depth", "2", "--in", str(w),
+             "--out", str(t)])
+        data = json.loads(t.read_text())
+        data["letters"][data["letters"].index("b")] = letter
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "--eta", "1/8", str(t)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: unknown gap letter")
+        assert err.count("\n") == 1
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -3,16 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                                PartitionWitness, TiledSection, TilingError,
                                attach_witnesses, build_rank_blocks,
                                build_schedule, classify_section, full_pipeline,
                                sparse_tile, verify_uniform_frequency)
-from flowtile.quadratic import quad, sqrtD
-from flowtile.tiles import (TileVector, alpha_frequency, default_params,
-                            is_near_rho)
+from flowtile.quadratic import qmin, quad, sqrtD
+from flowtile.tiles import (Params, TileVector, alpha_frequency,
+                            default_params, enumerate_tileable, is_near_rho)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
 
 P = default_params()
@@ -72,6 +75,60 @@ class TestSchedule:
     def test_witnesses_cover_all_stages(self, schedule4):
         stages = {n for n, _, _ in schedule4.witnesses}
         assert stages == set(range(1, schedule4.depth + 1))
+
+
+# D in {2, 3}, with alpha = sqrt(3) - 1 irrational and rho = 2/5
+TABLE_PARAMS = [
+    P,
+    Params(quad(1, 0, 3), quad(0, 1, 3), F(2, 5)),
+    Params(quad(-1, 1, 3), quad(3, 0, 3), F(2, 5)),
+]
+
+
+class TestTileableTable:
+    @pytest.mark.parametrize("params", TABLE_PARAMS)
+    def test_lookup_matches_enumeration(self, params):
+        sched = build_schedule(params, depth=2, verify_windows=1)
+        top = sched.K[2] + 1
+        table = sched.table
+        assert table.top == top
+        vals = table.values
+        rng = random.Random(3)
+        for trial in range(300):
+            if trial % 3 == 0:
+                # both ends exactly on tileable values
+                i, j = sorted(rng.sample(range(len(vals)), 2))
+                lo, hi = vals[i], vals[j]
+            else:
+                lo = top * F(rng.randrange(-20, 1000), 1000)
+                hi = qmin(lo + F(rng.randrange(0, 3000), 1000), top)
+            want = [v for v in enumerate_tileable(params, lo, hi)
+                    if not v.is_zero() and lo < v.value(params) < hi]
+            assert table.between(lo, hi) == want
+
+    def test_query_above_the_table_raises(self, schedule2):
+        top = schedule2.K[2] + 1
+        schedule2.table.between(top - 2, top)
+        with pytest.raises(TilingError):
+            schedule2.table.between(top - 2, top + F(1, 100))
+
+    def test_table_follows_replaced_params(self, schedule2):
+        other = TABLE_PARAMS[1]
+        moved = dataclasses.replace(schedule2, params=other)
+        lo, hi = quad(0), schedule2.K[2]
+        assert moved.table.between(lo, hi) == [
+            v for v in enumerate_tileable(other, lo, hi) if not v.is_zero()
+            and lo < v.value(other) < hi]
+
+    def test_finishing_names_gap_and_stage_above_the_table(self, schedule2,
+                                                           monkeypatch):
+        def above(self, lo, hi):
+            raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
+                              f"tileable table's top")
+        monkeypatch.setattr(pipeline.TileableTable, "between", above)
+        w = OrbitWindow([quad(0), schedule2.K[1] - F(1, 2)])
+        with pytest.raises(TilingError, match=r"stage 1, gap 0: corridor"):
+            sparse_tile(w, schedule2)
 
 
 class TestBlockGrowth:
@@ -268,6 +325,73 @@ class TestUniformFrequency:
         t.witnesses.append(bad)
         rep2 = verify_uniform_frequency(t, F(1, 4))
         assert rep2.witnesses_ok is False
+
+
+def brute_uniform_frequency(letters, rho, eta):
+    """(n_eta, counterexample) from every window of every length."""
+    n = len(letters)
+    pre = [0]
+    for ch in letters:
+        pre.append(pre[-1] + (ch == "a"))
+
+    def good(r):
+        return all(abs(F(pre[i + r] - pre[i], r) - rho) < eta
+                   for i in range(n - r + 1))
+
+    if not good(n):
+        return None, (0, n)
+    n_eta = n
+    while n_eta > 1 and good(n_eta - 1):
+        n_eta -= 1
+    return n_eta, None
+
+
+class TestUniformFrequencyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="ab", min_size=1, max_size=200),
+           st.sampled_from([F(1, 2), F(2, 5)]),
+           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16)]))
+    def test_matches_all_windows(self, letters, rho, eta):
+        params = Params(P.alpha, P.beta, rho)
+        t = section_from_letters(letters, params)
+        rep = verify_uniform_frequency(t, eta, witnesses=False)
+        assert (rep.n_eta, rep.counterexample) == \
+            brute_uniform_frequency(letters, rho, eta)
+
+
+def promote_any(t, marks, stage):
+    # reference: a run [i, j] is promoted when any mark g has i <= g < j
+    for i, j in t.regular_runs():
+        if any(i <= g < j for g in set(marks)):
+            for k in range(i, j + 1):
+                t.ranks[k] = max(t.ranks[k], stage)
+
+
+class TestPromotion:
+    def test_bisection_matches_any_reference(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randrange(1, 30)
+            letters = [rng.choice(["a", "b", None]) for _ in range(n)]
+            marks = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
+            ranks = [rng.randrange(3) for _ in range(n + 1)]
+            got, want = (TiledSection(P, [quad(k) for k in range(n + 1)],
+                                      letters, ranks, range(n + 1))
+                         for _ in range(2))
+            pipeline._promote_runs(got, marks, 2)
+            promote_any(want, marks, 2)
+            assert got.ranks == want.ranks
+
+    def test_full_pipeline_ranks_match_any_reference(self, schedule4,
+                                                     monkeypatch):
+        w = generate(GeneratorSpec("uniform", count=300, seed=8,
+                                   k0=schedule4.K[0]))
+        got = full_pipeline(w, schedule4, seed=8).ranks
+        monkeypatch.setattr(pipeline, "_promote_runs", promote_any)
+        want = full_pipeline(w, schedule4, seed=8).ranks
+        assert got == want
+        # growth leaves rank-0 points, so finishing had runs to promote
+        assert 0 in build_rank_blocks(w, schedule4, stages=1, seed=8).ranks
 
 
 class TestSectionJson:
