@@ -18,8 +18,8 @@ from fractions import Fraction
 from .generators import GeneratorSpec, generate
 from .loe import build_loe, verify_loe
 from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
-                       build_schedule, full_pipeline, sparse_tile,
-                       verify_uniform_frequency)
+                       attach_witnesses, build_schedule, check_displacements,
+                       full_pipeline, sparse_tile, verify_uniform_frequency)
 from .quadratic import QuadReal, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
@@ -166,7 +166,6 @@ def cmd_tile(args) -> int:
         if args.mode == "full":
             return full_pipeline(w, sched, seed=seed)
         t = sparse_tile(w, sched)
-        from .pipeline import attach_witnesses
         attach_witnesses(t)
         return t
 
@@ -208,6 +207,7 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"FAIL: {len(bad)} untiled gaps")
         return 1
+    check_displacements(t)
     rep = verify_uniform_frequency(t, eta)
     if rep.n_eta is None:
         print(f"FAIL: no uniform run length for eta={args.eta}; "

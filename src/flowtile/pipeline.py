@@ -77,8 +77,7 @@ class Schedule:
 
     eps[n] bounds every shift applied at stage n; eta[j] is the frequency
     tolerance certified at witness level j; K[n] are the chain thresholds;
-    near[n] is the tile budget that can flip a stage-n block's frequency
-    across rho; the last L sequence bounds witness piece values per level.
+    L[j] bounds witness piece values at level j.
 
     ``table`` is derived from params and K on construction and never
     serialized: the tileable table up to K[depth] + 1.  Finishing looks its
@@ -94,19 +93,12 @@ class Schedule:
     nu: list[Fraction]
     nu_p: list[Fraction]
     K: list[QuadReal]            # K[0] .. K[depth]
-    near: list[int]              # near[0] = 1
-    L_stages: list[list[QuadReal]]
-    pair_spacing: list[int]
+    L: list[QuadReal]            # L[0] .. L[depth]
     witnesses: list[tuple[int, FreqBand, DensityWitness]] = field(default_factory=list)
-    density_log: list[str] = field(default_factory=list)
     table: TileableTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.table = TileableTable(self.params, self.K[-1] + 1)
-
-    @property
-    def L(self) -> list[QuadReal]:
-        return self.L_stages[-1]
 
     def rank_bound(self, rank: int) -> QuadReal:
         """Largest shift a rank-`rank` point may receive at any later stage."""
@@ -136,14 +128,9 @@ class Schedule:
         for a, b in zip(self.K, self.K[1:]):
             if b < a + 4:
                 raise ValueError("chain thresholds must step by at least 4")
-        for n, (prev, cur) in enumerate(zip(self.L_stages, self.L_stages[1:]),
-                                        start=1):
-            if prev[:n] != cur[:n]:
-                raise ValueError("L sequences must agree on the settled prefix")
-        for seq in self.L_stages:
-            for a, b in zip(seq, seq[1:]):
-                if not a < b:
-                    raise ValueError("each L sequence must increase strictly")
+        for a, b in zip(self.L, self.L[1:]):
+            if not a < b:
+                raise ValueError("L must increase strictly")
 
     def to_json(self) -> dict:
         return {
@@ -152,16 +139,12 @@ class Schedule:
             "eps": [str(e) for e in self.eps[1:]],
             "eta": [str(e) for e in self.eta],
             "K": [str(k) for k in self.K],
-            "near": self.near,
             "L": [str(v) for v in self.L],
-            "pair_spacing": self.pair_spacing,
         }
 
 
-def build_schedule(params: Params, eta_seq: Sequence[Fraction] | None = None,
-                   depth: int = 4, k0: QuadReal | None = None,
+def build_schedule(params: Params, depth: int = 4,
                    k_seq: Sequence[QuadReal] | None = None,
-                   pair_spacing: int = 3,
                    verify_windows: int = 10) -> Schedule:
     """Derive stage constants, discharging every density assumption.
 
@@ -172,19 +155,12 @@ def build_schedule(params: Params, eta_seq: Sequence[Fraction] | None = None,
     checked on ``verify_windows`` disjoint windows above its threshold.
     """
     one = quad(1, 0, params.d)
-    if eta_seq is None:
-        scale = min(params.rho, 1 - params.rho)
-        eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
-    else:
-        eta = [Fraction(e) for e in eta_seq]
-        if len(eta) < depth + 2:
-            raise ValueError("eta sequence shorter than depth + 2")
+    scale = min(params.rho, 1 - params.rho)
+    eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
     base = qmin(params.alpha, one) / 3
     eps = [quad(0, 0, params.d)] + [base / (2 ** n) for n in range(1, depth + 2)]
     nu = [eta[n + 1] + Fraction(2, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
     nu_p = [eta[n + 1] + Fraction(1, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
-
-    log: list[str] = []
 
     def corridor_ok(lo: QuadReal, hi: QuadReal, width: QuadReal) -> bool:
         vals = [v.value(params) for v in enumerate_tileable(params, lo, hi)]
@@ -202,14 +178,10 @@ def build_schedule(params: Params, eta_seq: Sequence[Fraction] | None = None,
             if not corridor_ok(mid - 3, mid + 3, eps[n] * 2):
                 raise ValueError(f"supplied K_{n} fails the stage-{n} corridor "
                                  f"density check")
-            log.append(f"K{n}={K[n]}: corridor {eps[n] * 2} verified (supplied)")
     else:
-        K = [k0 if k0 is not None else quad(floor_k0.ceil(), 0, params.d)]
+        K = [quad(floor_k0.ceil(), 0, params.d)]
         while not corridor_ok(K[0] - 2, K[0] + 8, eps[1] * 2):
             K[0] = K[0] + 1
-        if K[0] < floor_k0:
-            raise ValueError("K_0 fell below 4*max(1, beta)")
-        log.append(f"K0={K[0]}: tileables {eps[1] * 2}-dense on [K0-2, K0+8]")
         for n in range(1, depth + 1):
             cand = K[n - 1] + 4
             while True:
@@ -218,10 +190,6 @@ def build_schedule(params: Params, eta_seq: Sequence[Fraction] | None = None,
                     break
                 cand = cand + 2
             K.append(cand)
-            log.append(f"K{n}={cand}: corridor {eps[n] * 2} verified near the "
-                       f"midpoint")
-
-    near = [1] + [((K[n] + 1) / params.alpha).floor() for n in range(1, depth + 1)]
 
     # witness piece budget: predicted compensated run length per eta level
     letters_max = ((K[depth] + 3) / params.alpha).floor() + 1
@@ -230,14 +198,12 @@ def build_schedule(params: Params, eta_seq: Sequence[Fraction] | None = None,
     def run_len(etaj: Fraction) -> int:
         return int(Fraction(dev_range) / (etaj * params.rho.denominator)) + 1
 
-    L0: list[QuadReal] = [params.beta]
+    L: list[QuadReal] = [params.beta]
     for j in range(1, depth + 1):
         n_val = params.beta * run_len(eta[j])
-        L0.append(qmax(L0[-1] + 1, n_val * 2 + 4))
-    L_stages = [list(L0) for _ in range(depth + 1)]
+        L.append(qmax(L[-1] + 1, n_val * 2 + 4))
 
-    sched = Schedule(params, depth, eps, eta, nu, nu_p, K, near, L_stages,
-                     [pair_spacing] * (depth + 2), [], log)
+    sched = Schedule(params, depth, eps, eta, nu, nu_p, K, L)
 
     for n in range(1, depth + 1):
         for band in (FreqBand(params.rho + nu_p[n], params.rho + nu[n]),
@@ -291,21 +257,14 @@ class PartitionWitness(NamedTuple):
         return True
 
 
-class ShiftEvent(NamedTuple):
-    phase: str
-    stage: int
-    bound: QuadReal
-    shift: QuadReal
-
-
 class TiledSection:
     """A window whose gaps are (partially) tiled, with provenance.
 
     positions/letters describe the current section; letters[i] is 'a' or
     'b' when the gap (i, i+1) is exactly alpha or beta, else None.  ranks
     give the growth stage that produced each point's block; orig_ids map
-    points back to the input window, and shift events record every nudge
-    an original point received together with its stage bound.
+    points back to the input window, and origin_pos holds each original
+    point's input position.
     """
 
     def __init__(self, params: Params, positions, letters, ranks, orig_ids,
@@ -317,9 +276,7 @@ class TiledSection:
         self.orig_ids = list(orig_ids)
         self.schedule = schedule
         self.origin_pos: dict[int, QuadReal] = {}
-        self.shift_events: dict[int, list[ShiftEvent]] = {}
         self.witnesses: list[PartitionWitness] = []
-        self.shift_chains: list[dict] = []
         self.notes: list[str] = []
 
     @classmethod
@@ -364,11 +321,6 @@ class TiledSection:
             if oid is not None:
                 out[oid] = self.positions[idx] - self.origin_pos[oid]
         return out
-
-    def record_shift(self, oid: int, phase: str, stage: int, bound: QuadReal,
-                     shift: QuadReal):
-        self.shift_events.setdefault(oid, []).append(
-            ShiftEvent(phase, stage, bound, shift))
 
     def counts(self) -> TileVector:
         p = sum(1 for ch in self.letters if ch == "a")
@@ -438,26 +390,20 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     npts = len(t.positions)
     for i in range(npts):
         pos = t.positions[i] + carry
-        oid = t.orig_ids[i]
         if not carry.is_zero():
-            if sched is None:
-                bound = None
-            elif phase == "grow":
+            if phase == "grow":
                 # growth shifts are rank-indexed: a rank-j atom never moves
                 # by eps_{j+1} or more
                 bound = sched.rank_bound(t.ranks[i])
             else:
                 bound = sched.eps[min(stage, len(sched.eps) - 1)]
-            if bound is not None and not abs(carry) < bound:
+            if not abs(carry) < bound:
                 raise TilingError(
                     f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
                     f"its bound {bound}")
-            if oid is not None:
-                t.record_shift(oid, phase, stage, bound if bound is not None
-                               else abs(carry) + 1, carry)
         new_pos.append(pos)
         new_ranks.append(t.ranks[i])
-        new_orig.append(oid)
+        new_orig.append(t.orig_ids[i])
         if i == npts - 1:
             break
         if i in plan:
@@ -499,6 +445,8 @@ def _promote_runs(t: TiledSection, marks: list[int], stage: int):
 # ---------------------------------------------------------------------------
 # block growth
 
+PAIR_SPACING = 3
+
 
 class _Atom(NamedTuple):
     kind: str            # "gap" or "block"
@@ -516,7 +464,7 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule, stages: int,
     blocks, shifting the right one by less than eps_k along an admissible
     composite value whose witness decomposes into lower-rank shifts (each
     rank-j atom moves by less than eps_{j+1}).  Between the pairs of each
-    stage, the spacing policy leaves pair_spacing..2*pair_spacing+1 blocks
+    stage, the spacing policy leaves PAIR_SPACING..2*PAIR_SPACING+1 blocks
     untouched.
     """
     params = schedule.params
@@ -535,7 +483,6 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule, stages: int,
             d_k = g
     d_k = d_k + schedule.shift_budget() * 2  # anchor-spacing bound, rank 0
     for stage in range(1, stages + 1):
-        spacing = schedule.pair_spacing[stage]
         if stage == 1:
             units = [(i, i) for i in range(len(t.positions))]
         else:
@@ -545,7 +492,7 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule, stages: int,
             t.notes.append(f"stage {stage}: fewer than two rank-{stage - 1} "
                            f"blocks; stage truncated")
             break
-        pair_lefts = _select_pairs(len(units), spacing, rng)
+        pair_lefts = _select_pairs(len(units), PAIR_SPACING, rng)
         if not pair_lefts:
             t.notes.append(f"stage {stage}: no room for a pair; stage truncated")
             break
@@ -555,7 +502,7 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule, stages: int,
             seg_plan = _pair_plan(t, left, right, schedule, stage)
             plan.update(seg_plan)
         _apply_gap_plan(t, plan, stage, phase="grow")
-        d_k = d_k * (2 * spacing + 3)
+        d_k = d_k * (2 * PAIR_SPACING + 3)
         _check_block_spacing(t, stage, d_k)
     return t
 
@@ -589,8 +536,7 @@ def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
     after choosing the value of a gap, the accumulated deviation is the
     shift of the atom to the gap's right and must stay under that atom's
     rank bound.  The element closest to rho in frequency (then smallest
-    final deviation) is replayed into a per-gap plan; its witness chain is
-    stored for audit.
+    final deviation) is replayed into a per-gap plan.
     """
     params = t.params
     rho = params.rho
@@ -663,13 +609,6 @@ def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
         elements, key=lambda e: (abs(alpha_frequency(e[0]) - rho),
                                  abs(e[1] - total)))
     gap_indices = [a.gap_index for a in atoms if a.kind == "gap"]
-    t.shift_chains.append({
-        "stage": stage, "anchor": left[1], "target": right[0],
-        "total": total, "value": val,
-        "gaps": gap_indices, "choices": list(wit),
-        "bounds": [schedule.rank_bound(a.rank) for a in atoms if a.kind == "gap"],
-        "spans": [a.span for a in atoms if a.kind == "gap"],
-    })
     return dict(zip(gap_indices, wit))
 
 
@@ -677,8 +616,7 @@ def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
 # finishing
 
 
-def sparse_tile(source, schedule: Schedule, depth: int | None = None,
-                phase: str = "finish") -> TiledSection:
+def sparse_tile(source, schedule: Schedule) -> TiledSection:
     """Tile every untiled gap, stage by stage along the chain hierarchy.
 
     Stage n handles the gaps of size at most K_n (one chain class at a
@@ -696,14 +634,14 @@ def sparse_tile(source, schedule: Schedule, depth: int | None = None,
         t = source
         if t.schedule is None:
             t.schedule = schedule
-    depth = schedule.depth if depth is None else depth
+    depth = schedule.depth
     for stage in range(1, depth + 1):
         if t.is_fully_regular():
             break
         before = _class_signature(t, schedule, stage)
         plan = _finish_stage_plan(t, schedule, stage)
         if plan:
-            _apply_gap_plan(t, plan, stage, phase=phase)
+            _apply_gap_plan(t, plan, stage, phase="finish")
         after = _class_signature(t, schedule, stage)
         if before != after:
             raise TilingError(f"stage {stage} disturbed chain classes: "
@@ -859,8 +797,8 @@ def classify_section(t: TiledSection) -> Classification:
     return Classification(FINITE_CLASSES, runs, ew)
 
 
-def full_pipeline(w: OrbitWindow, schedule: Schedule, seed: int = 0,
-                  stages: int = 1) -> TiledSection:
+def full_pipeline(w: OrbitWindow, schedule: Schedule,
+                  seed: int = 0) -> TiledSection:
     """Grow blocks, classify, finish, certify.
 
     The result is fully regular on the window interior; every original
@@ -868,48 +806,54 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule, seed: int = 0,
     partition witnesses for every level up to the schedule depth are
     attached and replayed before returning.
     """
-    t = build_rank_blocks(w, schedule, stages=stages, seed=seed)
+    t = build_rank_blocks(w, schedule, stages=1, seed=seed)
     cls = classify_section(t)
     t.notes.append(f"after growth: {cls.kind} with {len(cls.runs)} runs")
     if cls.kind != FULLY_REGULAR:
-        t = sparse_tile(t, schedule, phase="finish")
+        t = sparse_tile(t, schedule)
     if not t.is_fully_regular():
         raise TilingError("pipeline left untiled gaps")
-    _check_displacements(t, schedule)
+    check_displacements(t)
     attach_witnesses(t)
     return t
 
 
-def _check_displacements(t: TiledSection, schedule: Schedule):
-    budget = qmin(schedule.params.alpha, quad(1, 0, schedule.params.d)) / 3
-    for oid, disp in t.displacements().items():
+def check_displacements(t: TiledSection):
+    """Every original point lies strictly within min(alpha, 1)/3 of its
+    origin position; raises :class:`TilingError` otherwise, also for an
+    original point without an origin position."""
+    p = t.params
+    budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
+    for pos, oid in zip(t.positions, t.orig_ids):
+        if oid is None:
+            continue
+        if oid not in t.origin_pos:
+            raise TilingError(f"original point {oid} has no origin position")
+        disp = pos - t.origin_pos[oid]
         if not abs(disp) < budget:
             raise TilingError(f"original point {oid} displaced {disp}, not "
                               f"strictly below the min(alpha,1)/3 budget")
 
 
-def attach_witnesses(t: TiledSection, levels: Sequence[int] | None = None,
-                     strict: bool = False):
+def attach_witnesses(t: TiledSection):
     """Build and store partition witnesses, level by level.
 
     Pieces are equal-count letter chunks no shorter than the measured
     uniform-frequency run length for the level's eta, so every piece
     inherits the banded frequency; piece values stay under the schedule's
-    L for that level.  Levels are attached in order until one is out of
-    reach for this window (short windows may not support the deeper
-    bands); the achieved depth is recorded, and with ``strict=True`` an
-    unreachable level raises :class:`WitnessError` instead.
+    L for that level.  Levels 1..depth are attached in order until one is
+    out of reach for this window (short windows may not support the
+    deeper bands); the achieved depth is recorded in the notes.
     """
     sched = t.schedule
     if sched is None:
         raise WitnessError("section has no schedule")
     if not t.is_fully_regular():
         raise WitnessError("witnesses need a fully regular section")
-    levels = list(range(1, sched.depth + 1)) if levels is None else list(levels)
     t.witnesses = []
     n = len(t.letters)
     achieved = 0
-    for j in levels:
+    for j in range(1, sched.depth + 1):
         eta_j = sched.eta[j]
         L_j = sched.L[j]
         rep = verify_uniform_frequency(t, eta_j, witnesses=False)
@@ -923,8 +867,6 @@ def attach_witnesses(t: TiledSection, levels: Sequence[int] | None = None,
             reason = (f"level {j} needs runs of {n_min} letters against a "
                       f"piece budget of {min(n_max, n)}")
         if reason is not None:
-            if strict:
-                raise WitnessError(reason)
             t.notes.append(f"witness levels stop at {achieved}: {reason}")
             break
         pieces = max(1, n // n_min)

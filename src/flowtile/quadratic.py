@@ -24,19 +24,6 @@ class ConfigError(ValueError):
     """Raised when two values from incompatible fields are combined."""
 
 
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
-
-
 @total_ordering
 class QuadReal:
     """An exact element ``(a + b*sqrt(d)) / c`` with integers a, b, c > 0.
@@ -399,6 +386,8 @@ def format_quadreal(x: QuadReal) -> str:
 
 def parse_quadreal(text: str, d: int | None = None) -> QuadReal:
     """Parse the canonical text form (inverse of :func:`format_quadreal`)."""
+    if not isinstance(text, str):
+        raise ValueError(f"QuadReal literal must be a string, not {text!r}")
     s = text.strip()
     if not s:
         raise ValueError("empty QuadReal literal")

@@ -3,9 +3,10 @@
 Given gaps d_1..d_n and per-gap admissible tileables R_k close to d_k, the
 reachable set collects every total sum of one choice per gap whose running
 deviation from the gap prefix sums stays strictly inside (-eps, eps).
-This is the engine behind all shift selection: the rearrangement greedy,
-the frequency boost, and the two-band dense step used by the tiling
-pipelines.
+This is the engine behind the rearrangement greedy, the frequency boost
+and the two-band dense step.  The tiling pipelines in :mod:`pipeline` do
+not use it: block growth enumerates its composite shifts inline, and
+finishing steers each gap greedily.
 """
 
 from __future__ import annotations

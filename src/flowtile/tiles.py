@@ -96,9 +96,6 @@ class FreqBand:
         if not (0 <= self.lo <= self.hi <= 1):
             raise ValueError(f"band [{self.lo}, {self.hi}] not inside [0, 1]")
 
-    def contains(self, f: Fraction) -> bool:
-        return self.lo <= f <= self.hi
-
 
 class TiledWord:
     """An ordered word over the letters 'a' (alpha) and 'b' (beta).
@@ -154,13 +151,9 @@ def balanced_word(v: TileVector) -> TiledWord:
     return TiledWord("".join(out))
 
 
-def enumerate_tileable(params: Params, lo: QuadReal, hi: QuadReal,
-                       band: FreqBand | None = None) -> list[TileVector]:
-    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
-
-    With a band, vectors whose frequency falls outside it are dropped; the
-    zero vector has no frequency and passes any band.
-    """
+def enumerate_tileable(params: Params, lo: QuadReal,
+                       hi: QuadReal) -> list[TileVector]:
+    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value."""
     if hi < lo:
         return []
     out: list[tuple[QuadReal, TileVector]] = []
@@ -175,9 +168,7 @@ def enumerate_tileable(params: Params, lo: QuadReal, hi: QuadReal,
             val = val + params.alpha
         while not hi < val:
             if not val < lo:
-                v = TileVector(p, q)
-                if band is None or v.is_zero() or band.contains(alpha_frequency(v)):
-                    out.append((val, v))
+                out.append((val, TileVector(p, q)))
             p += 1
             val = val + params.alpha
         q += 1
@@ -393,10 +384,6 @@ class DensityWitness:
                 p, q = kp + s.p, kq + s.q
                 out.append((value(p, q), TileVector(p, q)))
         return out
-
-    def members_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
-        """All family members with value inside [lo, hi]."""
-        return [m for _, m in self.values_in(lo, hi)]
 
     def describe(self) -> str:
         return (f"members k*({self.base.p},{self.base.q}) + s, k >= "

@@ -112,12 +112,56 @@ class TestCli:
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("bad", ["foo", "1/0"])
+    @pytest.mark.parametrize("bad", ["foo", "1/0", [1]],
+                             ids=["foo", "1/0", "list"])
     def test_bad_literal_inside_input_file_exits_1(self, bad, tmp_path, capsys):
         w = tmp_path / "w.json"
         w.write_text(json.dumps({"boundary": "open", "positions": ["0", bad]}))
         assert run(["classes", "--in", str(w), "--k", "9"]) == 1
-        assert capsys.readouterr().err.startswith("verification failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tamper", ["moved", "missing"])
+    def test_verify_rejects_displaced_point(self, tamper, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        run(["tile", "--mode", "full", "--depth", "4", "--in", str(w),
+             "--out", str(t)])
+        data = json.loads(t.read_text())
+        if tamper == "moved":
+            data["origin_positions"]["3"] = "1000"
+        else:
+            del data["origin_positions"]["3"]
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "--eta", "1/8", str(t)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: original point 3 ")
+        assert err.count("\n") == 1
+
+    def test_tile_loads_schedule_with_retired_fields(self, tmp_path):
+        # the schedule format before "near" and "pair_spacing" were dropped;
+        # only the parameters, depth and K are read back
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({
+            "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "depth": 2,
+            "eps": ["1/6", "1/12", "1/24"],
+            "eta": ["1", "1/2", "1/4", "1/8"],
+            "K": ["7", "11", "25"],
+            "near": [1, 12, 26],
+            "L": ["sqrt(2)", "...", "..."],
+            "pair_spacing": [3, 3, 3, 3],
+        }))
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        assert run(["tile", "--schedule", str(sched), "--in", str(w),
+                    "--out", str(t)]) == 0
+        assert run(["verify", "--eta", "1/8", str(t)]) == 0
 
     @pytest.mark.parametrize("letter", [[1], "c"], ids=["list", "c"])
     def test_verify_rejects_unknown_letter(self, letter, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,12 @@ class TestTextForm:
     def test_mixed_radicand_literal_rejected(self):
         with pytest.raises(ValueError):
             parse_quadreal("sqrt(2) + sqrt(3)")
+
+    @pytest.mark.parametrize("value", [[1], 7, None],
+                             ids=["list", "int", "none"])
+    def test_non_string_literal_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            parse_quadreal(value)
 
 
 class TestFloor:
