@@ -24,8 +24,7 @@ from .quadratic import QuadReal, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
 from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
-                    default_params, density_witness, enumerate_tileable,
-                    eps_dense)
+                    density_witness, eps_dense)
 from .windows import OrbitWindow, chain_classes, two_class_block
 
 

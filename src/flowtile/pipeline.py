@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import sub
+from operator import and_, eq, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .quadratic import QuadReal, parse_quadreal, qmax, qmin, quad
@@ -237,22 +237,31 @@ class PartitionWitness(NamedTuple):
     cuts: tuple[int, ...]  # gap indices; pieces are [cuts[i], cuts[i+1])
 
     def replay(self, section: "TiledSection") -> bool:
+        """Every piece is lettered, of value at most max_value, and of
+        alpha-frequency within eta of rho; the cuts run strictly up from 0
+        to the letter count."""
         params = section.params
-        n = len(section.letters)
-        if not self.cuts or self.cuts[0] != 0 or self.cuts[-1] != n:
+        letters = section.letters
+        cuts = self.cuts
+        if not cuts or cuts[0] != 0 or cuts[-1] != len(letters):
             return False
-        rho = params.rho
-        for a, b in zip(self.cuts, self.cuts[1:]):
-            if not a < b:
+        # cuts that pass the checks below cover every letter
+        if None in letters:
+            return False
+        count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+        lengths = list(map(sub, cuts[1:], cuts))
+        if min(lengths, default=1) <= 0:
+            return False
+        counts = map(sub, map(count_a.__getitem__, cuts[1:]),
+                     map(count_a.__getitem__, cuts))
+        rho_num, rho_den = params.rho.numerator, params.rho.denominator
+        eta_num, eta_den = self.eta.numerator, self.eta.denominator
+        # pieces with equal letter counts pass or fail together
+        for p, m in set(zip(counts, lengths)):
+            if self.max_value < params.value(p, m - p):
                 return False
-            seg = section.letters[a:b]
-            if any(ch is None for ch in seg):
-                return False
-            p = seg.count("a")
-            q = len(seg) - p
-            if self.max_value < params.value(p, q):
-                return False
-            if abs(Fraction(p, p + q) - rho) > self.eta:
+            # |p/m - rho| > eta, times m * rho_den * eta_den
+            if abs(p * rho_den - rho_num * m) * eta_den > eta_num * rho_den * m:
                 return False
         return True
 
@@ -345,23 +354,64 @@ class TiledSection:
 
     @classmethod
     def from_json(cls, data: dict) -> "TiledSection":
-        params = Params(parse_quadreal(data["alpha"]), parse_quadreal(data["beta"]),
-                        Fraction(data["rho"]))
-        for ch in data["letters"]:
+        """Read a section written by :meth:`to_json`.  A missing or
+        mistyped field, or lists whose lengths do not fit one section,
+        raise ValueError naming the field."""
+        params = Params(parse_quadreal(_field(data, "alpha", str)),
+                        parse_quadreal(_field(data, "beta", str)),
+                        Fraction(_field(data, "rho", str)))
+        positions = [parse_quadreal(p) for p in _field(data, "positions", list)]
+        letters = _field(data, "letters", list)
+        for ch in letters:
             if ch not in ("a", "b", ""):
                 raise ValueError(f"unknown gap letter {ch!r}")
-        t = cls(params,
-                [parse_quadreal(p) for p in data["positions"]],
-                [None if ch == "" else ch for ch in data["letters"]],
-                list(data["ranks"]),
-                [None if o == -1 else o for o in data["orig_ids"]])
-        t.origin_pos = {int(k): parse_quadreal(v)
-                        for k, v in data.get("origin_positions", {}).items()}
-        t.witnesses = [PartitionWitness(w["level"], parse_quadreal(w["max_value"]),
-                                        Fraction(w["eta"]), tuple(w["cuts"]))
-                       for w in data.get("witnesses", [])]
-        t.notes = list(data.get("notes", []))
+        ranks = _int_list(data, "ranks")
+        orig_ids = _int_list(data, "orig_ids")
+        if len(letters) != len(positions) - 1:
+            raise ValueError(f"section field 'letters' has {len(letters)} "
+                             f"entries for {len(positions)} positions")
+        for key, values in (("ranks", ranks), ("orig_ids", orig_ids)):
+            if len(values) != len(positions):
+                raise ValueError(f"section field {key!r} has {len(values)} "
+                                 f"entries for {len(positions)} positions")
+        t = cls(params, positions,
+                [None if ch == "" else ch for ch in letters], ranks,
+                [None if o == -1 else o for o in orig_ids])
+        origin = _field(data, "origin_positions", dict, {})
+        t.origin_pos = {int(k): parse_quadreal(v) for k, v in origin.items()}
+        where = "section witness"
+        for w in _field(data, "witnesses", list, []):
+            t.witnesses.append(PartitionWitness(
+                _field(w, "level", int, where=where),
+                parse_quadreal(_field(w, "max_value", str, where=where)),
+                Fraction(_field(w, "eta", str, where=where)),
+                tuple(_int_list(w, "cuts", where))))
+        t.notes = list(_field(data, "notes", list, []))
         return t
+
+
+def _field(obj, key: str, kind: type, default=None, where: str = "section"):
+    """obj[key], which must be a `kind`; `default` when it is absent and a
+    default is given.  Otherwise raises ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{where} has no {key!r} field")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}: "
+                         f"{value!r}")
+    return value
+
+
+def _int_list(obj, key: str, where: str = "section") -> list[int]:
+    values = _field(obj, key, list, where=where)
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{where} field {key!r} holds a non-integer: {v!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +948,24 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
 
     Returns a counterexample window when even the full section fails.
     With ``witnesses=True`` also replays every stored partition witness.
+
+    The scan is word-parallel and exact.  With b the denominator of rho,
+    dev[i] = b * (count of 'a' - rho * i) over the first i letters, and
+    the run of r letters from gap i fails when |dev[i+r] - dev[i]| >= thr,
+    thr = ceil(eta * b * r).  With S = max(dev) - min(dev), the shifted
+    prefixes dev[i] - min(dev), each in [0, S], are packed once into one
+    int: lane i holds bits [i*w, (i+1)*w), for a whole number of bytes w
+    with 2**(w-1) > 2*S.  A run length r has k = n + 1 - r windows.  Let
+    high be the packed int shifted down by r lanes, low its k lowest
+    lanes, and c = 2**(w-1) - thr.  Then lane i of high + c*ones_k - low
+    is dev[i+r] - dev[i] + c, and of low + c*ones_k - high it is
+    dev[i] - dev[i+r] + c.  For 0 < thr <= S we have c > S, so every lane
+    of high + c*ones_k or low + c*ones_k is more than S, the most a lane
+    of the term subtracted can hold, and every result lane is below
+    S + c < 2**w: no borrow or carry crosses a lane.  The run length fails
+    exactly when some lane of either result has its top bit set.  The
+    whole section, a single window, is tested from dev[n] before anything
+    is packed.
     """
     eta = Fraction(eta)
     if not t.is_fully_regular():
@@ -910,24 +978,45 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     # dev[i] = (count of 'a' - rho * i) * b_ over the first i letters
     dev = list(accumulate(map({"a": b_ - a_}.get, t.letters, repeat(-a_)),
                           initial=0))
-    lim_den = eta.denominator
+    lim = eta.numerator * b_
 
-    def fails(run: int) -> bool:
-        # some window of `run` letters has |dev[i+run] - dev[i]| >= eta*b_*run,
-        # scaled to integers
-        return (max(map(abs, map(sub, dev[run:], dev))) * lim_den
-                >= eta.numerator * b_ * run)
+    def threshold(run: int) -> int:
+        # a run of `run` letters fails when |dev[i+run] - dev[i]| >= this
+        return -(-lim * run // eta.denominator)
 
-    if fails(n):
+    if abs(dev[n]) >= threshold(n):
         rep = UniformFrequencyReport(eta, None, (0, n), None)
         if witnesses:
             rep = rep._replace(witnesses_ok=all(w.replay(t) for w in t.witnesses))
         return rep
+    # from here eta > 0, so every threshold below is at least 1
     lo_dev = min(dev)
-    hi_dev = max(dev)
-    spread = hi_dev - lo_dev
+    spread = max(dev) - lo_dev
     # all runs of length > spread*eta.den/(eta.num*b_) pass automatically
     start = min(n, int(Fraction(spread * eta.denominator, eta.numerator * b_)) + 1)
+    lane = ((2 * spread).bit_length() + 8) // 8  # bytes per lane
+    width = 8 * lane
+    top = 1 << (width - 1)
+    lanes = bytearray(lane * (n + 1))
+    for j in range(lane):  # byte j of every lane, little-endian
+        shifted = map(sub, dev, repeat(lo_dev))
+        lanes[j::lane] = bytes(map(and_, map(rshift, shifted, repeat(8 * j)),
+                                   repeat(255)))
+    packed = int.from_bytes(lanes, "little")
+    ones = int.from_bytes((b"\1" + bytes(lane - 1)) * (n + 1), "little")
+
+    def fails(run: int) -> bool:
+        thr = threshold(run)
+        if thr > spread:
+            return False
+        mask = (1 << (n + 1 - run) * width) - 1
+        high = packed >> run * width
+        low = packed & mask
+        ones_k = ones & mask
+        bias = (top - thr) * ones_k
+        return bool(((high + bias - low) | (low + bias - high))
+                    & (ones_k << (width - 1)))
+
     n_eta = start
     run = start - 1
     while run >= 1:

@@ -180,6 +180,47 @@ class TestCli:
         assert err.startswith("verification failure: unknown gap letter")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("tamper,field", [
+        (lambda d: d.update(rho=[1]), "'rho'"),
+        (lambda d: d.pop("ranks"), "'ranks'"),
+        (lambda d: d["witnesses"][0].pop("max_value"), "'max_value'"),
+        (lambda d: d["witnesses"][0].update(cuts=5), "'cuts'"),
+        (lambda d: d["positions"].pop(), "'letters'"),
+    ], ids=["rho_list", "no_ranks", "witness_no_max_value", "witness_cuts_int",
+            "last_position_deleted"])
+    def test_verify_rejects_malformed_section(self, tamper, field, tmp_path,
+                                              capsys):
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--kind", "uniform", "--n", "20", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        run(["tile", "--mode", "full", "--depth", "2", "--in", str(w),
+             "--out", str(t)])
+        data = json.loads(t.read_text())
+        tamper(data)
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "--eta", "1/8", str(t)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: ")
+        assert err.count("\n") == 1
+        assert field in err
+
+    def test_tile_reads_a_written_schedule(self, schedule2, tmp_path):
+        # the schedule file format, as Schedule.to_json writes it
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(schedule2.to_json()))
+        w = tmp_path / "w.json"
+        from_file = tmp_path / "a.json"
+        built = tmp_path / "b.json"
+        run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        assert run(["tile", "--schedule", str(sched), "--in", str(w),
+                    "--out", str(from_file)]) == 0
+        assert run(["tile", "--depth", "2", "--in", str(w),
+                    "--out", str(built)]) == 0
+        assert json.loads(from_file.read_text()) == json.loads(built.read_text())
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

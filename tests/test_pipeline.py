@@ -10,9 +10,9 @@ from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                                PartitionWitness, TiledSection, TilingError,
-                               attach_witnesses, build_rank_blocks,
-                               build_schedule, classify_section, full_pipeline,
-                               sparse_tile, verify_uniform_frequency)
+                               build_rank_blocks, build_schedule,
+                               classify_section, full_pipeline, sparse_tile,
+                               verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             default_params, enumerate_tileable, is_near_rho)
@@ -352,17 +352,134 @@ def brute_uniform_frequency(letters, rho, eta):
     return n_eta, None
 
 
+RHOS = [F(1, 2), F(2, 5), F(5, 7), F(13, 32)]
+ETAS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 100)]
+
+
 class TestUniformFrequencyOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(st.text(alphabet="ab", min_size=1, max_size=200),
-           st.sampled_from([F(1, 2), F(2, 5)]),
-           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 16)]))
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="ab", min_size=1, max_size=400),
+           st.sampled_from(RHOS), st.sampled_from(ETAS))
     def test_matches_all_windows(self, letters, rho, eta):
         params = Params(P.alpha, P.beta, rho)
         t = section_from_letters(letters, params)
         rep = verify_uniform_frequency(t, eta, witnesses=False)
         assert (rep.n_eta, rep.counterexample) == \
             brute_uniform_frequency(letters, rho, eta)
+
+    # the packed scan uses lanes of one byte while 2 * spread < 128 and two
+    # bytes from there: "a" * n at rho = 5/7 has spread 2n, and
+    # "a" * n + "b" * n at rho = 1/2 has spread n; "a" * 20 + "b" * 20 at
+    # rho = 5/7 has spread 100, which one-byte lanes would get wrong
+    @pytest.mark.parametrize("letters,rho", [
+        ("a" * 31, F(5, 7)), ("a" * 32, F(5, 7)), ("a" * 33, F(5, 7)),
+        ("a" * 63 + "b" * 63, F(1, 2)), ("a" * 64 + "b" * 64, F(1, 2)),
+        ("a" * 65 + "b" * 65, F(1, 2)), ("a" * 20 + "b" * 20, F(5, 7)),
+    ], ids=["spread62", "spread64", "spread66", "spread63", "spread64b",
+            "spread65", "spread100"])
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_lane_width_boundary(self, letters, rho, eta):
+        t = section_from_letters(letters, Params(P.alpha, P.beta, rho))
+        rep = verify_uniform_frequency(t, eta, witnesses=False)
+        assert (rep.n_eta, rep.counterexample) == \
+            brute_uniform_frequency(letters, rho, eta)
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193])
+    def test_two_byte_lane_boundary(self, n):
+        # spread 2n crosses 2**14, where lanes go from two bytes to three;
+        # every window of "a" * n has frequency 1, 2/7 from rho = 5/7
+        t = section_from_letters("a" * n, Params(P.alpha, P.beta, F(5, 7)))
+        assert verify_uniform_frequency(t, F(1, 2), witnesses=False).n_eta == 1
+        rep = verify_uniform_frequency(t, F(2, 7), witnesses=False)
+        assert (rep.n_eta, rep.counterexample) == (None, (0, n))
+
+    @pytest.mark.parametrize("letters", ["aaabb", "bbbaa"])
+    def test_run_exactly_at_eta_fails(self, letters):
+        # "aaab" and "bbba" have frequency 3/4 and 1/4, exactly eta = 1/4
+        # from rho = 1/2 on either side: |dev[i+4] - dev[i]| * eta.den ==
+        # eta.num * b * 4, so length 4 fails
+        t = section_from_letters(letters)
+        rep = verify_uniform_frequency(t, F(1, 4), witnesses=False)
+        assert (rep.n_eta, rep.counterexample) == (5, None)
+
+    def test_whole_section_exactly_at_eta_fails(self):
+        t = section_from_letters("aaab")
+        rep = verify_uniform_frequency(t, F(1, 4), witnesses=False)
+        assert (rep.n_eta, rep.counterexample) == (None, (0, 4))
+
+
+def replay_by_slices(wit, section):
+    """Reference replay: every piece sliced, counted and tested with
+    Fractions."""
+    params = section.params
+    n = len(section.letters)
+    if not wit.cuts or wit.cuts[0] != 0 or wit.cuts[-1] != n:
+        return False
+    for a, b in zip(wit.cuts, wit.cuts[1:]):
+        if not a < b:
+            return False
+        seg = section.letters[a:b]
+        if any(ch is None for ch in seg):
+            return False
+        p = seg.count("a")
+        if wit.max_value < params.value(p, len(seg) - p):
+            return False
+        if abs(F(p, len(seg)) - params.rho) > wit.eta:
+            return False
+    return True
+
+
+class TestReplay:
+    @staticmethod
+    def check(wit, t):
+        got = wit.replay(t)
+        assert got == replay_by_slices(wit, t)
+        return got
+
+    def test_piece_exactly_eta_from_rho_passes(self):
+        # "aaab" has frequency 3/4, exactly eta = 1/4 from rho = 1/2
+        t = section_from_letters("aaababab")
+        wit = PartitionWitness(1, quad(10), F(1, 4), (0, 4, 8))
+        assert self.check(wit, t)
+        assert not self.check(wit._replace(eta=F(1, 4) - F(1, 1000)), t)
+
+    def test_piece_value_just_above_max_value_fails(self):
+        t = section_from_letters("aaababab")
+        top = P.value(2, 2)  # "abab" is worth 2 + 2*sqrt(2), "aaab" less
+        wit = PartitionWitness(1, top, F(1, 4), (0, 4, 8))
+        assert self.check(wit, t)
+        assert not self.check(wit._replace(max_value=top - F(1, 1000)), t)
+
+    def test_repeated_cut_fails(self):
+        t = section_from_letters("abababab")
+        wit = PartitionWitness(1, quad(10), F(1, 4), (0, 4, 4, 8))
+        assert not self.check(wit, t)
+        assert self.check(wit._replace(cuts=(0, 4, 8)), t)
+
+    def test_untiled_letter_fails(self):
+        t = section_from_letters("abababab")
+        wit = PartitionWitness(1, quad(10), F(1, 4), (0, 4, 8))
+        t.letters[5] = None
+        assert not self.check(wit, t)
+
+    def test_matches_slices_on_random_witnesses(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            n = rng.randrange(0, 40)
+            rho = rng.choice(RHOS)
+            t = section_from_letters(
+                "".join(rng.choice("ab") for _ in range(n)),
+                Params(P.alpha, P.beta, rho))
+            if n and rng.random() < 0.1:
+                t.letters[rng.randrange(n)] = None
+            cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n))) \
+                if n > 1 else []
+            cuts = [0] + cuts + [n]
+            if rng.random() < 0.2:
+                cuts.insert(rng.randrange(len(cuts)), rng.randrange(-1, n + 2))
+            wit = PartitionWitness(1, P.value(rng.randrange(12), rng.randrange(12)),
+                                   rng.choice(ETAS), tuple(cuts))
+            self.check(wit, t)
 
 
 def promote_any(t, marks, stage):
