@@ -25,7 +25,7 @@ from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
 from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
                     density_witness, eps_dense)
-from .windows import OrbitWindow, chain_classes, two_class_block
+from .windows import OrbitWindow, chain_classes, json_field, two_class_block
 
 
 class UsageError(ValueError):
@@ -62,10 +62,15 @@ def _load_schedule(args, params: Params) -> Schedule:
     if getattr(args, "schedule", None):
         with open(args.schedule) as fh:
             data = json.load(fh)
-        params = Params(parse_quadreal(data["alpha"]), parse_quadreal(data["beta"]),
-                        Fraction(data["rho"]))
-        return build_schedule(params, depth=data["depth"],
-                              k_seq=[parse_quadreal(k) for k in data["K"]])
+        where = "schedule"
+        alpha, beta, rho = (json_field(data, key, str, where=where)
+                            for key in ("alpha", "beta", "rho"))
+        params = Params(parse_quadreal(alpha), parse_quadreal(beta),
+                        Fraction(rho))
+        depth = json_field(data, "depth", int, where=where)
+        k_seq = [parse_quadreal(k)
+                 for k in json_field(data, "K", list, where=where)]
+        return build_schedule(params, depth=depth, k_seq=k_seq)
     return build_schedule(params, depth=args.depth)
 
 
@@ -186,8 +191,10 @@ def cmd_tile(args) -> int:
     t = tile_one(w)
     _write_json(args.out, t.to_json())
     cnt = t.counts()
+    # a one-point window has no letters, hence no frequency
+    freq = f"; frequency {alpha_frequency(cnt)}" if t.letters else ""
     print(f"tiled {len(t.positions)} points; counts {cnt.p} alpha / {cnt.q} "
-          f"beta; frequency {alpha_frequency(cnt)}")
+          f"beta{freq}")
     return 0
 
 

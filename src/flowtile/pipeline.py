@@ -2,10 +2,10 @@
 
 Two cooperating constructions, driven by one :class:`Schedule`:
 
-* block growth (:func:`build_rank_blocks`): pick well-spaced pairs of
-  adjacent blocks, nudge the right member so the pair gap becomes
-  tileable, tile it, and repeat at the next rank with composite shifts
-  whose witnesses decompose through every lower rank;
+* block growth (:func:`build_rank_blocks`), one stage: pick well-spaced
+  pairs of adjacent points, nudge the right point by less than eps_1 so
+  the pair gap becomes one tileable near rho in frequency, and tile it
+  into a rank-1 block;
 * gap finishing (:func:`sparse_tile`): within each chain class, walk the
   untiled gaps left to right, steering each onto a nearby tileable value
   while the running deviation stays inside the stage corridor, then tile
@@ -30,7 +30,7 @@ from .quadratic import QuadReal, parse_quadreal, qmax, qmin, quad
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
-from .windows import OrbitWindow, chain_classes
+from .windows import OrbitWindow, chain_classes, json_field
 
 FULLY_REGULAR = "fully_regular"
 HALF_TILED = "half_tiled"
@@ -99,10 +99,6 @@ class Schedule:
 
     def __post_init__(self):
         self.table = TileableTable(self.params, self.K[-1] + 1)
-
-    def rank_bound(self, rank: int) -> QuadReal:
-        """Largest shift a rank-`rank` point may receive at any later stage."""
-        return self.eps[min(rank + 1, len(self.eps) - 1)]
 
     def shift_budget(self) -> QuadReal:
         total = quad(0, 0, self.params.d)
@@ -271,9 +267,10 @@ class TiledSection:
 
     positions/letters describe the current section; letters[i] is 'a' or
     'b' when the gap (i, i+1) is exactly alpha or beta, else None.  ranks
-    give the growth stage that produced each point's block; orig_ids map
-    points back to the input window, and origin_pos holds each original
-    point's input position.
+    give the last stage that retiled each point's block: 0 for untouched
+    points, 1 after growth, and n for the runs finishing stage n retiles;
+    orig_ids map points back to the input window, and origin_pos holds
+    each original point's input position.
     """
 
     def __init__(self, params: Params, positions, letters, ranks, orig_ids,
@@ -357,11 +354,12 @@ class TiledSection:
         """Read a section written by :meth:`to_json`.  A missing or
         mistyped field, or lists whose lengths do not fit one section,
         raise ValueError naming the field."""
-        params = Params(parse_quadreal(_field(data, "alpha", str)),
-                        parse_quadreal(_field(data, "beta", str)),
-                        Fraction(_field(data, "rho", str)))
-        positions = [parse_quadreal(p) for p in _field(data, "positions", list)]
-        letters = _field(data, "letters", list)
+        params = Params(parse_quadreal(json_field(data, "alpha", str)),
+                        parse_quadreal(json_field(data, "beta", str)),
+                        Fraction(json_field(data, "rho", str)))
+        positions = [parse_quadreal(p)
+                     for p in json_field(data, "positions", list)]
+        letters = json_field(data, "letters", list)
         for ch in letters:
             if ch not in ("a", "b", ""):
                 raise ValueError(f"unknown gap letter {ch!r}")
@@ -377,37 +375,21 @@ class TiledSection:
         t = cls(params, positions,
                 [None if ch == "" else ch for ch in letters], ranks,
                 [None if o == -1 else o for o in orig_ids])
-        origin = _field(data, "origin_positions", dict, {})
+        origin = json_field(data, "origin_positions", dict, {})
         t.origin_pos = {int(k): parse_quadreal(v) for k, v in origin.items()}
         where = "section witness"
-        for w in _field(data, "witnesses", list, []):
+        for w in json_field(data, "witnesses", list, []):
             t.witnesses.append(PartitionWitness(
-                _field(w, "level", int, where=where),
-                parse_quadreal(_field(w, "max_value", str, where=where)),
-                Fraction(_field(w, "eta", str, where=where)),
+                json_field(w, "level", int, where=where),
+                parse_quadreal(json_field(w, "max_value", str, where=where)),
+                Fraction(json_field(w, "eta", str, where=where)),
                 tuple(_int_list(w, "cuts", where))))
-        t.notes = list(_field(data, "notes", list, []))
+        t.notes = list(json_field(data, "notes", list, []))
         return t
 
 
-def _field(obj, key: str, kind: type, default=None, where: str = "section"):
-    """obj[key], which must be a `kind`; `default` when it is absent and a
-    default is given.  Otherwise raises ValueError naming the field."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    if key not in obj:
-        if default is None:
-            raise ValueError(f"{where} has no {key!r} field")
-        return default
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}: "
-                         f"{value!r}")
-    return value
-
-
 def _int_list(obj, key: str, where: str = "section") -> list[int]:
-    values = _field(obj, key, list, where=where)
+    values = json_field(obj, key, list, where=where)
     for v in values:
         if not isinstance(v, int):
             raise ValueError(f"{where} field {key!r} holds a non-integer: {v!r}")
@@ -418,18 +400,17 @@ def _int_list(obj, key: str, where: str = "section") -> list[int]:
 # plan application: the carry rule
 
 
-def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
-                    phase: str):
+def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     """Retile the planned gaps and propagate the induced shifts.
 
     Walking left to right, a running carry holds the displacement of the
     current point: a planned gap adds (new value - old gap) to it, a
     lettered gap transports it rigidly (blocks move as one), and a bare
     unplanned gap absorbs it back to zero.  Every shifted point is checked
-    against the bound for its rank before promotion.
+    against the stage bound eps[stage] before promotion.
     """
     params = t.params
-    sched = t.schedule
+    bound = t.schedule.eps[stage]
     zero = quad(0, 0, params.d)
     new_pos: list[QuadReal] = []
     new_letters: list[Optional[str]] = []
@@ -440,17 +421,10 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     npts = len(t.positions)
     for i in range(npts):
         pos = t.positions[i] + carry
-        if not carry.is_zero():
-            if phase == "grow":
-                # growth shifts are rank-indexed: a rank-j atom never moves
-                # by eps_{j+1} or more
-                bound = sched.rank_bound(t.ranks[i])
-            else:
-                bound = sched.eps[min(stage, len(sched.eps) - 1)]
-            if not abs(carry) < bound:
-                raise TilingError(
-                    f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
-                    f"its bound {bound}")
+        if not carry.is_zero() and not abs(carry) < bound:
+            raise TilingError(
+                f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
+                f"its bound {bound}")
         new_pos.append(pos)
         new_ranks.append(t.ranks[i])
         new_orig.append(t.orig_ids[i])
@@ -498,74 +472,43 @@ def _promote_runs(t: TiledSection, marks: list[int], stage: int):
 PAIR_SPACING = 3
 
 
-class _Atom(NamedTuple):
-    kind: str            # "gap" or "block"
-    span: QuadReal       # gap value or block length
-    counts: TileVector   # zero for gaps
-    gap_index: int       # left point index (gaps); -1 for blocks
-    rank: int            # rank of the atom right of this gap / of the block
-
-
-def build_rank_blocks(w: OrbitWindow, schedule: Schedule, stages: int,
+def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
                       seed: int = 0) -> TiledSection:
-    """Grow tiled blocks of increasing rank inside a bounded-gap window.
+    """Grow rank-1 blocks inside a bounded-gap window.
 
-    Stage 1 pairs isolated points; stage k pairs adjacent rank-(k-1)
-    blocks, shifting the right one by less than eps_k along an admissible
-    composite value whose witness decomposes into lower-rank shifts (each
-    rank-j atom moves by less than eps_{j+1}).  Between the pairs of each
-    stage, the spacing policy leaves PAIR_SPACING..2*PAIR_SPACING+1 blocks
-    untouched.
+    Pairs of adjacent points are picked left to right, leaving
+    PAIR_SPACING..2*PAIR_SPACING+1 points untouched between pairs; each
+    pair gap is retiled with one tileable (:func:`_pair_word`), which
+    shifts the pair's right point by less than eps_1.
     """
     params = schedule.params
     if w.periodic:
         raise ValueError("tiling pipelines operate on open windows")
     rng = random.Random(seed)
     t = TiledSection.from_window(params, w, schedule)
-    if stages == 0:
+    npts = len(t.positions)
+    if npts < 2:
+        t.notes.append("stage 1: fewer than two rank-0 blocks; stage truncated")
         return t
-    if stages > schedule.depth:
-        raise ValueError("stages exceed schedule depth")
-    gaps0 = t.gap_values()
-    d_k = gaps0[0]
-    for g in gaps0[1:]:
-        if d_k < g:
-            d_k = g
-    d_k = d_k + schedule.shift_budget() * 2  # anchor-spacing bound, rank 0
-    for stage in range(1, stages + 1):
-        if stage == 1:
-            units = [(i, i) for i in range(len(t.positions))]
-        else:
-            units = [r for r in t.regular_runs()
-                     if r[1] > r[0] and t.ranks[r[0]] == stage - 1]
-        if len(units) < 2:
-            t.notes.append(f"stage {stage}: fewer than two rank-{stage - 1} "
-                           f"blocks; stage truncated")
-            break
-        pair_lefts = _select_pairs(len(units), PAIR_SPACING, rng)
-        if not pair_lefts:
-            t.notes.append(f"stage {stage}: no room for a pair; stage truncated")
-            break
-        plan: dict[int, TileVector] = {}
-        for ui in pair_lefts:
-            left, right = units[ui], units[ui + 1]
-            seg_plan = _pair_plan(t, left, right, schedule, stage)
-            plan.update(seg_plan)
-        _apply_gap_plan(t, plan, stage, phase="grow")
-        d_k = d_k * (2 * PAIR_SPACING + 3)
-        _check_block_spacing(t, stage, d_k)
+    # adjacent pair anchors lie at most 2*PAIR_SPACING + 3 gaps apart, and
+    # each of them moves by less than the shift budget
+    anchor_bound = ((qmax(*t.gap_values()) + schedule.shift_budget() * 2)
+                    * (2 * PAIR_SPACING + 3))
+    plan = {i: _pair_word(t, i, schedule)
+            for i in _select_pairs(npts, PAIR_SPACING, rng)}
+    _apply_gap_plan(t, plan, 1)
+    _check_block_spacing(t, anchor_bound)
     return t
 
 
-def _check_block_spacing(t: TiledSection, stage: int, bound: QuadReal):
-    """Left endpoints of adjacent stage-rank blocks stay within the spacing
+def _check_block_spacing(t: TiledSection, bound: QuadReal):
+    """Left endpoints of adjacent rank-1 blocks stay within the spacing
     bound inherited from the pair-selection policy (interior pairs only)."""
-    lefts = [i for i, j in t.regular_runs()
-             if j > i and max(t.ranks[i:j + 1]) == stage]
+    lefts = [i for i, j in t.regular_runs() if j > i]
     for a, b in zip(lefts[1:-1], lefts[2:]):
         gap = t.positions[b] - t.positions[a]
         if bound < gap:
-            raise TilingError(f"stage {stage}: adjacent block anchors "
+            raise TilingError(f"stage 1: adjacent block anchors "
                               f"{gap} apart, beyond the spacing bound {bound}")
 
 
@@ -578,88 +521,31 @@ def _select_pairs(n_units: int, spacing: int, rng) -> list[int]:
     return out
 
 
-def _pair_plan(t: TiledSection, left, right, schedule: Schedule,
-               stage: int) -> dict[int, TileVector]:
-    """Choose admissible values for every bare gap between two blocks.
+def _pair_word(t: TiledSection, i: int, schedule: Schedule) -> TileVector:
+    """The tileable that retiles the bare gap (i, i+1) of a growth pair.
 
-    The composite reachable set is enumerated with rank-aware corridors:
-    after choosing the value of a gap, the accumulated deviation is the
-    shift of the atom to the gap's right and must stay under that atom's
-    rank bound.  The element closest to rho in frequency (then smallest
-    final deviation) is replayed into a per-gap plan.
+    The candidates lie strictly within eps_1 of the gap.  Those within
+    eta_1 of rho in frequency are preferred; among the preferred, the one
+    closest to rho in frequency, then closest to the gap, is taken, the
+    first in value order on a tie.
     """
     params = t.params
     rho = params.rho
-    atoms: list[_Atom] = []
-    i = left[1]
-    while i < right[0]:
-        if t.letters[i] is not None:
-            j = i
-            while j < right[0] and t.letters[j] is not None:
-                j += 1
-            seg = t.letters[i:j]
-            p = seg.count("a")
-            atoms.append(_Atom("block", t.positions[j] - t.positions[i],
-                               TileVector(p, len(seg) - p), -1, t.ranks[i]))
-            i = j
-        else:
-            nxt_rank = t.ranks[i + 1]
-            atoms.append(_Atom("gap", t.positions[i + 1] - t.positions[i],
-                               TileVector(0, 0), i, nxt_rank))
-            i += 1
-    if atoms and atoms[-1].kind == "gap":
-        # the last gap positions the right pair block: its bound is eps_stage
-        atoms[-1] = atoms[-1]._replace(rank=stage - 1)
-    total = t.positions[right[0]] - t.positions[left[1]]
-    eps1 = schedule.eps[min(1, len(schedule.eps) - 1)]
-    # enumerate: state maps counts -> (value, witness over bare gaps)
-    zero = quad(0, 0, params.d)
-    states: dict[TileVector, tuple[QuadReal, tuple[TileVector, ...]]] = {
-        TileVector(0, 0): (zero, ())}
-    pref = zero
-    for atom in atoms:
-        pref = pref + atom.span
-        bound = schedule.rank_bound(atom.rank)
-        nxt: dict[TileVector, tuple[QuadReal, tuple[TileVector, ...]]] = {}
-        if atom.kind == "block":
-            for counts, (val, wit) in states.items():
-                c2 = counts + atom.counts
-                if c2 not in nxt:
-                    nxt[c2] = (val + atom.span, wit)
-            states = nxt
-            continue
-        menu = [v for v in enumerate_tileable(params, atom.span - eps1,
-                                              atom.span + eps1)
-                if not v.is_zero() and abs(v.value(params) - atom.span) < eps1]
-        for counts, (val, wit) in states.items():
-            for y in menu:
-                c2 = counts + y
-                if c2 in nxt:
-                    continue
-                v2 = val + y.value(params)
-                if abs(pref - v2) < bound:
-                    nxt[c2] = (v2, wit + (y,))
-        states = nxt
-        if not states:
-            break
-    eps_s = schedule.eps[stage]
-    eta_s = schedule.eta[stage]
-    elements = [(counts, val, wit) for counts, (val, wit) in states.items()
-                if abs(val - total) < eps_s]
-    if not elements:
-        raise TilingError(f"stage {stage}: no admissible composite shift "
-                          f"between blocks at points {left[1]}..{right[0]}")
-    banded = [e for e in elements
-              if abs(alpha_frequency(e[0]) - rho) <= eta_s]
+    span = t.positions[i + 1] - t.positions[i]
+    eps1 = schedule.eps[1]
+    menu = [v for v in enumerate_tileable(params, span - eps1, span + eps1)
+            if not v.is_zero() and abs(v.value(params) - span) < eps1]
+    if not menu:
+        raise TilingError(f"stage 1: no admissible composite shift "
+                          f"between blocks at points {i}..{i + 1}")
+    banded = [v for v in menu
+              if abs(alpha_frequency(v) - rho) <= schedule.eta[1]]
     if banded:
-        elements = banded
+        menu = banded
     else:
-        t.notes.append(f"stage {stage}: eta band missed; using nearest frequency")
-    counts, val, wit = min(
-        elements, key=lambda e: (abs(alpha_frequency(e[0]) - rho),
-                                 abs(e[1] - total)))
-    gap_indices = [a.gap_index for a in atoms if a.kind == "gap"]
-    return dict(zip(gap_indices, wit))
+        t.notes.append("stage 1: eta band missed; using nearest frequency")
+    return min(menu, key=lambda v: (abs(alpha_frequency(v) - rho),
+                                    abs(v.value(params) - span)))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +577,7 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
         before = _class_signature(t, schedule, stage)
         plan = _finish_stage_plan(t, schedule, stage)
         if plan:
-            _apply_gap_plan(t, plan, stage, phase="finish")
+            _apply_gap_plan(t, plan, stage)
         after = _class_signature(t, schedule, stage)
         if before != after:
             raise TilingError(f"stage {stage} disturbed chain classes: "
@@ -817,7 +703,6 @@ def _wants_alpha(rho: Fraction, counts: TileVector) -> bool:
 class Classification(NamedTuple):
     kind: str
     runs: list[tuple[int, int]]
-    endpoint_window: Optional[OrbitWindow]
 
 
 def classify_section(t: TiledSection) -> Classification:
@@ -825,26 +710,19 @@ def classify_section(t: TiledSection) -> Classification:
 
     One run covering everything: fully regular.  A dominant run pinned to
     a window end while others remain: the half-tiled analogue (flagged;
-    finishing treats it like any other).  Otherwise finite classes; the
-    run endpoints then form the fallback section to finish.
+    finishing treats it like any other).  Otherwise finite classes.
     """
     runs = t.regular_runs()
     npts = len(t.positions)
     if len(runs) == 1 and runs[0] == (0, npts - 1):
-        return Classification(FULLY_REGULAR, runs, None)
+        return Classification(FULLY_REGULAR, runs)
     sizes = [(j - i + 1) for i, j in runs]
     big = max(sizes)
     big_run = runs[sizes.index(big)]
     touches_end = big_run[0] == 0 or big_run[1] == npts - 1
-    endpoints = []
-    for i, j in runs:
-        endpoints.append(t.positions[i])
-        if j > i:
-            endpoints.append(t.positions[j])
-    ew = OrbitWindow(endpoints) if len(endpoints) > 1 else None
     if touches_end and 2 * big >= npts and len(runs) > 1:
-        return Classification(HALF_TILED, runs, ew)
-    return Classification(FINITE_CLASSES, runs, ew)
+        return Classification(HALF_TILED, runs)
+    return Classification(FINITE_CLASSES, runs)
 
 
 def full_pipeline(w: OrbitWindow, schedule: Schedule,
@@ -856,7 +734,7 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule,
     partition witnesses for every level up to the schedule depth are
     attached and replayed before returning.
     """
-    t = build_rank_blocks(w, schedule, stages=1, seed=seed)
+    t = build_rank_blocks(w, schedule, seed=seed)
     cls = classify_section(t)
     t.notes.append(f"after growth: {cls.kind} with {len(cls.runs)} runs")
     if cls.kind != FULLY_REGULAR:
@@ -916,14 +794,18 @@ def attach_witnesses(t: TiledSection):
         elif n_min > n_max or n_min > n:
             reason = (f"level {j} needs runs of {n_min} letters against a "
                       f"piece budget of {min(n_max, n)}")
+        else:
+            # the most pieces no shorter than n_min: the longest is shortest
+            pieces = n // n_min
+            base, extra = divmod(n, pieces)
+            longest = base + (1 if extra else 0)
+            if longest > n_max:
+                reason = (f"level {j} cuts {n} letters into pieces of up to "
+                          f"{longest} letters against a piece budget of "
+                          f"{n_max}")
         if reason is not None:
             t.notes.append(f"witness levels stop at {achieved}: {reason}")
             break
-        pieces = max(1, n // n_min)
-        base, extra = divmod(n, pieces)
-        if base + (1 if extra else 0) > n_max:  # pragma: no cover - guarded
-            pieces = max(1, pieces - 1)
-            base, extra = divmod(n, pieces)
         cuts = [0]
         for k in range(pieces):
             cuts.append(cuts[-1] + base + (1 if k < extra else 0))

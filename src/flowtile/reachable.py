@@ -5,8 +5,8 @@ reachable set collects every total sum of one choice per gap whose running
 deviation from the gap prefix sums stays strictly inside (-eps, eps).
 This is the engine behind the rearrangement greedy, the frequency boost
 and the two-band dense step.  The tiling pipelines in :mod:`pipeline` do
-not use it: block growth enumerates its composite shifts inline, and
-finishing steers each gap greedily.
+not use it: block growth retiles each single pair gap with one tileable,
+and finishing steers each gap greedily.
 """
 
 from __future__ import annotations

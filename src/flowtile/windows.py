@@ -80,10 +80,30 @@ class OrbitWindow:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitWindow":
-        boundary = data.get("boundary", "open")
+        """Read a window written by :meth:`to_json`; a missing or mistyped
+        field raises ValueError naming it."""
+        positions = json_field(data, "positions", list, where="window")
+        boundary = json_field(data, "boundary", str, "open", where="window")
         if boundary == "periodic":
-            boundary = Periodic(parse_quadreal(data["circumference"]))
-        return cls([parse_quadreal(p) for p in data["positions"]], boundary)
+            boundary = Periodic(parse_quadreal(
+                json_field(data, "circumference", str, where="window")))
+        return cls([parse_quadreal(p) for p in positions], boundary)
+
+
+def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
+    """obj[key], which must be a `kind`; `default` when it is absent and a
+    default is given.  Otherwise raises ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{where} has no {key!r} field")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}: "
+                         f"{value!r}")
+    return value
 
 
 class ChainClasses(NamedTuple):

@@ -142,6 +142,43 @@ class TestCli:
         assert err.startswith("verification failure: original point 3 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["full", "sparse"])
+    def test_tile_and_verify_one_point_window(self, mode, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        w.write_text(json.dumps({"positions": ["0"]}))
+        assert run(["tile", "--mode", mode, "--depth", "2", "--in", str(w),
+                    "--out", str(t)]) == 0
+        assert "tiled 1 points; counts 0 alpha / 0 beta\n" in \
+            capsys.readouterr().out
+        assert run(["verify", str(t)]) == 0
+
+    @pytest.mark.parametrize("command,tamper,field", [
+        ("tile", lambda d: d.pop("K"), "'K'"),
+        ("tile", lambda d: d.update(depth="2"), "'depth'"),
+        ("classes", lambda d: d.pop("positions"), "'positions'"),
+    ], ids=["schedule_no_K", "schedule_depth_str", "window_no_positions"])
+    def test_malformed_schedule_or_window_exits_1(self, command, tamper,
+                                                   field, schedule2,
+                                                   tmp_path, capsys):
+        w = tmp_path / "w.json"
+        sched = tmp_path / "s.json"
+        window = {"boundary": "open", "positions": ["0", "9"]}
+        schedule = schedule2.to_json()
+        tamper(schedule if command == "tile" else window)
+        w.write_text(json.dumps(window))
+        sched.write_text(json.dumps(schedule))
+        if command == "tile":
+            argv = ["tile", "--schedule", str(sched), "--in", str(w),
+                    "--out", str(tmp_path / "t.json")]
+        else:
+            argv = ["classes", "--in", str(w), "--k", "9"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: ")
+        assert err.count("\n") == 1
+        assert field in err
+
     def test_tile_loads_schedule_with_retired_fields(self, tmp_path):
         # the schedule format before "near" and "pair_spacing" were dropped;
         # only the parameters, depth and K are read back
