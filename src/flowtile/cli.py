@@ -24,7 +24,7 @@ from .quadratic import QuadReal, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
 from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
-                    density_witness, eps_dense)
+                    density_witness)
 from .windows import OrbitWindow, chain_classes, json_field, two_class_block
 
 
@@ -128,12 +128,7 @@ def cmd_density(args) -> int:
     print(f"threshold {_approx(wit.threshold)}")
     print(f"family: {wit.describe()}")
     ok = True
-    width = params.beta * 20
-    for i in range(args.windows):
-        wlo = wit.threshold + width * (2 * i)
-        whi = wlo + width
-        vals = [v for v, _ in wit.values_in(wlo, whi)]
-        rep = eps_dense(vals, wlo, whi, wit.eps)
+    for i, (wlo, whi, rep) in enumerate(wit.check_windows(args.windows)):
         print(f"window {i}: [{wlo}, {whi}] "
               f"{'dense' if rep.ok else f'MISS at {rep.witness}'}")
         ok = ok and rep.ok

@@ -204,17 +204,12 @@ def build_schedule(params: Params, depth: int = 4,
     for n in range(1, depth + 1):
         for band in (FreqBand(params.rho + nu_p[n], params.rho + nu[n]),
                      FreqBand(params.rho - nu[n], params.rho - nu_p[n])):
-            stage_eps = eps[min(n + 1, depth + 1)]
-            wit = density_witness(params, stage_eps, band)
-            width = params.beta * 20
-            for w in range(verify_windows):
-                lo = wit.threshold + width * (2 * w)
-                hi = lo + width
-                vals = [v for v, _ in wit.values_in(lo, hi)]
-                rep = eps_dense(vals, lo, hi, stage_eps)
-                if not rep.ok:
+            wit = density_witness(params, eps[min(n + 1, depth + 1)], band)
+            for w, check in enumerate(wit.check_windows(verify_windows)):
+                if not check.report.ok:
                     raise ValueError(f"density witness failed at stage {n}, "
-                                     f"band {band}, window {w}: {rep.witness}")
+                                     f"band {band}, window {w}: "
+                                     f"{check.report.witness}")
             sched.witnesses.append((n, band, wit))
     sched.validate()
     return sched
@@ -521,13 +516,17 @@ def _select_pairs(n_units: int, spacing: int, rng) -> list[int]:
     return out
 
 
+BAND_MISSED = "stage 1: eta band missed; using nearest frequency"
+
+
 def _pair_word(t: TiledSection, i: int, schedule: Schedule) -> TileVector:
     """The tileable that retiles the bare gap (i, i+1) of a growth pair.
 
     The candidates lie strictly within eps_1 of the gap.  Those within
     eta_1 of rho in frequency are preferred; among the preferred, the one
     closest to rho in frequency, then closest to the gap, is taken, the
-    first in value order on a tie.
+    first in value order on a tie.  When no candidate is in the band, the
+    section's notes get ``BAND_MISSED`` once.
     """
     params = t.params
     rho = params.rho
@@ -542,8 +541,8 @@ def _pair_word(t: TiledSection, i: int, schedule: Schedule) -> TileVector:
               if abs(alpha_frequency(v) - rho) <= schedule.eta[1]]
     if banded:
         menu = banded
-    else:
-        t.notes.append("stage 1: eta band missed; using nearest frequency")
+    elif BAND_MISSED not in t.notes:
+        t.notes.append(BAND_MISSED)
     return min(menu, key=lambda v: (abs(alpha_frequency(v) - rho),
                                     abs(v.value(params) - span)))
 

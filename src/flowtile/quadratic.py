@@ -160,21 +160,7 @@ class QuadReal:
 
     def sign(self) -> int:
         """Exact sign of the value, by case analysis and integer squaring."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return sign_of(self.a, self.b, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -187,21 +173,9 @@ class QuadReal:
 
     def _cmp(self, o: "QuadReal") -> int:
         """Exact sign of self - other, allocation-free."""
-        a = self.a * o.c - o.a * self.c
-        b = self.b * o.c - o.b * self.c
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs = a * a
-        rhs = b * b * (self.d if self.b else o.d)
-        if a > 0:
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return sign_of(self.a * o.c - o.a * self.c,
+                       self.b * o.c - o.b * self.c,
+                       self.d if self.b else o.d)
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -223,11 +197,7 @@ class QuadReal:
 
     def floor(self) -> int:
         """Exact floor, via integer square roots."""
-        if self.b == 0:
-            return self.a // self.c
-        t = math.isqrt(self.b * self.b * self.d)
-        w = t if self.b > 0 else -t - 1  # b*sqrt(d) irrational for b != 0
-        return (self.a + w) // self.c
+        return floor_of(self.a, self.b, self.c, self.d)
 
     def ceil(self) -> int:
         return -(-self).floor()
@@ -246,6 +216,42 @@ class QuadReal:
 
     def __repr__(self) -> str:
         return f"QuadReal({self.r!r}, {self.s!r}, d={self.d})"
+
+
+# -- integer primitives -------------------------------------------------------
+#
+# A value (a + b*sqrt(d)) / c is decided from its integer coordinates alone;
+# QuadReal's order and rounding use these, and so do the lattice sweeps in
+# :mod:`flowtile.tiles`, which keep many values over one common c.
+
+
+def sign_of(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), by case analysis and integer squaring."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2 d
+    lhs = a * a
+    rhs = b * b * d
+    if a > 0:  # b < 0
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def floor_of(a: int, b: int, c: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(d)) / c for c > 0, via integer square
+    roots."""
+    if b == 0:
+        return a // c
+    n = b * b * d
+    # floor(b*sqrt(d)) is isqrt(n) for b > 0 and -ceil(sqrt(n)) for b < 0
+    w = math.isqrt(n) if b > 0 else -math.isqrt(n - 1) - 1
+    return (a + w) // c
 
 
 def quad(r: RationalLike = 0, s: RationalLike = 0, d: int | None = None) -> QuadReal:

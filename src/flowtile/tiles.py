@@ -6,6 +6,20 @@ This module owns the frequency calculus on such values: exact alpha
 frequencies, near/far flip tests against the target ratio ``rho``,
 epsilon-density checks, and the constructive density witness family used
 to certify that banded tileables fill every sufficiently high interval.
+
+The density machinery (:func:`enumerate_tileable`, :func:`eps_dense` and
+:meth:`DensityWitness.values_in`) runs on lattice coordinates.  Values
+that are compared with each other are written over one common
+denominator C as (A + B*sqrt(D)) / C, so each is the integer pair (A, B):
+a difference is two integer subtractions, and an order is the exact sign
+of A + B*sqrt(D), decided by ``quadratic.sign_of`` from integer squares.
+Long runs are screened with integer keys scaled by 2**k: the exact floor
+of 2**k * (A + B*sqrt(D)), or the cheaper ``A*2**k + B*isqrt(D*4**k)``,
+which lies within |B| of it.  A key difference decides a comparison only
+when it clears that error bound; every other comparison, and every tie of
+keys, goes to the exact sign test.  So no float, and no rounded value,
+decides anything, and the results are those of plain ``QuadReal``
+arithmetic.  ``QuadReal`` stays the type of every argument and result.
 """
 
 from __future__ import annotations
@@ -14,10 +28,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from itertools import compress, count, groupby, islice, repeat
+from operator import (add, attrgetter, eq, floordiv, ge, itemgetter, lshift,
+                      lt, mul, sub)
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .quadratic import QuadReal, quad, real_gcd, sqrtD
+from .quadratic import (ConfigError, QuadReal, floor_of, quad, real_gcd,
+                        sign_of, sqrtD)
 
 
 class Params:
@@ -151,30 +168,78 @@ def balanced_word(v: TileVector) -> TiledWord:
     return TiledWord("".join(out))
 
 
+# Bits of resolution below the unit of the integer keys that screen
+# comparisons; any value is exact, larger ones leave fewer comparisons to
+# the sign test.
+_KEY_BITS = 32
+
+
+def _radicand(*groups: list[QuadReal]) -> int:
+    """The radicand d shared by the values of the groups; ConfigError when
+    two irrational values have different radicands."""
+    ds = set().union(*(map(attrgetter("d"), g) for g in groups))
+    if len(ds) > 1:
+        ds = {v.d for g in groups for v in g if v.b}
+        if len(ds) > 1:
+            d1, d2 = sorted(ds)[:2]
+            raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
+    return ds.pop() if ds else groups[-1][0].d
+
+
+def _pair(v: QuadReal, c: int) -> tuple[int, int]:
+    """(x, y) with v == (x + y*sqrt(d)) / c, for c a multiple of v.c."""
+    return v.a * (c // v.c), v.b * (c // v.c)
+
+
+def _coords(values: list[QuadReal],
+            c: int) -> tuple[list[int], list[int], int]:
+    """Lattice coordinates over c, a multiple of every value's denominator:
+    (xs, ys, m) with values[i] == m*(xs[i] + ys[i]*sqrt(d)) / c.
+
+    When the values share one denominator, xs and ys are their own
+    coefficients and m scales them; otherwise they are scaled and m is 1.
+    """
+    xs = list(map(attrgetter("a"), values))
+    ys = list(map(attrgetter("b"), values))
+    cs = set(map(attrgetter("c"), values))
+    if len(cs) == 1:
+        return xs, ys, c // cs.pop()
+    scale = list(map(floordiv, repeat(c), map(attrgetter("c"), values)))
+    return list(map(mul, xs, scale)), list(map(mul, ys, scale)), 1
+
+
 def enumerate_tileable(params: Params, lo: QuadReal,
                        hi: QuadReal) -> list[TileVector]:
-    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value."""
+    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
+
+    Row q holds the p from ceil((lo - q*beta)/alpha) to
+    floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
+    rows are merged by the exact floor of 2**_KEY_BITS times the value;
+    vectors with equal keys are ordered by their exact values.
+    """
     if hi < lo:
         return []
-    out: list[tuple[QuadReal, TileVector]] = []
-    q = 0
-    base = quad(0, 0, params.d)
-    while not hi < base:
-        # jump straight to the first p with value possibly >= lo
-        p = max(0, ((lo - base) / params.alpha).floor())
-        val = base + params.alpha * p
-        while val < lo:
-            p += 1
-            val = val + params.alpha
-        while not hi < val:
-            if not val < lo:
-                out.append((val, TileVector(p, q)))
-            p += 1
-            val = val + params.alpha
-        q += 1
-        base = base + params.beta
+    a1, a2, b1, b2, c = params._coef
+    # lo/alpha, hi/alpha and beta/alpha over one denominator w
+    alpha = params.alpha
+    lo_a, hi_a, step = lo / alpha, hi / alpha, params.beta / alpha
+    d = _radicand([lo_a, hi_a, step])
+    w = math.lcm(lo_a.c, hi_a.c, step.c)
+    (lx, ly), (hx, hy), (sx, sy) = (_pair(v, w) for v in (lo_a, hi_a, step))
+    k = _KEY_BITS
+    out: list[tuple[int, int, int]] = []
+    for q in range((hi / params.beta).floor() + 1):
+        p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
+        p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
+        out += [(floor_of((a1 * p + a2 * q) << k, (b1 * p + b2 * q) << k,
+                          1, d), p, q)
+                for p in range(p_lo, p_hi + 1)]
     out.sort(key=itemgetter(0))
-    return [v for _, v in out]
+    keys = list(map(itemgetter(0), out))
+    if any(map(eq, keys, islice(keys, 1, None))):
+        out = [e for _, group in groupby(out, key=itemgetter(0))
+               for e in sorted(group, key=lambda e: params.value(e[1], e[2]))]
+    return [TileVector(p, q) for _, p, q in out]
 
 
 class DensityReport(NamedTuple):
@@ -190,6 +255,12 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     [lo, hi] has a set point strictly within eps/2.  Decided exactly by
     scanning consecutive gaps of the points clipped to [lo, hi]; on failure
     the witness is such an uncovered x.
+
+    One pass over lattice coordinates checks the order of the points, and
+    the points are sorted only when they are out of order.  Consecutive
+    points are screened by the key difference ``(dA << k) + dB*s``,
+    s = isqrt(D*4**k), which is within |dB| of 2**k*(dA + dB*sqrt(D));
+    only gaps near 0 or near eps reach the exact sign test.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -198,16 +269,48 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     half = eps / 2
     if hi - lo < eps:
         return DensityReport(True, None)  # no admissible x at all
-    pts = sorted(points)
-    pts = pts[bisect_left(pts, lo):bisect_right(pts, hi)]
-    if not pts:
+    pts = list(points)
+    d = _radicand(pts, [lo, hi, eps])
+    c = math.lcm(lo.c, hi.c, eps.c, *set(map(attrgetter("c"), pts)))
+    # pts[i] == m*(xs[i] + ys[i]*sqrt(d))/c; lo == (lx + ly*sqrt(d))/c, ...
+    xs, ys, m = _coords(pts, c)
+    (lx, ly), (hx, hy), (ex, ey) = (_pair(v, c) for v in (lo, hi, eps))
+    spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
+    k = spread.bit_length() + _KEY_BITS
+    s = math.isqrt(d << 2 * k)
+
+    def key_steps() -> list[int]:
+        dxs = map(sub, islice(xs, 1, None), xs)
+        dys = map(sub, islice(ys, 1, None), ys)
+        return list(map(add, map(lshift, dxs, repeat(k)),
+                        map(mul, dys, repeat(s))))
+
+    # a step of at least spread is an exact gap >= 0
+    steps = key_steps()
+    if any(sign_of(xs[t + 1] - xs[t], ys[t + 1] - ys[t], d) < 0
+           for t in compress(count(), map(lt, steps, repeat(spread)))):
+        order = sorted(range(len(pts)), key=pts.__getitem__)
+        pts = [pts[t] for t in order]
+        xs = [xs[t] for t in order]
+        ys = [ys[t] for t in order]
+        steps = key_steps()
+    # clip to [lo, hi]: the points below lo lead, those above hi trail
+    i, j = 0, len(pts)
+    while i < j and sign_of(m * xs[i] - lx, m * ys[i] - ly, d) < 0:
+        i += 1
+    while j > i and sign_of(m * xs[j - 1] - hx, m * ys[j - 1] - hy, d) > 0:
+        j -= 1
+    if i == j or sign_of(ex + lx - m * xs[i], ey + ly - m * ys[i], d) <= 0:
         return DensityReport(False, lo + half)
-    if not pts[0] - lo < eps:
-        return DensityReport(False, lo + half)
-    for a, b in zip(pts, pts[1:]):
-        if not b - a < eps:
-            return DensityReport(False, (a + b) / 2)
-    if not hi - pts[-1] < eps:
+    # a step below bar is an exact gap below eps: m*(step + spread) stays
+    # below the key of eps less its error |ey|
+    bar = -((abs(ey) - (ex << k) - ey * s) // m) - spread
+    flagged = map(ge, islice(steps, i, j - 1), repeat(bar))
+    for t in compress(range(i, j - 1), flagged):
+        if sign_of(ex - m * (xs[t + 1] - xs[t]),
+                   ey - m * (ys[t + 1] - ys[t]), d) <= 0:
+            return DensityReport(False, (pts[t] + pts[t + 1]) / 2)
+    if sign_of(ex - hx + m * xs[j - 1], ey - hy + m * ys[j - 1], d) <= 0:
         return DensityReport(False, hi - half)
     return DensityReport(True, None)
 
@@ -360,35 +463,82 @@ class DensityWitness:
     def values_in(self, lo: QuadReal, hi: QuadReal) -> list[tuple[QuadReal, TileVector]]:
         """(value, member) pairs with value inside [lo, hi], sorted.
 
-        For each k the offsets with value in [lo - k*x, hi - k*x] form one
-        slice of the sorted offsets, found by bisection; only that slice is
-        evaluated.
+        Run k is every member k*x + s with value in [lo, hi].  The runs
+        that lie wholly inside [lo, hi] are emitted straight from the
+        offsets' lattice coordinates plus k times those of x; only the
+        partial first and last runs bisect the offset values for their
+        slice.
         """
-        value = self.params.value
+        params = self.params
+        a1, a2, b1, b2, c = params._coef
+        d = params.d
         offsets = self.offsets
         bp, bq = self.base
-        xval = value(bp, bq)
+        xval = params.value(bp, bq)
 
         def key(s: TileVector) -> QuadReal:
-            return value(s.p, s.q)
+            return params.value(s.p, s.q)
 
-        k_lo = max(self.k_min, ((lo - key(offsets[-1])) / xval).ceil())
-        k_hi = ((hi - key(offsets[0])) / xval).floor()
+        first, last = key(offsets[0]), key(offsets[-1])
+        k_lo = max(self.k_min, ((lo - last) / xval).ceil())
+        k_hi = ((hi - first) / xval).floor()
+        # runs k_whole_lo..k_whole_hi lie wholly inside [lo, hi]
+        k_whole_lo = ((lo - first) / xval).ceil()
+        k_whole_hi = ((hi - last) / xval).floor()
+        # the offsets' counts and their lattice coordinates over c; those
+        # of member k*x + s add k times the base's
+        op = list(map(itemgetter(0), offsets))
+        oq = list(map(itemgetter(1), offsets))
+        oa = list(map(add, map(mul, op, repeat(a1)), map(mul, oq, repeat(a2))))
+        ob = list(map(add, map(mul, op, repeat(b1)), map(mul, oq, repeat(b2))))
+        xa, xb = a1 * bp + a2 * bq, b1 * bp + b2 * bq
+        raw = QuadReal._raw
+        # tuple.__new__ builds the named tuples without TileVector.__new__'s
+        # Python frame
+        vector = tuple.__new__
         out = []
         for k in range(k_lo, k_hi + 1):
-            kx = xval * k
-            i = bisect_left(offsets, lo - kx, key=key)
-            j = bisect_right(offsets, hi - kx, key=key)
-            kp, kq = k * bp, k * bq
-            for s in offsets[i:j]:
-                p, q = kp + s.p, kq + s.q
-                out.append((value(p, q), TileVector(p, q)))
+            if k_whole_lo <= k <= k_whole_hi:
+                i, j = 0, len(offsets)
+            else:
+                kx = xval * k
+                i = bisect_left(offsets, lo - kx, key=key)
+                j = bisect_right(offsets, hi - kx, key=key)
+            out += zip(map(raw, map(add, oa[i:j], repeat(k * xa)),
+                           map(add, ob[i:j], repeat(k * xb)),
+                           repeat(c), repeat(d)),
+                       map(vector, repeat(TileVector),
+                           zip(map(add, op[i:j], repeat(k * bp)),
+                               map(add, oq[i:j], repeat(k * bq)))))
         return out
+
+    def check_windows(self, windows: int) -> Iterator[WindowCheck]:
+        """The eps-density check of the family on ``windows`` disjoint
+        windows of width 20*beta, at threshold + 2*i*width for i < windows.
+
+        Each window's member values come from :meth:`values_in` and are
+        checked by :func:`eps_dense`; the checks are made as the iterator
+        advances.
+        """
+        width = self.params.beta * 20
+        for i in range(windows):
+            lo = self.threshold + width * (2 * i)
+            hi = lo + width
+            vals = [v for v, _ in self.values_in(lo, hi)]
+            yield WindowCheck(lo, hi, eps_dense(vals, lo, hi, self.eps))
 
     def describe(self) -> str:
         return (f"members k*({self.base.p},{self.base.q}) + s, k >= "
                 f"{self.k_min}, s one of {len(self.offsets)} tileables in "
                 f"the anchor window")
+
+
+class WindowCheck(NamedTuple):
+    """One window of :meth:`DensityWitness.check_windows`."""
+
+    lo: QuadReal
+    hi: QuadReal
+    report: DensityReport
 
 
 def _simplest_inside(lo: Fraction, hi: Fraction) -> Fraction:

@@ -20,7 +20,7 @@ from flowtile.reachable import (ShiftProblem, brute_force_reachable,
                                 enumerate_reachable, frequency_boost,
                                 lattice_threshold, rearrange_permutation)
 from flowtile.tiles import (TileVector, alpha_frequency, default_params,
-                            enumerate_tileable, eps_dense)
+                            enumerate_tileable)
 from flowtile.windows import (OrbitWindow, chain_classes, insert_blocks,
                               is_sparse_window, level_midpoints,
                               two_class_block)
@@ -327,14 +327,9 @@ def test_10_loe_assembly():
 
 
 def test_11_density_witnesses(schedule4):
-    width = P.beta * 20
     total = 0
     for stage, band, wit in schedule4.witnesses:
-        for k in range(10):
-            lo = wit.threshold + width * (2 * k)
-            hi = lo + width
-            vals = [v for v, _ in wit.values_in(lo, hi)]
-            rep = eps_dense(vals, lo, hi, wit.eps)
+        for k, (lo, hi, rep) in enumerate(wit.check_windows(10)):
             assert rep.ok, (stage, band, k, rep.witness)
             for _, m in wit.values_in(lo, hi):
                 f = alpha_frequency(m)

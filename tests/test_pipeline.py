@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
-from flowtile.pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
-                               PartitionWitness, TiledSection, TilingError,
-                               build_rank_blocks, build_schedule,
+from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
+                               HALF_TILED, PartitionWitness, TiledSection,
+                               TilingError, build_rank_blocks, build_schedule,
                                classify_section, full_pipeline, sparse_tile,
                                verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
@@ -188,7 +188,8 @@ class TestBlockGrowth:
         w = OrbitWindow([quad(0), quad(6)])
         t = build_rank_blocks(w, schedule_rho17)
         assert t.letters == ["a"] * 6
-        assert t.notes == ["stage 1: eta band missed; using nearest frequency"]
+        assert t.notes == [BAND_MISSED]
+        assert BAND_MISSED == "stage 1: eta band missed; using nearest frequency"
 
 
 class TestClassify:
@@ -585,6 +586,13 @@ class TestParameterRegimes:
                    and n.endswith("against a piece budget of 1628")
                    for n in t.notes)
 
+    def test_band_missed_note_appears_once(self, schedule_rho17):
+        # most of this window's growth pairs miss the eta_1 band
+        w = generate(GeneratorSpec("uniform", count=300, seed=0,
+                                   k0=schedule_rho17.K[0]))
+        t = full_pipeline(w, schedule_rho17, seed=0)
+        assert t.notes.count(BAND_MISSED) == 1
+
     def test_one_point_window_gives_a_section(self, schedule2):
         t = full_pipeline(OrbitWindow([quad(5)]), schedule2)
         assert t.positions == [quad(5)] and t.witnesses == []
@@ -598,3 +606,51 @@ class TestParameterRegimes:
         assert t.is_fully_regular()
         assert [wt.level for wt in t.witnesses] == [1]
         assert any("witness levels stop at 1" in n for n in t.notes)
+
+
+# Schedules pinned as built before the density checks moved to lattice
+# coordinates: the JSON, then per witness (stage, band, base, number of
+# offsets, k_min, threshold).
+GOLDEN_WITNESSES = [
+    (1, "5/6", "11/12", (6, 1), 264, 1688, "10128 + 1720*sqrt(2)"),
+    (1, "1/12", "1/6", (1, 6), 344, 1372, "1372 + 8264*sqrt(2)"),
+    (2, "2/3", "17/24", (7, 3), 1494, 11609, "81263 + 34955*sqrt(2)"),
+    (2, "7/24", "1/3", (3, 7), 1722, 10205, "30615 + 71563*sqrt(2)"),
+    (3, "7/12", "29/48", (3, 2), 1510, 85690, "257070 + 171636*sqrt(2)"),
+    (3, "19/48", "5/12", (2, 3), 1618, 80094, "160188 + 240538*sqrt(2)"),
+    (4, "13/24", "53/96", (6, 5), 3419, 42858, "257148 + 214546*sqrt(2)"),
+    (4, "43/96", "11/24", (5, 6), 3529, 41587, "207935 + 249778*sqrt(2)"),
+]
+GOLDEN_SCHEDULES = {
+    2: {"alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "depth": 2,
+        "eps": ["1/6", "1/12", "1/24"], "eta": ["1", "1/2", "1/4", "1/8"],
+        "K": ["7", "11", "25"],
+        "L": ["sqrt(2)", "4 + 466*sqrt(2)", "4 + 930*sqrt(2)"]},
+    4: {"alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "depth": 4,
+        "eps": ["1/6", "1/12", "1/24", "1/48", "1/96"],
+        "eta": ["1", "1/2", "1/4", "1/8", "1/16", "1/32"],
+        "K": ["7", "11", "25", "29", "55"],
+        "L": ["sqrt(2)", "4 + 946*sqrt(2)", "4 + 1890*sqrt(2)",
+              "4 + 3778*sqrt(2)", "4 + 7554*sqrt(2)"]},
+}
+
+
+class TestGoldenSchedules:
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_stock_schedule_and_witnesses(self, depth, schedule2, schedule4):
+        sched = schedule2 if depth == 2 else schedule4
+        assert sched.to_json() == GOLDEN_SCHEDULES[depth]
+        got = [(n, str(band.lo), str(band.hi), tuple(wit.base),
+                len(wit.offsets), wit.k_min, str(wit.threshold))
+               for n, band, wit in sched.witnesses]
+        assert got == GOLDEN_WITNESSES[:2 * depth]
+
+    def test_depth2_thresholds_rho_one_seventh(self, schedule_rho17):
+        assert [str(k) for k in schedule_rho17.K] == ["7", "11", "25"]
+
+    @pytest.mark.parametrize("params, K", [
+        (Params(quad(1, 0, 3), sqrtD(3), F(1, 2)), ["7", "11", "29"]),
+        (Params(quad(-1, 1), quad(3), F(2, 5)), ["12", "16", "86"]),
+    ])
+    def test_depth2_thresholds(self, params, K):
+        assert [str(k) for k in build_schedule(params, depth=2).K] == K

@@ -1,14 +1,17 @@
+import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile.quadratic import quad, sqrtD
-from flowtile.tiles import (DensityWitness, FreqBand, Params, TileVector,
-                            TiledWord, alpha_frequency, balanced_word,
-                            default_params, density_witness,
+from flowtile import tiles
+from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
+from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
+                            TileVector, TiledWord, alpha_frequency,
+                            balanced_word, default_params, density_witness,
                             enumerate_tileable, eps_dense,
                             frequency_stability_ratio, is_far_from_rho,
                             is_near_rho, partition_into_pieces)
@@ -16,12 +19,15 @@ from flowtile.tiles import (DensityWitness, FreqBand, Params, TileVector,
 P = default_params()
 
 
-# D in {2, 3}, rational and irrational alpha
+# D in {2, 3}, rational and irrational alpha, common denominators above 1
+# and negative sqrt coefficients
 PARAM_SETS = [
     P,
     Params(quad(0, F(1, 2)), quad(1, 1), F(1, 3)),
     Params(quad(1, 0, 3), quad(0, 1, 3), F(2, 5)),
     Params(quad(-1, 1, 3), quad(3, 0, 3), F(1, 2)),
+    Params(quad(F(1, 3)), quad(0, F(1, 2)), F(1, 3)),
+    Params(quad(2, -1), quad(1), F(2, 5)),
 ]
 
 
@@ -60,17 +66,15 @@ class TestFrequency:
             alpha_frequency(TileVector(0, 0))
 
 
-def brute_tileable(lo, hi):
-    # independent oracle: plain double loop over p, q <= ceil(hi/alpha)
-    cap = hi.floor() + 1
+def brute_tileable(lo, hi, params=P):
+    """Oracle: every (p, q) up to hi/alpha and hi/beta, filtered, then
+    sorted by exact value."""
     out = []
-    for p in range(cap + 1):
-        for q in range(cap + 1):
-            val = P.value(p, q)
-            if lo <= val <= hi:
+    for p in range((hi / params.alpha).floor() + 1):
+        for q in range((hi / params.beta).floor() + 1):
+            if lo <= params.value(p, q) <= hi:
                 out.append(TileVector(p, q))
-    out.sort(key=lambda v: float(v.value(P)))
-    return out
+    return sorted(out, key=lambda v: v.value(params))
 
 
 class TestEnumerate:
@@ -90,10 +94,106 @@ class TestEnumerate:
         hi = lo + F(width8, 2)
         assert enumerate_tileable(P, lo, hi) == brute_tileable(lo, hi)
 
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(-8, 160), st.integers(0, 60), st.sampled_from([0, 32]))
+    def test_matches_brute_force_across_params(self, params, lo8, width8,
+                                               bits):
+        lo = quad(F(lo8, 8), F(lo8 % 3, 5), params.d)
+        hi = lo + F(width8, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tiles, "_KEY_BITS", bits)
+            assert enumerate_tileable(params, lo, hi) == \
+                brute_tileable(lo, hi, params)
+
     def test_values_pairwise_distinct(self):
         vecs = enumerate_tileable(P, quad(0), quad(40))
         vals = {v.value(P) for v in vecs}
         assert len(vals) == len(vecs)
+
+
+def eps_dense_reference(points, lo, hi, eps):
+    """eps_dense as it was written on QuadReal objects: sort, clip by
+    bisection, then compare every gap with eps."""
+    if eps.sign() <= 0:
+        raise ValueError("eps must be positive")
+    if hi < lo:
+        raise ValueError("empty interval")
+    half = eps / 2
+    if hi - lo < eps:
+        return DensityReport(True, None)  # no admissible x at all
+    pts = sorted(points)
+    pts = pts[bisect_left(pts, lo):bisect_right(pts, hi)]
+    if not pts:
+        return DensityReport(False, lo + half)
+    if not pts[0] - lo < eps:
+        return DensityReport(False, lo + half)
+    for a, b in zip(pts, pts[1:]):
+        if not b - a < eps:
+            return DensityReport(False, (a + b) / 2)
+    if not hi - pts[-1] < eps:
+        return DensityReport(False, hi - half)
+    return DensityReport(True, None)
+
+
+# convergents b/a of sqrt(2) and sqrt(3): |a*sqrt(d) - b| < 1/(2a)
+HAIRS = {2: [(12, 17), (99, 140), (408, 577), (2378, 3363)],
+         3: [(15, 26), (56, 97), (153, 265), (780, 1351)]}
+
+
+@st.composite
+def density_cases(draw):
+    """Point sets for eps_dense, in one of two shapes, then with duplicates
+    and shuffled or in order; D in {2, 3}, eps rational or irrational.
+
+    A grid has step eps*j/4 (j = 4 puts gaps exactly at eps), holes,
+    stray points of other denominators and points outside the window.  A
+    chain steps by 0 or eps, each plus or minus an irrational hair (or
+    not), from lo to hi: its gaps are 0, eps or a hair off them, some of
+    them backwards, which is where the integer keys cannot decide.
+    """
+    d = draw(st.sampled_from([2, 3]))
+
+    def value(bound):
+        return quad(F(draw(st.integers(-bound, bound)),
+                      draw(st.sampled_from([1, 2, 3, 5]))),
+                    F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 7]))),
+                    d)
+
+    if draw(st.booleans()):
+        eps = quad(F(draw(st.integers(1, 12)), draw(st.sampled_from([2, 3, 8]))),
+                   0, d)
+    else:
+        eps = quad(F(draw(st.integers(0, 6)), 4), F(draw(st.integers(1, 3)), 4), d)
+    lo = value(20)
+    if draw(st.booleans()):
+        hi = lo + eps * F(draw(st.integers(0, 60)), 8)
+        step = eps * F(draw(st.integers(1, 5)), 4)
+        start = lo - eps * F(draw(st.integers(0, 8)), 4)
+        grid = [start + step * i for i in range(draw(st.integers(0, 40)))]
+        holes = draw(st.sets(st.integers(0, 39), max_size=3))
+        pts = [x for i, x in enumerate(grid) if i not in holes]
+        pts += [lo + (hi - lo) * F(draw(st.integers(-2, 10)), 8)
+                + value(2) * F(1, 50) for _ in range(draw(st.integers(0, 4)))]
+    else:
+        a, b = draw(st.sampled_from(HAIRS[d]))
+        hair = abs(quad(-b, a, d))
+        moves = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-1, 1)),
+                              min_size=2, max_size=12))
+        # small denominators keep the keys coarse against the hair
+        x = lo = quad(lo.floor(), draw(st.integers(-4, 4)), d)
+        pts = []
+        for j, h in moves:
+            x = x + eps * j + hair * h
+            pts.append(x)
+        pts.pop()
+        hi = x if lo < x else lo
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4)) if pts else []
+    if draw(st.booleans()):
+        pts = draw(st.permutations(pts))
+    else:
+        pts.sort()
+    return pts, lo, hi, eps
 
 
 class TestEpsDense:
@@ -137,6 +237,41 @@ class TestEpsDense:
             rng.shuffle(messy)
             for eps in (quad(F(1, 2)), quad(1), sqrtD()):
                 assert eps_dense(messy, lo, hi, eps) == eps_dense(inside, lo, hi, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(density_cases(), st.sampled_from([0, 32]))
+    def test_eps_dense_matches_reference(self, case, bits):
+        pts, lo, hi, eps = case
+        want = eps_dense_reference(pts, lo, hi, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tiles, "_KEY_BITS", bits)
+            assert eps_dense(iter(pts), lo, hi, eps) == want
+
+    @pytest.mark.parametrize("bits", [0, 32])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_eps_dense_near_ties_match_reference(self, d, bits):
+        # every chain of three steps of 0 or eps, each plus or minus a
+        # hair or not, in chain order (so backward steps come unsorted)
+        moves = [(j, h) for j in (0, 1) for h in (-1, 0, 1)]
+        lo = quad(2, 1, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tiles, "_KEY_BITS", bits)
+            for a, b in HAIRS[d][1:]:
+                hair = abs(quad(-b, a, d))
+                for eps in (quad(1, 0, d), quad(F(1, 4), F(1, 2), d)):
+                    for chain in itertools.product(moves, repeat=3):
+                        pts = list(itertools.accumulate(
+                            (eps * j + hair * h for j, h in chain), initial=lo))
+                        hi = qmax(lo, pts.pop())
+                        want = eps_dense_reference(pts, lo, hi, eps)
+                        assert eps_dense(pts, lo, hi, eps) == want, chain
+
+    def test_rationals_of_any_radicand_mix(self):
+        # a rational value carries a radicand but no sqrt term
+        pts = [quad(F(i, 2), 0, 3) for i in range(11)]
+        for eps in (quad(F(1, 2)), quad(F(2, 3)), sqrtD() / 2):
+            assert eps_dense(pts, quad(0), quad(5), eps) == \
+                eps_dense_reference(pts, quad(0), quad(5), eps)
 
 
 class TestStabilityRatio:
@@ -300,12 +435,7 @@ class TestDensityWitness:
 
     def test_ten_disjoint_windows(self):
         wit = density_witness(P, quad(F(1, 3)), FreqBand(F(3, 8), F(1, 2)))
-        width = P.beta * 20
-        for k in range(10):
-            lo = wit.threshold + width * (2 * k)
-            hi = lo + width
-            rep = eps_dense([v for v, _ in wit.values_in(lo, hi)], lo, hi,
-                            quad(F(1, 3)))
+        for k, (_, _, rep) in enumerate(wit.check_windows(10)):
             assert rep.ok, (k, rep.witness)
 
     def test_offsets_must_be_sorted_and_within_base(self):
@@ -368,3 +498,35 @@ class TestValuesIn:
             assert got == brute_values_in(wit, lo, hi)
             vals = [v for v, _ in got]
             assert len(set(vals)) < len(vals)
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(-40, 200), st.integers(0, 200))
+    def test_random_windows_match_brute_force(self, params, start4, width4):
+        # windows narrower than value(x) hold partial runs only
+        wit = density_witness(params, quad(1, 0, params.d),
+                              FreqBand(F(1, 4), F(3, 4)))
+        lo = wit.threshold + F(start4, 4)
+        hi = lo + F(width4, 4) * params.beta
+        assert wit.values_in(lo, hi) == brute_values_in(wit, lo, hi)
+
+    def test_check_windows_matches_reference(self):
+        wit = density_witness(P, quad(F(1, 3)), FreqBand(F(3, 8), F(1, 2)))
+        width = P.beta * 20
+        for i, (lo, hi, rep) in enumerate(wit.check_windows(3)):
+            assert (lo, hi) == (wit.threshold + width * (2 * i),
+                                wit.threshold + width * (2 * i + 1))
+            vals = [v for v, _ in brute_values_in(wit, lo, hi)]
+            assert rep == eps_dense_reference(vals, lo, hi, quad(F(1, 3)))
+
+    def test_mixed_radicands_raise(self):
+        r3 = quad(0, 1, 3)
+        with pytest.raises(ConfigError):
+            eps_dense([quad(1), r3, quad(1, 1)], quad(0), quad(5), quad(1))
+        with pytest.raises(ConfigError):
+            eps_dense([quad(1, 1)], quad(0), quad(5), quad(0, 1, 3))
+        with pytest.raises(ConfigError):
+            enumerate_tileable(P, r3, r3 + 4)
+        wit = density_witness(P, quad(1), FreqBand(F(1, 4), F(3, 4)))
+        with pytest.raises(ConfigError):
+            wit.values_in(wit.threshold + r3, wit.threshold + r3 + 5)
