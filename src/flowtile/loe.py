@@ -8,16 +8,30 @@ translation, so lengths match piece by piece.  The matching machinery
 (`match_equidense`) pairs two index sets inside one window by successor
 steps, smallest displacement first; whatever stays unmatched at finite
 scale is reported as residue, never hidden.
+
+The orbit maps are ordered and checked on lattice coordinates: the
+values one check compares are written over one common denominator C as
+(A + B*sqrt(D)) / C, so each is the integer pair (A, B) (the helpers of
+:mod:`flowtile.tiles`).  Pieces are sorted by the integer key
+floor(2**32 * (A + B*sqrt(D))), ties of keys by exact value, and each
+overlap test is the exact sign of an integer difference
+(``quadratic.sign_of``).  No float decides anything; maps and reports are
+those of plain ``QuadReal`` arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby, islice
+from operator import eq
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, parse_quadreal
+from .quadratic import QuadReal, floor_of, parse_quadreal, sign_of
 from .pipeline import TiledSection
+from .tiles import _KEY_BITS, _coords, _radicand
 
 
 class MatchState(NamedTuple):
@@ -39,7 +53,9 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
     Stage k matches every still-unmatched a in the first set whose k-step
     successor a + k is a still-unmatched member of the second set; a point
     enters stage k only if no smaller displacement worked.  Unmatched
-    points on either side are returned as residue.
+    points on either side are returned as residue.  Once k passes the
+    largest free b minus the smallest free a, every later stage up to
+    max_k is empty, and those stages are recorded without a scan.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
@@ -47,6 +63,7 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
         hi = max(a_sorted + b_sorted, default=0)
         max_k = hi + 1
     b_free = set(b_sorted)
+    b_hi = b_sorted[-1] if b_sorted else 0
     a_free = list(a_sorted)
     stages: list[tuple[list[int], list[int]]] = []
     pairing: dict[int, int] = {}
@@ -63,7 +80,60 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
             stages.append(([], []))
         if not a_free or not b_free:
             break
+        if b_hi not in b_free:
+            b_hi = max(b_free)
+        if k >= b_hi - a_free[0]:
+            stages += [([], []) for _ in range(k + 1, max_k + 1)]
+            break
     return MatchState(stages, pairing, a_free, sorted(b_free))
+
+
+def _lattice(*groups: list[QuadReal]):
+    """(c, d, [(xs, ys) per group]): the values of every group are
+    (xs[i] + ys[i]*sqrt(d)) / c, over one common denominator c."""
+    d = _radicand(*groups)
+    c = math.lcm(*{v.c for g in groups for v in g})
+    out = []
+    for g in groups:
+        xs, ys, m = _coords(g, c)
+        if m != 1:
+            xs, ys = [x * m for x in xs], [y * m for y in ys]
+        out.append((xs, ys))
+    return c, d, out
+
+
+def _keys(xs: list[int], ys: list[int], d: int) -> list[int]:
+    """The exact floor of 2**_KEY_BITS times each value xs[i] + ys[i]*sqrt(d)."""
+    k = _KEY_BITS
+    # floor(2**k * (x + y*sqrt(d))) == x*2**k + floor(2**k * y*sqrt(d))
+    root = {y: floor_of(0, y << k, 1, d) for y in set(ys)}
+    return [(x << k) + root[y] for x, y in zip(xs, ys)]
+
+
+def _order(xs: list[int], ys: list[int], d: int) -> list[int]:
+    """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
+    values in index order: sorted by :func:`_keys`, equal keys by exact
+    value."""
+    keys = _keys(xs, ys, d)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = map(keys.__getitem__, order)
+    if not any(map(eq, ranked, map(keys.__getitem__, islice(order, 1, None)))):
+        return order
+    exact = cmp_to_key(lambda i, j: sign_of(xs[i] - xs[j], ys[i] - ys[j], d))
+    return [i for _, run in groupby(order, key=keys.__getitem__)
+            for i in sorted(run, key=exact)]
+
+
+def _overlaps(label: str, ends: list[QuadReal],
+              lengths: list[QuadReal]) -> list[str]:
+    """A failure for each interval [ends[j], ends[j] + lengths[j]) that
+    starts before its predecessor i in the order of ends has ended:
+    ends[j] < ends[i] + lengths[i]."""
+    _, d, [(xs, ys), (lx, ly)] = _lattice(ends, lengths)
+    order = _order(xs, ys, d)
+    return [f"{label} pieces overlap at {ends[j]}"
+            for i, j in zip(order, islice(order, 1, None))
+            if sign_of(xs[j] - xs[i] - lx[i], ys[j] - ys[i] - ly[i], d) < 0]
 
 
 class Piece(NamedTuple):
@@ -166,7 +236,9 @@ def build_loe(t1: TiledSection, t2: TiledSection,
         mapped_dst_b.add(b_dst)
     res_src = [b for b in b1 if b not in mapped_src_b]
     res_dst = [b for b in b2 if b not in mapped_dst_b]
-    pieces.sort(key=lambda p: p.src_lo)
+    if pieces:
+        _, d, [(xs, ys)] = _lattice([p.src_lo for p in pieces])
+        pieces = [pieces[i] for i in _order(xs, ys, d)]
     return PiecewiseTranslationMap(pieces, res_src, res_dst)
 
 
@@ -185,15 +257,11 @@ def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
     are shared exactly by construction, so the check is on overlaps and
     kinds.  An empty map passes vacuously.
     """
-    failures: list[str] = []
     if not m.pieces:
         return LoeReport(True, [], 0, None)
-    for label, key in (("source", lambda p: p.src_lo), ("target", lambda p: p.dst_lo)):
-        ordered = sorted(m.pieces, key=key)
-        for x, y in zip(ordered, ordered[1:]):
-            if key(y) < key(x) + x.length:
-                failures.append(f"{label} pieces overlap at {key(y)}")
-    total = m.pieces[0].length * 0
+    lengths = [p.length for p in m.pieces]
+    failures = _overlaps("source", [p.src_lo for p in m.pieces], lengths)
+    failures += _overlaps("target", [p.dst_lo for p in m.pieces], lengths)
     for i, p in enumerate(m.pieces):
         if p.kind not in ("a", "b"):
             failures.append(f"piece {i}: unknown kind {p.kind!r}")
@@ -201,5 +269,6 @@ def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
             want = params.alpha if p.kind == "a" else params.beta
             if p.length != want:
                 failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
-        total = total + p.length
+    c, d, [(lx, ly)] = _lattice(lengths)
+    total = QuadReal._raw(sum(lx), sum(ly), c, d)
     return LoeReport(not failures, failures, len(m.pieces), total)

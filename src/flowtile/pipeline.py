@@ -779,11 +779,12 @@ def attach_witnesses(t: TiledSection):
         raise WitnessError("witnesses need a fully regular section")
     t.witnesses = []
     n = len(t.letters)
+    scan = RunScan(t)
     achieved = 0
     for j in range(1, sched.depth + 1):
         eta_j = sched.eta[j]
         L_j = sched.L[j]
-        rep = verify_uniform_frequency(t, eta_j, witnesses=False)
+        rep = verify_uniform_frequency(t, eta_j, witnesses=False, scan=scan)
         reason = None
         n_min = rep.n_eta
         n_max = int((L_j / t.params.beta).floor())
@@ -822,13 +823,46 @@ class UniformFrequencyReport(NamedTuple):
     witnesses_ok: Optional[bool]
 
 
+class RunScan:
+    """The letters of a section in the form the uniform-frequency scan
+    reads, built once per section and shared by every eta: the last
+    prefix deviation dev[n], the spread of dev, and the packed int of the
+    shifted prefixes (see :func:`verify_uniform_frequency`)."""
+
+    __slots__ = ("b", "end", "spread", "width", "packed", "ones")
+
+    def __init__(self, t: "TiledSection"):
+        rho = t.params.rho
+        a_, b_ = rho.numerator, rho.denominator
+        n = len(t.letters)
+        self.b = b_
+        # dev[i] = (count of 'a' - rho * i) * b_ over the first i letters
+        dev = list(accumulate(map({"a": b_ - a_}.get, t.letters, repeat(-a_)),
+                              initial=0))
+        self.end = dev[n]
+        lo = min(dev)
+        self.spread = spread = max(dev) - lo
+        lane = ((2 * spread).bit_length() + 8) // 8  # bytes per lane
+        self.width = 8 * lane
+        lanes = bytearray(lane * (n + 1))
+        for j in range(lane):  # byte j of every lane, little-endian
+            shifted = map(sub, dev, repeat(lo))
+            lanes[j::lane] = bytes(map(and_, map(rshift, shifted, repeat(8 * j)),
+                                       repeat(255)))
+        self.packed = int.from_bytes(lanes, "little")
+        self.ones = int.from_bytes((b"\1" + bytes(lane - 1)) * (n + 1), "little")
+
+
 def verify_uniform_frequency(t: TiledSection, eta: Fraction,
-                             witnesses: bool = True) -> UniformFrequencyReport:
+                             witnesses: bool = True,
+                             scan: RunScan | None = None) -> UniformFrequencyReport:
     """Smallest N such that every run of at least N consecutive gaps has
     alpha-frequency within eta of rho, by exact integer scanning.
 
     Returns a counterexample window when even the full section fails.
     With ``witnesses=True`` also replays every stored partition witness.
+    ``scan`` is the section's :class:`RunScan`, built here when not given;
+    :func:`attach_witnesses` builds one for all its levels.
 
     The scan is word-parallel and exact.  With b the denominator of rho,
     dev[i] = b * (count of 'a' - rho * i) over the first i letters, and
@@ -845,46 +879,35 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     of the term subtracted can hold, and every result lane is below
     S + c < 2**w: no borrow or carry crosses a lane.  The run length fails
     exactly when some lane of either result has its top bit set.  The
-    whole section, a single window, is tested from dev[n] before anything
-    is packed.
+    whole section, a single window, is tested from dev[n] first.
     """
     eta = Fraction(eta)
     if not t.is_fully_regular():
         raise ValueError("section must be regular on its interior")
-    rho = t.params.rho
-    a_, b_ = rho.numerator, rho.denominator
     n = len(t.letters)
     if n == 0:
         return UniformFrequencyReport(eta, 1, None, True)
-    # dev[i] = (count of 'a' - rho * i) * b_ over the first i letters
-    dev = list(accumulate(map({"a": b_ - a_}.get, t.letters, repeat(-a_)),
-                          initial=0))
+    if scan is None:
+        scan = RunScan(t)
+    b_ = scan.b
     lim = eta.numerator * b_
 
     def threshold(run: int) -> int:
         # a run of `run` letters fails when |dev[i+run] - dev[i]| >= this
         return -(-lim * run // eta.denominator)
 
-    if abs(dev[n]) >= threshold(n):
+    if abs(scan.end) >= threshold(n):
         rep = UniformFrequencyReport(eta, None, (0, n), None)
         if witnesses:
             rep = rep._replace(witnesses_ok=all(w.replay(t) for w in t.witnesses))
         return rep
     # from here eta > 0, so every threshold below is at least 1
-    lo_dev = min(dev)
-    spread = max(dev) - lo_dev
+    spread = scan.spread
     # all runs of length > spread*eta.den/(eta.num*b_) pass automatically
     start = min(n, int(Fraction(spread * eta.denominator, eta.numerator * b_)) + 1)
-    lane = ((2 * spread).bit_length() + 8) // 8  # bytes per lane
-    width = 8 * lane
+    width = scan.width
     top = 1 << (width - 1)
-    lanes = bytearray(lane * (n + 1))
-    for j in range(lane):  # byte j of every lane, little-endian
-        shifted = map(sub, dev, repeat(lo_dev))
-        lanes[j::lane] = bytes(map(and_, map(rshift, shifted, repeat(8 * j)),
-                                   repeat(255)))
-    packed = int.from_bytes(lanes, "little")
-    ones = int.from_bytes((b"\1" + bytes(lane - 1)) * (n + 1), "little")
+    packed, ones = scan.packed, scan.ones
 
     def fails(run: int) -> bool:
         thr = threshold(run)

@@ -4,7 +4,9 @@ Every quantity in this package -- positions, gaps, thresholds, shift
 budgets -- is a :class:`QuadReal`, a number of the form ``r + s*sqrt(D)``
 with rational ``r``, ``s`` and a fixed positive square-free integer ``D``.
 Comparisons are decided by integer arithmetic alone; no floating point is
-ever consulted for a decision.
+ever consulted for a decision.  Text literals are read on integers too:
+:func:`parse_quadreal` takes each coefficient as an integer numerator and
+denominator and builds the value once, with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
@@ -365,8 +367,11 @@ def gcd_ladder(a: QuadReal, b: QuadReal, delta: QuadReal | None = None,
 
 # -- canonical text form ------------------------------------------------------
 
-_SQRT_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\)$")
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_SQRT_RE = re.compile(r"^(?:(-?\d+)(?:/(\d+))?\*)?sqrt\((\d+)\)$")
+_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# the canonical "r" and "r + s*sqrt(D)" / "r - s*sqrt(D)", matched whole
+_CANON_RE = re.compile(r"(-?\d+)(?:/(\d+))?"
+                       r"(?: ([+-]) (?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\))?")
 
 
 def format_quadreal(x: QuadReal) -> str:
@@ -390,35 +395,78 @@ def format_quadreal(x: QuadReal) -> str:
     return " ".join(parts)
 
 
+def _read_radicand(td: str, text: str) -> int:
+    d = int(td)
+    if math.isqrt(d) ** 2 == d:
+        raise ValueError(f"radicand {d} in {text!r} is a perfect square")
+    return d
+
+
 def parse_quadreal(text: str, d: int | None = None) -> QuadReal:
-    """Parse the canonical text form (inverse of :func:`format_quadreal`)."""
+    """Parse the text form written by :func:`format_quadreal`.
+
+    The literal is a sum of terms joined by " + " or " - ": rationals
+    "n" or "n/m", and radicals "sqrt(D)", "-sqrt(D)" (or "- sqrt(D)") and
+    "n*sqrt(D)" or "n/m*sqrt(D)", with n optionally negative.  Repeated
+    terms add up, so "3 + 4" and "sqrt(2) + sqrt(2)" are read too.  Every
+    coefficient is read as an integer numerator and denominator, the
+    terms are summed over one integer denominator, and the value is
+    normalized once; the canonical "r" and "r +- s*sqrt(D)" are matched
+    whole.  Anything else raises ValueError: a malformed term, a zero
+    denominator, two radicands, a radicand other than ``d`` when ``d`` is
+    given, and a radicand of 0, 1 or another perfect square, which would
+    make the value's rational and radical parts ambiguous.
+    """
     if not isinstance(text, str):
         raise ValueError(f"QuadReal literal must be a string, not {text!r}")
+    # r = ra / rc and s = sa / sc
+    m = _CANON_RE.fullmatch(text)
+    if m:
+        ra, rc, op, sa, sc, td = m.groups()
+        ra, rc = int(ra), int(rc) if rc else 1
+        sa = 0 if op is None else int(sa) if sa else 1
+        if op == "-":
+            sa = -sa
+        sc = int(sc) if sc else 1
+        d_seen = None if td is None else _read_radicand(td, text)
+    else:
+        ra, rc, sa, sc, d_seen = _parse_terms(text)
+    if rc == 0 or sc == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    if d_seen is None:
+        d_seen = DEFAULT_D if d is None else d
+    elif d is not None and d_seen != d:
+        raise ValueError(f"radicand mismatch: literal has {d_seen}, expected {d}")
+    return QuadReal._raw(ra * sc, sa * rc, rc * sc, d_seen)
+
+
+def _parse_terms(text: str) -> tuple[int, int, int, int, int | None]:
+    """(ra, rc, sa, sc, d) of any literal :func:`parse_quadreal` reads,
+    term by term; a zero denominator yields rc or sc == 0."""
     s = text.strip()
     if not s:
         raise ValueError("empty QuadReal literal")
-    # split on top-level +/- separators surrounded by spaces, keep leading sign
-    tokens = s.replace(" - ", " + -").split(" + ")
-    r_acc = Fraction(0)
-    s_acc = Fraction(0)
+    ra, rc, sa, sc = 0, 1, 0, 1
     d_seen: int | None = None
-    for tok in tokens:
+    # split on top-level +/- separators surrounded by spaces, keep leading sign
+    for tok in s.replace(" - ", " + -").split(" + "):
         tok = tok.strip()
         neg = tok.startswith("-") and tok[1:].lstrip().startswith("sqrt")
         m = _SQRT_RE.match(tok[1:].lstrip() if neg else tok)
         if m:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            if neg:
-                coef = -coef
-            td = int(m.group("d"))
-            if d_seen is not None and td != d_seen:
+            num, den, td = m.groups()
+            if d_seen is None:
+                d_seen = _read_radicand(td, text)
+            elif int(td) != d_seen:
                 raise ValueError(f"mixed radicands in {text!r}")
-            d_seen = td
-            s_acc += coef
-        elif _RAT_RE.match(tok):
-            r_acc += Fraction(tok)
-        else:
+            num = int(num) if num else 1
+            den = int(den) if den else 1
+            sa, sc = sa * den + (-num if neg else num) * sc, sc * den
+            continue
+        m = _RAT_RE.match(tok)
+        if m is None:
             raise ValueError(f"cannot parse QuadReal term {tok!r}")
-    if d_seen is not None and d is not None and d_seen != d:
-        raise ValueError(f"radicand mismatch: literal has {d_seen}, expected {d}")
-    return QuadReal(r_acc, s_acc, d_seen if d_seen is not None else d)
+        num, den = m.groups()
+        den = int(den) if den else 1
+        ra, rc = ra * den + int(num) * rc, rc * den
+    return ra, rc, sa, sc, d_seen

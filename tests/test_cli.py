@@ -284,3 +284,26 @@ class TestCli:
                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["witness"]) == 5
+
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d.update(beta="sqrt(4)"),
+        lambda d: d["positions"].__setitem__(3, "1/0"),
+    ], ids=["beta_sqrt4", "position_1_0"])
+    def test_verify_rejects_degenerate_literal(self, tamper, tmp_path, capsys):
+        # sqrt(4) is the rational 2, and 1/0 is no number: both are
+        # malformed literals, not tile lengths or positions
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--kind", "uniform", "--n", "20", "--seed", "3",
+             "--k0", "7", "--out", str(w)])
+        run(["tile", "--mode", "full", "--depth", "2", "--in", str(w),
+             "--out", str(t)])
+        data = json.loads(t.read_text())
+        tamper(data)
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "--eta", "1/8", str(t)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: ")
+        assert captured.err.count("\n") == 1

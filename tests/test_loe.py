@@ -1,13 +1,19 @@
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtile.loe import (FrequencyMismatch, Piece, PiecewiseTranslationMap,
-                          build_loe, match_equidense, verify_loe)
-from flowtile.pipeline import TiledSection
+from flowtile.generators import GeneratorSpec, generate
+from flowtile.loe import (FrequencyMismatch, LoeReport, MatchState, Piece,
+                          PiecewiseTranslationMap, _kind_indices, build_loe,
+                          match_equidense, verify_loe)
+from flowtile.pipeline import TiledSection, full_pipeline
 from flowtile.quadratic import quad
-from flowtile.tiles import balanced_word, default_params, TileVector
+from flowtile.tiles import Params, default_params
 
 P = default_params()
 
@@ -141,3 +147,255 @@ class TestVerifyLoe:
         m = build_loe(t, t)
         m2 = PiecewiseTranslationMap.from_json(m.to_json())
         assert m2.pieces == m.pieces
+
+
+# -- the QuadReal-keyed orbit maps the lattice versions replaced, kept
+# verbatim as oracles (the reference build_loe calls the reference matching)
+
+def match_equidense_reference(a_set: Sequence[int], b_set: Sequence[int],
+                              max_k: int | None = None) -> MatchState:
+    """Pair elements of two index sets by forward successor steps.
+
+    Stage k matches every still-unmatched a in the first set whose k-step
+    successor a + k is a still-unmatched member of the second set; a point
+    enters stage k only if no smaller displacement worked.  Unmatched
+    points on either side are returned as residue.
+    """
+    a_sorted = sorted(set(a_set))
+    b_sorted = sorted(set(b_set))
+    if max_k is None:
+        hi = max(a_sorted + b_sorted, default=0)
+        max_k = hi + 1
+    b_free = set(b_sorted)
+    a_free = list(a_sorted)
+    stages: list[tuple[list[int], list[int]]] = []
+    pairing: dict[int, int] = {}
+    for k in range(max_k + 1):
+        ak = [a for a in a_free if a + k in b_free]
+        if ak:
+            bk = [a + k for a in ak]
+            for a, b in zip(ak, bk):
+                pairing[a] = b
+                b_free.discard(b)
+            a_free = [a for a in a_free if a not in pairing]
+            stages.append((ak, bk))
+        else:
+            stages.append(([], []))
+        if not a_free or not b_free:
+            break
+    return MatchState(stages, pairing, a_free, sorted(b_free))
+
+
+def build_loe_reference(t1: TiledSection, t2: TiledSection,
+                        psi: dict[int, int] | None = None) -> PiecewiseTranslationMap:
+    """Assemble the piecewise-translation map between two tiled sections.
+
+    psi is an order-preserving bijection between the alpha-point index
+    sets (default: k-th to k-th, which requires equal alpha counts); it is
+    extended to matched beta-points by conjugating through each section's
+    own alpha-to-beta matching.  Beta-points missed by either matching are
+    reported as residue.
+    """
+    if not (t1.is_fully_regular() and t2.is_fully_regular()):
+        raise ValueError("both sections must be fully regular")
+    a1, b1 = _kind_indices(t1)
+    a2, b2 = _kind_indices(t2)
+    f1 = Fraction(len(a1), len(t1.letters))
+    f2 = Fraction(len(a2), len(t2.letters))
+    if f1 != f2 or len(a1) != len(a2):
+        raise FrequencyMismatch(f1, f2)
+    if psi is None:
+        psi = dict(zip(a1, a2))
+    else:
+        keys = sorted(psi)
+        vals = [psi[k] for k in keys]
+        if keys != a1 or sorted(vals) != vals or set(vals) - set(a2):
+            raise ValueError("psi must map the alpha set order-preservingly")
+    theta1 = match_equidense_reference(a1, b1)
+    theta2 = match_equidense_reference(a2, b2)
+    pieces: list[Piece] = []
+    alpha = t1.params.alpha
+    beta = t1.params.beta
+    for a in a1:
+        pieces.append(Piece(t1.positions[a], t2.positions[psi[a]], alpha, "a"))
+    # beta points extend the base map: psi(theta1(x)) = theta2(psi(x))
+    matched2 = theta2.pairing
+    mapped_src_b: set[int] = set()
+    mapped_dst_b: set[int] = set()
+    for a in a1:
+        if a not in theta1.pairing or psi[a] not in matched2:
+            continue
+        b_src = theta1.pairing[a]
+        b_dst = matched2[psi[a]]
+        pieces.append(Piece(t1.positions[b_src], t2.positions[b_dst], beta, "b"))
+        mapped_src_b.add(b_src)
+        mapped_dst_b.add(b_dst)
+    res_src = [b for b in b1 if b not in mapped_src_b]
+    res_dst = [b for b in b2 if b not in mapped_dst_b]
+    pieces.sort(key=lambda p: p.src_lo)
+    return PiecewiseTranslationMap(pieces, res_src, res_dst)
+
+
+def verify_loe_reference(m: PiecewiseTranslationMap, params=None) -> LoeReport:
+    """Check a translation map piece by piece.
+
+    Sources must be pairwise disjoint, likewise targets; every piece's
+    declared kind must match its length when params are supplied; lengths
+    are shared exactly by construction, so the check is on overlaps and
+    kinds.  An empty map passes vacuously.
+    """
+    failures: list[str] = []
+    if not m.pieces:
+        return LoeReport(True, [], 0, None)
+    for label, key in (("source", lambda p: p.src_lo), ("target", lambda p: p.dst_lo)):
+        ordered = sorted(m.pieces, key=key)
+        for x, y in zip(ordered, ordered[1:]):
+            if key(y) < key(x) + x.length:
+                failures.append(f"{label} pieces overlap at {key(y)}")
+    total = m.pieces[0].length * 0
+    for i, p in enumerate(m.pieces):
+        if p.kind not in ("a", "b"):
+            failures.append(f"piece {i}: unknown kind {p.kind!r}")
+        if params is not None:
+            want = params.alpha if p.kind == "a" else params.beta
+            if p.length != want:
+                failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
+        total = total + p.length
+    return LoeReport(not failures, failures, len(m.pieces), total)
+
+
+# x - y*sqrt(D) with x**2 - D*y**2 == 1: irrational, positive and tiny;
+# the last is below 2**-36, so the 32-bit sort keys cannot separate it
+HAIRS = {2: [(99, 70), (577, 408), (152139002499, 107578520350)],
+         3: [(97, 56), (1351, 780), (36810643322, 21252634831)]}
+
+
+def rationals(max_num=30, max_den=7):
+    return st.builds(F, st.integers(-max_num, max_num), st.integers(1, max_den))
+
+
+@st.composite
+def piece_maps(draw):
+    """Pieces laid out along a shuffled source chain and a differently
+    shuffled target chain; consecutive pieces of a chain touch exactly,
+    overlap or miss by an irrational hair, start together, or sit a
+    rational or irrational step apart.  Lengths are alpha or beta, or a
+    wrong length; a few kinds are wrong."""
+    d = draw(st.sampled_from([2, 3]))
+    params = Params(quad(1, 0, d), quad(0, 1, d), F(1, 2))
+    n = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["a", "b", "a", "b", "c"]), min_size=n, max_size=n))
+    lengths = []
+    for kind in kinds:
+        if draw(st.integers(0, 5)) == 0:
+            lengths.append(quad(draw(rationals()), draw(rationals()), d))
+        else:
+            lengths.append(params.beta if kind == "b" else params.alpha)
+
+    def chain():
+        order = draw(st.permutations(range(n)))
+        x = quad(draw(rationals(200, 12)), draw(rationals(200, 12)), d)
+        ends = [None] * n
+        for i in order:
+            ends[i] = x
+            step = draw(st.sampled_from(["touch", "hair+", "hair-", "same",
+                                         "rational", "irrational"]))
+            if step == "touch":
+                x = x + lengths[i]
+            elif step.startswith("hair"):
+                u, v = draw(st.sampled_from(HAIRS[d]))
+                hair = quad(u, -v, d)
+                x = x + lengths[i] + (hair if step == "hair+" else -hair)
+            elif step == "rational":
+                x = x + lengths[i] + draw(rationals())
+            elif step == "irrational":
+                x = x + quad(draw(rationals()), draw(rationals()), d)
+        return ends
+
+    src, dst = chain(), chain()
+    pieces = [Piece(src[i], dst[i], lengths[i], kinds[i]) for i in range(n)]
+    return params, PiecewiseTranslationMap(pieces)
+
+
+def same_report(got: LoeReport, want: LoeReport):
+    assert got == want
+    assert str(got.mapped_length) == str(want.mapped_length)
+
+
+class TestLoeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(piece_maps())
+    def test_verify_loe_matches_reference(self, case):
+        params, m = case
+        same_report(verify_loe(m, params), verify_loe_reference(m, params))
+        same_report(verify_loe(m), verify_loe_reference(m))
+
+    def test_hair_overlap_and_hair_gap(self):
+        # the source pieces overlap by 99 - 70*sqrt(2) ~ 0.005, the target
+        # pieces miss each other by as much
+        hair = quad(99, -70)
+        p1 = Piece(quad(0), quad(10), P.alpha, "a")
+        p2 = Piece(P.alpha - hair, quad(10) + P.alpha + hair, P.beta, "b")
+        m = PiecewiseTranslationMap([p2, p1])
+        rep = verify_loe(m, P)
+        assert rep == verify_loe_reference(m, P)
+        assert rep.failures == [f"source pieces overlap at {P.alpha - hair}"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_values_closer_than_the_sort_key(self, d):
+        # v and v + hair share their sort key; the exact tie-break puts v
+        # first, so the overlap is reported at v + hair
+        u, w = HAIRS[d][-1]
+        hair, alpha = quad(u, -w, d), quad(1, 0, d)
+        v = quad(F(5, 3), 2, d)
+        m = PiecewiseTranslationMap([Piece(v + hair, quad(0), alpha, "a"),
+                                     Piece(v, quad(2), alpha, "a")])
+        rep = verify_loe(m)
+        assert rep == verify_loe_reference(m)
+        assert rep.failures == [f"source pieces overlap at {v + hair}"]
+
+    def test_touching_pieces_pass(self):
+        p1 = Piece(quad(F(1, 3)), quad(F(2, 7)), P.beta, "b")
+        p2 = Piece(quad(F(1, 3)) + P.beta, quad(F(2, 7)) + P.beta, P.alpha, "a")
+        rep = verify_loe(PiecewiseTranslationMap([p2, p1]), P)
+        assert rep.ok and rep.mapped_length == P.alpha + P.beta
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text("ab", min_size=1, max_size=14), st.data())
+    def test_build_loe_matches_reference(self, letters, data):
+        # the target has the same letters in another order, so the alpha
+        # counts agree; positions are arbitrary, unsorted, repeating values
+        d = data.draw(st.sampled_from([2, 3]))
+        params = Params(quad(1, 0, d), quad(0, 1, d), F(1, 2))
+        values = st.builds(lambda r, s: quad(r, s, d), rationals(40, 9),
+                           rationals(40, 9))
+
+        def section(word):
+            pos = data.draw(st.lists(values, min_size=len(word) + 1,
+                                     max_size=len(word) + 1))
+            return TiledSection(params, pos, list(word), [1] * len(pos),
+                                list(range(len(pos))))
+
+        shuffled = "".join(data.draw(st.permutations(letters)))
+        t1, t2 = section(letters), section(shuffled)
+        got, want = build_loe(t1, t2), build_loe_reference(t1, t2)
+        assert got.to_json() == want.to_json()
+        assert got.pieces == want.pieces
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 60)), st.sets(st.integers(0, 60)),
+           st.one_of(st.none(), st.integers(-1, 70)))
+    def test_match_equidense_matches_reference(self, a, b, max_k):
+        assert match_equidense(a, b, max_k) == \
+            match_equidense_reference(a, b, max_k)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_depth4_sections_match_reference(self, seed, schedule4):
+        w = generate(GeneratorSpec("uniform", count=1000, seed=seed,
+                                   k0=schedule4.K[0]))
+        t = full_pipeline(w, schedule4, seed=seed)
+        rev = section_from_letters(t.letters[::-1])
+        for x, y in ((t, rev), (rev, t)):
+            got, want = build_loe(x, y), build_loe_reference(x, y)
+            assert got.to_json() == want.to_json()
+            same_report(verify_loe(got, P), verify_loe_reference(want, P))

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
-                               HALF_TILED, PartitionWitness, TiledSection,
-                               TilingError, build_rank_blocks, build_schedule,
+                               HALF_TILED, PartitionWitness, RunScan,
+                               TiledSection, TilingError, build_rank_blocks,
+                               build_schedule,
                                classify_section, full_pipeline, sparse_tile,
                                verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
@@ -385,6 +386,21 @@ class TestUniformFrequencyOracle:
         assert verify_uniform_frequency(t, F(1, 2), witnesses=False).n_eta == 1
         rep = verify_uniform_frequency(t, F(2, 7), witnesses=False)
         assert (rep.n_eta, rep.counterexample) == (None, (0, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(alphabet="ab", min_size=1, max_size=300),
+           st.sampled_from(RHOS))
+    def test_one_scan_serves_every_eta(self, letters, rho):
+        # attach_witnesses packs the letters once and scans every level's
+        # eta on that one RunScan
+        t = section_from_letters(letters, Params(P.alpha, P.beta, rho))
+        scan = RunScan(t)
+        for eta in ETAS:
+            shared = verify_uniform_frequency(t, eta, witnesses=False,
+                                              scan=scan)
+            assert shared == verify_uniform_frequency(t, eta, witnesses=False)
+            assert (shared.n_eta, shared.counterexample) == \
+                brute_uniform_frequency(letters, rho, eta)
 
     @pytest.mark.parametrize("letters", ["aaabb", "bbbaa"])
     def test_run_exactly_at_eta_fails(self, letters):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from flowtile.quadratic import (ConfigError, QuadReal, compare,
                                 format_quadreal, gcd_ladder, parse_quadreal,
                                 quad, real_gcd, sqrtD)
+from flowtile.tiles import Params
 
 
 def rationals(max_num=50, max_den=12):
@@ -147,3 +149,114 @@ class TestLadder:
         g = real_gcd(abs(a), b)
         survivor = bk if ak.is_zero() else abs(ak)
         assert survivor == g
+
+
+# -- the Fraction-based parser the integer parser replaced, kept verbatim as
+# an oracle: every literal it accepts must read to the same (a, b, c, d)
+
+_SQRT_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\)$")
+_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+
+
+def parse_quadreal_reference(text: str, d: int | None = None) -> QuadReal:
+    """Parse the canonical text form (inverse of :func:`format_quadreal`)."""
+    if not isinstance(text, str):
+        raise ValueError(f"QuadReal literal must be a string, not {text!r}")
+    s = text.strip()
+    if not s:
+        raise ValueError("empty QuadReal literal")
+    # split on top-level +/- separators surrounded by spaces, keep leading sign
+    tokens = s.replace(" - ", " + -").split(" + ")
+    r_acc = Fraction(0)
+    s_acc = Fraction(0)
+    d_seen: int | None = None
+    for tok in tokens:
+        tok = tok.strip()
+        neg = tok.startswith("-") and tok[1:].lstrip().startswith("sqrt")
+        m = _SQRT_RE.match(tok[1:].lstrip() if neg else tok)
+        if m:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            if neg:
+                coef = -coef
+            td = int(m.group("d"))
+            if d_seen is not None and td != d_seen:
+                raise ValueError(f"mixed radicands in {text!r}")
+            d_seen = td
+            s_acc += coef
+        elif _RAT_RE.match(tok):
+            r_acc += Fraction(tok)
+        else:
+            raise ValueError(f"cannot parse QuadReal term {tok!r}")
+    if d_seen is not None and d is not None and d_seen != d:
+        raise ValueError(f"radicand mismatch: literal has {d_seen}, expected {d}")
+    return QuadReal(r_acc, s_acc, d_seen if d_seen is not None else d)
+
+
+def coords(x: QuadReal):
+    return x.a, x.b, x.c, x.d
+
+
+def signed_rationals():
+    """Zero, units and non-unit fractions of either sign."""
+    return st.one_of(st.just(F(0)), st.sampled_from([F(1), F(-1)]),
+                     rationals(400, 60))
+
+
+class TestParserOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_rationals(), signed_rationals(), st.sampled_from([2, 3]))
+    def test_canonical_forms_read_alike(self, r, s, d):
+        text = format_quadreal(quad(r, s, d))
+        assert coords(parse_quadreal(text)) == \
+            coords(parse_quadreal_reference(text))
+        assert coords(parse_quadreal(text, d)) == \
+            coords(parse_quadreal_reference(text, d))
+
+    @pytest.mark.parametrize("text", [
+        "3 + 4", "00", " 1 ", "- sqrt(2)", "1 + sqrt(2) + sqrt(2)",
+        "\u0661\u0662/\u0663 + \u0664*sqrt(\u0662)", "sqrt(2) - sqrt(2)",
+        "1  +  2", "-0", "1 + -2", "sqrt(02)", "-1/2*sqrt(3) + 5",
+        "1 + sqrt(2) + 3/4", "7/14 - 3/6*sqrt(2)", "2*sqrt(8)", "1\n",
+        "1 + sqrt(2)\n", "-sqrt(3)",
+    ])
+    def test_non_canonical_forms_read_alike(self, text):
+        assert coords(parse_quadreal(text)) == \
+            coords(parse_quadreal_reference(text))
+
+    @pytest.mark.parametrize("value,d", [
+        ("+1", None), ("1/2/3", None), ("1 - -sqrt(2)", None),
+        ("1 - - 2", None), ("1+2", None), ("1 +", None), ("1 \t+ 2", None),
+        ("sqrt(2) + sqrt(3)", None), ("1 + 2*sqrt(3) - sqrt(2)", None),
+        ("sqrt(3)", 2), ("1 + sqrt(2)", 3), ("", None), ("   ", None),
+        (None, None), (7, None), ([1], None), (F(1, 2), None),
+    ])
+    def test_rejected_literals_raise_value_error(self, value, d):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_quadreal_reference(value, d)
+        with pytest.raises(ValueError):
+            parse_quadreal(value, d)
+
+
+class TestDegenerateLiterals:
+    @pytest.mark.parametrize("text", [
+        "sqrt(0)", "sqrt(1)", "2*sqrt(4)", "-sqrt(9)", "1 + sqrt(16)",
+        "1 - 1/2*sqrt(1)", "sqrt(00)",
+    ])
+    def test_square_radicand_rejected(self, text):
+        with pytest.raises(ValueError, match="perfect square"):
+            parse_quadreal(text)
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "0/0", "-3/0", "1/0*sqrt(2)", "1 + 1/0*sqrt(2)", "2 - 1/0",
+    ])
+    def test_zero_denominator_is_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_quadreal(text)
+
+    def test_square_radicand_cannot_pose_as_irrational(self):
+        # sqrt(4) == 2 would make beta = 2 * alpha, rationally dependent
+        with pytest.raises(ValueError):
+            Params(quad(1), parse_quadreal("sqrt(4)"), F(1, 2))
+
+    def test_non_square_radicand_still_read(self):
+        assert coords(parse_quadreal("sqrt(8)")) == (0, 1, 1, 8)
