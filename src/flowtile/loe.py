@@ -21,7 +21,6 @@ those of plain ``QuadReal`` arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -29,9 +28,9 @@ from itertools import groupby, islice
 from operator import eq
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, floor_of, parse_quadreal, sign_of
+from .quadratic import QuadReal, floor_of, lattice, parse_quadreal, sign_of
 from .pipeline import TiledSection
-from .tiles import _KEY_BITS, _coords, _radicand
+from .tiles import _KEY_BITS
 
 
 class MatchState(NamedTuple):
@@ -88,20 +87,6 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
     return MatchState(stages, pairing, a_free, sorted(b_free))
 
 
-def _lattice(*groups: list[QuadReal]):
-    """(c, d, [(xs, ys) per group]): the values of every group are
-    (xs[i] + ys[i]*sqrt(d)) / c, over one common denominator c."""
-    d = _radicand(*groups)
-    c = math.lcm(*{v.c for g in groups for v in g})
-    out = []
-    for g in groups:
-        xs, ys, m = _coords(g, c)
-        if m != 1:
-            xs, ys = [x * m for x in xs], [y * m for y in ys]
-        out.append((xs, ys))
-    return c, d, out
-
-
 def _keys(xs: list[int], ys: list[int], d: int) -> list[int]:
     """The exact floor of 2**_KEY_BITS times each value xs[i] + ys[i]*sqrt(d)."""
     k = _KEY_BITS
@@ -129,7 +114,7 @@ def _overlaps(label: str, ends: list[QuadReal],
     """A failure for each interval [ends[j], ends[j] + lengths[j]) that
     starts before its predecessor i in the order of ends has ended:
     ends[j] < ends[i] + lengths[i]."""
-    _, d, [(xs, ys), (lx, ly)] = _lattice(ends, lengths)
+    _, d, [(xs, ys), (lx, ly)] = lattice(ends, lengths)
     order = _order(xs, ys, d)
     return [f"{label} pieces overlap at {ends[j]}"
             for i, j in zip(order, islice(order, 1, None))
@@ -237,7 +222,7 @@ def build_loe(t1: TiledSection, t2: TiledSection,
     res_src = [b for b in b1 if b not in mapped_src_b]
     res_dst = [b for b in b2 if b not in mapped_dst_b]
     if pieces:
-        _, d, [(xs, ys)] = _lattice([p.src_lo for p in pieces])
+        _, d, [(xs, ys)] = lattice([p.src_lo for p in pieces])
         pieces = [pieces[i] for i in _order(xs, ys, d)]
     return PiecewiseTranslationMap(pieces, res_src, res_dst)
 
@@ -269,6 +254,6 @@ def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
             want = params.alpha if p.kind == "a" else params.beta
             if p.length != want:
                 failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
-    c, d, [(lx, ly)] = _lattice(lengths)
+    c, d, [(lx, ly)] = lattice(lengths)
     total = QuadReal._raw(sum(lx), sum(ly), c, d)
     return LoeReport(not failures, failures, len(m.pieces), total)

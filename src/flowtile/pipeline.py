@@ -14,20 +14,33 @@ Two cooperating constructions, driven by one :class:`Schedule`:
 :func:`full_pipeline` composes them: grow blocks, classify what remains,
 finish every class, and attach partition witnesses certifying the uniform
 alpha-frequency of the result.  All checks are exact.
+
+Finishing and the tileable table lookup run on lattice coordinates, as
+the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
+position, gap, carry and corridor end is an integer pair (A, B) over one
+common denominator C, standing for (A + B*sqrt(D)) / C; an order is the
+exact sign of a lattice difference (``quadratic.sign_of``).  The table
+is bisected on exact floor(2**k * value) keys, with key ties settled by
+that sign test, and candidate words are ranked by integer
+cross-multiplication of frequencies.  Chain classes and the displacement
+check are decided the same way.  ``QuadReal`` stays the type of every
+argument, result and serialized value: one is built for each output
+position and for error texts.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import and_, eq, rshift, sub
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, and_, eq, gt, is_, le, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, parse_quadreal, qmax, qmin, quad
-from .tiles import (DensityWitness, FreqBand, Params, TileVector,
+from .quadratic import (QuadReal, floor_of, lattice, parse_quadreal, qmax,
+                        qmin, quad, sign_of)
+from .tiles import (_KEY_BITS, DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
 from .windows import OrbitWindow, chain_classes, json_field
@@ -50,25 +63,65 @@ class WitnessError(RuntimeError):
 
 
 class TileableTable:
-    """The nonzero tile vectors of value in (0, top], sorted by value, with
-    their values alongside, for exact corridor lookups by bisection."""
+    """The nonzero tile vectors of value in (0, top], sorted by value, for
+    exact corridor lookups.
 
-    __slots__ = ("top", "values", "vectors")
+    ``keys[i]`` is the exact floor of 2**_KEY_BITS times the value of
+    ``vectors[i]``.  A lookup bisects the keys of its two corridor ends;
+    only the entries whose key equals an end's are compared with it
+    exactly, by the sign of their lattice difference.
+    """
+
+    __slots__ = ("params", "top", "vectors", "keys")
 
     def __init__(self, params: Params, top: QuadReal):
+        self.params = params
         self.top = top
         # the zero vector comes first: it is the only one of value 0
         self.vectors = enumerate_tileable(params, quad(0, 0, params.d), top)[1:]
-        self.values = [v.value(params) for v in self.vectors]
+        a1, a2, b1, b2, c = params._coef
+        k, d = _KEY_BITS, params.d
+        self.keys = [floor_of((a1 * p + a2 * q) << k, (b1 * p + b2 * q) << k,
+                              c, d)
+                     for p, q in self.vectors]
 
     def between(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
         """Nonzero tile vectors of value strictly inside (lo, hi), in value
         order."""
-        if self.top < hi:
-            raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
-                              f"tileable table's top {self.top}")
-        return self.vectors[bisect_right(self.values, lo):
-                            bisect_left(self.values, hi)]
+        # a radicand other than the table's raises ConfigError
+        c, _, [((lx, hx), (ly, hy)), _] = lattice(
+            [lo, hi], [self.params.alpha, self.params.beta])
+        return self.inside(lx, ly, hx, hy, c)
+
+    def inside(self, lx: int, ly: int, hx: int, hy: int,
+               c: int) -> list[TileVector]:
+        """:meth:`between` for lo = (lx + ly*sqrt(d))/c and
+        hi = (hx + hy*sqrt(d))/c, given on lattice coordinates."""
+        d = self.params.d
+        top = self.top
+        if sign_of(hx * top.c - top.a * c, hy * top.c - top.b * c, d) > 0:
+            raise TilingError(f"corridor ({QuadReal._raw(lx, ly, c, d)}, "
+                              f"{QuadReal._raw(hx, hy, c, d)}) reaches above "
+                              f"the tileable table's top {top}")
+        a1, a2, b1, b2, cv = self.params._coef
+        vectors, keys = self.vectors, self.keys
+        k = _KEY_BITS
+
+        def first_above(x: int, y: int, strict: bool) -> int:
+            # the first entry above (x + y*sqrt(d))/c, or not below it
+            # when not strict
+            key = floor_of(x << k, y << k, c, d)
+            i = bisect_left(keys, key)
+            while i < len(keys) and keys[i] == key:
+                p, q = vectors[i]
+                s = sign_of((a1 * p + a2 * q) * c - x * cv,
+                            (b1 * p + b2 * q) * c - y * cv, d)
+                if s > 0 or (s == 0 and not strict):
+                    break
+                i += 1
+            return i
+
+        return vectors[first_above(lx, ly, True):first_above(hx, hy, False)]
 
 
 @dataclass
@@ -295,20 +348,15 @@ class TiledSection:
         return [b - a for a, b in zip(self.positions, self.positions[1:])]
 
     def is_fully_regular(self) -> bool:
-        return all(ch is not None for ch in self.letters)
+        return None not in self.letters
 
     def regular_runs(self) -> list[tuple[int, int]]:
         """Maximal point-index runs [i, j] joined by lettered gaps."""
-        runs = []
-        i = 0
-        npts = len(self.positions)
-        while i < npts:
-            j = i
-            while j < npts - 1 and self.letters[j] is not None:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        return runs
+        # a run ends at each bare gap and at the last point
+        ends = list(compress(count(), map(is_, self.letters, repeat(None))))
+        starts = [0, *map(add, ends, repeat(1))]
+        ends.append(len(self.positions) - 1)
+        return list(zip(starts, ends))
 
     def run_counts(self, run: tuple[int, int]) -> TileVector:
         i, j = run
@@ -403,47 +451,83 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     lettered gap transports it rigidly (blocks move as one), and a bare
     unplanned gap absorbs it back to zero.  Every shifted point is checked
     against the stage bound eps[stage] before promotion.
+
+    The walk runs on lattice coordinates over one common denominator.  The
+    carry is constant from one planned or bare gap to the next, so it is
+    checked once per such stretch, at its first point.  The new gaps are
+    the lettered gaps, the letters of the planned words and the bare gaps
+    less the carry they absorb; the new positions, one ``QuadReal`` each,
+    are their running sums from the first point, which never moves.
     """
     params = t.params
     bound = t.schedule.eps[stage]
-    zero = quad(0, 0, params.d)
-    new_pos: list[QuadReal] = []
+    positions, letters = t.positions, t.letters
+    ranks, orig = t.ranks, t.orig_ids
+    # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
+    c, d, [(xs, ys), ((ex, ax, bx), (ey, ay, by))] = lattice(
+        positions, [bound, params.alpha, params.beta])
+    step_x = {"a": ax, "b": bx}.__getitem__
+    step_y = {"a": ay, "b": by}.__getitem__
+    words: dict[TileVector, tuple] = {}  # vector: letters and their steps
+    gxs = list(map(sub, islice(xs, 1, None), xs))
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    # the walk needs only the first point: freeing the rest lowers its
+    # peak memory
+    x0, y0 = xs[0], ys[0]
+    del xs, ys
+    new_gx: list[int] = []
+    new_gy: list[int] = []
     new_letters: list[Optional[str]] = []
     new_ranks: list[int] = []
     new_orig: list[Optional[int]] = []
     planned_letter_idx: list[int] = []
-    carry = zero
-    npts = len(t.positions)
-    for i in range(npts):
-        pos = t.positions[i] + carry
-        if not carry.is_zero() and not abs(carry) < bound:
+    last = len(positions) - 1
+    # the carry changes only at a planned or a bare gap
+    stops = sorted({g for g in plan if g < last}.union(
+        compress(count(), map(is_, letters, repeat(None)))))
+    stops.append(last)
+    cx = cy = 0  # the carry
+    start = 0
+    for g in stops:
+        # points start..g move by the carry; gaps start..g-1 are lettered
+        # |carry| < bound: bound - carry > 0 and bound + carry > 0
+        if (cx or cy) and (sign_of(ex - cx, ey - cy, d) <= 0
+                           or sign_of(ex + cx, ey + cy, d) <= 0):
             raise TilingError(
-                f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
-                f"its bound {bound}")
-        new_pos.append(pos)
-        new_ranks.append(t.ranks[i])
-        new_orig.append(t.orig_ids[i])
-        if i == npts - 1:
+                f"shift {QuadReal._raw(cx, cy, c, d)} at point {start} "
+                f"(rank {ranks[start]}) exceeds its bound {bound}")
+        new_gx += gxs[start:g]
+        new_gy += gys[start:g]
+        new_letters += letters[start:g]
+        new_ranks += ranks[start:g + 1]
+        new_orig += orig[start:g + 1]
+        if g == last:
             break
-        if i in plan:
-            vec = plan[i]
-            d_old = t.positions[i + 1] - t.positions[i]
-            carry = carry + (vec.value(params) - d_old)
-            word = balanced_word(vec)
+        if g in plan:
+            vec = plan[g]
+            p, q = vec
+            cx += p * ax + q * bx - gxs[g]
+            cy += p * ay + q * by - gys[g]
+            if vec not in words:
+                word = balanced_word(vec).letters
+                words[vec] = (word, tuple(map(step_x, word)),
+                              tuple(map(step_y, word)))
+            word, steps_x, steps_y = words[vec]
             planned_letter_idx.append(len(new_letters))
-            run = pos
-            for ch in word.letters[:-1]:
-                run = run + (params.alpha if ch == "a" else params.beta)
-                new_letters.append(ch)
-                new_pos.append(run)
-                new_ranks.append(stage)
-                new_orig.append(None)
-            new_letters.append(word.letters[-1])
+            new_gx += steps_x
+            new_gy += steps_y
+            new_letters += word
+            new_ranks += repeat(stage, len(word) - 1)
+            new_orig += repeat(None, len(word) - 1)
         else:
-            new_letters.append(t.letters[i])
-            if t.letters[i] is None:
-                carry = zero
-    t.positions = new_pos
+            new_gx.append(gxs[g] - cx)
+            new_gy.append(gys[g] - cy)
+            new_letters.append(None)
+            cx = cy = 0
+        start = g + 1
+    t.positions = list(map(QuadReal._raw, accumulate(new_gx, initial=x0),
+                           accumulate(new_gy, initial=y0),
+                           repeat(c), repeat(d)))
     t.letters = new_letters
     t.ranks = new_ranks
     t.orig_ids = new_orig
@@ -455,10 +539,10 @@ def _promote_runs(t: TiledSection, marks: list[int], stage: int):
     planned gap.  marks, the planned gaps' letter indices, increase
     strictly, so run [i, j] holds one exactly when bisection separates i
     from j."""
+    ranks = t.ranks
     for i, j in t.regular_runs():
         if bisect_left(marks, i) < bisect_left(marks, j):
-            for k in range(i, j + 1):
-                t.ranks[k] = max(t.ranks[k], stage)
+            ranks[i:j + 1] = map(max, ranks[i:j + 1], repeat(stage))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +674,8 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
 
 def _class_signature(t: TiledSection, schedule: Schedule, stage: int):
     """Cardinalities, in order, of chain classes over original points at
-    each threshold from the current stage up."""
+    each threshold from the current stage up; the window's order and its
+    classes are decided on lattice coordinates."""
     pts = [p for p, oid in zip(t.positions, t.orig_ids) if oid is not None]
     if len(pts) < 2:
         return ()
@@ -610,89 +695,106 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     strictly inside the stage corridor; each gap's candidate tileables are
     read from the corridor-shifted window, preferring the frequency side
     that rebalances the class mix including the next block.
+
+    Gaps, carry and corridors are lattice coordinates over one common
+    denominator c, and the table is looked up with them
+    (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for an
+    error text.
     """
     params = t.params
-    rho = params.rho
     eps_s = schedule.eps[stage]
     k_n = schedule.K[stage]
-    zero = quad(0, 0, params.d)
+    positions, letters = t.positions, t.letters
+    # eps_s, K_n, alpha and beta are (ex, ey), (kx, ky), (ax, ay), (bx, by)
+    c, d, [(xs, ys), ((ex, kx, ax, bx), (ey, ky, ay, by))] = lattice(
+        positions, [eps_s, k_n, params.alpha, params.beta])
+    inside = schedule.table.inside
+    rho = params.rho
+    n_gaps = len(positions) - 1
+    gxs = list(map(sub, islice(xs, 1, None), xs))
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    # gap g above K_n ends a chain class; no other gap can
+    above = list(map(gt, map(sign_of, map(sub, gxs, repeat(kx)),
+                             map(sub, gys, repeat(ky)), repeat(d)), repeat(0)))
+    # count_a[g], count_b[g]: the letters before gap g
+    count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+    count_b = list(accumulate(map(eq, letters, repeat("b")), initial=0))
+    # the gaps the walk stops at: bare gaps and class ends
+    stops = [g for g in range(n_gaps) if letters[g] is None or above[g]]
+    stops.append(n_gaps)
     plan: dict[int, TileVector] = {}
-    npts = len(t.positions)
-    i = 0
-    while i < npts - 1:
-        # find the start of a chain class at threshold K_stage
-        j = i
-        while j < npts - 1 and not k_n < (t.positions[j + 1] - t.positions[j]):
-            j += 1
-        # class spans points [i, j]
-        if j == i:
-            i += 1
+    start = 0  # first point of the current class
+    cx = cy = 0  # carry
+    vp = vq = 0  # letters of the vectors planned in this class
+    for s_i, g in enumerate(stops[:-1]):
+        if above[g]:
+            start = g + 1
+            cx = cy = vp = vq = 0
             continue
-        carry = zero
-        totals = TileVector(0, 0)
-        g = i
-        while g < j:
-            if t.letters[g] is not None:
-                k = g
-                p = q = 0
-                while k < j and t.letters[k] is not None:
-                    p += t.letters[k] == "a"
-                    q += t.letters[k] == "b"
-                    k += 1
-                totals = totals + TileVector(p, q)
-                g = k
-                continue
-            d = t.positions[g + 1] - t.positions[g]
-            if k_n < d:
-                g += 1
-                continue
-            # peek the block right of this gap for the side rule
-            k = g + 1
-            p = q = 0
-            while k < j and t.letters[k] is not None:
-                p += t.letters[k] == "a"
-                q += t.letters[k] == "b"
-                k += 1
-            peek = totals + TileVector(p, q)
-            lo = d - carry - eps_s
-            hi = d - carry + eps_s
-            try:
-                vec = _choose_gap_word(schedule, lo, hi, peek)
-            except TilingError as e:
-                raise TilingError(f"stage {stage}, gap {g}: {e}") from None
-            if vec is None:
-                raise TilingError(f"stage {stage}: no tileable in the corridor "
-                                  f"of gap {g} (window ({lo}, {hi}))")
-            plan[g] = vec
-            carry = carry + (vec.value(params) - d)
-            totals = totals + vec
-            g += 1
-        i = j + 1
+        # the class's letters up to the end of the block right of gap g
+        e = stops[s_i + 1]
+        peek = TileVector(count_a[e] - count_a[start] + vp,
+                          count_b[e] - count_b[start] + vq)
+        lx, ly = gxs[g] - cx - ex, gys[g] - cy - ey
+        hx, hy = gxs[g] - cx + ex, gys[g] - cy + ey
+        try:
+            cands = inside(lx, ly, hx, hy, c)
+        except TilingError as err:
+            raise TilingError(f"stage {stage}, gap {g}: {err}") from None
+        vec = _choose_gap_word(cands, peek, rho)
+        if vec is None:
+            raise TilingError(f"stage {stage}: no tileable in the corridor "
+                              f"of gap {g} (window "
+                              f"({QuadReal._raw(lx, ly, c, d)}, "
+                              f"{QuadReal._raw(hx, hy, c, d)}))")
+        plan[g] = vec
+        p, q = vec
+        cx += p * ax + q * bx - gxs[g]
+        cy += p * ay + q * by - gys[g]
+        vp += p
+        vq += q
     return plan
 
 
-def _choose_gap_word(schedule: Schedule, lo: QuadReal, hi: QuadReal,
-                     running: TileVector) -> Optional[TileVector]:
-    rho = schedule.params.rho
-    cands = schedule.table.between(lo, hi)
-    if not cands:
-        return None
-    want_high = _wants_alpha(rho, running)
+def _choose_gap_word(cands: list[TileVector], running: TileVector,
+                     rho: Fraction) -> Optional[TileVector]:
+    """The candidate that best steers the running counts toward rho.
 
-    def key(v):
-        f = alpha_frequency(v)
-        side_miss = 0 if ((f > rho) == want_high or f == rho) else 1
-        after = running + v
-        return (side_miss, abs(alpha_frequency(after) - rho), abs(f - rho),
-                v.p + v.q)
-
-    return min(cands, key=key)
-
-
-def _wants_alpha(rho: Fraction, counts: TileVector) -> bool:
-    if counts.is_zero():
-        return True
-    return alpha_frequency(counts) <= rho
+    Candidates on the side of rho that rebalances ``running`` come first;
+    among them the least |f(running + v) - rho|, then the least
+    |f(v) - rho|, then the fewest tiles, with f the alpha frequency; the
+    first in order wins a tie.  The frequencies are compared by integer
+    cross-multiplication: with rho = r/s, f(p, q) - rho is
+    (p*s - r*(p + q)) / (s*(p + q)).
+    """
+    r, s = rho.numerator, rho.denominator
+    rp, rq = running
+    rn = rp + rq
+    e0 = rp * s - r * rn
+    want_high = rn == 0 or e0 <= 0
+    best = None
+    for v in cands:
+        p, q = v
+        n = p + q
+        e = p * s - r * n
+        miss = 0 if e == 0 or (e > 0) == want_high else 1
+        after = abs(e0 + e)
+        e = abs(e)
+        if best is not None:
+            if miss != b_miss:
+                if miss > b_miss:
+                    continue
+            else:
+                cmp = after * b_n_after - b_after * (rn + n)
+                if cmp == 0:
+                    cmp = e * b_n - b_e * n
+                    if cmp == 0:
+                        cmp = n - b_n
+                if cmp >= 0:
+                    continue
+        best, b_miss, b_after, b_n_after = v, miss, after, rn + n
+        b_e, b_n = e, n
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +850,34 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule,
 def check_displacements(t: TiledSection):
     """Every original point lies strictly within min(alpha, 1)/3 of its
     origin position; raises :class:`TilingError` otherwise, also for an
-    original point without an origin position."""
+    original point without an origin position.  The points are checked
+    in order, on lattice coordinates over one common denominator."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-    for pos, oid in zip(t.positions, t.orig_ids):
-        if oid is None:
-            continue
-        if oid not in t.origin_pos:
-            raise TilingError(f"original point {oid} has no origin position")
-        disp = pos - t.origin_pos[oid]
-        if not abs(disp) < budget:
-            raise TilingError(f"original point {oid} displaced {disp}, not "
-                              f"strictly below the min(alpha,1)/3 budget")
+    pairs = [(pos, oid) for pos, oid in zip(t.positions, t.orig_ids)
+             if oid is not None]
+    missing = next((i for i, (_, oid) in enumerate(pairs)
+                    if oid not in t.origin_pos), len(pairs))
+    if missing:
+        moved = [pos for pos, _ in pairs[:missing]]
+        origin = [t.origin_pos[oid] for _, oid in pairs[:missing]]
+        _, d, [(xs, ys), (ox, oy), ((bx,), (by,))] = lattice(
+            moved, origin, [budget])
+        dxs, dys = list(map(sub, xs, ox)), list(map(sub, ys, oy))
+        # |disp| < budget: budget - disp > 0 and budget + disp > 0
+        inside = map(min, map(sign_of, map(sub, repeat(bx), dxs),
+                              map(sub, repeat(by), dys), repeat(d)),
+                     map(sign_of, map(add, repeat(bx), dxs),
+                         map(add, repeat(by), dys), repeat(d)))
+        bad = next(compress(count(), map(le, inside, repeat(0))), None)
+        if bad is not None:
+            pos, oid = pairs[bad]
+            raise TilingError(f"original point {oid} displaced "
+                              f"{pos - t.origin_pos[oid]}, not strictly "
+                              f"below the min(alpha,1)/3 budget")
+    if missing < len(pairs):
+        raise TilingError(f"original point {pairs[missing][1]} has no origin "
+                          f"position")
 
 
 def attach_witnesses(t: TiledSection):

@@ -15,7 +15,9 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
+from itertools import repeat
+from operator import attrgetter, floordiv, mul
+from typing import Sequence, Union
 
 DEFAULT_D = 2
 
@@ -31,7 +33,10 @@ class QuadReal:
     """An exact element ``(a + b*sqrt(d)) / c`` with integers a, b, c > 0.
 
     The triple is kept normalized: gcd(a, b, c) == 1 and c > 0, so equal
-    values have equal representations and hash consistently.
+    values have equal representations and hash consistently.  The radicand
+    d must be an integer of at least 2 that is not a perfect square, so
+    that r and s are determined by the value; the constructor raises
+    ValueError otherwise.  :meth:`_raw` takes d unchecked.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -40,6 +45,9 @@ class QuadReal:
         if isinstance(r, QuadReal):
             raise TypeError("pass rationals; QuadReal copies are unnecessary (immutable)")
         d = DEFAULT_D if d is None else d
+        if not isinstance(d, int) or d < 2 or math.isqrt(d) ** 2 == d:
+            raise ValueError(f"radicand {d!r} is not an integer of at least 2 "
+                             f"that is not a perfect square")
         rf = Fraction(r)
         sf = Fraction(s)
         c = rf.denominator * sf.denominator // math.gcd(rf.denominator, sf.denominator)
@@ -166,7 +174,7 @@ class QuadReal:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QuadReal(other, 0, self.d)
+            other = self._coerce(other)
         if not isinstance(other, QuadReal):
             return NotImplemented
         if self.b != 0 and other.b != 0 and self.d != other.d:
@@ -224,7 +232,9 @@ class QuadReal:
 #
 # A value (a + b*sqrt(d)) / c is decided from its integer coordinates alone;
 # QuadReal's order and rounding use these, and so do the lattice sweeps in
-# :mod:`flowtile.tiles`, which keep many values over one common c.
+# :mod:`flowtile.tiles`, finishing in :mod:`flowtile.pipeline` and chain
+# classes in :mod:`flowtile.windows`, which keep many values over one
+# common c.
 
 
 def sign_of(a: int, b: int, d: int) -> int:
@@ -254,6 +264,36 @@ def floor_of(a: int, b: int, c: int, d: int) -> int:
     # floor(b*sqrt(d)) is isqrt(n) for b > 0 and -ceil(sqrt(n)) for b < 0
     w = math.isqrt(n) if b > 0 else -math.isqrt(n - 1) - 1
     return (a + w) // c
+
+
+def radicand_of(*groups: Sequence[QuadReal]) -> int:
+    """The radicand d shared by the values of the groups; ConfigError when
+    two irrational values have different radicands.  The last group must
+    be nonempty: its first value's d stands when every value is rational."""
+    ds = set().union(*(map(attrgetter("d"), g) for g in groups))
+    if len(ds) > 1:
+        ds = {v.d for g in groups for v in g if v.b}
+        if len(ds) > 1:
+            d1, d2 = sorted(ds)[:2]
+            raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
+    return ds.pop() if ds else groups[-1][0].d
+
+
+def lattice(*groups: Sequence[QuadReal]) -> tuple[int, int, list]:
+    """(c, d, [(xs, ys) per group]): the values of every group are
+    (xs[i] + ys[i]*sqrt(d)) / c over one common denominator c, the least
+    common multiple of theirs, with d as :func:`radicand_of` finds it."""
+    d = radicand_of(*groups)
+    c = math.lcm(*set().union(*(map(attrgetter("c"), g) for g in groups)))
+    out = []
+    for g in groups:
+        xs = list(map(attrgetter("a"), g))
+        ys = list(map(attrgetter("b"), g))
+        if not set(map(attrgetter("c"), g)) <= {c}:
+            scale = list(map(floordiv, repeat(c), map(attrgetter("c"), g)))
+            xs, ys = list(map(mul, xs, scale)), list(map(mul, ys, scale))
+        out.append((xs, ys))
+    return c, d, out
 
 
 def quad(r: RationalLike = 0, s: RationalLike = 0, d: int | None = None) -> QuadReal:

@@ -20,6 +20,10 @@ when it clears that error bound; every other comparison, and every tie of
 keys, goes to the exact sign test.  So no float, and no rounded value,
 decides anything, and the results are those of plain ``QuadReal``
 arithmetic.  ``QuadReal`` stays the type of every argument and result.
+
+Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
+and so does its lookup in the tileable table, whose entries carry the
+exact floor of 2**_KEY_BITS times their value as keys.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from operator import (add, attrgetter, eq, floordiv, ge, itemgetter, lshift,
                       lt, mul, sub)
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .quadratic import (ConfigError, QuadReal, floor_of, quad, real_gcd,
+from .quadratic import (QuadReal, floor_of, quad, radicand_of, real_gcd,
                         sign_of, sqrtD)
 
 
@@ -174,18 +178,6 @@ def balanced_word(v: TileVector) -> TiledWord:
 _KEY_BITS = 32
 
 
-def _radicand(*groups: list[QuadReal]) -> int:
-    """The radicand d shared by the values of the groups; ConfigError when
-    two irrational values have different radicands."""
-    ds = set().union(*(map(attrgetter("d"), g) for g in groups))
-    if len(ds) > 1:
-        ds = {v.d for g in groups for v in g if v.b}
-        if len(ds) > 1:
-            d1, d2 = sorted(ds)[:2]
-            raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
-    return ds.pop() if ds else groups[-1][0].d
-
-
 def _pair(v: QuadReal, c: int) -> tuple[int, int]:
     """(x, y) with v == (x + y*sqrt(d)) / c, for c a multiple of v.c."""
     return v.a * (c // v.c), v.b * (c // v.c)
@@ -223,7 +215,7 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     # lo/alpha, hi/alpha and beta/alpha over one denominator w
     alpha = params.alpha
     lo_a, hi_a, step = lo / alpha, hi / alpha, params.beta / alpha
-    d = _radicand([lo_a, hi_a, step])
+    d = radicand_of([lo_a, hi_a, step])
     w = math.lcm(lo_a.c, hi_a.c, step.c)
     (lx, ly), (hx, hy), (sx, sy) = (_pair(v, w) for v in (lo_a, hi_a, step))
     k = _KEY_BITS
@@ -270,7 +262,7 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     if hi - lo < eps:
         return DensityReport(True, None)  # no admissible x at all
     pts = list(points)
-    d = _radicand(pts, [lo, hi, eps])
+    d = radicand_of(pts, [lo, hi, eps])
     c = math.lcm(lo.c, hi.c, eps.c, *set(map(attrgetter("c"), pts)))
     # pts[i] == m*(xs[i] + ys[i]*sqrt(d))/c; lo == (lx + ly*sqrt(d))/c, ...
     xs, ys, m = _coords(pts, c)

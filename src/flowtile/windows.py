@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import gt, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, parse_quadreal, quad
+from .quadratic import QuadReal, lattice, parse_quadreal, quad, sign_of
 
 
 class SparsityError(ValueError):
@@ -41,9 +43,11 @@ class OrbitWindow:
         positions = tuple(positions)
         if not positions:
             raise ValueError("window needs at least one point")
-        for a, b in zip(positions, positions[1:]):
-            if not a < b:
-                raise ValueError("positions must be strictly increasing")
+        _, d, [(xs, ys)] = lattice(positions)
+        steps = map(sign_of, map(sub, islice(xs, 1, None), xs),
+                    map(sub, islice(ys, 1, None), ys), repeat(d))
+        if min(steps, default=1) <= 0:
+            raise ValueError("positions must be strictly increasing")
         if isinstance(boundary, Periodic):
             span = positions[-1] - positions[0]
             if not span < boundary.circumference:
@@ -115,24 +119,28 @@ class ChainClasses(NamedTuple):
 
 
 def chain_classes(w: OrbitWindow, k: QuadReal) -> ChainClasses:
+    """Maximal runs of points joined by gaps of at most k.  Every gap is
+    compared with k on lattice coordinates over one common denominator."""
     if k.sign() <= 0:
         raise ValueError("threshold must be positive")
-    gaps = w.gaps()
-    runs: list[list[int]] = [[0]]
-    inner = gaps[:-1] if w.periodic else gaps
-    for i, g in enumerate(inner):
-        if k < g:
-            runs.append([i + 1])
-        else:
-            runs[-1].append(i + 1)
+    pos = w.positions
+    ends = [k, w.boundary.circumference] if w.periodic else [k]
+    _, d, [(xs, ys), ((kx, *cx), (ky, *cy))] = lattice(pos, ends)
+    # gap i, from point i to point i + 1, above k starts a class at i + 1
+    above = map(sign_of,
+                map(sub, map(sub, islice(xs, 1, None), xs), repeat(kx)),
+                map(sub, map(sub, islice(ys, 1, None), ys), repeat(ky)),
+                repeat(d))
+    starts = [0, *compress(count(1), map(gt, above, repeat(0))), len(pos)]
+    runs = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
     wrapped = False
-    if w.periodic and len(runs) > 1 and not k < gaps[-1]:
-        runs[-1].extend(runs[0])
-        runs = runs[1:]
+    # the wrap gap, the circumference less the span, is at most k
+    if w.periodic and sign_of(cx[0] - xs[-1] + xs[0] - kx,
+                              cy[0] - ys[-1] + ys[0] - ky, d) <= 0:
         wrapped = True
-    elif w.periodic and len(runs) == 1 and not k < gaps[-1]:
-        wrapped = True
-    return ChainClasses(k, tuple(tuple(r) for r in runs), wrapped)
+        if len(runs) > 1:
+            runs = runs[1:-1] + [runs[-1] + runs[0]]
+    return ChainClasses(k, tuple(runs), wrapped)
 
 
 class MarkerResult(NamedTuple):

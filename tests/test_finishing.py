@@ -1,0 +1,654 @@
+"""Finishing, the table lookup, chain classes and the displacement check on
+lattice coordinates, against the ``QuadReal`` code they replaced.
+
+The ``*_reference`` functions below are that code, kept verbatim as
+oracles (renamed, and calling each other); ``between_reference`` is the
+table's former bisection over its ``QuadReal`` values.  Plans, sections,
+notes and error texts must be equal.
+"""
+
+import copy
+import random
+from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
+from fractions import Fraction as F
+from functools import lru_cache
+from typing import Optional
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowtile import pipeline
+from flowtile.generators import GeneratorSpec, generate
+from flowtile.pipeline import (Schedule, TiledSection, TilingError,
+                               WitnessError, build_rank_blocks, build_schedule,
+                               check_displacements, full_pipeline)
+from flowtile.quadratic import QuadReal, qmin, quad, sqrtD
+from flowtile.tiles import (Params, TileVector, alpha_frequency,
+                            balanced_word, default_params)
+from flowtile.windows import (ChainClasses, OrbitWindow, Periodic,
+                              chain_classes)
+
+# -- the replaced code --------------------------------------------------------
+
+
+def regular_runs_reference(self) -> list[tuple[int, int]]:
+    """Maximal point-index runs [i, j] joined by lettered gaps."""
+    runs = []
+    i = 0
+    npts = len(self.positions)
+    while i < npts:
+        j = i
+        while j < npts - 1 and self.letters[j] is not None:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+def is_fully_regular_reference(self) -> bool:
+    return all(ch is not None for ch in self.letters)
+
+
+def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
+                              stage: int):
+    """Retile the planned gaps and propagate the induced shifts.
+
+    Walking left to right, a running carry holds the displacement of the
+    current point: a planned gap adds (new value - old gap) to it, a
+    lettered gap transports it rigidly (blocks move as one), and a bare
+    unplanned gap absorbs it back to zero.  Every shifted point is checked
+    against the stage bound eps[stage] before promotion.
+    """
+    params = t.params
+    bound = t.schedule.eps[stage]
+    zero = quad(0, 0, params.d)
+    new_pos: list[QuadReal] = []
+    new_letters: list[Optional[str]] = []
+    new_ranks: list[int] = []
+    new_orig: list[Optional[int]] = []
+    planned_letter_idx: list[int] = []
+    carry = zero
+    npts = len(t.positions)
+    for i in range(npts):
+        pos = t.positions[i] + carry
+        if not carry.is_zero() and not abs(carry) < bound:
+            raise TilingError(
+                f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
+                f"its bound {bound}")
+        new_pos.append(pos)
+        new_ranks.append(t.ranks[i])
+        new_orig.append(t.orig_ids[i])
+        if i == npts - 1:
+            break
+        if i in plan:
+            vec = plan[i]
+            d_old = t.positions[i + 1] - t.positions[i]
+            carry = carry + (vec.value(params) - d_old)
+            word = balanced_word(vec)
+            planned_letter_idx.append(len(new_letters))
+            run = pos
+            for ch in word.letters[:-1]:
+                run = run + (params.alpha if ch == "a" else params.beta)
+                new_letters.append(ch)
+                new_pos.append(run)
+                new_ranks.append(stage)
+                new_orig.append(None)
+            new_letters.append(word.letters[-1])
+        else:
+            new_letters.append(t.letters[i])
+            if t.letters[i] is None:
+                carry = zero
+    t.positions = new_pos
+    t.letters = new_letters
+    t.ranks = new_ranks
+    t.orig_ids = new_orig
+    _promote_runs_reference(t, planned_letter_idx, stage)
+
+
+def _promote_runs_reference(t: TiledSection, marks: list[int], stage: int):
+    """Raise to `stage` the ranks of every regular run that swallowed a
+    planned gap.  marks, the planned gaps' letter indices, increase
+    strictly, so run [i, j] holds one exactly when bisection separates i
+    from j."""
+    for i, j in regular_runs_reference(t):
+        if bisect_left(marks, i) < bisect_left(marks, j):
+            for k in range(i, j + 1):
+                t.ranks[k] = max(t.ranks[k], stage)
+
+
+def _finish_stage_plan_reference(t: TiledSection, schedule: Schedule,
+                                 stage: int) -> dict[int, TileVector]:
+    """Greedy gap steering for one stage, class by class.
+
+    Within a class the running carry (sum of value changes so far) stays
+    strictly inside the stage corridor; each gap's candidate tileables are
+    read from the corridor-shifted window, preferring the frequency side
+    that rebalances the class mix including the next block.
+    """
+    params = t.params
+    rho = params.rho
+    eps_s = schedule.eps[stage]
+    k_n = schedule.K[stage]
+    zero = quad(0, 0, params.d)
+    plan: dict[int, TileVector] = {}
+    npts = len(t.positions)
+    i = 0
+    while i < npts - 1:
+        # find the start of a chain class at threshold K_stage
+        j = i
+        while j < npts - 1 and not k_n < (t.positions[j + 1] - t.positions[j]):
+            j += 1
+        # class spans points [i, j]
+        if j == i:
+            i += 1
+            continue
+        carry = zero
+        totals = TileVector(0, 0)
+        g = i
+        while g < j:
+            if t.letters[g] is not None:
+                k = g
+                p = q = 0
+                while k < j and t.letters[k] is not None:
+                    p += t.letters[k] == "a"
+                    q += t.letters[k] == "b"
+                    k += 1
+                totals = totals + TileVector(p, q)
+                g = k
+                continue
+            d = t.positions[g + 1] - t.positions[g]
+            if k_n < d:
+                g += 1
+                continue
+            # peek the block right of this gap for the side rule
+            k = g + 1
+            p = q = 0
+            while k < j and t.letters[k] is not None:
+                p += t.letters[k] == "a"
+                q += t.letters[k] == "b"
+                k += 1
+            peek = totals + TileVector(p, q)
+            lo = d - carry - eps_s
+            hi = d - carry + eps_s
+            try:
+                vec = _choose_gap_word_reference(schedule, lo, hi, peek)
+            except TilingError as e:
+                raise TilingError(f"stage {stage}, gap {g}: {e}") from None
+            if vec is None:
+                raise TilingError(f"stage {stage}: no tileable in the corridor "
+                                  f"of gap {g} (window ({lo}, {hi}))")
+            plan[g] = vec
+            carry = carry + (vec.value(params) - d)
+            totals = totals + vec
+            g += 1
+        i = j + 1
+    return plan
+
+
+def _choose_gap_word_reference(schedule: Schedule, lo: QuadReal, hi: QuadReal,
+                               running: TileVector) -> Optional[TileVector]:
+    rho = schedule.params.rho
+    cands = between_reference(schedule.table, lo, hi)
+    if not cands:
+        return None
+    want_high = _wants_alpha_reference(rho, running)
+
+    def key(v):
+        f = alpha_frequency(v)
+        side_miss = 0 if ((f > rho) == want_high or f == rho) else 1
+        after = running + v
+        return (side_miss, abs(alpha_frequency(after) - rho), abs(f - rho),
+                v.p + v.q)
+
+    return min(cands, key=key)
+
+
+def _wants_alpha_reference(rho: F, counts: TileVector) -> bool:
+    if counts.is_zero():
+        return True
+    return alpha_frequency(counts) <= rho
+
+
+_TABLE_VALUES: dict[int, tuple] = {}
+
+
+def between_reference(table, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
+    """Nonzero tile vectors of value strictly inside (lo, hi), in value
+    order."""
+    if id(table) not in _TABLE_VALUES:
+        _TABLE_VALUES[id(table)] = (
+            table, [v.value(table.params) for v in table.vectors])
+    values = _TABLE_VALUES[id(table)][1]
+    if table.top < hi:
+        raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
+                          f"tileable table's top {table.top}")
+    return table.vectors[bisect_right(values, lo):
+                         bisect_left(values, hi)]
+
+
+def chain_classes_reference(w: OrbitWindow, k: QuadReal) -> ChainClasses:
+    if k.sign() <= 0:
+        raise ValueError("threshold must be positive")
+    gaps = w.gaps()
+    runs: list[list[int]] = [[0]]
+    inner = gaps[:-1] if w.periodic else gaps
+    for i, g in enumerate(inner):
+        if k < g:
+            runs.append([i + 1])
+        else:
+            runs[-1].append(i + 1)
+    wrapped = False
+    if w.periodic and len(runs) > 1 and not k < gaps[-1]:
+        runs[-1].extend(runs[0])
+        runs = runs[1:]
+        wrapped = True
+    elif w.periodic and len(runs) == 1 and not k < gaps[-1]:
+        wrapped = True
+    return ChainClasses(k, tuple(tuple(r) for r in runs), wrapped)
+
+
+def check_displacements_reference(t: TiledSection):
+    """Every original point lies strictly within min(alpha, 1)/3 of its
+    origin position; raises :class:`TilingError` otherwise, also for an
+    original point without an origin position."""
+    p = t.params
+    budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
+    for pos, oid in zip(t.positions, t.orig_ids):
+        if oid is None:
+            continue
+        if oid not in t.origin_pos:
+            raise TilingError(f"original point {oid} has no origin position")
+        disp = pos - t.origin_pos[oid]
+        if not abs(disp) < budget:
+            raise TilingError(f"original point {oid} displaced {disp}, not "
+                              f"strictly below the min(alpha,1)/3 budget")
+
+
+def reference_code() -> ExitStack:
+    """A context in which the pipeline runs the replaced code."""
+    stack = ExitStack()
+    for owner, name, ref in (
+            (pipeline, "_apply_gap_plan", _apply_gap_plan_reference),
+            (pipeline, "_finish_stage_plan", _finish_stage_plan_reference),
+            (pipeline, "chain_classes", chain_classes_reference),
+            (pipeline, "check_displacements", check_displacements_reference),
+            (TiledSection, "regular_runs", regular_runs_reference),
+            (TiledSection, "is_fully_regular", is_fully_regular_reference)):
+        stack.enter_context(mock.patch.object(owner, name, ref))
+    return stack
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (TilingError, WitnessError) as e:
+        return type(e).__name__, str(e)
+
+
+def section_outcome(w, sched, seed):
+    kind, t = outcome(full_pipeline, w, sched, seed)
+    return (kind, t.to_json()) if kind == "ok" else (kind, t)
+
+
+# -- parameter regimes --------------------------------------------------------
+
+REGIMES = {
+    "stock": (default_params(), 2),
+    "d3": (Params(quad(1, 0, 3), sqrtD(3), F(1, 2)), 2),
+    "d3_irrational_alpha": (Params(sqrtD(3) - 1, quad(3, 0, 3), F(2, 5)), 2),
+    "rho_low": (Params(quad(1), sqrtD(), F(1, 7)), 2),
+    "rho_high": (Params(quad(1), sqrtD(), F(6, 7)), 2),
+    "irrational_alpha": (Params(sqrtD() - 1, quad(1), F(1, 3)), 2),
+}
+
+
+@lru_cache(maxsize=None)
+def regime_schedule(name: str) -> Schedule:
+    params, depth = REGIMES[name]
+    return build_schedule(params, depth=depth, verify_windows=1)
+
+
+@st.composite
+def windows(draw):
+    """A schedule and a uniform, rotation or sparse window at depth 2."""
+    name = draw(st.sampled_from(sorted(REGIMES)))
+    sched = regime_schedule(name)
+    d = sched.params.d
+    kind = draw(st.sampled_from(["uniform", "rotation_suspension",
+                                 "sparse_geometric"]))
+    count = draw(st.integers(2, 90))
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "uniform":
+        # gaps in [k0 + 1, k0 + 2], around K_0
+        k0 = sched.K[0] - draw(st.integers(1, 3))
+        spec = GeneratorSpec(kind, count, seed, k0=k0)
+    elif kind == "sparse_geometric":
+        spec = GeneratorSpec(kind, count, seed, k0=quad(7, 0, d),
+                             levels=draw(st.integers(2, 3)))
+    else:
+        num = draw(st.integers(1, 255))
+        angle = quad(F(draw(st.integers(64, 255)), 256), F(num, 256), d)
+        angle = angle - angle.floor()
+        if not quad(F(1, 8), 0, d) < angle:
+            angle = angle + F(1, 4)
+        spec = GeneratorSpec(kind, count, angle=angle)
+    return sched, generate(spec), seed
+
+
+# -- whole runs ---------------------------------------------------------------
+
+
+class TestPipelineMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(windows())
+    def test_sections_notes_and_errors_equal(self, case):
+        sched, w, seed = case
+        got = section_outcome(w, sched, seed)
+        with reference_code():
+            want = section_outcome(w, sched, seed)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows())
+    def test_each_stage_plan_and_application_equal(self, case):
+        sched, w, seed = case
+        grown = outcome(build_rank_blocks, w, sched, seed)
+        with reference_code():
+            want = outcome(build_rank_blocks, w, sched, seed)
+        if grown[0] != "ok":
+            assert grown == want
+            return
+        t = grown[1]
+        assert t.to_json() == want[1].to_json()
+        for stage in range(1, sched.depth + 1):
+            if t.is_fully_regular():
+                break
+            plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
+            assert plan == outcome(_finish_stage_plan_reference, t, sched,
+                                   stage)
+            if plan[0] != "ok":
+                break
+            ref = copy.copy(t)
+            applied = outcome(pipeline._apply_gap_plan, t, plan[1], stage)
+            assert applied == outcome(_apply_gap_plan_reference, ref, plan[1],
+                                      stage)
+            if applied[0] != "ok":
+                break
+            assert t.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("name,kind,depth", [
+        ("stock", "uniform", 4), ("stock", "rotation_suspension", 2),
+        ("rho_low", "uniform", 2), ("d3", "uniform", 2),
+        ("stock", "sparse_geometric", 2), ("stock", "sparse_geometric", 4),
+    ])
+    def test_thousand_point_windows(self, name, kind, depth, schedule4):
+        sched = schedule4 if depth == 4 else regime_schedule(name)
+        d = sched.params.d
+        for seed in range(2):
+            if kind == "rotation_suspension":
+                angle = quad(F(1, 3), F(1, 7 + seed), d)
+                spec = GeneratorSpec(kind, 1000, angle=angle)
+            else:
+                count = 1000 if kind == "uniform" else 300
+                spec = GeneratorSpec(kind, count, seed, k0=sched.K[0] - 1)
+            w = generate(spec)
+            got = section_outcome(w, sched, seed)
+            with reference_code():
+                assert got == section_outcome(w, sched, seed)
+
+
+# -- hand cases ---------------------------------------------------------------
+
+
+def two_points(schedule, gap, letters=(None,)):
+    pos = [quad(0, 0, schedule.params.d), gap]
+    t = TiledSection(schedule.params, pos, list(letters), [0, 0], [0, 1],
+                     schedule)
+    t.origin_pos = {0: pos[0], 1: gap}
+    return t
+
+
+class TestHandCases:
+    def test_gap_exactly_k_is_finished_at_its_stage(self, schedule2):
+        for stage in (1, 2):
+            k = schedule2.K[stage]
+            t = two_points(schedule2, k)
+            plan = pipeline._finish_stage_plan(t, schedule2, stage)
+            assert list(plan) == [0]
+            assert plan == _finish_stage_plan_reference(t, schedule2, stage)
+            # a hair above K_n the gap is a class boundary
+            t = two_points(schedule2, k + F(1, 10 ** 9))
+            assert pipeline._finish_stage_plan(t, schedule2, stage) == {}
+            assert _finish_stage_plan_reference(t, schedule2, stage) == {}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_carry_exactly_eps_exceeds_its_bound(self, schedule2, sign):
+        # six alpha tiles on a gap of 6 -+ eps_1 move point 1 by +-eps_1
+        eps = schedule2.eps[1]
+        texts = []
+        for apply in (pipeline._apply_gap_plan, _apply_gap_plan_reference):
+            t = two_points(schedule2, 6 - eps * sign)
+            with pytest.raises(TilingError, match="exceeds its bound") as e:
+                apply(t, {0: TileVector(6, 0)}, 1)
+            texts.append(str(e.value))
+        assert texts[0] == texts[1]
+        assert texts[0] == (f"shift {eps * sign} at point 1 (rank 0) exceeds "
+                            f"its bound {eps}")
+
+    def test_carry_exactly_eps_after_a_block(self, schedule2):
+        # the moved point sits behind a lettered gap: the block rides along
+        eps = schedule2.eps[1]
+        pos = [quad(0), 6 - eps, 6 - eps + schedule2.params.alpha]
+        texts = []
+        for apply in (pipeline._apply_gap_plan, _apply_gap_plan_reference):
+            t = TiledSection(schedule2.params, pos, [None, "a"], [0, 1, 1],
+                             [0, 1, 2], schedule2)
+            with pytest.raises(TilingError) as e:
+                apply(t, {0: TileVector(6, 0)}, 1)
+            texts.append(str(e.value))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_corridor_end_on_a_table_value(self, schedule2, side):
+        # gap 6 +- eps_1 puts a corridor end exactly on the value 6 of (6, 0)
+        eps = schedule2.eps[1]
+        gap = 6 + eps if side == "lo" else 6 - eps
+        t = two_points(schedule2, gap)
+        plan = pipeline._finish_stage_plan(t, schedule2, 1)
+        assert plan == _finish_stage_plan_reference(t, schedule2, 1)
+        assert plan[0] != TileVector(6, 0)
+        table = schedule2.table
+        assert table.between(gap - eps, gap + eps) == \
+            between_reference(table, gap - eps, gap + eps)
+
+    def test_corridor_ends_on_table_values(self, schedule2):
+        table = schedule2.table
+        vals = [v.value(table.params) for v in table.vectors]
+        rng = random.Random(7)
+        for _ in range(200):
+            i, j = sorted(rng.sample(range(len(vals)), 2))
+            for lo, hi in ((vals[i], vals[j]), (vals[i], vals[i]),
+                           (vals[j], vals[i]),
+                           (vals[i] - F(1, 2 ** 40), vals[j]),
+                           (vals[i], vals[j] + F(1, 2 ** 40))):
+                assert outcome(table.between, lo, hi) == \
+                    outcome(between_reference, table, lo, hi)
+
+    def test_no_tileable_text(self, schedule2):
+        # a gap of 1/2 has no tileable within eps_1
+        t = two_points(schedule2, quad(F(1, 2)))
+        got = outcome(pipeline._finish_stage_plan, t, schedule2, 1)
+        assert got[0] == "TilingError"
+        assert got == outcome(_finish_stage_plan_reference, t, schedule2, 1)
+        assert "no tileable in the corridor of gap 0" in got[1]
+
+
+class TestChooseGapWord:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(REGIMES)), st.integers(0, 10 ** 6),
+           st.integers(0, 40), st.integers(0, 40), st.integers(1, 30))
+    def test_matches_reference(self, name, at, rp, rq, width):
+        sched = regime_schedule(name)
+        top = sched.table.top
+        lo = top * F(at % 10 ** 6, 10 ** 6) - 1
+        hi = qmin(lo + F(width, 10), top)
+        running = TileVector(rp, rq)
+        cands = sched.table.between(lo, hi)
+        assert pipeline._choose_gap_word(cands, running, sched.params.rho) == \
+            _choose_gap_word_reference(sched, lo, hi, running)
+
+    def test_ties_keep_the_first(self):
+        # (1, 1) and (2, 2) tie on the first three keys; fewer tiles win,
+        # and of two equal candidates the first is taken
+        rho = F(1, 2)
+        a, b = TileVector(2, 2), TileVector(1, 1)
+        assert pipeline._choose_gap_word([a, b], TileVector(0, 0), rho) is b
+        c = TileVector(1, 1)
+        assert pipeline._choose_gap_word([b, c], TileVector(0, 0), rho) is b
+        assert pipeline._choose_gap_word([], TileVector(0, 0), rho) is None
+
+    def test_each_key_decides_in_turn(self):
+        rho = F(1, 2)
+        # after one beta: (1, 0) and (2, 1) both give frequency 1/2, and
+        # (2, 1) is nearer rho on its own, so it wins despite more tiles
+        running = TileVector(0, 1)
+        one, three = TileVector(1, 0), TileVector(2, 1)
+        for cands in ([one, three], [three, one]):
+            assert pipeline._choose_gap_word(cands, running, rho) == three
+        # the side rule comes first: after one beta, alpha-rich words
+        assert pipeline._choose_gap_word(
+            [TileVector(0, 1), TileVector(1, 0)], running, rho) == (1, 0)
+        # then the frequency after the word: from (0, 2), (2, 0) ends at 1/2
+        assert pipeline._choose_gap_word(
+            [TileVector(1, 0), TileVector(2, 0)], TileVector(0, 2),
+            rho) == (2, 0)
+
+
+# -- chain classes ------------------------------------------------------------
+
+
+@st.composite
+def chain_windows(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(-3, 3)),
+                          min_size=n - 1, max_size=n - 1))
+    pos = [quad(0, 0, d)]
+    for r, s in steps:
+        step = quad(F(r, 4), F(s, 5), d)
+        if step.sign() <= 0:
+            step = quad(F(r, 4), 0, d)
+        pos.append(pos[-1] + step)
+    k = quad(F(draw(st.integers(1, 40)), 4), F(draw(st.integers(-3, 3)), 5), d)
+    if k.sign() <= 0:
+        k = quad(1, 0, d)
+    if draw(st.booleans()):
+        wrap = quad(F(draw(st.integers(1, 40)), 4), 0, d)
+        return OrbitWindow(pos, Periodic(pos[-1] - pos[0] + wrap)), k
+    return OrbitWindow(pos), k
+
+
+class TestChainClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_windows())
+    def test_matches_reference(self, case):
+        w, k = case
+        assert chain_classes(w, k) == chain_classes_reference(w, k)
+        # thresholds exactly on a gap
+        for g in w.gaps()[:3]:
+            assert chain_classes(w, g) == chain_classes_reference(w, g)
+
+    @pytest.mark.parametrize("wrap", [1, 2, 3])
+    def test_periodic_wrap_gap_at_the_threshold(self, wrap):
+        # gaps 1, 3, 1 and a wrap gap of 1, 2 (exactly k) or 3 (above k)
+        pos = [quad(0), quad(1), quad(4), quad(5)]
+        k = quad(2)
+        w = OrbitWindow(pos, Periodic(quad(5 + wrap)))
+        got = chain_classes(w, k)
+        assert got == chain_classes_reference(w, k)
+        if wrap <= 2:
+            assert got.classes == ((2, 3, 0, 1),) and got.wrapped
+        else:
+            assert got.classes == ((0, 1), (2, 3)) and not got.wrapped
+
+    @pytest.mark.parametrize("wrap,wrapped", [(1, True), (7, False)])
+    def test_periodic_single_run(self, wrap, wrapped):
+        pos = [quad(0), quad(1) + sqrtD(), quad(3)]
+        w = OrbitWindow(pos, Periodic(quad(3 + wrap)))
+        got = chain_classes(w, quad(3))
+        assert got == chain_classes_reference(w, quad(3))
+        assert got.classes == ((0, 1, 2),) and got.wrapped is wrapped
+
+    def test_one_point_windows(self):
+        for w in (OrbitWindow([quad(5)]),
+                  OrbitWindow([quad(5)], Periodic(quad(1)))):
+            for k in (quad(1), quad(2)):
+                assert chain_classes(w, k) == chain_classes_reference(w, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3)),
+                    min_size=1, max_size=12), st.sampled_from([2, 3]))
+    def test_window_order_check_matches_comparisons(self, coords, d):
+        pos = [quad(F(r, 3), F(s, 7), d) for r, s in coords]
+        increasing = all(a < b for a, b in zip(pos, pos[1:]))
+        try:
+            OrbitWindow(pos)
+            accepted = True
+        except ValueError as e:
+            assert str(e) == "positions must be strictly increasing"
+            accepted = False
+        assert accepted == increasing
+
+
+# -- displacements ------------------------------------------------------------
+
+
+class TestCheckDisplacements:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["stock", "d3_irrational_alpha",
+                            "irrational_alpha"]),
+           st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
+               [F(0), F(1, 3), F(-1, 3), F(1, 3) - F(1, 10 ** 9),
+                F(1, 5), F(-1, 2)]), st.integers(-2, 2)), max_size=4),
+           st.integers(-1, 11))
+    def test_matches_reference(self, name, moves, drop):
+        sched = regime_schedule(name)
+        p = sched.params
+        budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
+        pos = [p.value(i, i % 3) for i in range(12)]
+        t = TiledSection(p, pos, [None] * 11, [0] * 12, list(range(12)), sched)
+        t.origin_pos = dict(enumerate(pos))
+        for i, frac, s in moves:
+            # a shift of frac times the budget, plus s/7 sqrt(d) for s != 0
+            t.positions[i] = t.positions[i] + budget * frac * 3 + \
+                quad(0, F(s, 7), p.d)
+        if drop >= 0:
+            del t.origin_pos[drop]
+        assert outcome(check_displacements, t) == \
+            outcome(check_displacements_reference, t)
+
+    def test_budget_exactly_reached_fails(self, schedule2):
+        budget = qmin(schedule2.params.alpha, quad(1)) / 3
+        for sign in (1, -1):
+            t = two_points(schedule2, quad(9))
+            t.positions[1] = t.positions[1] + budget * sign
+            got = outcome(check_displacements, t)
+            assert got == outcome(check_displacements_reference, t)
+            assert got == ("TilingError", f"original point 1 displaced "
+                           f"{budget * sign}, not strictly below the "
+                           f"min(alpha,1)/3 budget")
+
+
+class TestRegularRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", None]), max_size=30))
+    def test_matches_reference(self, letters):
+        n = len(letters) + 1
+        t = TiledSection(default_params(), [quad(i) for i in range(n)],
+                         letters, [0] * n, list(range(n)))
+        assert t.regular_runs() == regular_runs_reference(t)
+        assert t.is_fully_regular() == is_fully_regular_reference(t)

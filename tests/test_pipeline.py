@@ -84,7 +84,7 @@ class TestTileableTable:
         top = sched.K[2] + 1
         table = sched.table
         assert table.top == top
-        vals = table.values
+        vals = [v.value(params) for v in table.vectors]
         rng = random.Random(3)
         for trial in range(300):
             if trial % 3 == 0:
@@ -112,12 +112,23 @@ class TestTileableTable:
             v for v in enumerate_tileable(other, lo, hi) if not v.is_zero()
             and lo < v.value(other) < hi]
 
+    def test_lattice_query_above_the_table_raises(self, schedule2):
+        # (K_2 + 1) * 3 / 3 is the top; one third above it is not allowed
+        top = schedule2.K[2] + 1
+        assert top.is_integer()
+        x = top.a * 3
+        assert schedule2.table.inside(x - 6, 0, x, 0, 3) == \
+            schedule2.table.between(top - 2, top)
+        with pytest.raises(TilingError, match=r"^corridor \(.*\) reaches "
+                           r"above the tileable table's top "):
+            schedule2.table.inside(x - 6, 0, x + 1, 0, 3)
+
     def test_finishing_names_gap_and_stage_above_the_table(self, schedule2,
                                                            monkeypatch):
-        def above(self, lo, hi):
-            raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
+        def above(self, lx, ly, hx, hy, c):
+            raise TilingError(f"corridor ({lx}, {hx}) reaches above the "
                               f"tileable table's top")
-        monkeypatch.setattr(pipeline.TileableTable, "between", above)
+        monkeypatch.setattr(pipeline.TileableTable, "inside", above)
         w = OrbitWindow([quad(0), schedule2.K[1] - F(1, 2)])
         with pytest.raises(TilingError, match=r"stage 1, gap 0: corridor"):
             sparse_tile(w, schedule2)

@@ -260,3 +260,30 @@ class TestDegenerateLiterals:
 
     def test_non_square_radicand_still_read(self):
         assert coords(parse_quadreal("sqrt(8)")) == (0, 1, 1, 8)
+
+
+class TestConstructorRadicand:
+    @pytest.mark.parametrize("d", [-2, 0, 1, 4, 9, 16, 2.0, "2"])
+    def test_bad_radicand_rejected(self, d):
+        for build in (lambda: QuadReal(1, 1, d), lambda: quad(1, 0, d),
+                      lambda: sqrtD(d)):
+            with pytest.raises(ValueError, match="radicand"):
+                build()
+
+    def test_square_radicand_cannot_pose_as_irrational(self):
+        # the three expressions were accepted before: Params took beta =
+        # sqrt(4) = 2 * alpha as independent, sqrt(4) == 2 was False and
+        # sqrt(0) had sign 1
+        with pytest.raises(ValueError):
+            Params(quad(1), sqrtD(4), F(1, 2))
+        with pytest.raises(ValueError):
+            sqrtD(4) == 2
+        with pytest.raises(ValueError):
+            sqrtD(0).sign()
+
+    @pytest.mark.parametrize("d", [None, 2, 3, 5, 8, 12])
+    def test_non_square_radicands_build(self, d):
+        x = sqrtD(d)
+        assert x.d == (2 if d is None else d) and x.sign() == 1
+        assert quad(F(1, 2), 3, d) == quad(F(1, 2), 3, d)
+        assert x * x == (2 if d is None else d)
