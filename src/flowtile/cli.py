@@ -19,7 +19,8 @@ from .generators import GeneratorSpec, generate
 from .loe import build_loe, verify_loe
 from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
                        attach_witnesses, build_schedule, check_displacements,
-                       full_pipeline, sparse_tile, verify_uniform_frequency)
+                       full_pipeline, params_from_json, sparse_tile,
+                       verify_uniform_frequency)
 from .quadratic import QuadReal, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
@@ -63,10 +64,7 @@ def _load_schedule(args, params: Params) -> Schedule:
         with open(args.schedule) as fh:
             data = json.load(fh)
         where = "schedule"
-        alpha, beta, rho = (json_field(data, key, str, where=where)
-                            for key in ("alpha", "beta", "rho"))
-        params = Params(parse_quadreal(alpha), parse_quadreal(beta),
-                        Fraction(rho))
+        params = params_from_json(data, where)
         depth = json_field(data, "depth", int, where=where)
         k_seq = [parse_quadreal(k)
                  for k in json_field(data, "K", list, where=where)]
@@ -138,12 +136,19 @@ def cmd_density(args) -> int:
 def cmd_boost(args) -> int:
     with open(args.infile) as fh:
         data = json.load(fh)
-    params = Params(parse_quadreal(data["alpha"]), parse_quadreal(data["beta"]),
-                    Fraction(data["rho"]))
+    where = "shift problem"
+    params = params_from_json(data, where)
+    choices = json_field(data, "choices", list, where=where)
+    for rk in choices:
+        if not (isinstance(rk, list) and all(
+                isinstance(v, list) and len(v) == 2
+                and all(type(n) is int for n in v) for v in rk)):
+            raise ValueError(f"{where} field 'choices' holds a rank that is "
+                             f"not a list of [p, q] counts: {rk!r}")
     prob = ShiftProblem(
-        params, parse_quadreal(data["eps"]),
-        [parse_quadreal(d) for d in data["gaps"]],
-        [[TileVector(p, q) for p, q in rk] for rk in data["choices"]])
+        params, parse_quadreal(json_field(data, "eps", str, where=where)),
+        [parse_quadreal(d) for d in json_field(data, "gaps", list, where=where)],
+        [[TileVector(p, q) for p, q in rk] for rk in choices])
     el = frequency_boost(prob, _literal(Fraction, "--gamma", args.gamma),
                          _literal(Fraction, "--zeta", args.zeta),
                          _literal(Fraction, "--eta", args.eta),

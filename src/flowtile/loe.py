@@ -11,26 +11,24 @@ scale is reported as residue, never hidden.
 
 The orbit maps are ordered and checked on lattice coordinates: the
 values one check compares are written over one common denominator C as
-(A + B*sqrt(D)) / C, so each is the integer pair (A, B) (the helpers of
-:mod:`flowtile.tiles`).  Pieces are sorted by the integer key
-floor(2**32 * (A + B*sqrt(D))), ties of keys by exact value, and each
-overlap test is the exact sign of an integer difference
-(``quadratic.sign_of``).  No float decides anything; maps and reports are
-those of plain ``QuadReal`` arithmetic.
+(A + B*sqrt(D)) / C, so each is the integer pair (A, B)
+(``quadratic.lattice``).  Pieces are sorted by ``quadratic.lattice_order``,
+by the integer key floor(2**KEY_BITS * (A + B*sqrt(D))) and ties of keys
+by exact value, and each overlap test is the exact sign of an integer
+difference (``quadratic.sign_of``).  No float decides anything; maps and
+reports are those of plain ``QuadReal`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import groupby, islice
-from operator import eq
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, floor_of, lattice, parse_quadreal, sign_of
+from .quadratic import (QuadReal, lattice, lattice_order, parse_quadreal,
+                        sign_of)
 from .pipeline import TiledSection
-from .tiles import _KEY_BITS
 
 
 class MatchState(NamedTuple):
@@ -40,9 +38,6 @@ class MatchState(NamedTuple):
     pairing: dict[int, int]                     # matched a -> b = a + k
     residue_a: list[int]
     residue_b: list[int]
-
-    def displacement_of(self, a: int) -> int:
-        return self.pairing[a] - a
 
 
 def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
@@ -87,35 +82,13 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
     return MatchState(stages, pairing, a_free, sorted(b_free))
 
 
-def _keys(xs: list[int], ys: list[int], d: int) -> list[int]:
-    """The exact floor of 2**_KEY_BITS times each value xs[i] + ys[i]*sqrt(d)."""
-    k = _KEY_BITS
-    # floor(2**k * (x + y*sqrt(d))) == x*2**k + floor(2**k * y*sqrt(d))
-    root = {y: floor_of(0, y << k, 1, d) for y in set(ys)}
-    return [(x << k) + root[y] for x, y in zip(xs, ys)]
-
-
-def _order(xs: list[int], ys: list[int], d: int) -> list[int]:
-    """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
-    values in index order: sorted by :func:`_keys`, equal keys by exact
-    value."""
-    keys = _keys(xs, ys, d)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranked = map(keys.__getitem__, order)
-    if not any(map(eq, ranked, map(keys.__getitem__, islice(order, 1, None)))):
-        return order
-    exact = cmp_to_key(lambda i, j: sign_of(xs[i] - xs[j], ys[i] - ys[j], d))
-    return [i for _, run in groupby(order, key=keys.__getitem__)
-            for i in sorted(run, key=exact)]
-
-
 def _overlaps(label: str, ends: list[QuadReal],
               lengths: list[QuadReal]) -> list[str]:
     """A failure for each interval [ends[j], ends[j] + lengths[j]) that
     starts before its predecessor i in the order of ends has ended:
     ends[j] < ends[i] + lengths[i]."""
     _, d, [(xs, ys), (lx, ly)] = lattice(ends, lengths)
-    order = _order(xs, ys, d)
+    order = lattice_order(xs, ys, d)
     return [f"{label} pieces overlap at {ends[j]}"
             for i, j in zip(order, islice(order, 1, None))
             if sign_of(xs[j] - xs[i] - lx[i], ys[j] - ys[i] - ly[i], d) < 0]
@@ -223,7 +196,7 @@ def build_loe(t1: TiledSection, t2: TiledSection,
     res_dst = [b for b in b2 if b not in mapped_dst_b]
     if pieces:
         _, d, [(xs, ys)] = lattice([p.src_lo for p in pieces])
-        pieces = [pieces[i] for i in _order(xs, ys, d)]
+        pieces = [pieces[i] for i in lattice_order(xs, ys, d)]
     return PiecewiseTranslationMap(pieces, res_src, res_dst)
 
 

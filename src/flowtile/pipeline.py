@@ -20,8 +20,8 @@ the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
 position, gap, carry and corridor end is an integer pair (A, B) over one
 common denominator C, standing for (A + B*sqrt(D)) / C; an order is the
 exact sign of a lattice difference (``quadratic.sign_of``).  The table
-is bisected on exact floor(2**k * value) keys, with key ties settled by
-that sign test, and candidate words are ranked by integer
+is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
+settled by that sign test, and candidate words are ranked by integer
 cross-multiplication of frequencies.  Chain classes and the displacement
 check are decided the same way.  ``QuadReal`` stays the type of every
 argument, result and serialized value: one is built for each output
@@ -38,9 +38,9 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import add, and_, eq, gt, is_, le, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import (QuadReal, floor_of, lattice, parse_quadreal, qmax,
-                        qmin, quad, sign_of)
-from .tiles import (_KEY_BITS, DensityWitness, FreqBand, Params, TileVector,
+from .quadratic import (QuadReal, lattice, lattice_key, lattice_keys,
+                        parse_quadreal, qmax, qmin, quad, sign_of)
+from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
 from .windows import OrbitWindow, chain_classes, json_field
@@ -66,7 +66,7 @@ class TileableTable:
     """The nonzero tile vectors of value in (0, top], sorted by value, for
     exact corridor lookups.
 
-    ``keys[i]`` is the exact floor of 2**_KEY_BITS times the value of
+    ``keys[i]`` is the ``quadratic.lattice_key`` of the value of
     ``vectors[i]``.  A lookup bisects the keys of its two corridor ends;
     only the entries whose key equals an end's are compared with it
     exactly, by the sign of their lattice difference.
@@ -80,10 +80,9 @@ class TileableTable:
         # the zero vector comes first: it is the only one of value 0
         self.vectors = enumerate_tileable(params, quad(0, 0, params.d), top)[1:]
         a1, a2, b1, b2, c = params._coef
-        k, d = _KEY_BITS, params.d
-        self.keys = [floor_of((a1 * p + a2 * q) << k, (b1 * p + b2 * q) << k,
-                              c, d)
-                     for p, q in self.vectors]
+        self.keys = lattice_keys([a1 * p + a2 * q for p, q in self.vectors],
+                                 [b1 * p + b2 * q for p, q in self.vectors],
+                                 c, params.d)
 
     def between(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
         """Nonzero tile vectors of value strictly inside (lo, hi), in value
@@ -105,12 +104,11 @@ class TileableTable:
                               f"the tileable table's top {top}")
         a1, a2, b1, b2, cv = self.params._coef
         vectors, keys = self.vectors, self.keys
-        k = _KEY_BITS
 
         def first_above(x: int, y: int, strict: bool) -> int:
             # the first entry above (x + y*sqrt(d))/c, or not below it
             # when not strict
-            key = floor_of(x << k, y << k, c, d)
+            key = lattice_key(x, y, c, d)
             i = bisect_left(keys, key)
             while i < len(keys) and keys[i] == key:
                 p, q = vectors[i]
@@ -341,9 +339,6 @@ class TiledSection:
         t.origin_pos = {i: p for i, p in enumerate(w.positions)}
         return t
 
-    def window(self) -> OrbitWindow:
-        return OrbitWindow(self.positions)
-
     def gap_values(self):
         return [b - a for a, b in zip(self.positions, self.positions[1:])]
 
@@ -397,9 +392,7 @@ class TiledSection:
         """Read a section written by :meth:`to_json`.  A missing or
         mistyped field, or lists whose lengths do not fit one section,
         raise ValueError naming the field."""
-        params = Params(parse_quadreal(json_field(data, "alpha", str)),
-                        parse_quadreal(json_field(data, "beta", str)),
-                        Fraction(json_field(data, "rho", str)))
+        params = params_from_json(data)
         positions = [parse_quadreal(p)
                      for p in json_field(data, "positions", list)]
         letters = json_field(data, "letters", list)
@@ -429,6 +422,15 @@ class TiledSection:
                 tuple(_int_list(w, "cuts", where))))
         t.notes = list(json_field(data, "notes", list, []))
         return t
+
+
+def params_from_json(obj, where: str = "section") -> Params:
+    """The :class:`Params` of the "alpha", "beta" and "rho" fields of a JSON
+    object, each an exact literal; raises ValueError naming a missing or
+    mistyped field, and for a malformed literal."""
+    alpha, beta, rho = (json_field(obj, key, str, where=where)
+                        for key in ("alpha", "beta", "rho"))
+    return Params(parse_quadreal(alpha), parse_quadreal(beta), Fraction(rho))
 
 
 def _int_list(obj, key: str, where: str = "section") -> list[int]:
@@ -851,7 +853,9 @@ def check_displacements(t: TiledSection):
     """Every original point lies strictly within min(alpha, 1)/3 of its
     origin position; raises :class:`TilingError` otherwise, also for an
     original point without an origin position.  The points are checked
-    in order, on lattice coordinates over one common denominator."""
+    in order, on lattice coordinates over one common denominator.  Then
+    the provenance itself is checked: the original ids strictly increase,
+    there is at least one, and every origin position belongs to one."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
     pairs = [(pos, oid) for pos, oid in zip(t.positions, t.orig_ids)
@@ -878,6 +882,17 @@ def check_displacements(t: TiledSection):
     if missing < len(pairs):
         raise TilingError(f"original point {pairs[missing][1]} has no origin "
                           f"position")
+    ids = [oid for _, oid in pairs]
+    back = next(compress(count(1), map(le, islice(ids, 1, None), ids)), None)
+    if back is not None:
+        raise TilingError(f"original point ids do not increase: "
+                          f"{ids[back - 1]} then {ids[back]}")
+    if not ids:
+        raise TilingError("section has no original point")
+    stray = t.origin_pos.keys() - set(ids)
+    if stray:
+        raise TilingError(f"origin position {min(stray)} belongs to no "
+                          f"original point")
 
 
 def attach_witnesses(t: TiledSection):

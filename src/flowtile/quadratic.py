@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
-from itertools import repeat
+from functools import cmp_to_key, total_ordering
+from itertools import groupby, repeat
 from operator import attrgetter, floordiv, mul
 from typing import Sequence, Union
 
@@ -232,9 +232,10 @@ class QuadReal:
 #
 # A value (a + b*sqrt(d)) / c is decided from its integer coordinates alone;
 # QuadReal's order and rounding use these, and so do the lattice sweeps in
-# :mod:`flowtile.tiles`, finishing in :mod:`flowtile.pipeline` and chain
-# classes in :mod:`flowtile.windows`, which keep many values over one
-# common c.
+# :mod:`flowtile.tiles`, finishing and the tileable table in
+# :mod:`flowtile.pipeline`, chain classes in :mod:`flowtile.windows` and the
+# orbit maps of :mod:`flowtile.loe`, which keep many values over one common
+# c and order them by :func:`lattice_key` and :func:`lattice_order`.
 
 
 def sign_of(a: int, b: int, d: int) -> int:
@@ -264,6 +265,38 @@ def floor_of(a: int, b: int, c: int, d: int) -> int:
     # floor(b*sqrt(d)) is isqrt(n) for b > 0 and -ceil(sqrt(n)) for b < 0
     w = math.isqrt(n) if b > 0 else -math.isqrt(n - 1) - 1
     return (a + w) // c
+
+
+# Bits of resolution below the unit of the lattice keys, read at each call;
+# any value is exact, larger ones leave fewer ties to the sign test.
+KEY_BITS = 32
+
+
+def lattice_key(x: int, y: int, c: int, d: int) -> int:
+    """The exact floor of 2**KEY_BITS * (x + y*sqrt(d)) / c, for c > 0."""
+    return floor_of(x << KEY_BITS, y << KEY_BITS, c, d)
+
+
+def lattice_keys(xs: Sequence[int], ys: Sequence[int], c: int,
+                 d: int) -> list[int]:
+    """:func:`lattice_key` of each (xs[i], ys[i])."""
+    k = KEY_BITS
+    # floor((X + Y)/c) == floor((X + floor(Y))/c) for integers X and c > 0
+    root = {y: floor_of(0, y << k, 1, d) for y in set(ys)}
+    return [((x << k) + root[y]) // c for x, y in zip(xs, ys)]
+
+
+def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
+    """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
+    values in index order: a stable sort by :func:`lattice_keys`, with
+    equal keys settled by :func:`sign_of`."""
+    keys = lattice_keys(xs, ys, 1, d)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if len(set(keys)) == len(keys):
+        return order
+    exact = cmp_to_key(lambda i, j: sign_of(xs[i] - xs[j], ys[i] - ys[j], d))
+    return [i for _, run in groupby(order, key=keys.__getitem__)
+            for i in sorted(run, key=exact)]
 
 
 def radicand_of(*groups: Sequence[QuadReal]) -> int:
@@ -366,8 +399,11 @@ def real_gcd(a: QuadReal, b: QuadReal) -> QuadReal:
     return abs(b) * _fraction_gcd(abs(q), Fraction(1))
 
 
-def gcd_ladder(a: QuadReal, b: QuadReal, delta: QuadReal | None = None,
-               max_steps: int = 10_000):
+# rows after which :func:`gcd_ladder` gives up
+_LADDER_STEPS = 10_000
+
+
+def gcd_ladder(a: QuadReal, b: QuadReal, delta: QuadReal | None = None):
     """Alternating remainder ladder from a < 0 < b.
 
     Each row adds the largest multiple of one value to the other without
@@ -385,7 +421,7 @@ def gcd_ladder(a: QuadReal, b: QuadReal, delta: QuadReal | None = None,
     # coefficient rows: ak = pa*a + qa*b ; bk = pb*a + qb*b
     pa, qa, pb, qb = 1, 0, 0, 1
     rows = []
-    for _ in range(max_steps):
+    for _ in range(_LADDER_STEPS):
         l = ((-ak) / bk).floor()
         ak = ak + bk * l
         pa, qa = pa + l * pb, qa + l * qb

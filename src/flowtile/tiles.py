@@ -13,17 +13,17 @@ that are compared with each other are written over one common
 denominator C as (A + B*sqrt(D)) / C, so each is the integer pair (A, B):
 a difference is two integer subtractions, and an order is the exact sign
 of A + B*sqrt(D), decided by ``quadratic.sign_of`` from integer squares.
-Long runs are screened with integer keys scaled by 2**k: the exact floor
-of 2**k * (A + B*sqrt(D)), or the cheaper ``A*2**k + B*isqrt(D*4**k)``,
-which lies within |B| of it.  A key difference decides a comparison only
-when it clears that error bound; every other comparison, and every tie of
+Runs are sorted by ``quadratic.lattice_order`` and gaps are screened with
+the key ``A*2**k + B*isqrt(D*4**k)``, which lies within |B| of
+2**k * (A + B*sqrt(D)).  A key difference decides a comparison only when
+it clears that error bound; every other comparison, and every tie of
 keys, goes to the exact sign test.  So no float, and no rounded value,
 decides anything, and the results are those of plain ``QuadReal``
 arithmetic.  ``QuadReal`` stays the type of every argument and result.
 
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
-and so does its lookup in the tileable table, whose entries carry the
-exact floor of 2**_KEY_BITS times their value as keys.
+and so does its lookup in the tileable table, keyed by
+``quadratic.lattice_keys``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, groupby, islice, repeat
-from operator import (add, attrgetter, eq, floordiv, ge, itemgetter, lshift,
-                      lt, mul, sub)
+from itertools import compress, count, islice, repeat
+from operator import (add, attrgetter, floordiv, ge, itemgetter, lshift, lt,
+                      mul, sub)
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .quadratic import (QuadReal, floor_of, quad, radicand_of, real_gcd,
-                        sign_of, sqrtD)
+from . import quadratic
+from .quadratic import (QuadReal, floor_of, lattice_order, quad, radicand_of,
+                        real_gcd, sign_of, sqrtD)
 
 
 class Params:
@@ -172,12 +173,6 @@ def balanced_word(v: TileVector) -> TiledWord:
     return TiledWord("".join(out))
 
 
-# Bits of resolution below the unit of the integer keys that screen
-# comparisons; any value is exact, larger ones leave fewer comparisons to
-# the sign test.
-_KEY_BITS = 32
-
-
 def _pair(v: QuadReal, c: int) -> tuple[int, int]:
     """(x, y) with v == (x + y*sqrt(d)) / c, for c a multiple of v.c."""
     return v.a * (c // v.c), v.b * (c // v.c)
@@ -206,8 +201,8 @@ def enumerate_tileable(params: Params, lo: QuadReal,
 
     Row q holds the p from ceil((lo - q*beta)/alpha) to
     floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
-    rows are merged by the exact floor of 2**_KEY_BITS times the value;
-    vectors with equal keys are ordered by their exact values.
+    rows are merged by ``quadratic.lattice_order`` on the lattice
+    coordinates of the values.
     """
     if hi < lo:
         return []
@@ -218,20 +213,14 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     d = radicand_of([lo_a, hi_a, step])
     w = math.lcm(lo_a.c, hi_a.c, step.c)
     (lx, ly), (hx, hy), (sx, sy) = (_pair(v, w) for v in (lo_a, hi_a, step))
-    k = _KEY_BITS
-    out: list[tuple[int, int, int]] = []
+    out: list[TileVector] = []
     for q in range((hi / params.beta).floor() + 1):
         p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
         p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
-        out += [(floor_of((a1 * p + a2 * q) << k, (b1 * p + b2 * q) << k,
-                          1, d), p, q)
-                for p in range(p_lo, p_hi + 1)]
-    out.sort(key=itemgetter(0))
-    keys = list(map(itemgetter(0), out))
-    if any(map(eq, keys, islice(keys, 1, None))):
-        out = [e for _, group in groupby(out, key=itemgetter(0))
-               for e in sorted(group, key=lambda e: params.value(e[1], e[2]))]
-    return [TileVector(p, q) for _, p, q in out]
+        out += map(TileVector, range(p_lo, p_hi + 1), repeat(q))
+    order = lattice_order([a1 * p + a2 * q for p, q in out],
+                          [b1 * p + b2 * q for p, q in out], d)
+    return list(map(out.__getitem__, order))
 
 
 class DensityReport(NamedTuple):
@@ -268,7 +257,7 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     xs, ys, m = _coords(pts, c)
     (lx, ly), (hx, hy), (ex, ey) = (_pair(v, c) for v in (lo, hi, eps))
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
-    k = spread.bit_length() + _KEY_BITS
+    k = spread.bit_length() + quadratic.KEY_BITS
     s = math.isqrt(d << 2 * k)
 
     def key_steps() -> list[int]:
@@ -281,7 +270,7 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     steps = key_steps()
     if any(sign_of(xs[t + 1] - xs[t], ys[t + 1] - ys[t], d) < 0
            for t in compress(count(), map(lt, steps, repeat(spread)))):
-        order = sorted(range(len(pts)), key=pts.__getitem__)
+        order = lattice_order(xs, ys, d)
         pts = [pts[t] for t in order]
         xs = [xs[t] for t in order]
         ys = [ys[t] for t in order]
@@ -557,8 +546,13 @@ def _simplest_inside(lo: Fraction, hi: Fraction) -> Fraction:
     return rec(a.numerator, a.denominator, b.numerator, b.denominator)
 
 
-def density_witness(params: Params, eps: QuadReal, band: FreqBand,
-                    max_anchor_doublings: int = 64) -> DensityWitness:
+# doublings of the anchor interval after which :func:`density_witness`
+# gives up
+_ANCHOR_DOUBLINGS = 64
+
+
+def density_witness(params: Params, eps: QuadReal,
+                    band: FreqBand) -> DensityWitness:
     """Construct a family of band-frequency tileables eps-dense in [N, oo).
 
     Rejects empty or zero-width bands: member frequencies can only be
@@ -579,7 +573,7 @@ def density_witness(params: Params, eps: QuadReal, band: FreqBand,
     half = eps / 2
     # anchor interval [A, A + xval] on which plain tileables are eps/2-dense
     anchor = params.beta * 2
-    for _ in range(max_anchor_doublings):
+    for _ in range(_ANCHOR_DOUBLINGS):
         offsets = enumerate_tileable(params, anchor, anchor + xval)
         vals = [v.value(params) for v in offsets]
         if offsets and eps_dense(vals, anchor, anchor + xval, half).ok:

@@ -142,6 +142,31 @@ class TestCli:
         assert err.startswith("verification failure: original point 3 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda d: d.update(orig_ids=[-1] * len(d["orig_ids"])),
+         "section has no original point"),
+        (lambda d: (d.update(orig_ids=[-1] * len(d["orig_ids"])),
+                    d.pop("origin_positions")),
+         "section has no original point"),
+        (lambda d: d["origin_positions"].update({"999": "0"}),
+         "origin position 999 belongs to no original point"),
+    ], ids=["ids_erased", "ids_and_origins_erased", "stray_origin"])
+    def test_verify_rejects_erased_provenance(self, tamper, message, tmp_path,
+                                              capsys):
+        # with no original point the displacement claim covers nothing
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        run(["gen", "--n", "60", "--seed", "3", "--out", str(w)])
+        assert run(["tile", "--in", str(w), "--out", str(t)]) == 0
+        data = json.loads(t.read_text())
+        tamper(data)
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", str(t)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verification failure: {message}\n"
+
     @pytest.mark.parametrize("mode", ["full", "sparse"])
     def test_tile_and_verify_one_point_window(self, mode, tmp_path, capsys):
         w = tmp_path / "w.json"
@@ -269,21 +294,45 @@ class TestCli:
              "--k0", "7", "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
 
+    BOOST_PROBLEM = {
+        "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "eps": "1",
+        "gaps": ["12"] * 5,
+        "choices": [[[0, 8], [0, 9], [1, 8], [2, 7], [9, 2], [10, 1],
+                     [10, 2], [11, 1]]] * 5,
+    }
+
     def test_boost_subcommand(self, tmp_path):
-        prob = {
-            "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "eps": "1",
-            "gaps": ["12"] * 5,
-            "choices": [[[0, 8], [0, 9], [1, 8], [2, 7], [9, 2], [10, 1],
-                         [10, 2], [11, 1]]] * 5,
-        }
         path = tmp_path / "prob.json"
-        path.write_text(json.dumps(prob))
+        path.write_text(json.dumps(self.BOOST_PROBLEM))
         out = tmp_path / "boost.json"
         assert run(["boost", "--in", str(path), "--gamma", "1/2",
                     "--zeta", "1/3", "--eta", "1/4", "--test-mode",
                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["witness"]) == 5
+
+    @pytest.mark.parametrize("tamper,field", [
+        (lambda d: {k: v for k, v in d.items() if k != "alpha"}, "'alpha'"),
+        (lambda d: [d], "not a JSON object"),
+        (lambda d: {**d, "rho": 0.5}, "'rho'"),
+        (lambda d: {**d, "eps": 1}, "'eps'"),
+        (lambda d: {k: v for k, v in d.items() if k != "gaps"}, "'gaps'"),
+        (lambda d: {**d, "choices": [5] * 5}, "'choices'"),
+        (lambda d: {**d, "choices": [[[1]]] * 5}, "'choices'"),
+    ], ids=["no_alpha", "list", "rho_float", "eps_int", "no_gaps",
+            "choices_ints", "choices_short_pair"])
+    def test_boost_rejects_malformed_problem(self, tamper, field, tmp_path,
+                                             capsys):
+        data = tamper(self.BOOST_PROBLEM)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        assert run(["boost", "--in", str(path), "--gamma", "1/2",
+                    "--zeta", "1/3", "--eta", "1/4", "--test-mode"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
 
     @pytest.mark.parametrize("tamper", [
         lambda d: d.update(beta="sqrt(4)"),

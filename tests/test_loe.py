@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtile import quadratic
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.loe import (FrequencyMismatch, LoeReport, MatchState, Piece,
                           PiecewiseTranslationMap, _kind_indices, build_loe,
@@ -324,11 +325,13 @@ def same_report(got: LoeReport, want: LoeReport):
 
 class TestLoeOracle:
     @settings(max_examples=300, deadline=None)
-    @given(piece_maps())
-    def test_verify_loe_matches_reference(self, case):
+    @given(piece_maps(), st.sampled_from([0, 32]))
+    def test_verify_loe_matches_reference(self, case, bits):
         params, m = case
-        same_report(verify_loe(m, params), verify_loe_reference(m, params))
-        same_report(verify_loe(m), verify_loe_reference(m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            same_report(verify_loe(m, params), verify_loe_reference(m, params))
+            same_report(verify_loe(m), verify_loe_reference(m))
 
     def test_hair_overlap_and_hair_gap(self):
         # the source pieces overlap by 99 - 70*sqrt(2) ~ 0.005, the target
@@ -350,9 +353,12 @@ class TestLoeOracle:
         v = quad(F(5, 3), 2, d)
         m = PiecewiseTranslationMap([Piece(v + hair, quad(0), alpha, "a"),
                                      Piece(v, quad(2), alpha, "a")])
-        rep = verify_loe(m)
-        assert rep == verify_loe_reference(m)
-        assert rep.failures == [f"source pieces overlap at {v + hair}"]
+        for bits in (0, 32):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadratic, "KEY_BITS", bits)
+                rep = verify_loe(m)
+            assert rep == verify_loe_reference(m)
+            assert rep.failures == [f"source pieces overlap at {v + hair}"]
 
     def test_touching_pieces_pass(self):
         p1 = Piece(quad(F(1, 3)), quad(F(2, 7)), P.beta, "b")
@@ -361,8 +367,9 @@ class TestLoeOracle:
         assert rep.ok and rep.mapped_length == P.alpha + P.beta
 
     @settings(max_examples=150, deadline=None)
-    @given(st.text("ab", min_size=1, max_size=14), st.data())
-    def test_build_loe_matches_reference(self, letters, data):
+    @given(st.text("ab", min_size=1, max_size=14), st.data(),
+           st.sampled_from([0, 32]))
+    def test_build_loe_matches_reference(self, letters, data, bits):
         # the target has the same letters in another order, so the alpha
         # counts agree; positions are arbitrary, unsorted, repeating values
         d = data.draw(st.sampled_from([2, 3]))
@@ -378,7 +385,10 @@ class TestLoeOracle:
 
         shuffled = "".join(data.draw(st.permutations(letters)))
         t1, t2 = section(letters), section(shuffled)
-        got, want = build_loe(t1, t2), build_loe_reference(t1, t2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            got = build_loe(t1, t2)
+        want = build_loe_reference(t1, t2)
         assert got.to_json() == want.to_json()
         assert got.pieces == want.pieces
 
@@ -396,6 +406,13 @@ class TestLoeOracle:
         t = full_pipeline(w, schedule4, seed=seed)
         rev = section_from_letters(t.letters[::-1])
         for x, y in ((t, rev), (rev, t)):
-            got, want = build_loe(x, y), build_loe_reference(x, y)
-            assert got.to_json() == want.to_json()
-            same_report(verify_loe(got, P), verify_loe_reference(want, P))
+            want = build_loe_reference(x, y)
+            want_report = verify_loe_reference(want, P)
+            # only the map and its check run under the patched key width
+            for bits in (0, 32):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(quadratic, "KEY_BITS", bits)
+                    got = build_loe(x, y)
+                    report = verify_loe(got, P)
+                assert got.to_json() == want.to_json()
+                same_report(report, want_report)

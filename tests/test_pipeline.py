@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile import pipeline
+from flowtile import pipeline, quadratic
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                HALF_TILED, PartitionWitness, RunScan,
                                TiledSection, TilingError, build_rank_blocks,
-                               build_schedule,
+                               build_schedule, check_displacements,
                                classify_section, full_pipeline, sparse_tile,
                                verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
@@ -82,8 +82,18 @@ class TestTileableTable:
     def test_lookup_matches_enumeration(self, params):
         sched = build_schedule(params, depth=2, verify_windows=1)
         top = sched.K[2] + 1
-        table = sched.table
-        assert table.top == top
+        assert sched.table.top == top
+        for bits in (0, 32):
+            # the table is keyed with the KEY_BITS it is built under
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadratic, "KEY_BITS", bits)
+                table = pipeline.TileableTable(params, top)
+                assert table.vectors == sched.table.vectors
+                self.check_lookups(params, table)
+
+    @staticmethod
+    def check_lookups(params, table):
+        top = table.top
         vals = [v.value(params) for v in table.vectors]
         rng = random.Random(3)
         for trial in range(300):
@@ -152,6 +162,31 @@ class TestShiftBound:
         pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
         assert t.letters == ["a"] * 6
         assert abs(t.displacements()[1]) < schedule2.eps[1]
+
+
+class TestProvenance:
+    # every point stays well inside the displacement budget, so only the
+    # provenance itself can fail
+    @pytest.mark.parametrize("ids,origins,text", [
+        ([0, 0], [0], "original point ids do not increase: 0 then 0"),
+        ([1, 0], [0, 1], "original point ids do not increase: 1 then 0"),
+        ([None, None], [], "section has no original point"),
+        ([None, None], [0, 1], "section has no original point"),
+        ([0, None], [0, 1], "origin position 1 belongs to no original point"),
+    ], ids=["repeated", "decreasing", "erased", "erased_with_origins",
+            "stray_origin"])
+    def test_bad_provenance_raises(self, ids, origins, text):
+        t = TiledSection(P, [quad(0), quad(F(1, 10))], [None], [0, 0], ids)
+        t.origin_pos = {oid: quad(0) for oid in origins}
+        with pytest.raises(TilingError) as err:
+            check_displacements(t)
+        assert str(err.value) == text
+
+    def test_inserted_points_pass(self):
+        t = TiledSection(P, [quad(0), quad(F(1, 10)), quad(2)], [None, None],
+                         [0, 0, 0], [0, None, 2])
+        t.origin_pos = {0: quad(0), 2: quad(2)}
+        check_displacements(t)
 
 
 @pytest.fixture(scope="module")

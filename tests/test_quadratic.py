@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtile import quadratic
 from flowtile.quadratic import (ConfigError, QuadReal, compare,
-                                format_quadreal, gcd_ladder, parse_quadreal,
+                                format_quadreal, gcd_ladder, lattice_key,
+                                lattice_keys, lattice_order, parse_quadreal,
                                 quad, real_gcd, sqrtD)
 from flowtile.tiles import Params
 
@@ -116,6 +118,26 @@ class TestFloor:
         assert (sqrtD() * 12 - 17 + 17).floor() == 16  # 12*sqrt2 = 16.97..
         assert quad(-7, 0).floor() == -7
         assert (-sqrtD()).floor() == -2
+
+
+class TestLatticeKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(-40, 40)), max_size=12),
+           st.integers(1, 30), st.sampled_from([2, 3]),
+           st.sampled_from([0, 5, 32]))
+    def test_keys_and_order_match_quadreal(self, pairs, c, d, bits):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        values = [QuadReal._raw(x, y, c, d) for x, y in pairs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            keys = lattice_keys(xs, ys, c, d)
+            assert keys == [lattice_key(x, y, c, d) for x, y in pairs]
+            assert keys == [(v * 2 ** bits).floor() for v in values]
+            # a stable sort: equal values keep their index order
+            assert lattice_order(xs, ys, d) == sorted(
+                range(len(values)), key=values.__getitem__)
 
 
 class TestLadder:

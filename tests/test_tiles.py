@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile import tiles
+from flowtile import quadratic
 from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
 from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
                             TileVector, TiledWord, alpha_frequency,
@@ -102,7 +102,7 @@ class TestEnumerate:
         lo = quad(F(lo8, 8), F(lo8 % 3, 5), params.d)
         hi = lo + F(width8, 8)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tiles, "_KEY_BITS", bits)
+            mp.setattr(quadratic, "KEY_BITS", bits)
             assert enumerate_tileable(params, lo, hi) == \
                 brute_tileable(lo, hi, params)
 
@@ -244,7 +244,7 @@ class TestEpsDense:
         pts, lo, hi, eps = case
         want = eps_dense_reference(pts, lo, hi, eps)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tiles, "_KEY_BITS", bits)
+            mp.setattr(quadratic, "KEY_BITS", bits)
             assert eps_dense(iter(pts), lo, hi, eps) == want
 
     @pytest.mark.parametrize("bits", [0, 32])
@@ -255,7 +255,7 @@ class TestEpsDense:
         moves = [(j, h) for j in (0, 1) for h in (-1, 0, 1)]
         lo = quad(2, 1, d)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tiles, "_KEY_BITS", bits)
+            mp.setattr(quadratic, "KEY_BITS", bits)
             for a, b in HAIRS[d][1:]:
                 hair = abs(quad(-b, a, d))
                 for eps in (quad(1, 0, d), quad(F(1, 4), F(1, 2), d)):
