@@ -26,8 +26,8 @@ from .windows import (ChainClasses, OrbitWindow, Periodic, SparsityError,
 from .pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                        PartitionWitness, Schedule, TiledSection, TilingError,
                        WitnessError, attach_witnesses, build_rank_blocks,
-                       build_schedule, classify_section, full_pipeline,
-                       sparse_tile, verify_uniform_frequency)
+                       build_schedule, check_section, classify_section,
+                       full_pipeline, sparse_tile, verify_uniform_frequency)
 from .generators import GeneratorSpec, generate
 from .loe import (FrequencyMismatch, MatchState, Piece,
                   PiecewiseTranslationMap, build_loe, match_equidense,

@@ -4,7 +4,12 @@ Subcommands: gen, classes, blocks, density, boost, tile, verify, loe,
 plot.  Artifacts are JSON with every number in the canonical exact text
 form; decimal approximations are printed with a leading "~" and never
 read back.  Exit status: 0 success, 1 verification failure, 2 usage
-error.
+error.  A failure is one ``verification failure:`` line on stderr.
+
+``tile`` (both modes) ends with ``pipeline.check_section``, and ``verify``
+reads a section file, runs the same ``check_section`` on it (gap letters,
+displacements, provenance against the stored ``points``, witness replay)
+and then computes the uniform run length N(eta).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from .generators import GeneratorSpec, generate
 from .loe import build_loe, verify_loe
 from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
-                       attach_witnesses, build_schedule, check_displacements,
+                       attach_witnesses, build_schedule, check_section,
                        full_pipeline, params_from_json, sparse_tile,
                        verify_uniform_frequency)
 from .quadratic import QuadReal, parse_quadreal, quad
@@ -171,6 +176,7 @@ def cmd_tile(args) -> int:
             return full_pipeline(w, sched, seed=seed)
         t = sparse_tile(w, sched)
         attach_witnesses(t)
+        check_section(t)
         return t
 
     if args.batch:
@@ -202,26 +208,11 @@ def cmd_verify(args) -> int:
     eta = _literal(Fraction, "--eta", args.eta)
     with open(args.infile) as fh:
         t = TiledSection.from_json(json.load(fh))
-    params = t.params
-    bad = [i for i, ch in enumerate(t.letters) if ch is None]
-    gaps = t.gap_values()
-    for i, (g, ch) in enumerate(zip(gaps, t.letters)):
-        want = params.alpha if ch == "a" else params.beta if ch == "b" else None
-        if want is not None and g != want:
-            print(f"FAIL gap {i}: letter {ch} but size {g}")
-            return 1
-    if bad:
-        print(f"FAIL: {len(bad)} untiled gaps")
-        return 1
-    check_displacements(t)
+    check_section(t)
     rep = verify_uniform_frequency(t, eta)
     if rep.n_eta is None:
-        print(f"FAIL: no uniform run length for eta={args.eta}; "
-              f"counterexample window {rep.counterexample}")
-        return 1
-    if rep.witnesses_ok is False:
-        print("FAIL: stored partition witnesses do not replay")
-        return 1
+        raise WitnessError(f"no uniform run length for eta={args.eta}; "
+                           f"counterexample window {rep.counterexample}")
     print(f"OK: N({args.eta}) = {rep.n_eta}; {len(t.witnesses)} witnesses replay")
     return 0
 

@@ -220,13 +220,17 @@ def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
     lengths = [p.length for p in m.pieces]
     failures = _overlaps("source", [p.src_lo for p in m.pieces], lengths)
     failures += _overlaps("target", [p.dst_lo for p in m.pieces], lengths)
-    for i, p in enumerate(m.pieces):
+    if params is None:
+        c, d, [(lx, ly)] = lattice(lengths)
+    else:
+        # alpha and beta share the lengths' lattice
+        c, d, [((ax, bx), (ay, by)), (lx, ly)] = lattice(
+            [params.alpha, params.beta], lengths)
+    for i, (p, x, y) in enumerate(zip(m.pieces, lx, ly)):
         if p.kind not in ("a", "b"):
             failures.append(f"piece {i}: unknown kind {p.kind!r}")
-        if params is not None:
-            want = params.alpha if p.kind == "a" else params.beta
-            if p.length != want:
-                failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
-    c, d, [(lx, ly)] = lattice(lengths)
+        if params is not None and (x, y) != ((ax, ay) if p.kind == "a"
+                                             else (bx, by)):
+            failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
     total = QuadReal._raw(sum(lx), sum(ly), c, d)
     return LoeReport(not failures, failures, len(m.pieces), total)

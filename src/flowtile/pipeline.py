@@ -13,7 +13,15 @@ Two cooperating constructions, driven by one :class:`Schedule`:
 
 :func:`full_pipeline` composes them: grow blocks, classify what remains,
 finish every class, and attach partition witnesses certifying the uniform
-alpha-frequency of the result.  All checks are exact.
+alpha-frequency of the result.
+
+One checker, :func:`check_section`, decides whether a tiled section is
+what the paper claims: every gap lettered and exactly its letter's
+length, every original point strictly within min(alpha, 1)/3 of its
+origin, the original ids exactly 0..points-1, and every stored witness
+replaying.  ``full_pipeline`` and ``flowtile tile --mode sparse`` call it
+last, and ``flowtile verify`` calls it on the section file before it
+computes the uniform run length N(eta).  All checks are exact.
 
 Finishing and the tileable table lookup run on lattice coordinates, as
 the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
@@ -22,10 +30,10 @@ common denominator C, standing for (A + B*sqrt(D)) / C; an order is the
 exact sign of a lattice difference (``quadratic.sign_of``).  The table
 is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
 settled by that sign test, and candidate words are ranked by integer
-cross-multiplication of frequencies.  Chain classes and the displacement
-check are decided the same way.  ``QuadReal`` stays the type of every
-argument, result and serialized value: one is built for each output
-position and for error texts.
+cross-multiplication of frequencies.  Chain classes and
+:func:`check_section` are decided the same way.  ``QuadReal`` stays the
+type of every argument, result and serialized value: one is built for
+each output position and for error texts.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
-from operator import add, and_, eq, gt, is_, le, rshift, sub
+from operator import add, and_, eq, gt, is_, le, ne, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
+from . import quadratic
 from .quadratic import (QuadReal, lattice, lattice_key, lattice_keys,
                         parse_quadreal, qmax, qmin, quad, sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
@@ -67,12 +76,13 @@ class TileableTable:
     exact corridor lookups.
 
     ``keys[i]`` is the ``quadratic.lattice_key`` of the value of
-    ``vectors[i]``.  A lookup bisects the keys of its two corridor ends;
-    only the entries whose key equals an end's are compared with it
-    exactly, by the sign of their lattice difference.
+    ``vectors[i]``, at the ``bits`` of ``quadratic.KEY_BITS`` when the
+    table was built.  A lookup bisects the keys of its two corridor ends,
+    taken at the same bits; only the entries whose key equals an end's are
+    compared with it exactly, by the sign of their lattice difference.
     """
 
-    __slots__ = ("params", "top", "vectors", "keys")
+    __slots__ = ("params", "top", "vectors", "bits", "keys")
 
     def __init__(self, params: Params, top: QuadReal):
         self.params = params
@@ -80,9 +90,10 @@ class TileableTable:
         # the zero vector comes first: it is the only one of value 0
         self.vectors = enumerate_tileable(params, quad(0, 0, params.d), top)[1:]
         a1, a2, b1, b2, c = params._coef
+        self.bits = quadratic.KEY_BITS
         self.keys = lattice_keys([a1 * p + a2 * q for p, q in self.vectors],
                                  [b1 * p + b2 * q for p, q in self.vectors],
-                                 c, params.d)
+                                 c, params.d, self.bits)
 
     def between(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
         """Nonzero tile vectors of value strictly inside (lo, hi), in value
@@ -103,12 +114,12 @@ class TileableTable:
                               f"{QuadReal._raw(hx, hy, c, d)}) reaches above "
                               f"the tileable table's top {top}")
         a1, a2, b1, b2, cv = self.params._coef
-        vectors, keys = self.vectors, self.keys
+        vectors, keys, bits = self.vectors, self.keys, self.bits
 
         def first_above(x: int, y: int, strict: bool) -> int:
             # the first entry above (x + y*sqrt(d))/c, or not below it
             # when not strict
-            key = lattice_key(x, y, c, d)
+            key = lattice_key(x, y, c, d, bits)
             i = bisect_left(keys, key)
             while i < len(keys) and keys[i] == key:
                 p, q = vectors[i]
@@ -316,7 +327,8 @@ class TiledSection:
     give the last stage that retiled each point's block: 0 for untouched
     points, 1 after growth, and n for the runs finishing stage n retiles;
     orig_ids map points back to the input window, and origin_pos holds
-    each original point's input position.
+    each original point's input position.  ``points`` is the size of the
+    input window: at first the number of original ids.
     """
 
     def __init__(self, params: Params, positions, letters, ranks, orig_ids,
@@ -327,6 +339,7 @@ class TiledSection:
         self.ranks = list(ranks)
         self.orig_ids = list(orig_ids)
         self.schedule = schedule
+        self.points = len(self.orig_ids) - self.orig_ids.count(None)
         self.origin_pos: dict[int, QuadReal] = {}
         self.witnesses: list[PartitionWitness] = []
         self.notes: list[str] = []
@@ -378,6 +391,7 @@ class TiledSection:
             "positions": [str(p) for p in self.positions],
             "letters": ["" if ch is None else ch for ch in self.letters],
             "ranks": self.ranks,
+            "points": self.points,
             "orig_ids": [-1 if o is None else o for o in self.orig_ids],
             "origin_positions": {str(k): str(v) for k, v in self.origin_pos.items()},
             "witnesses": [
@@ -400,6 +414,7 @@ class TiledSection:
             if ch not in ("a", "b", ""):
                 raise ValueError(f"unknown gap letter {ch!r}")
         ranks = _int_list(data, "ranks")
+        points = json_field(data, "points", int)
         orig_ids = _int_list(data, "orig_ids")
         if len(letters) != len(positions) - 1:
             raise ValueError(f"section field 'letters' has {len(letters)} "
@@ -411,6 +426,7 @@ class TiledSection:
         t = cls(params, positions,
                 [None if ch == "" else ch for ch in letters], ranks,
                 [None if o == -1 else o for o in orig_ids])
+        t.points = points
         origin = json_field(data, "origin_positions", dict, {})
         t.origin_pos = {int(k): parse_quadreal(v) for k, v in origin.items()}
         where = "section witness"
@@ -835,64 +851,84 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule,
     The result is fully regular on the window interior; every original
     point's total displacement stays strictly under min(alpha, 1)/3, and
     partition witnesses for every level up to the schedule depth are
-    attached and replayed before returning.
+    attached; :func:`check_section` checks all of it before returning.
     """
     t = build_rank_blocks(w, schedule, seed=seed)
     cls = classify_section(t)
     t.notes.append(f"after growth: {cls.kind} with {len(cls.runs)} runs")
     if cls.kind != FULLY_REGULAR:
         t = sparse_tile(t, schedule)
-    if not t.is_fully_regular():
-        raise TilingError("pipeline left untiled gaps")
-    check_displacements(t)
     attach_witnesses(t)
+    check_section(t)
     return t
 
 
-def check_displacements(t: TiledSection):
-    """Every original point lies strictly within min(alpha, 1)/3 of its
-    origin position; raises :class:`TilingError` otherwise, also for an
-    original point without an origin position.  The points are checked
-    in order, on lattice coordinates over one common denominator.  Then
-    the provenance itself is checked: the original ids strictly increase,
-    there is at least one, and every origin position belongs to one."""
+def check_section(t: TiledSection):
+    """Check a tiled section; the first check that fails raises
+    :class:`TilingError`, or :class:`WitnessError` for a stored witness,
+    with one line of text.  In order: every gap is lettered and exactly
+    its letter's length; the original ids strictly increase from 0 to
+    points-1 and every origin position belongs to one; every original
+    point has an origin position, strictly within min(alpha, 1)/3
+    (checked in point order); every witness replays.  Positions, origins
+    and lengths are lattice coordinates of one ``quadratic.lattice``
+    call."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-    pairs = [(pos, oid) for pos, oid in zip(t.positions, t.orig_ids)
-             if oid is not None]
-    missing = next((i for i, (_, oid) in enumerate(pairs)
-                    if oid not in t.origin_pos), len(pairs))
-    if missing:
-        moved = [pos for pos, _ in pairs[:missing]]
-        origin = [t.origin_pos[oid] for _, oid in pairs[:missing]]
-        _, d, [(xs, ys), (ox, oy), ((bx,), (by,))] = lattice(
-            moved, origin, [budget])
-        dxs, dys = list(map(sub, xs, ox)), list(map(sub, ys, oy))
-        # |disp| < budget: budget - disp > 0 and budget + disp > 0
-        inside = map(min, map(sign_of, map(sub, repeat(bx), dxs),
-                              map(sub, repeat(by), dys), repeat(d)),
-                     map(sign_of, map(add, repeat(bx), dxs),
-                         map(add, repeat(by), dys), repeat(d)))
-        bad = next(compress(count(), map(le, inside, repeat(0))), None)
-        if bad is not None:
-            pos, oid = pairs[bad]
-            raise TilingError(f"original point {oid} displaced "
-                              f"{pos - t.origin_pos[oid]}, not strictly "
-                              f"below the min(alpha,1)/3 budget")
-    if missing < len(pairs):
-        raise TilingError(f"original point {pairs[missing][1]} has no origin "
-                          f"position")
-    ids = [oid for _, oid in pairs]
+    letters = t.letters
+    idx = [i for i, oid in enumerate(t.orig_ids) if oid is not None]
+    ids = list(map(t.orig_ids.__getitem__, idx))
+    missing = next((k for k, oid in enumerate(ids)
+                    if oid not in t.origin_pos), len(ids))
+    c, d, [(xs, ys), (ox, oy), ((ax, bx, ux), (ay, by, uy))] = lattice(
+        t.positions, [t.origin_pos[oid] for oid in ids[:missing]],
+        [p.alpha, p.beta, budget])
+    gx = list(map(sub, islice(xs, 1, None), xs))
+    gy = list(map(sub, islice(ys, 1, None), ys))
+    # an untiled gap's letter has no length
+    wx = list(map({"a": ax, "b": bx}.get, letters))
+    wy = list(map({"a": ay, "b": by}.get, letters))
+    if gx != wx or gy != wy:
+        bad = next(compress(count(), map(or_, map(ne, gx, wx),
+                                         map(ne, gy, wy))))
+        if letters[bad] is None:
+            raise TilingError(f"{letters.count(None)} of {len(letters)} gaps "
+                              f"untiled, the first is gap {bad}")
+        raise TilingError(f"gap {bad}: letter {letters[bad]} but size "
+                          f"{t.positions[bad + 1] - t.positions[bad]}")
     back = next(compress(count(1), map(le, islice(ids, 1, None), ids)), None)
     if back is not None:
         raise TilingError(f"original point ids do not increase: "
                           f"{ids[back - 1]} then {ids[back]}")
     if not ids:
         raise TilingError("section has no original point")
+    # increasing ids are 0..points-1 when points of them start at 0
+    if ids[0] != 0 or len(ids) != t.points:
+        raise TilingError(f"original point ids run from {ids[0]} to "
+                          f"{ids[-1]}, not from 0 to {t.points - 1}")
     stray = t.origin_pos.keys() - set(ids)
     if stray:
         raise TilingError(f"origin position {min(stray)} belongs to no "
                           f"original point")
+    # the displacements of the points before the first without an origin
+    dxs = list(map(sub, map(xs.__getitem__, idx), ox))
+    dys = list(map(sub, map(ys.__getitem__, idx), oy))
+    # |disp| < budget: budget - disp > 0 and budget + disp > 0
+    inside = map(min, map(sign_of, map(sub, repeat(ux), dxs),
+                          map(sub, repeat(uy), dys), repeat(d)),
+                 map(sign_of, map(add, repeat(ux), dxs),
+                     map(add, repeat(uy), dys), repeat(d)))
+    far = next(compress(count(), map(le, inside, repeat(0))), None)
+    if far is not None:
+        raise TilingError(f"original point {ids[far]} displaced "
+                          f"{QuadReal._raw(dxs[far], dys[far], c, d)}, not "
+                          f"strictly below the min(alpha,1)/3 budget")
+    if missing < len(ids):
+        raise TilingError(f"original point {ids[missing]} has no origin "
+                          f"position")
+    for w in t.witnesses:
+        if not w.replay(t):
+            raise WitnessError(f"level {w.level} witness failed replay")
 
 
 def attach_witnesses(t: TiledSection):
@@ -903,21 +939,24 @@ def attach_witnesses(t: TiledSection):
     inherits the banded frequency; piece values stay under the schedule's
     L for that level.  Levels 1..depth are attached in order until one is
     out of reach for this window (short windows may not support the
-    deeper bands); the achieved depth is recorded in the notes.
+    deeper bands, and a section with untiled gaps supports none); the
+    achieved depth is recorded in the notes.  :func:`check_section`
+    replays them.
     """
     sched = t.schedule
     if sched is None:
         raise WitnessError("section has no schedule")
-    if not t.is_fully_regular():
-        raise WitnessError("witnesses need a fully regular section")
     t.witnesses = []
     n = len(t.letters)
+    if not t.is_fully_regular():
+        t.notes.append("witness levels stop at 0: untiled gaps")
+        return
     scan = RunScan(t)
     achieved = 0
     for j in range(1, sched.depth + 1):
         eta_j = sched.eta[j]
         L_j = sched.L[j]
-        rep = verify_uniform_frequency(t, eta_j, witnesses=False, scan=scan)
+        rep = verify_uniform_frequency(t, eta_j, scan=scan)
         reason = None
         n_min = rep.n_eta
         n_max = int((L_j / t.params.beta).floor())
@@ -942,10 +981,7 @@ def attach_witnesses(t: TiledSection):
         cuts = [0]
         for k in range(pieces):
             cuts.append(cuts[-1] + base + (1 if k < extra else 0))
-        wit = PartitionWitness(j, L_j, eta_j, tuple(cuts))
-        if not wit.replay(t):
-            raise WitnessError(f"level {j} witness failed replay")
-        t.witnesses.append(wit)
+        t.witnesses.append(PartitionWitness(j, L_j, eta_j, tuple(cuts)))
         achieved = j
 
 
@@ -953,7 +989,6 @@ class UniformFrequencyReport(NamedTuple):
     eta: Fraction
     n_eta: Optional[int]
     counterexample: Optional[tuple[int, int]]  # (start gap, length)
-    witnesses_ok: Optional[bool]
 
 
 class RunScan:
@@ -987,13 +1022,11 @@ class RunScan:
 
 
 def verify_uniform_frequency(t: TiledSection, eta: Fraction,
-                             witnesses: bool = True,
                              scan: RunScan | None = None) -> UniformFrequencyReport:
     """Smallest N such that every run of at least N consecutive gaps has
     alpha-frequency within eta of rho, by exact integer scanning.
 
     Returns a counterexample window when even the full section fails.
-    With ``witnesses=True`` also replays every stored partition witness.
     ``scan`` is the section's :class:`RunScan`, built here when not given;
     :func:`attach_witnesses` builds one for all its levels.
 
@@ -1019,7 +1052,7 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
         raise ValueError("section must be regular on its interior")
     n = len(t.letters)
     if n == 0:
-        return UniformFrequencyReport(eta, 1, None, True)
+        return UniformFrequencyReport(eta, 1, None)
     if scan is None:
         scan = RunScan(t)
     b_ = scan.b
@@ -1030,10 +1063,7 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
         return -(-lim * run // eta.denominator)
 
     if abs(scan.end) >= threshold(n):
-        rep = UniformFrequencyReport(eta, None, (0, n), None)
-        if witnesses:
-            rep = rep._replace(witnesses_ok=all(w.replay(t) for w in t.witnesses))
-        return rep
+        return UniformFrequencyReport(eta, None, (0, n))
     # from here eta > 0, so every threshold below is at least 1
     spread = scan.spread
     # all runs of length > spread*eta.den/(eta.num*b_) pass automatically
@@ -1061,7 +1091,4 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
             break
         n_eta = run
         run -= 1
-    wok = None
-    if witnesses:
-        wok = all(w.replay(t) for w in t.witnesses)
-    return UniformFrequencyReport(eta, n_eta, None, wok)
+    return UniformFrequencyReport(eta, n_eta, None)

@@ -272,15 +272,17 @@ def floor_of(a: int, b: int, c: int, d: int) -> int:
 KEY_BITS = 32
 
 
-def lattice_key(x: int, y: int, c: int, d: int) -> int:
-    """The exact floor of 2**KEY_BITS * (x + y*sqrt(d)) / c, for c > 0."""
-    return floor_of(x << KEY_BITS, y << KEY_BITS, c, d)
+def lattice_key(x: int, y: int, c: int, d: int, bits: int | None = None) -> int:
+    """The exact floor of 2**bits * (x + y*sqrt(d)) / c, for c > 0; bits
+    is KEY_BITS unless given."""
+    k = KEY_BITS if bits is None else bits
+    return floor_of(x << k, y << k, c, d)
 
 
 def lattice_keys(xs: Sequence[int], ys: Sequence[int], c: int,
-                 d: int) -> list[int]:
+                 d: int, bits: int | None = None) -> list[int]:
     """:func:`lattice_key` of each (xs[i], ys[i])."""
-    k = KEY_BITS
+    k = KEY_BITS if bits is None else bits
     # floor((X + Y)/c) == floor((X + floor(Y))/c) for integers X and c > 0
     root = {y: floor_of(0, y << k, 1, d) for y in set(ys)}
     return [((x << k) + root[y]) // c for x, y in zip(xs, ys)]

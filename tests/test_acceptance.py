@@ -13,8 +13,9 @@ import pytest
 
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.loe import build_loe, match_equidense, verify_loe
-from flowtile.pipeline import (TiledSection, build_schedule, full_pipeline,
-                               sparse_tile, verify_uniform_frequency)
+from flowtile.pipeline import (TiledSection, build_schedule, check_section,
+                               full_pipeline, sparse_tile,
+                               verify_uniform_frequency)
 from flowtile.quadratic import quad, real_gcd, sqrtD
 from flowtile.reachable import (ShiftProblem, brute_force_reachable,
                                 enumerate_reachable, frequency_boost,
@@ -83,8 +84,8 @@ def test_03_uniform_frequency(pipeline_outputs, schedule4):
         for eta in (F(1, 4), F(1, 8)):
             rep = verify_uniform_frequency(t, eta)
             assert rep.n_eta is not None, "no finite uniform run length"
-            assert rep.witnesses_ok
             worst[eta] = max(worst[eta], rep.n_eta)
+        check_section(t)
         levels = {w.level: w for w in t.witnesses}
         for j in range(1, 5):
             assert j in levels, f"missing witness level {j}"

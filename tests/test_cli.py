@@ -1,8 +1,11 @@
 import json
+import re
+from fractions import Fraction as F
 
 import pytest
 
 from flowtile.cli import main
+from flowtile.quadratic import parse_quadreal
 
 
 def run(args):
@@ -356,3 +359,82 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("verification failure: ")
         assert captured.err.count("\n") == 1
+
+
+def swap_letter(d):
+    i = d["letters"].index("a")
+    d["letters"][i] = "b"
+
+
+def move_inserted_point(d):
+    i = d["orig_ids"].index(-1)
+    d["positions"][i] = str(parse_quadreal(d["positions"][i]) + F(1, 1000))
+
+
+def cut_short(d):
+    # the section of a window one point shorter, consistent in itself
+    for key in ("positions", "letters", "ranks", "orig_ids"):
+        d[key].pop()
+    del d["origin_positions"][str(d["points"] - 1)]
+    for w in d["witnesses"]:
+        w["cuts"][-1] = len(d["letters"])
+
+
+def repeat_id(d):
+    first, second = [i for i, o in enumerate(d["orig_ids"]) if o != -1][:2]
+    d["orig_ids"][second] = d["orig_ids"][first]
+
+
+def witness_out_of_band(d):
+    # a one-letter first piece has frequency 0 or 1, 1/2 from rho
+    w = d["witnesses"][-1]
+    assert w["eta"] == "1/4"
+    w["cuts"][1] = 1
+
+
+class TestVerifyTamperCorpus:
+    """Each edit of a stored section must fail ``flowtile verify`` with one
+    line on stderr and nothing on stdout."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        # a 60-point uniform window, tiled at depth 2 with both witnesses
+        tmp = tmp_path_factory.mktemp("stored")
+        w, t = tmp / "w.json", tmp / "t.json"
+        assert main(["gen", "--n", "60", "--seed", "3", "--out", str(w)]) == 0
+        assert main(["tile", "--depth", "2", "--in", str(w),
+                     "--out", str(t)]) == 0
+        data = json.loads(t.read_text())
+        assert data["points"] == 60 and len(data["witnesses"]) == 2
+        return data
+
+    def test_untampered_section_passes(self, stored, tmp_path, capsys):
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", str(t)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "OK: N(1/8) = 58; 2 witnesses replay\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("tamper,message", [
+        (swap_letter, r"gap \d+: letter b but size 1"),
+        (move_inserted_point, r"gap \d+: letter [ab] but size "),
+        (cut_short, r"original point ids run from 0 to 58, not from 0 to 59"),
+        (lambda d: d.pop("points"), r"section has no 'points' field"),
+        (repeat_id, r"original point ids do not increase: 0 then 0"),
+        (witness_out_of_band, r"level 2 witness failed replay"),
+    ], ids=["letter_swapped", "inserted_point_moved", "cut_short",
+            "points_deleted", "id_repeated", "witness_out_of_band"])
+    def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
+                                    capsys):
+        data = json.loads(json.dumps(stored))
+        tamper(data)
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(t)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"verification failure: {message}.*\n",
+                            captured.err)

@@ -360,6 +360,23 @@ class TestLoeOracle:
             assert rep == verify_loe_reference(m)
             assert rep.failures == [f"source pieces overlap at {v + hair}"]
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_length_a_hair_off_alpha(self, d):
+        # alpha + hair and alpha - hair, hair ~ 3e-12, are wrong lengths
+        # that a float comparison would take for alpha
+        u, w = HAIRS[d][-1]
+        hair = quad(u, -w, d)
+        params = Params(quad(1, 0, d), quad(0, 1, d), F(1, 2))
+        m = PiecewiseTranslationMap([
+            Piece(quad(0, 0, d), quad(10, 0, d), params.alpha + hair, "a"),
+            Piece(quad(2, 0, d), quad(12, 0, d), params.alpha - hair, "a"),
+            Piece(quad(4, 0, d), quad(14, 0, d), params.alpha, "a")])
+        rep = verify_loe(m, params)
+        assert rep == verify_loe_reference(m, params)
+        assert rep.failures == [
+            f"piece 0: kind a but length {params.alpha + hair}",
+            f"piece 1: kind a but length {params.alpha - hair}"]
+
     def test_touching_pieces_pass(self):
         p1 = Piece(quad(F(1, 3)), quad(F(2, 7)), P.beta, "b")
         p2 = Piece(quad(F(1, 3)) + P.beta, quad(F(2, 7)) + P.beta, P.alpha, "a")

@@ -10,9 +10,10 @@ from flowtile import pipeline, quadratic
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                HALF_TILED, PartitionWitness, RunScan,
-                               TiledSection, TilingError, build_rank_blocks,
-                               build_schedule, check_displacements,
-                               classify_section, full_pipeline, sparse_tile,
+                               TiledSection, TilingError, WitnessError,
+                               build_rank_blocks, build_schedule,
+                               check_section, classify_section,
+                               full_pipeline, sparse_tile,
                                verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
@@ -84,12 +85,17 @@ class TestTileableTable:
         top = sched.K[2] + 1
         assert sched.table.top == top
         for bits in (0, 32):
-            # the table is keyed with the KEY_BITS it is built under
+            # the table keeps the KEY_BITS it is built under, whatever
+            # KEY_BITS is when it is queried
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(quadratic, "KEY_BITS", bits)
                 table = pipeline.TileableTable(params, top)
-                assert table.vectors == sched.table.vectors
-                self.check_lookups(params, table)
+            assert table.bits == bits
+            assert table.vectors == sched.table.vectors
+            for query_bits in (0, 32):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(quadratic, "KEY_BITS", query_bits)
+                    self.check_lookups(params, table)
 
     @staticmethod
     def check_lookups(params, table):
@@ -165,28 +171,35 @@ class TestShiftBound:
 
 
 class TestProvenance:
-    # every point stays well inside the displacement budget, so only the
+    # the provenance is checked before the displacements, so only the
     # provenance itself can fail
-    @pytest.mark.parametrize("ids,origins,text", [
-        ([0, 0], [0], "original point ids do not increase: 0 then 0"),
-        ([1, 0], [0, 1], "original point ids do not increase: 1 then 0"),
-        ([None, None], [], "section has no original point"),
-        ([None, None], [0, 1], "section has no original point"),
-        ([0, None], [0, 1], "origin position 1 belongs to no original point"),
+    @pytest.mark.parametrize("ids,origins,points,text", [
+        ([0, 0], [0], 2, "original point ids do not increase: 0 then 0"),
+        ([1, 0], [0, 1], 2, "original point ids do not increase: 1 then 0"),
+        ([None, None], [], 0, "section has no original point"),
+        ([None, None], [0, 1], 0, "section has no original point"),
+        ([0, None], [0, 1], 1,
+         "origin position 1 belongs to no original point"),
+        ([1, 2], [1, 2], 2,
+         "original point ids run from 1 to 2, not from 0 to 1"),
+        ([0, 1], [0, 1], 3,
+         "original point ids run from 0 to 1, not from 0 to 2"),
     ], ids=["repeated", "decreasing", "erased", "erased_with_origins",
-            "stray_origin"])
-    def test_bad_provenance_raises(self, ids, origins, text):
-        t = TiledSection(P, [quad(0), quad(F(1, 10))], [None], [0, 0], ids)
+            "stray_origin", "not_from_zero", "cut_short"])
+    def test_bad_provenance_raises(self, ids, origins, points, text):
+        t = TiledSection(P, [quad(0), P.alpha], ["a"], [0, 0], ids)
+        t.points = points
         t.origin_pos = {oid: quad(0) for oid in origins}
         with pytest.raises(TilingError) as err:
-            check_displacements(t)
+            check_section(t)
         assert str(err.value) == text
 
     def test_inserted_points_pass(self):
-        t = TiledSection(P, [quad(0), quad(F(1, 10)), quad(2)], [None, None],
-                         [0, 0, 0], [0, None, 2])
-        t.origin_pos = {0: quad(0), 2: quad(2)}
-        check_displacements(t)
+        t = TiledSection(P, [quad(0), P.alpha, P.alpha + P.beta], ["a", "b"],
+                         [0, 0, 0], [0, None, 1])
+        t.origin_pos = {0: quad(0), 1: P.alpha + P.beta + F(1, 10)}
+        assert t.points == 2
+        check_section(t)
 
 
 @pytest.fixture(scope="module")
@@ -346,31 +359,31 @@ class TestFullPipeline:
 class TestUniformFrequency:
     def test_alternation(self):
         t = section_from_letters("ab" * 40)
-        rep = verify_uniform_frequency(t, F(1, 4), witnesses=False)
+        rep = verify_uniform_frequency(t, F(1, 4))
         assert rep.n_eta == 2  # windows of >= 2 letters stay within 1/4
 
     def test_all_alpha_counterexample(self):
         t = section_from_letters("a" * 30)
-        rep = verify_uniform_frequency(t, F(1, 2), witnesses=False)
+        rep = verify_uniform_frequency(t, F(1, 2))
         assert rep.n_eta is None and rep.counterexample is not None
 
     def test_monotone_in_eta(self, schedule2):
         w = generate(GeneratorSpec("uniform", count=150, seed=6, k0=schedule2.K[0]))
         t = full_pipeline(w, schedule2, seed=6)
-        n8 = verify_uniform_frequency(t, F(1, 8), witnesses=False).n_eta
-        n4 = verify_uniform_frequency(t, F(1, 4), witnesses=False).n_eta
+        n8 = verify_uniform_frequency(t, F(1, 8)).n_eta
+        n4 = verify_uniform_frequency(t, F(1, 4)).n_eta
         assert n4 <= n8
 
     def test_witness_replay_and_tamper(self, schedule2):
         w = generate(GeneratorSpec("uniform", count=120, seed=7, k0=schedule2.K[0]))
         t = full_pipeline(w, schedule2, seed=7)
         assert t.witnesses
-        rep = verify_uniform_frequency(t, F(1, 4))
-        assert rep.witnesses_ok
+        check_section(t)
         bad = PartitionWitness(1, quad(F(1, 2)), F(0), t.witnesses[0].cuts)
         t.witnesses.append(bad)
-        rep2 = verify_uniform_frequency(t, F(1, 4))
-        assert rep2.witnesses_ok is False
+        with pytest.raises(WitnessError) as err:
+            check_section(t)
+        assert str(err.value) == "level 1 witness failed replay"
 
 
 def brute_uniform_frequency(letters, rho, eta):
@@ -403,7 +416,7 @@ class TestUniformFrequencyOracle:
     def test_matches_all_windows(self, letters, rho, eta):
         params = Params(P.alpha, P.beta, rho)
         t = section_from_letters(letters, params)
-        rep = verify_uniform_frequency(t, eta, witnesses=False)
+        rep = verify_uniform_frequency(t, eta)
         assert (rep.n_eta, rep.counterexample) == \
             brute_uniform_frequency(letters, rho, eta)
 
@@ -420,7 +433,7 @@ class TestUniformFrequencyOracle:
     @pytest.mark.parametrize("eta", ETAS)
     def test_lane_width_boundary(self, letters, rho, eta):
         t = section_from_letters(letters, Params(P.alpha, P.beta, rho))
-        rep = verify_uniform_frequency(t, eta, witnesses=False)
+        rep = verify_uniform_frequency(t, eta)
         assert (rep.n_eta, rep.counterexample) == \
             brute_uniform_frequency(letters, rho, eta)
 
@@ -429,8 +442,8 @@ class TestUniformFrequencyOracle:
         # spread 2n crosses 2**14, where lanes go from two bytes to three;
         # every window of "a" * n has frequency 1, 2/7 from rho = 5/7
         t = section_from_letters("a" * n, Params(P.alpha, P.beta, F(5, 7)))
-        assert verify_uniform_frequency(t, F(1, 2), witnesses=False).n_eta == 1
-        rep = verify_uniform_frequency(t, F(2, 7), witnesses=False)
+        assert verify_uniform_frequency(t, F(1, 2)).n_eta == 1
+        rep = verify_uniform_frequency(t, F(2, 7))
         assert (rep.n_eta, rep.counterexample) == (None, (0, n))
 
     @settings(max_examples=60, deadline=None)
@@ -442,9 +455,8 @@ class TestUniformFrequencyOracle:
         t = section_from_letters(letters, Params(P.alpha, P.beta, rho))
         scan = RunScan(t)
         for eta in ETAS:
-            shared = verify_uniform_frequency(t, eta, witnesses=False,
-                                              scan=scan)
-            assert shared == verify_uniform_frequency(t, eta, witnesses=False)
+            shared = verify_uniform_frequency(t, eta, scan=scan)
+            assert shared == verify_uniform_frequency(t, eta)
             assert (shared.n_eta, shared.counterexample) == \
                 brute_uniform_frequency(letters, rho, eta)
 
@@ -454,12 +466,12 @@ class TestUniformFrequencyOracle:
         # from rho = 1/2 on either side: |dev[i+4] - dev[i]| * eta.den ==
         # eta.num * b * 4, so length 4 fails
         t = section_from_letters(letters)
-        rep = verify_uniform_frequency(t, F(1, 4), witnesses=False)
+        rep = verify_uniform_frequency(t, F(1, 4))
         assert (rep.n_eta, rep.counterexample) == (5, None)
 
     def test_whole_section_exactly_at_eta_fails(self):
         t = section_from_letters("aaab")
-        rep = verify_uniform_frequency(t, F(1, 4), witnesses=False)
+        rep = verify_uniform_frequency(t, F(1, 4))
         assert (rep.n_eta, rep.counterexample) == (None, (0, 4))
 
 
