@@ -7,22 +7,20 @@ proportion of short gaps converging uniformly to a target ratio, and
 matches two such sections by a piecewise-translation orbit map.
 """
 
-from .quadratic import (ConfigError, QuadReal, compare, format_quadreal,
-                        gcd_ladder, parse_quadreal, quad, real_gcd, sqrtD)
+from .quadratic import (ConfigError, QuadReal, format_quadreal, gcd_ladder,
+                        parse_quadreal, quad, real_gcd, sqrtD)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector, TiledWord,
                     alpha_frequency, balanced_word, default_params,
                     density_witness, enumerate_tileable, eps_dense,
-                    frequency_stability_ratio, is_far_from_rho, is_near_rho,
-                    partition_into_pieces)
-from .reachable import (BandedStepResult, BoostError, DensityFailure,
-                        ReachableElement, ReachableSet, ShiftProblem,
-                        banded_dense_step, boost_length_bound,
+                    frequency_stability_ratio)
+from .reachable import (BoostError, ReachableElement, ReachableSet,
+                        ShiftProblem, boost_length_bound,
                         brute_force_reachable, enumerate_reachable,
                         frequency_boost, lattice_threshold,
                         rearrange_permutation)
 from .windows import (ChainClasses, OrbitWindow, Periodic, SparsityError,
-                      bounded_gap_section, chain_classes, insert_blocks,
-                      is_sparse_window, marker_subsection, two_class_block)
+                      chain_classes, insert_blocks, is_sparse_window,
+                      marker_subsection, two_class_block)
 from .pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                        PartitionWitness, Schedule, TiledSection, TilingError,
                        WitnessError, attach_witnesses, build_rank_blocks,

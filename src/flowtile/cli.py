@@ -6,10 +6,11 @@ form; decimal approximations are printed with a leading "~" and never
 read back.  Exit status: 0 success, 1 verification failure, 2 usage
 error.  A failure is one ``verification failure:`` line on stderr.
 
-``tile`` (both modes) ends with ``pipeline.check_section``, and ``verify``
-reads a section file, runs the same ``check_section`` on it (gap letters,
-displacements, provenance against the stored ``points``, witness replay)
-and then computes the uniform run length N(eta).
+``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
+``loe`` and ``plot`` read each section file through the same
+``check_section`` (gap letters, displacements, provenance against the
+stored ``points``, witness replay); ``verify`` then computes the uniform
+run length N(eta).
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def _load_schedule(args, params: Params) -> Schedule:
                  for k in json_field(data, "K", list, where=where)]
         return build_schedule(params, depth=depth, k_seq=k_seq)
     return build_schedule(params, depth=args.depth)
+
+
+def _read_section(path: str) -> TiledSection:
+    """The section stored at path, checked by ``check_section``."""
+    with open(path) as fh:
+        t = TiledSection.from_json(json.load(fh))
+    check_section(t)
+    return t
 
 
 def _approx(x: QuadReal) -> str:
@@ -206,9 +215,7 @@ def cmd_tile(args) -> int:
 
 def cmd_verify(args) -> int:
     eta = _literal(Fraction, "--eta", args.eta)
-    with open(args.infile) as fh:
-        t = TiledSection.from_json(json.load(fh))
-    check_section(t)
+    t = _read_section(args.infile)
     rep = verify_uniform_frequency(t, eta)
     if rep.n_eta is None:
         raise WitnessError(f"no uniform run length for eta={args.eta}; "
@@ -218,10 +225,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_loe(args) -> int:
-    with open(args.a) as fh:
-        t1 = TiledSection.from_json(json.load(fh))
-    with open(args.b) as fh:
-        t2 = TiledSection.from_json(json.load(fh))
+    t1 = _read_section(args.a)
+    t2 = _read_section(args.b)
     m = build_loe(t1, t2)
     rep = verify_loe(m, t1.params)
     _write_json(args.out, m.to_json())
@@ -232,9 +237,7 @@ def cmd_loe(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.infile) as fh:
-        t = TiledSection.from_json(json.load(fh))
-    svg = section_svg(t)
+    svg = section_svg(_read_section(args.infile))
     with open(args.svg, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.svg}")

@@ -20,6 +20,11 @@ GRID = 64  # default rational grid denominator for random gaps
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """What to generate: a kind, the window size and seed, and the kind's
+    own parameters.  Every generated window has an open boundary; a
+    periodic window is built directly, as ``OrbitWindow(positions,
+    Periodic(circumference))``."""
+
     kind: str                        # uniform | sparse_geometric | rotation_suspension | file
     count: int = 100
     seed: int = 0
@@ -28,7 +33,6 @@ class GeneratorSpec:
     levels: int = 4                  # sparse_geometric distinct gap scales
     angle: QuadReal | None = None    # rotation_suspension angle
     path: str | None = None          # file
-    boundary: str = "open"
 
     def validate(self):
         if self.kind not in ("uniform", "sparse_geometric", "rotation_suspension",
@@ -59,7 +63,7 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
         for _ in range(spec.count - 1):
             gap = k0 + 1 + Fraction(rng.randint(0, GRID), GRID)
             pos.append(pos[-1] + gap)
-        return OrbitWindow(pos, spec.boundary)
+        return OrbitWindow(pos)
     if spec.kind == "sparse_geometric":
         k0 = spec.k0 if spec.k0 is not None else quad(7)
         pos = [quad(0, 0, k0.d)]
@@ -68,7 +72,7 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
             level = i % spec.levels
             gap = k0 * (spec.ratio ** level) + Fraction(rng.randint(0, GRID), GRID)
             pos.append(pos[-1] + gap)
-        return OrbitWindow(pos, spec.boundary)
+        return OrbitWindow(pos)
     # rotation_suspension: visit times of an exact circle rotation to [0, angle)
     theta = spec.angle
     pos = []
@@ -81,4 +85,4 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
         x = x + theta
         if not x < 1:
             x = x - 1
-    return OrbitWindow(pos, spec.boundary)
+    return OrbitWindow(pos)

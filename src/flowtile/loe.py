@@ -47,39 +47,45 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
     Stage k matches every still-unmatched a in the first set whose k-step
     successor a + k is a still-unmatched member of the second set; a point
     enters stage k only if no smaller displacement worked.  Unmatched
-    points on either side are returned as residue.  Once k passes the
-    largest free b minus the smallest free a, every later stage up to
-    max_k is empty, and those stages are recorded without a scan.
+    points on either side are returned as residue.
+
+    That is the matching of brackets: one left-to-right pass in which each
+    b takes the nearest free a at or before it, if that a lies within
+    max_k.  The stages run from 0 to max_k, and stop after the one that
+    leaves either side with no free point.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
     if max_k is None:
         hi = max(a_sorted + b_sorted, default=0)
         max_k = hi + 1
-    b_free = set(b_sorted)
-    b_hi = b_sorted[-1] if b_sorted else 0
-    a_free = list(a_sorted)
-    stages: list[tuple[list[int], list[int]]] = []
-    pairing: dict[int, int] = {}
-    for k in range(max_k + 1):
-        ak = [a for a in a_free if a + k in b_free]
-        if ak:
-            bk = [a + k for a in ak]
-            for a, b in zip(ak, bk):
-                pairing[a] = b
-                b_free.discard(b)
-            a_free = [a for a in a_free if a not in pairing]
-            stages.append((ak, bk))
+    free: list[int] = []          # unmatched a's so far, nearest last
+    pairs: list[tuple[int, int]] = []
+    residue_b: list[int] = []
+    i = 0
+    for b in b_sorted:
+        while i < len(a_sorted) and a_sorted[i] <= b:
+            free.append(a_sorted[i])
+            i += 1
+        if free and b - free[-1] <= max_k:
+            pairs.append((free.pop(), b))
         else:
-            stages.append(([], []))
-        if not a_free or not b_free:
-            break
-        if b_hi not in b_free:
-            b_hi = max(b_free)
-        if k >= b_hi - a_free[0]:
-            stages += [([], []) for _ in range(k + 1, max_k + 1)]
-            break
-    return MatchState(stages, pairing, a_free, sorted(b_free))
+            residue_b.append(b)
+    residue_a = free + a_sorted[i:]
+    if max_k < 0:
+        n_stages = 0
+    elif residue_a and residue_b:
+        n_stages = max_k + 1
+    else:  # a side runs out at the stage of its farthest pair
+        n_stages = max((b - a for a, b in pairs), default=0) + 1
+    stages: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_stages)]
+    # b runs up, so each stage's a's come out in increasing order
+    for a, b in pairs:
+        ak, bk = stages[b - a]
+        ak.append(a)
+        bk.append(b)
+    pairing = {a: b for ak, bk in stages for a, b in zip(ak, bk)}
+    return MatchState(stages, pairing, residue_a, residue_b)
 
 
 def _overlaps(label: str, ends: list[QuadReal],

@@ -20,8 +20,8 @@ what the paper claims: every gap lettered and exactly its letter's
 length, every original point strictly within min(alpha, 1)/3 of its
 origin, the original ids exactly 0..points-1, and every stored witness
 replaying.  ``full_pipeline`` and ``flowtile tile --mode sparse`` call it
-last, and ``flowtile verify`` calls it on the section file before it
-computes the uniform run length N(eta).  All checks are exact.
+last, and ``flowtile verify``, ``loe`` and ``plot`` call it on every
+section file they read.  All checks are exact.
 
 Finishing and the tileable table lookup run on lattice coordinates, as
 the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
@@ -152,8 +152,6 @@ class Schedule:
     depth: int
     eps: list[QuadReal]          # 1-indexed; eps[0] is zero padding
     eta: list[Fraction]          # eta[0] = 1
-    nu: list[Fraction]
-    nu_p: list[Fraction]
     K: list[QuadReal]            # K[0] .. K[depth]
     L: list[QuadReal]            # L[0] .. L[depth]
     witnesses: list[tuple[int, FreqBand, DensityWitness]] = field(default_factory=list)
@@ -180,9 +178,6 @@ class Schedule:
         for a, b in zip(self.eta, self.eta[1:]):
             if not b < a:
                 raise ValueError("eta must decrease strictly")
-        for n in range(len(self.nu)):
-            if not (self.eta[n + 1] < self.nu_p[n] < self.nu[n] < self.eta[n]):
-                raise ValueError("nu bands must nest strictly between etas")
         for a, b in zip(self.K, self.K[1:]):
             if b < a + 4:
                 raise ValueError("chain thresholds must step by at least 4")
@@ -217,8 +212,13 @@ def build_schedule(params: Params, depth: int = 4,
     eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
     base = qmin(params.alpha, one) / 3
     eps = [quad(0, 0, params.d)] + [base / (2 ** n) for n in range(1, depth + 2)]
+    # the density bands of stage n, [rho + nu_p[n], rho + nu[n]] and its
+    # mirror, nest strictly between eta[n + 1] and eta[n]
     nu = [eta[n + 1] + Fraction(2, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
     nu_p = [eta[n + 1] + Fraction(1, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
+    for n in range(depth + 1):
+        if not (eta[n + 1] < nu_p[n] < nu[n] < eta[n]):
+            raise ValueError("nu bands must nest strictly between etas")
 
     def corridor_ok(lo: QuadReal, hi: QuadReal, width: QuadReal) -> bool:
         vals = [v.value(params) for v in enumerate_tileable(params, lo, hi)]
@@ -261,7 +261,7 @@ def build_schedule(params: Params, depth: int = 4,
         n_val = params.beta * run_len(eta[j])
         L.append(qmax(L[-1] + 1, n_val * 2 + 4))
 
-    sched = Schedule(params, depth, eps, eta, nu, nu_p, K, L)
+    sched = Schedule(params, depth, eps, eta, K, L)
 
     for n in range(1, depth + 1):
         for band in (FreqBand(params.rho + nu_p[n], params.rho + nu[n]),
@@ -366,12 +366,6 @@ class TiledSection:
         ends.append(len(self.positions) - 1)
         return list(zip(starts, ends))
 
-    def run_counts(self, run: tuple[int, int]) -> TileVector:
-        i, j = run
-        seg = self.letters[i:j]
-        p = seg.count("a")
-        return TileVector(p, len(seg) - p)
-
     def displacements(self) -> dict[int, QuadReal]:
         out = {}
         for idx, oid in enumerate(self.orig_ids):
@@ -452,7 +446,7 @@ def params_from_json(obj, where: str = "section") -> Params:
 def _int_list(obj, key: str, where: str = "section") -> list[int]:
     values = json_field(obj, key, list, where=where)
     for v in values:
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"{where} field {key!r} holds a non-integer: {v!r}")
     return values
 

@@ -340,11 +340,6 @@ def sqrtD(d: int | None = None) -> QuadReal:
     return QuadReal(0, 1, d)
 
 
-def compare(a: QuadReal, b: QuadReal) -> int:
-    """Exact sign of a - b: -1, 0 or +1."""
-    return (a - b).sign()
-
-
 def qmin(*vals: QuadReal) -> QuadReal:
     out = vals[0]
     for v in vals[1:]:

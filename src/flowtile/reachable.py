@@ -3,21 +3,19 @@
 Given gaps d_1..d_n and per-gap admissible tileables R_k close to d_k, the
 reachable set collects every total sum of one choice per gap whose running
 deviation from the gap prefix sums stays strictly inside (-eps, eps).
-This is the engine behind the rearrangement greedy, the frequency boost
-and the two-band dense step.  The tiling pipelines in :mod:`pipeline` do
-not use it: block growth retiles each single pair gap with one tileable,
-and finishing steers each gap greedily.
+This is the engine behind the rearrangement greedy and the frequency
+boost.  The tiling pipelines in :mod:`pipeline` do not use it: block
+growth retiles each single pair gap with one tileable, and finishing
+steers each gap greedily.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .quadratic import QuadReal, gcd_ladder, quad, real_gcd
-from .tiles import (DensityReport, Params, TileVector, alpha_frequency,
-                    eps_dense)
+from .tiles import Params, TileVector, alpha_frequency
 
 
 class BoostError(ValueError):
@@ -29,21 +27,13 @@ class BoostError(ValueError):
         self.side = side
 
 
-class DensityFailure(ValueError):
-    """A claimed-dense set failed verification; carries the witness."""
-
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
-
-
 class ShiftProblem:
     """Gaps plus admissible per-gap tileables within eps of each gap."""
 
     __slots__ = ("params", "eps", "gaps", "choices")
 
     def __init__(self, params: Params, eps: QuadReal, gaps: Sequence[QuadReal],
-                 choices: Sequence[Sequence[TileVector]], validate: bool = True):
+                 choices: Sequence[Sequence[TileVector]]):
         if len(gaps) != len(choices):
             raise ValueError("one choice set per gap required")
         if eps.sign() <= 0:
@@ -52,13 +42,12 @@ class ShiftProblem:
         self.eps = eps
         self.gaps = list(gaps)
         self.choices = [list(rk) for rk in choices]
-        if validate:
-            for k, (d, rk) in enumerate(zip(self.gaps, self.choices)):
-                for v in rk:
-                    if not abs(v.value(params) - d) < eps:
-                        raise ValueError(
-                            f"choice {v} at index {k} lies outside the open "
-                            f"eps-neighborhood of the gap")
+        for k, (d, rk) in enumerate(zip(self.gaps, self.choices)):
+            for v in rk:
+                if not abs(v.value(params) - d) < eps:
+                    raise ValueError(
+                        f"choice {v} at index {k} lies outside the open "
+                        f"eps-neighborhood of the gap")
 
     @property
     def n(self) -> int:
@@ -300,123 +289,6 @@ def frequency_boost(problem: ShiftProblem, gamma: Fraction, zeta: Fraction,
         val = val + yval
         wit.append(y)
     return ReachableElement(val, counts, tuple(wit))
-
-
-@dataclass
-class BandedStepResult:
-    """Two frequency-banded, delta-dense slices of a reachable set."""
-
-    low: list[ReachableElement]
-    high: list[ReachableElement]
-    m_density: int
-    m_boost: int
-    reports: tuple[DensityReport, DensityReport]
-
-
-def banded_dense_step(problem: ShiftProblem, delta: QuadReal, eta: Fraction,
-                      nu: Fraction, nu_p: Fraction,
-                      m_density: int | None = None) -> BandedStepResult:
-    """Produce reachable subsets with frequencies in [rho-nu, rho-nu'] and
-    [rho+nu', rho+nu], each delta-dense in the half-eps neighborhood of the
-    gap total.
-
-    Phase one spends the first m gaps building a delta-dense core around a
-    re-centered gap sequence; phase two appends one boosted tail per band
-    to pin the frequency.  Density of both bands is verified before
-    returning; failure signals that the problem has too few gaps and raises
-    :class:`DensityFailure` with the uncovered point.
-    """
-    params = problem.params
-    rho = params.rho
-    nu, nu_p, eta = Fraction(nu), Fraction(nu_p), Fraction(eta)
-    if not (0 <= nu_p < nu <= eta):
-        raise ValueError("need 0 <= nu' < nu <= eta")
-    if not (delta.sign() > 0 and not problem.eps < delta):
-        raise ValueError("need 0 < delta <= eps")
-    n = problem.n
-    m1 = m_density if m_density is not None else max(1, n // 2)
-    if not (1 <= m1 < n):
-        raise ValueError("density phase must leave at least one boost gap")
-    eps = problem.eps
-
-    # phase 1: re-centered gaps dt_k in R_k within eps/6 of d_k, prefix-bounded
-    sixth = eps / 6
-    dev = quad(0, 0, params.d)
-    recentered: list[QuadReal] = []
-    for k in range(m1):
-        d = problem.gaps[k]
-        go_up = not dev.sign() < 0
-        best = None
-        best_key = None
-        for y in problem.choices[k]:
-            yval = y.value(params)
-            if not abs(yval - d) < sixth:
-                continue
-            if go_up and yval < d:
-                continue
-            if not go_up and d < yval:
-                continue
-            d2 = dev + (d - yval)
-            if not abs(d2) < sixth:
-                continue
-            key = abs(d2)  # strict <: ties keep the earlier choice
-            if best is None or key < best_key:
-                best, best_key = (yval, d2), key
-        if best is None:
-            raise BoostError(f"no re-centered choice within eps/6 at gap {k}", k=k)
-        yval, dev = best
-        recentered.append(yval)
-
-    five_sixth = eps * Fraction(5, 6)
-    narrowed = []
-    for k in range(m1):
-        dt = recentered[k]
-        narrowed.append([y for y in problem.choices[k]
-                         if abs(y.value(params) - dt) < five_sixth])
-    core_prob = ShiftProblem(params, five_sixth, recentered, narrowed, validate=False)
-    core = enumerate_reachable(core_prob)
-    head_total = quad(0, 0, params.d)
-    for k in range(m1):
-        head_total = head_total + problem.gaps[k]
-    core_elems = [e for e in core.elements if abs(e.value - head_total) < five_sixth]
-
-    # phase 2: two boosted tails over the remaining gaps
-    tail_gaps = problem.gaps[m1:]
-    tail_choices = [[y for y in rk if abs(y.value(params) - d) < sixth]
-                    for d, rk in zip(tail_gaps, problem.choices[m1:])]
-    tail = ShiftProblem(params, sixth, tail_gaps, tail_choices, validate=False)
-    zeta = (nu - nu_p) / 6
-    g_low = rho - (nu + nu_p) / 2
-    g_high = rho + (nu + nu_p) / 2
-    y_low = frequency_boost(tail, g_low, zeta, eta, enforce_bound=False)
-    y_high = frequency_boost(tail, g_high, zeta, eta, enforce_bound=False)
-
-    total = problem.total()
-    half = eps / 2
-    low_band = (rho - nu, rho - nu_p)
-    high_band = (rho + nu_p, rho + nu)
-
-    def combine(tail_el: ReachableElement, band) -> list[ReachableElement]:
-        out = []
-        for e in core_elems:
-            counts = e.counts + tail_el.counts
-            f = alpha_frequency(counts)
-            if band[0] <= f <= band[1]:
-                out.append(ReachableElement(e.value + tail_el.value, counts,
-                                            e.witness + tail_el.witness))
-        return out
-
-    low = combine(y_low, low_band)
-    high = combine(y_high, high_band)
-    rep_low = eps_dense([e.value for e in low], total - half, total + half, delta)
-    rep_high = eps_dense([e.value for e in high], total - half, total + half, delta)
-    if not rep_low.ok:
-        raise DensityFailure("low band not delta-dense (too few gaps for this "
-                             "delta)", witness=rep_low.witness)
-    if not rep_high.ok:
-        raise DensityFailure("high band not delta-dense (too few gaps for this "
-                             "delta)", witness=rep_high.witness)
-    return BandedStepResult(low, high, m1, n - m1, (rep_low, rep_high))
 
 
 def lattice_threshold(problem_m: int, eps: QuadReal, delta: QuadReal,

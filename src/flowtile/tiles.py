@@ -3,9 +3,9 @@
 A *tileable* value is ``p*alpha + q*beta`` with natural counts ``(p, q)``;
 a *tiled* value additionally carries an ordered word over the two letters.
 This module owns the frequency calculus on such values: exact alpha
-frequencies, near/far flip tests against the target ratio ``rho``,
-epsilon-density checks, and the constructive density witness family used
-to certify that banded tileables fill every sufficiently high interval.
+frequencies, balanced words, epsilon-density checks, and the
+constructive density witness family used to certify that banded
+tileables fill every sufficiently high interval.
 
 The density machinery (:func:`enumerate_tileable`, :func:`eps_dense` and
 :meth:`DensityWitness.values_in`) runs on lattice coordinates.  Values
@@ -305,102 +305,6 @@ def frequency_stability_ratio(params: Params, eps_freq: Fraction) -> QuadReal:
     if eps_freq <= 0:
         raise ValueError("eps_freq must be positive")
     return params.alpha * Fraction(eps_freq) / (params.beta * 2)
-
-
-def is_near_rho(v: TileVector, n: int, params: Params) -> bool:
-    """Can adding n tiles of the right type flip the frequency across rho?
-
-    The zero vector counts as near for every n (a length-zero block can be
-    flipped for free).
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if v.is_zero():
-        return True
-    rho = params.rho
-    f = alpha_frequency(v)
-    if f <= rho and alpha_frequency(TileVector(v.p + n, v.q)) >= rho:
-        return True
-    if f >= rho and alpha_frequency(TileVector(v.p, v.q + n)) <= rho:
-        return True
-    return False
-
-
-def is_far_from_rho(v: TileVector, n: int, params: Params) -> bool:
-    """Can n tiles of the majority type be removed without crossing rho?"""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if v.is_zero():
-        return n == 0
-    rho = params.rho
-    f = alpha_frequency(v)
-    if f <= rho:
-        if v.q < n or (v.p == 0 and v.q == n):
-            return False
-        if alpha_frequency(TileVector(v.p, v.q - n)) > rho:
-            return False
-    if f >= rho:
-        if v.p < n or (v.q == 0 and v.p == n):
-            return False
-        if alpha_frequency(TileVector(v.p - n, v.q)) < rho:
-            return False
-    return True
-
-
-def partition_into_pieces(word: TiledWord, eta: Fraction, max_value: QuadReal,
-                          params: Params) -> Optional[list[TiledWord]]:
-    """Cut a word into consecutive nonempty pieces, each of value at most
-    max_value and frequency within eta of rho.
-
-    Returns None when no such partition exists.  The search is complete:
-    suffix feasibility is computed by dynamic programming over all cut
-    positions, then the actual cuts are chosen greedily, longest feasible
-    piece first (deterministic tie policy).
-    """
-    letters = word.letters
-    n = len(letters)
-    if n == 0:
-        return []
-    lo = params.rho - eta
-    hi = params.rho + eta
-    if max_value < params.alpha:
-        return None
-    # longest admissible piece in letters
-    max_len = min(n, int((max_value / params.alpha).floor()))
-
-    prefix_a = [0] * (n + 1)
-    for i, ch in enumerate(letters):
-        prefix_a[i + 1] = prefix_a[i] + (ch == "a")
-
-    def piece_ok(i: int, j: int) -> bool:
-        p = prefix_a[j] - prefix_a[i]
-        q = (j - i) - p
-        f = Fraction(p, p + q)
-        if f < lo or hi < f:
-            return False
-        return not max_value < params.value(p, q)
-
-    feasible = [False] * (n + 1)
-    feasible[n] = True
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, min(n, i + max_len) + 1):
-            if feasible[j] and piece_ok(i, j):
-                feasible[i] = True
-                break
-    if not feasible[0]:
-        return None
-    pieces = []
-    i = 0
-    while i < n:
-        j_hi = min(n, i + max_len)
-        for j in range(j_hi, i, -1):
-            if feasible[j] and piece_ok(i, j):
-                pieces.append(TiledWord(letters[i:j]))
-                i = j
-                break
-        else:  # pragma: no cover - feasible[0] guarantees progress
-            raise AssertionError("DP feasibility contradicted")
-    return pieces
 
 
 class DensityWitness:

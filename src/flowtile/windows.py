@@ -3,15 +3,13 @@
 An :class:`OrbitWindow` models one orbit segment of a cross section as a
 strictly increasing list of exact positions.  On top of it live the
 K-chain equivalence (maximal runs of gaps at most K), marker thinning with
-two-valued index gaps, sections with gaps confined to [k, K], and the
-nested two-class blocks that, once inserted into a sparse window, give
-every chain class at one threshold at least two subclasses at the next
-threshold down.
+two-valued index gaps, and the nested two-class blocks that, once
+inserted into a sparse window, give every chain class at one threshold
+at least two subclasses at the next threshold down.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import gt, sub
@@ -96,7 +94,8 @@ class OrbitWindow:
 
 def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
     """obj[key], which must be a `kind`; `default` when it is absent and a
-    default is given.  Otherwise raises ValueError naming the field."""
+    default is given.  Otherwise raises ValueError naming the field.  JSON
+    true and false are not integers, although ``bool`` subclasses ``int``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     if key not in obj:
@@ -104,7 +103,7 @@ def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
             raise ValueError(f"{where} has no {key!r} field")
         return default
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{where} field {key!r} is not a {kind.__name__}: "
                          f"{value!r}")
     return value
@@ -196,23 +195,6 @@ def marker_subsection(w: OrbitWindow, d: int) -> MarkerResult:
         else:
             truncated = True
     return MarkerResult(tuple(marks), truncated)
-
-
-def bounded_gap_section(a: QuadReal, b: QuadReal, k_lo: QuadReal,
-                        k_hi: QuadReal) -> OrbitWindow:
-    """Points a = z_0 < ... < z_m = b with all gaps inside [k_lo, k_hi]."""
-    if not (k_lo.sign() > 0 and k_lo < k_hi):
-        raise ValueError("need 0 < k_lo < k_hi")
-    span = b - a
-    if span.sign() <= 0:
-        raise ValueError("empty span")
-    m = (span / k_hi).ceil()
-    m = max(m, 1)
-    if (span / m) < k_lo:
-        raise SparsityError(f"span {span} too short for gaps in [{k_lo}, {k_hi}]")
-    step = span / m
-    pts = [a + step * i for i in range(m)] + [b]
-    return OrbitWindow(pts)
 
 
 def two_class_block(k_list: Sequence[QuadReal]) -> tuple[list[QuadReal], QuadReal]:

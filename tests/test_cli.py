@@ -184,8 +184,10 @@ class TestCli:
     @pytest.mark.parametrize("command,tamper,field", [
         ("tile", lambda d: d.pop("K"), "'K'"),
         ("tile", lambda d: d.update(depth="2"), "'depth'"),
+        ("tile", lambda d: d.update(depth=True), "'depth'"),
         ("classes", lambda d: d.pop("positions"), "'positions'"),
-    ], ids=["schedule_no_K", "schedule_depth_str", "window_no_positions"])
+    ], ids=["schedule_no_K", "schedule_depth_str", "schedule_depth_true",
+            "window_no_positions"])
     def test_malformed_schedule_or_window_exits_1(self, command, tamper,
                                                    field, schedule2,
                                                    tmp_path, capsys):
@@ -392,9 +394,39 @@ def witness_out_of_band(d):
     w["cuts"][1] = 1
 
 
+def level_true(d):
+    # JSON true is not the integer 1
+    assert d["witnesses"][0]["level"] == 1
+    d["witnesses"][0]["level"] = True
+
+
+def orig_id_true(d):
+    d["orig_ids"][d["orig_ids"].index(1)] = True
+
+
+def b_letter_to_a(d):
+    i = d["letters"].index("b")
+    d["letters"][i] = "a"
+
+
+def swap_positions(d):
+    ps = d["positions"]
+    ps[1], ps[2] = ps[2], ps[1]
+
+
+def assert_fails(argv, message, capsys):
+    """main(argv) exits 1 with nothing on stdout and one failure line."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"verification failure: {message}.*\n", captured.err)
+
+
 class TestVerifyTamperCorpus:
-    """Each edit of a stored section must fail ``flowtile verify`` with one
-    line on stderr and nothing on stdout."""
+    """Each edit of a stored section must fail ``flowtile verify``, and the
+    commands that read sections the same way, with one line on stderr and
+    nothing on stdout."""
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
@@ -424,17 +456,43 @@ class TestVerifyTamperCorpus:
         (lambda d: d.pop("points"), r"section has no 'points' field"),
         (repeat_id, r"original point ids do not increase: 0 then 0"),
         (witness_out_of_band, r"level 2 witness failed replay"),
+        (level_true, r"section witness field 'level' is not a int: True"),
+        (orig_id_true, r"section field 'orig_ids' holds a non-integer: True"),
     ], ids=["letter_swapped", "inserted_point_moved", "cut_short",
-            "points_deleted", "id_repeated", "witness_out_of_band"])
+            "points_deleted", "id_repeated", "witness_out_of_band",
+            "level_true", "orig_id_true"])
     def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
                                     capsys):
         data = json.loads(json.dumps(stored))
         tamper(data)
         t = tmp_path / "t.json"
         t.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["verify", str(t)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(f"verification failure: {message}.*\n",
-                            captured.err)
+        assert_fails(["verify", str(t)], message, capsys)
+
+    def test_points_true_on_one_point_section_fails(self, tmp_path, capsys):
+        w, t = tmp_path / "w.json", tmp_path / "t.json"
+        w.write_text(json.dumps({"positions": ["0"]}))
+        assert main(["tile", "--depth", "2", "--in", str(w),
+                     "--out", str(t)]) == 0
+        data = json.loads(t.read_text())
+        assert data["points"] == 1
+        data["points"] = True
+        t.write_text(json.dumps(data))
+        assert_fails(["verify", str(t)],
+                     r"section field 'points' is not a int: True", capsys)
+
+    @pytest.mark.parametrize("command", ["loe", "plot"])
+    @pytest.mark.parametrize("tamper,message", [
+        (b_letter_to_a, r"gap \d+: letter a but size "),
+        (swap_positions, r"gap 0: letter [ab] but size "),
+    ], ids=["b_letter_set_to_a", "positions_swapped"])
+    def test_section_readers_reject_tampered_section(
+            self, stored, tamper, message, command, tmp_path, capsys):
+        data = json.loads(json.dumps(stored))
+        tamper(data)
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(data))
+        out = str(tmp_path / "out")
+        argv = (["loe", "--a", str(t), "--b", str(t), "--out", out]
+                if command == "loe" else ["plot", str(t), "--svg", out])
+        assert_fails(argv, message, capsys)

@@ -17,7 +17,7 @@ from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                verify_uniform_frequency)
 from flowtile.quadratic import qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
-                            default_params, enumerate_tileable, is_near_rho)
+                            default_params, enumerate_tileable)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
 
 P = default_params()
@@ -217,7 +217,8 @@ class TestBlockGrowth:
         eta1 = schedule2.eta[1]
         spacing = pipeline.PAIR_SPACING
         for i, j in runs:
-            counts = t.run_counts((i, j))
+            p = t.letters[i:j].count("a")
+            counts = TileVector(p, j - i - p)
             assert abs(alpha_frequency(counts) - P.rho) <= eta1
             assert max(t.ranks[i:j + 1]) == 1
         # untouched stretch lengths between blocks stay in the detected range
@@ -300,7 +301,12 @@ class TestSparseTile:
         t = sparse_tile(w, schedule2)
         assert t.is_fully_regular()
         near = ((schedule2.K[1] + 1) / P.alpha).floor()
-        assert is_near_rho(t.counts(), near, P)
+        # near rho: `near` more tiles of the type below its share carry the
+        # frequency to rho or across it
+        v, rho = t.counts(), P.rho
+        f = alpha_frequency(v)
+        assert ((f <= rho and alpha_frequency(TileVector(v.p + near, v.q)) >= rho)
+                or (f >= rho and alpha_frequency(TileVector(v.p, v.q + near)) <= rho))
 
     def test_idempotent_on_regular_section(self, schedule2):
         t = section_from_letters("abab")

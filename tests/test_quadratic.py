@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile import quadratic
-from flowtile.quadratic import (ConfigError, QuadReal, compare,
-                                format_quadreal, gcd_ladder, lattice_key,
-                                lattice_keys, lattice_order, parse_quadreal,
-                                quad, real_gcd, sqrtD)
+from flowtile.quadratic import (ConfigError, QuadReal, format_quadreal,
+                                gcd_ladder, lattice_key, lattice_keys,
+                                lattice_order, parse_quadreal, quad, real_gcd,
+                                sqrtD)
 from flowtile.tiles import Params
 
 
@@ -24,15 +24,15 @@ def quadreals():
 
 class TestCompare:
     def test_one_below_root_two(self):
-        assert compare(quad(1), sqrtD()) == -1
+        assert (quad(1) - sqrtD()).sign() == -1
 
     def test_identity(self):
-        assert compare(quad(3), quad(3)) == 0
+        assert (quad(3) - quad(3)).sign() == 0
 
     def test_five_root_two_above_seven(self):
         # sign oracle: square both sides, 50 > 49
         assert (5 * 5 * 2) > (7 * 7)
-        assert compare(quad(0, 5), quad(7)) == 1
+        assert (quad(0, 5) - quad(7)).sign() == 1
 
     @settings(max_examples=150, deadline=None)
     @given(quadreals(), quadreals(), quadreals())

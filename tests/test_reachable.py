@@ -1,12 +1,10 @@
 import random
-import time
 from fractions import Fraction as F
 
 import pytest
 
 from flowtile.quadratic import quad, real_gcd, sqrtD
-from flowtile.reachable import (BoostError, DensityFailure, ShiftProblem,
-                                banded_dense_step, boost_length_bound,
+from flowtile.reachable import (BoostError, ShiftProblem, boost_length_bound,
                                 brute_force_reachable, enumerate_reachable,
                                 frequency_boost, lattice_threshold,
                                 rearrange_permutation)
@@ -174,55 +172,6 @@ class TestBoost:
             frequency_boost(prob, F(1, 2), F(1, 3), F(1, 4),
                             enforce_bound=False)
         assert ei.value.k == 0 and ei.value.side == "high"
-
-
-def rich_menu(width=1):
-    # every tileable within `width` of 40: both frequency sides populate
-    # even the eps/6-narrowed tail menus
-    d0 = quad(40)
-    return [v for v in enumerate_tileable(P, d0 - width, d0 + width)
-            if abs(v.value(P) - d0) < quad(width)]
-
-
-CURATED = [TileVector(1, 27), TileVector(3, 26), TileVector(6, 24),
-           TileVector(5, 25), TileVector(1, 28), TileVector(40, 0),
-           TileVector(35, 3), TileVector(30, 7), TileVector(38, 2),
-           TileVector(36, 3), TileVector(16, 17), TileVector(13, 19)]
-
-
-class TestBandedStep:
-    def test_bands_nonempty_and_dense(self):
-        prob = ShiftProblem(P, quad(6), [quad(40)] * 6, [rich_menu()] * 6)
-        res = banded_dense_step(prob, quad(3), F(1, 4), F(1, 4), F(0),
-                                m_density=3)
-        assert res.reports[0].ok and res.reports[1].ok
-        rho = P.rho
-        for el in res.low:
-            assert rho - F(1, 4) <= alpha_frequency(el.counts) <= rho
-        for el in res.high:
-            assert rho <= alpha_frequency(el.counts) <= rho + F(1, 4)
-
-    def test_elements_in_brute_force_oracle(self):
-        prob = ShiftProblem(P, quad(6), [quad(40)] * 4, [CURATED] * 4)
-        res = banded_dense_step(prob, quad(4), F(1, 4), F(1, 4), F(0),
-                                m_density=2)
-        oracle = brute_force_reachable(prob).counts()
-        for el in res.low + res.high:
-            assert el.counts in oracle
-
-    def test_degenerate_inner_band(self):
-        # nu' = 0 makes the two bands meet at rho; still valid
-        prob = ShiftProblem(P, quad(6), [quad(40)] * 6, [rich_menu()] * 6)
-        res = banded_dense_step(prob, quad(3), F(1, 4), F(1, 4), F(0),
-                                m_density=4)
-        assert res.low and res.high
-
-    def test_density_failure_reported(self):
-        narrow = [TileVector(40, 0), TileVector(16, 17)]
-        prob = ShiftProblem(P, quad(6), [quad(40)] * 4, [narrow] * 4)
-        with pytest.raises((DensityFailure, BoostError)):
-            banded_dense_step(prob, quad(F(1, 50)), F(1, 4), F(1, 4), F(0),
-                              m_density=2)
 
 
 class TestLatticeThreshold:

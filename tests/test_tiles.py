@@ -13,8 +13,7 @@ from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
                             TileVector, TiledWord, alpha_frequency,
                             balanced_word, default_params, density_witness,
                             enumerate_tileable, eps_dense,
-                            frequency_stability_ratio, is_far_from_rho,
-                            is_near_rho, partition_into_pieces)
+                            frequency_stability_ratio)
 
 P = default_params()
 
@@ -300,93 +299,7 @@ class TestStabilityRatio:
             checked += 1
 
 
-class TestNearFar:
-    def test_near_example(self):
-        assert is_near_rho(TileVector(1, 2), 1, P)
-
-    def test_far_all_alpha(self):
-        assert is_far_from_rho(TileVector(5, 0), 2, P)
-
-    def test_additivity_of_nearness(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            x = TileVector(rng.randint(0, 20), rng.randint(0, 20))
-            y = TileVector(rng.randint(0, 20), rng.randint(0, 20))
-            n = rng.randint(0, 25)
-            np = rng.randint(0, 25)
-            if is_near_rho(x, n, P) and is_near_rho(y, np, P):
-                assert is_near_rho(x + y, n + np, P)
-
-    def test_far_plus_near_never_crosses_strictly(self):
-        # adding an n-near value to an n-far one can land on rho exactly
-        # (e.g. (15,10) is 5-far, (2,7) is 5-near, the sum has frequency
-        # exactly rho) but can never cross to the strict other side
-        rng = random.Random(10)
-        rho = P.rho
-        for _ in range(300):
-            z = TileVector(rng.randint(0, 25), rng.randint(0, 25))
-            y = TileVector(rng.randint(0, 25), rng.randint(0, 25))
-            n = rng.randint(0, 10)
-            if z.is_zero() or y.is_zero():
-                continue
-            if is_far_from_rho(z, n, P) and is_near_rho(y, n, P):
-                fz, fs = alpha_frequency(z), alpha_frequency(z + y)
-                assert not (fz < rho and rho < fs)
-                assert not (rho < fz and fs < rho)
-
-
-def brute_partitions(word, eta, max_value):
-    """Oracle: enumerate all cut sets."""
-    letters = word.letters
-    n = len(letters)
-    rho = P.rho
-
-    def ok(i, j):
-        p = letters[i:j].count("a")
-        q = (j - i) - p
-        if max_value < P.value(p, q):
-            return False
-        return abs(F(p, p + q) - rho) <= eta
-
-    def rec(i):
-        if i == n:
-            yield []
-        for j in range(i + 1, n + 1):
-            if ok(i, j):
-                for rest in rec(j):
-                    yield [letters[i:j]] + rest
-
-    return list(rec(0))
-
-
-class TestPartition:
-    def test_single_piece(self):
-        got = partition_into_pieces(TiledWord("ab"), F(1, 4), quad(1) + sqrtD(), P)
-        assert got == [TiledWord("ab")]
-
-    def test_no_partition(self):
-        assert partition_into_pieces(TiledWord("aa"), F(1, 4), quad(2), P) is None
-
-    def test_exact_frequency_pieces(self):
-        got = partition_into_pieces(TiledWord("ababab"), F(0), quad(1) + sqrtD(), P)
-        assert got == [TiledWord("ab")] * 3
-
-    def test_empty_word(self):
-        assert partition_into_pieces(TiledWord(""), F(1), quad(1), P) == []
-
-    def test_agrees_with_cut_enumeration(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(1, 14)
-            word = TiledWord("".join(rng.choice("ab") for _ in range(n)))
-            eta = F(rng.randint(1, 4), 8)
-            max_value = quad(rng.randint(2, 8))
-            dp = partition_into_pieces(word, eta, max_value, P)
-            oracle = brute_partitions(word, eta, max_value)
-            assert (dp is not None) == bool(oracle)
-            if dp is not None:
-                assert [w.letters for w in dp] in oracle
-
+class TestTiledWord:
     def test_concatenation_adds_counts(self):
         w1, w2 = TiledWord("ab"), TiledWord("ba")
         assert (w1 + w2).counts() == TileVector(2, 2)

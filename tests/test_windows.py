@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from flowtile.quadratic import quad
 from flowtile.windows import (OrbitWindow, Periodic, SparsityError,
-                              bounded_gap_section, chain_classes,
-                              insert_blocks, is_sparse_window, level_midpoints,
-                              marker_subsection, ruler_levels, two_class_block)
+                              chain_classes, insert_blocks, is_sparse_window,
+                              level_midpoints, marker_subsection, ruler_levels,
+                              two_class_block)
 
 
 def window_from_gaps(gaps, boundary="open"):
@@ -118,33 +118,6 @@ class TestMarkers:
         w = OrbitWindow([quad(i) for i in range(3)])
         got = marker_subsection(w, 4)  # 2 steps, not splittable by 4/5
         assert got.truncated and got.indices == (0,)
-
-
-class TestBoundedGapSection:
-    def test_length_three(self):
-        w = bounded_gap_section(quad(0), quad(3), quad(1), quad(2))
-        gaps = w.gaps()
-        assert w.positions[0] == quad(0) and w.positions[-1] == quad(3)
-        assert all(quad(1) <= g <= quad(2) for g in gaps)
-
-    def test_single_piece(self):
-        w = bounded_gap_section(quad(0), quad(1), quad(1), quad(2))
-        assert len(w) == 2
-
-    def test_too_short_rejected(self):
-        with pytest.raises(SparsityError):
-            bounded_gap_section(quad(0), quad(F(1, 2)), quad(1), quad(F(11, 10)))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(8, 400), st.integers(1, 8))
-    def test_random_spans(self, num, den):
-        span = quad(F(num, den))
-        k_lo, k_hi = quad(1), quad(2)
-        if span < k_lo * 2:
-            return
-        w = bounded_gap_section(quad(0), span, k_lo, k_hi)
-        assert all(k_lo <= g <= k_hi for g in w.gaps())
-        assert w.positions[-1] == span
 
 
 class TestTwoClassBlock:
