@@ -18,7 +18,7 @@ from .reachable import (BoostError, ReachableElement, ReachableSet,
                         brute_force_reachable, enumerate_reachable,
                         frequency_boost, lattice_threshold,
                         rearrange_permutation)
-from .windows import (ChainClasses, OrbitWindow, Periodic, SparsityError,
+from .windows import (ChainClasses, OrbitWindow, SparsityError,
                       chain_classes, insert_blocks, is_sparse_window,
                       marker_subsection, two_class_block)
 from .pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,

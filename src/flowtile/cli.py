@@ -176,34 +176,16 @@ def cmd_boost(args) -> int:
 
 
 def cmd_tile(args) -> int:
-    params = _params(args)
-    sched = _load_schedule(args, params)
-    seed = _seed(args)
-
-    def tile_one(w: OrbitWindow) -> TiledSection:
-        if args.mode == "full":
-            return full_pipeline(w, sched, seed=seed)
+    # the window first: a bad file fails before the schedule is built
+    with open(args.infile) as fh:
+        w = OrbitWindow.from_json(json.load(fh))
+    sched = _load_schedule(args, _params(args))
+    if args.mode == "full":
+        t = full_pipeline(w, sched, seed=_seed(args))
+    else:
         t = sparse_tile(w, sched)
         attach_witnesses(t)
         check_section(t)
-        return t
-
-    if args.batch:
-        # JSON-lines in, JSON-lines out: one window / section per line
-        count = 0
-        with open(args.infile) as src, open(args.out, "w") as dst:
-            for line in src:
-                line = line.strip()
-                if not line:
-                    continue
-                t = tile_one(OrbitWindow.from_json(json.loads(line)))
-                dst.write(json.dumps(t.to_json()) + "\n")
-                count += 1
-        print(f"tiled {count} windows into {args.out}")
-        return 0
-    with open(args.infile) as fh:
-        w = OrbitWindow.from_json(json.load(fh))
-    t = tile_one(w)
     _write_json(args.out, t.to_json())
     cnt = t.counts()
     # a one-point window has no letters, hence no frequency
@@ -298,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--schedule", help="schedule JSON (else built from params)")
     t.add_argument("--depth", type=int, default=2)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--batch", action="store_true",
-                   help="treat input/output as JSON-lines of windows/sections")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", required=True)
     t.set_defaults(fn=cmd_tile)

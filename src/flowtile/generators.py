@@ -21,9 +21,7 @@ GRID = 64  # default rational grid denominator for random gaps
 @dataclass(frozen=True)
 class GeneratorSpec:
     """What to generate: a kind, the window size and seed, and the kind's
-    own parameters.  Every generated window has an open boundary; a
-    periodic window is built directly, as ``OrbitWindow(positions,
-    Periodic(circumference))``."""
+    own parameters."""
 
     kind: str                        # uniform | sparse_geometric | rotation_suspension | file
     count: int = 100

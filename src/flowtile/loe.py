@@ -154,12 +154,11 @@ def _kind_indices(t: TiledSection) -> tuple[list[int], list[int]]:
     return a, b
 
 
-def build_loe(t1: TiledSection, t2: TiledSection,
-              psi: dict[int, int] | None = None) -> PiecewiseTranslationMap:
+def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     """Assemble the piecewise-translation map between two tiled sections.
 
-    psi is an order-preserving bijection between the alpha-point index
-    sets (default: k-th to k-th, which requires equal alpha counts); it is
+    The alpha counts must be equal, so the only order-preserving bijection
+    between the alpha-point index sets maps the k-th to the k-th; it is
     extended to matched beta-points by conjugating through each section's
     own alpha-to-beta matching.  Beta-points missed by either matching are
     reported as residue.
@@ -172,29 +171,23 @@ def build_loe(t1: TiledSection, t2: TiledSection,
     f2 = Fraction(len(a2), len(t2.letters))
     if f1 != f2 or len(a1) != len(a2):
         raise FrequencyMismatch(f1, f2)
-    if psi is None:
-        psi = dict(zip(a1, a2))
-    else:
-        keys = sorted(psi)
-        vals = [psi[k] for k in keys]
-        if keys != a1 or sorted(vals) != vals or set(vals) - set(a2):
-            raise ValueError("psi must map the alpha set order-preservingly")
+    base = dict(zip(a1, a2))
     theta1 = match_equidense(a1, b1)
     theta2 = match_equidense(a2, b2)
     pieces: list[Piece] = []
     alpha = t1.params.alpha
     beta = t1.params.beta
     for a in a1:
-        pieces.append(Piece(t1.positions[a], t2.positions[psi[a]], alpha, "a"))
-    # beta points extend the base map: psi(theta1(x)) = theta2(psi(x))
+        pieces.append(Piece(t1.positions[a], t2.positions[base[a]], alpha, "a"))
+    # beta points extend the base map: base(theta1(x)) = theta2(base(x))
     matched2 = theta2.pairing
     mapped_src_b: set[int] = set()
     mapped_dst_b: set[int] = set()
     for a in a1:
-        if a not in theta1.pairing or psi[a] not in matched2:
+        if a not in theta1.pairing or base[a] not in matched2:
             continue
         b_src = theta1.pairing[a]
-        b_dst = matched2[psi[a]]
+        b_dst = matched2[base[a]]
         pieces.append(Piece(t1.positions[b_src], t2.positions[b_dst], beta, "b"))
         mapped_src_b.add(b_src)
         mapped_dst_b.add(b_dst)

@@ -220,32 +220,41 @@ def build_schedule(params: Params, depth: int = 4,
         if not (eta[n + 1] < nu_p[n] < nu[n] < eta[n]):
             raise ValueError("nu bands must nest strictly between etas")
 
-    def corridor_ok(lo: QuadReal, hi: QuadReal, width: QuadReal) -> bool:
-        vals = [v.value(params) for v in enumerate_tileable(params, lo, hi)]
-        return eps_dense(vals, lo, hi, width).ok
-
     floor_k0 = qmax(one * 4, params.beta * 4)
+
+    def threshold_problem(n: int, k: QuadReal, below: QuadReal | None):
+        """Why k cannot be K_n above K_{n-1} = below, or None when it can.
+        K_0 is at least 4*max(1, beta), and the tileables are 2*eps_1-dense
+        on [K_0 - 2, K_0 + 8]; for n >= 1 they are 2*eps_n-dense on
+        [mid - 3, mid + 3], mid the midpoint of K_{n-1} and K_n."""
+        if n == 0:
+            if k < floor_k0:
+                return "K_0 below 4*max(1, beta)"
+            lo, hi, width = k - 2, k + 8, eps[1] * 2
+        else:
+            mid = (below + k) / 2
+            lo, hi, width = mid - 3, mid + 3, eps[n] * 2
+        vals = [v.value(params) for v in enumerate_tileable(params, lo, hi)]
+        if not eps_dense(vals, lo, hi, width).ok:
+            return (f"K_{n} fails the stage-{max(n, 1)} corridor density "
+                    f"check on [{lo}, {hi}]")
+        return None
+
     if k_seq is not None:
         K = list(k_seq)
         if len(K) != depth + 1:
             raise ValueError("k_seq must have depth + 1 thresholds")
-        if K[0] < floor_k0:
-            raise ValueError("K_0 below 4*max(1, beta)")
-        for n in range(1, depth + 1):
-            mid = (K[n - 1] + K[n]) / 2
-            if not corridor_ok(mid - 3, mid + 3, eps[n] * 2):
-                raise ValueError(f"supplied K_{n} fails the stage-{n} corridor "
-                                 f"density check")
+        for n in range(depth + 1):
+            problem = threshold_problem(n, K[n], K[n - 1] if n else None)
+            if problem is not None:
+                raise ValueError(f"supplied {problem}")
     else:
         K = [quad(floor_k0.ceil(), 0, params.d)]
-        while not corridor_ok(K[0] - 2, K[0] + 8, eps[1] * 2):
+        while threshold_problem(0, K[0], None) is not None:
             K[0] = K[0] + 1
         for n in range(1, depth + 1):
             cand = K[n - 1] + 4
-            while True:
-                mid = (K[n - 1] + cand) / 2
-                if corridor_ok(mid - 3, mid + 3, eps[n] * 2):
-                    break
+            while threshold_problem(n, cand, K[n - 1]) is not None:
                 cand = cand + 2
             K.append(cand)
 
@@ -422,7 +431,12 @@ class TiledSection:
                 [None if o == -1 else o for o in orig_ids])
         t.points = points
         origin = json_field(data, "origin_positions", dict, {})
-        t.origin_pos = {int(k): parse_quadreal(v) for k, v in origin.items()}
+        for k, v in origin.items():
+            # one key per id: int() would read "05" as a second point 5
+            if not (k.isdecimal() and str(int(k)) == k):
+                raise ValueError(f"section field 'origin_positions' key {k!r} "
+                                 f"is not the decimal of a point id")
+            t.origin_pos[int(k)] = parse_quadreal(v)
         where = "section witness"
         for w in json_field(data, "witnesses", list, []):
             t.witnesses.append(PartitionWitness(
@@ -573,8 +587,6 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     shifts the pair's right point by less than eps_1.
     """
     params = schedule.params
-    if w.periodic:
-        raise ValueError("tiling pipelines operate on open windows")
     rng = random.Random(seed)
     t = TiledSection.from_window(params, w, schedule)
     npts = len(t.positions)
@@ -658,8 +670,6 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
     """
     params = schedule.params
     if isinstance(source, OrbitWindow):
-        if source.periodic:
-            raise ValueError("tiling pipelines operate on open windows")
         t = TiledSection.from_window(params, source, schedule)
     else:
         t = source

@@ -3,7 +3,7 @@
 A *tileable* value is ``p*alpha + q*beta`` with natural counts ``(p, q)``;
 a *tiled* value additionally carries an ordered word over the two letters.
 This module owns the frequency calculus on such values: exact alpha
-frequencies, balanced words, epsilon-density checks, and the
+frequencies, balanced words, eps-density checks, and the
 constructive density witness family used to certify that banded
 tileables fill every sufficiently high interval.
 

@@ -10,7 +10,6 @@ at least two subclasses at the next threshold down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import gt, sub
 from typing import NamedTuple, Optional, Sequence
@@ -27,17 +26,12 @@ class SparsityError(ValueError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
-class Periodic:
-    circumference: QuadReal
-
-
 class OrbitWindow:
-    """Strictly increasing positions with an open or periodic boundary."""
+    """Strictly increasing positions of one open orbit segment."""
 
-    __slots__ = ("positions", "boundary")
+    __slots__ = ("positions",)
 
-    def __init__(self, positions: Sequence[QuadReal], boundary="open"):
+    def __init__(self, positions: Sequence[QuadReal]):
         positions = tuple(positions)
         if not positions:
             raise ValueError("window needs at least one point")
@@ -46,50 +40,33 @@ class OrbitWindow:
                     map(sub, islice(ys, 1, None), ys), repeat(d))
         if min(steps, default=1) <= 0:
             raise ValueError("positions must be strictly increasing")
-        if isinstance(boundary, Periodic):
-            span = positions[-1] - positions[0]
-            if not span < boundary.circumference:
-                raise ValueError("circumference must exceed the window span")
-        elif boundary != "open":
-            raise ValueError("boundary must be 'open' or Periodic(...)")
         self.positions = positions
-        self.boundary = boundary
-
-    @property
-    def periodic(self) -> bool:
-        return isinstance(self.boundary, Periodic)
 
     def __len__(self):
         return len(self.positions)
 
     def gaps(self) -> list[QuadReal]:
-        """Consecutive differences; periodic windows append the wrap gap."""
-        out = [b - a for a, b in zip(self.positions, self.positions[1:])]
-        if self.periodic:
-            out.append(self.boundary.circumference -
-                       (self.positions[-1] - self.positions[0]))
-        return out
+        """Consecutive differences."""
+        return [b - a for a, b in zip(self.positions, self.positions[1:])]
 
     def span(self) -> QuadReal:
         return self.positions[-1] - self.positions[0]
 
     def to_json(self) -> dict:
-        d = {"boundary": "periodic" if self.periodic else "open",
-             "positions": [str(p) for p in self.positions]}
-        if self.periodic:
-            d["circumference"] = str(self.boundary.circumference)
-        return d
+        return {"positions": [str(p) for p in self.positions]}
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitWindow":
         """Read a window written by :meth:`to_json`; a missing or mistyped
-        field raises ValueError naming it."""
+        field raises ValueError naming it.  The legacy ``"boundary":
+        "open"`` is read; any other boundary raises ValueError, since a
+        window is an open orbit segment."""
         positions = json_field(data, "positions", list, where="window")
         boundary = json_field(data, "boundary", str, "open", where="window")
-        if boundary == "periodic":
-            boundary = Periodic(parse_quadreal(
-                json_field(data, "circumference", str, where="window")))
-        return cls([parse_quadreal(p) for p in positions], boundary)
+        if boundary != "open":
+            raise ValueError(f"window boundary {boundary!r} is not supported: "
+                             f"a window is an open orbit segment")
+        return cls([parse_quadreal(p) for p in positions])
 
 
 def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
@@ -114,7 +91,6 @@ class ChainClasses(NamedTuple):
 
     threshold: QuadReal
     classes: tuple[tuple[int, ...], ...]
-    wrapped: bool  # periodic window whose first and last runs joined
 
 
 def chain_classes(w: OrbitWindow, k: QuadReal) -> ChainClasses:
@@ -123,23 +99,15 @@ def chain_classes(w: OrbitWindow, k: QuadReal) -> ChainClasses:
     if k.sign() <= 0:
         raise ValueError("threshold must be positive")
     pos = w.positions
-    ends = [k, w.boundary.circumference] if w.periodic else [k]
-    _, d, [(xs, ys), ((kx, *cx), (ky, *cy))] = lattice(pos, ends)
+    _, d, [(xs, ys), ((kx,), (ky,))] = lattice(pos, [k])
     # gap i, from point i to point i + 1, above k starts a class at i + 1
     above = map(sign_of,
                 map(sub, map(sub, islice(xs, 1, None), xs), repeat(kx)),
                 map(sub, map(sub, islice(ys, 1, None), ys), repeat(ky)),
                 repeat(d))
     starts = [0, *compress(count(1), map(gt, above, repeat(0))), len(pos)]
-    runs = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
-    wrapped = False
-    # the wrap gap, the circumference less the span, is at most k
-    if w.periodic and sign_of(cx[0] - xs[-1] + xs[0] - kx,
-                              cy[0] - ys[-1] + ys[0] - ky, d) <= 0:
-        wrapped = True
-        if len(runs) > 1:
-            runs = runs[1:-1] + [runs[-1] + runs[0]]
-    return ChainClasses(k, tuple(runs), wrapped)
+    return ChainClasses(k, tuple(tuple(range(a, b))
+                                 for a, b in zip(starts, starts[1:])))
 
 
 class MarkerResult(NamedTuple):
@@ -253,7 +221,7 @@ def level_midpoints(k_list: Sequence[QuadReal]) -> list[QuadReal]:
 
 
 def _fill_plan(gap: QuadReal, eps: QuadReal, mids: list[QuadReal],
-               block_lens: list[QuadReal], hosting: list[QuadReal]):
+               hosting: list[QuadReal]):
     """Choose a gap-level sequence summing to ``gap`` within per-gap slack.
 
     The fill is one full nested block of the highest level the gap can
@@ -305,13 +273,13 @@ def insert_blocks(w: OrbitWindow, k_list: Sequence[QuadReal],
     hosting = [block_lens[t] * 2 + k_list[min(t + 1, len(k_list) - 1)] * 2 + 2
                for t in range(len(k_list))]
 
-    gaps = w.gaps() if not w.periodic else w.gaps()[:-1]
-    if _already_conforming(gaps, mids, eps):
+    gaps = w.gaps()
+    if _conformity_problem(gaps, mids, eps) is None:
         return w
 
     new_pts: list[QuadReal] = [w.positions[0]]
     for gi, gap in enumerate(gaps):
-        plan = _fill_plan(gap, eps, mids, block_lens, hosting)
+        plan = _fill_plan(gap, eps, mids, hosting)
         if plan is None:
             raise SparsityError(
                 f"gap {gi} of size {gap} admits no conforming fill",
@@ -324,19 +292,28 @@ def insert_blocks(w: OrbitWindow, k_list: Sequence[QuadReal],
         # exactness: the final point must land on the original
         if new_pts[-1] != w.positions[gi + 1]:
             raise AssertionError("fill arithmetic did not close the gap exactly")
-    out = OrbitWindow(new_pts, w.boundary)
-    _verify_inserted(out, k_list, mids, eps)
+    out = OrbitWindow(new_pts)
+    problem = _conformity_problem(out.gaps(), mids, eps)
+    if problem is not None:
+        raise problem
     return out
 
 
-def _already_conforming(gaps, mids, eps) -> bool:
+def _conformity_problem(gaps, mids, eps) -> Optional[SparsityError]:
+    """The first way the gaps fail to nest, or None when they conform:
+    every gap lies within eps of a threshold midpoint, and the levels
+    pass :func:`_nested_runs_ok`.  Such a gap also exceeds the lowest
+    threshold, since consecutive thresholds are at least 2*eps apart."""
     levels = []
-    for g in gaps:
+    for gi, g in enumerate(gaps):
         lev = _gap_level(g, mids, eps)
         if lev is None:
-            return False
+            return SparsityError(f"output gap {gi} near no threshold midpoint",
+                                 gap_index=gi, gap=g)
         levels.append(lev)
-    return _nested_runs_ok(levels)
+    if not _nested_runs_ok(levels):
+        return SparsityError("nested class structure failed verification")
+    return None
 
 
 def _gap_level(g, mids, eps) -> Optional[int]:
@@ -356,7 +333,6 @@ def _nested_runs_ok(levels: list[int]) -> bool:
             return False
     top = max(levels)
     for n in range(top):
-        i = 0
         runs = []
         cur = None
         for j, lev in enumerate(levels):
@@ -378,18 +354,3 @@ def _nested_runs_ok(levels: list[int]) -> bool:
                 return False
     return True
 
-
-def _verify_inserted(out: OrbitWindow, k_list, mids, eps):
-    gaps = out.gaps() if not out.periodic else out.gaps()[:-1]
-    levels = []
-    for gi, g in enumerate(gaps):
-        if not k_list[0] < g:
-            raise SparsityError(f"output gap {gi} not above the base threshold",
-                                gap_index=gi, gap=g)
-        lev = _gap_level(g, mids, eps)
-        if lev is None:
-            raise SparsityError(f"output gap {gi} near no threshold midpoint",
-                                gap_index=gi, gap=g)
-        levels.append(lev)
-    if not _nested_runs_ok(levels):
-        raise SparsityError("nested class structure failed verification")

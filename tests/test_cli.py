@@ -18,7 +18,7 @@ class TestCli:
         assert run(["gen", "--kind", "uniform", "--n", "50", "--seed", "1",
                     "--k0", "7", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert data["boundary"] == "open"
+        assert list(data) == ["positions"]
         assert len(data["positions"]) == 50
         from flowtile.windows import OrbitWindow
         w = OrbitWindow.from_json(data)
@@ -208,6 +208,33 @@ class TestCli:
         assert err.startswith("verification failure: ")
         assert err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("command", ["classes", "tile"])
+    def test_window_boundary(self, command, tmp_path, capsys):
+        # a window is an open orbit segment: the legacy "open" reads, a
+        # periodic window is refused rather than cut open
+        w = tmp_path / "w.json"
+        argv = (["classes", "--in", str(w), "--k", "9"] if command == "classes"
+                else ["tile", "--depth", "1", "--in", str(w),
+                      "--out", str(tmp_path / "t.json")])
+        w.write_text(json.dumps({"boundary": "open", "positions": ["0", "9"]}))
+        assert run(argv) == 0
+        w.write_text(json.dumps({"boundary": "periodic", "circumference": "20",
+                                 "positions": ["0", "9"]}))
+        assert_fails(argv, r"window boundary 'periodic' is not supported",
+                     capsys)
+
+    def test_tile_rejects_under_dense_supplied_k0(self, schedule2, tmp_path,
+                                                  capsys):
+        # the K-search skips K_0 = 6 (its stage-1 corridor is not dense)
+        sched, w = tmp_path / "s.json", tmp_path / "w.json"
+        sched.write_text(json.dumps({**schedule2.to_json(),
+                                     "K": ["6", "11", "25"]}))
+        w.write_text(json.dumps({"positions": ["0", "9"]}))
+        assert_fails(["tile", "--schedule", str(sched), "--in", str(w),
+                      "--out", str(tmp_path / "t.json")],
+                     r"supplied K_0 fails the stage-1 corridor density check",
+                     capsys)
 
     def test_tile_loads_schedule_with_retired_fields(self, tmp_path):
         # the schedule format before "near" and "pair_spacing" were dropped;
@@ -404,6 +431,11 @@ def orig_id_true(d):
     d["orig_ids"][d["orig_ids"].index(1)] = True
 
 
+def origin_key_padded(d):
+    # "05" names point 5 a second time, ahead of the true "5" entry
+    d["origin_positions"] = {"05": "1000", **d["origin_positions"]}
+
+
 def b_letter_to_a(d):
     i = d["letters"].index("b")
     d["letters"][i] = "a"
@@ -458,9 +490,11 @@ class TestVerifyTamperCorpus:
         (witness_out_of_band, r"level 2 witness failed replay"),
         (level_true, r"section witness field 'level' is not a int: True"),
         (orig_id_true, r"section field 'orig_ids' holds a non-integer: True"),
+        (origin_key_padded, r"section field 'origin_positions' key '05' is "
+                            r"not the decimal of a point id"),
     ], ids=["letter_swapped", "inserted_point_moved", "cut_short",
             "points_deleted", "id_repeated", "witness_out_of_band",
-            "level_true", "orig_id_true"])
+            "level_true", "orig_id_true", "origin_key_padded"])
     def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
                                     capsys):
         data = json.loads(json.dumps(stored))

@@ -28,8 +28,7 @@ from flowtile.pipeline import (Schedule, TiledSection, TilingError,
 from flowtile.quadratic import QuadReal, qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             balanced_word, default_params)
-from flowtile.windows import (ChainClasses, OrbitWindow, Periodic,
-                              chain_classes)
+from flowtile.windows import ChainClasses, OrbitWindow, chain_classes
 
 # -- the replaced code --------------------------------------------------------
 
@@ -232,22 +231,13 @@ def between_reference(table, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
 def chain_classes_reference(w: OrbitWindow, k: QuadReal) -> ChainClasses:
     if k.sign() <= 0:
         raise ValueError("threshold must be positive")
-    gaps = w.gaps()
     runs: list[list[int]] = [[0]]
-    inner = gaps[:-1] if w.periodic else gaps
-    for i, g in enumerate(inner):
+    for i, g in enumerate(w.gaps()):
         if k < g:
             runs.append([i + 1])
         else:
             runs[-1].append(i + 1)
-    wrapped = False
-    if w.periodic and len(runs) > 1 and not k < gaps[-1]:
-        runs[-1].extend(runs[0])
-        runs = runs[1:]
-        wrapped = True
-    elif w.periodic and len(runs) == 1 and not k < gaps[-1]:
-        wrapped = True
-    return ChainClasses(k, tuple(tuple(r) for r in runs), wrapped)
+    return ChainClasses(k, tuple(tuple(r) for r in runs))
 
 
 def check_displacements_reference(t: TiledSection):
@@ -545,9 +535,6 @@ def chain_windows(draw):
     k = quad(F(draw(st.integers(1, 40)), 4), F(draw(st.integers(-3, 3)), 5), d)
     if k.sign() <= 0:
         k = quad(1, 0, d)
-    if draw(st.booleans()):
-        wrap = quad(F(draw(st.integers(1, 40)), 4), 0, d)
-        return OrbitWindow(pos, Periodic(pos[-1] - pos[0] + wrap)), k
     return OrbitWindow(pos), k
 
 
@@ -561,32 +548,10 @@ class TestChainClasses:
         for g in w.gaps()[:3]:
             assert chain_classes(w, g) == chain_classes_reference(w, g)
 
-    @pytest.mark.parametrize("wrap", [1, 2, 3])
-    def test_periodic_wrap_gap_at_the_threshold(self, wrap):
-        # gaps 1, 3, 1 and a wrap gap of 1, 2 (exactly k) or 3 (above k)
-        pos = [quad(0), quad(1), quad(4), quad(5)]
-        k = quad(2)
-        w = OrbitWindow(pos, Periodic(quad(5 + wrap)))
-        got = chain_classes(w, k)
-        assert got == chain_classes_reference(w, k)
-        if wrap <= 2:
-            assert got.classes == ((2, 3, 0, 1),) and got.wrapped
-        else:
-            assert got.classes == ((0, 1), (2, 3)) and not got.wrapped
-
-    @pytest.mark.parametrize("wrap,wrapped", [(1, True), (7, False)])
-    def test_periodic_single_run(self, wrap, wrapped):
-        pos = [quad(0), quad(1) + sqrtD(), quad(3)]
-        w = OrbitWindow(pos, Periodic(quad(3 + wrap)))
-        got = chain_classes(w, quad(3))
-        assert got == chain_classes_reference(w, quad(3))
-        assert got.classes == ((0, 1, 2),) and got.wrapped is wrapped
-
     def test_one_point_windows(self):
-        for w in (OrbitWindow([quad(5)]),
-                  OrbitWindow([quad(5)], Periodic(quad(1)))):
-            for k in (quad(1), quad(2)):
-                assert chain_classes(w, k) == chain_classes_reference(w, k)
+        w = OrbitWindow([quad(5)])
+        for k in (quad(1), quad(2)):
+            assert chain_classes(w, k) == chain_classes_reference(w, k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3)),

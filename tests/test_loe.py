@@ -115,9 +115,9 @@ class TestBuildLoe:
         t2 = section_from_letters("baba")
         a1 = [i for i, ch in enumerate(t1.letters) if ch == "a"]
         a2 = [i for i, ch in enumerate(t2.letters) if ch == "a"]
-        psi = dict(zip(a1, a2))
-        m = build_loe(t1, t2, psi)
-        for a, b in psi.items():
+        base = dict(zip(a1, a2))
+        m = build_loe(t1, t2)
+        for a, b in base.items():
             assert any(p.src_lo == t1.positions[a] and
                        p.dst_lo == t2.positions[b] for p in m.pieces
                        if p.kind == "a")

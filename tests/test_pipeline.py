@@ -10,7 +10,8 @@ from flowtile import pipeline, quadratic
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                HALF_TILED, PartitionWitness, RunScan,
-                               TiledSection, TilingError, WitnessError,
+                               Schedule, TiledSection, TilingError,
+                               WitnessError,
                                build_rank_blocks, build_schedule,
                                check_section, classify_section,
                                full_pipeline, sparse_tile,
@@ -63,6 +64,14 @@ class TestSchedule:
         assert [str(k) for k in s.K] == ["7", "11"]
         with pytest.raises(ValueError):
             build_schedule(P, depth=1, k_seq=[quad(1), quad(5)],
+                           verify_windows=1)
+
+    def test_supplied_k0_meets_the_search_density(self):
+        # the K-search skips K_0 = 6: its stage-1 corridor [4, 14] is not
+        # 2*eps_1-dense, and a supplied K_0 passes the same test
+        assert build_schedule(P, depth=1, verify_windows=1).K[0] == quad(7)
+        with pytest.raises(ValueError, match="K_0 fails the stage-1"):
+            build_schedule(P, depth=1, k_seq=[quad(6), quad(11)],
                            verify_windows=1)
 
     def test_witnesses_cover_all_stages(self, schedule4):
@@ -286,9 +295,15 @@ class TestClassify:
 
 class TestSparseTile:
     def test_two_points_distance_six(self):
-        # only one tileable lives within eps_1 of 6: six alpha tiles
-        sched = build_schedule(P, depth=1, k_seq=[quad(F(23, 4)), quad(F(47, 4))],
-                               verify_windows=2)
+        # only one tileable lives within eps_1 of 6: six alpha tiles.  K_0 =
+        # 23/4 is below the corridor density build_schedule requires, on
+        # purpose, so the schedule is built directly, with the stock depth-1
+        # eps, eta and L
+        sched = Schedule(P, 1, [quad(0), quad(F(1, 6)), quad(F(1, 12))],
+                         [F(1), F(1, 2), F(1, 4)],
+                         [quad(F(23, 4)), quad(F(47, 4))],
+                         [sqrtD(), 4 + sqrtD() * 242])
+        sched.validate()
         w = OrbitWindow([quad(0), quad(6)])
         t = sparse_tile(w, sched)
         assert t.is_fully_regular()
@@ -601,13 +616,12 @@ class TestSectionJson:
 
 
 class TestPipelineBoundaries:
-    def test_periodic_windows_rejected(self, schedule2):
-        from flowtile.windows import Periodic
-        w = OrbitWindow([quad(0), quad(9)], Periodic(quad(20)))
-        with pytest.raises(ValueError):
-            sparse_tile(w, schedule2)
-        with pytest.raises(ValueError):
-            build_rank_blocks(w, schedule2)
+    def test_periodic_windows_rejected(self):
+        # a window is an open orbit segment: the reader refuses any other
+        # boundary rather than drop its circumference
+        with pytest.raises(ValueError, match="boundary 'periodic'"):
+            OrbitWindow.from_json({"boundary": "periodic", "circumference": "20",
+                                   "positions": ["0", "9"]})
 
     def test_insufficient_depth_flagged(self):
         sched = build_schedule(P, depth=1, verify_windows=2)

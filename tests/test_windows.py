@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile.quadratic import quad
-from flowtile.windows import (OrbitWindow, Periodic, SparsityError,
+from flowtile.windows import (OrbitWindow, SparsityError,
                               chain_classes, insert_blocks, is_sparse_window,
                               level_midpoints, marker_subsection, ruler_levels,
                               two_class_block)
 
 
-def window_from_gaps(gaps, boundary="open"):
+def window_from_gaps(gaps):
     pos = [quad(0)]
     for g in gaps:
         pos.append(pos[-1] + g)
-    return OrbitWindow(pos, boundary)
+    return OrbitWindow(pos)
 
 
 class TestOrbitWindow:
@@ -24,21 +24,21 @@ class TestOrbitWindow:
         with pytest.raises(ValueError):
             OrbitWindow([quad(0), quad(0)])
 
-    def test_periodic_needs_room(self):
-        with pytest.raises(ValueError):
-            OrbitWindow([quad(0), quad(5)], Periodic(quad(4)))
-
-    def test_periodic_wrap_gap(self):
-        w = OrbitWindow([quad(0), quad(5)], Periodic(quad(8)))
-        assert w.gaps() == [quad(5), quad(3)]
-
     def test_json_round_trip(self):
         w = window_from_gaps([quad(3), quad(F(7, 2))])
+        assert w.to_json() == {"positions": ["0", "3", "13/2"]}
         w2 = OrbitWindow.from_json(w.to_json())
-        assert w2.positions == w.positions and not w2.periodic
-        wp = OrbitWindow([quad(0), quad(2)], Periodic(quad(5)))
-        wp2 = OrbitWindow.from_json(wp.to_json())
-        assert wp2.periodic and wp2.boundary.circumference == quad(5)
+        assert w2.positions == w.positions
+        # files written before the boundary field was dropped
+        w3 = OrbitWindow.from_json({"boundary": "open", **w.to_json()})
+        assert w3.positions == w.positions
+
+    @pytest.mark.parametrize("boundary", ["closed", 5, None])
+    def test_other_boundaries_rejected(self, boundary):
+        data = {"boundary": boundary, "circumference": "8",
+                "positions": ["0", "3"]}
+        with pytest.raises(ValueError, match="boundary"):
+            OrbitWindow.from_json(data)
 
 
 class TestChainClasses:
@@ -84,12 +84,6 @@ class TestChainClasses:
                     owner[i] = ci
             for cls in fine:
                 assert len({owner[i] for i in cls}) == 1
-
-    def test_periodic_wrap_merges(self):
-        w = OrbitWindow([quad(0), quad(1), quad(5), quad(6)], Periodic(quad(8)))
-        cc = chain_classes(w, quad(2))
-        assert cc.wrapped
-        assert cc.classes == ((2, 3, 0, 1),)
 
 
 class TestMarkers:
