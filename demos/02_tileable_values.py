@@ -23,7 +23,7 @@ for v in enumerate_tileable(P, quad(0), quad(6)):
 
 print("\n== a balanced word spreads its letters evenly ==")
 w = balanced_word(TileVector(5, 8))
-print(f"  counts (5,8) -> {w.letters}")
+print(f"  counts (5,8) -> {w}")
 
 print("\n== banded density witness ==")
 band = FreqBand(F(1, 2), F(5, 8))

@@ -50,7 +50,8 @@ t2 = TiledSection(P, pos, letters, [1] * len(pos), list(range(len(pos))))
 m = build_loe(t1, t2)
 rep = verify_loe(m, P)
 print(f"  pieces: {rep.piece_count}; verified: {rep.ok}")
-src, dst = m.total_length()
-print(f"  mapped length source = target: {src == dst} ({src.approx()})")
+total = rep.mapped_length
+print(f"  mapped length (each piece is one translation): {total} "
+      f"({total.approx()})")
 print(f"  beta residue: {len(m.residue_src)} source / {len(m.residue_dst)} "
       f"target points await a longer window")

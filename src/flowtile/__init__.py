@@ -9,7 +9,7 @@ matches two such sections by a piecewise-translation orbit map.
 
 from .quadratic import (ConfigError, QuadReal, format_quadreal, gcd_ladder,
                         parse_quadreal, quad, real_gcd, sqrtD)
-from .tiles import (DensityWitness, FreqBand, Params, TileVector, TiledWord,
+from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, default_params,
                     density_witness, enumerate_tileable, eps_dense,
                     frequency_stability_ratio)

@@ -3,8 +3,10 @@
 Subcommands: gen, classes, blocks, density, boost, tile, verify, loe,
 plot.  Artifacts are JSON with every number in the canonical exact text
 form; decimal approximations are printed with a leading "~" and never
-read back.  Exit status: 0 success, 1 verification failure, 2 usage
-error.  A failure is one ``verification failure:`` line on stderr.
+read back.  Every input file is read by ``_read_json``, which rejects an
+object that repeats a key.  Exit status: 0 success, 1 verification
+failure, 2 usage error.  A failure is one ``verification failure:`` line
+on stderr.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .generators import GeneratorSpec, generate
@@ -55,9 +57,20 @@ def _params(args) -> Params:
     return Params(alpha, beta, _literal(Fraction, "--rho", args.rho))
 
 
-def _seed(args) -> int:
-    env = os.environ.get("FLOWTILE_SEED")
-    return int(env) if env is not None else args.seed
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {key!r} appears twice in one JSON object")
+    return obj
+
+
+def _read_json(path: str):
+    """The JSON document stored at path.  An object that repeats a key
+    raises ValueError naming the key: ``json.load`` alone would keep the
+    last value and hide the first."""
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _write_json(path: str, data: dict):
@@ -66,9 +79,8 @@ def _write_json(path: str, data: dict):
 
 
 def _load_schedule(args, params: Params) -> Schedule:
-    if getattr(args, "schedule", None):
-        with open(args.schedule) as fh:
-            data = json.load(fh)
+    if args.schedule:
+        data = _read_json(args.schedule)
         where = "schedule"
         params = params_from_json(data, where)
         depth = json_field(data, "depth", int, where=where)
@@ -80,8 +92,7 @@ def _load_schedule(args, params: Params) -> Schedule:
 
 def _read_section(path: str) -> TiledSection:
     """The section stored at path, checked by ``check_section``."""
-    with open(path) as fh:
-        t = TiledSection.from_json(json.load(fh))
+    t = TiledSection.from_json(_read_json(path))
     check_section(t)
     return t
 
@@ -91,13 +102,12 @@ def _approx(x: QuadReal) -> str:
 
 
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(kind=args.kind, count=args.n, seed=_seed(args),
+    spec = GeneratorSpec(kind=args.kind, count=args.n, seed=args.seed,
                          k0=(_literal(parse_quadreal, "--k0", args.k0)
                              if args.k0 else None),
                          ratio=args.ratio,
                          angle=(_literal(parse_quadreal, "--angle", args.angle)
-                                if args.angle else None),
-                         path=args.infile)
+                                if args.angle else None))
     w = generate(spec)
     _write_json(args.out, w.to_json())
     print(f"wrote {len(w)} points to {args.out}; span {_approx(w.span())}")
@@ -106,8 +116,7 @@ def cmd_gen(args) -> int:
 
 def cmd_classes(args) -> int:
     k = _literal(parse_quadreal, "--k", args.k)
-    with open(args.infile) as fh:
-        w = OrbitWindow.from_json(json.load(fh))
+    w = OrbitWindow.from_json(_read_json(args.infile))
     cc = chain_classes(w, k)
     print(f"threshold {k}: {len(cc.classes)} classes, sizes "
           f"{[len(c) for c in cc.classes]}")
@@ -131,6 +140,8 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.windows < 1:
+        raise UsageError(f"--windows must be at least 1, got {args.windows}")
     params = _params(args)
     band = [_literal(Fraction, "--band", tok) for tok in args.band.split(",")]
     if len(band) != 2:
@@ -148,8 +159,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_boost(args) -> int:
-    with open(args.infile) as fh:
-        data = json.load(fh)
+    data = _read_json(args.infile)
     where = "shift problem"
     params = params_from_json(data, where)
     choices = json_field(data, "choices", list, where=where)
@@ -176,12 +186,13 @@ def cmd_boost(args) -> int:
 
 
 def cmd_tile(args) -> int:
+    if args.depth < 1:
+        raise UsageError(f"--depth must be at least 1, got {args.depth}")
     # the window first: a bad file fails before the schedule is built
-    with open(args.infile) as fh:
-        w = OrbitWindow.from_json(json.load(fh))
+    w = OrbitWindow.from_json(_read_json(args.infile))
     sched = _load_schedule(args, _params(args))
     if args.mode == "full":
-        t = full_pipeline(w, sched, seed=_seed(args))
+        t = full_pipeline(w, sched, seed=args.seed)
     else:
         t = sparse_tile(w, sched)
         attach_witnesses(t)
@@ -197,6 +208,8 @@ def cmd_tile(args) -> int:
 
 def cmd_verify(args) -> int:
     eta = _literal(Fraction, "--eta", args.eta)
+    if eta <= 0:
+        raise UsageError(f"--eta must be positive, got {args.eta}")
     t = _read_section(args.infile)
     rep = verify_uniform_frequency(t, eta)
     if rep.n_eta is None:
@@ -236,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic orbit window")
     g.add_argument("--kind", default="uniform",
-                   choices=["uniform", "sparse_geometric", "rotation_suspension",
-                            "file"])
+                   choices=["uniform", "sparse_geometric", "rotation_suspension"])
     g.add_argument("--n", type=int, default=100)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--k0", help="base gap scale (exact text form)")
     g.add_argument("--ratio", type=int, default=2)
     g.add_argument("--angle", help="rotation angle (exact text form)")
-    g.add_argument("--in", dest="infile", help="window JSON for kind=file")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 

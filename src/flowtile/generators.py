@@ -7,7 +7,6 @@ Generation is a pure function of the spec and its seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,20 +22,18 @@ class GeneratorSpec:
     """What to generate: a kind, the window size and seed, and the kind's
     own parameters."""
 
-    kind: str                        # uniform | sparse_geometric | rotation_suspension | file
+    kind: str                        # uniform | sparse_geometric | rotation_suspension
     count: int = 100
     seed: int = 0
     k0: QuadReal | None = None       # uniform: gaps drawn from [k0+1, k0+2]
     ratio: int = 2                   # sparse_geometric growth ratio
     levels: int = 4                  # sparse_geometric distinct gap scales
     angle: QuadReal | None = None    # rotation_suspension angle
-    path: str | None = None          # file
 
     def validate(self):
-        if self.kind not in ("uniform", "sparse_geometric", "rotation_suspension",
-                             "file"):
+        if self.kind not in ("uniform", "sparse_geometric", "rotation_suspension"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind != "file" and self.count < 1:
+        if self.count < 1:
             raise ValueError("count must be positive")
         if self.kind == "sparse_geometric" and self.ratio < 2:
             raise ValueError("growth ratio must be at least 2")
@@ -45,15 +42,10 @@ class GeneratorSpec:
                 raise ValueError("rotation angle must be irrational (s != 0)")
             if not (self.angle.sign() > 0 and self.angle < 1):
                 raise ValueError("rotation angle must lie in (0, 1)")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file generator needs a path")
 
 
 def generate(spec: GeneratorSpec) -> OrbitWindow:
     spec.validate()
-    if spec.kind == "file":
-        with open(spec.path) as fh:
-            return OrbitWindow.from_json(json.load(fh))
     rng = random.Random(spec.seed)
     if spec.kind == "uniform":
         k0 = spec.k0 if spec.k0 is not None else quad(7)

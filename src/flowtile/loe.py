@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 from .quadratic import (QuadReal, lattice, lattice_order, parse_quadreal,
                         sign_of)
 from .pipeline import TiledSection
+from .tiles import Params
 
 
 class MatchState(NamedTuple):
@@ -115,16 +116,6 @@ class PiecewiseTranslationMap:
     residue_src: list[int] = field(default_factory=list)
     residue_dst: list[int] = field(default_factory=list)
 
-    def total_length(self) -> tuple[QuadReal, QuadReal]:
-        if not self.pieces:
-            raise ValueError("empty map has no length")
-        src = self.pieces[0].length * 0
-        dst = src
-        for p in self.pieces:
-            src = src + p.length
-            dst = dst + p.length
-        return src, dst
-
     def to_json(self) -> dict:
         return {"pieces": [{"src": str(p.src_lo), "dst": str(p.dst_lo),
                             "length": str(p.length), "kind": p.kind}
@@ -142,8 +133,11 @@ class PiecewiseTranslationMap:
 
 
 class FrequencyMismatch(ValueError):
-    def __init__(self, f1: Fraction, f2: Fraction):
-        super().__init__(f"alpha frequencies differ: {f1} vs {f2}")
+    def __init__(self, f1: Fraction, f2: Fraction, n1: int, n2: int):
+        # equal frequencies of sections of different lengths: name the counts
+        super().__init__(f"alpha frequencies differ: {f1} vs {f2}" if f1 != f2
+                         else f"alpha counts differ: {n1} vs {n2} "
+                              f"(both frequencies {f1})")
         self.f1 = f1
         self.f2 = f2
 
@@ -170,7 +164,7 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     f1 = Fraction(len(a1), len(t1.letters))
     f2 = Fraction(len(a2), len(t2.letters))
     if f1 != f2 or len(a1) != len(a2):
-        raise FrequencyMismatch(f1, f2)
+        raise FrequencyMismatch(f1, f2, len(a1), len(a2))
     base = dict(zip(a1, a2))
     theta1 = match_equidense(a1, b1)
     theta2 = match_equidense(a2, b2)
@@ -206,30 +200,26 @@ class LoeReport(NamedTuple):
     mapped_length: Optional[QuadReal]
 
 
-def verify_loe(m: PiecewiseTranslationMap, params=None) -> LoeReport:
+def verify_loe(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     """Check a translation map piece by piece.
 
     Sources must be pairwise disjoint, likewise targets; every piece's
-    declared kind must match its length when params are supplied; lengths
-    are shared exactly by construction, so the check is on overlaps and
-    kinds.  An empty map passes vacuously.
+    declared kind must match its length under params; lengths are shared
+    exactly by construction, so the check is on overlaps and kinds.  An
+    empty map passes vacuously.
     """
     if not m.pieces:
         return LoeReport(True, [], 0, None)
     lengths = [p.length for p in m.pieces]
     failures = _overlaps("source", [p.src_lo for p in m.pieces], lengths)
     failures += _overlaps("target", [p.dst_lo for p in m.pieces], lengths)
-    if params is None:
-        c, d, [(lx, ly)] = lattice(lengths)
-    else:
-        # alpha and beta share the lengths' lattice
-        c, d, [((ax, bx), (ay, by)), (lx, ly)] = lattice(
-            [params.alpha, params.beta], lengths)
+    # alpha and beta share the lengths' lattice
+    c, d, [((ax, bx), (ay, by)), (lx, ly)] = lattice(
+        [params.alpha, params.beta], lengths)
     for i, (p, x, y) in enumerate(zip(m.pieces, lx, ly)):
         if p.kind not in ("a", "b"):
             failures.append(f"piece {i}: unknown kind {p.kind!r}")
-        if params is not None and (x, y) != ((ax, ay) if p.kind == "a"
-                                             else (bx, by)):
+        if (x, y) != ((ax, ay) if p.kind == "a" else (bx, by)):
             failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
     total = QuadReal._raw(sum(lx), sum(ly), c, d)
     return LoeReport(not failures, failures, len(m.pieces), total)

@@ -207,6 +207,8 @@ def build_schedule(params: Params, depth: int = 4,
     Each stage band also gets an asymptotic density witness family,
     checked on ``verify_windows`` disjoint windows above its threshold.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     one = quad(1, 0, params.d)
     scale = min(params.rho, 1 - params.rho)
     eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
@@ -535,7 +537,7 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
             cx += p * ax + q * bx - gxs[g]
             cy += p * ay + q * by - gys[g]
             if vec not in words:
-                word = balanced_word(vec).letters
+                word = balanced_word(vec)
                 words[vec] = (word, tuple(map(step_x, word)),
                               tuple(map(step_y, word)))
             word, steps_x, steps_y = words[vec]

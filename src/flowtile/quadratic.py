@@ -215,9 +215,9 @@ class QuadReal:
     def __float__(self) -> float:
         return self.a / self.c + (self.b / self.c) * math.sqrt(self.d)
 
-    def approx(self, digits: int = 12) -> str:
+    def approx(self) -> str:
         """Decimal approximation for display only, marked approximate."""
-        return f"~{float(self):.{digits}g}"
+        return f"~{float(self):.12g}"
 
     # -- text form -----------------------------------------------------------
 

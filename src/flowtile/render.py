@@ -7,9 +7,10 @@ from .pipeline import TiledSection
 ALPHA_COLOR = "#1f77b4"
 BETA_COLOR = "#d62728"
 GAP_COLOR = "#bbbbbb"
+WIDTH, HEIGHT = 1200, 120
 
 
-def section_svg(t: TiledSection, width: int = 1200, height: int = 120) -> str:
+def section_svg(t: TiledSection) -> str:
     """One horizontal strip: alpha gaps blue, beta gaps red, untiled grey.
 
     Rank annotations are drawn under the strip at block starts.
@@ -20,12 +21,12 @@ def section_svg(t: TiledSection, width: int = 1200, height: int = 120) -> str:
     pad = 10
 
     def sx(v: float) -> float:
-        return pad + (v - x0) / span * (width - 2 * pad)
+        return pad + (v - x0) / span * (WIDTH - 2 * pad)
 
-    y = height // 2
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    y = HEIGHT // 2
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     for i, ch in enumerate(t.letters):
         a = sx(float(t.positions[i]))
         b = sx(float(t.positions[i + 1]))

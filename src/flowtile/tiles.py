@@ -1,11 +1,11 @@
 """Tileable and tiled reals: two-letter tile vocabularies over Q(sqrt(D)).
 
 A *tileable* value is ``p*alpha + q*beta`` with natural counts ``(p, q)``;
-a *tiled* value additionally carries an ordered word over the two letters.
-This module owns the frequency calculus on such values: exact alpha
-frequencies, balanced words, eps-density checks, and the
-constructive density witness family used to certify that banded
-tileables fill every sufficiently high interval.
+a *tiled word* is a letter string over ``'a'`` (alpha) and ``'b'`` (beta)
+that lays the value out tile by tile.  This module owns the frequency
+calculus on such values: exact alpha frequencies, balanced words,
+eps-density checks, and the constructive density witness family used to
+certify that banded tileables fill every sufficiently high interval.
 
 The density machinery (:func:`enumerate_tileable`, :func:`eps_dense` and
 :meth:`DensityWitness.values_in`) runs on lattice coordinates.  Values
@@ -119,43 +119,7 @@ class FreqBand:
             raise ValueError(f"band [{self.lo}, {self.hi}] not inside [0, 1]")
 
 
-class TiledWord:
-    """An ordered word over the letters 'a' (alpha) and 'b' (beta).
-
-    The empty word is allowed and stands for the value zero.  Concatenation
-    adds values and counts; it is associative but keeps letter order.
-    """
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: str = ""):
-        if any(ch not in "ab" for ch in letters):
-            raise ValueError("letters must be 'a' or 'b'")
-        self.letters = letters
-
-    def counts(self) -> TileVector:
-        return TileVector(self.letters.count("a"), self.letters.count("b"))
-
-    def value(self, params: Params) -> QuadReal:
-        return self.counts().value(params)
-
-    def __add__(self, other: "TiledWord") -> "TiledWord":
-        return TiledWord(self.letters + other.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, TiledWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return f"TiledWord({self.letters!r})"
-
-
-def balanced_word(v: TileVector) -> TiledWord:
+def balanced_word(v: TileVector) -> str:
     """The evenly interleaved word with counts v.
 
     Letters are distributed so that every factor of length m holds within
@@ -170,7 +134,7 @@ def balanced_word(v: TileVector) -> TiledWord:
         nxt = i * p // n
         out.append("a" if nxt > acc else "b")
         acc = nxt
-    return TiledWord("".join(out))
+    return "".join(out)
 
 
 def _pair(v: QuadReal, c: int) -> tuple[int, int]:

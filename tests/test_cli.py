@@ -185,9 +185,11 @@ class TestCli:
         ("tile", lambda d: d.pop("K"), "'K'"),
         ("tile", lambda d: d.update(depth="2"), "'depth'"),
         ("tile", lambda d: d.update(depth=True), "'depth'"),
+        ("tile", lambda d: d.update(depth=0, K=["7"]),
+         "depth must be at least 1, got 0"),
         ("classes", lambda d: d.pop("positions"), "'positions'"),
     ], ids=["schedule_no_K", "schedule_depth_str", "schedule_depth_true",
-            "window_no_positions"])
+            "schedule_depth_0", "window_no_positions"])
     def test_malformed_schedule_or_window_exits_1(self, command, tamper,
                                                    field, schedule2,
                                                    tmp_path, capsys):
@@ -315,17 +317,6 @@ class TestCli:
                     "--out", str(built)]) == 0
         assert json.loads(from_file.read_text()) == json.loads(built.read_text())
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        monkeypatch.setenv("FLOWTILE_SEED", "99")
-        run(["gen", "--kind", "uniform", "--n", "20", "--seed", "1",
-             "--k0", "7", "--out", str(out1)])
-        monkeypatch.delenv("FLOWTILE_SEED")
-        run(["gen", "--kind", "uniform", "--n", "20", "--seed", "99",
-             "--k0", "7", "--out", str(out2)])
-        assert out1.read_text() == out2.read_text()
-
     BOOST_PROBLEM = {
         "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "eps": "1",
         "gaps": ["12"] * 5,
@@ -365,6 +356,50 @@ class TestCli:
         assert captured.err.startswith("verification failure: ")
         assert captured.err.count("\n") == 1
         assert field in captured.err
+
+    @pytest.mark.parametrize("command,key", [
+        ("classes", "positions"), ("tile", "positions"),
+        ("tile --schedule", "depth"), ("boost", "eps"),
+    ])
+    def test_input_file_rejects_repeated_key(self, command, key, schedule2,
+                                             tmp_path, capsys):
+        # the first of two equal keys, which json.load alone would drop
+        w, sched, prob = (tmp_path / name for name in ("w.json", "s.json",
+                                                       "p.json"))
+        w.write_text(json.dumps({"positions": ["0", "9"]}))
+        sched.write_text(json.dumps(schedule2.to_json()))
+        prob.write_text(json.dumps(self.BOOST_PROBLEM))
+        out = str(tmp_path / "out.json")
+        argv, path = {
+            "classes": (["classes", "--in", str(w), "--k", "9"], w),
+            "tile": (["tile", "--depth", "1", "--in", str(w), "--out", out], w),
+            "tile --schedule": (["tile", "--schedule", str(sched), "--in",
+                                 str(w), "--out", out], sched),
+            "boost": (["boost", "--in", str(prob), "--gamma", "1/2", "--zeta",
+                       "1/3", "--eta", "1/4", "--test-mode"], prob),
+        }[command]
+        data = json.loads(path.read_text())
+        path.write_text(f'{{"{key}": {json.dumps(data[key])}, '
+                        + path.read_text()[1:])
+        assert_fails(argv, rf"key '{key}' appears twice in one JSON object$",
+                     capsys)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["tile", "--depth", "0"], "--depth must be at least 1, got 0"),
+        (["tile", "--depth", "-1"], "--depth must be at least 1, got -1"),
+        (["density", "--eps", "1", "--band", "1/2,3/4", "--windows", "0"],
+         "--windows must be at least 1, got 0"),
+        (["density", "--eps", "1", "--band", "1/2,3/4", "--windows", "-1"],
+         "--windows must be at least 1, got -1"),
+    ], ids=["depth_0", "depth_minus_1", "windows_0", "windows_minus_1"])
+    def test_out_of_range_flag_is_usage_error(self, argv, message, tmp_path,
+                                              capsys):
+        if argv[0] == "tile":
+            # a window that would fail: the flag is refused before it is read
+            w = tmp_path / "w.json"
+            w.write_text('{"positions": ["0"], "positions": ["0"]}')
+            argv = argv + ["--in", str(w), "--out", str(tmp_path / "t.json")]
+        assert_usage_error(argv, message, capsys)
 
     @pytest.mark.parametrize("tamper", [
         lambda d: d.update(beta="sqrt(4)"),
@@ -446,6 +481,15 @@ def swap_positions(d):
     ps[1], ps[2] = ps[2], ps[1]
 
 
+def assert_usage_error(argv, message, capsys):
+    """main(argv) exits 2 with nothing on stdout and one usage error line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def assert_fails(argv, message, capsys):
     """main(argv) exits 1 with nothing on stdout and one failure line."""
     capsys.readouterr()
@@ -514,6 +558,32 @@ class TestVerifyTamperCorpus:
         t.write_text(json.dumps(data))
         assert_fails(["verify", str(t)],
                      r"section field 'points' is not a int: True", capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "loe", "plot"])
+    def test_section_readers_reject_repeated_key(self, stored, command,
+                                                 tmp_path, capsys):
+        # a second "5" ahead of the true one: json.load alone would keep
+        # the true origin and the section would verify
+        text = json.dumps(stored)
+        assert text.count('"origin_positions": {') == 1
+        t = tmp_path / "t.json"
+        t.write_text(text.replace('"origin_positions": {',
+                                  '"origin_positions": {"5": "1000", '))
+        out = str(tmp_path / "out")
+        argv = {"verify": ["verify", str(t)],
+                "loe": ["loe", "--a", str(t), "--b", str(t), "--out", out],
+                "plot": ["plot", str(t), "--svg", out]}[command]
+        assert_fails(argv, r"key '5' appears twice in one JSON object$",
+                     capsys)
+
+    @pytest.mark.parametrize("eta", ["0", "-1/8"])
+    def test_verify_eta_not_positive_is_usage_error(self, stored, eta,
+                                                    tmp_path, capsys):
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(stored))
+        # "--eta=-1/8": a bare "-1/8" would read as an option
+        assert_usage_error(["verify", f"--eta={eta}", str(t)],
+                           f"--eta must be positive, got {eta}", capsys)
 
     @pytest.mark.parametrize("command", ["loe", "plot"])
     @pytest.mark.parametrize("tamper,message", [

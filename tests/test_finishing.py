@@ -89,13 +89,13 @@ def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
             word = balanced_word(vec)
             planned_letter_idx.append(len(new_letters))
             run = pos
-            for ch in word.letters[:-1]:
+            for ch in word[:-1]:
                 run = run + (params.alpha if ch == "a" else params.beta)
                 new_letters.append(ch)
                 new_pos.append(run)
                 new_ranks.append(stage)
                 new_orig.append(None)
-            new_letters.append(word.letters[-1])
+            new_letters.append(word[-1])
         else:
             new_letters.append(t.letters[i])
             if t.letters[i] is None:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -46,11 +45,3 @@ class TestRotation:
             generate(GeneratorSpec("rotation_suspension", count=10,
                                    angle=quad(F(1, 3))))
 
-
-class TestFileKind:
-    def test_round_trip(self, tmp_path):
-        w = generate(GeneratorSpec("uniform", count=20, seed=3, k0=quad(7)))
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps(w.to_json()))
-        w2 = generate(GeneratorSpec("file", path=str(path)))
-        assert w2.positions == w.positions

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Sequence
@@ -95,19 +94,20 @@ class TestBuildLoe:
         assert a_pieces[0].src_lo == quad(0)
         assert a_pieces[0].dst_lo == t2.positions[1]
 
-    def test_length_conservation(self):
-        rng = random.Random(2)
-        letters = "".join(rng.choice("ab") for _ in range(60))
-        t1 = section_from_letters(letters)
-        t2 = section_from_letters(letters[::-1])
-        m = build_loe(t1, t2)
-        src, dst = m.total_length()
-        assert src == dst
-
     def test_frequency_mismatch_rejected(self):
         t1 = section_from_letters("aab")
         t2 = section_from_letters("abb")
-        with pytest.raises(FrequencyMismatch):
+        with pytest.raises(FrequencyMismatch,
+                           match=r"^alpha frequencies differ: 2/3 vs 1/3$"):
+            build_loe(t1, t2)
+
+    def test_count_mismatch_names_the_counts(self):
+        # both frequencies are 1/2, so only the alpha counts tell them apart
+        t1 = section_from_letters("ab")
+        t2 = section_from_letters("aabb")
+        with pytest.raises(FrequencyMismatch,
+                           match=r"^alpha counts differ: 1 vs 2 "
+                                 r"\(both frequencies 1/2\)$"):
             build_loe(t1, t2)
 
     def test_base_map_preserved(self):
@@ -125,7 +125,7 @@ class TestBuildLoe:
 
 class TestVerifyLoe:
     def test_empty_map_vacuous(self):
-        rep = verify_loe(PiecewiseTranslationMap([]))
+        rep = verify_loe(PiecewiseTranslationMap([]), P)
         assert rep.ok and rep.piece_count == 0
 
     def test_corrupted_kind_detected(self):
@@ -237,13 +237,13 @@ def build_loe_reference(t1: TiledSection, t2: TiledSection,
     return PiecewiseTranslationMap(pieces, res_src, res_dst)
 
 
-def verify_loe_reference(m: PiecewiseTranslationMap, params=None) -> LoeReport:
+def verify_loe_reference(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     """Check a translation map piece by piece.
 
     Sources must be pairwise disjoint, likewise targets; every piece's
-    declared kind must match its length when params are supplied; lengths
-    are shared exactly by construction, so the check is on overlaps and
-    kinds.  An empty map passes vacuously.
+    declared kind must match its length under params; lengths are shared
+    exactly by construction, so the check is on overlaps and kinds.  An
+    empty map passes vacuously.
     """
     failures: list[str] = []
     if not m.pieces:
@@ -257,10 +257,9 @@ def verify_loe_reference(m: PiecewiseTranslationMap, params=None) -> LoeReport:
     for i, p in enumerate(m.pieces):
         if p.kind not in ("a", "b"):
             failures.append(f"piece {i}: unknown kind {p.kind!r}")
-        if params is not None:
-            want = params.alpha if p.kind == "a" else params.beta
-            if p.length != want:
-                failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
+        want = params.alpha if p.kind == "a" else params.beta
+        if p.length != want:
+            failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
         total = total + p.length
     return LoeReport(not failures, failures, len(m.pieces), total)
 
@@ -331,7 +330,6 @@ class TestLoeOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "KEY_BITS", bits)
             same_report(verify_loe(m, params), verify_loe_reference(m, params))
-            same_report(verify_loe(m), verify_loe_reference(m))
 
     def test_hair_overlap_and_hair_gap(self):
         # the source pieces overlap by 99 - 70*sqrt(2) ~ 0.005, the target
@@ -349,15 +347,17 @@ class TestLoeOracle:
         # v and v + hair share their sort key; the exact tie-break puts v
         # first, so the overlap is reported at v + hair
         u, w = HAIRS[d][-1]
-        hair, alpha = quad(u, -w, d), quad(1, 0, d)
+        hair = quad(u, -w, d)
+        params = Params(quad(1, 0, d), quad(0, 1, d), F(1, 2))
+        alpha = params.alpha
         v = quad(F(5, 3), 2, d)
         m = PiecewiseTranslationMap([Piece(v + hair, quad(0), alpha, "a"),
                                      Piece(v, quad(2), alpha, "a")])
         for bits in (0, 32):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(quadratic, "KEY_BITS", bits)
-                rep = verify_loe(m)
-            assert rep == verify_loe_reference(m)
+                rep = verify_loe(m, params)
+            assert rep == verify_loe_reference(m, params)
             assert rep.failures == [f"source pieces overlap at {v + hair}"]
 
     @pytest.mark.parametrize("d", [2, 3])

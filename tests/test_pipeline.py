@@ -58,6 +58,12 @@ class TestSchedule:
         for n in range(1, schedule4.depth + 2):
             assert schedule4.eps[n] == quad(F(1, 3 * 2 ** n))
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match=rf"^depth must be at least 1, "
+                                             rf"got {depth}$"):
+            build_schedule(P, depth=depth)
+
     def test_supplied_k_seq_verified(self):
         s = build_schedule(P, depth=1, k_seq=[quad(7), quad(11)],
                            verify_windows=2)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from flowtile import quadratic
 from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
 from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
-                            TileVector, TiledWord, alpha_frequency,
-                            balanced_word, default_params, density_witness,
+                            TileVector, alpha_frequency, balanced_word,
+                            default_params, density_witness,
                             enumerate_tileable, eps_dense,
                             frequency_stability_ratio)
 
@@ -299,13 +299,6 @@ class TestStabilityRatio:
             checked += 1
 
 
-class TestTiledWord:
-    def test_concatenation_adds_counts(self):
-        w1, w2 = TiledWord("ab"), TiledWord("ba")
-        assert (w1 + w2).counts() == TileVector(2, 2)
-        assert (w1 + w2).letters == "abba"
-
-
 class TestBalancedWord:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 40), st.integers(0, 40))
@@ -313,10 +306,10 @@ class TestBalancedWord:
         if p + q == 0:
             return
         w = balanced_word(TileVector(p, q))
-        assert w.counts() == TileVector(p, q)
+        assert (w.count("a"), w.count("b")) == (p, q)
         # every prefix holds within one letter of its proportional share
         acc = 0
-        for i, ch in enumerate(w.letters, start=1):
+        for i, ch in enumerate(w, start=1):
             acc += ch == "a"
             assert abs(acc - F(i * p, p + q)) <= 1
 
