@@ -54,7 +54,11 @@ def _params(args) -> Params:
              else quad(1))
     beta = (_literal(parse_quadreal, "--beta", args.beta) if args.beta
             else quad(0, 1))
-    return Params(alpha, beta, _literal(Fraction, "--rho", args.rho))
+    rho = _literal(Fraction, "--rho", args.rho)
+    try:
+        return Params(alpha, beta, rho)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -108,6 +112,10 @@ def cmd_gen(args) -> int:
                          ratio=args.ratio,
                          angle=(_literal(parse_quadreal, "--angle", args.angle)
                                 if args.angle else None))
+    try:
+        spec.validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     w = generate(spec)
     _write_json(args.out, w.to_json())
     print(f"wrote {len(w)} points to {args.out}; span {_approx(w.span())}")

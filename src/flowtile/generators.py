@@ -15,6 +15,7 @@ from .quadratic import QuadReal, quad
 from .windows import OrbitWindow
 
 GRID = 64  # default rational grid denominator for random gaps
+LEVELS = 4  # sparse_geometric distinct gap scales
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class GeneratorSpec:
     seed: int = 0
     k0: QuadReal | None = None       # uniform: gaps drawn from [k0+1, k0+2]
     ratio: int = 2                   # sparse_geometric growth ratio
-    levels: int = 4                  # sparse_geometric distinct gap scales
     angle: QuadReal | None = None    # rotation_suspension angle
 
     def validate(self):
@@ -59,7 +59,7 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
         pos = [quad(0, 0, k0.d)]
         for i in range(spec.count - 1):
             # cycle the scales so both window halves see every gap size
-            level = i % spec.levels
+            level = i % LEVELS
             gap = k0 * (spec.ratio ** level) + Fraction(rng.randint(0, GRID), GRID)
             pos.append(pos[-1] + gap)
         return OrbitWindow(pos)

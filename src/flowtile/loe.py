@@ -26,8 +26,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import (QuadReal, lattice, lattice_order, parse_quadreal,
-                        sign_of)
+from .quadratic import QuadReal, lattice, lattice_order, sign_of
 from .pipeline import TiledSection
 from .tiles import Params
 
@@ -122,14 +121,6 @@ class PiecewiseTranslationMap:
                            for p in self.pieces],
                 "residue_src": self.residue_src,
                 "residue_dst": self.residue_dst}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PiecewiseTranslationMap":
-        pieces = [Piece(parse_quadreal(p["src"]), parse_quadreal(p["dst"]),
-                        parse_quadreal(p["length"]), p["kind"])
-                  for p in data["pieces"]]
-        return cls(pieces, list(data.get("residue_src", [])),
-                   list(data.get("residue_dst", [])))
 
 
 class FrequencyMismatch(ValueError):

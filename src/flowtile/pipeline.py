@@ -18,10 +18,11 @@ alpha-frequency of the result.
 One checker, :func:`check_section`, decides whether a tiled section is
 what the paper claims: every gap lettered and exactly its letter's
 length, every original point strictly within min(alpha, 1)/3 of its
-origin, the original ids exactly 0..points-1, and every stored witness
-replaying.  ``full_pipeline`` and ``flowtile tile --mode sparse`` call it
-last, and ``flowtile verify``, ``loe`` and ``plot`` call it on every
-section file they read.  All checks are exact.
+origin, the original ids exactly 0..points-1, and the stored witnesses
+at levels 1, 2, ... in order, each with its level's eta and replaying.
+``full_pipeline`` and ``flowtile tile --mode sparse`` call it last, and
+``flowtile verify``, ``loe`` and ``plot`` call it on every section file
+they read.  All checks are exact.
 
 Finishing and the tileable table lookup run on lattice coordinates, as
 the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
@@ -133,57 +134,69 @@ class TileableTable:
         return vectors[first_above(lx, ly, True):first_above(hx, hy, False)]
 
 
+def stage_bounds(params: Params,
+                 depth: int) -> tuple[list[QuadReal], list[Fraction]]:
+    """eps[n] = min(alpha, 1)/3/2**n and eta[j] = min(rho, 1 - rho)/2**(j-1)
+    for n, j = 1..depth+1, after eps[0] = 0 and eta[0] = 1."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    scale = min(params.rho, 1 - params.rho)
+    eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
+    base = qmin(params.alpha, quad(1, 0, params.d)) / 3
+    eps = [quad(0, 0, params.d)] + [base / (2 ** n) for n in range(1, depth + 2)]
+    return eps, eta
+
+
+def _check_thresholds(K: Sequence[QuadReal], depth: int):
+    """Raise ValueError unless K holds depth + 1 thresholds, each at least
+    4 above the one before."""
+    if len(K) != depth + 1:
+        raise ValueError(f"a depth-{depth} schedule needs {depth + 1} "
+                         f"thresholds, got {len(K)}")
+    for a, b in zip(K, K[1:]):
+        if b < a + 4:
+            raise ValueError(f"chain thresholds must step by at least 4: "
+                             f"{a} then {b}")
+
+
 @dataclass
 class Schedule:
-    """Stage constants for the pipelines.
+    """Stage constants for the pipelines: the chain thresholds K[0] ..
+    K[depth], each at least 4 above the one before, and the density
+    witness families checked for them.
 
-    eps[n] bounds every shift applied at stage n; eta[j] is the frequency
-    tolerance certified at witness level j; K[n] are the chain thresholds;
-    L[j] bounds witness piece values at level j.
-
-    ``table`` is derived from params and K on construction and never
-    serialized: the tileable table up to K[depth] + 1.  Finishing looks its
-    corridors up there: a stage-n gap d <= K[n] with carry |c| < eps[n] has
-    corridor (d - c - eps[n], d - c + eps[n]), whose top stays below
-    K[n] + 2*eps[n] <= K[depth] + 1/3 < K[depth] + 1.
+    Derived on construction: eps[n] bounds every shift applied at stage n
+    and eta[j] is the frequency tolerance certified at witness level j
+    (:func:`stage_bounds`); L[j] bounds witness piece values at level j;
+    ``table`` is the tileable table up to K[depth] + 1.  Finishing looks
+    its corridors up there: a stage-n gap d <= K[n] with carry
+    |c| < eps[n] has corridor (d - c - eps[n], d - c + eps[n]), whose top
+    stays below K[n] + 2*eps[n] <= K[depth] + 1/3 < K[depth] + 1.
     """
 
     params: Params
     depth: int
-    eps: list[QuadReal]          # 1-indexed; eps[0] is zero padding
-    eta: list[Fraction]          # eta[0] = 1
-    K: list[QuadReal]            # K[0] .. K[depth]
-    L: list[QuadReal]            # L[0] .. L[depth]
-    witnesses: list[tuple[int, FreqBand, DensityWitness]] = field(default_factory=list)
+    K: list[QuadReal]
+    witnesses: list[tuple[int, FreqBand, DensityWitness]]
+    eps: list[QuadReal] = field(init=False, compare=False)
+    eta: list[Fraction] = field(init=False, compare=False)
+    L: list[QuadReal] = field(init=False, compare=False)
     table: TileableTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.table = TileableTable(self.params, self.K[-1] + 1)
+        params, depth, K = self.params, self.depth, self.K
+        self.eps, self.eta = stage_bounds(params, depth)
+        _check_thresholds(K, depth)
+        # witness piece budget: predicted compensated run length per eta level
+        letters_max = ((K[depth] + 3) / params.alpha).floor() + 1
+        self.L = [params.beta]
+        for eta_j in self.eta[1:depth + 1]:
+            run_len = int(4 * letters_max / eta_j) + 1
+            self.L.append(qmax(self.L[-1] + 1, params.beta * run_len * 2 + 4))
+        self.table = TileableTable(params, K[-1] + 1)
 
     def shift_budget(self) -> QuadReal:
-        total = quad(0, 0, self.params.d)
-        for e in self.eps[1:]:
-            total = total + e
-        return total
-
-    def validate(self):
-        p = self.params
-        budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-        if not self.shift_budget() < budget:
-            raise ValueError("stage shift budgets reach min(alpha,1)/3")
-        if self.eta[0] != 1:
-            raise ValueError("eta_0 must be 1")
-        if self.eta[1] > min(p.rho, 1 - p.rho):
-            raise ValueError("eta_1 must be at most min(rho, 1-rho)")
-        for a, b in zip(self.eta, self.eta[1:]):
-            if not b < a:
-                raise ValueError("eta must decrease strictly")
-        for a, b in zip(self.K, self.K[1:]):
-            if b < a + 4:
-                raise ValueError("chain thresholds must step by at least 4")
-        for a, b in zip(self.L, self.L[1:]):
-            if not a < b:
-                raise ValueError("L must increase strictly")
+        return sum(self.eps[2:], self.eps[1])
 
     def to_json(self) -> dict:
         return {
@@ -207,22 +220,8 @@ def build_schedule(params: Params, depth: int = 4,
     Each stage band also gets an asymptotic density witness family,
     checked on ``verify_windows`` disjoint windows above its threshold.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    one = quad(1, 0, params.d)
-    scale = min(params.rho, 1 - params.rho)
-    eta = [Fraction(1)] + [scale / 2 ** n for n in range(depth + 1)]
-    base = qmin(params.alpha, one) / 3
-    eps = [quad(0, 0, params.d)] + [base / (2 ** n) for n in range(1, depth + 2)]
-    # the density bands of stage n, [rho + nu_p[n], rho + nu[n]] and its
-    # mirror, nest strictly between eta[n + 1] and eta[n]
-    nu = [eta[n + 1] + Fraction(2, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
-    nu_p = [eta[n + 1] + Fraction(1, 3) * (eta[n] - eta[n + 1]) for n in range(depth + 1)]
-    for n in range(depth + 1):
-        if not (eta[n + 1] < nu_p[n] < nu[n] < eta[n]):
-            raise ValueError("nu bands must nest strictly between etas")
-
-    floor_k0 = qmax(one * 4, params.beta * 4)
+    eps, eta = stage_bounds(params, depth)
+    floor_k0 = qmax(quad(4, 0, params.d), params.beta * 4)
 
     def threshold_problem(n: int, k: QuadReal, below: QuadReal | None):
         """Why k cannot be K_n above K_{n-1} = below, or None when it can.
@@ -244,10 +243,10 @@ def build_schedule(params: Params, depth: int = 4,
 
     if k_seq is not None:
         K = list(k_seq)
-        if len(K) != depth + 1:
-            raise ValueError("k_seq must have depth + 1 thresholds")
-        for n in range(depth + 1):
-            problem = threshold_problem(n, K[n], K[n - 1] if n else None)
+        # before the density checks, which index K by stage
+        _check_thresholds(K, depth)
+        for n, k in enumerate(K):
+            problem = threshold_problem(n, k, K[n - 1] if n else None)
             if problem is not None:
                 raise ValueError(f"supplied {problem}")
     else:
@@ -260,32 +259,22 @@ def build_schedule(params: Params, depth: int = 4,
                 cand = cand + 2
             K.append(cand)
 
-    # witness piece budget: predicted compensated run length per eta level
-    letters_max = ((K[depth] + 3) / params.alpha).floor() + 1
-    dev_range = 4 * params.rho.denominator * letters_max
-
-    def run_len(etaj: Fraction) -> int:
-        return int(Fraction(dev_range) / (etaj * params.rho.denominator)) + 1
-
-    L: list[QuadReal] = [params.beta]
-    for j in range(1, depth + 1):
-        n_val = params.beta * run_len(eta[j])
-        L.append(qmax(L[-1] + 1, n_val * 2 + 4))
-
-    sched = Schedule(params, depth, eps, eta, K, L)
-
+    witnesses = []
     for n in range(1, depth + 1):
-        for band in (FreqBand(params.rho + nu_p[n], params.rho + nu[n]),
-                     FreqBand(params.rho - nu[n], params.rho - nu_p[n])):
-            wit = density_witness(params, eps[min(n + 1, depth + 1)], band)
+        # the density bands of stage n, [rho + nu_p, rho + nu] and its
+        # mirror, the middle third of [eta[n + 1], eta[n]]
+        nu_p = eta[n + 1] + (eta[n] - eta[n + 1]) / 3
+        nu = eta[n + 1] + (eta[n] - eta[n + 1]) * 2 / 3
+        for band in (FreqBand(params.rho + nu_p, params.rho + nu),
+                     FreqBand(params.rho - nu, params.rho - nu_p)):
+            wit = density_witness(params, eps[n + 1], band)
             for w, check in enumerate(wit.check_windows(verify_windows)):
                 if not check.report.ok:
                     raise ValueError(f"density witness failed at stage {n}, "
                                      f"band {band}, window {w}: "
                                      f"{check.report.witness}")
-            sched.witnesses.append((n, band, wit))
-    sched.validate()
-    return sched
+            witnesses.append((n, band, wit))
+    return Schedule(params, depth, K, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +865,8 @@ def check_section(t: TiledSection):
     its letter's length; the original ids strictly increase from 0 to
     points-1 and every origin position belongs to one; every original
     point has an origin position, strictly within min(alpha, 1)/3
-    (checked in point order); every witness replays.  Positions, origins
+    (checked in point order); the j-th witness has level j and the eta of
+    :func:`stage_bounds` for level j, and replays.  Positions, origins
     and lengths are lattice coordinates of one ``quadratic.lattice``
     call."""
     p = t.params
@@ -932,7 +922,12 @@ def check_section(t: TiledSection):
     if missing < len(ids):
         raise TilingError(f"original point {ids[missing]} has no origin "
                           f"position")
-    for w in t.witnesses:
+    if t.witnesses:
+        _, eta = stage_bounds(p, len(t.witnesses))
+    for j, w in enumerate(t.witnesses, start=1):
+        if (w.level, w.eta) != (j, eta[j]):
+            raise WitnessError(f"witness {j} claims level {w.level} with eta "
+                               f"{w.eta}; level {j} certifies eta {eta[j]}")
         if not w.replay(t):
             raise WitnessError(f"level {w.level} witness failed replay")
 

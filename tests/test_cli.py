@@ -187,9 +187,14 @@ class TestCli:
         ("tile", lambda d: d.update(depth=True), "'depth'"),
         ("tile", lambda d: d.update(depth=0, K=["7"]),
          "depth must be at least 1, got 0"),
+        ("tile", lambda d: d.update(rho="1"),
+         "rho must lie strictly inside (0, 1)"),
+        ("tile", lambda d: d.update(K=["7", "10", "25"]),
+         "chain thresholds must step by at least 4: 7 then 10"),
         ("classes", lambda d: d.pop("positions"), "'positions'"),
     ], ids=["schedule_no_K", "schedule_depth_str", "schedule_depth_true",
-            "schedule_depth_0", "window_no_positions"])
+            "schedule_depth_0", "schedule_rho_1", "schedule_K_step_3",
+            "window_no_positions"])
     def test_malformed_schedule_or_window_exits_1(self, command, tamper,
                                                    field, schedule2,
                                                    tmp_path, capsys):
@@ -401,6 +406,28 @@ class TestCli:
             argv = argv + ["--in", str(w), "--out", str(tmp_path / "t.json")]
         assert_usage_error(argv, message, capsys)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--n", "0"], "count must be positive"),
+        (["gen", "--kind", "rotation_suspension", "--angle", "1/2", "--n", "5"],
+         "rotation angle must be irrational (s != 0)"),
+        (["--rho", "0", "density", "--eps", "1", "--band", "1/2,3/4",
+          "--windows", "1"], "rho must lie strictly inside (0, 1)"),
+        (["--rho", "1", "tile"], "rho must lie strictly inside (0, 1)"),
+        (["--alpha", "2", "--beta", "1", "tile"], "require alpha < beta"),
+    ], ids=["gen_n_0", "gen_rational_angle", "density_rho_0", "tile_rho_1",
+            "tile_alpha_above_beta"])
+    def test_out_of_range_value_is_usage_error(self, argv, message, tmp_path,
+                                               capsys):
+        out = str(tmp_path / "out.json")
+        if "tile" in argv:
+            w = tmp_path / "w.json"
+            w.write_text(json.dumps({"positions": ["0", "9"]}))
+            argv = argv + ["--in", str(w), "--out", out]
+        elif "gen" in argv:
+            argv = argv + ["--out", out]
+        assert_usage_error(argv, message, capsys)
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("tamper", [
         lambda d: d.update(beta="sqrt(4)"),
         lambda d: d["positions"].__setitem__(3, "1/0"),
@@ -460,6 +487,18 @@ def level_true(d):
     # JSON true is not the integer 1
     assert d["witnesses"][0]["level"] == 1
     d["witnesses"][0]["level"] = True
+
+
+def witness_eta_loosened(d):
+    # eta 1 admits any piece, and no piece outgrows the max value
+    for w in d["witnesses"]:
+        w.update(eta="1", max_value="100000000")
+
+
+def witness_level_dropped(d):
+    # what is left replays: only the count says a level is missing
+    assert [w["level"] for w in d["witnesses"]] == [1, 2]
+    del d["witnesses"][0]
 
 
 def orig_id_true(d):
@@ -532,13 +571,18 @@ class TestVerifyTamperCorpus:
         (lambda d: d.pop("points"), r"section has no 'points' field"),
         (repeat_id, r"original point ids do not increase: 0 then 0"),
         (witness_out_of_band, r"level 2 witness failed replay"),
+        (witness_eta_loosened, r"witness 1 claims level 1 with eta 1; "
+                               r"level 1 certifies eta 1/2$"),
+        (witness_level_dropped, r"witness 1 claims level 2 with eta 1/4; "
+                                r"level 1 certifies eta 1/2$"),
         (level_true, r"section witness field 'level' is not a int: True"),
         (orig_id_true, r"section field 'orig_ids' holds a non-integer: True"),
         (origin_key_padded, r"section field 'origin_positions' key '05' is "
                             r"not the decimal of a point id"),
     ], ids=["letter_swapped", "inserted_point_moved", "cut_short",
             "points_deleted", "id_repeated", "witness_out_of_band",
-            "level_true", "orig_id_true", "origin_key_padded"])
+            "witness_eta_loosened", "witness_level_dropped", "level_true",
+            "orig_id_true", "origin_key_padded"])
     def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
                                     capsys):
         data = json.loads(json.dumps(stored))

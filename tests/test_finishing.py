@@ -316,8 +316,7 @@ def windows(draw):
         k0 = sched.K[0] - draw(st.integers(1, 3))
         spec = GeneratorSpec(kind, count, seed, k0=k0)
     elif kind == "sparse_geometric":
-        spec = GeneratorSpec(kind, count, seed, k0=quad(7, 0, d),
-                             levels=draw(st.integers(2, 3)))
+        spec = GeneratorSpec(kind, count, seed, k0=quad(7, 0, d))
     else:
         num = draw(st.integers(1, 255))
         angle = quad(F(draw(st.integers(64, 255)), 256), F(num, 256), d)

@@ -25,7 +25,7 @@ class TestUniform:
 class TestSparseGeometric:
     def test_sparse_predicate_holds(self):
         w = generate(GeneratorSpec("sparse_geometric", count=40, seed=1,
-                                   k0=quad(7), ratio=2, levels=4))
+                                   k0=quad(7), ratio=2))
         assert is_sparse_window(w, quad(7 * 8))
 
     def test_ratio_validated(self):

@@ -12,7 +12,7 @@ from flowtile.loe import (FrequencyMismatch, LoeReport, MatchState, Piece,
                           PiecewiseTranslationMap, _kind_indices, build_loe,
                           match_equidense, verify_loe)
 from flowtile.pipeline import TiledSection, full_pipeline
-from flowtile.quadratic import quad
+from flowtile.quadratic import parse_quadreal, quad
 from flowtile.tiles import Params, default_params
 
 P = default_params()
@@ -144,10 +144,18 @@ class TestVerifyLoe:
         assert not rep.ok
 
     def test_json_round_trip(self):
+        # a map is written, never read back: each field in exact text form
         t = section_from_letters("abba")
         m = build_loe(t, t)
-        m2 = PiecewiseTranslationMap.from_json(m.to_json())
-        assert m2.pieces == m.pieces
+        data = m.to_json()
+        assert list(data) == ["pieces", "residue_src", "residue_dst"]
+        assert data["pieces"] == [
+            {"src": str(p.src_lo), "dst": str(p.dst_lo),
+             "length": str(p.length), "kind": p.kind} for p in m.pieces]
+        assert [parse_quadreal(p["length"]) for p in data["pieces"]] == [
+            P.alpha if p.kind == "a" else P.beta for p in m.pieces]
+        assert (data["residue_src"], data["residue_dst"]) == (
+            m.residue_src, m.residue_dst)
 
 
 # -- the QuadReal-keyed orbit maps the lattice versions replaced, kept

@@ -16,12 +16,20 @@ from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                check_section, classify_section,
                                full_pipeline, sparse_tile,
                                verify_uniform_frequency)
-from flowtile.quadratic import qmin, quad, sqrtD
+from flowtile.quadratic import parse_quadreal, qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             default_params, enumerate_tileable)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
 
 P = default_params()
+# D in {2, 3}, irrational alpha, skewed rho
+SCHEDULE_PARAMS = [
+    P,
+    Params(sqrtD(3) - 1, quad(3, 0, 3), F(2, 5)),
+    Params(quad(1), sqrtD(), F(1, 7)),
+    Params(quad(1), sqrtD(), F(6, 7)),
+    Params(quad(1, 0, 3), sqrtD(3), F(1, 2)),
+]
 
 
 def section_from_letters(letters, params=P, start=quad(0)):
@@ -40,18 +48,68 @@ class TestSchedule:
 
     def test_invariants(self, schedule4):
         s = schedule4
-        s.validate()
-        total = s.shift_budget()
-        assert total < quad(1) / 3
+        assert s.shift_budget() < quad(1) / 3
         for a, b in zip(s.K, s.K[1:]):
             assert not b < a + 4
+        for a, b in zip(s.L, s.L[1:]):
+            assert a < b
+
+    @pytest.mark.parametrize("params", SCHEDULE_PARAMS)
+    @pytest.mark.parametrize("depth", [1, 2, 4, 9])
+    def test_stage_bounds_invariants(self, params, depth):
+        # what the stage constants must satisfy, true of the formulas
+        eps, eta = pipeline.stage_bounds(params, depth)
+        base = qmin(params.alpha, quad(1, 0, params.d)) / 3
+        assert len(eps) == len(eta) == depth + 2
+        total = quad(0, 0, params.d)
+        for e in eps[1:]:
+            total = total + e
+        assert total == base * (1 - F(1, 2 ** (depth + 1)))
+        assert total < base
+        assert eta[0] == 1
+        assert eta[1] == min(params.rho, 1 - params.rho)
+        assert all(b < a for a, b in zip(eta, eta[1:]))
+        # the density bands nest strictly between consecutive etas
+        for n in range(1, depth + 1):
+            nu_p = eta[n + 1] + (eta[n] - eta[n + 1]) / 3
+            nu = eta[n + 1] + (eta[n] - eta[n + 1]) * 2 / 3
+            assert eta[n + 1] < nu_p < nu < eta[n]
+        # eta[j] does not depend on depth
+        assert eta == pipeline.stage_bounds(params, depth + 3)[1][:depth + 2]
 
     def test_shift_budget_must_stay_strictly_below(self, schedule2):
+        # eps is derived from params and depth: it cannot be set
         third = quad(1) / 3
-        at_budget = dataclasses.replace(
-            schedule2, eps=[quad(0), third / 2, third / 4, third / 4])
         with pytest.raises(ValueError):
-            at_budget.validate()
+            dataclasses.replace(
+                schedule2, eps=[quad(0), third / 2, third / 4, third / 4])
+        with pytest.raises(TypeError):
+            Schedule(P, 2, schedule2.K, [], eps=[quad(0), third / 2,
+                                                   third / 4, third / 4])
+        assert schedule2.shift_budget() == third * F(7, 8)
+
+    @pytest.mark.parametrize("K, message", [
+        (["7", "11"], "a depth-2 schedule needs 3 thresholds, got 2"),
+        (["7", "11", "25", "29"], "a depth-2 schedule needs 3 thresholds, "
+                                  "got 4"),
+        (["7", "10", "25"], "chain thresholds must step by at least 4: "
+                            "7 then 10"),
+        (["7", "23", "25"], "chain thresholds must step by at least 4: "
+                            "23 then 25"),
+    ], ids=["short", "long", "step_3", "step_2"])
+    def test_thresholds_checked_on_construction(self, K, message):
+        K = [parse_quadreal(k) for k in K]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Schedule(P, 2, K, [])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_schedule(P, depth=2, k_seq=K, verify_windows=1)
+
+    def test_derived_constants_follow_k(self, schedule2):
+        s = Schedule(P, 2, schedule2.K, [])
+        assert s.to_json() == schedule2.to_json()
+        assert [f.name for f in dataclasses.fields(Schedule) if f.init] == [
+            "params", "depth", "K", "witnesses"]
+        assert not hasattr(Schedule, "validate")
 
     def test_eps_formula(self, schedule4):
         # eps_n = 2^-n * min(alpha, 1)/3
@@ -303,13 +361,9 @@ class TestSparseTile:
     def test_two_points_distance_six(self):
         # only one tileable lives within eps_1 of 6: six alpha tiles.  K_0 =
         # 23/4 is below the corridor density build_schedule requires, on
-        # purpose, so the schedule is built directly, with the stock depth-1
-        # eps, eta and L
-        sched = Schedule(P, 1, [quad(0), quad(F(1, 6)), quad(F(1, 12))],
-                         [F(1), F(1, 2), F(1, 4)],
-                         [quad(F(23, 4)), quad(F(47, 4))],
-                         [sqrtD(), 4 + sqrtD() * 242])
-        sched.validate()
+        # purpose, so the schedule is built directly
+        sched = Schedule(P, 1, [quad(F(23, 4)), quad(F(47, 4))], [])
+        assert sched.L == [sqrtD(), 4 + sqrtD() * 242]
         w = OrbitWindow([quad(0), quad(6)])
         t = sparse_tile(w, sched)
         assert t.is_fully_regular()
@@ -406,8 +460,8 @@ class TestUniformFrequency:
         t = full_pipeline(w, schedule2, seed=7)
         assert t.witnesses
         check_section(t)
-        bad = PartitionWitness(1, quad(F(1, 2)), F(0), t.witnesses[0].cuts)
-        t.witnesses.append(bad)
+        # a max value no piece fits under, with the level's own eta
+        t.witnesses[0] = t.witnesses[0]._replace(max_value=quad(F(1, 2)))
         with pytest.raises(WitnessError) as err:
             check_section(t)
         assert str(err.value) == "level 1 witness failed replay"
