@@ -10,9 +10,8 @@ on stderr.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
-``check_section`` (gap letters, displacements, provenance against the
-stored ``points``, witness replay); ``verify`` then computes the uniform
-run length N(eta).
+``check_section`` (gap letters, displacements, provenance, witness
+replay); ``verify`` then computes the uniform run length N(eta).
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ def _params(args) -> Params:
              else quad(1))
     beta = (_literal(parse_quadreal, "--beta", args.beta) if args.beta
             else quad(0, 1))
-    rho = _literal(Fraction, "--rho", args.rho)
+    rho = (Fraction(1, 2) if args.rho is None
+           else _literal(Fraction, "--rho", args.rho))
     try:
         return Params(alpha, beta, rho)
     except ValueError as e:
@@ -82,16 +82,15 @@ def _write_json(path: str, data: dict):
         json.dump(data, fh, indent=1)
 
 
-def _load_schedule(args, params: Params) -> Schedule:
-    if args.schedule:
-        data = _read_json(args.schedule)
-        where = "schedule"
-        params = params_from_json(data, where)
-        depth = json_field(data, "depth", int, where=where)
-        k_seq = [parse_quadreal(k)
-                 for k in json_field(data, "K", list, where=where)]
-        return build_schedule(params, depth=depth, k_seq=k_seq)
-    return build_schedule(params, depth=args.depth)
+def _load_schedule(args) -> Schedule:
+    if not args.schedule:
+        return build_schedule(_params(args), depth=args.depth)
+    data = _read_json(args.schedule)
+    where = "schedule"
+    depth = json_field(data, "depth", int, where=where)
+    k_seq = [parse_quadreal(k) for k in json_field(data, "K", list, where=where)]
+    return build_schedule(params_from_json(data, where), depth=depth,
+                          k_seq=k_seq)
 
 
 def _read_section(path: str) -> TiledSection:
@@ -196,9 +195,12 @@ def cmd_boost(args) -> int:
 def cmd_tile(args) -> int:
     if args.depth < 1:
         raise UsageError(f"--depth must be at least 1, got {args.depth}")
+    if args.schedule and (args.alpha, args.beta, args.rho) != (None,) * 3:
+        raise UsageError("--alpha, --beta and --rho do not apply with "
+                         "--schedule, whose file sets them")
     # the window first: a bad file fails before the schedule is built
     w = OrbitWindow.from_json(_read_json(args.infile))
-    sched = _load_schedule(args, _params(args))
+    sched = _load_schedule(args)
     if args.mode == "full":
         t = full_pipeline(w, sched, seed=args.seed)
     else:
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--alpha", help="short tile length (exact text form)")
     ap.add_argument("--beta", help="long tile length (exact text form)")
-    ap.add_argument("--rho", default="1/2", help="target alpha frequency")
+    ap.add_argument("--rho", help="target alpha frequency (default 1/2)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic orbit window")

@@ -324,11 +324,11 @@ class TiledSection:
 
     positions/letters describe the current section; letters[i] is 'a' or
     'b' when the gap (i, i+1) is exactly alpha or beta, else None.  ranks
-    give the last stage that retiled each point's block: 0 for untouched
-    points, 1 after growth, and n for the runs finishing stage n retiles;
-    orig_ids map points back to the input window, and origin_pos holds
-    each original point's input position.  ``points`` is the size of the
-    input window: at first the number of original ids.
+    give the last stage that retiled each point's block (0 untouched, 1
+    after growth, n for the runs finishing stage n retiles) and are not
+    serialized; orig_ids map points back to the input window, and
+    origin_pos holds each original point's input position.  ``points`` is
+    the size of the input window: at first the number of original ids.
     """
 
     def __init__(self, params: Params, positions, letters, ranks, orig_ids,
@@ -374,20 +374,24 @@ class TiledSection:
         return out
 
     def counts(self) -> TileVector:
-        p = sum(1 for ch in self.letters if ch == "a")
-        q = sum(1 for ch in self.letters if ch == "b")
-        return TileVector(p, q)
+        return TileVector(self.letters.count("a"), self.letters.count("b"))
 
     def to_json(self) -> dict:
+        """The format-2 section file: the start and the letters fix every
+        position, so an untiled gap raises ValueError."""
+        if None in self.letters:
+            raise ValueError(f"gap {self.letters.index(None)} is untiled: "
+                             f"a section file holds tiled sections only")
+        index = [i for i, oid in enumerate(self.orig_ids) if oid is not None]
         return {
+            "format": 2,
             "alpha": str(self.params.alpha), "beta": str(self.params.beta),
             "rho": str(self.params.rho),
-            "positions": [str(p) for p in self.positions],
-            "letters": ["" if ch is None else ch for ch in self.letters],
-            "ranks": self.ranks,
-            "points": self.points,
-            "orig_ids": [-1 if o is None else o for o in self.orig_ids],
-            "origin_positions": {str(k): str(v) for k, v in self.origin_pos.items()},
+            "start": str(self.positions[0]),
+            "letters": "".join(self.letters),
+            "origin_index": index,
+            "origin_positions": [str(self.origin_pos[self.orig_ids[i]])
+                                 for i in index],
             "witnesses": [
                 {"level": w.level, "max_value": str(w.max_value),
                  "eta": str(w.eta), "cuts": list(w.cuts)}
@@ -397,37 +401,39 @@ class TiledSection:
 
     @classmethod
     def from_json(cls, data: dict) -> "TiledSection":
-        """Read a section written by :meth:`to_json`.  A missing or
-        mistyped field, or lists whose lengths do not fit one section,
-        raise ValueError naming the field."""
+        """Read a section written by :meth:`to_json`; every rank is 0.  Any
+        other format, a bad field, an index past the positions or misaligned
+        origins raise ValueError; :func:`check_section` judges their order."""
+        fmt = json_field(data, "format", int, 1)
+        if fmt != 2:
+            raise ValueError(f"section format {fmt} is not read, only format "
+                             f"2: tile the window again")
         params = params_from_json(data)
-        positions = [parse_quadreal(p)
-                     for p in json_field(data, "positions", list)]
-        letters = json_field(data, "letters", list)
-        for ch in letters:
-            if ch not in ("a", "b", ""):
-                raise ValueError(f"unknown gap letter {ch!r}")
-        ranks = _int_list(data, "ranks")
-        points = json_field(data, "points", int)
-        orig_ids = _int_list(data, "orig_ids")
-        if len(letters) != len(positions) - 1:
-            raise ValueError(f"section field 'letters' has {len(letters)} "
-                             f"entries for {len(positions)} positions")
-        for key, values in (("ranks", ranks), ("orig_ids", orig_ids)):
-            if len(values) != len(positions):
-                raise ValueError(f"section field {key!r} has {len(values)} "
-                                 f"entries for {len(positions)} positions")
-        t = cls(params, positions,
-                [None if ch == "" else ch for ch in letters], ranks,
-                [None if o == -1 else o for o in orig_ids])
-        t.points = points
-        origin = json_field(data, "origin_positions", dict, {})
-        for k, v in origin.items():
-            # one key per id: int() would read "05" as a second point 5
-            if not (k.isdecimal() and str(int(k)) == k):
-                raise ValueError(f"section field 'origin_positions' key {k!r} "
-                                 f"is not the decimal of a point id")
-            t.origin_pos[int(k)] = parse_quadreal(v)
+        start = parse_quadreal(json_field(data, "start", str))
+        letters = json_field(data, "letters", str)
+        bad = set(letters) - {"a", "b"}
+        if bad:
+            raise ValueError(f"unknown gap letter {min(bad)!r}")
+        index = _int_list(data, "origin_index")
+        origin = [parse_quadreal(p)
+                  for p in json_field(data, "origin_positions", list)]
+        if len(origin) != len(index):
+            raise ValueError(f"section field 'origin_positions' has {len(origin)}"
+                             f" entries for {len(index)} original points")
+        orig_ids = [None] * (len(letters) + 1)
+        for k, i in enumerate(index):
+            if not 0 <= i < len(orig_ids):
+                raise ValueError(f"section field 'origin_index' holds {i}, "
+                                 f"not a position index in 0..{len(letters)}")
+            orig_ids[i] = k
+        c, d, [([x], [y]), ([ax], [ay]), ([bx], [by])] = lattice(
+            [start], [params.alpha], [params.beta])
+        xs = accumulate(map({"a": ax, "b": bx}.get, letters), initial=x)
+        ys = accumulate(map({"a": ay, "b": by}.get, letters), initial=y)
+        t = cls(params, map(QuadReal._raw, xs, ys, repeat(c), repeat(d)),
+                letters, [0] * len(orig_ids), orig_ids)
+        t.points = len(index)
+        t.origin_pos = dict(enumerate(origin))
         where = "section witness"
         for w in json_field(data, "witnesses", list, []):
             t.witnesses.append(PartitionWitness(

@@ -11,10 +11,7 @@ WIDTH, HEIGHT = 1200, 120
 
 
 def section_svg(t: TiledSection) -> str:
-    """One horizontal strip: alpha gaps blue, beta gaps red, untiled grey.
-
-    Rank annotations are drawn under the strip at block starts.
-    """
+    """One horizontal strip: alpha gaps blue, beta gaps red, untiled grey."""
     x0 = float(t.positions[0])
     x1 = float(t.positions[-1])
     span = max(x1 - x0, 1e-9)
@@ -33,11 +30,6 @@ def section_svg(t: TiledSection) -> str:
         color = {"a": ALPHA_COLOR, "b": BETA_COLOR, None: GAP_COLOR}[ch]
         parts.append(f'<line x1="{a:.2f}" y1="{y}" x2="{b:.2f}" y2="{y}" '
                      f'stroke="{color}" stroke-width="6"/>')
-    for i, j in t.regular_runs():
-        if j > i:
-            a = sx(float(t.positions[i]))
-            parts.append(f'<text x="{a:.2f}" y="{y + 24}" font-size="10" '
-                         f'fill="#444">r{max(t.ranks[i:j + 1])}</text>')
     for p in t.positions:
         a = sx(float(p))
         parts.append(f'<line x1="{a:.2f}" y1="{y - 5}" x2="{a:.2f}" '

@@ -1,11 +1,9 @@
 import json
 import re
-from fractions import Fraction as F
 
 import pytest
 
 from flowtile.cli import main
-from flowtile.quadratic import parse_quadreal
 
 
 def run(args):
@@ -41,7 +39,8 @@ class TestCli:
         run(["tile", "--mode", "full", "--depth", "2", "--in", str(w),
              "--out", str(t)])
         data = json.loads(t.read_text())
-        data["letters"][0] = ""
+        # a blank letter gives its gap no length
+        data["letters"] = " " + data["letters"][1:]
         t.write_text(json.dumps(data))
         assert run(["verify", str(t)]) == 1
 
@@ -125,8 +124,15 @@ class TestCli:
         assert err.startswith("verification failure: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("tamper", ["moved", "missing"])
-    def test_verify_rejects_displaced_point(self, tamper, tmp_path, capsys):
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda d: d["origin_positions"].__setitem__(3, "1000"),
+         "original point 3 displaced "),
+        (lambda d: d["origin_positions"].pop(3),
+         "section field 'origin_positions' has 39 entries for 40 original "
+         "points"),
+    ], ids=["moved", "missing"])
+    def test_verify_rejects_displaced_point(self, tamper, message, tmp_path,
+                                            capsys):
         w = tmp_path / "w.json"
         t = tmp_path / "t.json"
         run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
@@ -134,25 +140,22 @@ class TestCli:
         run(["tile", "--mode", "full", "--depth", "4", "--in", str(w),
              "--out", str(t)])
         data = json.loads(t.read_text())
-        if tamper == "moved":
-            data["origin_positions"]["3"] = "1000"
-        else:
-            del data["origin_positions"]["3"]
+        tamper(data)
         t.write_text(json.dumps(data))
         capsys.readouterr()
         assert run(["verify", "--eta", "1/8", str(t)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("verification failure: original point 3 ")
+        assert err.startswith(f"verification failure: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("tamper,message", [
-        (lambda d: d.update(orig_ids=[-1] * len(d["orig_ids"])),
+        (lambda d: d.update(origin_index=[], origin_positions=[]),
          "section has no original point"),
-        (lambda d: (d.update(orig_ids=[-1] * len(d["orig_ids"])),
-                    d.pop("origin_positions")),
-         "section has no original point"),
-        (lambda d: d["origin_positions"].update({"999": "0"}),
-         "origin position 999 belongs to no original point"),
+        (lambda d: (d.pop("origin_index"), d.pop("origin_positions")),
+         "section has no 'origin_index' field"),
+        (lambda d: d["origin_positions"].append("0"),
+         "section field 'origin_positions' has 61 entries for 60 original "
+         "points"),
     ], ids=["ids_erased", "ids_and_origins_erased", "stray_origin"])
     def test_verify_rejects_erased_provenance(self, tamper, message, tmp_path,
                                               capsys):
@@ -264,8 +267,12 @@ class TestCli:
                     "--out", str(t)]) == 0
         assert run(["verify", "--eta", "1/8", str(t)]) == 0
 
-    @pytest.mark.parametrize("letter", [[1], "c"], ids=["list", "c"])
-    def test_verify_rejects_unknown_letter(self, letter, tmp_path, capsys):
+    @pytest.mark.parametrize("tamper,message", [
+        (list, "section field 'letters' is not a str: ['"),
+        (lambda letters: letters.replace("b", "c", 1), "unknown gap letter 'c'"),
+    ], ids=["list", "c"])
+    def test_verify_rejects_unknown_letter(self, tamper, message, tmp_path,
+                                           capsys):
         w = tmp_path / "w.json"
         t = tmp_path / "t.json"
         run(["gen", "--kind", "uniform", "--n", "40", "--seed", "3",
@@ -273,21 +280,21 @@ class TestCli:
         run(["tile", "--mode", "full", "--depth", "2", "--in", str(w),
              "--out", str(t)])
         data = json.loads(t.read_text())
-        data["letters"][data["letters"].index("b")] = letter
+        data["letters"] = tamper(data["letters"])
         t.write_text(json.dumps(data))
         capsys.readouterr()
         assert run(["verify", "--eta", "1/8", str(t)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("verification failure: unknown gap letter")
+        assert err.startswith(f"verification failure: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("tamper,field", [
         (lambda d: d.update(rho=[1]), "'rho'"),
-        (lambda d: d.pop("ranks"), "'ranks'"),
+        (lambda d: d.pop("start"), "'start'"),
         (lambda d: d["witnesses"][0].pop("max_value"), "'max_value'"),
         (lambda d: d["witnesses"][0].update(cuts=5), "'cuts'"),
-        (lambda d: d["positions"].pop(), "'letters'"),
-    ], ids=["rho_list", "no_ranks", "witness_no_max_value", "witness_cuts_int",
+        (lambda d: d["origin_positions"].pop(), "'origin_positions'"),
+    ], ids=["rho_list", "no_start", "witness_no_max_value", "witness_cuts_int",
             "last_position_deleted"])
     def test_verify_rejects_malformed_section(self, tamper, field, tmp_path,
                                               capsys):
@@ -321,6 +328,21 @@ class TestCli:
         assert run(["tile", "--depth", "2", "--in", str(w),
                     "--out", str(built)]) == 0
         assert json.loads(from_file.read_text()) == json.loads(built.read_text())
+
+    @pytest.mark.parametrize("flag", [["--alpha", "1"], ["--beta", "sqrt(2)"],
+                                      ["--rho", "1/3"], ["--rho", "1/2"]],
+                             ids=["alpha", "beta", "rho_1_3", "rho_1_2"])
+    def test_schedule_file_refuses_parameter_flags(self, flag, schedule2,
+                                                   tmp_path, capsys):
+        # the file's parameters would be tiled at, and the flag ignored
+        sched, w = tmp_path / "s.json", tmp_path / "w.json"
+        sched.write_text(json.dumps(schedule2.to_json()))
+        w.write_text(json.dumps({"positions": ["0", "9"]}))
+        assert_usage_error(flag + ["tile", "--schedule", str(sched), "--in",
+                                   str(w), "--out", str(tmp_path / "t.json")],
+                           "--alpha, --beta and --rho do not apply with "
+                           "--schedule, whose file sets them", capsys)
+        assert not (tmp_path / "t.json").exists()
 
     BOOST_PROBLEM = {
         "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "eps": "1",
@@ -430,7 +452,7 @@ class TestCli:
 
     @pytest.mark.parametrize("tamper", [
         lambda d: d.update(beta="sqrt(4)"),
-        lambda d: d["positions"].__setitem__(3, "1/0"),
+        lambda d: d["origin_positions"].__setitem__(3, "1/0"),
     ], ids=["beta_sqrt4", "position_1_0"])
     def test_verify_rejects_degenerate_literal(self, tamper, tmp_path, capsys):
         # sqrt(4) is the rational 2, and 1/0 is no number: both are
@@ -453,27 +475,31 @@ class TestCli:
 
 
 def swap_letter(d):
-    i = d["letters"].index("a")
-    d["letters"][i] = "b"
+    # beta - alpha is more than the budget: every later point moves by it
+    d["letters"] = d["letters"].replace("a", "b", 1)
 
 
-def move_inserted_point(d):
-    i = d["orig_ids"].index(-1)
-    d["positions"][i] = str(parse_quadreal(d["positions"][i]) + F(1, 1000))
+def b_letter_to_a(d):
+    d["letters"] = d["letters"].replace("b", "a", 1)
 
 
 def cut_short(d):
-    # the section of a window one point shorter, consistent in itself
-    for key in ("positions", "letters", "ranks", "orig_ids"):
-        d[key].pop()
-    del d["origin_positions"][str(d["points"] - 1)]
+    # one letter, one original point and the last cuts fewer; the origins
+    # still count the whole window
+    d["letters"] = d["letters"][:-1]
+    d["origin_index"].pop()
     for w in d["witnesses"]:
         w["cuts"][-1] = len(d["letters"])
 
 
-def repeat_id(d):
-    first, second = [i for i, o in enumerate(d["orig_ids"]) if o != -1][:2]
-    d["orig_ids"][second] = d["orig_ids"][first]
+def repeat_index(d):
+    # point 1 takes point 0's place, so no point is 0
+    d["origin_index"][1] = d["origin_index"][0]
+
+
+def swap_indices(d):
+    ix = d["origin_index"]
+    ix[1], ix[2] = ix[2], ix[1]
 
 
 def witness_out_of_band(d):
@@ -501,23 +527,8 @@ def witness_level_dropped(d):
     del d["witnesses"][0]
 
 
-def orig_id_true(d):
-    d["orig_ids"][d["orig_ids"].index(1)] = True
-
-
-def origin_key_padded(d):
-    # "05" names point 5 a second time, ahead of the true "5" entry
-    d["origin_positions"] = {"05": "1000", **d["origin_positions"]}
-
-
-def b_letter_to_a(d):
-    i = d["letters"].index("b")
-    d["letters"][i] = "a"
-
-
-def swap_positions(d):
-    ps = d["positions"]
-    ps[1], ps[2] = ps[2], ps[1]
+def index_past_end(d):
+    d["origin_index"][-1] = len(d["letters"]) + 1
 
 
 def assert_usage_error(argv, message, capsys):
@@ -552,7 +563,7 @@ class TestVerifyTamperCorpus:
         assert main(["tile", "--depth", "2", "--in", str(w),
                      "--out", str(t)]) == 0
         data = json.loads(t.read_text())
-        assert data["points"] == 60 and len(data["witnesses"]) == 2
+        assert len(data["origin_index"]) == 60 and len(data["witnesses"]) == 2
         return data
 
     def test_untampered_section_passes(self, stored, tmp_path, capsys):
@@ -565,24 +576,39 @@ class TestVerifyTamperCorpus:
         assert captured.err == ""
 
     @pytest.mark.parametrize("tamper,message", [
-        (swap_letter, r"gap \d+: letter b but size 1"),
-        (move_inserted_point, r"gap \d+: letter [ab] but size "),
-        (cut_short, r"original point ids run from 0 to 58, not from 0 to 59"),
-        (lambda d: d.pop("points"), r"section has no 'points' field"),
-        (repeat_id, r"original point ids do not increase: 0 then 0"),
+        (swap_letter, r"original point \d+ displaced "),
+        (cut_short, r"section field 'origin_positions' has 60 entries for 59 "
+                    r"original points$"),
+        (lambda d: d.pop("origin_index"), r"section has no 'origin_index' "
+                                          r"field$"),
+        (repeat_index, r"original point ids run from 1 to 59, not from 0 to "
+                       r"59$"),
         (witness_out_of_band, r"level 2 witness failed replay"),
         (witness_eta_loosened, r"witness 1 claims level 1 with eta 1; "
                                r"level 1 certifies eta 1/2$"),
         (witness_level_dropped, r"witness 1 claims level 2 with eta 1/4; "
                                 r"level 1 certifies eta 1/2$"),
         (level_true, r"section witness field 'level' is not a int: True"),
-        (orig_id_true, r"section field 'orig_ids' holds a non-integer: True"),
-        (origin_key_padded, r"section field 'origin_positions' key '05' is "
-                            r"not the decimal of a point id"),
-    ], ids=["letter_swapped", "inserted_point_moved", "cut_short",
-            "points_deleted", "id_repeated", "witness_out_of_band",
-            "witness_eta_loosened", "witness_level_dropped", "level_true",
-            "orig_id_true", "origin_key_padded"])
+        (lambda d: d["origin_index"].__setitem__(1, True),
+         r"section field 'origin_index' holds a non-integer: True$"),
+        (lambda d: d.pop("format"), r"section format 1 is not read, only "
+                                    r"format 2: tile the window again$"),
+        (lambda d: d["origin_index"].__setitem__(0, -1),
+         r"section field 'origin_index' holds -1, not a position index in "
+         r"0\.\.\d+$"),
+        (index_past_end, r"section field 'origin_index' holds \d+, not a "
+                         r"position index in 0\.\.\d+$"),
+        (swap_indices, r"original point ids do not increase: 2 then 1$"),
+        (lambda d: d["origin_positions"].pop(),
+         r"section field 'origin_positions' has 59 entries for 60 original "
+         r"points$"),
+        (lambda d: d.update(letters=d["letters"].replace("b", "c", 1)),
+         r"unknown gap letter 'c'$"),
+    ], ids=["letter_swapped", "cut_short", "origin_index_deleted", "id_repeated",
+            "witness_out_of_band", "witness_eta_loosened",
+            "witness_level_dropped", "level_true", "origin_index_true",
+            "format_1", "origin_index_minus_1", "origin_index_past_end",
+            "origin_index_decreasing", "origin_positions_short", "letter_c"])
     def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
                                     capsys):
         data = json.loads(json.dumps(stored))
@@ -592,32 +618,34 @@ class TestVerifyTamperCorpus:
         assert_fails(["verify", str(t)], message, capsys)
 
     def test_points_true_on_one_point_section_fails(self, tmp_path, capsys):
+        # JSON false is not the integer 0, the one point's index
         w, t = tmp_path / "w.json", tmp_path / "t.json"
         w.write_text(json.dumps({"positions": ["0"]}))
         assert main(["tile", "--depth", "2", "--in", str(w),
                      "--out", str(t)]) == 0
         data = json.loads(t.read_text())
-        assert data["points"] == 1
-        data["points"] = True
+        assert (data["letters"], data["origin_index"]) == ("", [0])
+        data["origin_index"] = [False]
         t.write_text(json.dumps(data))
         assert_fails(["verify", str(t)],
-                     r"section field 'points' is not a int: True", capsys)
+                     r"section field 'origin_index' holds a non-integer: "
+                     r"False$", capsys)
 
     @pytest.mark.parametrize("command", ["verify", "loe", "plot"])
     def test_section_readers_reject_repeated_key(self, stored, command,
                                                  tmp_path, capsys):
-        # a second "5" ahead of the true one: json.load alone would keep
-        # the true origin and the section would verify
+        # a loose eta ahead of the true one: json.load alone would keep the
+        # true eta and the section would verify
         text = json.dumps(stored)
-        assert text.count('"origin_positions": {') == 1
+        assert text.count('{"level": 1, ') == 1
         t = tmp_path / "t.json"
-        t.write_text(text.replace('"origin_positions": {',
-                                  '"origin_positions": {"5": "1000", '))
+        t.write_text(text.replace('{"level": 1, ',
+                                  '{"level": 1, "eta": "1", '))
         out = str(tmp_path / "out")
         argv = {"verify": ["verify", str(t)],
                 "loe": ["loe", "--a", str(t), "--b", str(t), "--out", out],
                 "plot": ["plot", str(t), "--svg", out]}[command]
-        assert_fails(argv, r"key '5' appears twice in one JSON object$",
+        assert_fails(argv, r"key 'eta' appears twice in one JSON object$",
                      capsys)
 
     @pytest.mark.parametrize("eta", ["0", "-1/8"])
@@ -631,9 +659,8 @@ class TestVerifyTamperCorpus:
 
     @pytest.mark.parametrize("command", ["loe", "plot"])
     @pytest.mark.parametrize("tamper,message", [
-        (b_letter_to_a, r"gap \d+: letter a but size "),
-        (swap_positions, r"gap 0: letter [ab] but size "),
-    ], ids=["b_letter_set_to_a", "positions_swapped"])
+        (b_letter_to_a, r"original point \d+ displaced "),
+    ], ids=["b_letter_set_to_a"])
     def test_section_readers_reject_tampered_section(
             self, stored, tamper, message, command, tmp_path, capsys):
         data = json.loads(json.dumps(stored))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
@@ -669,10 +670,26 @@ class TestSectionJson:
     def test_round_trip(self, schedule2):
         w = generate(GeneratorSpec("uniform", count=60, seed=11, k0=schedule2.K[0]))
         t = full_pipeline(w, schedule2, seed=11)
-        t2 = TiledSection.from_json(t.to_json())
+        data = t.to_json()
+        # the start and the letters stand for the positions
+        assert list(data) == ["format", "alpha", "beta", "rho", "start",
+                              "letters", "origin_index", "origin_positions",
+                              "witnesses", "notes"]
+        assert data["format"] == 2 and set(data["letters"]) == {"a", "b"}
+        t2 = TiledSection.from_json(json.loads(json.dumps(data)))
         assert t2.positions == t.positions
         assert t2.letters == t.letters
-        assert [w2.cuts for w2 in t2.witnesses] == [w1.cuts for w1 in t.witnesses]
+        assert t2.orig_ids == t.orig_ids
+        assert t2.origin_pos == t.origin_pos
+        assert t2.witnesses == t.witnesses
+        assert t2.notes == t.notes
+        # ranks are not stored
+        assert t2.ranks == [0] * len(t.positions)
+
+    def test_untiled_gap_is_not_written(self):
+        t = TiledSection.from_window(P, OrbitWindow([quad(0), quad(9)]))
+        with pytest.raises(ValueError, match="gap 0 is untiled"):
+            t.to_json()
 
 
 class TestPipelineBoundaries:
