@@ -36,6 +36,9 @@ from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
 from .windows import OrbitWindow, chain_classes, json_field, two_class_block
 
 
+TILE_DEPTH = 2  # the schedule depth of `tile` without --depth or --schedule
+
+
 class UsageError(ValueError):
     pass
 
@@ -84,7 +87,8 @@ def _write_json(path: str, data: dict):
 
 def _load_schedule(args) -> Schedule:
     if not args.schedule:
-        return build_schedule(_params(args), depth=args.depth)
+        depth = TILE_DEPTH if args.depth is None else args.depth
+        return build_schedule(_params(args), depth=depth)
     data = _read_json(args.schedule)
     where = "schedule"
     depth = json_field(data, "depth", int, where=where)
@@ -193,11 +197,14 @@ def cmd_boost(args) -> int:
 
 
 def cmd_tile(args) -> int:
-    if args.depth < 1:
-        raise UsageError(f"--depth must be at least 1, got {args.depth}")
     if args.schedule and (args.alpha, args.beta, args.rho) != (None,) * 3:
         raise UsageError("--alpha, --beta and --rho do not apply with "
                          "--schedule, whose file sets them")
+    if args.schedule and args.depth is not None:
+        raise UsageError("--depth does not apply with --schedule, whose file "
+                         "sets it")
+    if args.depth is not None and args.depth < 1:
+        raise UsageError(f"--depth must be at least 1, got {args.depth}")
     # the window first: a bad file fails before the schedule is built
     w = OrbitWindow.from_json(_read_json(args.infile))
     sched = _load_schedule(args)
@@ -299,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tile", help="run a tiling pipeline on a window")
     t.add_argument("--mode", choices=["sparse", "full"], default="full")
     t.add_argument("--schedule", help="schedule JSON (else built from params)")
-    t.add_argument("--depth", type=int, default=2)
+    t.add_argument("--depth", type=int,
+                   help=f"schedule depth (default {TILE_DEPTH}; not with "
+                        f"--schedule)")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", required=True)

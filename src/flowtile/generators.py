@@ -3,15 +3,26 @@
 All positions are exact: random gaps are drawn from a rational grid
 (default step 1/64), so every generated window lives in Q(sqrt(D)).
 Generation is a pure function of the spec and its seed.
+
+Every kind builds its window on integer lattice coordinates over one
+denominator and makes one ``QuadReal`` per point:
+
+- ``uniform`` and ``sparse_geometric`` positions are running integer sums
+  over ``lcm(k0.c, GRID)``, one ``rng.randint(0, GRID)`` draw per gap;
+- ``rotation_suspension`` positions are the visit times of the circle
+  rotation by an irrational angle theta in (0, 1) to [0, theta).  The
+  m-th visit is at ``ceil(m/theta)``, a Beatty sequence, so every gap is
+  ``floor(1/theta)`` or ``floor(1/theta) + 1``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate, repeat
 
-from .quadratic import QuadReal, quad
+from .quadratic import QuadReal, floor_of, quad
 from .windows import OrbitWindow
 
 GRID = 64  # default rational grid denominator for random gaps
@@ -46,33 +57,26 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> OrbitWindow:
     spec.validate()
+    if spec.kind == "rotation_suspension":
+        # ceil(m/theta) = -floor(-m/theta), with 1/theta = (a + b*sqrt(d))/c
+        inv = 1 / spec.angle
+        a, b, c, d = inv.a, inv.b, inv.c, inv.d
+        visits = (-floor_of(-m * a, -m * b, c, d) for m in range(spec.count))
+        return OrbitWindow([QuadReal._raw(j, 0, 1, d) for j in visits])
     rng = random.Random(spec.seed)
+    k0 = spec.k0 if spec.k0 is not None else quad(7)
+    # gap i is k0 * scale[i % len(scale)] + offset + r_i/GRID, held as
+    # (xs[i] + ys[i]*sqrt(d)) / c over c = lcm(k0.c, GRID).  Uniform gaps
+    # lie in [k0+1, k0+2]; sparse scales cycle so both window halves see
+    # every gap size
+    c, d = math.lcm(k0.c, GRID), k0.d
+    kx, ky, step = k0.a * (c // k0.c), k0.b * (c // k0.c), c // GRID
     if spec.kind == "uniform":
-        k0 = spec.k0 if spec.k0 is not None else quad(7)
-        pos = [quad(0, 0, k0.d)]
-        for _ in range(spec.count - 1):
-            gap = k0 + 1 + Fraction(rng.randint(0, GRID), GRID)
-            pos.append(pos[-1] + gap)
-        return OrbitWindow(pos)
-    if spec.kind == "sparse_geometric":
-        k0 = spec.k0 if spec.k0 is not None else quad(7)
-        pos = [quad(0, 0, k0.d)]
-        for i in range(spec.count - 1):
-            # cycle the scales so both window halves see every gap size
-            level = i % LEVELS
-            gap = k0 * (spec.ratio ** level) + Fraction(rng.randint(0, GRID), GRID)
-            pos.append(pos[-1] + gap)
-        return OrbitWindow(pos)
-    # rotation_suspension: visit times of an exact circle rotation to [0, angle)
-    theta = spec.angle
-    pos = []
-    j = 0
-    x = quad(0, 0, theta.d)  # orbit point: fractional part of j*theta
-    while len(pos) < spec.count:
-        if x < theta:
-            pos.append(quad(j, 0, theta.d))
-        j += 1
-        x = x + theta
-        if not x < 1:
-            x = x - 1
-    return OrbitWindow(pos)
+        scale, offset = [1], c
+    else:
+        scale, offset = [spec.ratio ** level for level in range(LEVELS)], 0
+    scales = [scale[i % len(scale)] for i in range(spec.count - 1)]
+    xs = [kx * s + offset + step * rng.randint(0, GRID) for s in scales]
+    ys = [ky * s for s in scales]
+    return OrbitWindow(list(map(QuadReal._raw, accumulate(xs, initial=0),
+                                accumulate(ys, initial=0), repeat(c), repeat(d))))

@@ -289,10 +289,13 @@ class PartitionWitness(NamedTuple):
     eta: Fraction
     cuts: tuple[int, ...]  # gap indices; pieces are [cuts[i], cuts[i+1])
 
-    def replay(self, section: "TiledSection") -> bool:
+    def replay(self, section: "TiledSection",
+               count_a: list[int] | None = None) -> bool:
         """Every piece is lettered, of value at most max_value, and of
         alpha-frequency within eta of rho; the cuts run strictly up from 0
-        to the letter count."""
+        to the letter count.  ``count_a`` is the section's
+        :func:`count_a_prefix`, built here when not given;
+        :func:`check_section` builds one for all its witnesses."""
         params = section.params
         letters = section.letters
         cuts = self.cuts
@@ -301,7 +304,8 @@ class PartitionWitness(NamedTuple):
         # cuts that pass the checks below cover every letter
         if None in letters:
             return False
-        count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+        if count_a is None:
+            count_a = count_a_prefix(letters)
         lengths = list(map(sub, cuts[1:], cuts))
         if min(lengths, default=1) <= 0:
             return False
@@ -317,6 +321,11 @@ class PartitionWitness(NamedTuple):
             if abs(p * rho_den - rho_num * m) * eta_den > eta_num * rho_den * m:
                 return False
         return True
+
+
+def count_a_prefix(letters) -> list[int]:
+    """count_a[i] is the number of 'a' letters among the first i."""
+    return list(accumulate(map(eq, letters, repeat("a")), initial=0))
 
 
 class TiledSection:
@@ -930,11 +939,12 @@ def check_section(t: TiledSection):
                           f"position")
     if t.witnesses:
         _, eta = stage_bounds(p, len(t.witnesses))
+        count_a = count_a_prefix(letters)
     for j, w in enumerate(t.witnesses, start=1):
         if (w.level, w.eta) != (j, eta[j]):
             raise WitnessError(f"witness {j} claims level {w.level} with eta "
                                f"{w.eta}; level {j} certifies eta {eta[j]}")
-        if not w.replay(t):
+        if not w.replay(t, count_a):
             raise WitnessError(f"level {w.level} witness failed replay")
 
 

@@ -69,10 +69,17 @@ class OrbitWindow:
         return cls([parse_quadreal(p) for p in positions])
 
 
+# the type json.load gives each JSON value, with its article
+_JSON_TYPES = {dict: "a dict", list: "a list", str: "a str", int: "an int",
+               float: "a float", bool: "a bool", type(None): "null"}
+
+
 def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
     """obj[key], which must be a `kind`; `default` when it is absent and a
-    default is given.  Otherwise raises ValueError naming the field.  JSON
-    true and false are not integers, although ``bool`` subclasses ``int``."""
+    default is given.  Otherwise raises ValueError naming the field and,
+    for a mistyped value, the type found, so the message stays one short
+    line however large the value.  JSON true and false are not integers,
+    although ``bool`` subclasses ``int``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     if key not in obj:
@@ -81,8 +88,8 @@ def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
         return default
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}: "
-                         f"{value!r}")
+        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}: "
+                         f"got {_JSON_TYPES.get(type(value), 'another type')}")
     return value
 
 

@@ -268,7 +268,7 @@ class TestCli:
         assert run(["verify", "--eta", "1/8", str(t)]) == 0
 
     @pytest.mark.parametrize("tamper,message", [
-        (list, "section field 'letters' is not a str: ['"),
+        (list, "section field 'letters' is not a str: got a list\n"),
         (lambda letters: letters.replace("b", "c", 1), "unknown gap letter 'c'"),
     ], ids=["list", "c"])
     def test_verify_rejects_unknown_letter(self, tamper, message, tmp_path,
@@ -328,6 +328,23 @@ class TestCli:
         assert run(["tile", "--depth", "2", "--in", str(w),
                     "--out", str(built)]) == 0
         assert json.loads(from_file.read_text()) == json.loads(built.read_text())
+        # with neither --depth nor --schedule the depth is 2
+        assert run(["tile", "--in", str(w), "--out", str(built)]) == 0
+        assert json.loads(from_file.read_text()) == json.loads(built.read_text())
+
+    @pytest.mark.parametrize("depth", ["3", "2"], ids=["other", "same"])
+    def test_schedule_file_refuses_depth_flag(self, depth, schedule2,
+                                              tmp_path, capsys):
+        # the file's depth would be tiled at, and the flag ignored, even
+        # where the two agree
+        sched, w = tmp_path / "s.json", tmp_path / "w.json"
+        sched.write_text(json.dumps(schedule2.to_json()))
+        w.write_text(json.dumps({"positions": ["0", "9"]}))
+        assert_usage_error(["tile", "--schedule", str(sched), "--depth", depth,
+                            "--in", str(w), "--out", str(tmp_path / "t.json")],
+                           "--depth does not apply with --schedule, whose "
+                           "file sets it", capsys)
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("flag", [["--alpha", "1"], ["--beta", "sqrt(2)"],
                                       ["--rho", "1/3"], ["--rho", "1/2"]],
@@ -588,7 +605,8 @@ class TestVerifyTamperCorpus:
                                r"level 1 certifies eta 1/2$"),
         (witness_level_dropped, r"witness 1 claims level 2 with eta 1/4; "
                                 r"level 1 certifies eta 1/2$"),
-        (level_true, r"section witness field 'level' is not a int: True"),
+        (level_true, r"section witness field 'level' is not an int: got a "
+                     r"bool$"),
         (lambda d: d["origin_index"].__setitem__(1, True),
          r"section field 'origin_index' holds a non-integer: True$"),
         (lambda d: d.pop("format"), r"section format 1 is not read, only "

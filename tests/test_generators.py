@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flowtile.generators import GeneratorSpec, generate
+from flowtile.generators import GRID, LEVELS, GeneratorSpec, generate
 from flowtile.quadratic import quad, sqrtD
 from flowtile.windows import OrbitWindow, is_sparse_window
 
@@ -37,11 +40,100 @@ class TestRotation:
     def test_three_distance_gap_structure(self):
         w = generate(GeneratorSpec("rotation_suspension", count=60,
                                    angle=sqrtD() - 1))
-        distinct = {str(g) for g in w.gaps()}
-        assert len(distinct) <= 3
+        # 1/theta = sqrt(2) + 1: the visits are ceil(m/theta), two gaps apart
+        assert set(w.gaps()) == {quad(2), quad(3)}
 
     def test_rational_angle_rejected(self):
         with pytest.raises(ValueError):
             generate(GeneratorSpec("rotation_suspension", count=10,
                                    angle=quad(F(1, 3))))
 
+
+
+# -- the QuadReal loops the lattice generator replaced, kept verbatim as
+# oracles
+
+def generate_reference(spec: GeneratorSpec) -> OrbitWindow:
+    spec.validate()
+    rng = random.Random(spec.seed)
+    if spec.kind == "uniform":
+        k0 = spec.k0 if spec.k0 is not None else quad(7)
+        pos = [quad(0, 0, k0.d)]
+        for _ in range(spec.count - 1):
+            gap = k0 + 1 + F(rng.randint(0, GRID), GRID)
+            pos.append(pos[-1] + gap)
+        return OrbitWindow(pos)
+    if spec.kind == "sparse_geometric":
+        k0 = spec.k0 if spec.k0 is not None else quad(7)
+        pos = [quad(0, 0, k0.d)]
+        for i in range(spec.count - 1):
+            # cycle the scales so both window halves see every gap size
+            level = i % LEVELS
+            gap = k0 * (spec.ratio ** level) + F(rng.randint(0, GRID), GRID)
+            pos.append(pos[-1] + gap)
+        return OrbitWindow(pos)
+    # rotation_suspension: visit times of an exact circle rotation to [0, angle)
+    theta = spec.angle
+    pos = []
+    j = 0
+    x = quad(0, 0, theta.d)  # orbit point: fractional part of j*theta
+    while len(pos) < spec.count:
+        if x < theta:
+            pos.append(quad(j, 0, theta.d))
+        j += 1
+        x = x + theta
+        if not x < 1:
+            x = x - 1
+    return OrbitWindow(pos)
+
+
+def rationals(max_num, max_den):
+    return st.builds(F, st.integers(-max_num, max_num), st.integers(1, max_den))
+
+
+@st.composite
+def k0s(draw, d):
+    """None (the default 7), or a positive integer, fraction or irrational
+    r + s*sqrt(d)."""
+    shape = draw(st.sampled_from(["default", "integer", "fraction",
+                                  "irrational"]))
+    if shape == "default":
+        return None
+    if shape == "integer":
+        return quad(draw(st.integers(1, 40)), 0, d)
+    if shape == "fraction":
+        return quad(F(draw(st.integers(1, 400)), draw(st.integers(2, 12))), 0, d)
+    s = draw(rationals(60, 12).filter(bool))
+    return abs(quad(draw(rationals(400, 12)), s, d))
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["uniform", "sparse_geometric",
+                                 "rotation_suspension"]))
+    count = draw(st.integers(1, 300))
+    if kind != "rotation_suspension":
+        k0 = draw(k0s(d))
+        assume(k0 is None or k0.sign() > 0)
+        return GeneratorSpec(kind, count, seed=draw(st.integers(0, 2 ** 32)),
+                             k0=k0, ratio=draw(st.integers(2, 4)))
+    x = quad(draw(rationals(400, 64)), draw(rationals(64, 64).filter(bool)), d)
+    theta = x - x.floor()
+    # the reference walks about count/theta orbit steps
+    assume(count < 40_000 * theta)
+    return GeneratorSpec(kind, count, angle=theta)
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(specs())
+    def test_generate_matches_reference_loops(self, spec):
+        got = generate(spec)
+        want = generate_reference(spec)
+        assert got.to_json() == want.to_json()
+        assert ([(p.a, p.b, p.c, p.d) for p in got.positions]
+                == [(p.a, p.b, p.c, p.d) for p in want.positions])
+        if spec.kind == "rotation_suspension":
+            q = (1 / spec.angle).floor()
+            assert set(got.gaps()) <= {quad(q), quad(q + 1)}
