@@ -33,8 +33,8 @@ print(f"  threshold N = {wit.threshold}  ({wit.threshold.approx()})")
 print(f"  {wit.describe()}")
 lo = wit.threshold
 hi = lo + 40
-vals = wit.values_in(lo, hi)
-rep = eps_dense([v for v, _ in vals], lo, hi, quad(F(1, 2)))
-print(f"  {len(vals)} members on [N, N+40]; eps-dense there: {rep.ok}")
-fs = sorted({alpha_frequency(m) for _, m in vals}, key=float)
+members = wit.values_in(lo, hi)
+rep = eps_dense(P, members, lo, hi, quad(F(1, 2)))
+print(f"  {len(members)} members on [N, N+40]; eps-dense there: {rep.ok}")
+fs = sorted({alpha_frequency(m) for m in members})
 print(f"  member frequencies range {fs[0]} .. {fs[-1]}, all inside the band")

@@ -48,8 +48,9 @@ from operator import add, and_, eq, gt, is_, le, ne, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
 from . import quadratic
-from .quadratic import (QuadReal, lattice, lattice_key, lattice_keys,
-                        parse_quadreal, qmax, qmin, quad, sign_of)
+from .quadratic import (QuadReal, json_type, lattice, lattice_key,
+                        lattice_keys, parse_quadreal, qmax, qmin, quad,
+                        sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
@@ -235,8 +236,8 @@ def build_schedule(params: Params, depth: int = 4,
         else:
             mid = (below + k) / 2
             lo, hi, width = mid - 3, mid + 3, eps[n] * 2
-        vals = [v.value(params) for v in enumerate_tileable(params, lo, hi)]
-        if not eps_dense(vals, lo, hi, width).ok:
+        if not eps_dense(params, enumerate_tileable(params, lo, hi), lo, hi,
+                         width).ok:
             return (f"K_{n} fails the stage-{max(n, 1)} corridor density "
                     f"check on [{lo}, {hi}]")
         return None
@@ -467,7 +468,8 @@ def _int_list(obj, key: str, where: str = "section") -> list[int]:
     values = json_field(obj, key, list, where=where)
     for v in values:
         if type(v) is not int:
-            raise ValueError(f"{where} field {key!r} holds a non-integer: {v!r}")
+            raise ValueError(f"{where} field {key!r} holds a non-integer: "
+                             f"got {json_type(v)}")
     return values
 
 

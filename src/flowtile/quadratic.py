@@ -15,8 +15,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
-from itertools import groupby, repeat
-from operator import attrgetter, floordiv, mul
+from itertools import groupby
 from typing import Sequence, Union
 
 DEFAULT_D = 2
@@ -305,7 +304,7 @@ def radicand_of(*groups: Sequence[QuadReal]) -> int:
     """The radicand d shared by the values of the groups; ConfigError when
     two irrational values have different radicands.  The last group must
     be nonempty: its first value's d stands when every value is rational."""
-    ds = set().union(*(map(attrgetter("d"), g) for g in groups))
+    ds = {v.d for g in groups for v in g}
     if len(ds) > 1:
         ds = {v.d for g in groups for v in g if v.b}
         if len(ds) > 1:
@@ -319,16 +318,9 @@ def lattice(*groups: Sequence[QuadReal]) -> tuple[int, int, list]:
     (xs[i] + ys[i]*sqrt(d)) / c over one common denominator c, the least
     common multiple of theirs, with d as :func:`radicand_of` finds it."""
     d = radicand_of(*groups)
-    c = math.lcm(*set().union(*(map(attrgetter("c"), g) for g in groups)))
-    out = []
-    for g in groups:
-        xs = list(map(attrgetter("a"), g))
-        ys = list(map(attrgetter("b"), g))
-        if not set(map(attrgetter("c"), g)) <= {c}:
-            scale = list(map(floordiv, repeat(c), map(attrgetter("c"), g)))
-            xs, ys = list(map(mul, xs, scale)), list(map(mul, ys, scale))
-        out.append((xs, ys))
-    return c, d, out
+    c = math.lcm(*{v.c for g in groups for v in g})
+    return c, d, [([v.a * (c // v.c) for v in g], [v.b * (c // v.c) for v in g])
+                  for g in groups]
 
 
 def quad(r: RationalLike = 0, s: RationalLike = 0, d: int | None = None) -> QuadReal:
@@ -447,6 +439,17 @@ _CANON_RE = re.compile(r"(-?\d+)(?:/(\d+))?"
                        r"(?: ([+-]) (?:(\d+)(?:/(\d+))?\*)?sqrt\((\d+)\))?")
 
 
+# the type json.load gives each JSON value, with its article
+JSON_TYPES = {dict: "a dict", list: "a list", str: "a str", int: "an int",
+              float: "a float", bool: "a bool", type(None): "null"}
+
+
+def json_type(value) -> str:
+    """The JSON type of a value, with its article: what an error message
+    names in place of the value, to stay one short line."""
+    return JSON_TYPES.get(type(value), "another type")
+
+
 def format_quadreal(x: QuadReal) -> str:
     """Canonical text form: "r", "s*sqrt(D)" or "r + s*sqrt(D)".
 
@@ -491,7 +494,8 @@ def parse_quadreal(text: str, d: int | None = None) -> QuadReal:
     make the value's rational and radical parts ambiguous.
     """
     if not isinstance(text, str):
-        raise ValueError(f"QuadReal literal must be a string, not {text!r}")
+        raise ValueError(f"QuadReal literal must be a string: got "
+                         f"{json_type(text)}")
     # r = ra / rc and s = sa / sc
     m = _CANON_RE.fullmatch(text)
     if m:

@@ -8,18 +8,19 @@ eps-density checks, and the constructive density witness family used to
 certify that banded tileables fill every sufficiently high interval.
 
 The density machinery (:func:`enumerate_tileable`, :func:`eps_dense` and
-:meth:`DensityWitness.values_in`) runs on lattice coordinates.  Values
-that are compared with each other are written over one common
-denominator C as (A + B*sqrt(D)) / C, so each is the integer pair (A, B):
-a difference is two integer subtractions, and an order is the exact sign
-of A + B*sqrt(D), decided by ``quadratic.sign_of`` from integer squares.
-Runs are sorted by ``quadratic.lattice_order`` and gaps are screened with
-the key ``A*2**k + B*isqrt(D*4**k)``, which lies within |B| of
+:class:`DensityWitness`) works on tile vectors, not on their values.  The
+value of (p, q) is (A + B*sqrt(D)) / c over the common denominator c of
+alpha and beta, with A and B two integer dot products
+(:meth:`Params.coords`): a difference is two integer subtractions, and
+an order is the exact sign of A + B*sqrt(D), decided by
+``quadratic.sign_of`` from integer squares.  Runs are sorted by
+``quadratic.lattice_order`` and gaps are screened with the key
+``A*2**k + B*isqrt(D*4**k)``, which lies within |B| of
 2**k * (A + B*sqrt(D)).  A key difference decides a comparison only when
 it clears that error bound; every other comparison, and every tie of
-keys, goes to the exact sign test.  So no float, and no rounded value,
-decides anything, and the results are those of plain ``QuadReal``
-arithmetic.  ``QuadReal`` stays the type of every argument and result.
+keys, goes to the exact sign test.  So no float decides anything, the
+results are those of ``QuadReal`` arithmetic on the members' values,
+and no ``QuadReal`` is built per member.
 
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
 and so does its lookup in the tileable table, keyed by
@@ -33,12 +34,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
-from operator import (add, attrgetter, floordiv, ge, itemgetter, lshift, lt,
-                      mul, sub)
-from typing import Iterable, Iterator, NamedTuple, Optional
+from operator import add, ge, itemgetter, lshift, lt, mul, sub
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import quadratic
-from .quadratic import (QuadReal, floor_of, lattice_order, quad, radicand_of,
+from .quadratic import (QuadReal, floor_of, lattice, lattice_order, quad,
                         real_gcd, sign_of, sqrtD)
 
 
@@ -74,6 +74,13 @@ class Params:
     def value(self, p: int, q: int) -> QuadReal:
         a1, a2, b1, b2, c = self._coef
         return QuadReal._raw(a1 * p + a2 * q, b1 * p + b2 * q, c, self.d)
+
+    def coords(self, vecs: Sequence[TileVector]) -> tuple[list[int], list[int]]:
+        """Lattice coordinates (xs, ys) of tile vectors: the value of
+        vecs[i] is (xs[i] + ys[i]*sqrt(d)) / c, with c = ``_coef[4]``."""
+        a1, a2, b1, b2, _ = self._coef
+        return ([a1 * p + a2 * q for p, q in vecs],
+                [b1 * p + b2 * q for p, q in vecs])
 
     def __repr__(self):
         return f"Params(alpha={self.alpha}, beta={self.beta}, rho={self.rho})"
@@ -137,28 +144,6 @@ def balanced_word(v: TileVector) -> str:
     return "".join(out)
 
 
-def _pair(v: QuadReal, c: int) -> tuple[int, int]:
-    """(x, y) with v == (x + y*sqrt(d)) / c, for c a multiple of v.c."""
-    return v.a * (c // v.c), v.b * (c // v.c)
-
-
-def _coords(values: list[QuadReal],
-            c: int) -> tuple[list[int], list[int], int]:
-    """Lattice coordinates over c, a multiple of every value's denominator:
-    (xs, ys, m) with values[i] == m*(xs[i] + ys[i]*sqrt(d)) / c.
-
-    When the values share one denominator, xs and ys are their own
-    coefficients and m scales them; otherwise they are scaled and m is 1.
-    """
-    xs = list(map(attrgetter("a"), values))
-    ys = list(map(attrgetter("b"), values))
-    cs = set(map(attrgetter("c"), values))
-    if len(cs) == 1:
-        return xs, ys, c // cs.pop()
-    scale = list(map(floordiv, repeat(c), map(attrgetter("c"), values)))
-    return list(map(mul, xs, scale)), list(map(mul, ys, scale)), 1
-
-
 def enumerate_tileable(params: Params, lo: QuadReal,
                        hi: QuadReal) -> list[TileVector]:
     """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
@@ -166,25 +151,20 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     Row q holds the p from ceil((lo - q*beta)/alpha) to
     floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
     rows are merged by ``quadratic.lattice_order`` on the lattice
-    coordinates of the values.
+    coordinates of the vectors.
     """
     if hi < lo:
         return []
-    a1, a2, b1, b2, c = params._coef
     # lo/alpha, hi/alpha and beta/alpha over one denominator w
     alpha = params.alpha
-    lo_a, hi_a, step = lo / alpha, hi / alpha, params.beta / alpha
-    d = radicand_of([lo_a, hi_a, step])
-    w = math.lcm(lo_a.c, hi_a.c, step.c)
-    (lx, ly), (hx, hy), (sx, sy) = (_pair(v, w) for v in (lo_a, hi_a, step))
+    w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
+        [lo / alpha, hi / alpha, params.beta / alpha])
     out: list[TileVector] = []
     for q in range((hi / params.beta).floor() + 1):
         p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
         p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
         out += map(TileVector, range(p_lo, p_hi + 1), repeat(q))
-    order = lattice_order([a1 * p + a2 * q for p, q in out],
-                          [b1 * p + b2 * q for p, q in out], d)
-    return list(map(out.__getitem__, order))
+    return list(map(out.__getitem__, lattice_order(*params.coords(out), d)))
 
 
 class DensityReport(NamedTuple):
@@ -192,34 +172,35 @@ class DensityReport(NamedTuple):
     witness: Optional[QuadReal]  # a point of the interval missed by the set
 
 
-def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
-              eps: QuadReal) -> DensityReport:
-    """Is the set eps-dense in [lo, hi]?
+def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
+              hi: QuadReal, eps: QuadReal) -> DensityReport:
+    """Are the values of the tile vectors ``members`` eps-dense in [lo, hi]?
 
     Density here means: every x whose open eps/2-neighborhood sits inside
-    [lo, hi] has a set point strictly within eps/2.  Decided exactly by
-    scanning consecutive gaps of the points clipped to [lo, hi]; on failure
-    the witness is such an uncovered x.
+    [lo, hi] has a member value strictly within eps/2.  Decided exactly by
+    scanning consecutive gaps of the values clipped to [lo, hi]; on failure
+    the witness is such an uncovered x, the one ``QuadReal`` built.
 
-    One pass over lattice coordinates checks the order of the points, and
-    the points are sorted only when they are out of order.  Consecutive
-    points are screened by the key difference ``(dA << k) + dB*s``,
-    s = isqrt(D*4**k), which is within |dB| of 2**k*(dA + dB*sqrt(D));
-    only gaps near 0 or near eps reach the exact sign test.
+    lo, hi and eps go through ``quadratic.lattice``.  One pass checks the
+    order of the members, which are sorted only when out of order.
+    Consecutive members are screened by the key difference
+    ``(dA << k) + dB*s``, s = isqrt(D*4**k), which is within |dB| of
+    2**k*(dA + dB*sqrt(D)); only gaps near 0 or near eps reach the exact
+    sign test.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
-    if hi < lo:
+    # alpha and beta bring the members' denominator into c and their
+    # radicand into d
+    c, d, [((lx, hx, ex), (ly, hy, ey)), _] = lattice(
+        [lo, hi, eps], [params.alpha, params.beta])
+    if sign_of(hx - lx, hy - ly, d) < 0:
         raise ValueError("empty interval")
-    half = eps / 2
-    if hi - lo < eps:
+    if sign_of(hx - lx - ex, hy - ly - ey, d) < 0:
         return DensityReport(True, None)  # no admissible x at all
-    pts = list(points)
-    d = radicand_of(pts, [lo, hi, eps])
-    c = math.lcm(lo.c, hi.c, eps.c, *set(map(attrgetter("c"), pts)))
-    # pts[i] == m*(xs[i] + ys[i]*sqrt(d))/c; lo == (lx + ly*sqrt(d))/c, ...
-    xs, ys, m = _coords(pts, c)
-    (lx, ly), (hx, hy), (ex, ey) = (_pair(v, c) for v in (lo, hi, eps))
+    # member i is m*(xs[i] + ys[i]*sqrt(d))/c; lo is (lx + ly*sqrt(d))/c, ...
+    xs, ys = params.coords(members)
+    m = c // params._coef[4]
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
     k = spread.bit_length() + quadratic.KEY_BITS
     s = math.isqrt(d << 2 * k)
@@ -230,23 +211,26 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
         return list(map(add, map(lshift, dxs, repeat(k)),
                         map(mul, dys, repeat(s))))
 
+    def miss(x: int, y: int) -> DensityReport:
+        """The report of a miss at (x + y*sqrt(d)) / (2*c)."""
+        return DensityReport(False, QuadReal._raw(x, y, 2 * c, d))
+
     # a step of at least spread is an exact gap >= 0
     steps = key_steps()
     if any(sign_of(xs[t + 1] - xs[t], ys[t + 1] - ys[t], d) < 0
            for t in compress(count(), map(lt, steps, repeat(spread)))):
         order = lattice_order(xs, ys, d)
-        pts = [pts[t] for t in order]
         xs = [xs[t] for t in order]
         ys = [ys[t] for t in order]
         steps = key_steps()
-    # clip to [lo, hi]: the points below lo lead, those above hi trail
-    i, j = 0, len(pts)
+    # clip to [lo, hi]: the members below lo lead, those above hi trail
+    i, j = 0, len(xs)
     while i < j and sign_of(m * xs[i] - lx, m * ys[i] - ly, d) < 0:
         i += 1
     while j > i and sign_of(m * xs[j - 1] - hx, m * ys[j - 1] - hy, d) > 0:
         j -= 1
     if i == j or sign_of(ex + lx - m * xs[i], ey + ly - m * ys[i], d) <= 0:
-        return DensityReport(False, lo + half)
+        return miss(2 * lx + ex, 2 * ly + ey)  # lo + eps/2
     # a step below bar is an exact gap below eps: m*(step + spread) stays
     # below the key of eps less its error |ey|
     bar = -((abs(ey) - (ex << k) - ey * s) // m) - spread
@@ -254,9 +238,9 @@ def eps_dense(points: Iterable[QuadReal], lo: QuadReal, hi: QuadReal,
     for t in compress(range(i, j - 1), flagged):
         if sign_of(ex - m * (xs[t + 1] - xs[t]),
                    ey - m * (ys[t + 1] - ys[t]), d) <= 0:
-            return DensityReport(False, (pts[t] + pts[t + 1]) / 2)
+            return miss(m * (xs[t] + xs[t + 1]), m * (ys[t] + ys[t + 1]))
     if sign_of(ex - hx + m * xs[j - 1], ey - hy + m * ys[j - 1], d) <= 0:
-        return DensityReport(False, hi - half)
+        return miss(2 * hx - ex, 2 * hy - ey)  # hi - eps/2
     return DensityReport(True, None)
 
 
@@ -274,28 +258,33 @@ def frequency_stability_ratio(params: Params, eps_freq: Fraction) -> QuadReal:
 class DensityWitness:
     """A finitely described family of banded tileables, eps-dense above N.
 
-    Members are ``k*x + s`` for ``k >= k_min`` and s ranging over every
-    tileable in an anchor interval [A, A + value(x)] where the tileables
-    are verified eps/2-dense; x is a tileable whose frequency is the
-    simplest rational inside the band.  Multiples of x dominate each
-    member, so all frequencies stay strictly inside the band, and the
-    anchor offsets stitch consecutive k-runs into an eps-dense sweep of
-    the half-line above the threshold.
+    Members are the tile vectors ``k*x + s`` for ``k >= k_min`` and s
+    ranging over every tileable in an anchor interval [A, A + value(x)]
+    where the tileables are verified eps/2-dense; x is a tileable whose
+    frequency is the simplest rational inside the band.  Multiples of x
+    dominate each member, so all frequencies stay strictly inside the
+    band, and the anchor offsets stitch consecutive k-runs into an
+    eps-dense sweep of the half-line above the threshold.
 
     The offsets must be nonempty, sorted by value, and span at most
-    value(x); the constructor raises ValueError otherwise.  ``values_in``
-    relies on this: members of one k then come out sorted, and none
-    exceeds any member of k + 1, so the per-k runs concatenate in order.
+    value(x); the constructor checks both on the offsets' lattice
+    coordinates, by ``quadratic.sign_of``, and raises ValueError
+    otherwise.  ``values_in`` relies on this: members of one k then come
+    out sorted, and none exceeds any member of k + 1, so the per-k runs
+    concatenate in order.
     """
 
     def __init__(self, params: Params, band: FreqBand, eps: QuadReal,
                  base: TileVector, offsets: list[TileVector], k_min: int):
-        vals = [s.value(params) for s in offsets]
-        if not vals:
+        if not offsets:
             raise ValueError("density witness needs at least one offset")
-        if any(b < a for a, b in zip(vals, vals[1:])):
+        d = params.d
+        xs, ys = params.coords(offsets)
+        if any(sign_of(dx, dy, d) < 0 for dx, dy in
+               zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))):
             raise ValueError("density witness offsets must be sorted by value")
-        if base.value(params) < vals[-1] - vals[0]:
+        (bx,), (by,) = params.coords([base])
+        if sign_of(bx - xs[-1] + xs[0], by - ys[-1] + ys[0], d) < 0:
             raise ValueError("density witness offsets span more than value(x)")
         self.params = params
         self.band = band
@@ -309,18 +298,15 @@ class DensityWitness:
         s = self.offsets[i]
         return TileVector(k * self.base.p + s.p, k * self.base.q + s.q)
 
-    def values_in(self, lo: QuadReal, hi: QuadReal) -> list[tuple[QuadReal, TileVector]]:
-        """(value, member) pairs with value inside [lo, hi], sorted.
+    def values_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
+        """The members with value inside [lo, hi], in value order.
 
         Run k is every member k*x + s with value in [lo, hi].  The runs
-        that lie wholly inside [lo, hi] are emitted straight from the
-        offsets' lattice coordinates plus k times those of x; only the
-        partial first and last runs bisect the offset values for their
-        slice.
+        that lie wholly inside [lo, hi] are every offset plus k times x;
+        only the partial first and last runs bisect the offset values for
+        their slice.
         """
         params = self.params
-        a1, a2, b1, b2, c = params._coef
-        d = params.d
         offsets = self.offsets
         bp, bq = self.base
         xval = params.value(bp, bq)
@@ -334,18 +320,12 @@ class DensityWitness:
         # runs k_whole_lo..k_whole_hi lie wholly inside [lo, hi]
         k_whole_lo = ((lo - first) / xval).ceil()
         k_whole_hi = ((hi - last) / xval).floor()
-        # the offsets' counts and their lattice coordinates over c; those
-        # of member k*x + s add k times the base's
         op = list(map(itemgetter(0), offsets))
         oq = list(map(itemgetter(1), offsets))
-        oa = list(map(add, map(mul, op, repeat(a1)), map(mul, oq, repeat(a2))))
-        ob = list(map(add, map(mul, op, repeat(b1)), map(mul, oq, repeat(b2))))
-        xa, xb = a1 * bp + a2 * bq, b1 * bp + b2 * bq
-        raw = QuadReal._raw
         # tuple.__new__ builds the named tuples without TileVector.__new__'s
         # Python frame
         vector = tuple.__new__
-        out = []
+        out: list[TileVector] = []
         for k in range(k_lo, k_hi + 1):
             if k_whole_lo <= k <= k_whole_hi:
                 i, j = 0, len(offsets)
@@ -353,28 +333,25 @@ class DensityWitness:
                 kx = xval * k
                 i = bisect_left(offsets, lo - kx, key=key)
                 j = bisect_right(offsets, hi - kx, key=key)
-            out += zip(map(raw, map(add, oa[i:j], repeat(k * xa)),
-                           map(add, ob[i:j], repeat(k * xb)),
-                           repeat(c), repeat(d)),
-                       map(vector, repeat(TileVector),
-                           zip(map(add, op[i:j], repeat(k * bp)),
-                               map(add, oq[i:j], repeat(k * bq)))))
+            out += map(vector, repeat(TileVector),
+                       zip(map(add, op[i:j], repeat(k * bp)),
+                           map(add, oq[i:j], repeat(k * bq))))
         return out
 
     def check_windows(self, windows: int) -> Iterator[WindowCheck]:
         """The eps-density check of the family on ``windows`` disjoint
         windows of width 20*beta, at threshold + 2*i*width for i < windows.
 
-        Each window's member values come from :meth:`values_in` and are
-        checked by :func:`eps_dense`; the checks are made as the iterator
-        advances.
+        Each window's members come from :meth:`values_in` and are checked
+        by :func:`eps_dense`; the checks are made as the iterator advances.
         """
         width = self.params.beta * 20
         for i in range(windows):
             lo = self.threshold + width * (2 * i)
             hi = lo + width
-            vals = [v for v, _ in self.values_in(lo, hi)]
-            yield WindowCheck(lo, hi, eps_dense(vals, lo, hi, self.eps))
+            members = self.values_in(lo, hi)
+            yield WindowCheck(lo, hi,
+                              eps_dense(self.params, members, lo, hi, self.eps))
 
     def describe(self) -> str:
         return (f"members k*({self.base.p},{self.base.q}) + s, k >= "
@@ -443,8 +420,8 @@ def density_witness(params: Params, eps: QuadReal,
     anchor = params.beta * 2
     for _ in range(_ANCHOR_DOUBLINGS):
         offsets = enumerate_tileable(params, anchor, anchor + xval)
-        vals = [v.value(params) for v in offsets]
-        if offsets and eps_dense(vals, anchor, anchor + xval, half).ok:
+        if offsets and eps_dense(params, offsets, anchor, anchor + xval,
+                                 half).ok:
             break
         anchor = anchor * 2
     else:

@@ -14,7 +14,8 @@ from itertools import compress, count, islice, repeat
 from operator import gt, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, lattice, parse_quadreal, quad, sign_of
+from .quadratic import (JSON_TYPES, QuadReal, json_type, lattice,
+                        parse_quadreal, quad, sign_of)
 
 
 class SparsityError(ValueError):
@@ -69,11 +70,6 @@ class OrbitWindow:
         return cls([parse_quadreal(p) for p in positions])
 
 
-# the type json.load gives each JSON value, with its article
-_JSON_TYPES = {dict: "a dict", list: "a list", str: "a str", int: "an int",
-               float: "a float", bool: "a bool", type(None): "null"}
-
-
 def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
     """obj[key], which must be a `kind`; `default` when it is absent and a
     default is given.  Otherwise raises ValueError naming the field and,
@@ -88,8 +84,8 @@ def json_field(obj, key: str, kind: type, default=None, where: str = "section"):
         return default
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}: "
-                         f"got {_JSON_TYPES.get(type(value), 'another type')}")
+        raise ValueError(f"{where} field {key!r} is not {JSON_TYPES[kind]}: "
+                         f"got {json_type(value)}")
     return value
 
 

@@ -332,7 +332,7 @@ def test_11_density_witnesses(schedule4):
     for stage, band, wit in schedule4.witnesses:
         for k, (lo, hi, rep) in enumerate(wit.check_windows(10)):
             assert rep.ok, (stage, band, k, rep.witness)
-            for _, m in wit.values_in(lo, hi):
+            for m in wit.values_in(lo, hi):
                 f = alpha_frequency(m)
                 assert band.lo <= f <= band.hi
             total += 1

@@ -608,7 +608,7 @@ class TestVerifyTamperCorpus:
         (level_true, r"section witness field 'level' is not an int: got a "
                      r"bool$"),
         (lambda d: d["origin_index"].__setitem__(1, True),
-         r"section field 'origin_index' holds a non-integer: True$"),
+         r"section field 'origin_index' holds a non-integer: got a bool$"),
         (lambda d: d.pop("format"), r"section format 1 is not read, only "
                                     r"format 2: tile the window again$"),
         (lambda d: d["origin_index"].__setitem__(0, -1),
@@ -622,11 +622,14 @@ class TestVerifyTamperCorpus:
          r"points$"),
         (lambda d: d.update(letters=d["letters"].replace("b", "c", 1)),
          r"unknown gap letter 'c'$"),
+        (lambda d: d["origin_positions"].__setitem__(0, list(d["letters"])),
+         r"QuadReal literal must be a string: got a list$"),
     ], ids=["letter_swapped", "cut_short", "origin_index_deleted", "id_repeated",
             "witness_out_of_band", "witness_eta_loosened",
             "witness_level_dropped", "level_true", "origin_index_true",
             "format_1", "origin_index_minus_1", "origin_index_past_end",
-            "origin_index_decreasing", "origin_positions_short", "letter_c"])
+            "origin_index_decreasing", "origin_positions_short", "letter_c",
+            "origin_position_list"])
     def test_tampered_section_fails(self, stored, tamper, message, tmp_path,
                                     capsys):
         data = json.loads(json.dumps(stored))
@@ -647,7 +650,7 @@ class TestVerifyTamperCorpus:
         t.write_text(json.dumps(data))
         assert_fails(["verify", str(t)],
                      r"section field 'origin_index' holds a non-integer: "
-                     r"False$", capsys)
+                     r"got a bool$", capsys)
 
     @pytest.mark.parametrize("command", ["verify", "loe", "plot"])
     def test_section_readers_reject_repeated_key(self, stored, command,

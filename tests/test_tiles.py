@@ -140,137 +140,187 @@ HAIRS = {2: [(12, 17), (99, 140), (408, 577), (2378, 3363)],
          3: [(15, 26), (56, 97), (153, 265), (780, 1351)]}
 
 
+# alpha = 1 or a fraction, beta = alpha*sqrt(d): the vector (-b, a) of a
+# convergent pair (a, b) has the value alpha*(a*sqrt(d) - b), a hair
+HAIR_PARAMS = [P, Params(quad(F(1, 2)), quad(0, F(1, 2)), F(1, 3)),
+               Params(quad(1, 0, 3), quad(0, 1, 3), F(2, 5)),
+               Params(quad(F(1, 3), 0, 3), quad(0, F(1, 3), 3), F(1, 2))]
+# counts that no chain of twelve hair steps takes below zero
+CHAIN_START = 12 * max(b for pairs in HAIRS.values() for _, b in pairs)
+EPS_STEPS = [TileVector(1, 0), TileVector(0, 1), TileVector(1, 1),
+             TileVector(3, 2)]
+
+
 @st.composite
 def density_cases(draw):
-    """Point sets for eps_dense, in one of two shapes, then with duplicates
-    and shuffled or in order; D in {2, 3}, eps rational or irrational.
+    """(params, members, lo, hi, eps) for eps_dense, in one of two shapes,
+    then with duplicates and shuffled or in order.  D is 2 or 3, and the
+    parameter sets include alphas with denominators 2 and 3.
 
-    A grid has step eps*j/4 (j = 4 puts gaps exactly at eps), holes,
-    stray points of other denominators and points outside the window.  A
-    chain steps by 0 or eps, each plus or minus an irrational hair (or
-    not), from lo to hi: its gaps are 0, eps or a hair off them, some of
+    A grid is every tileable near [lo, hi], members outside it included,
+    less a few runs, with eps drawn rational or irrational, equal to the
+    gap between two members, or that gap plus or minus 1/10**6.  A chain
+    starts at lo and steps by 0 or an eps vector, each plus or minus a
+    hair vector (or not): its gaps are 0, eps or a hair off them, some of
     them backwards, which is where the integer keys cannot decide.
     """
-    d = draw(st.sampled_from([2, 3]))
-
-    def value(bound):
-        return quad(F(draw(st.integers(-bound, bound)),
-                      draw(st.sampled_from([1, 2, 3, 5]))),
-                    F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 7]))),
-                    d)
-
     if draw(st.booleans()):
-        eps = quad(F(draw(st.integers(1, 12)), draw(st.sampled_from([2, 3, 8]))),
-                   0, d)
+        params = draw(st.sampled_from(PARAM_SETS))
+        d = params.d
+        lo = quad(F(draw(st.integers(-8, 120)), 8),
+                  F(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 3, 7]))), d)
+        hi = lo + F(draw(st.integers(0, 40)), 8)
+        vecs = enumerate_tileable(params, lo - F(draw(st.integers(0, 8)), 4),
+                                  hi + F(draw(st.integers(0, 8)), 4))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(vecs)))
+            del vecs[i:i + draw(st.integers(1, 8))]
+        kind = draw(st.sampled_from(["free", "tie", "off"]))
+        if kind == "free" or len(vecs) < 2:
+            # a negative sqrt part makes the key of eps exceed eps
+            eps = abs(quad(F(draw(st.integers(0, 24)), 8),
+                           F(draw(st.integers(-3, 3)), 4), d)) or quad(1, 0, d)
+        else:
+            t = draw(st.integers(0, len(vecs) - 2))
+            eps = vecs[t + 1].value(params) - vecs[t].value(params)
+            if kind == "off" and eps > F(1, 10**6):
+                eps = eps + F(draw(st.sampled_from([-1, 1])), 10**6)
     else:
-        eps = quad(F(draw(st.integers(0, 6)), 4), F(draw(st.integers(1, 3)), 4), d)
-    lo = value(20)
-    if draw(st.booleans()):
-        hi = lo + eps * F(draw(st.integers(0, 60)), 8)
-        step = eps * F(draw(st.integers(1, 5)), 4)
-        start = lo - eps * F(draw(st.integers(0, 8)), 4)
-        grid = [start + step * i for i in range(draw(st.integers(0, 40)))]
-        holes = draw(st.sets(st.integers(0, 39), max_size=3))
-        pts = [x for i, x in enumerate(grid) if i not in holes]
-        pts += [lo + (hi - lo) * F(draw(st.integers(-2, 10)), 8)
-                + value(2) * F(1, 50) for _ in range(draw(st.integers(0, 4)))]
-    else:
-        a, b = draw(st.sampled_from(HAIRS[d]))
-        hair = abs(quad(-b, a, d))
+        params = draw(st.sampled_from(HAIR_PARAMS))
+        a, b = draw(st.sampled_from(HAIRS[params.d]))
+        step = draw(st.sampled_from(EPS_STEPS))
+        eps = step.value(params)
         moves = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-1, 1)),
                               min_size=2, max_size=12))
-        # small denominators keep the keys coarse against the hair
-        x = lo = quad(lo.floor(), draw(st.integers(-4, 4)), d)
-        pts = []
+        x = TileVector(CHAIN_START + draw(st.integers(0, 9)),
+                       CHAIN_START + draw(st.integers(0, 9)))
+        lo = x.value(params)
+        vecs = []
         for j, h in moves:
-            x = x + eps * j + hair * h
-            pts.append(x)
-        pts.pop()
-        hi = x if lo < x else lo
-    pts += draw(st.lists(st.sampled_from(pts), max_size=4)) if pts else []
+            x = TileVector(x.p + j * step.p - h * b, x.q + j * step.q + h * a)
+            vecs.append(x)
+        hi = qmax(lo, vecs.pop().value(params))
+    vecs += draw(st.lists(st.sampled_from(vecs), max_size=4)) if vecs else []
     if draw(st.booleans()):
-        pts = draw(st.permutations(pts))
+        vecs = draw(st.permutations(vecs))
     else:
-        pts.sort()
-    return pts, lo, hi, eps
+        vecs.sort(key=lambda v: v.value(params))
+    return params, vecs, lo, hi, eps
+
+
+# alpha = 1/10: the vector (n, 0) has the value n/10
+TENTH = Params(quad(F(1, 10)), sqrtD(), F(1, 2))
+
+
+def tenths(*ns):
+    return [TileVector(n, 0) for n in ns]
+
+
+def values(params, vecs):
+    return [v.value(params) for v in vecs]
 
 
 class TestEpsDense:
     def test_dense_example(self):
-        pts = [quad(0), quad(F(2, 5)), quad(F(4, 5))]
-        assert eps_dense(pts, quad(0), quad(1), quad(F(1, 2))).ok
+        assert eps_dense(TENTH, tenths(0, 4, 8), quad(0), quad(1),
+                         quad(F(1, 2))).ok
 
     def test_failure_with_witness(self):
-        pts = [quad(0), quad(F(2, 5)), quad(F(4, 5))]
-        rep = eps_dense(pts, quad(0), quad(1), quad(F(3, 10)))
+        vecs = tenths(0, 4, 8)
+        rep = eps_dense(TENTH, vecs, quad(0), quad(1), quad(F(3, 10)))
         assert not rep.ok
         # the witness is a genuinely uncovered admissible point
         x = rep.witness
         half = quad(F(3, 20))
         assert quad(0) <= x - half and x + half <= quad(1)
-        assert all(not abs(p - x) < half for p in pts)
+        assert all(not abs(p - x) < half for p in values(TENTH, vecs))
 
     def test_empty_interval_trivially_dense(self):
-        assert eps_dense([], quad(0), quad(0), quad(F(1, 9))).ok
+        assert eps_dense(P, [], quad(0), quad(0), quad(F(1, 9))).ok
 
     def test_gap_at_exactly_eps_fails(self):
-        rep = eps_dense([quad(0), quad(1)], quad(0), quad(1), quad(1))
+        rep = eps_dense(P, [TileVector(0, 0), TileVector(1, 0)], quad(0),
+                        quad(1), quad(1))
         assert not rep.ok
 
     def test_points_on_the_ends_are_inside(self):
         # the failing gap is the one next to the end point, not the edge
-        rep = eps_dense([quad(2), quad(0)], quad(0), quad(3), quad(1))
+        rep = eps_dense(P, [TileVector(2, 0), TileVector(0, 0)], quad(0),
+                        quad(3), quad(1))
         assert rep == (False, quad(1))
-        rep = eps_dense([quad(3), quad(1), quad(F(1, 2)), quad(0)],
-                        quad(0), quad(3), quad(1))
+        rep = eps_dense(TENTH, tenths(30, 10, 5, 0), quad(0), quad(3), quad(1))
         assert rep == (False, quad(2))
+
+    @pytest.mark.parametrize("bits", [0, 32])
+    def test_eps_above_its_key(self, bits):
+        # 2 - sqrt(2) < 3/5, but with no key bits the key of eps is 1: the
+        # screen must leave the gap 3/5 to the exact test
+        eps = quad(2, -1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            rep = eps_dense(TENTH, tenths(0, 6), quad(0), quad(F(3, 5)), eps)
+        assert rep == (False, quad(F(3, 10)))
 
     def test_unsorted_duplicated_input_outside_points(self):
         rng = random.Random(11)
         lo, hi = quad(2), quad(9)
         for _ in range(40):
-            inside = sorted({lo, hi} | {quad(F(rng.randint(16, 72), 8))
-                                        for _ in range(rng.randint(0, 12))})
-            outside = [lo - F(rng.randint(1, 9), 4), hi + F(rng.randint(1, 9), 4)]
+            inside = tenths(*sorted({20, 90} | {
+                rng.randint(20, 90) for _ in range(rng.randint(0, 12))}))
+            # 7*sqrt(2) is above 9
+            outside = tenths(20 - rng.randint(1, 20), 90 + rng.randint(1, 20))
+            outside.append(TileVector(rng.randint(0, 5), 7))
             messy = inside + inside[::3] + outside
             rng.shuffle(messy)
             for eps in (quad(F(1, 2)), quad(1), sqrtD()):
-                assert eps_dense(messy, lo, hi, eps) == eps_dense(inside, lo, hi, eps)
+                assert eps_dense(TENTH, messy, lo, hi, eps) == \
+                    eps_dense(TENTH, inside, lo, hi, eps)
 
     @settings(max_examples=300, deadline=None)
     @given(density_cases(), st.sampled_from([0, 32]))
     def test_eps_dense_matches_reference(self, case, bits):
-        pts, lo, hi, eps = case
-        want = eps_dense_reference(pts, lo, hi, eps)
+        params, vecs, lo, hi, eps = case
+        want = eps_dense_reference(values(params, vecs), lo, hi, eps)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "KEY_BITS", bits)
-            assert eps_dense(iter(pts), lo, hi, eps) == want
+            got = eps_dense(params, vecs, lo, hi, eps)
+        assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("bits", [0, 32])
     @pytest.mark.parametrize("d", [2, 3])
     def test_eps_dense_near_ties_match_reference(self, d, bits):
-        # every chain of three steps of 0 or eps, each plus or minus a
-        # hair or not, in chain order (so backward steps come unsorted)
+        # every chain of three steps of 0 or an eps vector, each plus or
+        # minus a hair vector or not, in chain order (so backward steps
+        # come unsorted)
         moves = [(j, h) for j in (0, 1) for h in (-1, 0, 1)]
-        lo = quad(2, 1, d)
+        start = TileVector(CHAIN_START, CHAIN_START)
+        cases = itertools.product(
+            [p for p in HAIR_PARAMS if p.d == d], HAIRS[d][1:],
+            [TileVector(1, 0), TileVector(1, 1)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "KEY_BITS", bits)
-            for a, b in HAIRS[d][1:]:
-                hair = abs(quad(-b, a, d))
-                for eps in (quad(1, 0, d), quad(F(1, 4), F(1, 2), d)):
-                    for chain in itertools.product(moves, repeat=3):
-                        pts = list(itertools.accumulate(
-                            (eps * j + hair * h for j, h in chain), initial=lo))
-                        hi = qmax(lo, pts.pop())
-                        want = eps_dense_reference(pts, lo, hi, eps)
-                        assert eps_dense(pts, lo, hi, eps) == want, chain
+            for params, (a, b), step in cases:
+                lo, eps = start.value(params), step.value(params)
+                for chain in itertools.product(moves, repeat=3):
+                    vecs = list(itertools.accumulate(
+                        (TileVector(j * step.p - h * b, j * step.q + h * a)
+                         for j, h in chain), initial=start))[1:]
+                    hi = qmax(lo, vecs.pop().value(params))
+                    want = eps_dense_reference(values(params, vecs), lo, hi,
+                                               eps)
+                    assert eps_dense(params, vecs, lo, hi, eps) == want, chain
 
     def test_rationals_of_any_radicand_mix(self):
         # a rational value carries a radicand but no sqrt term
-        pts = [quad(F(i, 2), 0, 3) for i in range(11)]
+        vecs = tenths(*range(0, 55, 5))
+        lo, hi = quad(0, 0, 3), quad(5, 0, 3)
         for eps in (quad(F(1, 2)), quad(F(2, 3)), sqrtD() / 2):
-            assert eps_dense(pts, quad(0), quad(5), eps) == \
-                eps_dense_reference(pts, quad(0), quad(5), eps)
+            assert eps_dense(TENTH, vecs, lo, hi, eps) == \
+                eps_dense_reference(values(TENTH, vecs), lo, hi, eps)
+        root3 = Params(quad(F(1, 10), 0, 3), quad(0, 1, 3), F(1, 2))
+        for eps in (quad(F(1, 2)), quad(0, F(1, 3), 3)):
+            assert eps_dense(root3, vecs, quad(0), quad(5), eps) == \
+                eps_dense_reference(values(root3, vecs), quad(0), quad(5), eps)
 
 
 class TestStabilityRatio:
@@ -319,21 +369,20 @@ class TestDensityWitness:
         wit = density_witness(P, quad(1), FreqBand(F(1, 2), F(1)))
         lo = wit.threshold
         hi = lo + 50
-        pairs = wit.values_in(lo, hi)
-        assert eps_dense([v for v, _ in pairs], lo, hi, quad(1)).ok
-        for _, m in pairs:
+        members = wit.values_in(lo, hi)
+        assert eps_dense(P, members, lo, hi, quad(1)).ok
+        for m in members:
             assert F(1, 2) < alpha_frequency(m) < 1
 
     def test_full_band_and_beta_scale(self):
         beta = P.beta
         # independent fact first: plain tileables are beta-dense above beta^2
-        vals = [v.value(P) for v in
-                enumerate_tileable(P, beta * beta, beta * beta + beta * 20)]
-        assert eps_dense(vals, beta * beta, beta * beta + beta * 20, beta).ok
+        vecs = enumerate_tileable(P, beta * beta, beta * beta + beta * 20)
+        assert eps_dense(P, vecs, beta * beta, beta * beta + beta * 20, beta).ok
         wit = density_witness(P, beta, FreqBand(F(0), F(1)))
         lo = wit.threshold
         hi = lo + beta * 20
-        assert eps_dense([v for v, _ in wit.values_in(lo, hi)], lo, hi, beta).ok
+        assert eps_dense(P, wit.values_in(lo, hi), lo, hi, beta).ok
 
     def test_zero_width_band_rejected(self):
         with pytest.raises(ValueError):
@@ -355,10 +404,20 @@ class TestDensityWitness:
             DensityWitness(P, band, quad(1), base, offsets + [TileVector(2, 1)], 1)
         with pytest.raises(ValueError):
             DensityWitness(P, band, quad(1), base, [], 1)
+        # 12*sqrt(2) lies a hair below 17 and above 16
+        base, v0, v16, v17 = (TileVector(0, 12), TileVector(0, 0),
+                              TileVector(16, 0), TileVector(17, 0))
+        DensityWitness(P, band, quad(1), base, [v0, v16], 1)
+        DensityWitness(P, band, quad(1), base, [base, v17], 1)
+        with pytest.raises(ValueError, match="span more"):
+            DensityWitness(P, band, quad(1), base, [v0, v17], 1)
+        with pytest.raises(ValueError, match="sorted"):
+            DensityWitness(P, band, quad(1), base, [v17, base], 1)
 
 
 def brute_values_in(wit, lo, hi):
-    """Oracle: every k x every offset, filtered, then stably sorted."""
+    """Oracle: every k x every offset, filtered, then stably sorted by
+    value; the members."""
     params = wit.params
     x = params.alpha * wit.base.p + params.beta * wit.base.q
     out = []
@@ -370,7 +429,7 @@ def brute_values_in(wit, lo, hi):
             if lo <= val <= hi:
                 out.append((val, TileVector(p, q)))
         k += 1
-    return sorted(out, key=lambda e: e[0])
+    return [m for _, m in sorted(out, key=lambda e: e[0])]
 
 
 def witness_windows(wit):
@@ -402,7 +461,7 @@ class TestValuesIn:
         for lo, hi in witness_windows(wit):
             got = wit.values_in(lo, hi)
             assert got == brute_values_in(wit, lo, hi)
-            vals = [v for v, _ in got]
+            vals = values(P, got)
             assert len(set(vals)) < len(vals)
 
     @pytest.mark.parametrize("params", PARAM_SETS)
@@ -422,15 +481,15 @@ class TestValuesIn:
         for i, (lo, hi, rep) in enumerate(wit.check_windows(3)):
             assert (lo, hi) == (wit.threshold + width * (2 * i),
                                 wit.threshold + width * (2 * i + 1))
-            vals = [v for v, _ in brute_values_in(wit, lo, hi)]
+            vals = values(P, brute_values_in(wit, lo, hi))
             assert rep == eps_dense_reference(vals, lo, hi, quad(F(1, 3)))
 
     def test_mixed_radicands_raise(self):
         r3 = quad(0, 1, 3)
         with pytest.raises(ConfigError):
-            eps_dense([quad(1), r3, quad(1, 1)], quad(0), quad(5), quad(1))
+            eps_dense(P, [TileVector(1, 1)], r3, r3 + 5, quad(1))
         with pytest.raises(ConfigError):
-            eps_dense([quad(1, 1)], quad(0), quad(5), quad(0, 1, 3))
+            eps_dense(P, [TileVector(1, 1)], quad(0), quad(5), r3)
         with pytest.raises(ConfigError):
             enumerate_tileable(P, r3, r3 + 4)
         wit = density_witness(P, quad(1), FreqBand(F(1, 4), F(3, 4)))
