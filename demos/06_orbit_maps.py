@@ -1,10 +1,11 @@
 """Matching two tiled sections by a piecewise-translation orbit map.
 
-Two sections with the same alpha-frequency pair off: the k-th alpha gap of
-one maps to the k-th alpha gap of the other, and beta gaps follow by
-conjugating through each section's own alpha-to-beta matching.  Every
-piece is a pure translation of length alpha or beta, so the map preserves
-length piece by piece; whatever the finite matching leaves over is
+Two sections tiled under the same parameters pair off: the k-th alpha gap
+of one maps to the k-th alpha gap of the other, as far as the smaller
+alpha count goes, and beta gaps follow by conjugating through each
+section's own alpha-to-beta matching.  Every piece is a pure translation
+of length alpha or beta, so the map preserves length piece by piece;
+whatever the finite matching leaves over, the alpha surplus included, is
 reported as residue rather than swept away.
 """
 
@@ -36,16 +37,16 @@ for n in (100, 1000, 10000):
     frac = F(len(st.residue_a) + len(st.residue_b), len(a) + len(b))
     print(f"  n = {n:>5}: residue fraction {frac} ({float(frac):.5f})")
 
-print("\n== a translation map between two tiled sections ==")
-w = generate(GeneratorSpec("uniform", count=200, seed=5, k0=sched.K[0]))
-t1 = full_pipeline(w, sched, seed=5)
-# a second section with the same letters in reverse: same frequency exactly
-from flowtile import TiledSection, quad
-letters = t1.letters[::-1]
-pos = [quad(0)]
-for ch in letters:
-    pos.append(pos[-1] + (P.alpha if ch == "a" else P.beta))
-t2 = TiledSection(P, pos, letters, [1] * len(pos), list(range(len(pos))))
+print("\n== a translation map between two independently tiled windows ==")
+def tiled(seed):
+    w = generate(GeneratorSpec("uniform", count=200, seed=seed, k0=sched.K[0]))
+    return full_pipeline(w, sched, seed=seed)
+
+t1, t2 = tiled(5), tiled(6)
+for name, t in (("source", t1), ("target", t2)):
+    n = len(t.letters)
+    print(f"  {name}: {n} gaps, alpha frequency "
+          f"{F(t.letters.count('a'), n)}")
 
 m = build_loe(t1, t2)
 rep = verify_loe(m, P)
@@ -53,5 +54,8 @@ print(f"  pieces: {rep.piece_count}; verified: {rep.ok}")
 total = rep.mapped_length
 print(f"  mapped length (each piece is one translation): {total} "
       f"({total.approx()})")
-print(f"  beta residue: {len(m.residue_src)} source / {len(m.residue_dst)} "
-      f"target points await a longer window")
+for name, t, residue in (("source", t1, m.residue_src),
+                         ("target", t2, m.residue_dst)):
+    alphas = sum(t.letters[i] == "a" for i in residue)
+    print(f"  {name} residue: {len(residue)} gaps ({alphas} alpha, "
+          f"{len(residue) - alphas} beta) await a longer window")

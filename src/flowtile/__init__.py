@@ -27,8 +27,7 @@ from .pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                        build_schedule, check_section, classify_section,
                        full_pipeline, sparse_tile, verify_uniform_frequency)
 from .generators import GeneratorSpec, generate
-from .loe import (FrequencyMismatch, MatchState, Piece,
-                  PiecewiseTranslationMap, build_loe, match_equidense,
-                  verify_loe)
+from .loe import (MatchState, Piece, PiecewiseTranslationMap, build_loe,
+                  match_equidense, verify_loe)
 
 __version__ = "0.1.0"

@@ -127,6 +127,8 @@ def cmd_gen(args) -> int:
 
 def cmd_classes(args) -> int:
     k = _literal(parse_quadreal, "--k", args.k)
+    if k.sign() <= 0:
+        raise UsageError(f"--k must be positive, got {args.k}")
     w = OrbitWindow.from_json(_read_json(args.infile))
     cc = chain_classes(w, k)
     print(f"threshold {k}: {len(cc.classes)} classes, sizes "
@@ -140,6 +142,9 @@ def cmd_classes(args) -> int:
 def cmd_blocks(args) -> int:
     ks = [_literal(parse_quadreal, "k_list", tok)
           for tok in args.k_list.split(",")]
+    if any(not x < y for x, y in zip(ks, ks[1:])):
+        raise UsageError(f"k_list must be strictly increasing, got "
+                         f"{args.k_list}")
     pts, length = two_class_block(ks)
     print(f"block of {len(pts)} points, length {_approx(length)}")
     for p in pts:
@@ -157,7 +162,12 @@ def cmd_density(args) -> int:
     band = [_literal(Fraction, "--band", tok) for tok in args.band.split(",")]
     if len(band) != 2:
         raise UsageError(f"--band: expected lo,hi, got {args.band!r}")
+    if not 0 <= band[0] < band[1] <= 1:
+        raise UsageError(f"--band must satisfy 0 <= lo < hi <= 1, got "
+                         f"{args.band}")
     eps = _literal(parse_quadreal, "--eps", args.eps)
+    if eps.sign() <= 0:
+        raise UsageError(f"--eps must be positive, got {args.eps}")
     wit = density_witness(params, eps, FreqBand(*band))
     print(f"threshold {_approx(wit.threshold)}")
     print(f"family: {wit.describe()}")

@@ -1,28 +1,26 @@
 """Equidense matching and piecewise-translation orbit maps.
 
-Given two fully tiled sections whose alpha-points occur with the same
-uniform frequency, a base order-preserving bijection between the
-alpha-point sets extends to a measure-preserving correspondence: each
-alpha gap maps to an alpha gap and each beta gap to a beta gap by a pure
-translation, so lengths match piece by piece.  The matching machinery
-(`match_equidense`) pairs two index sets inside one window by successor
-steps, smallest displacement first; whatever stays unmatched at finite
-scale is reported as residue, never hidden.
+Two fully tiled sections with the same (alpha, beta, rho) are matched by
+a piecewise translation: the k-th alpha gap of one maps to the k-th alpha
+gap of the other, and each beta gap follows its alpha through the
+section's own matching (`match_equidense`, which pairs two index sets by
+successor steps, smallest displacement first).  Every piece is a pure
+translation of length alpha or beta, so lengths match piece by piece.
+Whatever stays unmatched at finite scale, the alpha surplus of the
+section with more alphas included, is reported as residue, never hidden.
 
-The orbit maps are ordered and checked on lattice coordinates: the
-values one check compares are written over one common denominator C as
+Pieces come out in source order, one walk over the source gaps.  The
+check ``verify_loe`` orders them on lattice coordinates: the values it
+compares are written over one common denominator C as
 (A + B*sqrt(D)) / C, so each is the integer pair (A, B)
-(``quadratic.lattice``).  Pieces are sorted by ``quadratic.lattice_order``,
-by the integer key floor(2**KEY_BITS * (A + B*sqrt(D))) and ties of keys
-by exact value, and each overlap test is the exact sign of an integer
-difference (``quadratic.sign_of``).  No float decides anything; maps and
-reports are those of plain ``QuadReal`` arithmetic.
+(``quadratic.lattice``), sorted by ``quadratic.lattice_order``, and each
+overlap test is the exact sign of an integer difference
+(``quadratic.sign_of``).  No float decides anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
@@ -51,14 +49,10 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
 
     That is the matching of brackets: one left-to-right pass in which each
     b takes the nearest free a at or before it, if that a lies within
-    max_k.  The stages run from 0 to max_k, and stop after the one that
-    leaves either side with no free point.
+    max_k.  The stages run from 0 to the farthest paired displacement.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
-    if max_k is None:
-        hi = max(a_sorted + b_sorted, default=0)
-        max_k = hi + 1
     free: list[int] = []          # unmatched a's so far, nearest last
     pairs: list[tuple[int, int]] = []
     residue_b: list[int] = []
@@ -67,25 +61,18 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
         while i < len(a_sorted) and a_sorted[i] <= b:
             free.append(a_sorted[i])
             i += 1
-        if free and b - free[-1] <= max_k:
+        if free and (max_k is None or b - free[-1] <= max_k):
             pairs.append((free.pop(), b))
         else:
             residue_b.append(b)
-    residue_a = free + a_sorted[i:]
-    if max_k < 0:
-        n_stages = 0
-    elif residue_a and residue_b:
-        n_stages = max_k + 1
-    else:  # a side runs out at the stage of its farthest pair
-        n_stages = max((b - a for a, b in pairs), default=0) + 1
+    n_stages = max((b - a for a, b in pairs), default=-1) + 1
     stages: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_stages)]
     # b runs up, so each stage's a's come out in increasing order
     for a, b in pairs:
         ak, bk = stages[b - a]
         ak.append(a)
         bk.append(b)
-    pairing = {a: b for ak, bk in stages for a, b in zip(ak, bk)}
-    return MatchState(stages, pairing, residue_a, residue_b)
+    return MatchState(stages, dict(pairs), free + a_sorted[i:], residue_b)
 
 
 def _overlaps(label: str, ends: list[QuadReal],
@@ -123,16 +110,6 @@ class PiecewiseTranslationMap:
                 "residue_dst": self.residue_dst}
 
 
-class FrequencyMismatch(ValueError):
-    def __init__(self, f1: Fraction, f2: Fraction, n1: int, n2: int):
-        # equal frequencies of sections of different lengths: name the counts
-        super().__init__(f"alpha frequencies differ: {f1} vs {f2}" if f1 != f2
-                         else f"alpha counts differ: {n1} vs {n2} "
-                              f"(both frequencies {f1})")
-        self.f1 = f1
-        self.f2 = f2
-
-
 def _kind_indices(t: TiledSection) -> tuple[list[int], list[int]]:
     a = [i for i, ch in enumerate(t.letters) if ch == "a"]
     b = [i for i, ch in enumerate(t.letters) if ch == "b"]
@@ -142,46 +119,38 @@ def _kind_indices(t: TiledSection) -> tuple[list[int], list[int]]:
 def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     """Assemble the piecewise-translation map between two tiled sections.
 
-    The alpha counts must be equal, so the only order-preserving bijection
-    between the alpha-point index sets maps the k-th to the k-th; it is
-    extended to matched beta-points by conjugating through each section's
-    own alpha-to-beta matching.  Beta-points missed by either matching are
-    reported as residue.
+    Both sections must be fully tiled under the same (alpha, beta, rho).
+    The k-th alpha gap of t1 maps to the k-th alpha gap of t2 for k below
+    the smaller alpha count; beta gaps follow by conjugating through each
+    section's own alpha-to-beta matching.  One walk over t1's gaps emits
+    the pieces in source order; every gap that no piece covers, on either
+    side, alpha surplus included, is reported as residue.
     """
     if not (t1.is_fully_regular() and t2.is_fully_regular()):
         raise ValueError("both sections must be fully regular")
+    p1, p2 = t1.params, t2.params
+    if (p1.alpha, p1.beta, p1.rho) != (p2.alpha, p2.beta, p2.rho):
+        raise ValueError(f"sections have different params: {p1!r} vs {p2!r}")
     a1, b1 = _kind_indices(t1)
     a2, b2 = _kind_indices(t2)
-    f1 = Fraction(len(a1), len(t1.letters))
-    f2 = Fraction(len(a2), len(t2.letters))
-    if f1 != f2 or len(a1) != len(a2):
-        raise FrequencyMismatch(f1, f2, len(a1), len(a2))
-    base = dict(zip(a1, a2))
-    theta1 = match_equidense(a1, b1)
-    theta2 = match_equidense(a2, b2)
+    image = dict(zip(a1, a2))
+    theta2 = match_equidense(a2, b2).pairing
+    # beta points extend the base map: image(theta1(x)) = theta2(image(x))
+    for a, b in match_equidense(a1, b1).pairing.items():
+        if a in image and image[a] in theta2:
+            image[b] = theta2[image[a]]
+    lengths = {"a": p1.alpha, "b": p1.beta}
     pieces: list[Piece] = []
-    alpha = t1.params.alpha
-    beta = t1.params.beta
-    for a in a1:
-        pieces.append(Piece(t1.positions[a], t2.positions[base[a]], alpha, "a"))
-    # beta points extend the base map: base(theta1(x)) = theta2(base(x))
-    matched2 = theta2.pairing
-    mapped_src_b: set[int] = set()
-    mapped_dst_b: set[int] = set()
-    for a in a1:
-        if a not in theta1.pairing or base[a] not in matched2:
-            continue
-        b_src = theta1.pairing[a]
-        b_dst = matched2[base[a]]
-        pieces.append(Piece(t1.positions[b_src], t2.positions[b_dst], beta, "b"))
-        mapped_src_b.add(b_src)
-        mapped_dst_b.add(b_dst)
-    res_src = [b for b in b1 if b not in mapped_src_b]
-    res_dst = [b for b in b2 if b not in mapped_dst_b]
-    if pieces:
-        _, d, [(xs, ys)] = lattice([p.src_lo for p in pieces])
-        pieces = [pieces[i] for i in lattice_order(xs, ys, d)]
-    return PiecewiseTranslationMap(pieces, res_src, res_dst)
+    residue_src: list[int] = []
+    for i, ch in enumerate(t1.letters):
+        if i in image:
+            pieces.append(Piece(t1.positions[i], t2.positions[image[i]],
+                                lengths[ch], ch))
+        else:
+            residue_src.append(i)
+    hit = set(image.values())
+    residue_dst = [j for j in range(len(t2.letters)) if j not in hit]
+    return PiecewiseTranslationMap(pieces, residue_src, residue_dst)
 
 
 class LoeReport(NamedTuple):

@@ -68,6 +68,28 @@ class TestCli:
         data = json.loads(m.read_text())
         assert data["pieces"]
 
+    def test_loe_between_independent_sections(self, tmp_path, capsys):
+        # different windows, different alpha counts: the map stands, with
+        # the surplus in the residue; a section under other params is refused
+        paths = {}
+        for name, seed, flags in (("t3", 3, []), ("t4", 4, []),
+                                  ("t3-rho", 3, ["--rho", "1/3"])):
+            w = tmp_path / f"w{seed}.json"
+            paths[name] = str(tmp_path / f"{name}.json")
+            run(["gen", "--n", "60", "--seed", str(seed), "--out", str(w)])
+            assert run(flags + ["tile", "--depth", "2", "--in", str(w),
+                                "--out", paths[name]]) == 0
+        m = str(tmp_path / "m.json")
+        capsys.readouterr()
+        assert run(["loe", "--a", paths["t3"], "--b", paths["t4"],
+                    "--out", m]) == 0
+        assert capsys.readouterr().out == \
+            "405 pieces; residue 13 src / 10 dst; OK\n"
+        assert_fails(["loe", "--a", paths["t3"], "--b", paths["t3-rho"],
+                      "--out", m],
+                     r"sections have different params: .*rho=1/2\) vs "
+                     r".*rho=1/3\)", capsys)
+
     def test_blocks_and_classes(self, tmp_path, capsys):
         out = tmp_path / "b.json"
         assert run(["blocks", "2,4,8", "--out", str(out)]) == 0
@@ -435,14 +457,29 @@ class TestCli:
          "--windows must be at least 1, got 0"),
         (["density", "--eps", "1", "--band", "1/2,3/4", "--windows", "-1"],
          "--windows must be at least 1, got -1"),
-    ], ids=["depth_0", "depth_minus_1", "windows_0", "windows_minus_1"])
+        (["density", "--eps", "0", "--band", "1/2,3/4"],
+         "--eps must be positive, got 0"),
+        (["density", "--eps", "1", "--band", "3/4,1/2"],
+         "--band must satisfy 0 <= lo < hi <= 1, got 3/4,1/2"),
+        (["density", "--eps", "1", "--band", "1/2,1/2"],
+         "--band must satisfy 0 <= lo < hi <= 1, got 1/2,1/2"),
+        (["density", "--eps", "1", "--band", "1/2,3/2"],
+         "--band must satisfy 0 <= lo < hi <= 1, got 1/2,3/2"),
+        (["classes", "--k", "0"], "--k must be positive, got 0"),
+        # "--k=-1": a bare "-1" would read as an option
+        (["classes", "--k=-1"], "--k must be positive, got -1"),
+    ], ids=["depth_0", "depth_minus_1", "windows_0", "windows_minus_1",
+            "eps_0", "band_reversed", "band_empty", "band_above_1", "k_0",
+            "k_negative"])
     def test_out_of_range_flag_is_usage_error(self, argv, message, tmp_path,
                                               capsys):
-        if argv[0] == "tile":
+        if argv[0] in ("tile", "classes"):
             # a window that would fail: the flag is refused before it is read
             w = tmp_path / "w.json"
             w.write_text('{"positions": ["0"], "positions": ["0"]}')
-            argv = argv + ["--in", str(w), "--out", str(tmp_path / "t.json")]
+            argv = argv + ["--in", str(w)]
+            if argv[0] == "tile":
+                argv += ["--out", str(tmp_path / "t.json")]
         assert_usage_error(argv, message, capsys)
 
     @pytest.mark.parametrize("argv,message", [
@@ -453,8 +490,11 @@ class TestCli:
           "--windows", "1"], "rho must lie strictly inside (0, 1)"),
         (["--rho", "1", "tile"], "rho must lie strictly inside (0, 1)"),
         (["--alpha", "2", "--beta", "1", "tile"], "require alpha < beta"),
+        (["blocks", "4,2"], "k_list must be strictly increasing, got 4,2"),
+        (["blocks", "2,2,8"],
+         "k_list must be strictly increasing, got 2,2,8"),
     ], ids=["gen_n_0", "gen_rational_angle", "density_rho_0", "tile_rho_1",
-            "tile_alpha_above_beta"])
+            "tile_alpha_above_beta", "blocks_decreasing", "blocks_repeated"])
     def test_out_of_range_value_is_usage_error(self, argv, message, tmp_path,
                                                capsys):
         out = str(tmp_path / "out.json")
@@ -462,7 +502,7 @@ class TestCli:
             w = tmp_path / "w.json"
             w.write_text(json.dumps({"positions": ["0", "9"]}))
             argv = argv + ["--in", str(w), "--out", out]
-        elif "gen" in argv:
+        elif "gen" in argv or "blocks" in argv:
             argv = argv + ["--out", out]
         assert_usage_error(argv, message, capsys)
         assert not (tmp_path / "out.json").exists()
