@@ -28,7 +28,7 @@ from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
                        attach_witnesses, build_schedule, check_section,
                        full_pipeline, params_from_json, sparse_tile,
                        verify_uniform_frequency)
-from .quadratic import QuadReal, parse_quadreal, quad
+from .quadratic import QuadReal, json_type, parse_quadreal, quad
 from .reachable import ShiftProblem, frequency_boost
 from .render import section_svg
 from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
@@ -180,23 +180,29 @@ def cmd_density(args) -> int:
 
 
 def cmd_boost(args) -> int:
+    gamma = _literal(Fraction, "--gamma", args.gamma)
+    zeta = _literal(Fraction, "--zeta", args.zeta)
+    eta = _literal(Fraction, "--eta", args.eta)
+    for flag, text, value in (("--zeta", args.zeta, zeta),
+                              ("--eta", args.eta, eta)):
+        if value <= 0:
+            raise UsageError(f"{flag} must be positive, got {text}")
     data = _read_json(args.infile)
     where = "shift problem"
     params = params_from_json(data, where)
     choices = json_field(data, "choices", list, where=where)
-    for rk in choices:
+    for k, rk in enumerate(choices):
         if not (isinstance(rk, list) and all(
                 isinstance(v, list) and len(v) == 2
                 and all(type(n) is int for n in v) for v in rk)):
             raise ValueError(f"{where} field 'choices' holds a rank that is "
-                             f"not a list of [p, q] counts: {rk!r}")
+                             f"not a list of [p, q] counts: got "
+                             f"{json_type(rk)} at index {k}")
     prob = ShiftProblem(
         params, parse_quadreal(json_field(data, "eps", str, where=where)),
         [parse_quadreal(d) for d in json_field(data, "gaps", list, where=where)],
         [[TileVector(p, q) for p, q in rk] for rk in choices])
-    el = frequency_boost(prob, _literal(Fraction, "--gamma", args.gamma),
-                         _literal(Fraction, "--zeta", args.zeta),
-                         _literal(Fraction, "--eta", args.eta),
+    el = frequency_boost(prob, gamma, zeta, eta,
                          enforce_bound=not args.test_mode)
     print(f"value {_approx(el.value)} frequency {alpha_frequency(el.counts)}")
     if args.out:

@@ -38,8 +38,7 @@ class MatchState(NamedTuple):
     residue_b: list[int]
 
 
-def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
-                    max_k: int | None = None) -> MatchState:
+def match_equidense(a_set: Sequence[int], b_set: Sequence[int]) -> MatchState:
     """Pair elements of two index sets by forward successor steps.
 
     Stage k matches every still-unmatched a in the first set whose k-step
@@ -48,8 +47,8 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
     points on either side are returned as residue.
 
     That is the matching of brackets: one left-to-right pass in which each
-    b takes the nearest free a at or before it, if that a lies within
-    max_k.  The stages run from 0 to the farthest paired displacement.
+    b takes the nearest free a at or before it.  The stages run from 0 to
+    the farthest paired displacement.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
@@ -61,7 +60,7 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int],
         while i < len(a_sorted) and a_sorted[i] <= b:
             free.append(a_sorted[i])
             i += 1
-        if free and (max_k is None or b - free[-1] <= max_k):
+        if free:
             pairs.append((free.pop(), b))
         else:
             residue_b.append(b)

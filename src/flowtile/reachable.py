@@ -231,7 +231,8 @@ def frequency_boost(problem: ShiftProblem, gamma: Fraction, zeta: Fraction,
     (above rho+eta or below rho-eta) that pulls the running frequency back
     toward gamma.  With enough steps the final frequency lands within zeta
     of gamma; ``enforce_bound=False`` skips the length check for small test
-    problems whose outcome is verified directly.
+    problems whose outcome is verified directly.  A problem with no gaps
+    is refused.
     """
     params = problem.params
     rho = params.rho
@@ -240,6 +241,8 @@ def frequency_boost(problem: ShiftProblem, gamma: Fraction, zeta: Fraction,
     eta = Fraction(eta)
     if not (rho - eta < gamma < rho + eta):
         raise ValueError("gamma must lie inside the open eta-band around rho")
+    if not problem.n:
+        raise ValueError("shift problem has no gaps to boost")
     if enforce_bound:
         dmax = problem.gaps[0]
         for d in problem.gaps[1:]:

@@ -10,7 +10,7 @@ at least two subclasses at the next threshold down.
 
 from __future__ import annotations
 
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import gt, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -121,74 +121,40 @@ class MarkerResult(NamedTuple):
 def marker_subsection(w: OrbitWindow, d: int) -> MarkerResult:
     """Thin the window to markers whose index gaps are exactly d or d+1.
 
-    Anchored at the leftmost index.  A final stretch too short to split as
-    m*d + n*(d+1) is left unmarked and flagged as truncated.
+    Anchored at the leftmost index.  The n = len(w) - 1 index steps split
+    as q - r steps of d followed by r steps of d+1, where q, r =
+    divmod(n, d); when q < r no such split exists, and the result is the
+    anchor alone, flagged as truncated.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    total = len(w) - 1
-    if total == 0:
-        return MarkerResult((0,), False)
-
-    def split(base: int, length: int) -> list[int]:
-        # length = (q - r)*d + r*(d+1) with q = length//d, r = length%d
-        q, r = divmod(length, d)
-        out = []
-        pos = base
-        for _ in range(q - r):
-            pos += d
-            out.append(pos)
-        for _ in range(r):
-            pos += d + 1
-            out.append(pos)
-        return out
-
-    def splittable(length: int) -> bool:
-        q, r = divmod(length, d)
-        return q >= r
-
-    dd = d * d
-    segs = total // dd
-    tail = total - segs * dd
-    marks = [0]
-    base = 0
-    for s in range(segs):
-        length = dd
-        if s == segs - 1 and tail and splittable(dd + tail):
-            length = dd + tail
-            tail = 0
-        marks.extend(split(base, length))
-        base = marks[-1]
-    truncated = False
-    if tail:
-        if splittable(tail):
-            marks.extend(split(base, tail))
-        else:
-            truncated = True
-    return MarkerResult(tuple(marks), truncated)
+    q, r = divmod(len(w) - 1, d)
+    if q < r:
+        return MarkerResult((0,), True)
+    return MarkerResult(tuple(accumulate([d] * (q - r) + [d + 1] * r,
+                                         initial=0)), False)
 
 
 def two_class_block(k_list: Sequence[QuadReal]) -> tuple[list[QuadReal], QuadReal]:
     """The nested block for an increasing threshold list, plus its length.
 
-    One point for a single threshold; each further threshold doubles the
-    block, the copy offset by the current length plus the midpoint of the
-    two newest thresholds.  Every chain class at threshold k_{n+1} inside
-    the block splits into exactly two classes at k_n.
+    The gaps are the threshold midpoints laid out by
+    ``ruler_levels(len(k_list) - 2)``: two copies of the block for the
+    lower thresholds, joined by the midpoint of the two highest.  The
+    points are the running sums of the gaps from 0, and the length is the
+    last point; a single threshold gives the one point 0.  Every chain
+    class at threshold k_{n+1} inside the block splits into exactly two
+    classes at k_n.
     """
     if not k_list:
         raise ValueError("need at least one threshold")
     for x, y in zip(k_list, k_list[1:]):
         if not x < y:
             raise ValueError("thresholds must be strictly increasing")
-    zero = quad(0, 0, k_list[0].d)
-    pts = [zero]
-    length = zero
-    for prev, nxt in zip(k_list, k_list[1:]):
-        shift = length + (prev + nxt) / 2
-        pts = pts + [p + shift for p in pts]
-        length = length + shift
-    return pts, length
+    mids = level_midpoints(k_list)
+    pts = list(accumulate((mids[lev] for lev in ruler_levels(len(mids) - 1)),
+                          initial=quad(0, 0, k_list[0].d)))
+    return pts, pts[-1]
 
 
 def ruler_levels(top: int) -> list[int]:
@@ -327,33 +293,16 @@ def _gap_level(g, mids, eps) -> Optional[int]:
 
 
 def _nested_runs_ok(levels: list[int]) -> bool:
-    """Interior maximal runs of levels <= n must contain an n, and no two
-    adjacent gaps may both exceed level 0 (no singleton interior classes)."""
-    if not levels:
-        return True
-    for a, b in zip(levels, levels[1:]):
-        if a >= 1 and b >= 1:
+    """Whether the gap levels nest: no two adjacent gaps both exceed level
+    0 (no singleton interior classes), and for each n below the top level,
+    every slice of levels strictly between two consecutive levels above n
+    contains an n.  Those slices are the interior maximal runs of levels
+    <= n; the runs at either end are boundary classes, exempt in open
+    windows."""
+    if any(a >= 1 and b >= 1 for a, b in zip(levels, levels[1:])):
+        return False
+    for n in range(max(levels, default=0)):
+        above = [j for j, lev in enumerate(levels) if lev > n]
+        if any(n not in levels[a + 1:b] for a, b in zip(above, above[1:])):
             return False
-    top = max(levels)
-    for n in range(top):
-        runs = []
-        cur = None
-        for j, lev in enumerate(levels):
-            if lev <= n:
-                if cur is None:
-                    cur = [j, j]
-                cur[1] = j
-            else:
-                if cur is not None:
-                    runs.append((cur, True))
-                cur = None
-        if cur is not None:
-            runs.append((cur, False))  # touches right boundary
-        for idx, ((lo, hi), closed_right) in enumerate(runs):
-            interior = (lo > 0) and (closed_right or idx < len(runs) - 1)
-            if not interior:
-                continue  # boundary classes exempt in open windows
-            if not any(levels[j] == n for j in range(lo, hi + 1)):
-                return False
     return True
-

@@ -408,20 +408,28 @@ class TestCli:
         (lambda d: {k: v for k, v in d.items() if k != "gaps"}, "'gaps'"),
         (lambda d: {**d, "choices": [5] * 5}, "'choices'"),
         (lambda d: {**d, "choices": [[[1]]] * 5}, "'choices'"),
+        # one line that names the rank, not the 3 000 entries it holds
+        (lambda d: {**d, "choices": [[[1, 2]] * 2999 + [[1]]] * 5},
+         "'choices' holds a rank that is not a list of [p, q] counts: "
+         "got a list at index 0\n"),
+        (lambda d: {**d, "gaps": [], "choices": []},
+         "shift problem has no gaps to boost\n"),
     ], ids=["no_alpha", "list", "rho_float", "eps_int", "no_gaps",
-            "choices_ints", "choices_short_pair"])
+            "choices_ints", "choices_short_pair", "choices_long_rank",
+            "gaps_empty"])
     def test_boost_rejects_malformed_problem(self, tamper, field, tmp_path,
                                              capsys):
         data = tamper(self.BOOST_PROBLEM)
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(data))
-        assert run(["boost", "--in", str(path), "--gamma", "1/2",
-                    "--zeta", "1/3", "--eta", "1/4", "--test-mode"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("verification failure: ")
-        assert captured.err.count("\n") == 1
-        assert field in captured.err
+        for mode in ([], ["--test-mode"]):
+            assert run(["boost", "--in", str(path), "--gamma", "1/2",
+                        "--zeta", "1/3", "--eta", "1/4", *mode]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("verification failure: ")
+            assert captured.err.count("\n") == 1
+            assert field in captured.err
 
     @pytest.mark.parametrize("command,key", [
         ("classes", "positions"), ("tile", "positions"),
@@ -468,13 +476,23 @@ class TestCli:
         (["classes", "--k", "0"], "--k must be positive, got 0"),
         # "--k=-1": a bare "-1" would read as an option
         (["classes", "--k=-1"], "--k must be positive, got -1"),
+        (["boost", "--gamma", "1/2", "--zeta", "0", "--eta", "1/4",
+          "--test-mode"], "--zeta must be positive, got 0"),
+        (["boost", "--gamma", "1/2", "--zeta=-1", "--eta", "1/4",
+          "--test-mode"], "--zeta must be positive, got -1"),
+        (["boost", "--gamma", "1/2", "--zeta", "1/3", "--eta", "0"],
+         "--eta must be positive, got 0"),
+        (["boost", "--gamma", "1/2", "--zeta", "1/3", "--eta=-1"],
+         "--eta must be positive, got -1"),
     ], ids=["depth_0", "depth_minus_1", "windows_0", "windows_minus_1",
             "eps_0", "band_reversed", "band_empty", "band_above_1", "k_0",
-            "k_negative"])
+            "k_negative", "boost_zeta_0", "boost_zeta_negative",
+            "boost_eta_0", "boost_eta_negative"])
     def test_out_of_range_flag_is_usage_error(self, argv, message, tmp_path,
                                               capsys):
-        if argv[0] in ("tile", "classes"):
-            # a window that would fail: the flag is refused before it is read
+        if argv[0] in ("tile", "classes", "boost"):
+            # an input file that would fail: the flag is refused before it
+            # is read
             w = tmp_path / "w.json"
             w.write_text('{"positions": ["0"], "positions": ["0"]}')
             argv = argv + ["--in", str(w)]

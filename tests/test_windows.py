@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction as F
+from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile.quadratic import quad
-from flowtile.windows import (OrbitWindow, SparsityError,
-                              chain_classes, insert_blocks, is_sparse_window,
-                              level_midpoints, marker_subsection, ruler_levels,
-                              two_class_block)
+from flowtile import windows
+from flowtile.quadratic import QuadReal, quad
+from flowtile.windows import (MarkerResult, OrbitWindow, SparsityError,
+                              _nested_runs_ok, chain_classes, insert_blocks,
+                              is_sparse_window, level_midpoints,
+                              marker_subsection, ruler_levels, two_class_block)
 
 
 def window_from_gaps(gaps):
@@ -232,3 +235,165 @@ class TestRulerLevels:
         assert ruler_levels(0) == [0]
         assert ruler_levels(1) == [0, 1, 0]
         assert ruler_levels(2) == [0, 1, 0, 2, 0, 1, 0]
+
+
+# -- closed forms against the loops they replaced ------------------------------
+
+
+def marker_subsection_reference(w: OrbitWindow, d: int) -> MarkerResult:
+    """Thin the window to markers whose index gaps are exactly d or d+1.
+
+    Anchored at the leftmost index.  A final stretch too short to split as
+    m*d + n*(d+1) is left unmarked and flagged as truncated.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    total = len(w) - 1
+    if total == 0:
+        return MarkerResult((0,), False)
+
+    def split(base: int, length: int) -> list[int]:
+        # length = (q - r)*d + r*(d+1) with q = length//d, r = length%d
+        q, r = divmod(length, d)
+        out = []
+        pos = base
+        for _ in range(q - r):
+            pos += d
+            out.append(pos)
+        for _ in range(r):
+            pos += d + 1
+            out.append(pos)
+        return out
+
+    def splittable(length: int) -> bool:
+        q, r = divmod(length, d)
+        return q >= r
+
+    dd = d * d
+    segs = total // dd
+    tail = total - segs * dd
+    marks = [0]
+    base = 0
+    for s in range(segs):
+        length = dd
+        if s == segs - 1 and tail and splittable(dd + tail):
+            length = dd + tail
+            tail = 0
+        marks.extend(split(base, length))
+        base = marks[-1]
+    truncated = False
+    if tail:
+        if splittable(tail):
+            marks.extend(split(base, tail))
+        else:
+            truncated = True
+    return MarkerResult(tuple(marks), truncated)
+
+
+def two_class_block_reference(k_list: Sequence[QuadReal]) -> tuple[list[QuadReal], QuadReal]:
+    """The nested block for an increasing threshold list, plus its length.
+
+    One point for a single threshold; each further threshold doubles the
+    block, the copy offset by the current length plus the midpoint of the
+    two newest thresholds.  Every chain class at threshold k_{n+1} inside
+    the block splits into exactly two classes at k_n.
+    """
+    if not k_list:
+        raise ValueError("need at least one threshold")
+    for x, y in zip(k_list, k_list[1:]):
+        if not x < y:
+            raise ValueError("thresholds must be strictly increasing")
+    zero = quad(0, 0, k_list[0].d)
+    pts = [zero]
+    length = zero
+    for prev, nxt in zip(k_list, k_list[1:]):
+        shift = length + (prev + nxt) / 2
+        pts = pts + [p + shift for p in pts]
+        length = length + shift
+    return pts, length
+
+
+def nested_runs_ok_reference(levels: list[int]) -> bool:
+    """Interior maximal runs of levels <= n must contain an n, and no two
+    adjacent gaps may both exceed level 0 (no singleton interior classes)."""
+    if not levels:
+        return True
+    for a, b in zip(levels, levels[1:]):
+        if a >= 1 and b >= 1:
+            return False
+    top = max(levels)
+    for n in range(top):
+        runs = []
+        cur = None
+        for j, lev in enumerate(levels):
+            if lev <= n:
+                if cur is None:
+                    cur = [j, j]
+                cur[1] = j
+            else:
+                if cur is not None:
+                    runs.append((cur, True))
+                cur = None
+        if cur is not None:
+            runs.append((cur, False))  # touches right boundary
+        for idx, ((lo, hi), closed_right) in enumerate(runs):
+            interior = (lo > 0) and (closed_right or idx < len(runs) - 1)
+            if not interior:
+                continue  # boundary classes exempt in open windows
+            if not any(levels[j] == n for j in range(lo, hi + 1)):
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    """What a call returned, or the type and text of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except (ValueError, AssertionError) as e:
+        return "raised", type(e), str(e)
+
+
+class TestClosedFormsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 30))
+    def test_markers(self, n, d):
+        w = OrbitWindow([quad(i) for i in range(n)])
+        assert marker_subsection(w, d) == marker_subsection_reference(w, d)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=14))
+    def test_nested_runs_ok(self, levels):
+        assert _nested_runs_ok(levels) == nested_runs_ok_reference(levels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]),
+           st.lists(st.tuples(st.fractions(-20, 60, max_denominator=4),
+                              st.fractions(-5, 5, max_denominator=3)),
+                    min_size=1, max_size=6))
+    def test_two_class_block(self, radicand, coeffs):
+        ks = sorted({quad(r, s, radicand) for r, s in coeffs})
+        pts, length = two_class_block(ks)
+        want_pts, want_length = two_class_block_reference(ks)
+        assert [str(p) for p in pts] == [str(p) for p in want_pts]
+        assert str(length) == str(want_length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5),
+           st.lists(st.sampled_from([10, 100, 1000]), min_size=1,
+                    max_size=25))
+    def test_insert_blocks(self, n_thresholds, gaps):
+        # the acceptance-08 windows: the reference run swaps the two
+        # rewritten helpers back in, insert_blocks itself is unchanged
+        ks = [quad(2 ** i) for i in range(1, n_thresholds + 1)]
+        w = window_from_gaps([quad(g) for g in gaps])
+        got = outcome(insert_blocks, w, ks, EPS)
+        with mock.patch.object(windows, "two_class_block",
+                               two_class_block_reference), \
+                mock.patch.object(windows, "_nested_runs_ok",
+                                  nested_runs_ok_reference):
+            want = outcome(insert_blocks, w, ks, EPS)
+        if got[0] == "returned":
+            got = got[0], [str(p) for p in got[1].positions]
+        if want[0] == "returned":
+            want = want[0], [str(p) for p in want[1].positions]
+        assert got == want
