@@ -108,13 +108,27 @@ def _approx(x: QuadReal) -> str:
     return f"{x} ({x.approx()})"
 
 
+# the generator flags each kind reads, besides --n
+GEN_FLAGS = {"uniform": ("seed", "k0"),
+             "sparse_geometric": ("seed", "k0", "ratio"),
+             "rotation_suspension": ("angle",)}
+
+
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(kind=args.kind, count=args.n, seed=args.seed,
-                         k0=(_literal(parse_quadreal, "--k0", args.k0)
-                             if args.k0 else None),
-                         ratio=args.ratio,
-                         angle=(_literal(parse_quadreal, "--angle", args.angle)
-                                if args.angle else None))
+    given = {flag: getattr(args, flag)
+             for flag in ("seed", "k0", "ratio", "angle")
+             if getattr(args, flag) is not None}
+    unread = [f"--{flag}" for flag in given if flag not in GEN_FLAGS[args.kind]]
+    if unread:
+        raise UsageError(f"--kind {args.kind} does not read "
+                         f"{', '.join(unread)}")
+    if args.kind == "rotation_suspension" and args.angle is None:
+        raise UsageError("--angle is missing: --kind rotation_suspension "
+                         "needs the rotation angle")
+    for flag in ("k0", "angle"):
+        if flag in given:
+            given[flag] = _literal(parse_quadreal, f"--{flag}", given[flag])
+    spec = GeneratorSpec(kind=args.kind, count=args.n, **given)
     try:
         spec.validate()
     except ValueError as e:
@@ -282,12 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic orbit window")
     g.add_argument("--kind", default="uniform",
-                   choices=["uniform", "sparse_geometric", "rotation_suspension"])
+                   choices=list(GEN_FLAGS))
     g.add_argument("--n", type=int, default=100)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--k0", help="base gap scale (exact text form)")
-    g.add_argument("--ratio", type=int, default=2)
-    g.add_argument("--angle", help="rotation angle (exact text form)")
+    g.add_argument("--seed", type=int,
+                   help="random seed (default 0; not with rotation_suspension)")
+    g.add_argument("--k0", help="base gap scale (exact text form; default 7; "
+                                "not with rotation_suspension)")
+    g.add_argument("--ratio", type=int,
+                   help="growth ratio (default 2; sparse_geometric only)")
+    g.add_argument("--angle", help="rotation angle (exact text form; "
+                                   "rotation_suspension only, and required)")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 

@@ -22,6 +22,16 @@ keys, goes to the exact sign test.  So no float decides anything, the
 results are those of ``QuadReal`` arithmetic on the members' values,
 and no ``QuadReal`` is built per member.
 
+A :class:`DensityWitness` is checked without listing its members.  Its
+members ``k*x + s`` come in runs, one per k, and the gap from a member to
+the next depends only on the member's offset: an offset gap inside a run,
+and value(x) less the offsets' span between runs.  The constructor finds,
+once, which of these gaps reach eps; a window is then decided by a head
+and a tail test on the members :meth:`DensityWitness.values_in` finds
+within eps of its ends, and one bisect for the first wide gap after the
+window's first member.  ``values_in`` bisects the offsets on lattice
+coordinates too, in the first and the last run only.
+
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
 and so does its lookup in the tileable table, keyed by
 ``quadratic.lattice_keys``.
@@ -30,7 +40,7 @@ and so does its lookup in the tileable table, keyed by
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
@@ -255,6 +265,14 @@ def frequency_stability_ratio(params: Params, eps_freq: Fraction) -> QuadReal:
     return params.alpha * Fraction(eps_freq) / (params.beta * 2)
 
 
+def _floor_ratio(a: int, b: int, e: int, f: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(d)) / (e + f*sqrt(d)), for a positive
+    divisor: the product with the divisor's conjugate over e*e - f*f*d."""
+    n = e * e - f * f * d
+    x, y = a * e - b * f * d, b * e - a * f
+    return floor_of(x, y, n, d) if n > 0 else floor_of(-x, -y, -n, d)
+
+
 class DensityWitness:
     """A finitely described family of banded tileables, eps-dense above N.
 
@@ -267,25 +285,49 @@ class DensityWitness:
     eps-dense sweep of the half-line above the threshold.
 
     The offsets must be nonempty, sorted by value, and span at most
-    value(x); the constructor checks both on the offsets' lattice
-    coordinates, by ``quadratic.sign_of``, and raises ValueError
-    otherwise.  ``values_in`` relies on this: members of one k then come
-    out sorted, and none exceeds any member of k + 1, so the per-k runs
-    concatenate in order.
+    value(x); the constructor raises ValueError otherwise.  Then the
+    members in value order are one sequence: member g is run k = g // n,
+    offset t = g % n, for n offsets and g from k_min*n on, and the
+    members inside any interval are a slice of it.  Gap t of the family,
+    from a member at offset t to the next member, is the same for every
+    k: the offset gap s[t+1] - s[t] for t < n - 1, and the junction
+    value(x) - (s[n-1] - s[0]) between two runs for t = n - 1.  The
+    constructor takes the n gaps' lattice coordinates in one pass: a
+    negative one refuses the offsets, and the gaps that reach eps are
+    kept, so :meth:`dense_in` decides a window from its slice's ends
+    alone.
     """
 
     def __init__(self, params: Params, band: FreqBand, eps: QuadReal,
                  base: TileVector, offsets: list[TileVector], k_min: int):
         if not offsets:
             raise ValueError("density witness needs at least one offset")
-        d = params.d
+        # eps is (ex + ey*sqrt(d))/c, and a vector of lattice coordinates
+        # (x, y) has the value m*(x + y*sqrt(d))/c
+        c, d, [((ex,), (ey,)), _] = lattice([eps], [params.alpha, params.beta])
+        m = c // params._coef[4]
         xs, ys = params.coords(offsets)
-        if any(sign_of(dx, dy, d) < 0 for dx, dy in
-               zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))):
-            raise ValueError("density witness offsets must be sorted by value")
         (bx,), (by,) = params.coords([base])
-        if sign_of(bx - xs[-1] + xs[0], by - ys[-1] + ys[0], d) < 0:
-            raise ValueError("density witness offsets span more than value(x)")
+        n = len(offsets)
+        dxs = list(map(sub, xs[1:] + [xs[0] + bx], xs))
+        dys = list(map(sub, ys[1:] + [ys[0] + by], ys))
+        # the keys of eps_dense: a step is within spread of 2**k times a gap
+        spread = max(map(abs, dys))
+        k = spread.bit_length() + quadratic.KEY_BITS
+        s = math.isqrt(d << 2 * k)
+        steps = list(map(add, map(lshift, dxs, repeat(k)),
+                         map(mul, dys, repeat(s))))
+        # a step of at least spread is an exact gap >= 0
+        for t in compress(range(n), map(lt, steps, repeat(spread))):
+            if sign_of(dxs[t], dys[t], d) < 0:
+                raise ValueError(
+                    "density witness offsets must be sorted by value"
+                    if t < n - 1 else
+                    "density witness offsets span more than value(x)")
+        # a step below bar is an exact gap below eps
+        bar = -((abs(ey) - (ex << k) - ey * s) // m) - spread
+        self._wide = [t for t in compress(range(n), map(ge, steps, repeat(bar)))
+                      if sign_of(ex - m * dxs[t], ey - m * dys[t], d) <= 0]
         self.params = params
         self.band = band
         self.eps = eps
@@ -298,60 +340,120 @@ class DensityWitness:
         s = self.offsets[i]
         return TileVector(k * self.base.p + s.p, k * self.base.q + s.q)
 
-    def values_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
-        """The members with value inside [lo, hi], in value order.
+    def _members_in(self, lx: int, ly: int, hx: int, hy: int, m: int,
+                    d: int) -> tuple[int, int]:
+        """(start, stop): members start..stop - 1 are those with value in
+        [lo, hi], for lo = (lx + ly*sqrt(d))/c, hi = (hx + hy*sqrt(d))/c
+        and c = m * ``params._coef[4]``.
 
-        Run k is every member k*x + s with value in [lo, hi].  The runs
-        that lie wholly inside [lo, hi] are every offset plus k times x;
-        only the partial first and last runs bisect the offset values for
-        their slice.
+        Run k has a member at or above lo from k = ceil((lo - s[n-1])/x)
+        on, and one at or below hi up to k = floor((hi - s[0])/x).  Those
+        two runs bisect their offsets; every run between lies inside.
         """
+        offsets, n = self.offsets, len(self.offsets)
+        a1, a2, b1, b2, _ = (m * v for v in self.params._coef)
+
+        def xy(v: TileVector) -> tuple[int, int]:
+            # the value of v is (x + y*sqrt(d))/c
+            p, q = v
+            return a1 * p + a2 * q, b1 * p + b2 * q
+
+        ux, uy = xy(self.base)
+        (fx, fy), (lastx, lasty) = xy(offsets[0]), xy(offsets[-1])
+
+        def first_past(k: int, vx: int, vy: int, strict: bool) -> int:
+            # the first member of run k above v = (vx + vy*sqrt(d))/c, or at
+            # v unless strict: a sign of at least strict
+            vx, vy = vx - k * ux, vy - k * uy
+
+            def past(s: TileVector) -> bool:
+                x, y = xy(s)
+                return sign_of(x - vx, y - vy, d) >= strict
+            return k * n + bisect_left(offsets, True, key=past)
+
+        k = max(self.k_min, -_floor_ratio(lastx - lx, lasty - ly, ux, uy, d))
+        start = first_past(k, lx, ly, False)
+        k = _floor_ratio(hx - fx, hy - fy, ux, uy, d)
+        return start, max(start, first_past(k, hx, hy, True))
+
+    def values_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
+        """The members with value inside [lo, hi], in value order: run k
+        contributes offsets i..j - 1 plus k times x, where only the first
+        and the last run can be partial."""
         params = self.params
-        offsets = self.offsets
+        c, d, [((lx, hx), (ly, hy)), _] = lattice(
+            [lo, hi], [params.alpha, params.beta])
+        start, stop = self._members_in(lx, ly, hx, hy,
+                                       c // params._coef[4], d)
+        n = len(self.offsets)
         bp, bq = self.base
-        xval = params.value(bp, bq)
-
-        def key(s: TileVector) -> QuadReal:
-            return params.value(s.p, s.q)
-
-        first, last = key(offsets[0]), key(offsets[-1])
-        k_lo = max(self.k_min, ((lo - last) / xval).ceil())
-        k_hi = ((hi - first) / xval).floor()
-        # runs k_whole_lo..k_whole_hi lie wholly inside [lo, hi]
-        k_whole_lo = ((lo - first) / xval).ceil()
-        k_whole_hi = ((hi - last) / xval).floor()
-        op = list(map(itemgetter(0), offsets))
-        oq = list(map(itemgetter(1), offsets))
         # tuple.__new__ builds the named tuples without TileVector.__new__'s
         # Python frame
         vector = tuple.__new__
         out: list[TileVector] = []
-        for k in range(k_lo, k_hi + 1):
-            if k_whole_lo <= k <= k_whole_hi:
-                i, j = 0, len(offsets)
-            else:
-                kx = xval * k
-                i = bisect_left(offsets, lo - kx, key=key)
-                j = bisect_right(offsets, hi - kx, key=key)
+        for k in range(start // n, -(-stop // n)):
+            run = self.offsets[max(start - k * n, 0):min(stop - k * n, n)]
             out += map(vector, repeat(TileVector),
-                       zip(map(add, op[i:j], repeat(k * bp)),
-                           map(add, oq[i:j], repeat(k * bq))))
+                       zip(map(add, map(itemgetter(0), run), repeat(k * bp)),
+                           map(add, map(itemgetter(1), run), repeat(k * bq))))
         return out
+
+    def dense_in(self, lo: QuadReal, hi: QuadReal) -> DensityReport:
+        """``eps_dense(params, values_in(lo, hi), lo, hi, eps)``, decided
+        from the run structure: the same report, miss point included.
+
+        The tests come in eps_dense's order.  The head reads the first
+        member of [lo, lo + eps] and the tail the last of [hi - eps, hi],
+        from :meth:`values_in`.  In between, the first gap at or after
+        the window's first member that reaches eps is found by one bisect
+        in the family's wide gaps; it misses when the window holds both
+        of its ends.
+        """
+        params, eps = self.params, self.eps
+        if eps.sign() <= 0:
+            raise ValueError("eps must be positive")
+        c, d, [((lx, hx, ex), (ly, hy, ey)), _] = lattice(
+            [lo, hi, eps], [params.alpha, params.beta])
+        if sign_of(hx - lx, hy - ly, d) < 0:
+            raise ValueError("empty interval")
+        if sign_of(hx - lx - ex, hy - ly - ey, d) < 0:
+            return DensityReport(True, None)  # no admissible x at all
+        m = c // params._coef[4]
+
+        def miss(x: int, y: int) -> DensityReport:
+            """The report of a miss at (x + y*sqrt(d)) / (2*c)."""
+            return DensityReport(False, QuadReal._raw(x, y, 2 * c, d))
+
+        xs, ys = params.coords(self.values_in(lo, lo + eps)[:1])
+        if not xs or sign_of(ex + lx - m * xs[0], ey + ly - m * ys[0], d) <= 0:
+            return miss(2 * lx + ex, 2 * ly + ey)  # lo + eps/2
+        start, stop = self._members_in(lx, ly, hx, hy, m, d)
+        wide, n = self._wide, len(self.offsets)
+        if wide:
+            k, t = divmod(start, n)
+            f = bisect_left(wide, t)
+            g = k * n + wide[f] if f < len(wide) else (k + 1) * n + wide[0]
+            if g + 1 < stop:
+                xs, ys = params.coords([self.member(*divmod(g, n)),
+                                        self.member(*divmod(g + 1, n))])
+                return miss(m * sum(xs), m * sum(ys))
+        xs, ys = params.coords(self.values_in(hi - eps, hi)[-1:])
+        if not xs or sign_of(ex - hx + m * xs[0], ey - hy + m * ys[0], d) <= 0:
+            return miss(2 * hx - ex, 2 * hy - ey)  # hi - eps/2
+        return DensityReport(True, None)
 
     def check_windows(self, windows: int) -> Iterator[WindowCheck]:
         """The eps-density check of the family on ``windows`` disjoint
         windows of width 20*beta, at threshold + 2*i*width for i < windows.
 
-        Each window's members come from :meth:`values_in` and are checked
-        by :func:`eps_dense`; the checks are made as the iterator advances.
+        Each window is decided by :meth:`dense_in`, as the iterator
+        advances.
         """
         width = self.params.beta * 20
         for i in range(windows):
             lo = self.threshold + width * (2 * i)
             hi = lo + width
-            members = self.values_in(lo, hi)
-            yield WindowCheck(lo, hi,
-                              eps_dense(self.params, members, lo, hi, self.eps))
+            yield WindowCheck(lo, hi, self.dense_in(lo, hi))
 
     def describe(self) -> str:
         return (f"members k*({self.base.p},{self.base.q}) + s, k >= "

@@ -511,8 +511,25 @@ class TestCli:
         (["blocks", "4,2"], "k_list must be strictly increasing, got 4,2"),
         (["blocks", "2,2,8"],
          "k_list must be strictly increasing, got 2,2,8"),
+        (["gen", "--kind", "uniform", "--angle", "sqrt(2)"],
+         "--kind uniform does not read --angle"),
+        (["gen", "--kind", "sparse_geometric", "--angle", "sqrt(2)"],
+         "--kind sparse_geometric does not read --angle"),
+        (["gen", "--kind", "uniform", "--ratio", "2"],
+         "--kind uniform does not read --ratio"),
+        (["gen", "--kind", "rotation_suspension", "--angle", "-1 + sqrt(2)",
+          "--seed", "0"], "--kind rotation_suspension does not read --seed"),
+        (["gen", "--kind", "rotation_suspension", "--angle", "-1 + sqrt(2)",
+          "--k0", "9", "--seed", "3", "--ratio", "7"],
+         "--kind rotation_suspension does not read --seed, --k0, --ratio"),
+        (["gen", "--kind", "rotation_suspension"],
+         "--angle is missing: --kind rotation_suspension needs the rotation "
+         "angle"),
     ], ids=["gen_n_0", "gen_rational_angle", "density_rho_0", "tile_rho_1",
-            "tile_alpha_above_beta", "blocks_decreasing", "blocks_repeated"])
+            "tile_alpha_above_beta", "blocks_decreasing", "blocks_repeated",
+            "gen_angle_uniform", "gen_angle_sparse", "gen_ratio_uniform",
+            "gen_seed_rotation", "gen_k0_seed_ratio_rotation",
+            "gen_angle_missing"])
     def test_out_of_range_value_is_usage_error(self, argv, message, tmp_path,
                                                capsys):
         out = str(tmp_path / "out.json")

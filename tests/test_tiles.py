@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from flowtile import quadratic
 from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
 from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
-                            TileVector, alpha_frequency, balanced_word,
-                            default_params, density_witness,
+                            TileVector, WindowCheck, alpha_frequency,
+                            balanced_word, default_params, density_witness,
                             enumerate_tileable, eps_dense,
                             frequency_stability_ratio)
 
@@ -495,3 +495,165 @@ class TestValuesIn:
         wit = density_witness(P, quad(1), FreqBand(F(1, 4), F(3, 4)))
         with pytest.raises(ConfigError):
             wit.values_in(wit.threshold + r3, wit.threshold + r3 + 5)
+
+
+def check_windows_reference(wit, windows):
+    """check_windows as it was written: eps_dense over values_in."""
+    width = wit.params.beta * 20
+    for i in range(windows):
+        lo = wit.threshold + width * (2 * i)
+        hi = lo + width
+        members = wit.values_in(lo, hi)
+        yield WindowCheck(lo, hi,
+                          eps_dense(wit.params, members, lo, hi, wit.eps))
+
+
+def dense_in_reference(wit, lo, hi):
+    """eps_dense over every member of [lo, hi], found by brute force."""
+    return eps_dense(wit.params, brute_values_in(wit, lo, hi), lo, hi, wit.eps)
+
+
+def checks(triples):
+    """Window checks with the text of each miss point."""
+    return [(lo, hi, rep, str(rep.witness)) for lo, hi, rep in triples]
+
+
+# bases x with alpha frequencies from 0 to 1
+BASES = [TileVector(1, 1), TileVector(2, 1), TileVector(1, 2),
+         TileVector(3, 0), TileVector(0, 2)]
+
+
+@st.composite
+def family_cases(draw):
+    """(params, base, offsets, eps, k_min) for DensityWitness.
+
+    The offsets are the tileables of [A, A + value(x)], less a few runs
+    (the first offset stays), so they are sorted and span at most
+    value(x).  eps is a fraction of value(x) down to 1/16 of it, or one of
+    the family's gaps (an offset gap or the junction between runs),
+    exactly or a hair off, so many windows miss.
+    """
+    params = draw(st.sampled_from(PARAM_SETS))
+    base = draw(st.sampled_from(BASES))
+    x = base.value(params)
+    anchor = quad(F(draw(st.integers(0, 24)), 4), 0, params.d)
+    offsets = enumerate_tileable(params, anchor, anchor + x)
+    for _ in range(draw(st.integers(0, 3))):
+        if len(offsets) > 1:
+            i = draw(st.integers(1, len(offsets) - 1))
+            del offsets[i:i + draw(st.integers(1, 4))]
+    vals = values(params, offsets) + [offsets[0].value(params) + x]
+    if draw(st.booleans()):
+        eps = x * F(draw(st.integers(1, 16)), 16)
+    else:
+        t = draw(st.integers(0, len(vals) - 2))
+        eps = vals[t + 1] - vals[t]
+        if eps.is_zero() or draw(st.booleans()):
+            eps = eps + F(draw(st.sampled_from([-1, 1])), 10**6)
+        eps = abs(eps)
+    return params, base, offsets, eps, draw(st.integers(1, 4))
+
+
+class TestDenseIn:
+    """DensityWitness.dense_in and check_windows against eps_dense over
+    every member."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(family_cases(), st.integers(-40, 160), st.integers(0, 100),
+           st.integers(-2, 2), st.sampled_from([0, 32]))
+    def test_matches_reference(self, case, start8, width8, root5, bits):
+        # windows narrower than eps, starting below the threshold, with a
+        # sqrt part or without
+        params, base, offsets, eps, k_min = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            wit = DensityWitness(params, FreqBand(F(0), F(1)), eps, base,
+                                 offsets, k_min)
+            lo = wit.threshold + quad(F(start8, 8), F(root5, 5), params.d)
+            hi = lo + F(width8, 8)
+            got = wit.dense_in(lo, hi)
+        want = dense_in_reference(wit, lo, hi)
+        assert (got, str(got.witness)) == (want, str(want.witness))
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_cases(), st.integers(0, 30), st.integers(0, 30),
+           st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+    def test_windows_ending_near_members(self, case, g, w, dlo, dhi):
+        # lo and hi on a member, or eps away from one
+        params, base, offsets, eps, k_min = case
+        wit = DensityWitness(params, FreqBand(F(0), F(1)), eps, base,
+                             offsets, k_min)
+        n = len(offsets)
+        lo = wit.member(k_min + g // n, g % n).value(params) + eps * dlo
+        hi = qmax(lo, wit.member(k_min + (g + w) // n, (g + w) % n)
+                  .value(params) + eps * dhi)
+        got = wit.dense_in(lo, hi)
+        want = dense_in_reference(wit, lo, hi)
+        assert (got, str(got.witness)) == (want, str(want.witness))
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_cases())
+    def test_check_windows_matches_reference(self, case):
+        params, base, offsets, eps, k_min = case
+        wit = DensityWitness(params, FreqBand(F(0), F(1)), eps, base,
+                             offsets, k_min)
+        assert checks(wit.check_windows(3)) == \
+            checks(check_windows_reference(wit, 3))
+
+    # alpha = 1/10 and x = 1: members k + 0, 0.1, 0.5 and 0.6 from k = 1 on;
+    # gaps 0.1, 0.4, 0.1 and the junction 0.4
+    @pytest.mark.parametrize("lo, hi, eps, want", [
+        # head: 1.5 is the first member of [1.15, 2.15]
+        ("23/20", "43/20", "7/20", "53/40"),
+        # an offset gap, from 1.1 to 1.5
+        ("1", "2", "7/20", "13/10"),
+        # the junction, from 1.6 to 2
+        ("3/2", "5/2", "7/20", "9/5"),
+        # tail: 1.6 is the last member of [1.45, 1.95]
+        ("29/20", "39/20", "7/20", "71/40"),
+        # narrower than eps: dense, although no member is inside
+        ("23/20", "29/20", "7/20", None),
+        # from below the threshold 1, no gap reaches eps 0.45
+        ("7/10", "11/5", "9/20", None),
+        # from below the threshold, to the gap from 1.1 to 1.5
+        ("4/5", "19/10", "7/20", "13/10"),
+    ])
+    def test_each_kind_of_miss(self, lo, hi, eps, want):
+        wit = DensityWitness(TENTH, FreqBand(F(0), F(1)), quad(F(eps)),
+                             TileVector(10, 0), tenths(0, 1, 5, 6), 1)
+        lo, hi = quad(F(lo)), quad(F(hi))
+        got = wit.dense_in(lo, hi)
+        assert got == (want is None, want and quad(F(want)))
+        assert got == dense_in_reference(wit, lo, hi)
+
+    @pytest.mark.parametrize("eps, want", [("7/20", "6/5"), ("9/20", None)])
+    def test_offsets_spanning_exactly_value_x(self, eps, want):
+        # members k + 0, 0.4, 0.7 and 1: the junction gap is 0, and each
+        # run's last member is the next run's first
+        wit = DensityWitness(TENTH, FreqBand(F(0), F(1)), quad(F(eps)),
+                             TileVector(10, 0), tenths(0, 4, 7, 10), 1)
+        for lo, hi in [(quad(1), quad(3)), (quad(F(3, 2)), quad(F(21, 10)))]:
+            assert wit.dense_in(lo, hi) == dense_in_reference(wit, lo, hi)
+        assert wit.dense_in(quad(1), quad(3)) == \
+            (want is None, want and quad(F(want)))
+
+    def test_window_errors_match_eps_dense(self):
+        wit = DensityWitness(TENTH, FreqBand(F(0), F(1)), quad(0),
+                             TileVector(10, 0), tenths(0, 5), 1)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            next(wit.check_windows(1))
+        wit = DensityWitness(TENTH, FreqBand(F(0), F(1)), quad(1),
+                             TileVector(10, 0), tenths(0, 5), 1)
+        with pytest.raises(ValueError, match="empty interval"):
+            wit.dense_in(quad(2), quad(1))
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_stock_schedules_unchanged(self, depth, schedule2, schedule4):
+        # the full schedule JSON is pinned in test_pipeline's golden test
+        sched = schedule2 if depth == 2 else schedule4
+        assert sched.to_json()["K"] == ["7", "11", "25", "29", "55"][:depth + 1]
+        assert len(sched.witnesses) == 2 * depth
+        for _, _, wit in sched.witnesses:
+            got = checks(wit.check_windows(10))
+            assert got == checks(check_windows_reference(wit, 10))
+            assert all(rep.ok for _, _, rep, _ in got)
