@@ -26,16 +26,20 @@ print(f"\ninput: {len(w)} points with gaps in [{sched.K[0] + 1}, {sched.K[0] + 2
 
 t0 = time.monotonic()
 t = full_pipeline(w, sched, seed=42)
-print(f"tiled in {time.monotonic() - t0:.2f}s -> {len(t.positions)} points")
+# the section holds integer coordinates; positions builds the exact
+# values once
+pos = t.positions
+print(f"tiled in {time.monotonic() - t0:.2f}s -> {len(pos)} points")
 
-gaps = t.gap_values()
+gaps = [b - a for a, b in zip(pos, pos[1:])]
 n_a = sum(1 for ch in t.letters if ch == "a")
 print(f"gaps: {n_a} alpha + {len(gaps) - n_a} beta, all exact: "
       f"{all(g == P.alpha or g == P.beta for g in gaps)}")
 print(f"overall alpha-frequency: {alpha_frequency(t.counts())} "
       f"({float(alpha_frequency(t.counts())):.4f})")
 
-worst = max((abs(d) for d in t.displacements().values()), key=float)
+worst = max((abs(p - t.origin_pos[oid]) for p, oid in zip(pos, t.orig_ids)
+             if oid is not None), key=float)
 print(f"worst displacement of an original point: {worst.approx()} "
       f"(budget 1/3)")
 

@@ -218,7 +218,12 @@ def cmd_boost(args) -> int:
         [[TileVector(p, q) for p, q in rk] for rk in choices])
     el = frequency_boost(prob, gamma, zeta, eta,
                          enforce_bound=not args.test_mode)
-    print(f"value {_approx(el.value)} frequency {alpha_frequency(el.counts)}")
+    freq = alpha_frequency(el.counts)
+    # without the length bound nothing guarantees the zeta window
+    if args.test_mode and not abs(freq - gamma) < zeta:
+        raise ValueError(f"frequency {freq} is not within zeta {zeta} of "
+                         f"gamma {gamma}")
+    print(f"value {_approx(el.value)} frequency {freq}")
     if args.out:
         _write_json(args.out, {"value": str(el.value),
                                "counts": list(el.counts),
@@ -248,7 +253,7 @@ def cmd_tile(args) -> int:
     cnt = t.counts()
     # a one-point window has no letters, hence no frequency
     freq = f"; frequency {alpha_frequency(cnt)}" if t.letters else ""
-    print(f"tiled {len(t.positions)} points; counts {cnt.p} alpha / {cnt.q} "
+    print(f"tiled {len(t.letters) + 1} points; counts {cnt.p} alpha / {cnt.q} "
           f"beta{freq}")
     return 0
 
@@ -333,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--zeta", required=True)
     bo.add_argument("--eta", required=True)
     bo.add_argument("--test-mode", action="store_true",
-                    help="skip the length bound (verified a posteriori)")
+                    help="skip the length bound; the frequency must then "
+                         "land strictly within zeta of gamma, else exit 1")
     bo.add_argument("--out")
     bo.set_defaults(fn=cmd_boost)
 

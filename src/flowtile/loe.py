@@ -143,7 +143,7 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     residue_src: list[int] = []
     for i, ch in enumerate(t1.letters):
         if i in image:
-            pieces.append(Piece(t1.positions[i], t2.positions[image[i]],
+            pieces.append(Piece(t1.position(i), t2.position(image[i]),
                                 lengths[ch], ch))
         else:
             residue_src.append(i)

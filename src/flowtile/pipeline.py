@@ -24,21 +24,25 @@ at levels 1, 2, ... in order, each with its level's eta and replaying.
 ``flowtile verify``, ``loe`` and ``plot`` call it on every section file
 they read.  All checks are exact.
 
-Finishing and the tileable table lookup run on lattice coordinates, as
-the density sweeps of :mod:`flowtile.tiles` do.  Within one call every
-position, gap, carry and corridor end is an integer pair (A, B) over one
-common denominator C, standing for (A + B*sqrt(D)) / C; an order is the
+A :class:`TiledSection` holds its positions as lattice coordinates, as
+the density sweeps of :mod:`flowtile.tiles` hold tile values: every
+position is an integer pair (A, B) over the section's one denominator C,
+standing for (A + B*sqrt(D)) / C.  Growth, finishing, the tileable table
+lookup and :func:`check_section` read those pairs, with gaps, carries,
+corridor ends and stage constants on the same lattice, rescaled to a
+common multiple of C only when a constant needs one; an order is the
 exact sign of a lattice difference (``quadratic.sign_of``).  The table
 is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
 settled by that sign test, and candidate words are ranked by integer
-cross-multiplication of frequencies.  Chain classes and
-:func:`check_section` are decided the same way.  ``QuadReal`` stays the
-type of every argument, result and serialized value: one is built for
-each output position and for error texts.
+cross-multiplication of frequencies.  ``QuadReal`` stays the type of
+every argument, result and serialized value: one is built for each
+position a caller reads, for the original points of a chain-class check
+and for error texts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -332,19 +336,29 @@ def count_a_prefix(letters) -> list[int]:
 class TiledSection:
     """A window whose gaps are (partially) tiled, with provenance.
 
-    positions/letters describe the current section; letters[i] is 'a' or
-    'b' when the gap (i, i+1) is exactly alpha or beta, else None.  ranks
-    give the last stage that retiled each point's block (0 untouched, 1
-    after growth, n for the runs finishing stage n retiles) and are not
-    serialized; orig_ids map points back to the input window, and
-    origin_pos holds each original point's input position.  ``points`` is
-    the size of the input window: at first the number of original ids.
+    Position i is (xs[i] + ys[i]*sqrt(d)) / c: the section holds one
+    common denominator c, its radicand d and two integer lists, and alpha
+    and beta are integer pairs over c as well.  ``positions`` is a view,
+    a fresh list of ``QuadReal`` built on each read; the pipeline itself
+    reads only the coordinates.  letters[i] is 'a' or 'b' when the gap
+    (i, i+1) is exactly alpha or beta, else None.  ranks give the last
+    stage that retiled each point's block (0 untouched, 1 after growth, n
+    for the runs finishing stage n retiles) and are not serialized;
+    orig_ids map points back to the input window, and origin_pos holds
+    each original point's input position.  ``points`` is the size of the
+    input window: at first the number of original ids.
     """
 
     def __init__(self, params: Params, positions, letters, ranks, orig_ids,
                  schedule: Schedule | None = None):
+        c, d, [(xs, ys), _] = lattice(list(positions),
+                                      [params.alpha, params.beta])
+        self._fill(params, c, d, xs, ys, letters, ranks, orig_ids, schedule)
+
+    def _fill(self, params, c, d, xs, ys, letters, ranks, orig_ids,
+              schedule):
         self.params = params
-        self.positions = list(positions)
+        self.c, self.d, self.xs, self.ys = c, d, xs, ys
         self.letters = list(letters)
         self.ranks = list(ranks)
         self.orig_ids = list(orig_ids)
@@ -357,13 +371,46 @@ class TiledSection:
     @classmethod
     def from_window(cls, params: Params, w: OrbitWindow,
                     schedule: Schedule | None = None) -> "TiledSection":
-        t = cls(params, list(w.positions), [None] * (len(w) - 1),
-                [0] * len(w), list(range(len(w))), schedule)
-        t.origin_pos = {i: p for i, p in enumerate(w.positions)}
+        t = cls(params, w.positions, [None] * (len(w) - 1),
+                [0] * len(w), range(len(w)), schedule)
+        t.origin_pos = dict(enumerate(w.positions))
         return t
 
+    @property
+    def positions(self) -> list[QuadReal]:
+        """The positions as a new list of ``QuadReal``, built on each read
+        from the coordinates."""
+        return list(map(QuadReal._raw, self.xs, self.ys, repeat(self.c),
+                        repeat(self.d)))
+
+    def position(self, i: int) -> QuadReal:
+        return QuadReal._raw(self.xs[i], self.ys[i], self.c, self.d)
+
+    def gap(self, i: int) -> QuadReal:
+        """The gap from point i to point i + 1."""
+        xs, ys = self.xs, self.ys
+        return QuadReal._raw(xs[i + 1] - xs[i], ys[i + 1] - ys[i], self.c,
+                             self.d)
+
     def gap_values(self):
-        return [b - a for a, b in zip(self.positions, self.positions[1:])]
+        return list(map(self.gap, range(len(self.letters))))
+
+    def on_lattice(self, *groups: Sequence[QuadReal]):
+        """(c, xs, ys, coords): the positions and the values of each group
+        over one common denominator c, a multiple of the section's, with
+        coords as ``quadratic.lattice`` gives them.  xs and ys are the
+        section's own lists when c is its denominator, so they are only
+        read.  Values of two radicands raise ConfigError."""
+        c, _, coords = lattice(*groups)
+        c2 = c * self.c // math.gcd(c, self.c)
+        f, g = c2 // self.c, c2 // c
+        xs, ys = self.xs, self.ys
+        if f != 1:
+            xs, ys = [x * f for x in xs], [y * f for y in ys]
+        if g != 1:
+            coords = [([x * g for x in gx], [y * g for y in gy])
+                      for gx, gy in coords]
+        return c2, xs, ys, coords
 
     def is_fully_regular(self) -> bool:
         return None not in self.letters
@@ -373,15 +420,13 @@ class TiledSection:
         # a run ends at each bare gap and at the last point
         ends = list(compress(count(), map(is_, self.letters, repeat(None))))
         starts = [0, *map(add, ends, repeat(1))]
-        ends.append(len(self.positions) - 1)
+        ends.append(len(self.xs) - 1)
         return list(zip(starts, ends))
 
     def displacements(self) -> dict[int, QuadReal]:
-        out = {}
-        for idx, oid in enumerate(self.orig_ids):
-            if oid is not None:
-                out[oid] = self.positions[idx] - self.origin_pos[oid]
-        return out
+        return {oid: p - self.origin_pos[oid]
+                for p, oid in zip(self.positions, self.orig_ids)
+                if oid is not None}
 
     def counts(self) -> TileVector:
         return TileVector(self.letters.count("a"), self.letters.count("b"))
@@ -397,7 +442,7 @@ class TiledSection:
             "format": 2,
             "alpha": str(self.params.alpha), "beta": str(self.params.beta),
             "rho": str(self.params.rho),
-            "start": str(self.positions[0]),
+            "start": str(self.position(0)),
             "letters": "".join(self.letters),
             "origin_index": index,
             "origin_positions": [str(self.origin_pos[self.orig_ids[i]])
@@ -438,10 +483,13 @@ class TiledSection:
             orig_ids[i] = k
         c, d, [([x], [y]), ([ax], [ay]), ([bx], [by])] = lattice(
             [start], [params.alpha], [params.beta])
-        xs = accumulate(map({"a": ax, "b": bx}.get, letters), initial=x)
-        ys = accumulate(map({"a": ay, "b": by}.get, letters), initial=y)
-        t = cls(params, map(QuadReal._raw, xs, ys, repeat(c), repeat(d)),
-                letters, [0] * len(orig_ids), orig_ids)
+        t = cls.__new__(cls)
+        t._fill(params, c, d,
+                list(accumulate(map({"a": ax, "b": bx}.get, letters),
+                                initial=x)),
+                list(accumulate(map({"a": ay, "b": by}.get, letters),
+                                initial=y)),
+                letters, [0] * len(orig_ids), orig_ids, None)
         t.points = len(index)
         t.origin_pos = dict(enumerate(origin))
         where = "section witness"
@@ -486,36 +534,35 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     unplanned gap absorbs it back to zero.  Every shifted point is checked
     against the stage bound eps[stage] before promotion.
 
-    The walk runs on lattice coordinates over one common denominator.  The
-    carry is constant from one planned or bare gap to the next, so it is
-    checked once per such stretch, at its first point.  The new gaps are
-    the lettered gaps, the letters of the planned words and the bare gaps
-    less the carry they absorb; the new positions, one ``QuadReal`` each,
-    are their running sums from the first point, which never moves.
+    The walk runs on the section's coordinates, over a denominator that
+    also holds the bound (:meth:`TiledSection.on_lattice`).  The carry is
+    constant from one planned or bare gap to the next, so it is checked
+    once per such stretch, at its first point.  The new gaps are the
+    lettered gaps, the letters of the planned words and the bare gaps less
+    the carry they absorb; their running sums from the first point, which
+    never moves, are the section's new coordinates.
     """
     params = t.params
     bound = t.schedule.eps[stage]
-    positions, letters = t.positions, t.letters
+    letters = t.letters
     ranks, orig = t.ranks, t.orig_ids
+    d = t.d
     # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
-    c, d, [(xs, ys), ((ex, ax, bx), (ey, ay, by))] = lattice(
-        positions, [bound, params.alpha, params.beta])
+    c, xs, ys, [((ex, ax, bx), (ey, ay, by))] = t.on_lattice(
+        [bound, params.alpha, params.beta])
     step_x = {"a": ax, "b": bx}.__getitem__
     step_y = {"a": ay, "b": by}.__getitem__
     words: dict[TileVector, tuple] = {}  # vector: letters and their steps
     gxs = list(map(sub, islice(xs, 1, None), xs))
     gys = list(map(sub, islice(ys, 1, None), ys))
-    # the walk needs only the first point: freeing the rest lowers its
-    # peak memory
     x0, y0 = xs[0], ys[0]
-    del xs, ys
     new_gx: list[int] = []
     new_gy: list[int] = []
     new_letters: list[Optional[str]] = []
     new_ranks: list[int] = []
     new_orig: list[Optional[int]] = []
     planned_letter_idx: list[int] = []
-    last = len(positions) - 1
+    last = len(xs) - 1
     # the carry changes only at a planned or a bare gap
     stops = sorted({g for g in plan if g < last}.union(
         compress(count(), map(is_, letters, repeat(None)))))
@@ -559,9 +606,9 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
             new_letters.append(None)
             cx = cy = 0
         start = g + 1
-    t.positions = list(map(QuadReal._raw, accumulate(new_gx, initial=x0),
-                           accumulate(new_gy, initial=y0),
-                           repeat(c), repeat(d)))
+    t.c = c
+    t.xs = list(accumulate(new_gx, initial=x0))
+    t.ys = list(accumulate(new_gy, initial=y0))
     t.letters = new_letters
     t.ranks = new_ranks
     t.orig_ids = new_orig
@@ -597,13 +644,13 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     params = schedule.params
     rng = random.Random(seed)
     t = TiledSection.from_window(params, w, schedule)
-    npts = len(t.positions)
+    npts = len(t.xs)
     if npts < 2:
         t.notes.append("stage 1: fewer than two rank-0 blocks; stage truncated")
         return t
     # adjacent pair anchors lie at most 2*PAIR_SPACING + 3 gaps apart, and
     # each of them moves by less than the shift budget
-    anchor_bound = ((qmax(*t.gap_values()) + schedule.shift_budget() * 2)
+    anchor_bound = ((_widest_gap(t) + schedule.shift_budget() * 2)
                     * (2 * PAIR_SPACING + 3))
     plan = {i: _pair_word(t, i, schedule)
             for i in _select_pairs(npts, PAIR_SPACING, rng)}
@@ -612,15 +659,32 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     return t
 
 
+def _widest_gap(t: TiledSection) -> QuadReal:
+    """The largest gap of a section of two points or more: among the gaps
+    of the greatest lattice key, the exact order decides."""
+    xs, ys, d = t.xs, t.ys, t.d
+    gxs = list(map(sub, islice(xs, 1, None), xs))
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    keys = lattice_keys(gxs, gys, 1, d)
+    top = max(keys)
+    best = keys.index(top)
+    for i in compress(count(), map(eq, keys, repeat(top))):
+        if sign_of(gxs[i] - gxs[best], gys[i] - gys[best], d) > 0:
+            best = i
+    return t.gap(best)
+
+
 def _check_block_spacing(t: TiledSection, bound: QuadReal):
     """Left endpoints of adjacent rank-1 blocks stay within the spacing
     bound inherited from the pair-selection policy (interior pairs only)."""
     lefts = [i for i, j in t.regular_runs() if j > i]
+    c, xs, ys, [((ux,), (uy,))] = t.on_lattice([bound])
     for a, b in zip(lefts[1:-1], lefts[2:]):
-        gap = t.positions[b] - t.positions[a]
-        if bound < gap:
+        gx, gy = xs[b] - xs[a], ys[b] - ys[a]
+        if sign_of(gx - ux, gy - uy, t.d) > 0:
             raise TilingError(f"stage 1: adjacent block anchors "
-                              f"{gap} apart, beyond the spacing bound {bound}")
+                              f"{QuadReal._raw(gx, gy, c, t.d)} apart, "
+                              f"beyond the spacing bound {bound}")
 
 
 def _select_pairs(n_units: int, spacing: int, rng) -> list[int]:
@@ -646,7 +710,7 @@ def _pair_word(t: TiledSection, i: int, schedule: Schedule) -> TileVector:
     """
     params = t.params
     rho = params.rho
-    span = t.positions[i + 1] - t.positions[i]
+    span = t.gap(i)
     eps1 = schedule.eps[1]
     menu = [v for v in enumerate_tileable(params, span - eps1, span + eps1)
             if not v.is_zero() and abs(v.value(params) - span) < eps1]
@@ -706,7 +770,9 @@ def _class_signature(t: TiledSection, schedule: Schedule, stage: int):
     """Cardinalities, in order, of chain classes over original points at
     each threshold from the current stage up; the window's order and its
     classes are decided on lattice coordinates."""
-    pts = [p for p, oid in zip(t.positions, t.orig_ids) if oid is not None]
+    c, d = t.c, t.d
+    pts = [QuadReal._raw(x, y, c, d)
+           for x, y, oid in zip(t.xs, t.ys, t.orig_ids) if oid is not None]
     if len(pts) < 2:
         return ()
     w = OrbitWindow(pts)
@@ -726,21 +792,20 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     read from the corridor-shifted window, preferring the frequency side
     that rebalances the class mix including the next block.
 
-    Gaps, carry and corridors are lattice coordinates over one common
-    denominator c, and the table is looked up with them
-    (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for an
-    error text.
+    Gaps, carry and corridors are the section's coordinates over a
+    denominator c that also holds the stage constants
+    (:meth:`TiledSection.on_lattice`), and the table is looked up with
+    them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
+    an error text.
     """
     params = t.params
-    eps_s = schedule.eps[stage]
-    k_n = schedule.K[stage]
-    positions, letters = t.positions, t.letters
+    letters, d = t.letters, t.d
     # eps_s, K_n, alpha and beta are (ex, ey), (kx, ky), (ax, ay), (bx, by)
-    c, d, [(xs, ys), ((ex, kx, ax, bx), (ey, ky, ay, by))] = lattice(
-        positions, [eps_s, k_n, params.alpha, params.beta])
+    c, xs, ys, [((ex, kx, ax, bx), (ey, ky, ay, by))] = t.on_lattice(
+        [schedule.eps[stage], schedule.K[stage], params.alpha, params.beta])
     inside = schedule.table.inside
     rho = params.rho
-    n_gaps = len(positions) - 1
+    n_gaps = len(xs) - 1
     gxs = list(map(sub, islice(xs, 1, None), xs))
     gys = list(map(sub, islice(ys, 1, None), ys))
     # gap g above K_n ends a chain class; no other gap can
@@ -844,7 +909,7 @@ def classify_section(t: TiledSection) -> Classification:
     finishing treats it like any other).  Otherwise finite classes.
     """
     runs = t.regular_runs()
-    npts = len(t.positions)
+    npts = len(t.xs)
     if len(runs) == 1 and runs[0] == (0, npts - 1):
         return Classification(FULLY_REGULAR, runs)
     sizes = [(j - i + 1) for i, j in runs]
@@ -884,8 +949,8 @@ def check_section(t: TiledSection):
     point has an origin position, strictly within min(alpha, 1)/3
     (checked in point order); the j-th witness has level j and the eta of
     :func:`stage_bounds` for level j, and replays.  Positions, origins
-    and lengths are lattice coordinates of one ``quadratic.lattice``
-    call."""
+    and lengths are lattice coordinates over one denominator
+    (:meth:`TiledSection.on_lattice`)."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
     letters = t.letters
@@ -893,8 +958,9 @@ def check_section(t: TiledSection):
     ids = list(map(t.orig_ids.__getitem__, idx))
     missing = next((k for k, oid in enumerate(ids)
                     if oid not in t.origin_pos), len(ids))
-    c, d, [(xs, ys), (ox, oy), ((ax, bx, ux), (ay, by, uy))] = lattice(
-        t.positions, [t.origin_pos[oid] for oid in ids[:missing]],
+    d = t.d
+    c, xs, ys, [(ox, oy), ((ax, bx, ux), (ay, by, uy))] = t.on_lattice(
+        [t.origin_pos[oid] for oid in ids[:missing]],
         [p.alpha, p.beta, budget])
     gx = list(map(sub, islice(xs, 1, None), xs))
     gy = list(map(sub, islice(ys, 1, None), ys))
@@ -908,7 +974,7 @@ def check_section(t: TiledSection):
             raise TilingError(f"{letters.count(None)} of {len(letters)} gaps "
                               f"untiled, the first is gap {bad}")
         raise TilingError(f"gap {bad}: letter {letters[bad]} but size "
-                          f"{t.positions[bad + 1] - t.positions[bad]}")
+                          f"{QuadReal._raw(gx[bad], gy[bad], c, d)}")
     back = next(compress(count(1), map(le, islice(ids, 1, None), ids)), None)
     if back is not None:
         raise TilingError(f"original point ids do not increase: "

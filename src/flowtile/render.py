@@ -12,8 +12,8 @@ WIDTH, HEIGHT = 1200, 120
 
 def section_svg(t: TiledSection) -> str:
     """One horizontal strip: alpha gaps blue, beta gaps red, untiled grey."""
-    x0 = float(t.positions[0])
-    x1 = float(t.positions[-1])
+    pos = [float(p) for p in t.positions]
+    x0, x1 = pos[0], pos[-1]
     span = max(x1 - x0, 1e-9)
     pad = 10
 
@@ -25,17 +25,17 @@ def section_svg(t: TiledSection) -> str:
              f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
              f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     for i, ch in enumerate(t.letters):
-        a = sx(float(t.positions[i]))
-        b = sx(float(t.positions[i + 1]))
+        a = sx(pos[i])
+        b = sx(pos[i + 1])
         color = {"a": ALPHA_COLOR, "b": BETA_COLOR, None: GAP_COLOR}[ch]
         parts.append(f'<line x1="{a:.2f}" y1="{y}" x2="{b:.2f}" y2="{y}" '
                      f'stroke="{color}" stroke-width="6"/>')
-    for p in t.positions:
-        a = sx(float(p))
+    for p in pos:
+        a = sx(p)
         parts.append(f'<line x1="{a:.2f}" y1="{y - 5}" x2="{a:.2f}" '
                      f'y2="{y + 5}" stroke="#333" stroke-width="0.6"/>')
     parts.append(f'<text x="{pad}" y="16" font-size="11" fill="#333">'
-                 f'{len(t.positions)} points; alpha {ALPHA_COLOR}, beta '
+                 f'{len(pos)} points; alpha {ALPHA_COLOR}, beta '
                  f'{BETA_COLOR}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

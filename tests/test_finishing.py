@@ -2,7 +2,9 @@
 lattice coordinates, against the ``QuadReal`` code they replaced.
 
 The ``*_reference`` functions below are that code, kept verbatim as
-oracles (renamed, and calling each other); ``between_reference`` is the
+oracles (renamed, and calling each other), except that each reads the
+section's ``positions`` view once and ``_apply_gap_plan_reference``
+stores its result with ``set_positions``; ``between_reference`` is the
 table's former bisection over its ``QuadReal`` values.  Plans, sections,
 notes and error texts must be equal.
 """
@@ -25,7 +27,7 @@ from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (Schedule, TiledSection, TilingError,
                                WitnessError, build_rank_blocks, build_schedule,
                                check_section, full_pipeline)
-from flowtile.quadratic import QuadReal, qmin, quad, sqrtD
+from flowtile.quadratic import QuadReal, lattice, qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             balanced_word, default_params)
 from flowtile.windows import ChainClasses, OrbitWindow, chain_classes
@@ -70,9 +72,10 @@ def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
     new_orig: list[Optional[int]] = []
     planned_letter_idx: list[int] = []
     carry = zero
-    npts = len(t.positions)
+    positions = t.positions
+    npts = len(positions)
     for i in range(npts):
-        pos = t.positions[i] + carry
+        pos = positions[i] + carry
         if not carry.is_zero() and not abs(carry) < bound:
             raise TilingError(
                 f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
@@ -84,7 +87,7 @@ def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
             break
         if i in plan:
             vec = plan[i]
-            d_old = t.positions[i + 1] - t.positions[i]
+            d_old = positions[i + 1] - positions[i]
             carry = carry + (vec.value(params) - d_old)
             word = balanced_word(vec)
             planned_letter_idx.append(len(new_letters))
@@ -100,11 +103,18 @@ def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
             new_letters.append(t.letters[i])
             if t.letters[i] is None:
                 carry = zero
-    t.positions = new_pos
+    set_positions(t, new_pos)
     t.letters = new_letters
     t.ranks = new_ranks
     t.orig_ids = new_orig
     _promote_runs_reference(t, planned_letter_idx, stage)
+
+
+def set_positions(t: TiledSection, positions: list[QuadReal]):
+    """Store positions in t as the section holds them: lattice
+    coordinates, with alpha and beta on the same lattice."""
+    t.c, t.d, [(t.xs, t.ys), _] = lattice(positions,
+                                          [t.params.alpha, t.params.beta])
 
 
 def _promote_runs_reference(t: TiledSection, marks: list[int], stage: int):
@@ -133,12 +143,13 @@ def _finish_stage_plan_reference(t: TiledSection, schedule: Schedule,
     k_n = schedule.K[stage]
     zero = quad(0, 0, params.d)
     plan: dict[int, TileVector] = {}
-    npts = len(t.positions)
+    positions = t.positions
+    npts = len(positions)
     i = 0
     while i < npts - 1:
         # find the start of a chain class at threshold K_stage
         j = i
-        while j < npts - 1 and not k_n < (t.positions[j + 1] - t.positions[j]):
+        while j < npts - 1 and not k_n < (positions[j + 1] - positions[j]):
             j += 1
         # class spans points [i, j]
         if j == i:
@@ -158,7 +169,7 @@ def _finish_stage_plan_reference(t: TiledSection, schedule: Schedule,
                 totals = totals + TileVector(p, q)
                 g = k
                 continue
-            d = t.positions[g + 1] - t.positions[g]
+            d = positions[g + 1] - positions[g]
             if k_n < d:
                 g += 1
                 continue

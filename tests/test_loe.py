@@ -280,8 +280,9 @@ def build_loe_reference(t1: TiledSection, t2: TiledSection,
     pieces: list[Piece] = []
     alpha = t1.params.alpha
     beta = t1.params.beta
+    pos1, pos2 = t1.positions, t2.positions
     for a in a1:
-        pieces.append(Piece(t1.positions[a], t2.positions[psi[a]], alpha, "a"))
+        pieces.append(Piece(pos1[a], pos2[psi[a]], alpha, "a"))
     # beta points extend the base map: psi(theta1(x)) = theta2(psi(x))
     matched2 = theta2.pairing
     mapped_src_b: set[int] = set()
@@ -291,7 +292,7 @@ def build_loe_reference(t1: TiledSection, t2: TiledSection,
             continue
         b_src = theta1.pairing[a]
         b_dst = matched2[psi[a]]
-        pieces.append(Piece(t1.positions[b_src], t2.positions[b_dst], beta, "b"))
+        pieces.append(Piece(pos1[b_src], pos2[b_dst], beta, "b"))
         mapped_src_b.add(b_src)
         mapped_dst_b.add(b_dst)
     res_src = [b for b in b1 if b not in mapped_src_b]

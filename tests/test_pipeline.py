@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,18 @@ class TestShiftBound:
         t = self.two_points(schedule2, 6 - schedule2.eps[1])
         with pytest.raises(TilingError, match="exceeds its bound"):
             pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
+
+    def test_shift_error_text(self, schedule2):
+        # the carry, on the lattice of the section and eps_1, comes back as
+        # one exact value; the point keeps its rank until promotion
+        t = self.two_points(schedule2, 6 - schedule2.eps[1] * 2)
+        with pytest.raises(TilingError) as err:
+            pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
+        assert str(err.value) == ("shift 1/3 at point 1 (rank 0) exceeds "
+                                  "its bound 1/6")
+        # the section is left as it was
+        assert t.positions == [quad(0), 6 - schedule2.eps[1] * 2]
+        assert t.letters == [None]
 
     def test_carry_below_eps_passes(self, schedule2):
         t = self.two_points(schedule2, 6 - schedule2.eps[1] + F(1, 1000))
@@ -664,6 +678,113 @@ class TestPromotion:
         assert got == want
         # growth leaves rank-0 points, so finishing had runs to promote
         assert 0 in build_rank_blocks(w, schedule4, seed=8).ranks
+
+
+# SCHEDULE_PARAMS with two more irrational-alpha pairs: sqrt(2)/2 against
+# an irrational beta, and 2 - sqrt(2) against a rational one
+COORD_PARAMS = SCHEDULE_PARAMS + [
+    Params(quad(0, F(1, 2)), quad(1, 1), F(1, 3)),
+    Params(quad(2, -1), quad(1), F(2, 5)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def coord_schedule(k: int) -> Schedule:
+    return build_schedule(COORD_PARAMS[k], depth=2, verify_windows=1)
+
+
+@st.composite
+def coord_windows(draw):
+    """A depth-2 schedule of COORD_PARAMS and a uniform, sparse or rotation
+    window of up to 60 points in its radicand."""
+    sched = coord_schedule(draw(st.integers(0, len(COORD_PARAMS) - 1)))
+    d = sched.params.d
+    kind = draw(st.sampled_from(["uniform", "sparse_geometric",
+                                 "rotation_suspension"]))
+    count = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "rotation_suspension":
+        angle = quad(F(draw(st.integers(1, 3)), 4),
+                     F(draw(st.integers(1, 63)), 256), d)
+        spec = GeneratorSpec(kind, count, angle=angle - angle.floor())
+    else:
+        # uniform gaps lie in [k0 + 1, k0 + 2], around K_0
+        k0 = sched.K[0] - draw(st.integers(1, 3))
+        spec = GeneratorSpec(kind, count, seed, k0=k0)
+    try:
+        return sched, generate(spec)
+    except ValueError:  # an angle that rounds to 0
+        return sched, generate(GeneratorSpec("uniform", count, seed,
+                                             k0=sched.K[0] - 1))
+
+
+def coordinate_values(t: TiledSection) -> list[tuple[F, F]]:
+    """Each position's rational and sqrt(d) parts."""
+    return [(F(x, t.c), F(y, t.c)) for x, y in zip(t.xs, t.ys)]
+
+
+class TestCoordinates:
+    """A section holds integer coordinates over one denominator; each way
+    of building one gives the same coordinates and the same positions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(coord_windows())
+    def test_constructors_agree(self, case):
+        sched, w = case
+        params = sched.params
+        t = TiledSection.from_window(params, w, sched)
+        assert t.positions == list(w.positions)
+        u = TiledSection(params, w.positions, t.letters, t.ranks, t.orig_ids)
+        assert (u.c, u.d, u.xs, u.ys) == (t.c, t.d, t.xs, t.ys)
+        # alpha and beta lie on the section's lattice
+        assert params._coef[4] * (t.c // params._coef[4]) == t.c
+        try:
+            t = sparse_tile(t, sched)
+        except TilingError:
+            return
+        copy = TiledSection(params, t.positions, t.letters, t.ranks,
+                            t.orig_ids)
+        assert copy.positions == t.positions
+        assert coordinate_values(copy) == coordinate_values(t)
+        if t.is_fully_regular():
+            back = TiledSection.from_json(t.to_json())
+            assert back.positions == t.positions
+            assert (back.c, back.d, back.xs, back.ys) == (
+                copy.c, copy.d, copy.xs, copy.ys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coord_windows())
+    def test_positions_walk_the_letters(self, case):
+        sched, w = case
+        params = sched.params
+        try:
+            t = sparse_tile(w, sched)
+        except TilingError:
+            return
+        pos = t.positions
+        length = {"a": params.alpha, "b": params.beta}
+        walk = [pos[0]]
+        for i, ch in enumerate(t.letters):
+            # a bare gap, left above K_depth, starts the walk again
+            walk.append(walk[-1] + length[ch] if ch else pos[i + 1])
+        assert walk == pos
+        assert [t.position(i) for i in range(len(pos))] == pos
+        assert t.gap_values() == list(map(sub, pos[1:], pos))
+
+    def test_positions_is_a_fresh_view(self):
+        t = section_from_letters("abba")
+        pos = t.positions
+        pos[0] = quad(100)
+        assert t.positions[0] == quad(0)
+        assert t.positions is not t.positions
+
+    def test_rescale_is_skipped_at_factor_one(self):
+        t = section_from_letters("ab")
+        c, xs, ys, _ = t.on_lattice([quad(2)])
+        assert c == t.c and xs is t.xs and ys is t.ys
+        c, xs, ys, [((e,), (f,))] = t.on_lattice([quad(F(1, 6))])
+        assert c == 6 * t.c and (e, f) == (t.c, 0)
+        assert xs == [6 * x for x in t.xs] and ys == [6 * y for y in t.ys]
 
 
 class TestSectionJson:
