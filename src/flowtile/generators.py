@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
-from .quadratic import QuadReal, floor_of, quad
+from .quadratic import QuadReal, floor_of, quad, quads
 from .windows import OrbitWindow
 
 GRID = 64  # default rational grid denominator for random gaps
@@ -78,5 +78,5 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
     scales = [scale[i % len(scale)] for i in range(spec.count - 1)]
     xs = [kx * s + offset + step * rng.randint(0, GRID) for s in scales]
     ys = [ky * s for s in scales]
-    return OrbitWindow(list(map(QuadReal._raw, accumulate(xs, initial=0),
-                                accumulate(ys, initial=0), repeat(c), repeat(d))))
+    return OrbitWindow(quads(accumulate(xs, initial=0),
+                             accumulate(ys, initial=0), c, d))

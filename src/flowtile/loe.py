@@ -139,14 +139,14 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
         if a in image and image[a] in theta2:
             image[b] = theta2[image[a]]
     lengths = {"a": p1.alpha, "b": p1.beta}
-    pieces: list[Piece] = []
-    residue_src: list[int] = []
-    for i, ch in enumerate(t1.letters):
-        if i in image:
-            pieces.append(Piece(t1.position(i), t2.position(image[i]),
-                                lengths[ch], ch))
-        else:
-            residue_src.append(i)
+    # each section's positions are built once, from its coordinates
+    pos1, pos2 = t1.positions, t2.positions
+    src = sorted(image)
+    kinds = list(map(t1.letters.__getitem__, src))
+    pieces = list(map(Piece, map(pos1.__getitem__, src),
+                      map(pos2.__getitem__, map(image.__getitem__, src)),
+                      map(lengths.__getitem__, kinds), kinds))
+    residue_src = [i for i in range(len(t1.letters)) if i not in image]
     hit = set(image.values())
     residue_dst = [j for j in range(len(t2.letters)) if j not in hit]
     return PiecewiseTranslationMap(pieces, residue_src, residue_dst)

@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import quadratic
 from .quadratic import (QuadReal, json_type, lattice, lattice_key,
                         lattice_keys, parse_quadreal, qmax, qmin, quad,
-                        sign_of)
+                        quads, sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
@@ -380,8 +380,7 @@ class TiledSection:
     def positions(self) -> list[QuadReal]:
         """The positions as a new list of ``QuadReal``, built on each read
         from the coordinates."""
-        return list(map(QuadReal._raw, self.xs, self.ys, repeat(self.c),
-                        repeat(self.d)))
+        return quads(self.xs, self.ys, self.c, self.d)
 
     def position(self, i: int) -> QuadReal:
         return QuadReal._raw(self.xs[i], self.ys[i], self.c, self.d)
@@ -770,9 +769,8 @@ def _class_signature(t: TiledSection, schedule: Schedule, stage: int):
     """Cardinalities, in order, of chain classes over original points at
     each threshold from the current stage up; the window's order and its
     classes are decided on lattice coordinates."""
-    c, d = t.c, t.d
-    pts = [QuadReal._raw(x, y, c, d)
-           for x, y, oid in zip(t.xs, t.ys, t.orig_ids) if oid is not None]
+    kept = [oid is not None for oid in t.orig_ids]
+    pts = quads(compress(t.xs, kept), compress(t.ys, kept), t.c, t.d)
     if len(pts) < 2:
         return ()
     w = OrbitWindow(pts)

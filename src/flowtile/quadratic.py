@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from itertools import groupby
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 DEFAULT_D = 2
 
@@ -283,8 +283,24 @@ def lattice_keys(xs: Sequence[int], ys: Sequence[int], c: int,
     """:func:`lattice_key` of each (xs[i], ys[i])."""
     k = KEY_BITS if bits is None else bits
     # floor((X + Y)/c) == floor((X + floor(Y))/c) for integers X and c > 0
-    root = {y: floor_of(0, y << k, 1, d) for y in set(ys)}
+    root = _root_floors(set(ys), k, d)
     return [((x << k) + root[y]) // c for x, y in zip(xs, ys)]
+
+
+def _root_floors(ys: set[int], k: int, d: int) -> dict[int, int]:
+    """floor(Y*sqrt(d)) for Y = y << k, for each y of ys.  With
+    r = floor(2**m * sqrt(d)), Y*sqrt(d) lies between Y*r / 2**m and
+    Y*(r + 1) / 2**m, so where the floors of those two agree, that is its
+    floor.  m is 16 bits above every Y, so they disagree about once in
+    2**16 values; ``floor_of`` settles those."""
+    m = max(map(abs, ys), default=0).bit_length() + k + 16
+    r = math.isqrt(d << 2 * m)
+    out = {}
+    for y in ys:
+        lo = (y * r << k) >> m
+        out[y] = (lo if lo == (y * (r + 1) << k) >> m
+                  else floor_of(0, y << k, 1, d))
+    return out
 
 
 def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
@@ -311,6 +327,24 @@ def radicand_of(*groups: Sequence[QuadReal]) -> int:
             d1, d2 = sorted(ds)[:2]
             raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
     return ds.pop() if ds else groups[-1][0].d
+
+
+def quads(xs: Iterable[int], ys: Iterable[int], c: int,
+          d: int) -> list[QuadReal]:
+    """``QuadReal._raw(x, y, c, d)`` for each pair of xs and ys, for c > 0:
+    the inverse of :func:`lattice`, one loop for a whole list."""
+    new, gcd = object.__new__, math.gcd
+    out = []
+    for a, b in zip(xs, ys):
+        v = new(QuadReal)
+        g = gcd(a, b, c)
+        if g > 1:
+            v.a, v.b, v.c = a // g, b // g, c // g
+        else:
+            v.a, v.b, v.c = a, b, c
+        v.d = d
+        out.append(v)
+    return out
 
 
 def lattice(*groups: Sequence[QuadReal]) -> tuple[int, int, list]:

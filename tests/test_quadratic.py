@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from flowtile import quadratic
 from flowtile.quadratic import (ConfigError, QuadReal, format_quadreal,
                                 gcd_ladder, lattice_key, lattice_keys,
-                                lattice_order, parse_quadreal, quad, real_gcd,
-                                sqrtD)
+                                lattice_order, parse_quadreal, quad, quads,
+                                real_gcd, sqrtD)
 from flowtile.tiles import Params
 
 
@@ -143,6 +143,50 @@ class TestLatticeKeys:
             # a stable sort: equal values keep their index order
             assert lattice_order(xs, ys, d) == sorted(
                 range(len(values)), key=values.__getitem__)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10 ** 9, 10 ** 9),
+                              st.integers(-10 ** 9, 10 ** 9)), max_size=20),
+           st.integers(1, 400), st.sampled_from([2, 3]))
+    def test_quads_match_raw(self, pairs, c, d):
+        # the same normalized triples, so equal values and equal hashes
+        got = quads([x for x, _ in pairs], [y for _, y in pairs], c, d)
+        want = [QuadReal._raw(x, y, c, d) for x, y in pairs]
+        assert [(v.a, v.b, v.c, v.d) for v in got] == [
+            (v.a, v.b, v.c, v.d) for v in want]
+        assert all(type(v) is QuadReal for v in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1,
+                    max_size=40), st.sampled_from([2, 3, 5, 7]),
+           st.sampled_from([0, 32]))
+    def test_root_floors_of_wide_coefficients(self, ys, d, bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            assert lattice_keys([0] * len(ys), ys, 1, d) == [
+                lattice_key(0, y, 1, d) for y in ys]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_root_floor_near_an_integer_falls_back(self, sign):
+        # y*sqrt(2) lies 3e-10 above the integer 1855077841 (a Pell
+        # pair), closer than the fixed-point bracket resolves: the exact
+        # floor settles it
+        ys = [sign * 1311738121, sign * 5]
+        calls = []
+        floor_of = quadratic.floor_of
+
+        def counted(*args):
+            calls.append(args)
+            return floor_of(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", 0)
+            want = [lattice_key(0, y, 1, 2) for y in ys]
+            mp.setattr(quadratic, "floor_of", counted)
+            assert lattice_keys([0, 0], ys, 1, 2) == want
+        assert want[0] == (1855077841 if sign > 0 else -1855077842)
+        assert calls == [(0, ys[0], 1, 2)]
 
 
 class TestLadder:
