@@ -382,9 +382,6 @@ class TiledSection:
         from the coordinates."""
         return quads(self.xs, self.ys, self.c, self.d)
 
-    def position(self, i: int) -> QuadReal:
-        return QuadReal._raw(self.xs[i], self.ys[i], self.c, self.d)
-
     def gap(self, i: int) -> QuadReal:
         """The gap from point i to point i + 1."""
         xs, ys = self.xs, self.ys
@@ -401,7 +398,7 @@ class TiledSection:
         section's own lists when c is its denominator, so they are only
         read.  Values of two radicands raise ConfigError."""
         c, _, coords = lattice(*groups)
-        c2 = c * self.c // math.gcd(c, self.c)
+        c2 = math.lcm(c, self.c)
         f, g = c2 // self.c, c2 // c
         xs, ys = self.xs, self.ys
         if f != 1:
@@ -441,7 +438,8 @@ class TiledSection:
             "format": 2,
             "alpha": str(self.params.alpha), "beta": str(self.params.beta),
             "rho": str(self.params.rho),
-            "start": str(self.position(0)),
+            "start": str(QuadReal._raw(self.xs[0], self.ys[0], self.c,
+                                       self.d)),
             "letters": "".join(self.letters),
             "origin_index": index,
             "origin_positions": [str(self.origin_pos[self.orig_ids[i]])

@@ -768,7 +768,6 @@ class TestCoordinates:
             # a bare gap, left above K_depth, starts the walk again
             walk.append(walk[-1] + length[ch] if ch else pos[i + 1])
         assert walk == pos
-        assert [t.position(i) for i in range(len(pos))] == pos
         assert t.gap_values() == list(map(sub, pos[1:], pos))
 
     def test_positions_is_a_fresh_view(self):
