@@ -139,7 +139,7 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
         if a in image and image[a] in theta2:
             image[b] = theta2[image[a]]
     lengths = {"a": p1.alpha, "b": p1.beta}
-    # each section's positions are built once, from its coordinates
+    # positions builds a new list on each read: one read per section
     pos1, pos2 = t1.positions, t2.positions
     src = sorted(image)
     kinds = list(map(t1.letters.__getitem__, src))

@@ -400,17 +400,17 @@ class TestCli:
         data = json.loads(out.read_text())
         assert len(data["witness"]) == 5
 
-    def test_boost_test_mode_checks_zeta(self, tmp_path, capsys):
+    @pytest.mark.parametrize("zeta", ["1/1000000", "5/98"])
+    def test_boost_test_mode_checks_zeta(self, zeta, tmp_path, capsys):
         # the same problem lands at 22/49, 5/98 from gamma: inside 1/3,
-        # far outside 1/1000000
+        # outside 1/1000000, and not strictly inside 5/98
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(self.BOOST_PROBLEM))
         out = tmp_path / "boost.json"
         assert_fails(["boost", "--in", str(path), "--gamma", "1/2", "--zeta",
-                      "1/1000000", "--eta", "1/4", "--test-mode", "--out",
-                      str(out)],
-                     r"frequency 22/49 is not within zeta 1/1000000 of "
-                     r"gamma 1/2$", capsys)
+                      zeta, "--eta", "1/4", "--test-mode", "--out", str(out)],
+                     f"frequency 22/49 is not within zeta {zeta} of gamma "
+                     f"1/2$", capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("tamper,field", [
