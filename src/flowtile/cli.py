@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: gen, classes, blocks, density, boost, tile, verify, loe,
-plot.  Artifacts are JSON with every number in the canonical exact text
-form; decimal approximations are printed with a leading "~" and never
-read back.  Every input file is read by ``_read_json``, which rejects an
-object that repeats a key.  Exit status: 0 success, 1 verification
-failure, 2 usage error.  A failure is one ``verification failure:`` line
-on stderr.
+Subcommands: gen, tile, verify, loe, plot.  Artifacts are JSON with
+every number in the canonical exact text form; decimal approximations
+are printed with a leading "~" and never read back.  Every input file is
+read by ``_read_json``, which rejects an object that repeats a key.
+Exit status: 0 success, 1 verification failure, 2 usage error.  A
+failure is one ``verification failure:`` line on stderr.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -28,12 +27,10 @@ from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
                        attach_witnesses, build_schedule, check_section,
                        full_pipeline, params_from_json, sparse_tile,
                        verify_uniform_frequency)
-from .quadratic import QuadReal, json_type, parse_quadreal, quad
-from .reachable import ShiftProblem, frequency_boost
+from .quadratic import QuadReal, parse_quadreal, quad
 from .render import section_svg
-from .tiles import (FreqBand, Params, TileVector, alpha_frequency,
-                    density_witness)
-from .windows import OrbitWindow, chain_classes, json_field, two_class_block
+from .tiles import Params, alpha_frequency
+from .windows import OrbitWindow, json_field
 
 
 TILE_DEPTH = 2  # the schedule depth of `tile` without --depth or --schedule
@@ -139,98 +136,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_classes(args) -> int:
-    k = _literal(parse_quadreal, "--k", args.k)
-    if k.sign() <= 0:
-        raise UsageError(f"--k must be positive, got {args.k}")
-    w = OrbitWindow.from_json(_read_json(args.infile))
-    cc = chain_classes(w, k)
-    print(f"threshold {k}: {len(cc.classes)} classes, sizes "
-          f"{[len(c) for c in cc.classes]}")
-    if args.out:
-        _write_json(args.out, {"threshold": str(k),
-                               "classes": [list(c) for c in cc.classes]})
-    return 0
-
-
-def cmd_blocks(args) -> int:
-    ks = [_literal(parse_quadreal, "k_list", tok)
-          for tok in args.k_list.split(",")]
-    if any(not x < y for x, y in zip(ks, ks[1:])):
-        raise UsageError(f"k_list must be strictly increasing, got "
-                         f"{args.k_list}")
-    pts, length = two_class_block(ks)
-    print(f"block of {len(pts)} points, length {_approx(length)}")
-    for p in pts:
-        print(" ", p)
-    if args.out:
-        _write_json(args.out, {"positions": [str(p) for p in pts],
-                               "length": str(length)})
-    return 0
-
-
-def cmd_density(args) -> int:
-    if args.windows < 1:
-        raise UsageError(f"--windows must be at least 1, got {args.windows}")
-    params = _params(args)
-    band = [_literal(Fraction, "--band", tok) for tok in args.band.split(",")]
-    if len(band) != 2:
-        raise UsageError(f"--band: expected lo,hi, got {args.band!r}")
-    if not 0 <= band[0] < band[1] <= 1:
-        raise UsageError(f"--band must satisfy 0 <= lo < hi <= 1, got "
-                         f"{args.band}")
-    eps = _literal(parse_quadreal, "--eps", args.eps)
-    if eps.sign() <= 0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
-    wit = density_witness(params, eps, FreqBand(*band))
-    print(f"threshold {_approx(wit.threshold)}")
-    print(f"family: {wit.describe()}")
-    ok = True
-    for i, (wlo, whi, rep) in enumerate(wit.check_windows(args.windows)):
-        print(f"window {i}: [{wlo}, {whi}] "
-              f"{'dense' if rep.ok else f'MISS at {rep.witness}'}")
-        ok = ok and rep.ok
-    return 0 if ok else 1
-
-
-def cmd_boost(args) -> int:
-    gamma = _literal(Fraction, "--gamma", args.gamma)
-    zeta = _literal(Fraction, "--zeta", args.zeta)
-    eta = _literal(Fraction, "--eta", args.eta)
-    for flag, text, value in (("--zeta", args.zeta, zeta),
-                              ("--eta", args.eta, eta)):
-        if value <= 0:
-            raise UsageError(f"{flag} must be positive, got {text}")
-    data = _read_json(args.infile)
-    where = "shift problem"
-    params = params_from_json(data, where)
-    choices = json_field(data, "choices", list, where=where)
-    for k, rk in enumerate(choices):
-        if not (isinstance(rk, list) and all(
-                isinstance(v, list) and len(v) == 2
-                and all(type(n) is int for n in v) for v in rk)):
-            raise ValueError(f"{where} field 'choices' holds a rank that is "
-                             f"not a list of [p, q] counts: got "
-                             f"{json_type(rk)} at index {k}")
-    prob = ShiftProblem(
-        params, parse_quadreal(json_field(data, "eps", str, where=where)),
-        [parse_quadreal(d) for d in json_field(data, "gaps", list, where=where)],
-        [[TileVector(p, q) for p, q in rk] for rk in choices])
-    el = frequency_boost(prob, gamma, zeta, eta,
-                         enforce_bound=not args.test_mode)
-    freq = alpha_frequency(el.counts)
-    # without the length bound nothing guarantees the zeta window
-    if args.test_mode and not abs(freq - gamma) < zeta:
-        raise ValueError(f"frequency {freq} is not within zeta {zeta} of "
-                         f"gamma {gamma}")
-    print(f"value {_approx(el.value)} frequency {freq}")
-    if args.out:
-        _write_json(args.out, {"value": str(el.value),
-                               "counts": list(el.counts),
-                               "witness": [list(y) for y in el.witness]})
-    return 0
-
-
 def cmd_tile(args) -> int:
     if args.schedule and (args.alpha, args.beta, args.rho) != (None,) * 3:
         raise UsageError("--alpha, --beta and --rho do not apply with "
@@ -313,35 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "rotation_suspension only, and required)")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
-
-    c = sub.add_parser("classes", help="chain classes of a window")
-    c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--k", required=True, help="threshold (exact text form)")
-    c.add_argument("--out")
-    c.set_defaults(fn=cmd_classes)
-
-    b = sub.add_parser("blocks", help="nested two-class block for thresholds")
-    b.add_argument("k_list", help="comma-separated thresholds, e.g. 2,4,8")
-    b.add_argument("--out")
-    b.set_defaults(fn=cmd_blocks)
-
-    d = sub.add_parser("density", help="banded density witness family")
-    d.add_argument("--eps", required=True)
-    d.add_argument("--band", required=True, help="lo,hi rational frequencies")
-    d.add_argument("--windows", type=int, default=10)
-    d.set_defaults(fn=cmd_density)
-
-    bo = sub.add_parser("boost", help="steer a reachable sum's frequency")
-    bo.add_argument("--in", dest="infile", required=True,
-                    help="shift problem JSON")
-    bo.add_argument("--gamma", required=True)
-    bo.add_argument("--zeta", required=True)
-    bo.add_argument("--eta", required=True)
-    bo.add_argument("--test-mode", action="store_true",
-                    help="skip the length bound; the frequency must then "
-                         "land strictly within zeta of gamma, else exit 1")
-    bo.add_argument("--out")
-    bo.set_defaults(fn=cmd_boost)
 
     t = sub.add_parser("tile", help="run a tiling pipeline on a window")
     t.add_argument("--mode", choices=["sparse", "full"], default="full")

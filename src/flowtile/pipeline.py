@@ -736,6 +736,8 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
     values are steered onto tileables; existing blocks ride rigidly and
     are never re-tiled.  Chain-class structure at thresholds K_m (m >= n)
     over the pre-existing points is verified unchanged after each stage.
+    The section does not change between two stages, so the signature after
+    stage n, less its threshold K_n, is the one stage n+1 starts from.
     """
     params = schedule.params
     if isinstance(source, OrbitWindow):
@@ -748,7 +750,8 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
     for stage in range(1, depth + 1):
         if t.is_fully_regular():
             break
-        before = _class_signature(t, schedule, stage)
+        if stage == 1:
+            before = _class_signature(t, schedule, stage)
         plan = _finish_stage_plan(t, schedule, stage)
         if plan:
             _apply_gap_plan(t, plan, stage)
@@ -756,6 +759,7 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
         if before != after:
             raise TilingError(f"stage {stage} disturbed chain classes: "
                               f"{before} -> {after}")
+        before = after[1:]
     if not t.is_fully_regular():
         left = sum(1 for ch in t.letters if ch is None)
         t.notes.append(f"partial tiling: {left} gaps above K_{depth} remain "

@@ -293,14 +293,13 @@ def _gap_level(g, mids, eps) -> Optional[int]:
 
 
 def _nested_runs_ok(levels: list[int]) -> bool:
-    """Whether the gap levels nest: no two adjacent gaps both exceed level
-    0 (no singleton interior classes), and for each n below the top level,
-    every slice of levels strictly between two consecutive levels above n
+    """Whether the gap levels nest: for each n below the top level, every
+    slice of levels strictly between two consecutive levels above n
     contains an n.  Those slices are the interior maximal runs of levels
     <= n; the runs at either end are boundary classes, exempt in open
-    windows."""
-    if any(a >= 1 and b >= 1 for a, b in zip(levels, levels[1:])):
-        return False
+    windows.  The n = 0 slices also forbid two adjacent gaps both above
+    level 0 (a singleton interior class): the slice between them is
+    empty."""
     for n in range(max(levels, default=0)):
         above = [j for j, lev in enumerate(levels) if lev > n]
         if any(n not in levels[a + 1:b] for a, b in zip(above, above[1:])):

@@ -90,20 +90,6 @@ class TestCli:
                      r"sections have different params: .*rho=1/2\) vs "
                      r".*rho=1/3\)", capsys)
 
-    def test_blocks_and_classes(self, tmp_path, capsys):
-        out = tmp_path / "b.json"
-        assert run(["blocks", "2,4,8", "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["positions"] == ["0", "3", "9", "12"]
-        w = tmp_path / "w.json"
-        run(["gen", "--kind", "uniform", "--n", "30", "--seed", "6",
-             "--k0", "7", "--out", str(w)])
-        assert run(["classes", "--in", str(w), "--k", "9"]) == 0
-
-    def test_density_subcommand(self):
-        assert run(["density", "--eps", "1", "--band", "1/2,3/4",
-                    "--windows", "2"]) == 0
-
     def test_tile_failure_is_one_line_exit_1(self, tmp_path, capsys):
         # a gap of 1/10 would need both ends to move by 1/3 or more
         w = tmp_path / "w.json"
@@ -115,17 +101,21 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_usage_error_exit_code(self, tmp_path):
-        assert run(["classes", "--in", str(tmp_path / "missing.json"),
-                    "--k", "9"]) == 2
+        assert run(["tile", "--in", str(tmp_path / "missing.json"),
+                    "--out", str(tmp_path / "t.json")]) == 2
         assert run(["gen", "--kind", "bogus", "--out", "x.json"]) == 2
 
+    def test_subcommands_are_the_artifact_path(self, capsys):
+        assert run(["--help"]) == 0
+        assert "{gen,tile,verify,loe,plot}" in capsys.readouterr().out
+        for name in ("classes", "blocks", "density", "boost"):
+            assert run([name]) == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
-        ["classes", "--in", "w.json", "--k", "foo"],
-        ["--rho", "abc", "density", "--eps", "1", "--band", "1/2,3/4"],
-        ["density", "--eps", "1", "--band", "x,1"],
-        ["density", "--eps", "1/0", "--band", "1/2,3/4"],
-        ["blocks", "2,four,8"],
-    ], ids=["k", "rho", "band", "eps", "k_list"])
+        ["gen", "--k0", "foo", "--out", "out.json"],
+        ["--rho", "abc", "tile", "--in", "w.json", "--out", "t.json"],
+    ], ids=["k", "rho"])
     def test_malformed_literal_is_usage_error(self, argv, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -141,7 +131,8 @@ class TestCli:
     def test_bad_literal_inside_input_file_exits_1(self, bad, tmp_path, capsys):
         w = tmp_path / "w.json"
         w.write_text(json.dumps({"boundary": "open", "positions": ["0", bad]}))
-        assert run(["classes", "--in", str(w), "--k", "9"]) == 1
+        assert run(["tile", "--depth", "1", "--in", str(w),
+                    "--out", str(tmp_path / "t.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failure: ")
         assert err.count("\n") == 1
@@ -206,49 +197,45 @@ class TestCli:
             capsys.readouterr().out
         assert run(["verify", str(t)]) == 0
 
-    @pytest.mark.parametrize("command,tamper,field", [
-        ("tile", lambda d: d.pop("K"), "'K'"),
-        ("tile", lambda d: d.update(depth="2"), "'depth'"),
-        ("tile", lambda d: d.update(depth=True), "'depth'"),
-        ("tile", lambda d: d.update(depth=0, K=["7"]),
+    @pytest.mark.parametrize("file,tamper,field", [
+        ("schedule", lambda d: d.pop("K"), "'K'"),
+        ("schedule", lambda d: d.update(depth="2"), "'depth'"),
+        ("schedule", lambda d: d.update(depth=True), "'depth'"),
+        ("schedule", lambda d: d.update(depth=0, K=["7"]),
          "depth must be at least 1, got 0"),
-        ("tile", lambda d: d.update(rho="1"),
+        ("schedule", lambda d: d.update(rho="1"),
          "rho must lie strictly inside (0, 1)"),
-        ("tile", lambda d: d.update(K=["7", "10", "25"]),
+        ("schedule", lambda d: d.update(K=["7", "10", "25"]),
          "chain thresholds must step by at least 4: 7 then 10"),
-        ("classes", lambda d: d.pop("positions"), "'positions'"),
+        ("window", lambda d: d.pop("positions"), "'positions'"),
     ], ids=["schedule_no_K", "schedule_depth_str", "schedule_depth_true",
             "schedule_depth_0", "schedule_rho_1", "schedule_K_step_3",
             "window_no_positions"])
-    def test_malformed_schedule_or_window_exits_1(self, command, tamper,
+    def test_malformed_schedule_or_window_exits_1(self, file, tamper,
                                                    field, schedule2,
                                                    tmp_path, capsys):
         w = tmp_path / "w.json"
         sched = tmp_path / "s.json"
         window = {"boundary": "open", "positions": ["0", "9"]}
         schedule = schedule2.to_json()
-        tamper(schedule if command == "tile" else window)
+        tamper(schedule if file == "schedule" else window)
         w.write_text(json.dumps(window))
         sched.write_text(json.dumps(schedule))
-        if command == "tile":
-            argv = ["tile", "--schedule", str(sched), "--in", str(w),
-                    "--out", str(tmp_path / "t.json")]
-        else:
-            argv = ["classes", "--in", str(w), "--k", "9"]
-        assert run(argv) == 1
+        assert run(["tile", "--schedule", str(sched), "--in", str(w),
+                    "--out", str(tmp_path / "t.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failure: ")
         assert err.count("\n") == 1
         assert field in err
 
-    @pytest.mark.parametrize("command", ["classes", "tile"])
-    def test_window_boundary(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["full", "sparse"],
+                             ids=["tile", "tile_sparse"])
+    def test_window_boundary(self, mode, tmp_path, capsys):
         # a window is an open orbit segment: the legacy "open" reads, a
         # periodic window is refused rather than cut open
         w = tmp_path / "w.json"
-        argv = (["classes", "--in", str(w), "--k", "9"] if command == "classes"
-                else ["tile", "--depth", "1", "--in", str(w),
-                      "--out", str(tmp_path / "t.json")])
+        argv = ["tile", "--mode", mode, "--depth", "1", "--in", str(w),
+                "--out", str(tmp_path / "t.json")]
         w.write_text(json.dumps({"boundary": "open", "positions": ["0", "9"]}))
         assert run(argv) == 0
         w.write_text(json.dumps({"boundary": "periodic", "circumference": "20",
@@ -383,87 +370,20 @@ class TestCli:
                            "--schedule, whose file sets them", capsys)
         assert not (tmp_path / "t.json").exists()
 
-    BOOST_PROBLEM = {
-        "alpha": "1", "beta": "sqrt(2)", "rho": "1/2", "eps": "1",
-        "gaps": ["12"] * 5,
-        "choices": [[[0, 8], [0, 9], [1, 8], [2, 7], [9, 2], [10, 1],
-                     [10, 2], [11, 1]]] * 5,
-    }
-
-    def test_boost_subcommand(self, tmp_path):
-        path = tmp_path / "prob.json"
-        path.write_text(json.dumps(self.BOOST_PROBLEM))
-        out = tmp_path / "boost.json"
-        assert run(["boost", "--in", str(path), "--gamma", "1/2",
-                    "--zeta", "1/3", "--eta", "1/4", "--test-mode",
-                    "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert len(data["witness"]) == 5
-
-    @pytest.mark.parametrize("zeta", ["1/1000000", "5/98"])
-    def test_boost_test_mode_checks_zeta(self, zeta, tmp_path, capsys):
-        # the same problem lands at 22/49, 5/98 from gamma: inside 1/3,
-        # outside 1/1000000, and not strictly inside 5/98
-        path = tmp_path / "prob.json"
-        path.write_text(json.dumps(self.BOOST_PROBLEM))
-        out = tmp_path / "boost.json"
-        assert_fails(["boost", "--in", str(path), "--gamma", "1/2", "--zeta",
-                      zeta, "--eta", "1/4", "--test-mode", "--out", str(out)],
-                     f"frequency 22/49 is not within zeta {zeta} of gamma "
-                     f"1/2$", capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("tamper,field", [
-        (lambda d: {k: v for k, v in d.items() if k != "alpha"}, "'alpha'"),
-        (lambda d: [d], "not a JSON object"),
-        (lambda d: {**d, "rho": 0.5}, "'rho'"),
-        (lambda d: {**d, "eps": 1}, "'eps'"),
-        (lambda d: {k: v for k, v in d.items() if k != "gaps"}, "'gaps'"),
-        (lambda d: {**d, "choices": [5] * 5}, "'choices'"),
-        (lambda d: {**d, "choices": [[[1]]] * 5}, "'choices'"),
-        # one line that names the rank, not the 3 000 entries it holds
-        (lambda d: {**d, "choices": [[[1, 2]] * 2999 + [[1]]] * 5},
-         "'choices' holds a rank that is not a list of [p, q] counts: "
-         "got a list at index 0\n"),
-        (lambda d: {**d, "gaps": [], "choices": []},
-         "shift problem has no gaps to boost\n"),
-    ], ids=["no_alpha", "list", "rho_float", "eps_int", "no_gaps",
-            "choices_ints", "choices_short_pair", "choices_long_rank",
-            "gaps_empty"])
-    def test_boost_rejects_malformed_problem(self, tamper, field, tmp_path,
-                                             capsys):
-        data = tamper(self.BOOST_PROBLEM)
-        path = tmp_path / "prob.json"
-        path.write_text(json.dumps(data))
-        for mode in ([], ["--test-mode"]):
-            assert run(["boost", "--in", str(path), "--gamma", "1/2",
-                        "--zeta", "1/3", "--eta", "1/4", *mode]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("verification failure: ")
-            assert captured.err.count("\n") == 1
-            assert field in captured.err
-
     @pytest.mark.parametrize("command,key", [
-        ("classes", "positions"), ("tile", "positions"),
-        ("tile --schedule", "depth"), ("boost", "eps"),
+        ("tile", "positions"), ("tile --schedule", "depth"),
     ])
     def test_input_file_rejects_repeated_key(self, command, key, schedule2,
                                              tmp_path, capsys):
         # the first of two equal keys, which json.load alone would drop
-        w, sched, prob = (tmp_path / name for name in ("w.json", "s.json",
-                                                       "p.json"))
+        w, sched = tmp_path / "w.json", tmp_path / "s.json"
         w.write_text(json.dumps({"positions": ["0", "9"]}))
         sched.write_text(json.dumps(schedule2.to_json()))
-        prob.write_text(json.dumps(self.BOOST_PROBLEM))
         out = str(tmp_path / "out.json")
         argv, path = {
-            "classes": (["classes", "--in", str(w), "--k", "9"], w),
             "tile": (["tile", "--depth", "1", "--in", str(w), "--out", out], w),
             "tile --schedule": (["tile", "--schedule", str(sched), "--in",
                                  str(w), "--out", out], sched),
-            "boost": (["boost", "--in", str(prob), "--gamma", "1/2", "--zeta",
-                       "1/3", "--eta", "1/4", "--test-mode"], prob),
         }[command]
         data = json.loads(path.read_text())
         path.write_text(f'{{"{key}": {json.dumps(data[key])}, '
@@ -474,56 +394,23 @@ class TestCli:
     @pytest.mark.parametrize("argv,message", [
         (["tile", "--depth", "0"], "--depth must be at least 1, got 0"),
         (["tile", "--depth", "-1"], "--depth must be at least 1, got -1"),
-        (["density", "--eps", "1", "--band", "1/2,3/4", "--windows", "0"],
-         "--windows must be at least 1, got 0"),
-        (["density", "--eps", "1", "--band", "1/2,3/4", "--windows", "-1"],
-         "--windows must be at least 1, got -1"),
-        (["density", "--eps", "0", "--band", "1/2,3/4"],
-         "--eps must be positive, got 0"),
-        (["density", "--eps", "1", "--band", "3/4,1/2"],
-         "--band must satisfy 0 <= lo < hi <= 1, got 3/4,1/2"),
-        (["density", "--eps", "1", "--band", "1/2,1/2"],
-         "--band must satisfy 0 <= lo < hi <= 1, got 1/2,1/2"),
-        (["density", "--eps", "1", "--band", "1/2,3/2"],
-         "--band must satisfy 0 <= lo < hi <= 1, got 1/2,3/2"),
-        (["classes", "--k", "0"], "--k must be positive, got 0"),
-        # "--k=-1": a bare "-1" would read as an option
-        (["classes", "--k=-1"], "--k must be positive, got -1"),
-        (["boost", "--gamma", "1/2", "--zeta", "0", "--eta", "1/4",
-          "--test-mode"], "--zeta must be positive, got 0"),
-        (["boost", "--gamma", "1/2", "--zeta=-1", "--eta", "1/4",
-          "--test-mode"], "--zeta must be positive, got -1"),
-        (["boost", "--gamma", "1/2", "--zeta", "1/3", "--eta", "0"],
-         "--eta must be positive, got 0"),
-        (["boost", "--gamma", "1/2", "--zeta", "1/3", "--eta=-1"],
-         "--eta must be positive, got -1"),
-    ], ids=["depth_0", "depth_minus_1", "windows_0", "windows_minus_1",
-            "eps_0", "band_reversed", "band_empty", "band_above_1", "k_0",
-            "k_negative", "boost_zeta_0", "boost_zeta_negative",
-            "boost_eta_0", "boost_eta_negative"])
+    ], ids=["depth_0", "depth_minus_1"])
     def test_out_of_range_flag_is_usage_error(self, argv, message, tmp_path,
                                               capsys):
-        if argv[0] in ("tile", "classes", "boost"):
-            # an input file that would fail: the flag is refused before it
-            # is read
-            w = tmp_path / "w.json"
-            w.write_text('{"positions": ["0"], "positions": ["0"]}')
-            argv = argv + ["--in", str(w)]
-            if argv[0] == "tile":
-                argv += ["--out", str(tmp_path / "t.json")]
-        assert_usage_error(argv, message, capsys)
+        # an input file that would fail: the flag is refused before it is
+        # read
+        w = tmp_path / "w.json"
+        w.write_text('{"positions": ["0"], "positions": ["0"]}')
+        assert_usage_error(argv + ["--in", str(w), "--out",
+                                   str(tmp_path / "t.json")], message, capsys)
 
     @pytest.mark.parametrize("argv,message", [
         (["gen", "--n", "0"], "count must be positive"),
         (["gen", "--kind", "rotation_suspension", "--angle", "1/2", "--n", "5"],
          "rotation angle must be irrational (s != 0)"),
-        (["--rho", "0", "density", "--eps", "1", "--band", "1/2,3/4",
-          "--windows", "1"], "rho must lie strictly inside (0, 1)"),
+        (["--rho", "0", "tile"], "rho must lie strictly inside (0, 1)"),
         (["--rho", "1", "tile"], "rho must lie strictly inside (0, 1)"),
         (["--alpha", "2", "--beta", "1", "tile"], "require alpha < beta"),
-        (["blocks", "4,2"], "k_list must be strictly increasing, got 4,2"),
-        (["blocks", "2,2,8"],
-         "k_list must be strictly increasing, got 2,2,8"),
         (["gen", "--kind", "uniform", "--angle", "sqrt(2)"],
          "--kind uniform does not read --angle"),
         (["gen", "--kind", "sparse_geometric", "--angle", "sqrt(2)"],
@@ -538,9 +425,8 @@ class TestCli:
         (["gen", "--kind", "rotation_suspension"],
          "--angle is missing: --kind rotation_suspension needs the rotation "
          "angle"),
-    ], ids=["gen_n_0", "gen_rational_angle", "density_rho_0", "tile_rho_1",
-            "tile_alpha_above_beta", "blocks_decreasing", "blocks_repeated",
-            "gen_angle_uniform", "gen_angle_sparse", "gen_ratio_uniform",
+    ], ids=["gen_n_0", "gen_rational_angle", "tile_rho_0", "tile_rho_1",
+            "tile_alpha_above_beta", "gen_angle_uniform", "gen_angle_sparse", "gen_ratio_uniform",
             "gen_seed_rotation", "gen_k0_seed_ratio_rotation",
             "gen_angle_missing"])
     def test_out_of_range_value_is_usage_error(self, argv, message, tmp_path,
@@ -550,7 +436,7 @@ class TestCli:
             w = tmp_path / "w.json"
             w.write_text(json.dumps({"positions": ["0", "9"]}))
             argv = argv + ["--in", str(w), "--out", out]
-        elif "gen" in argv or "blocks" in argv:
+        elif "gen" in argv:
             argv = argv + ["--out", out]
         assert_usage_error(argv, message, capsys)
         assert not (tmp_path / "out.json").exists()

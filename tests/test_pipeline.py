@@ -424,6 +424,27 @@ class TestSparseTile:
                  for k in sched.K]
         assert before == after
 
+    def test_one_class_signature_per_stage_boundary(self, monkeypatch):
+        # stage 2 starts from stage 1's closing signature less K_1, so the
+        # section's classes are not computed twice between the stages
+        sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)],
+                               verify_windows=2)
+        rng = random.Random(0)
+        pos = [quad(0)]
+        for _ in range(24):
+            pos.append(pos[-1] + quad(rng.choice([41, 401])))
+        w = insert_blocks(OrbitWindow(pos), sched.K, quad(1))
+        thresholds = []
+        real = pipeline.chain_classes
+        monkeypatch.setattr(pipeline, "chain_classes",
+                            lambda w, k: thresholds.append(k) or real(w, k))
+        t = sparse_tile(w, sched)
+        assert t.is_fully_regular()
+        assert max(t.ranks) == 2
+        k1, k2 = sched.K[1:]
+        # before stage 1, after stage 1, after stage 2
+        assert thresholds == [k1, k2, k1, k2, k2]
+
 
 class TestFullPipeline:
     def test_regular_and_displaced_within_budget(self, schedule2):

@@ -165,6 +165,26 @@ class TestBoost:
             assert abs(alpha_frequency(el.counts) - gamma) <= F(1, 3)
             assert el.counts in brute_force_reachable(prob).counts()
 
+    @pytest.mark.parametrize("enforce_bound", [True, False])
+    def test_empty_problem_refused(self, enforce_bound):
+        prob = ShiftProblem(P, quad(1), [], [])
+        with pytest.raises(ValueError,
+                           match="^shift problem has no gaps to boost$"):
+            frequency_boost(prob, F(1, 2), F(1, 3), F(1, 4),
+                            enforce_bound=enforce_bound)
+
+    def test_five_gaps_land_at_22_49(self):
+        # without the length bound: inside zeta 1/3 of gamma 1/2, but only
+        # 5/98 from it
+        prob = ShiftProblem(P, quad(1), [quad(12)] * 5, [MIXED] * 5)
+        el = frequency_boost(prob, F(1, 2), F(1, 3), F(1, 4),
+                             enforce_bound=False)
+        assert el.counts == TileVector(22, 27)
+        assert alpha_frequency(el.counts) == F(22, 49)
+        assert len(el.witness) == 5
+        assert all(y in MIXED for y in el.witness)
+        assert el.value == el.counts.value(P)
+
     def test_missing_side_reported(self):
         onesided = [v for v in MIXED if alpha_frequency(v) <= F(1, 4)]
         prob = ShiftProblem(P, quad(1), [quad(12)] * 4, [onesided] * 4)

@@ -393,6 +393,12 @@ class TestDensityWitness:
         for k, (_, _, rep) in enumerate(wit.check_windows(10)):
             assert rep.ok, (k, rep.witness)
 
+    @pytest.mark.parametrize("eps", [F(1), F(1, 100)])
+    def test_upper_band_dense_on_three_windows(self, eps):
+        wit = density_witness(P, quad(eps), FreqBand(F(1, 2), F(3, 4)))
+        for k, (_, _, rep) in enumerate(wit.check_windows(3)):
+            assert rep.ok, (k, rep.witness)
+
     def test_offsets_must_be_sorted_and_within_base(self):
         band = FreqBand(F(0), F(1))
         base = TileVector(1, 1)
