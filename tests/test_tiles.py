@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -419,6 +420,28 @@ class TestDensityWitness:
             DensityWitness(P, band, quad(1), base, [v0, v17], 1)
         with pytest.raises(ValueError, match="sorted"):
             DensityWitness(P, band, quad(1), base, [v17, base], 1)
+
+    # sha256 of (band, describe(), offsets, k_min, threshold) for each
+    # family of the stock depth-4 schedule, in schedule order
+    STOCK_FAMILIES = [
+        "937bd968df8f2cb99c272b8a1a3c3f466737964de9992116025398700b03b2cc",
+        "8d9a1e50665c40e9e3abaf9bc7512bdcec30a85cdd6cce31f7e4a480a78420d8",
+        "e8b66052aa29d8c60ab7598b8269cf4bd1dfaebd56a8f54526b07be4ac0d4d7d",
+        "ddbae9e6663783739c0af8ab14a05b4bb6b5b5cc356acd2b486955429248257c",
+        "7150e226dfe1e341a55b8d450808e73f8c7d58ea92d5a84399c2213b6f296eb4",
+        "73b1b72b3a2015ff6e2992d9f17e6fc0dd67ddc35c8d09bee9248ee2d6b93e69",
+        "afbe84c5c032248c3e089186e8ce37d374a713c4f9309fe7f693e7adde6c4232",
+        "dd12873601a2cadeceeeb62073670c3c99346b92c30db9bbc0905d1eaf1940ec",
+    ]
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_stock_family_unchanged(self, index, schedule4):
+        _, band, wit = schedule4.witnesses[index]
+        text = repr((str(band.lo), str(band.hi), wit.describe(),
+                     [tuple(o) for o in wit.offsets], wit.k_min,
+                     str(wit.threshold)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.STOCK_FAMILIES[index]
 
 
 def brute_values_in(wit, lo, hi):
