@@ -32,6 +32,16 @@ within eps of its ends, and one bisect for the first wide gap after the
 window's first member.  ``values_in`` bisects the offsets on lattice
 coordinates too, in the first and the last run only.
 
+:func:`density_witness` searches for its anchor interval [A, A + x] by
+doubling A, and skips without enumerating every interval a tile count
+proves too sparse.  If ``eps_dense`` accepts n members on [lo, hi] at
+width e, the first is below lo + e, each of the n - 1 gaps is below e
+and the last is above hi - e, so hi - lo < (n + 1)*e.  The tileables of
+[A, A + x] lie in the rows q = 0 .. floor((A + x)/beta), at most
+floor(x/alpha) + 1 to a row.  One exact comparison of rows*per_row + 1
+times e/2 with x then rules an anchor out; every anchor it skips would
+have failed, so the family is the one the full search finds.
+
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
 and so does its lookup in the tileable table, keyed by
 ``quadratic.lattice_keys``.
@@ -505,6 +515,19 @@ def density_witness(params: Params, eps: QuadReal,
     Rejects empty or zero-width bands: member frequencies can only be
     pinned to an open neighborhood of a rational target, so the band must
     have interior.
+
+    The anchor A starts at 2*beta and doubles until the tileables of
+    [A, A + x] are eps/2-dense there, for x the value of the base; it
+    gives up after ``_ANCHOR_DOUBLINGS`` anchors.  An anchor whose
+    interval holds too few tileables to be eps/2-dense is skipped
+    without enumerating them.  eps_dense accepts n members on an
+    interval of width x only if x < (n + 1)*eps/2: the first member lies
+    within eps/2 of the left end, each of the n - 1 gaps is below eps/2,
+    and the last member lies within eps/2 of the right end.  The
+    interval's tileables have counts q from 0 to floor((A + x)/beta),
+    and at most floor(x/alpha) + 1 of them share a q.  So when
+    eps/2 * (rows*per_row + 1) <= x, one exact ``QuadReal`` comparison,
+    the anchor would fail, and skipping it changes no family.
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -518,13 +541,19 @@ def density_witness(params: Params, eps: QuadReal,
         raise ValueError("degenerate band")
     xval = base.value(params)
     half = eps / 2
+    # at most per_row tileables of [A, A + xval] share a count q
+    per_row = (xval / params.alpha).floor() + 1
     # anchor interval [A, A + xval] on which plain tileables are eps/2-dense
     anchor = params.beta * 2
     for _ in range(_ANCHOR_DOUBLINGS):
-        offsets = enumerate_tileable(params, anchor, anchor + xval)
-        if offsets and eps_dense(params, offsets, anchor, anchor + xval,
-                                 half).ok:
-            break
+        rows = ((anchor + xval) / params.beta).floor() + 1
+        # n members are eps/2-dense on [A, A + xval] only if
+        # xval < (n + 1)*half, and n <= rows*per_row
+        if half * (rows * per_row + 1) > xval:
+            offsets = enumerate_tileable(params, anchor, anchor + xval)
+            if offsets and eps_dense(params, offsets, anchor, anchor + xval,
+                                     half).ok:
+                break
         anchor = anchor * 2
     else:
         raise ValueError("no eps/2-dense anchor interval found")

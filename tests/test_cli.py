@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+from flowtile import cli
 from flowtile.cli import main
+from flowtile.loe import LoeReport
 
 
 def run(args):
@@ -67,6 +69,22 @@ class TestCli:
         assert run(["loe", "--a", str(t1), "--b", str(t1), "--out", str(m)]) == 0
         data = json.loads(m.read_text())
         assert data["pieces"]
+
+    def test_loe_failed_map_check_writes_nothing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        m = tmp_path / "m.json"
+        run(["gen", "--n", "40", "--seed", "5", "--out", str(w)])
+        assert run(["tile", "--depth", "2", "--in", str(w), "--out", str(t)]) == 0
+        report = LoeReport(False, ["source pieces overlap at 3",
+                                   "piece 0: kind a but length sqrt(2)"],
+                           7, None)
+        monkeypatch.setattr(cli, "verify_loe", lambda m, params: report)
+        assert_fails(["loe", "--a", str(t), "--b", str(t), "--out", str(m)],
+                     r"orbit map check failed: source pieces overlap at 3; "
+                     r"piece 0: kind a but length sqrt\(2\)$", capsys)
+        assert not m.exists()
 
     def test_loe_between_independent_sections(self, tmp_path, capsys):
         # different windows, different alpha counts: the map stands, with

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile import quadratic
+from flowtile import build_schedule, quadratic, tiles
 from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
 from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
                             TileVector, WindowCheck, alpha_frequency,
@@ -442,6 +442,49 @@ class TestDensityWitness:
                      str(wit.threshold)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.STOCK_FAMILIES[index]
+
+    def test_stock_anchor_search_enumerates_13_times(self, monkeypatch):
+        # the anchors a tile count proves too sparse are skipped: without
+        # the skip rule the same build enumerates 56 anchor intervals
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_tileable(*args)
+        monkeypatch.setattr(tiles, "enumerate_tileable", counting)
+        build_schedule(P, depth=4)
+        assert len(calls) == 13
+
+    def test_give_up_without_enumerating(self, monkeypatch):
+        # all 64 anchors hold too few tileables for eps/2 = 2**-101; the
+        # last of them would hold about 10**19
+        def refuse(*args):
+            raise AssertionError("enumerated an anchor interval")
+        monkeypatch.setattr(tiles, "enumerate_tileable", refuse)
+        with pytest.raises(ValueError,
+                           match="no eps/2-dense anchor interval found"):
+            density_witness(P, quad(F(1, 2**100)), FreqBand(F(1, 4), F(3, 4)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PARAM_SETS),
+           st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+           st.one_of(st.integers(1, 8),
+                     st.tuples(st.integers(0, 400), st.integers(0, 3))),
+           st.integers(1, 8))
+    def test_skip_rule_is_sound(self, params, base, anchor, eighths):
+        # density_witness skips [A, A + x] when half*(rows*per_row + 1) <= x:
+        # the interval holds at most rows*per_row tileables, too few to be
+        # half-dense there
+        x = params.value(*base)
+        anchor = (params.beta * 2 ** anchor if isinstance(anchor, int)
+                  else quad(F(anchor[0], 8), F(anchor[1], 5), params.d))
+        rows = ((anchor + x) / params.beta).floor() + 1
+        per_row = (x / params.alpha).floor() + 1
+        members = enumerate_tileable(params, anchor, anchor + x)
+        assert len(members) <= rows * per_row
+        # from an eighth of the largest half the rule skips up to it
+        half = x / (rows * per_row + 1) * F(eighths, 8)
+        assert not eps_dense(params, members, anchor, anchor + x, half).ok
 
 
 def brute_values_in(wit, lo, hi):
