@@ -457,7 +457,7 @@ class TestDensityWitness:
 
     def test_give_up_without_enumerating(self, monkeypatch):
         # all 64 anchors hold too few tileables for eps/2 = 2**-101; the
-        # last of them would hold about 10**19
+        # last of them holds about 4*10**19
         def refuse(*args):
             raise AssertionError("enumerated an anchor interval")
         monkeypatch.setattr(tiles, "enumerate_tileable", refuse)
