@@ -28,6 +28,6 @@ from .pipeline import (FINITE_CLASSES, FULLY_REGULAR, HALF_TILED,
                        full_pipeline, sparse_tile, verify_uniform_frequency)
 from .generators import GeneratorSpec, generate
 from .loe import (MatchState, Piece, PiecewiseTranslationMap, build_loe,
-                  match_equidense, verify_loe)
+                  cover_failures, match_equidense, verify_loe)
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ failure is one ``verification failure:`` line on stderr.
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
 ``check_section`` (gap letters, displacements, provenance, witness
-replay); ``verify`` then computes the uniform run length N(eta).
+replay); ``verify`` then computes the uniform run length N(eta), and
+``loe`` checks its map with ``loe.verify_loe`` and against both sections
+with ``loe.cover_failures`` before it writes the map.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .generators import GeneratorSpec, generate
-from .loe import build_loe, verify_loe
+from .loe import build_loe, cover_failures, verify_loe
 from .pipeline import (Schedule, TiledSection, TilingError, WitnessError,
                        attach_witnesses, build_schedule, check_section,
                        full_pipeline, params_from_json, sparse_tile,
@@ -181,8 +183,9 @@ def cmd_loe(args) -> int:
     t2 = _read_section(args.b)
     m = build_loe(t1, t2)
     rep = verify_loe(m, t1.params)
-    if not rep.ok:
-        raise ValueError(f"orbit map check failed: {'; '.join(rep.failures)}")
+    failures = rep.failures + cover_failures(m, t1, t2)
+    if failures:
+        raise ValueError(f"orbit map check failed: {'; '.join(failures)}")
     _write_json(args.out, m.to_json())
     print(f"{rep.piece_count} pieces; residue {len(m.residue_src)} src / "
           f"{len(m.residue_dst)} dst; OK")

@@ -9,22 +9,28 @@ translation of length alpha or beta, so lengths match piece by piece.
 Whatever stays unmatched at finite scale, the alpha surplus of the
 section with more alphas included, is reported as residue, never hidden.
 
-Pieces come out in source order, one walk over the source gaps.  The
-check ``verify_loe`` orders them on lattice coordinates: the values it
-compares are written over one common denominator C as
-(A + B*sqrt(D)) / C, so each is the integer pair (A, B)
-(``quadratic.lattice``), sorted by ``quadratic.lattice_order``, and each
-overlap test is the exact sign of an integer difference
-(``quadratic.sign_of``).  No float decides anything.
+A map holds lattice coordinates, as a section does: one common
+denominator c, the radicand d, and integer lists for the piece starts on
+each side and for the lengths, so a start or length is
+(x + y*sqrt(d)) / c (``quadratic.lattice``).  ``pieces`` is a view, a
+fresh list of ``Piece`` built on each read.  ``build_loe`` reads the
+sections' coordinates directly and emits the pieces in source order, one
+walk over the source gaps.  ``verify_loe`` orders the starts by
+``quadratic.lattice_order`` and decides each overlap by the exact sign of
+an integer difference (``quadratic.sign_of``); ``cover_failures`` checks
+the map against the two sections on the same coordinates.  No float
+decides anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
+import math
+from itertools import compress, count, islice, repeat
+from operator import is_, is_not
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import QuadReal, lattice, lattice_order, sign_of
+from .quadratic import (DEFAULT_D, ConfigError, QuadReal, lattice,
+                        lattice_order, quads, sign_of)
 from .pipeline import TiledSection
 from .tiles import Params
 
@@ -74,14 +80,13 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int]) -> MatchState:
     return MatchState(stages, dict(pairs), free + a_sorted[i:], residue_b)
 
 
-def _overlaps(label: str, ends: list[QuadReal],
-              lengths: list[QuadReal]) -> list[str]:
-    """A failure for each interval [ends[j], ends[j] + lengths[j]) that
-    starts before its predecessor i in the order of ends has ended:
-    ends[j] < ends[i] + lengths[i]."""
-    _, d, [(xs, ys), (lx, ly)] = lattice(ends, lengths)
+def _overlaps(label: str, xs: list[int], ys: list[int], lx: list[int],
+              ly: list[int], c: int, d: int) -> list[str]:
+    """A failure for each interval [s_j, s_j + l_j) that starts before its
+    predecessor i in the order of the starts has ended: s_j < s_i + l_i,
+    where s_j = (xs[j] + ys[j]*sqrt(d)) / c and l_j likewise."""
     order = lattice_order(xs, ys, d)
-    return [f"{label} pieces overlap at {ends[j]}"
+    return [f"{label} pieces overlap at {QuadReal._raw(xs[j], ys[j], c, d)}"
             for i, j in zip(order, islice(order, 1, None))
             if sign_of(xs[j] - xs[i] - lx[i], ys[j] - ys[i] - ly[i], d) < 0]
 
@@ -93,13 +98,49 @@ class Piece(NamedTuple):
     kind: str  # 'a' or 'b'
 
 
-@dataclass
 class PiecewiseTranslationMap:
-    """Paired equal-length intervals, each mapped by a single translation."""
+    """Paired equal-length intervals, each mapped by a single translation.
 
-    pieces: list[Piece]
-    residue_src: list[int] = field(default_factory=list)
-    residue_dst: list[int] = field(default_factory=list)
+    Piece k maps [s_k, s_k + l_k) onto [t_k, t_k + l_k), where
+    s_k = (src_xs[k] + src_ys[k]*sqrt(d)) / c, t_k and l_k likewise, and
+    kinds[k] is its letter.  The constructor takes ``Piece`` values and
+    puts them on one lattice; ``pieces`` builds them again on each read.
+    """
+
+    def __init__(self, pieces: Sequence[Piece] = (),
+                 residue_src: Sequence[int] = (),
+                 residue_dst: Sequence[int] = ()):
+        pieces = list(pieces)
+        if pieces:
+            c, d, [(sx, sy), (tx, ty), (lx, ly)] = lattice(
+                *([p[k] for p in pieces] for k in range(3)))
+        else:
+            c, d, sx, sy, tx, ty, lx, ly = 1, DEFAULT_D, [], [], [], [], [], []
+        self._fill(c, d, sx, sy, tx, ty, lx, ly, [p.kind for p in pieces],
+                   residue_src, residue_dst)
+
+    def _fill(self, c, d, src_xs, src_ys, dst_xs, dst_ys, len_xs, len_ys,
+              kinds, residue_src, residue_dst):
+        self.c, self.d = c, d
+        self.src_xs, self.src_ys = src_xs, src_ys
+        self.dst_xs, self.dst_ys = dst_xs, dst_ys
+        self.len_xs, self.len_ys = len_xs, len_ys
+        self.kinds = kinds
+        self.residue_src = list(residue_src)
+        self.residue_dst = list(residue_dst)
+
+    @property
+    def pieces(self) -> list[Piece]:
+        """The pieces as a new list of ``Piece``, built on each read from
+        the coordinates; pieces of equal length share one length value."""
+        c, d = self.c, self.d
+        lengths = {xy: QuadReal._raw(*xy, c, d)
+                   for xy in set(zip(self.len_xs, self.len_ys))}
+        return list(map(Piece, quads(self.src_xs, self.src_ys, c, d),
+                        quads(self.dst_xs, self.dst_ys, c, d),
+                        map(lengths.__getitem__,
+                            zip(self.len_xs, self.len_ys)),
+                        self.kinds))
 
     def to_json(self) -> dict:
         return {"pieces": [{"src": str(p.src_lo), "dst": str(p.dst_lo),
@@ -123,7 +164,9 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     the smaller alpha count; beta gaps follow by conjugating through each
     section's own alpha-to-beta matching.  One walk over t1's gaps emits
     the pieces in source order; every gap that no piece covers, on either
-    side, alpha surplus included, is reported as residue.
+    side, alpha surplus included, is reported as residue.  The map's
+    coordinates are the sections' own, over the least common multiple of
+    their denominators and alpha's and beta's.
     """
     if not (t1.is_fully_regular() and t2.is_fully_regular()):
         raise ValueError("both sections must be fully regular")
@@ -132,24 +175,41 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
         raise ValueError(f"sections have different params: {p1!r} vs {p2!r}")
     a1, b1 = _kind_indices(t1)
     a2, b2 = _kind_indices(t2)
-    image = dict(zip(a1, a2))
+    # image[i]: the target gap of source gap i, None where there is none
+    image: list[Optional[int]] = [None] * len(t1.letters)
+    for i, j in zip(a1, a2):
+        image[i] = j
     theta2 = match_equidense(a2, b2).pairing
     # beta points extend the base map: image(theta1(x)) = theta2(image(x))
     for a, b in match_equidense(a1, b1).pairing.items():
-        if a in image and image[a] in theta2:
-            image[b] = theta2[image[a]]
-    lengths = {"a": p1.alpha, "b": p1.beta}
-    # positions builds a new list on each read: one read per section
-    pos1, pos2 = t1.positions, t2.positions
-    src = sorted(image)
+        j = image[a]
+        if j is not None and j in theta2:
+            image[b] = theta2[j]
+    residue_src = list(compress(count(), map(is_, image, repeat(None))))
+    src = list(compress(count(), map(is_not, image, repeat(None))))
+    dst = list(map(image.__getitem__, src))
+    residue_dst = sorted(set(range(len(t2.letters))).difference(dst))
+    cab, d, [(lab_x, lab_y)] = lattice([p1.alpha, p1.beta])
+    c = math.lcm(t1.c, t2.c, cab)
     kinds = list(map(t1.letters.__getitem__, src))
-    pieces = list(map(Piece, map(pos1.__getitem__, src),
-                      map(pos2.__getitem__, map(image.__getitem__, src)),
-                      map(lengths.__getitem__, kinds), kinds))
-    residue_src = [i for i in range(len(t1.letters)) if i not in image]
-    hit = set(image.values())
-    residue_dst = [j for j in range(len(t2.letters)) if j not in hit]
-    return PiecewiseTranslationMap(pieces, residue_src, residue_dst)
+    g = c // cab
+    lx = list(map({"a": lab_x[0] * g, "b": lab_x[1] * g}.__getitem__, kinds))
+    ly = list(map({"a": lab_y[0] * g, "b": lab_y[1] * g}.__getitem__, kinds))
+    m = PiecewiseTranslationMap.__new__(PiecewiseTranslationMap)
+    m._fill(c, d, *_picked(t1, src, c), *_picked(t2, dst, c), lx, ly, kinds,
+            residue_src, residue_dst)
+    return m
+
+
+def _picked(t: TiledSection, index: list[int], c: int):
+    """The coordinates of t's positions at index, over c, a multiple of
+    t.c."""
+    xs = list(map(t.xs.__getitem__, index))
+    ys = list(map(t.ys.__getitem__, index))
+    f = c // t.c
+    if f != 1:
+        xs, ys = [x * f for x in xs], [y * f for y in ys]
+    return xs, ys
 
 
 class LoeReport(NamedTuple):
@@ -165,20 +225,90 @@ def verify_loe(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     Sources must be pairwise disjoint, likewise targets; every piece's
     declared kind must match its length under params; lengths are shared
     exactly by construction, so the check is on overlaps and kinds.  An
-    empty map passes vacuously.
+    empty map passes vacuously.  Every test reads the map's coordinates;
+    a value is built only for a failure text and the mapped length.
     """
-    if not m.pieces:
+    if not m.kinds:
         return LoeReport(True, [], 0, None)
-    lengths = [p.length for p in m.pieces]
-    failures = _overlaps("source", [p.src_lo for p in m.pieces], lengths)
-    failures += _overlaps("target", [p.dst_lo for p in m.pieces], lengths)
-    # alpha and beta share the lengths' lattice
-    c, d, [((ax, bx), (ay, by)), (lx, ly)] = lattice(
-        [params.alpha, params.beta], lengths)
-    for i, (p, x, y) in enumerate(zip(m.pieces, lx, ly)):
-        if p.kind not in ("a", "b"):
-            failures.append(f"piece {i}: unknown kind {p.kind!r}")
-        if (x, y) != ((ax, ay) if p.kind == "a" else (bx, by)):
-            failures.append(f"piece {i}: kind {p.kind} but length {p.length}")
-    total = QuadReal._raw(sum(lx), sum(ly), c, d)
-    return LoeReport(not failures, failures, len(m.pieces), total)
+    c, d, lx, ly = m.c, m.d, m.len_xs, m.len_ys
+    failures = _overlaps("source", m.src_xs, m.src_ys, lx, ly, c, d)
+    failures += _overlaps("target", m.dst_xs, m.dst_ys, lx, ly, c, d)
+    cab, dab, [((ax, bx), (ay, by))] = lattice([params.alpha, params.beta])
+    if dab != d and any(ly):
+        raise ConfigError(f"mixed radicands: sqrt({min(d, dab)}) vs "
+                          f"sqrt({max(d, dab)})")
+    # lengths, alpha and beta over one denominator
+    c2 = math.lcm(c, cab)
+    f, g = c2 // c, c2 // cab
+    if f != 1:
+        lx, ly = [x * f for x in lx], [y * f for y in ly]
+    alpha, beta = (ax * g, ay * g), (bx * g, by * g)
+    for i, kind, x, y in zip(count(), m.kinds, lx, ly):
+        if kind not in ("a", "b"):
+            failures.append(f"piece {i}: unknown kind {kind!r}")
+        if (x, y) != (alpha if kind == "a" else beta):
+            failures.append(f"piece {i}: kind {kind} but length "
+                            f"{QuadReal._raw(x, y, c2, d)}")
+    total = QuadReal._raw(sum(lx), sum(ly), c2, d)
+    return LoeReport(not failures, failures, len(m.kinds), total)
+
+
+def cover_failures(m: PiecewiseTranslationMap, t1: TiledSection,
+                   t2: TiledSection) -> list[str]:
+    """Check a translation map against the sections it joins, source t1
+    and target t2, on their lattice coordinates.
+
+    Each piece must start at a gap of its own letter in both sections; no
+    gap may start two pieces; the pieces and the residue must cover each
+    section's gaps exactly once; and the alpha pieces must pair the k-th
+    alpha gap of t1 with the k-th of t2, as far as both go.  Returns one
+    failure text per fault found, none when all hold.
+    """
+    failures: list[str] = []
+    hits = []
+    for side, xs, ys, residue, t in (
+            ("source", m.src_xs, m.src_ys, m.residue_src, t1),
+            ("target", m.dst_xs, m.dst_ys, m.residue_dst, t2)):
+        n = len(t.letters)
+        c = math.lcm(m.c, t.c)
+        f, g = c // m.c, c // t.c
+        # the index of the gap that starts at each point but the last
+        gap_at = {(x * g, y * g): i for i, x, y in zip(range(n), t.xs, t.ys)}
+        same_d = m.d == t.d
+        hit = []
+        for k, x, y, kind in zip(count(), xs, ys, m.kinds):
+            i = gap_at.get((x * f, y * f)) if same_d or not y else None
+            if i is None or t.letters[i] != kind:
+                failures.append(f"piece {k}: no {kind!r} gap of the {side} "
+                                f"section starts at "
+                                f"{QuadReal._raw(x, y, m.c, m.d)}")
+                i = None
+            hit.append(i)
+        starts = [0] * n
+        for i in hit:
+            if i is not None:
+                starts[i] += 1
+        covers = starts.copy()
+        for r in residue:
+            if 0 <= r < n:
+                covers[r] += 1
+            else:
+                failures.append(f"{side} residue {r} is not a gap index")
+        failures += [f"{side} gap {i} starts {s} pieces"
+                     for i, s in enumerate(starts) if s > 1]
+        failures += [f"{side} gap {i} is covered {k} times by pieces and "
+                     f"residue" for i, (s, k) in enumerate(zip(starts, covers))
+                     if s <= 1 and k != 1]
+        hits.append(hit)
+    pairs = sorted((i, j) for i, j, kind in zip(*hits, m.kinds)
+                   if kind == "a" and i is not None and j is not None)
+    want = list(zip(_kind_indices(t1)[0], _kind_indices(t2)[0]))
+    if pairs != want:
+        k = next((k for k, (p, q) in enumerate(zip(pairs, want)) if p != q),
+                 None)
+        failures.append(
+            f"{len(pairs)} alpha pieces for {len(want)} pairs of k-th alpha "
+            f"gaps" if k is None else
+            f"alpha piece {k} maps source gap {pairs[k][0]} to target gap "
+            f"{pairs[k][1]}, not {want[k][0]} to {want[k][1]}")
+    return failures

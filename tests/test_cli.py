@@ -5,7 +5,7 @@ import pytest
 
 from flowtile import cli
 from flowtile.cli import main
-from flowtile.loe import LoeReport
+from flowtile.loe import LoeReport, PiecewiseTranslationMap
 
 
 def run(args):
@@ -84,6 +84,31 @@ class TestCli:
         assert_fails(["loe", "--a", str(t), "--b", str(t), "--out", str(m)],
                      r"orbit map check failed: source pieces overlap at 3; "
                      r"piece 0: kind a but length sqrt\(2\)$", capsys)
+        assert not m.exists()
+
+    def test_loe_map_off_its_sections_writes_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # without its first piece, from gap 2, the map still passes
+        # verify_loe; but gap 2 is covered neither by a piece nor by the
+        # residue, and the first alpha pair is missing
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        m = tmp_path / "m.json"
+        run(["gen", "--n", "40", "--seed", "5", "--out", str(w)])
+        assert run(["tile", "--depth", "2", "--in", str(w), "--out", str(t)]) == 0
+        build = cli.build_loe
+
+        def first_piece_dropped(t1, t2):
+            good = build(t1, t2)
+            return PiecewiseTranslationMap(good.pieces[1:], good.residue_src,
+                                           good.residue_dst)
+
+        monkeypatch.setattr(cli, "build_loe", first_piece_dropped)
+        assert_fails(["loe", "--a", str(t), "--b", str(t), "--out", str(m)],
+                     r"orbit map check failed: source gap 2 is covered 0 "
+                     r"times by pieces and residue; target gap 2 is covered 0 "
+                     r"times by pieces and residue; alpha piece 0 maps source "
+                     r"gap 4 to target gap 4, not 2 to 2$", capsys)
         assert not m.exists()
 
     def test_loe_between_independent_sections(self, tmp_path, capsys):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from flowtile import quadratic
 from flowtile.generators import GeneratorSpec, generate
+from flowtile import loe
 from flowtile.loe import (LoeReport, MatchState, Piece,
                           PiecewiseTranslationMap, _kind_indices, build_loe,
-                          match_equidense, verify_loe)
+                          cover_failures, match_equidense, verify_loe)
 from flowtile.pipeline import TiledSection, full_pipeline
-from flowtile.quadratic import parse_quadreal, quad
+from flowtile.quadratic import QuadReal, parse_quadreal, quad
 from flowtile.tiles import Params, default_params
 
 P = default_params()
@@ -180,8 +181,10 @@ class TestVerifyLoe:
     def test_corrupted_kind_detected(self):
         t = section_from_letters("abab")
         m = build_loe(t, t)
-        bad = m.pieces[0]._replace(kind="b" if m.pieces[0].kind == "a" else "a")
-        m.pieces[0] = bad
+        # pieces is a view: the tampered map is built from a changed copy
+        pieces = m.pieces
+        pieces[0] = pieces[0]._replace(kind="b" if pieces[0].kind == "a" else "a")
+        m = PiecewiseTranslationMap(pieces, m.residue_src, m.residue_dst)
         rep = verify_loe(m, P)
         assert not rep.ok
         assert any("kind" in f or "length" in f for f in rep.failures)
@@ -205,6 +208,175 @@ class TestVerifyLoe:
             P.alpha if p.kind == "a" else P.beta for p in m.pieces]
         assert (data["residue_src"], data["residue_dst"]) == (
             m.residue_src, m.residue_dst)
+
+
+def rebuilt(m, pieces=None, residue_src=None, residue_dst=None):
+    """m through the public constructor, with any part replaced."""
+    return PiecewiseTranslationMap(
+        m.pieces if pieces is None else pieces,
+        m.residue_src if residue_src is None else residue_src,
+        m.residue_dst if residue_dst is None else residue_dst)
+
+
+def tiled(seed, schedule, count=300):
+    w = generate(GeneratorSpec("uniform", count=count, seed=seed,
+                               k0=schedule.K[0]))
+    return full_pipeline(w, schedule, seed=seed)
+
+
+class TestLatticeForm:
+    def test_pieces_is_a_fresh_view(self):
+        t = section_from_letters("abab")
+        m = build_loe(t, t)
+        m.pieces.clear()
+        assert len(m.pieces) == 4 and m.pieces is not m.pieces
+        # one length value per distinct length
+        assert len({id(p.length) for p in m.pieces}) == 2
+
+    def test_round_trip_golden_pair(self, schedule2):
+        # the pair of tests/test_golden.py::test_orbit_map_unchanged
+        t1 = full_pipeline(generate(GeneratorSpec("uniform", count=300,
+                                                  seed=1)), schedule2, seed=1)
+        t2 = full_pipeline(generate(GeneratorSpec("uniform", count=300,
+                                                  seed=2)), schedule2, seed=2)
+        m = build_loe(t1, t2)
+        again = rebuilt(m)
+        assert again.to_json() == m.to_json()
+        same_report(verify_loe(again, P), verify_loe(m, P))
+        assert verify_loe(m, P).ok and cover_failures(m, t1, t2) == []
+
+    def test_section_onto_its_file_read_back(self, schedule2):
+        # the tiled section and its read-back differ in denominator
+        t = tiled(1, schedule2)
+        back = TiledSection.from_json(t.to_json())
+        assert t.c != back.c
+        m = build_loe(t, back)
+        # every piece maps a gap onto itself; the residue is the betas
+        # the section's own matching leaves over, the same on both sides
+        assert all(p.src_lo == p.dst_lo for p in m.pieces)
+        assert m.residue_src == m.residue_dst
+        assert len(m.pieces) + len(m.residue_src) == len(t.letters)
+        report = verify_loe(m, P)
+        assert report.ok and cover_failures(m, t, back) == []
+        again = rebuilt(m)
+        assert again.to_json() == m.to_json()
+        same_report(verify_loe(again, P), report)
+
+    def test_no_value_per_gap(self, schedule2, monkeypatch):
+        # build_loe and verify_loe work on coordinates: the only value
+        # they build is the mapped length
+        t1, t2 = tiled(1, schedule2, 1000), tiled(2, schedule2, 1000)
+        calls = {"quads": 0, "_raw": 0}
+        raw, quads = QuadReal._raw.__func__, loe.quads
+
+        def counted_raw(cls, *args):
+            calls["_raw"] += 1
+            return raw(cls, *args)
+
+        def counted_quads(*args):
+            calls["quads"] += 1
+            return quads(*args)
+
+        monkeypatch.setattr(QuadReal, "_raw", classmethod(counted_raw))
+        monkeypatch.setattr(loe, "quads", counted_quads)
+        monkeypatch.setattr(quadratic, "quads", counted_quads)
+        report = verify_loe(build_loe(t1, t2), P)
+        assert report.ok and report.piece_count > 6000
+        assert calls["quads"] == 0 and calls["_raw"] <= 3
+
+
+class TestCoverFailures:
+    """Each rule of ``cover_failures`` on a tampered copy of a good map;
+    every tampered map still passes ``verify_loe``."""
+
+    def setup_method(self):
+        self.t1 = section_from_letters("aabab")
+        self.t2 = section_from_letters("abbaab")
+        self.m = build_loe(self.t1, self.t2)
+
+    def failures(self, m):
+        assert verify_loe(m, P).ok
+        return cover_failures(m, self.t1, self.t2)
+
+    def test_built_maps_pass(self):
+        # source gaps 0, 1, 3, 4 map onto target gaps 0, 3, 4, 5
+        assert self.failures(self.m) == []
+        assert (self.m.residue_src, self.m.residue_dst) == ([2], [1, 2])
+        assert cover_failures(build_loe(self.t2, self.t1), self.t2,
+                              self.t1) == []
+
+    def test_piece_off_its_letter(self):
+        # piece 1, from source gap 1 ('a'), moved onto gap 2 ('b'), which
+        # leaves gap 1 uncovered and the alpha pairs one short
+        pieces = self.m.pieces
+        pieces[1] = pieces[1]._replace(src_lo=self.t1.positions[2])
+        got = self.failures(rebuilt(self.m, pieces))
+        assert got == [
+            "piece 1: no 'a' gap of the source section starts at 2",
+            "source gap 1 is covered 0 times by pieces and residue",
+            "alpha piece 1 maps source gap 3 to target gap 4, not 1 to 3"]
+
+    def test_piece_between_gaps(self):
+        pieces = self.m.pieces
+        pieces[0] = pieces[0]._replace(dst_lo=pieces[0].dst_lo - 10)
+        got = self.failures(rebuilt(self.m, pieces))
+        assert got[0] == "piece 0: no 'a' gap of the target section starts at -10"
+
+    def test_gap_used_twice(self):
+        t = section_from_letters("aab")
+        m = build_loe(t, t)
+        pieces = m.pieces
+        # two alpha pieces from source gap 0, onto target gaps 0 and 1
+        pieces[1] = pieces[1]._replace(src_lo=pieces[0].src_lo)
+        m2 = rebuilt(m, pieces)
+        assert verify_loe(m2, P).failures == ["source pieces overlap at 0"]
+        got = cover_failures(m2, t, t)
+        assert "source gap 0 starts 2 pieces" in got
+
+    def test_residue_missing_a_gap(self):
+        assert self.m.residue_dst
+        got = self.failures(rebuilt(self.m, residue_dst=[]))
+        assert got == [f"target gap {j} is covered 0 times by pieces and "
+                       f"residue" for j in self.m.residue_dst]
+
+    def test_gap_both_mapped_and_residue(self):
+        got = self.failures(rebuilt(self.m, residue_src=[0, 2]))
+        assert got == ["source gap 0 is covered 2 times by pieces and residue"]
+
+    def test_residue_out_of_range(self):
+        got = self.failures(rebuilt(self.m, residue_dst=self.m.residue_dst + [6]))
+        assert got == ["target residue 6 is not a gap index"]
+
+    def test_alpha_pieces_swapped(self):
+        # the first two alpha pieces trade targets: every start is still an
+        # 'a' gap and every gap is covered once, but not k-th to k-th
+        pieces = self.m.pieces
+        pieces[0], pieces[1] = (pieces[0]._replace(dst_lo=pieces[1].dst_lo),
+                                pieces[1]._replace(dst_lo=pieces[0].dst_lo))
+        got = self.failures(rebuilt(self.m, pieces))
+        assert got == ["alpha piece 0 maps source gap 0 to target gap 3, "
+                       "not 0 to 0"]
+
+    def test_alpha_piece_missing(self):
+        # the last alpha piece moves to the residue on both sides
+        pieces = self.m.pieces
+        drop = [k for k, p in enumerate(pieces) if p.kind == "a"][-1]
+        p = pieces.pop(drop)
+        i = self.t1.positions.index(p.src_lo)
+        j = self.t2.positions.index(p.dst_lo)
+        got = self.failures(rebuilt(self.m, pieces,
+                                    sorted(self.m.residue_src + [i]),
+                                    sorted(self.m.residue_dst + [j])))
+        assert got == ["2 alpha pieces for 3 pairs of k-th alpha gaps"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]), st.text("ab", max_size=30),
+           st.text("ab", max_size=30), st.integers(-20, 20))
+    def test_independent_pairs_pass(self, d, w1, w2, shift):
+        params = Params(quad(1, 0, d), quad(0, 1, d), F(1, 2))
+        t1 = section_from_letters(w1, params=params)
+        t2 = section_from_letters(w2, start=quad(shift, 0, d), params=params)
+        assert cover_failures(build_loe(t1, t2), t1, t2) == []
 
 
 # -- the QuadReal-keyed orbit maps the lattice versions replaced, kept
