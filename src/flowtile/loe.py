@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, count, islice, repeat
-from operator import is_, is_not
+from operator import is_, is_not, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .quadratic import (DEFAULT_D, ConfigError, QuadReal, lattice,
@@ -59,25 +59,27 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int]) -> MatchState:
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
     free: list[int] = []          # unmatched a's so far, nearest last
-    pairs: list[tuple[int, int]] = []
+    pa: list[int] = []            # the pairs (pa[k], pb[k]), b running up
+    pb: list[int] = []
     residue_b: list[int] = []
-    i = 0
+    i, n = 0, len(a_sorted)
     for b in b_sorted:
-        while i < len(a_sorted) and a_sorted[i] <= b:
+        while i < n and a_sorted[i] <= b:
             free.append(a_sorted[i])
             i += 1
         if free:
-            pairs.append((free.pop(), b))
+            pa.append(free.pop())
+            pb.append(b)
         else:
             residue_b.append(b)
-    n_stages = max((b - a for a, b in pairs), default=-1) + 1
+    n_stages = max(map(sub, pb, pa), default=-1) + 1
     stages: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_stages)]
     # b runs up, so each stage's a's come out in increasing order
-    for a, b in pairs:
+    for a, b in zip(pa, pb):
         ak, bk = stages[b - a]
         ak.append(a)
         bk.append(b)
-    return MatchState(stages, dict(pairs), free + a_sorted[i:], residue_b)
+    return MatchState(stages, dict(zip(pa, pb)), free + a_sorted[i:], residue_b)
 
 
 def _overlaps(label: str, xs: list[int], ys: list[int], lx: list[int],
@@ -113,7 +115,8 @@ class PiecewiseTranslationMap:
         pieces = list(pieces)
         if pieces:
             c, d, [(sx, sy), (tx, ty), (lx, ly)] = lattice(
-                *([p[k] for p in pieces] for k in range(3)))
+                [p.src_lo for p in pieces], [p.dst_lo for p in pieces],
+                [p.length for p in pieces])
         else:
             c, d, sx, sy, tx, ty, lx, ly = 1, DEFAULT_D, [], [], [], [], [], []
         self._fill(c, d, sx, sy, tx, ty, lx, ly, [p.kind for p in pieces],

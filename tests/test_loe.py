@@ -285,6 +285,15 @@ class TestLatticeForm:
         assert calls["quads"] == 0 and calls["_raw"] <= 3
 
 
+    def test_lengths_of_another_radicand_refused(self):
+        # sqrt(3) has the coordinates of sqrt(2), but not its value
+        m = PiecewiseTranslationMap([Piece(quad(0, 0, 3), quad(5, 0, 3),
+                                           quad(0, 1, 3), "b")])
+        with pytest.raises(quadratic.ConfigError,
+                           match=r"^mixed radicands: sqrt\(2\) vs sqrt\(3\)$"):
+            verify_loe(m, P)
+
+
 class TestCoverFailures:
     """Each rule of ``cover_failures`` on a tampered copy of a good map;
     every tampered map still passes ``verify_loe``."""
