@@ -109,7 +109,7 @@ class PiecewiseTranslationMap:
     puts them on one lattice; ``pieces`` builds them again on each read.
     """
 
-    def __init__(self, pieces: Sequence[Piece] = (),
+    def __init__(self, pieces: Sequence[Piece],
                  residue_src: Sequence[int] = (),
                  residue_dst: Sequence[int] = ()):
         pieces = list(pieces)

@@ -285,6 +285,14 @@ class TestLatticeForm:
         assert calls["quads"] == 0 and calls["_raw"] <= 3
 
 
+    def test_length_off_a_rational_alpha(self):
+        # alpha = 1/2 has a denominator the map's coordinates lack
+        params = Params(quad(F(1, 2)), quad(0, 1), F(1, 2))
+        m = PiecewiseTranslationMap([Piece(quad(0), quad(10), quad(1), "a")])
+        rep = verify_loe(m, params)
+        same_report(rep, verify_loe_reference(m, params))
+        assert rep.failures == ["piece 0: kind a but length 1"]
+
     def test_lengths_of_another_radicand_refused(self):
         # sqrt(3) has the coordinates of sqrt(2), but not its value
         m = PiecewiseTranslationMap([Piece(quad(0, 0, 3), quad(5, 0, 3),
@@ -339,8 +347,22 @@ class TestCoverFailures:
         pieces[1] = pieces[1]._replace(src_lo=pieces[0].src_lo)
         m2 = rebuilt(m, pieces)
         assert verify_loe(m2, P).failures == ["source pieces overlap at 0"]
-        got = cover_failures(m2, t, t)
-        assert "source gap 0 starts 2 pieces" in got
+        assert cover_failures(m2, t, t) == [
+            "source gap 0 starts 2 pieces",
+            "source gap 1 is covered 0 times by pieces and residue",
+            "alpha piece 1 maps source gap 0 to target gap 1, not 1 to 1"]
+
+    def test_start_of_another_radicand(self):
+        # sqrt(3) has the coordinates of the start sqrt(2) of gap 1
+        t = section_from_letters("ba")
+        m = PiecewiseTranslationMap([Piece(quad(0, 1, 3), quad(0, 1, 3),
+                                           quad(1, 0, 3), "a")], [0], [0])
+        assert cover_failures(m, t, t) == [
+            "piece 0: no 'a' gap of the source section starts at sqrt(3)",
+            "source gap 1 is covered 0 times by pieces and residue",
+            "piece 0: no 'a' gap of the target section starts at sqrt(3)",
+            "target gap 1 is covered 0 times by pieces and residue",
+            "0 alpha pieces for 1 pairs of k-th alpha gaps"]
 
     def test_residue_missing_a_gap(self):
         assert self.m.residue_dst
