@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile import quadratic
+from flowtile import loe, quadratic
 from flowtile.generators import GeneratorSpec, generate
-from flowtile import loe
 from flowtile.loe import (LoeReport, MatchState, Piece,
                           PiecewiseTranslationMap, _kind_indices, build_loe,
                           cover_failures, match_equidense, verify_loe)
