@@ -5,7 +5,8 @@ All positions are exact: random gaps are drawn from a rational grid
 Generation is a pure function of the spec and its seed.
 
 Every kind builds its window on integer lattice coordinates over one
-denominator and makes one ``QuadReal`` per point:
+denominator and the window holds those coordinates
+(:meth:`OrbitWindow.from_lattice`); no ``QuadReal`` is made per point:
 
 - ``uniform`` and ``sparse_geometric`` positions are running integer sums
   over ``lcm(k0.c, GRID)``, one ``rng.randint(0, GRID)`` draw per gap;
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
-from .quadratic import QuadReal, floor_of, quad, quads
+from .quadratic import QuadReal, floor_of, quad
 from .windows import OrbitWindow
 
 GRID = 64  # default rational grid denominator for random gaps
@@ -61,8 +62,8 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
         # ceil(m/theta) = -floor(-m/theta), with 1/theta = (a + b*sqrt(d))/c
         inv = 1 / spec.angle
         a, b, c, d = inv.a, inv.b, inv.c, inv.d
-        visits = (-floor_of(-m * a, -m * b, c, d) for m in range(spec.count))
-        return OrbitWindow([QuadReal._raw(j, 0, 1, d) for j in visits])
+        visits = [-floor_of(-m * a, -m * b, c, d) for m in range(spec.count)]
+        return OrbitWindow.from_lattice(1, d, visits, repeat(0, spec.count))
     rng = random.Random(spec.seed)
     k0 = spec.k0 if spec.k0 is not None else quad(7)
     # gap i is k0 * scale[i % len(scale)] + offset + r_i/GRID, held as
@@ -78,5 +79,5 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
     scales = [scale[i % len(scale)] for i in range(spec.count - 1)]
     xs = [kx * s + offset + step * rng.randint(0, GRID) for s in scales]
     ys = [ky * s for s in scales]
-    return OrbitWindow(quads(accumulate(xs, initial=0),
-                             accumulate(ys, initial=0), c, d))
+    return OrbitWindow.from_lattice(c, d, accumulate(xs, initial=0),
+                                    accumulate(ys, initial=0))

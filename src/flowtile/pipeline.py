@@ -34,10 +34,12 @@ common multiple of C only when a constant needs one; an order is the
 exact sign of a lattice difference (``quadratic.sign_of``).  The table
 is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
 settled by that sign test, and candidate words are ranked by integer
-cross-multiplication of frequencies.  ``QuadReal`` stays the type of
-every argument, result and serialized value: one is built for each
-position a caller reads, for the original points of a chain-class check
-and for error texts.
+cross-multiplication of frequencies.  A section starts from its
+window's coordinates (:meth:`OrbitWindow.on_lattice`), and the
+chain-class check builds its window of original points from the
+section's lists.  ``QuadReal`` stays the type of every argument, result
+and serialized value: one is built for each position a caller reads, for
+each original point's origin and for error texts.
 """
 
 from __future__ import annotations
@@ -371,8 +373,13 @@ class TiledSection:
     @classmethod
     def from_window(cls, params: Params, w: OrbitWindow,
                     schedule: Schedule | None = None) -> "TiledSection":
-        t = cls(params, w.positions, [None] * (len(w) - 1),
-                [0] * len(w), range(len(w)), schedule)
+        """The untiled section of a window: its coordinates rescaled to a
+        common denominator with alpha and beta."""
+        c, d, xs, ys, _, _ = w.on_lattice([params.alpha, params.beta])
+        n = len(w)
+        t = cls.__new__(cls)
+        t._fill(params, c, d, list(xs), list(ys), [None] * (n - 1), [0] * n,
+                range(n), schedule)
         t.origin_pos = dict(enumerate(w.positions))
         return t
 
@@ -772,10 +779,10 @@ def _class_signature(t: TiledSection, schedule: Schedule, stage: int):
     each threshold from the current stage up; the window's order and its
     classes are decided on lattice coordinates."""
     kept = [oid is not None for oid in t.orig_ids]
-    pts = quads(compress(t.xs, kept), compress(t.ys, kept), t.c, t.d)
-    if len(pts) < 2:
+    if sum(kept) < 2:
         return ()
-    w = OrbitWindow(pts)
+    w = OrbitWindow.from_lattice(t.c, t.d, compress(t.xs, kept),
+                                 compress(t.ys, kept))
     sig = []
     for m in range(stage, schedule.depth + 1):
         cc = chain_classes(w, schedule.K[m])

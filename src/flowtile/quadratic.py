@@ -316,16 +316,17 @@ def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
             for i in sorted(run, key=exact)]
 
 
-def radicand_of(*groups: Sequence[QuadReal]) -> int:
-    """The radicand d shared by the values of the groups; ConfigError when
-    two irrational values have different radicands.  The last group must
-    be nonempty: its first value's d stands when every value is rational."""
-    ds = {v.d for g in groups for v in g}
+def radicand_of(*groups: Sequence[QuadReal], also: int | None = None) -> int:
+    """The radicand d shared by the irrational values of the groups and,
+    when ``also`` is given, by an irrational value of radicand ``also``;
+    ConfigError when two of them differ.  The last group must be
+    nonempty: its first value's d stands when every value is rational."""
+    ds = {v.d for g in groups for v in g if v.b}
+    if also is not None:
+        ds.add(also)
     if len(ds) > 1:
-        ds = {v.d for g in groups for v in g if v.b}
-        if len(ds) > 1:
-            d1, d2 = sorted(ds)[:2]
-            raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
+        d1, d2 = sorted(ds)[:2]
+        raise ConfigError(f"mixed radicands: sqrt({d1}) vs sqrt({d2})")
     return ds.pop() if ds else groups[-1][0].d
 
 

@@ -1,7 +1,8 @@
 """Finite orbit windows: gap structure, chain classes, and block surgery.
 
 An :class:`OrbitWindow` models one orbit segment of a cross section as a
-strictly increasing list of exact positions.  On top of it live the
+strictly increasing list of exact positions, held as integer lattice
+coordinates over one denominator.  On top of it live the
 K-chain equivalence (maximal runs of gaps at most K), marker thinning with
 two-valued index gaps, and the nested two-class blocks that, once
 inserted into a sparse window, give every chain class at one threshold
@@ -10,12 +11,13 @@ at least two subclasses at the next threshold down.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate, compress, count, islice, repeat
-from operator import gt, sub
-from typing import NamedTuple, Optional, Sequence
+from operator import floordiv, gt, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .quadratic import (JSON_TYPES, QuadReal, json_type, lattice,
-                        parse_quadreal, quad, sign_of)
+from .quadratic import (DEFAULT_D, JSON_TYPES, QuadReal, floor_of, json_type,
+                        lattice, parse_quadreal, quad, quads, radicand_of)
 
 
 class SparsityError(ValueError):
@@ -28,30 +30,84 @@ class SparsityError(ValueError):
 
 
 class OrbitWindow:
-    """Strictly increasing positions of one open orbit segment."""
+    """Strictly increasing positions of one open orbit segment.
 
-    __slots__ = ("positions",)
+    Position i is (xs[i] + ys[i]*sqrt(d)) / c, as in a tiled section: the
+    window holds the least common denominator c of its positions, their
+    radicand d and two integer tuples.  ``positions`` is a view, a new
+    tuple of ``QuadReal`` built on each read, so a caller reads it once;
+    the generators, chain classes and the start of a tiling read only the
+    coordinates.  :meth:`from_lattice` builds a window from coordinates,
+    and both constructors check the order on the integers.
+    """
+
+    __slots__ = ("c", "d", "xs", "ys")
 
     def __init__(self, positions: Sequence[QuadReal]):
         positions = tuple(positions)
-        if not positions:
+        c, d, [(xs, ys)] = (lattice(positions) if positions
+                            else (1, DEFAULT_D, [((), ())]))
+        self._hold(c, d, tuple(xs), tuple(ys))
+
+    @classmethod
+    def from_lattice(cls, c: int, d: int, xs: Iterable[int],
+                     ys: Iterable[int]) -> "OrbitWindow":
+        """The window of the positions (xs[i] + ys[i]*sqrt(d)) / c, for
+        c > 0 and d the radicand; c need not be the least denominator.
+        ValueError as for the ``QuadReal`` constructor."""
+        xs, ys = tuple(xs), tuple(ys)
+        g = math.gcd(c, *xs, *ys)
+        if g > 1:
+            c = c // g
+            xs = tuple(map(floordiv, xs, repeat(g)))
+            ys = tuple(map(floordiv, ys, repeat(g)))
+        w = object.__new__(cls)
+        w._hold(c, d, xs, ys)
+        return w
+
+    def _hold(self, c: int, d: int, xs: tuple, ys: tuple):
+        """Keep the coordinates of a nonempty, strictly increasing window;
+        ValueError otherwise."""
+        if not xs:
             raise ValueError("window needs at least one point")
-        _, d, [(xs, ys)] = lattice(positions)
-        steps = map(sign_of, map(sub, islice(xs, 1, None), xs),
-                    map(sub, islice(ys, 1, None), ys), repeat(d))
-        if min(steps, default=1) <= 0:
+        if not all(_gaps_above(xs, ys, 0, 0, d)):
             raise ValueError("positions must be strictly increasing")
-        self.positions = positions
+        self.c, self.d, self.xs, self.ys = c, d, xs, ys
+
+    @property
+    def positions(self) -> tuple[QuadReal, ...]:
+        """The positions as a new tuple of ``QuadReal``, built on each read
+        from the coordinates."""
+        return tuple(quads(self.xs, self.ys, self.c, self.d))
 
     def __len__(self):
-        return len(self.positions)
+        return len(self.xs)
 
     def gaps(self) -> list[QuadReal]:
         """Consecutive differences."""
-        return [b - a for a, b in zip(self.positions, self.positions[1:])]
+        xs, ys = self.xs, self.ys
+        return quads(map(sub, islice(xs, 1, None), xs),
+                     map(sub, islice(ys, 1, None), ys), self.c, self.d)
 
     def span(self) -> QuadReal:
-        return self.positions[-1] - self.positions[0]
+        xs, ys = self.xs, self.ys
+        return QuadReal._raw(xs[-1] - xs[0], ys[-1] - ys[0], self.c, self.d)
+
+    def on_lattice(self, values: Sequence[QuadReal]):
+        """(c, d, xs, ys, vx, vy): the positions and the nonempty ``values``
+        over one common denominator c, the least common multiple of the
+        window's and theirs, with d as ``quadratic.lattice`` finds it for
+        the positions followed by the values.  xs and ys are the window's
+        own tuples when c is its denominator.  Values of two radicands
+        raise ConfigError."""
+        d = radicand_of(values, also=self.d if any(self.ys) else None)
+        c = math.lcm(self.c, *(v.c for v in values))
+        xs, ys = self.xs, self.ys
+        f = c // self.c
+        if f != 1:
+            xs, ys = [x * f for x in xs], [y * f for y in ys]
+        return (c, d, xs, ys, [v.a * (c // v.c) for v in values],
+                [v.b * (c // v.c) for v in values])
 
     def to_json(self) -> dict:
         return {"positions": [str(p) for p in self.positions]}
@@ -98,19 +154,29 @@ class ChainClasses(NamedTuple):
 
 def chain_classes(w: OrbitWindow, k: QuadReal) -> ChainClasses:
     """Maximal runs of points joined by gaps of at most k.  Every gap is
-    compared with k on lattice coordinates over one common denominator."""
+    compared with k on the window's lattice coordinates, with k put over
+    a common denominator (:meth:`OrbitWindow.on_lattice`)."""
     if k.sign() <= 0:
         raise ValueError("threshold must be positive")
-    pos = w.positions
-    _, d, [(xs, ys), ((kx,), (ky,))] = lattice(pos, [k])
+    _, d, xs, ys, (kx,), (ky,) = w.on_lattice([k])
     # gap i, from point i to point i + 1, above k starts a class at i + 1
-    above = map(sign_of,
-                map(sub, map(sub, islice(xs, 1, None), xs), repeat(kx)),
-                map(sub, map(sub, islice(ys, 1, None), ys), repeat(ky)),
-                repeat(d))
-    starts = [0, *compress(count(1), map(gt, above, repeat(0))), len(pos)]
+    above = _gaps_above(xs, ys, kx, ky, d)
+    starts = [0, *compress(count(1), above), len(xs)]
     return ChainClasses(k, tuple(tuple(range(a, b))
                                  for a, b in zip(starts, starts[1:])))
+
+
+def _gaps_above(xs: Sequence[int], ys: Sequence[int], kx: int, ky: int,
+                d: int):
+    """Whether each gap gx + gy*sqrt(d) of the points xs[i] + ys[i]*sqrt(d)
+    exceeds kx + ky*sqrt(d), in order.  It does when gx - kx exceeds
+    (ky - gy)*sqrt(d), which for integers holds exactly when gx exceeds
+    kx + floor((ky - gy)*sqrt(d)); so each distinct gy takes one exact
+    floor and each gap one integer comparison."""
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    bound = {gy: kx + floor_of(0, ky - gy, 1, d) for gy in set(gys)}
+    return map(gt, map(sub, islice(xs, 1, None), xs),
+               map(bound.__getitem__, gys))
 
 
 class MarkerResult(NamedTuple):
@@ -246,7 +312,8 @@ def insert_blocks(w: OrbitWindow, k_list: Sequence[QuadReal],
     if _conformity_problem(gaps, mids, eps) is None:
         return w
 
-    new_pts: list[QuadReal] = [w.positions[0]]
+    positions = w.positions
+    new_pts: list[QuadReal] = [positions[0]]
     for gi, gap in enumerate(gaps):
         plan = _fill_plan(gap, eps, mids, hosting)
         if plan is None:
@@ -259,7 +326,7 @@ def insert_blocks(w: OrbitWindow, k_list: Sequence[QuadReal],
             pos = pos + mids[lev] + adjust
             new_pts.append(pos)
         # exactness: the final point must land on the original
-        if new_pts[-1] != w.positions[gi + 1]:
+        if new_pts[-1] != positions[gi + 1]:
             raise AssertionError("fill arithmetic did not close the gap exactly")
     out = OrbitWindow(new_pts)
     problem = _conformity_problem(out.gaps(), mids, eps)

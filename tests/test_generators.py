@@ -137,3 +137,63 @@ class TestOracle:
         if spec.kind == "rotation_suspension":
             q = (1 / spec.angle).floor()
             assert set(got.gaps()) <= {quad(q), quad(q + 1)}
+
+
+class TestCoordinateWindow:
+    """A generated window holds the coordinates the ``QuadReal``
+    constructor finds for its positions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(specs())
+    def test_coordinates_match_quadreal_constructor(self, spec):
+        w = generate(spec)
+        u = OrbitWindow(w.positions)
+        assert (w.c, w.d, w.xs, w.ys) == (u.c, u.d, u.xs, u.ys)
+        assert type(w.xs) is tuple and type(w.ys) is tuple
+        assert ([(p.a, p.b, p.c, p.d) for p in w.positions]
+                == [(p.a, p.b, p.c, p.d) for p in u.positions])
+        assert w.to_json() == u.to_json()
+        back = OrbitWindow.from_json(w.to_json())
+        assert back.positions == w.positions
+        assert back.to_json() == w.to_json()
+        assert (back.c, back.xs, back.ys) == (w.c, w.xs, w.ys)
+        # a rational literal is read in the default radicand
+        assert back.d == w.d or not any(w.ys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(specs(), st.data())
+    def test_constructors_reject_alike(self, spec, data):
+        w = generate(spec)
+        assume(len(w) >= 2)
+        i = data.draw(st.integers(0, len(w) - 2))
+        order = list(range(len(w)))
+        if data.draw(st.booleans()):
+            order[i], order[i + 1] = i + 1, i  # a swapped pair
+        else:
+            order[i] = i + 1  # a repeated point
+        pos = w.positions
+        xs, ys = [w.xs[k] for k in order], [w.ys[k] for k in order]
+        for build in (lambda: OrbitWindow([pos[k] for k in order]),
+                      lambda: OrbitWindow.from_lattice(w.c, w.d, xs, ys)):
+            with pytest.raises(ValueError,
+                               match="^positions must be strictly increasing$"):
+                build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: OrbitWindow([]),
+        lambda: OrbitWindow.from_lattice(1, 2, [], []),
+        lambda: OrbitWindow.from_lattice(64, 3, (), ())],
+        ids=["positions", "coordinates", "coordinates_over_64"])
+    def test_empty_window_rejected(self, build):
+        with pytest.raises(ValueError,
+                           match="^window needs at least one point$"):
+            build()
+
+    def test_least_denominator_kept(self):
+        # every position is an integer: the grid denominator 64 cancels
+        w = OrbitWindow.from_lattice(64, 2, [0, 128, 320], [0, 0, 0])
+        assert (w.c, w.xs, w.ys) == (1, (0, 2, 5), (0, 0, 0))
+        w = OrbitWindow.from_lattice(12, 3, [0, 6, 9], [0, 3, 6])
+        assert (w.c, w.xs, w.ys) == (4, (0, 2, 3), (0, 1, 2))
+        u = OrbitWindow(w.positions)
+        assert (u.c, u.d, u.xs, u.ys) == (w.c, w.d, w.xs, w.ys)

@@ -1,4 +1,5 @@
-"""Golden identity: the section files and one orbit map of fixed windows.
+"""Golden identity: generated window files, and the section files and one
+orbit map of fixed windows.
 
 Each hash is the sha256 of ``json.dumps(x.to_json(), sort_keys=True)``.
 They pin every byte a change to the section's in-memory form could move:
@@ -9,6 +10,7 @@ why.
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -16,6 +18,25 @@ from flowtile.generators import GeneratorSpec, generate
 from flowtile.loe import build_loe
 from flowtile.pipeline import full_pipeline
 from flowtile.quadratic import quad
+
+# the window file `flowtile gen` writes for one spec of each kind, one of
+# them with an irrational k0
+WINDOWS = {
+    "uniform": (
+        GeneratorSpec("uniform", count=300, seed=1),
+        "c21e9200db436eede1906608b8be7260523ff55654e3acd78e2510979dc51018"),
+    "uniform_sqrt3": (
+        GeneratorSpec("uniform", count=300, seed=2,
+                      k0=quad(F(7, 3), F(1, 2), 3)),
+        "b3a95ffed5b5b240b1003dc9ec603253cdf996dd1eb9729c0c12ebf64751327d"),
+    "sparse_geometric": (
+        GeneratorSpec("sparse_geometric", count=300, seed=1, ratio=3),
+        "79182a3795d8d17855a5805afc1bcde6acdc6d927b4f6f306c3051440fb313cb"),
+    "rotation_suspension": (
+        GeneratorSpec("rotation_suspension", count=300,
+                      angle=quad(0, 1) - 1 + quad(1) / 5),
+        "6250c5a4d54e30be825e7a4d705b25042abf4dc603f065d3aa39a988648a6897"),
+}
 
 # (kind, key, depth): uniform windows take key as their seed, rotation
 # windows the angle sqrt(2) - 1 + 1/key
@@ -57,6 +78,12 @@ def window(kind: str, key: int):
 def section(kind, key, depth, schedule2, schedule4):
     sched = schedule2 if depth == 2 else schedule4
     return full_pipeline(window(kind, key), sched, seed=key)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_window_file_unchanged(name):
+    spec, want = WINDOWS[name]
+    assert digest(generate(spec)) == want
 
 
 @pytest.mark.parametrize("kind,key,depth", sorted(SECTIONS))

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itertools import compress, count, islice, repeat
+from operator import gt, sub
+
 from flowtile import windows
-from flowtile.quadratic import QuadReal, quad
-from flowtile.windows import (MarkerResult, OrbitWindow, SparsityError,
-                              _nested_runs_ok, chain_classes, insert_blocks,
-                              is_sparse_window, level_midpoints,
+from flowtile.generators import GeneratorSpec, generate
+from flowtile.quadratic import ConfigError, QuadReal, lattice, quad, sign_of
+from flowtile.windows import (ChainClasses, MarkerResult, OrbitWindow,
+                              SparsityError, _nested_runs_ok, chain_classes,
+                              insert_blocks, is_sparse_window, level_midpoints,
                               marker_subsection, ruler_levels, two_class_block)
 
 
@@ -397,3 +401,99 @@ class TestClosedFormsMatchReference:
         if want[0] == "returned":
             want = want[0], [str(p) for p in want[1].positions]
         assert got == want
+
+
+def chain_classes_reference(w: OrbitWindow, k: QuadReal) -> ChainClasses:
+    """Maximal runs of points joined by gaps of at most k.  Every gap is
+    compared with k on lattice coordinates over one common denominator."""
+    if k.sign() <= 0:
+        raise ValueError("threshold must be positive")
+    pos = w.positions
+    _, d, [(xs, ys), ((kx,), (ky,))] = lattice(pos, [k])
+    # gap i, from point i to point i + 1, above k starts a class at i + 1
+    above = map(sign_of,
+                map(sub, map(sub, islice(xs, 1, None), xs), repeat(kx)),
+                map(sub, map(sub, islice(ys, 1, None), ys), repeat(ky)),
+                repeat(d))
+    starts = [0, *compress(count(1), map(gt, above, repeat(0))), len(pos)]
+    return ChainClasses(k, tuple(tuple(range(a, b))
+                                 for a, b in zip(starts, starts[1:])))
+
+
+@st.composite
+def chain_windows(draw):
+    """A window of up to 40 points in sqrt(2) or sqrt(3): rational or
+    irrational gaps over a denominator up to 12 from a rational start, or
+    a rotation window, whose positions are integers."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.sampled_from(["rational", "irrational", "rotation"]))
+    if shape == "rotation":
+        angle = quad(F(draw(st.integers(1, 3)), 4),
+                     F(draw(st.integers(1, 63)), 64), d)
+        return generate(GeneratorSpec("rotation_suspension",
+                                      draw(st.integers(1, 40)),
+                                      angle=angle - angle.floor()))
+    den = draw(st.integers(1, 12))
+    pos = [quad(F(draw(st.integers(-50, 50)), den), 0, d)]
+    for g in draw(st.lists(st.integers(1, 60), max_size=39)):
+        s = draw(st.integers(-2, 2)) if shape == "irrational" else 0
+        pos.append(pos[-1] + abs(quad(F(g, den), F(s, den), d)))
+    return OrbitWindow(pos)
+
+
+@st.composite
+def chain_thresholds(draw, d):
+    """A threshold of any sign: rational, or irrational in the window's
+    radicand d or in another; its denominator up to 13 need not divide
+    the window's."""
+    shape = draw(st.sampled_from(["rational", "same", "other"]))
+    r = F(draw(st.integers(-20, 200)), draw(st.integers(1, 13)))
+    if shape == "rational":
+        return quad(r, 0, d)
+    s = F(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 7)))
+    e = d if shape == "same" else draw(st.sampled_from(
+        [x for x in (2, 3, 5) if x != d]))
+    return quad(r, s, e)
+
+
+class TestChainClassesMatchReference:
+    """chain_classes on the window's coordinates against the version that
+    put every position and k on one lattice."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chain_windows(), st.data())
+    def test_random_windows(self, w, data):
+        k = data.draw(chain_thresholds(w.d))
+        assert (outcome(chain_classes, w, k)
+                == outcome(chain_classes_reference, w, k))
+
+    def test_threshold_denominator_not_dividing_window(self):
+        # positions over 4, thresholds over 3, 7 and 5
+        w = window_from_gaps([quad(F(g, 4)) for g in (9, 10, 3, 11, 9, 2)])
+        assert w.c == 4
+        for k in (quad(F(7, 3)), quad(F(17, 7)), quad(F(5, 2), F(1, 5))):
+            got = chain_classes(w, k)
+            assert got == chain_classes_reference(w, k)
+        assert chain_classes(w, quad(F(7, 3))).classes == (
+            (0, 1), (2, 3), (4, 5, 6))
+
+    def test_rotation_window_takes_the_threshold_radicand(self):
+        # integer positions in sqrt(3); the threshold is in sqrt(2)
+        w = generate(GeneratorSpec("rotation_suspension", 40,
+                                   angle=quad(-1, 1, 3)))
+        assert (w.c, w.d, set(w.ys)) == (1, 3, {0})
+        k = quad(0, 1, 2)  # gaps of 1 join, gaps of 2 do not
+        got = chain_classes(w, k)
+        assert got == chain_classes_reference(w, k)
+        gaps = w.gaps()
+        assert len(got.classes) == 1 + sum(k < g for g in gaps) > 1
+
+    def test_irrational_window_rejects_another_radicand(self):
+        w = window_from_gaps([quad(1, 1), quad(2, 1)])
+        k = quad(0, 2, 3)
+        with pytest.raises(ConfigError) as want:
+            chain_classes_reference(w, k)
+        with pytest.raises(ConfigError) as got:
+            chain_classes(w, k)
+        assert str(got.value) == str(want.value) == \
+            "mixed radicands: sqrt(2) vs sqrt(3)"
