@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .quadratic import QuadReal, floor_of, quad
 from .windows import OrbitWindow
@@ -63,7 +63,7 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
         inv = 1 / spec.angle
         a, b, c, d = inv.a, inv.b, inv.c, inv.d
         visits = [-floor_of(-m * a, -m * b, c, d) for m in range(spec.count)]
-        return OrbitWindow.from_lattice(1, d, visits, repeat(0, spec.count))
+        return OrbitWindow.from_lattice(1, d, visits, [0] * spec.count)
     rng = random.Random(spec.seed)
     k0 = spec.k0 if spec.k0 is not None else quad(7)
     # gap i is k0 * scale[i % len(scale)] + offset + r_i/GRID, held as
