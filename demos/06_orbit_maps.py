@@ -6,14 +6,17 @@ alpha count goes, and beta gaps follow by conjugating through each
 section's own alpha-to-beta matching.  Every piece is a pure translation
 of length alpha or beta, so the map preserves length piece by piece;
 whatever the finite matching leaves over, the alpha surplus included, is
-reported as residue rather than swept away.
+reported as residue rather than swept away.  The map is checked on its
+own (``verify_loe``) and against both sections (``cover_failures``); the
+demo exits non-zero with the failure lines when either check fails.
 """
 
+import sys
 from fractions import Fraction as F
 
 from flowtile import (GeneratorSpec, build_loe, build_schedule,
-                      default_params, full_pipeline, generate,
-                      match_equidense, verify_loe)
+                      cover_failures, default_params, full_pipeline,
+                      generate, match_equidense, verify_loe)
 
 P = default_params()
 sched = build_schedule(P, depth=2)
@@ -50,7 +53,9 @@ for name, t in (("source", t1), ("target", t2)):
 
 m = build_loe(t1, t2)
 rep = verify_loe(m, P)
-print(f"  pieces: {rep.piece_count}; verified: {rep.ok}")
+cover = cover_failures(m, t1, t2)
+print(f"  pieces: {rep.piece_count}; verified: {rep.ok}; "
+      f"matches both sections: {not cover}")
 total = rep.mapped_length
 print(f"  mapped length (each piece is one translation): {total} "
       f"({total.approx()})")
@@ -59,3 +64,5 @@ for name, t, residue in (("source", t1, m.residue_src),
     alphas = sum(t.letters[i] == "a" for i in residue)
     print(f"  {name} residue: {len(residue)} gaps ({alphas} alpha, "
           f"{len(residue) - alphas} beta) await a longer window")
+if rep.failures or cover:
+    sys.exit("\n".join(rep.failures + cover))

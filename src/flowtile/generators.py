@@ -18,12 +18,11 @@ denominator and the window holds those coordinates
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .quadratic import QuadReal, floor_of, quad
+from .quadratic import QuadReal, floor_of, on_lattice, quad
 from .windows import OrbitWindow
 
 GRID = 64  # default rational grid denominator for random gaps
@@ -70,8 +69,8 @@ def generate(spec: GeneratorSpec) -> OrbitWindow:
     # (xs[i] + ys[i]*sqrt(d)) / c over c = lcm(k0.c, GRID).  Uniform gaps
     # lie in [k0+1, k0+2]; sparse scales cycle so both window halves see
     # every gap size
-    c, d = math.lcm(k0.c, GRID), k0.d
-    kx, ky, step = k0.a * (c // k0.c), k0.b * (c // k0.c), c // GRID
+    c, d, _, _, [((kx,), (ky,))] = on_lattice(GRID, k0.d, (), (), [k0])
+    step = c // GRID
     if spec.kind == "uniform":
         scale, offset = [1], c
     else:

@@ -18,8 +18,11 @@ sections' coordinates directly and emits the pieces in source order, one
 walk over the source gaps.  ``verify_loe`` orders the starts by
 ``quadratic.lattice_order`` and decides each overlap by the exact sign of
 an integer difference (``quadratic.sign_of``); ``cover_failures`` checks
-the map against the two sections on the same coordinates.  No float
-decides anything.
+the map against the two sections on the same coordinates.  Coordinates
+of two denominators meet over a common multiple, with alpha and beta put
+beside them by ``quadratic.on_lattice``, or rescaled by
+``quadratic.scaled`` where no value joins them.  No float decides
+anything.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from itertools import compress, count, islice, repeat
 from operator import is_, is_not, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .quadratic import (DEFAULT_D, ConfigError, QuadReal, lattice,
-                        lattice_order, quads, sign_of)
+from .quadratic import (DEFAULT_D, QuadReal, lattice, lattice_order,
+                        on_lattice, quads, scaled, sign_of)
 from .pipeline import TiledSection
 from .tiles import Params
 
@@ -192,12 +195,12 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     src = list(compress(count(), map(is_not, image, repeat(None))))
     dst = list(map(image.__getitem__, src))
     residue_dst = sorted(set(range(len(t2.letters))).difference(dst))
-    cab, d, [(lab_x, lab_y)] = lattice([p1.alpha, p1.beta])
-    c = math.lcm(t1.c, t2.c, cab)
+    # alpha and beta over a multiple of both sections' denominators
+    c, d, _, _, [((ax, bx), (ay, by))] = on_lattice(
+        math.lcm(t1.c, t2.c), p1.d, (), (), [p1.alpha, p1.beta])
     kinds = list(map(t1.letters.__getitem__, src))
-    g = c // cab
-    lx = list(map({"a": lab_x[0] * g, "b": lab_x[1] * g}.__getitem__, kinds))
-    ly = list(map({"a": lab_y[0] * g, "b": lab_y[1] * g}.__getitem__, kinds))
+    lx = list(map({"a": ax, "b": bx}.__getitem__, kinds))
+    ly = list(map({"a": ay, "b": by}.__getitem__, kinds))
     m = PiecewiseTranslationMap.__new__(PiecewiseTranslationMap)
     m._fill(c, d, *_picked(t1, src, c), *_picked(t2, dst, c), lx, ly, kinds,
             residue_src, residue_dst)
@@ -207,12 +210,8 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
 def _picked(t: TiledSection, index: list[int], c: int):
     """The coordinates of t's positions at index, over c, a multiple of
     t.c."""
-    xs = list(map(t.xs.__getitem__, index))
-    ys = list(map(t.ys.__getitem__, index))
-    f = c // t.c
-    if f != 1:
-        xs, ys = [x * f for x in xs], [y * f for y in ys]
-    return xs, ys
+    return scaled(c // t.c, list(map(t.xs.__getitem__, index)),
+                  list(map(t.ys.__getitem__, index)))
 
 
 class LoeReport(NamedTuple):
@@ -236,16 +235,10 @@ def verify_loe(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     c, d, lx, ly = m.c, m.d, m.len_xs, m.len_ys
     failures = _overlaps("source", m.src_xs, m.src_ys, lx, ly, c, d)
     failures += _overlaps("target", m.dst_xs, m.dst_ys, lx, ly, c, d)
-    cab, dab, [((ax, bx), (ay, by))] = lattice([params.alpha, params.beta])
-    if dab != d and any(ly):
-        raise ConfigError(f"mixed radicands: sqrt({min(d, dab)}) vs "
-                          f"sqrt({max(d, dab)})")
     # lengths, alpha and beta over one denominator
-    c2 = math.lcm(c, cab)
-    f, g = c2 // c, c2 // cab
-    if f != 1:
-        lx, ly = [x * f for x in lx], [y * f for y in ly]
-    alpha, beta = (ax * g, ay * g), (bx * g, by * g)
+    c2, _, lx, ly, [((ax, bx), (ay, by))] = on_lattice(
+        c, d, lx, ly, [params.alpha, params.beta])
+    alpha, beta = (ax, ay), (bx, by)
     for i, kind, x, y in zip(count(), m.kinds, lx, ly):
         if kind not in ("a", "b"):
             failures.append(f"piece {i}: unknown kind {kind!r}")
@@ -274,17 +267,18 @@ def cover_failures(m: PiecewiseTranslationMap, t1: TiledSection,
             ("target", m.dst_xs, m.dst_ys, m.residue_dst, t2)):
         n = len(t.letters)
         c = math.lcm(m.c, t.c)
-        f, g = c // m.c, c // t.c
+        xs, ys = scaled(c // m.c, xs, ys)
         # the index of the gap that starts at each point but the last
-        gap_at = {(x * g, y * g): i for i, x, y in zip(range(n), t.xs, t.ys)}
+        gx, gy = scaled(c // t.c, t.xs, t.ys)
+        gap_at = dict(zip(zip(gx, gy), range(n)))
         same_d = m.d == t.d
         hit = []
         for k, x, y, kind in zip(count(), xs, ys, m.kinds):
-            i = gap_at.get((x * f, y * f)) if same_d or not y else None
+            i = gap_at.get((x, y)) if same_d or not y else None
             if i is None or t.letters[i] != kind:
                 failures.append(f"piece {k}: no {kind!r} gap of the {side} "
                                 f"section starts at "
-                                f"{QuadReal._raw(x, y, m.c, m.d)}")
+                                f"{QuadReal._raw(x, y, c, m.d)}")
                 i = None
             hit.append(i)
         starts = [0] * n

@@ -35,7 +35,7 @@ exact sign of a lattice difference (``quadratic.sign_of``).  The table
 is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
 settled by that sign test, and candidate words are ranked by integer
 cross-multiplication of frequencies.  A section starts from its
-window's coordinates (:meth:`OrbitWindow.on_lattice`), and the
+window's coordinates (``quadratic.on_lattice``), and the
 chain-class check builds its window of original points from the
 section's lists.  ``QuadReal`` stays the type of every argument, result
 and serialized value: one is built for each position a caller reads, for
@@ -44,7 +44,6 @@ each original point's origin and for error texts.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -55,8 +54,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import quadratic
 from .quadratic import (QuadReal, json_type, lattice, lattice_key,
-                        lattice_keys, parse_quadreal, qmax, qmin, quad,
-                        quads, sign_of)
+                        lattice_keys, on_lattice, parse_quadreal, qmax, qmin,
+                        quad, quads, sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     alpha_frequency, balanced_word, density_witness,
                     enumerate_tileable, eps_dense)
@@ -375,7 +374,8 @@ class TiledSection:
                     schedule: Schedule | None = None) -> "TiledSection":
         """The untiled section of a window: its coordinates rescaled to a
         common denominator with alpha and beta."""
-        c, d, xs, ys, _, _ = w.on_lattice([params.alpha, params.beta])
+        c, d, xs, ys, _ = on_lattice(w.c, w.d, w.xs, w.ys,
+                                     [params.alpha, params.beta])
         n = len(w)
         t = cls.__new__(cls)
         t._fill(params, c, d, list(xs), list(ys), [None] * (n - 1), [0] * n,
@@ -397,23 +397,6 @@ class TiledSection:
 
     def gap_values(self):
         return list(map(self.gap, range(len(self.letters))))
-
-    def on_lattice(self, *groups: Sequence[QuadReal]):
-        """(c, xs, ys, coords): the positions and the values of each group
-        over one common denominator c, a multiple of the section's, with
-        coords as ``quadratic.lattice`` gives them.  xs and ys are the
-        section's own lists when c is its denominator, so they are only
-        read.  Values of two radicands raise ConfigError."""
-        c, _, coords = lattice(*groups)
-        c2 = math.lcm(c, self.c)
-        f, g = c2 // self.c, c2 // c
-        xs, ys = self.xs, self.ys
-        if f != 1:
-            xs, ys = [x * f for x in xs], [y * f for y in ys]
-        if g != 1:
-            coords = [([x * g for x in gx], [y * g for y in gy])
-                      for gx, gy in coords]
-        return c2, xs, ys, coords
 
     def is_fully_regular(self) -> bool:
         return None not in self.letters
@@ -539,7 +522,7 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     against the stage bound eps[stage] before promotion.
 
     The walk runs on the section's coordinates, over a denominator that
-    also holds the bound (:meth:`TiledSection.on_lattice`).  The carry is
+    also holds the bound (``quadratic.on_lattice``).  The carry is
     constant from one planned or bare gap to the next, so it is checked
     once per such stretch, at its first point.  The new gaps are the
     lettered gaps, the letters of the planned words and the bare gaps less
@@ -550,10 +533,9 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     bound = t.schedule.eps[stage]
     letters = t.letters
     ranks, orig = t.ranks, t.orig_ids
-    d = t.d
     # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
-    c, xs, ys, [((ex, ax, bx), (ey, ay, by))] = t.on_lattice(
-        [bound, params.alpha, params.beta])
+    c, d, xs, ys, [((ex, ax, bx), (ey, ay, by))] = on_lattice(
+        t.c, t.d, t.xs, t.ys, [bound, params.alpha, params.beta])
     step_x = {"a": ax, "b": bx}.__getitem__
     step_y = {"a": ay, "b": by}.__getitem__
     words: dict[TileVector, tuple] = {}  # vector: letters and their steps
@@ -682,12 +664,13 @@ def _check_block_spacing(t: TiledSection, bound: QuadReal):
     """Left endpoints of adjacent rank-1 blocks stay within the spacing
     bound inherited from the pair-selection policy (interior pairs only)."""
     lefts = [i for i, j in t.regular_runs() if j > i]
-    c, xs, ys, [((ux,), (uy,))] = t.on_lattice([bound])
+    c, d, xs, ys, [((ux,), (uy,))] = on_lattice(t.c, t.d, t.xs, t.ys,
+                                                [bound])
     for a, b in zip(lefts[1:-1], lefts[2:]):
         gx, gy = xs[b] - xs[a], ys[b] - ys[a]
-        if sign_of(gx - ux, gy - uy, t.d) > 0:
+        if sign_of(gx - ux, gy - uy, d) > 0:
             raise TilingError(f"stage 1: adjacent block anchors "
-                              f"{QuadReal._raw(gx, gy, c, t.d)} apart, "
+                              f"{QuadReal._raw(gx, gy, c, d)} apart, "
                               f"beyond the spacing bound {bound}")
 
 
@@ -801,14 +784,15 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
 
     Gaps, carry and corridors are the section's coordinates over a
     denominator c that also holds the stage constants
-    (:meth:`TiledSection.on_lattice`), and the table is looked up with
+    (``quadratic.on_lattice``), and the table is looked up with
     them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
     an error text.
     """
     params = t.params
-    letters, d = t.letters, t.d
+    letters = t.letters
     # eps_s, K_n, alpha and beta are (ex, ey), (kx, ky), (ax, ay), (bx, by)
-    c, xs, ys, [((ex, kx, ax, bx), (ey, ky, ay, by))] = t.on_lattice(
+    c, d, xs, ys, [((ex, kx, ax, bx), (ey, ky, ay, by))] = on_lattice(
+        t.c, t.d, t.xs, t.ys,
         [schedule.eps[stage], schedule.K[stage], params.alpha, params.beta])
     inside = schedule.table.inside
     rho = params.rho
@@ -957,7 +941,7 @@ def check_section(t: TiledSection):
     (checked in point order); the j-th witness has level j and the eta of
     :func:`stage_bounds` for level j, and replays.  Positions, origins
     and lengths are lattice coordinates over one denominator
-    (:meth:`TiledSection.on_lattice`)."""
+    (``quadratic.on_lattice``)."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
     letters = t.letters
@@ -965,9 +949,8 @@ def check_section(t: TiledSection):
     ids = list(map(t.orig_ids.__getitem__, idx))
     missing = next((k for k, oid in enumerate(ids)
                     if oid not in t.origin_pos), len(ids))
-    d = t.d
-    c, xs, ys, [(ox, oy), ((ax, bx, ux), (ay, by, uy))] = t.on_lattice(
-        [t.origin_pos[oid] for oid in ids[:missing]],
+    c, d, xs, ys, [(ox, oy), ((ax, bx, ux), (ay, by, uy))] = on_lattice(
+        t.c, t.d, t.xs, t.ys, [t.origin_pos[oid] for oid in ids[:missing]],
         [p.alpha, p.beta, budget])
     gx = list(map(sub, islice(xs, 1, None), xs))
     gy = list(map(sub, islice(ys, 1, None), ys))

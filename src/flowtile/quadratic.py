@@ -358,6 +358,30 @@ def lattice(*groups: Sequence[QuadReal]) -> tuple[int, int, list]:
                   for g in groups]
 
 
+def on_lattice(c: int, d: int, xs: Sequence[int], ys: Sequence[int],
+               *groups: Sequence[QuadReal]):
+    """(c2, d2, xs, ys, coords): held coordinates, the values
+    (xs[i] + ys[i]*sqrt(d)) / c, and the values of each group over one
+    common denominator c2, the least common multiple of c and theirs,
+    with coords as :func:`lattice` gives them.  xs and ys come back
+    unchanged when c2 == c.  d2 is :func:`radicand_of` the groups, and
+    of d when a held value is irrational: values of two radicands raise
+    ConfigError."""
+    d2 = radicand_of(*groups, also=d if any(ys) else None)
+    c2 = math.lcm(c, *{v.c for g in groups for v in g})
+    xs, ys = scaled(c2 // c, xs, ys)
+    return c2, d2, xs, ys, [([v.a * (c2 // v.c) for v in g],
+                             [v.b * (c2 // v.c) for v in g]) for g in groups]
+
+
+def scaled(f: int, *lists: Sequence[int]) -> tuple:
+    """The lists with every entry times f: the lists themselves when f is
+    1, new lists otherwise."""
+    if f == 1:
+        return lists
+    return tuple([x * f for x in xs] for xs in lists)
+
+
 def quad(r: RationalLike = 0, s: RationalLike = 0, d: int | None = None) -> QuadReal:
     """Shorthand constructor: quad(r, s) == r + s*sqrt(D)."""
     return QuadReal(r, s, d)

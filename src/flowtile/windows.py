@@ -17,7 +17,7 @@ from operator import floordiv, gt, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .quadratic import (DEFAULT_D, JSON_TYPES, QuadReal, floor_of, json_type,
-                        lattice, parse_quadreal, quad, quads, radicand_of)
+                        lattice, on_lattice, parse_quadreal, quad, quads)
 
 
 class SparsityError(ValueError):
@@ -93,22 +93,6 @@ class OrbitWindow:
         xs, ys = self.xs, self.ys
         return QuadReal._raw(xs[-1] - xs[0], ys[-1] - ys[0], self.c, self.d)
 
-    def on_lattice(self, values: Sequence[QuadReal]):
-        """(c, d, xs, ys, vx, vy): the positions and the nonempty ``values``
-        over one common denominator c, the least common multiple of the
-        window's and theirs, with d as ``quadratic.lattice`` finds it for
-        the positions followed by the values.  xs and ys are the window's
-        own tuples when c is its denominator.  Values of two radicands
-        raise ConfigError."""
-        d = radicand_of(values, also=self.d if any(self.ys) else None)
-        c = math.lcm(self.c, *(v.c for v in values))
-        xs, ys = self.xs, self.ys
-        f = c // self.c
-        if f != 1:
-            xs, ys = [x * f for x in xs], [y * f for y in ys]
-        return (c, d, xs, ys, [v.a * (c // v.c) for v in values],
-                [v.b * (c // v.c) for v in values])
-
     def to_json(self) -> dict:
         return {"positions": [str(p) for p in self.positions]}
 
@@ -155,10 +139,10 @@ class ChainClasses(NamedTuple):
 def chain_classes(w: OrbitWindow, k: QuadReal) -> ChainClasses:
     """Maximal runs of points joined by gaps of at most k.  Every gap is
     compared with k on the window's lattice coordinates, with k put over
-    a common denominator (:meth:`OrbitWindow.on_lattice`)."""
+    a common denominator (``quadratic.on_lattice``)."""
     if k.sign() <= 0:
         raise ValueError("threshold must be positive")
-    _, d, xs, ys, (kx,), (ky,) = w.on_lattice([k])
+    _, d, xs, ys, [((kx,), (ky,))] = on_lattice(w.c, w.d, w.xs, w.ys, [k])
     # gap i, from point i to point i + 1, above k starts a class at i + 1
     above = _gaps_above(xs, ys, kx, ky, d)
     starts = [0, *compress(count(1), above), len(xs)]

@@ -260,6 +260,8 @@ class TestLatticeForm:
         again = rebuilt(m)
         assert again.to_json() == m.to_json()
         same_report(verify_loe(again, P), report)
+        # the rebuilt map holds the least denominator, below the section's
+        assert again.c < t.c and cover_failures(again, t, back) == []
 
     def test_no_value_per_gap(self, schedule2, monkeypatch):
         # build_loe and verify_loe work on coordinates: the only value

@@ -19,7 +19,7 @@ from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                check_section, classify_section,
                                full_pipeline, sparse_tile,
                                verify_uniform_frequency)
-from flowtile.quadratic import parse_quadreal, qmin, quad, sqrtD
+from flowtile.quadratic import on_lattice, parse_quadreal, qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             default_params, enumerate_tileable)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
@@ -800,11 +800,24 @@ class TestCoordinates:
 
     def test_rescale_is_skipped_at_factor_one(self):
         t = section_from_letters("ab")
-        c, xs, ys, _ = t.on_lattice([quad(2)])
+        c, _, xs, ys, _ = on_lattice(t.c, t.d, t.xs, t.ys, [quad(2)])
         assert c == t.c and xs is t.xs and ys is t.ys
-        c, xs, ys, [((e,), (f,))] = t.on_lattice([quad(F(1, 6))])
+        c, _, xs, ys, [((e,), (f,))] = on_lattice(t.c, t.d, t.xs, t.ys,
+                                                 [quad(F(1, 6))])
         assert c == 6 * t.c and (e, f) == (t.c, 0)
         assert xs == [6 * x for x in t.xs] and ys == [6 * y for y in t.ys]
+
+    def test_values_of_another_radicand_raise(self):
+        # sqrt(3) has the coordinates of sqrt(2), but not its value: the
+        # section's own radicand is checked, as a window's is
+        t = TiledSection.from_window(
+            P, OrbitWindow([quad(0), quad(7), quad(15, 1)]))
+        assert (t.c, t.d, t.xs, t.ys) == (1, 2, [0, 7, 15], [0, 0, 1])
+        mixed = r"^mixed radicands: sqrt\(2\) vs sqrt\(3\)$"
+        with pytest.raises(quadratic.ConfigError, match=mixed):
+            on_lattice(t.c, t.d, t.xs, t.ys, [quad(0, 1, 3)])
+        with pytest.raises(quadratic.ConfigError, match=mixed):
+            pipeline._check_block_spacing(t, quad(0, 1, 3))
 
 
 class TestSectionJson:
