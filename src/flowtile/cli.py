@@ -147,11 +147,14 @@ def cmd_tile(args) -> int:
                          "sets it")
     if args.depth is not None and args.depth < 1:
         raise UsageError(f"--depth must be at least 1, got {args.depth}")
+    if args.mode == "sparse" and args.seed is not None:
+        raise UsageError("--seed does not apply with --mode sparse, which "
+                         "draws no growth pairs")
     # the window first: a bad file fails before the schedule is built
     w = OrbitWindow.from_json(_read_json(args.infile))
     sched = _load_schedule(args)
     if args.mode == "full":
-        t = full_pipeline(w, sched, seed=args.seed)
+        t = full_pipeline(w, sched, seed=0 if args.seed is None else args.seed)
     else:
         t = sparse_tile(w, sched)
         attach_witnesses(t)
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--depth", type=int,
                    help=f"schedule depth (default {TILE_DEPTH}; not with "
                         f"--schedule)")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int,
+                   help="growth pair seed (default 0; full mode only)")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", required=True)
     t.set_defaults(fn=cmd_tile)

@@ -5,7 +5,8 @@ Two cooperating constructions, driven by one :class:`Schedule`:
 * block growth (:func:`build_rank_blocks`), one stage: pick well-spaced
   pairs of adjacent points, nudge the right point by less than eps_1 so
   the pair gap becomes one tileable near rho in frequency, and tile it
-  into a rank-1 block;
+  into a rank-1 block.  The word depends on the gap alone, so each
+  distinct gap value is looked up once;
 * gap finishing (:func:`sparse_tile`): within each chain class, walk the
   untiled gaps left to right, steering each onto a nearby tileable value
   while the running deviation stays inside the stage corridor, then tile
@@ -34,8 +35,11 @@ common multiple of C only when a constant needs one; an order is the
 exact sign of a lattice difference (``quadratic.sign_of``).  The table
 is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
 settled by that sign test, and candidate words are ranked by integer
-cross-multiplication of frequencies.  A section starts from its
-window's coordinates (``quadratic.on_lattice``), and the
+cross-multiplication of frequencies.  Growth ranks its pair menu the
+same way: eps_1, alpha and beta go on the lattice of the pair gaps once,
+each candidate's distance to its gap is a ``sign_of`` test, and its band
+and frequency rank are integer cross-multiplications.  A section starts
+from its window's coordinates (``quadratic.on_lattice``), and the
 chain-class check builds its window of original points from the
 section's lists.  ``QuadReal`` stays the type of every argument, result
 and serialized value: one is built for each position a caller reads, for
@@ -48,6 +52,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate, compress, count, islice, repeat
 from operator import add, and_, eq, gt, is_, le, ne, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
@@ -57,8 +62,8 @@ from .quadratic import (QuadReal, json_type, lattice, lattice_key,
                         lattice_keys, on_lattice, parse_quadreal, qmax, qmin,
                         quad, quads, sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
-                    alpha_frequency, balanced_word, density_witness,
-                    enumerate_tileable, eps_dense)
+                    balanced_word, density_witness, enumerate_tileable,
+                    eps_dense)
 from .windows import OrbitWindow, chain_classes, json_field
 
 FULLY_REGULAR = "fully_regular"
@@ -624,8 +629,10 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
 
     Pairs of adjacent points are picked left to right, leaving
     PAIR_SPACING..2*PAIR_SPACING+1 points untouched between pairs; each
-    pair gap is retiled with one tileable (:func:`_pair_word`), which
-    shifts the pair's right point by less than eps_1.
+    pair gap is retiled with one tileable, which shifts the pair's right
+    point by less than eps_1.  :func:`_pair_words` picks every pair's
+    word in one pass, ranking its menu on integers, one word per distinct
+    gap.
     """
     params = schedule.params
     rng = random.Random(seed)
@@ -638,8 +645,7 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     # each of them moves by less than the shift budget
     anchor_bound = ((_widest_gap(t) + schedule.shift_budget() * 2)
                     * (2 * PAIR_SPACING + 3))
-    plan = {i: _pair_word(t, i, schedule)
-            for i in _select_pairs(npts, PAIR_SPACING, rng)}
+    plan = _pair_words(t, _select_pairs(npts, PAIR_SPACING, rng), schedule)
     _apply_gap_plan(t, plan, 1)
     _check_block_spacing(t, anchor_bound)
     return t
@@ -686,32 +692,67 @@ def _select_pairs(n_units: int, spacing: int, rng) -> list[int]:
 BAND_MISSED = "stage 1: eta band missed; using nearest frequency"
 
 
-def _pair_word(t: TiledSection, i: int, schedule: Schedule) -> TileVector:
-    """The tileable that retiles the bare gap (i, i+1) of a growth pair.
+def _pair_words(t: TiledSection, pairs: Sequence[int],
+                schedule: Schedule) -> dict[int, TileVector]:
+    """The tileable that retiles the bare gap (i, i+1) of each growth pair
+    i of pairs, as a plan {i: word}.
 
     The candidates lie strictly within eps_1 of the gap.  Those within
     eta_1 of rho in frequency are preferred; among the preferred, the one
     closest to rho in frequency, then closest to the gap, is taken, the
     first in value order on a tie.  When no candidate is in the band, the
     section's notes get ``BAND_MISSED`` once.
+
+    The pair gaps, eps_1, alpha and beta go on one lattice once
+    (``quadratic.on_lattice``), so every test is on integers: the distance
+    to the gap by ``sign_of``, and the band and the frequency ranking by
+    cross-multiplication.  The word depends on the gap alone, so each
+    distinct gap is looked up once.
     """
     params = t.params
-    rho = params.rho
-    span = t.gap(i)
     eps1 = schedule.eps[1]
-    menu = [v for v in enumerate_tileable(params, span - eps1, span + eps1)
-            if not v.is_zero() and abs(v.value(params) - span) < eps1]
-    if not menu:
-        raise TilingError(f"stage 1: no admissible composite shift "
-                          f"between blocks at points {i}..{i + 1}")
-    banded = [v for v in menu
-              if abs(alpha_frequency(v) - rho) <= schedule.eta[1]]
-    if banded:
-        menu = banded
-    elif BAND_MISSED not in t.notes:
-        t.notes.append(BAND_MISSED)
-    return min(menu, key=lambda v: (abs(alpha_frequency(v) - rho),
-                                    abs(v.value(params) - span)))
+    xs, ys = t.xs, t.ys
+    c, d, gxs, gys, [((ex, ax, bx), (ey, ay, by))] = on_lattice(
+        t.c, t.d, [xs[i + 1] - xs[i] for i in pairs],
+        [ys[i + 1] - ys[i] for i in pairs], [eps1, params.alpha, params.beta])
+    rn, rd = params.rho.numerator, params.rho.denominator
+    en, ed = schedule.eta[1].numerator, schedule.eta[1].denominator
+    words: dict[tuple[int, int], TileVector] = {}
+
+    def rank(u: tuple, w: tuple) -> int:
+        # a candidate (far, n, x, y, v) ranks by far/n, then by its
+        # distance to the gap, (x + y*sqrt(d))/c
+        f = u[0] * w[1] - w[0] * u[1]
+        return (f > 0) - (f < 0) or sign_of(u[2] - w[2], u[3] - w[3], d)
+
+    plan = {}
+    for i, gx, gy in zip(pairs, gxs, gys):
+        word = words.get((gx, gy))
+        if word is None:
+            span = QuadReal._raw(gx, gy, c, d)
+            # far is |p/n - rho| * rd * n, for n = p + q
+            menu = []
+            for v in enumerate_tileable(params, span - eps1, span + eps1):
+                p, q = v
+                n = p + q
+                x, y = p * ax + q * bx - gx, p * ay + q * by - gy
+                if (n == 0 or sign_of(x - ex, y - ey, d) >= 0
+                        or sign_of(x + ex, y + ey, d) <= 0):
+                    continue
+                if sign_of(x, y, d) < 0:
+                    x, y = -x, -y
+                menu.append((abs(p * rd - rn * n), n, x, y, v))
+            if not menu:
+                raise TilingError(f"stage 1: no admissible composite shift "
+                                  f"between blocks at points {i}..{i + 1}")
+            banded = [u for u in menu if u[0] * ed <= en * rd * u[1]]
+            if banded:
+                menu = banded
+            elif BAND_MISSED not in t.notes:
+                t.notes.append(BAND_MISSED)
+            word = words[gx, gy] = min(menu, key=cmp_to_key(rank))[4]
+        plan[i] = word
+    return plan
 
 
 # ---------------------------------------------------------------------------

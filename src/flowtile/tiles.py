@@ -169,9 +169,10 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
 
     Row q holds the p from ceil((lo - q*beta)/alpha) to
-    floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
-    rows are merged by ``quadratic.lattice_order`` on the lattice
-    coordinates of the vectors.
+    floor((hi - q*beta)/alpha), two exact floors of lattice values; the
+    rows are runs of p and q counts.  Their lattice coordinates are
+    ordered once by ``quadratic.lattice_order``, and each vector is built
+    once, in that order.
     """
     if hi < lo:
         return []
@@ -179,12 +180,22 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     alpha = params.alpha
     w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
         [lo / alpha, hi / alpha, params.beta / alpha])
-    out: list[TileVector] = []
+    ps: list[int] = []
+    qs: list[int] = []
     for q in range((hi / params.beta).floor() + 1):
         p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
         p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
-        out += map(TileVector, range(p_lo, p_hi + 1), repeat(q))
-    return list(map(out.__getitem__, lattice_order(*params.coords(out), d)))
+        ps += range(p_lo, p_hi + 1)
+        qs += repeat(q, p_hi + 1 - p_lo)  # none when p_hi < p_lo
+    a1, a2, b1, b2, _ = params._coef
+    order = lattice_order(
+        list(map(add, map(mul, ps, repeat(a1)), map(mul, qs, repeat(a2)))),
+        list(map(add, map(mul, ps, repeat(b1)), map(mul, qs, repeat(b2)))), d)
+    # tuple.__new__ builds the named tuples without TileVector.__new__'s
+    # Python frame
+    return list(map(tuple.__new__, repeat(TileVector),
+                    zip(map(ps.__getitem__, order),
+                        map(qs.__getitem__, order))))
 
 
 class DensityReport(NamedTuple):

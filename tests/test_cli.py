@@ -398,6 +398,29 @@ class TestCli:
                            "file sets it", capsys)
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("seed", ["3", "0"], ids=["other", "default"])
+    def test_sparse_mode_refuses_seed_flag(self, seed, tmp_path, capsys):
+        # sparse mode draws no growth pairs: the seed would be ignored, even
+        # where it equals full mode's default
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"positions": ["0", "9"]}))
+        assert_usage_error(["tile", "--mode", "sparse", "--seed", seed,
+                            "--in", str(w), "--out", str(tmp_path / "t.json")],
+                           "--seed does not apply with --mode sparse, which "
+                           "draws no growth pairs", capsys)
+        assert not (tmp_path / "t.json").exists()
+
+    def test_full_mode_seed_defaults_to_zero(self, tmp_path):
+        w = tmp_path / "w.json"
+        run(["gen", "--n", "40", "--seed", "3", "--out", str(w)])
+        outs = [tmp_path / f"t{i}.json" for i in range(3)]
+        assert run(["tile", "--in", str(w), "--out", str(outs[0])]) == 0
+        assert run(["tile", "--seed", "0", "--in", str(w),
+                    "--out", str(outs[1])]) == 0
+        assert run(["tile", "--mode", "sparse", "--in", str(w),
+                    "--out", str(outs[2])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
     @pytest.mark.parametrize("flag", [["--alpha", "1"], ["--beta", "sqrt(2)"],
                                       ["--rho", "1/3"], ["--rho", "1/2"]],
                              ids=["alpha", "beta", "rho_1_3", "rho_1_2"])

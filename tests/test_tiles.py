@@ -3,13 +3,15 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile import build_schedule, quadratic, tiles
-from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
+from flowtile.quadratic import (ConfigError, QuadReal, floor_of, lattice,
+                                lattice_order, qmax, quad, sqrtD)
 from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
                             TileVector, WindowCheck, alpha_frequency,
                             balanced_word, default_params, density_witness,
@@ -77,6 +79,33 @@ def brute_tileable(lo, hi, params=P):
     return sorted(out, key=lambda v: v.value(params))
 
 
+def enumerate_tileable_reference(params: Params, lo: QuadReal,
+                                 hi: QuadReal) -> list[TileVector]:
+    """enumerate_tileable as it was written before it built its rows as
+    runs of counts, kept verbatim (renamed): a ``TileVector`` per member
+    in row order, then a reordered copy.
+
+    All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
+
+    Row q holds the p from ceil((lo - q*beta)/alpha) to
+    floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
+    rows are merged by ``quadratic.lattice_order`` on the lattice
+    coordinates of the vectors.
+    """
+    if hi < lo:
+        return []
+    # lo/alpha, hi/alpha and beta/alpha over one denominator w
+    alpha = params.alpha
+    w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
+        [lo / alpha, hi / alpha, params.beta / alpha])
+    out: list[TileVector] = []
+    for q in range((hi / params.beta).floor() + 1):
+        p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
+        p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
+        out += map(TileVector, range(p_lo, p_hi + 1), repeat(q))
+    return list(map(out.__getitem__, lattice_order(*params.coords(out), d)))
+
+
 class TestEnumerate:
     def test_zero_to_three(self):
         got = enumerate_tileable(P, quad(0), quad(3))
@@ -105,6 +134,22 @@ class TestEnumerate:
             mp.setattr(quadratic, "KEY_BITS", bits)
             assert enumerate_tileable(params, lo, hi) == \
                 brute_tileable(lo, hi, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PARAM_SETS), st.integers(-80, 400),
+           st.integers(-4, 4), st.sampled_from([1, 3, 7]),
+           st.integers(-24, 120), st.integers(-4, 4), st.sampled_from([0, 32]))
+    def test_matches_reference(self, params, lo8, lo_s, lo_den, width8,
+                               width_s, bits):
+        # hi below lo, lo below 0, and rational or irrational ends
+        d = params.d
+        lo = quad(F(lo8, 8), F(lo_s, lo_den), d)
+        hi = lo + quad(F(width8, 8), F(width_s, 4), d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            got = enumerate_tileable(params, lo, hi)
+            assert got == enumerate_tileable_reference(params, lo, hi)
+        assert all(type(v) is TileVector for v in got)
 
     def test_values_pairwise_distinct(self):
         vecs = enumerate_tileable(P, quad(0), quad(40))
