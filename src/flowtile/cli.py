@@ -157,7 +157,7 @@ def cmd_tile(args) -> int:
         t = full_pipeline(w, sched, seed=0 if args.seed is None else args.seed)
     else:
         t = sparse_tile(w, sched)
-        attach_witnesses(t)
+        attach_witnesses(t, sched)
         check_section(t)
     _write_json(args.out, t.to_json())
     cnt = t.counts()
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int,
                    help="random seed (default 0; not with rotation_suspension)")
     g.add_argument("--k0", help="base gap scale (exact text form; default 7; "
-                                "not with rotation_suspension)")
+                                "above -1 for uniform, above 0 for "
+                                "sparse_geometric; not with rotation_suspension)")
     g.add_argument("--ratio", type=int,
                    help="growth ratio (default 2; sparse_geometric only)")
     g.add_argument("--angle", help="rotation angle (exact text form; "

@@ -48,6 +48,11 @@ class GeneratorSpec:
             raise ValueError("count must be positive")
         if self.kind == "sparse_geometric" and self.ratio < 2:
             raise ValueError("growth ratio must be at least 2")
+        # the least gap is k0 + 1 for uniform and k0 for sparse_geometric
+        least = {"uniform": -1, "sparse_geometric": 0}.get(self.kind)
+        if least is not None and self.k0 is not None and self.k0 <= least:
+            raise ValueError(f"k0 must exceed {least} for {self.kind} gaps to "
+                             f"be positive, got {self.k0}")
         if self.kind == "rotation_suspension":
             if self.angle is None or self.angle.b == 0:
                 raise ValueError("rotation angle must be irrational (s != 0)")

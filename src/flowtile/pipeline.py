@@ -69,6 +69,7 @@ from .windows import OrbitWindow, chain_classes, json_field
 FULLY_REGULAR = "fully_regular"
 HALF_TILED = "half_tiled"
 FINITE_CLASSES = "finite_classes"
+WITNESS_WINDOWS = 10  # windows checked per density witness family
 
 
 class TilingError(RuntimeError):
@@ -87,25 +88,25 @@ class TileableTable:
     """The nonzero tile vectors of value in (0, top], sorted by value, for
     exact corridor lookups.
 
-    ``keys[i]`` is the ``quadratic.lattice_key`` of the value of
+    ``xs, ys`` are the vectors' lattice coordinates (:meth:`Params.coords`)
+    and ``keys[i]`` is the ``quadratic.lattice_key`` of the value of
     ``vectors[i]``, at the ``bits`` of ``quadratic.KEY_BITS`` when the
     table was built.  A lookup bisects the keys of its two corridor ends,
     taken at the same bits; only the entries whose key equals an end's are
     compared with it exactly, by the sign of their lattice difference.
     """
 
-    __slots__ = ("params", "top", "vectors", "bits", "keys")
+    __slots__ = ("params", "top", "vectors", "xs", "ys", "bits", "keys")
 
     def __init__(self, params: Params, top: QuadReal):
         self.params = params
         self.top = top
         # the zero vector comes first: it is the only one of value 0
         self.vectors = enumerate_tileable(params, quad(0, 0, params.d), top)[1:]
-        a1, a2, b1, b2, c = params._coef
+        self.xs, self.ys = params.coords(self.vectors)
         self.bits = quadratic.KEY_BITS
-        self.keys = lattice_keys([a1 * p + a2 * q for p, q in self.vectors],
-                                 [b1 * p + b2 * q for p, q in self.vectors],
-                                 c, params.d, self.bits)
+        self.keys = lattice_keys(self.xs, self.ys, params.c, params.d,
+                                 self.bits)
 
     def between(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
         """Nonzero tile vectors of value strictly inside (lo, hi), in value
@@ -125,8 +126,8 @@ class TileableTable:
             raise TilingError(f"corridor ({QuadReal._raw(lx, ly, c, d)}, "
                               f"{QuadReal._raw(hx, hy, c, d)}) reaches above "
                               f"the tileable table's top {top}")
-        a1, a2, b1, b2, cv = self.params._coef
-        vectors, keys, bits = self.vectors, self.keys, self.bits
+        vectors, xs, ys, keys = self.vectors, self.xs, self.ys, self.keys
+        bits, cv = self.bits, self.params.c
 
         def first_above(x: int, y: int, strict: bool) -> int:
             # the first entry above (x + y*sqrt(d))/c, or not below it
@@ -134,9 +135,7 @@ class TileableTable:
             key = lattice_key(x, y, c, d, bits)
             i = bisect_left(keys, key)
             while i < len(keys) and keys[i] == key:
-                p, q = vectors[i]
-                s = sign_of((a1 * p + a2 * q) * c - x * cv,
-                            (b1 * p + b2 * q) * c - y * cv, d)
+                s = sign_of(xs[i] * c - x * cv, ys[i] * c - y * cv, d)
                 if s > 0 or (s == 0 and not strict):
                     break
                 i += 1
@@ -221,15 +220,14 @@ class Schedule:
 
 
 def build_schedule(params: Params, depth: int = 4,
-                   k_seq: Sequence[QuadReal] | None = None,
-                   verify_windows: int = 10) -> Schedule:
+                   k_seq: Sequence[QuadReal] | None = None) -> Schedule:
     """Derive stage constants, discharging every density assumption.
 
     Chain thresholds are not trusted from closed-form bounds: K_0 and each
     K_{n+1} grow until the tileable candidates are verified dense enough
     for the stage corridor on the gap ranges the stage will actually see.
     Each stage band also gets an asymptotic density witness family,
-    checked on ``verify_windows`` disjoint windows above its threshold.
+    checked on ``WITNESS_WINDOWS`` disjoint windows above its threshold.
     """
     eps, eta = stage_bounds(params, depth)
     floor_k0 = qmax(quad(4, 0, params.d), params.beta * 4)
@@ -279,7 +277,7 @@ def build_schedule(params: Params, depth: int = 4,
         for band in (FreqBand(params.rho + nu_p, params.rho + nu),
                      FreqBand(params.rho - nu, params.rho - nu_p)):
             wit = density_witness(params, eps[n + 1], band)
-            for w, check in enumerate(wit.check_windows(verify_windows)):
+            for w, check in enumerate(wit.check_windows(WITNESS_WINDOWS)):
                 if not check.report.ok:
                     raise ValueError(f"density witness failed at stage {n}, "
                                      f"band {band}, window {w}: "
@@ -352,31 +350,28 @@ class TiledSection:
     for the runs finishing stage n retiles) and are not serialized;
     orig_ids map points back to the input window, and origin_pos holds
     each original point's input position.  ``points`` is the size of the
-    input window: at first the number of original ids.
+    input window: at first the number of original ids.  The functions
+    that read a schedule take it; a section holds none.
     """
 
-    def __init__(self, params: Params, positions, letters, ranks, orig_ids,
-                 schedule: Schedule | None = None):
+    def __init__(self, params: Params, positions, letters, ranks, orig_ids):
         c, d, [(xs, ys), _] = lattice(list(positions),
                                       [params.alpha, params.beta])
-        self._fill(params, c, d, xs, ys, letters, ranks, orig_ids, schedule)
+        self._fill(params, c, d, xs, ys, letters, ranks, orig_ids)
 
-    def _fill(self, params, c, d, xs, ys, letters, ranks, orig_ids,
-              schedule):
+    def _fill(self, params, c, d, xs, ys, letters, ranks, orig_ids):
         self.params = params
         self.c, self.d, self.xs, self.ys = c, d, xs, ys
         self.letters = list(letters)
         self.ranks = list(ranks)
         self.orig_ids = list(orig_ids)
-        self.schedule = schedule
         self.points = len(self.orig_ids) - self.orig_ids.count(None)
         self.origin_pos: dict[int, QuadReal] = {}
         self.witnesses: list[PartitionWitness] = []
         self.notes: list[str] = []
 
     @classmethod
-    def from_window(cls, params: Params, w: OrbitWindow,
-                    schedule: Schedule | None = None) -> "TiledSection":
+    def from_window(cls, params: Params, w: OrbitWindow) -> "TiledSection":
         """The untiled section of a window: its coordinates rescaled to a
         common denominator with alpha and beta."""
         c, d, xs, ys, _ = on_lattice(w.c, w.d, w.xs, w.ys,
@@ -384,7 +379,7 @@ class TiledSection:
         n = len(w)
         t = cls.__new__(cls)
         t._fill(params, c, d, list(xs), list(ys), [None] * (n - 1), [0] * n,
-                range(n), schedule)
+                range(n))
         t.origin_pos = dict(enumerate(w.positions))
         return t
 
@@ -481,7 +476,7 @@ class TiledSection:
                                 initial=x)),
                 list(accumulate(map({"a": ay, "b": by}.get, letters),
                                 initial=y)),
-                letters, [0] * len(orig_ids), orig_ids, None)
+                letters, [0] * len(orig_ids), orig_ids)
         t.points = len(index)
         t.origin_pos = dict(enumerate(origin))
         where = "section witness"
@@ -517,14 +512,15 @@ def _int_list(obj, key: str, where: str = "section") -> list[int]:
 # plan application: the carry rule
 
 
-def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
+def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
+                    bound: QuadReal):
     """Retile the planned gaps and propagate the induced shifts.
 
     Walking left to right, a running carry holds the displacement of the
     current point: a planned gap adds (new value - old gap) to it, a
     lettered gap transports it rigidly (blocks move as one), and a bare
     unplanned gap absorbs it back to zero.  Every shifted point is checked
-    against the stage bound eps[stage] before promotion.
+    against ``bound``, the schedule's eps[stage], before promotion.
 
     The walk runs on the section's coordinates, over a denominator that
     also holds the bound (``quadratic.on_lattice``).  The carry is
@@ -535,7 +531,6 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int):
     never moves, are the section's new coordinates.
     """
     params = t.params
-    bound = t.schedule.eps[stage]
     letters = t.letters
     ranks, orig = t.ranks, t.orig_ids
     # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
@@ -634,9 +629,8 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     word in one pass, ranking its menu on integers, one word per distinct
     gap.
     """
-    params = schedule.params
     rng = random.Random(seed)
-    t = TiledSection.from_window(params, w, schedule)
+    t = TiledSection.from_window(schedule.params, w)
     npts = len(t.xs)
     if npts < 2:
         t.notes.append("stage 1: fewer than two rank-0 blocks; stage truncated")
@@ -646,7 +640,7 @@ def build_rank_blocks(w: OrbitWindow, schedule: Schedule,
     anchor_bound = ((_widest_gap(t) + schedule.shift_budget() * 2)
                     * (2 * PAIR_SPACING + 3))
     plan = _pair_words(t, _select_pairs(npts, PAIR_SPACING, rng), schedule)
-    _apply_gap_plan(t, plan, 1)
+    _apply_gap_plan(t, plan, 1, schedule.eps[1])
     _check_block_spacing(t, anchor_bound)
     return t
 
@@ -769,14 +763,12 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
     over the pre-existing points is verified unchanged after each stage.
     The section does not change between two stages, so the signature after
     stage n, less its threshold K_n, is the one stage n+1 starts from.
+    ``source`` is a window, or a section finished in place.
     """
-    params = schedule.params
     if isinstance(source, OrbitWindow):
-        t = TiledSection.from_window(params, source, schedule)
+        t = TiledSection.from_window(schedule.params, source)
     else:
         t = source
-        if t.schedule is None:
-            t.schedule = schedule
     depth = schedule.depth
     for stage in range(1, depth + 1):
         if t.is_fully_regular():
@@ -785,7 +777,7 @@ def sparse_tile(source, schedule: Schedule) -> TiledSection:
             before = _class_signature(t, schedule, stage)
         plan = _finish_stage_plan(t, schedule, stage)
         if plan:
-            _apply_gap_plan(t, plan, stage)
+            _apply_gap_plan(t, plan, stage, schedule.eps[stage])
         after = _class_signature(t, schedule, stage)
         if before != after:
             raise TilingError(f"stage {stage} disturbed chain classes: "
@@ -967,7 +959,7 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule,
     t.notes.append(f"after growth: {cls.kind} with {len(cls.runs)} runs")
     if cls.kind != FULLY_REGULAR:
         t = sparse_tile(t, schedule)
-    attach_witnesses(t)
+    attach_witnesses(t, schedule)
     check_section(t)
     return t
 
@@ -1047,7 +1039,7 @@ def check_section(t: TiledSection):
             raise WitnessError(f"level {w.level} witness failed replay")
 
 
-def attach_witnesses(t: TiledSection):
+def attach_witnesses(t: TiledSection, schedule: Schedule):
     """Build and store partition witnesses, level by level.
 
     Pieces are equal-count letter chunks no shorter than the measured
@@ -1057,11 +1049,8 @@ def attach_witnesses(t: TiledSection):
     out of reach for this window (short windows may not support the
     deeper bands, and a section with untiled gaps supports none); the
     achieved depth is recorded in the notes.  :func:`check_section`
-    replays them.
+    replays them; levels, eta and L come from ``schedule``.
     """
-    sched = t.schedule
-    if sched is None:
-        raise WitnessError("section has no schedule")
     t.witnesses = []
     n = len(t.letters)
     if not t.is_fully_regular():
@@ -1069,9 +1058,9 @@ def attach_witnesses(t: TiledSection):
         return
     scan = RunScan(t)
     achieved = 0
-    for j in range(1, sched.depth + 1):
-        eta_j = sched.eta[j]
-        L_j = sched.L[j]
+    for j in range(1, schedule.depth + 1):
+        eta_j = schedule.eta[j]
+        L_j = schedule.L[j]
         rep = verify_uniform_frequency(t, eta_j, scan=scan)
         reason = None
         n_min = rep.n_eta

@@ -8,9 +8,9 @@ eps-density checks, and the constructive density witness family used to
 certify that banded tileables fill every sufficiently high interval.
 
 The density machinery (:func:`enumerate_tileable`, :func:`eps_dense` and
-:class:`DensityWitness`) works on tile vectors, not on their values.  The
-value of (p, q) is (A + B*sqrt(D)) / c over the common denominator c of
-alpha and beta, with A and B two integer dot products
+:class:`DensityWitness`) works on tile vectors, not on their values.  On
+the tile lattice that :class:`Params` holds, the value of (p, q) is
+(A + B*sqrt(D)) / c with A = ax*p + bx*q and B = ay*p + by*q
 (:meth:`Params.coords`): a difference is two integer subtractions, and
 an order is the exact sign of A + B*sqrt(D), decided by
 ``quadratic.sign_of`` from integer squares.  Runs are sorted by
@@ -29,8 +29,8 @@ and value(x) less the offsets' span between runs.  The constructor finds,
 once, which of these gaps reach eps; a window is then decided by a head
 and a tail test on the members :meth:`DensityWitness.values_in` finds
 within eps of its ends, and one bisect for the first wide gap after the
-window's first member.  ``values_in`` bisects the offsets on lattice
-coordinates too, in the first and the last run only.
+window's first member.  ``values_in`` bisects the offsets' lattice
+coordinates, which the witness keeps, in the first and the last run only.
 
 :func:`density_witness` searches for its anchor interval [A, A + x] by
 doubling A, and skips without enumerating every interval a tile count
@@ -43,8 +43,8 @@ times e/2 with x then rules an anchor out; every anchor it skips would
 have failed, so the family is the one the full search finds.
 
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
-and so does its lookup in the tileable table, keyed by
-``quadratic.lattice_keys``.
+and so does its lookup in the tileable table, which keeps its vectors'
+coordinates beside their ``quadratic.lattice_keys``.
 """
 
 from __future__ import annotations
@@ -66,10 +66,12 @@ class Params:
     """Tiling parameters: tile lengths alpha < beta and target ratio rho.
 
     alpha and beta must be rationally independent positive reals; rho is a
-    rational strictly inside (0, 1).
+    rational strictly inside (0, 1).  The tile lattice is public:
+    alpha = (ax + ay*sqrt(d))/c and beta = (bx + by*sqrt(d))/c over their
+    least common denominator c, as ``quadratic.lattice`` puts them.
     """
 
-    __slots__ = ("alpha", "beta", "rho", "d", "_coef")
+    __slots__ = ("alpha", "beta", "rho", "c", "d", "ax", "ay", "bx", "by")
 
     def __init__(self, alpha: QuadReal, beta: QuadReal, rho: Fraction):
         rho = Fraction(rho)
@@ -84,23 +86,19 @@ class Params:
         self.alpha = alpha
         self.beta = beta
         self.rho = rho
-        self.d = beta.d if beta.b else alpha.d
-        # alpha and beta over one common denominator c:
-        # p*alpha + q*beta == ((a1*p + a2*q) + (b1*p + b2*q)*sqrt(d)) / c
-        c = alpha.c * beta.c // math.gcd(alpha.c, beta.c)
-        ka, kb = c // alpha.c, c // beta.c
-        self._coef = (alpha.a * ka, beta.a * kb, alpha.b * ka, beta.b * kb, c)
+        self.c, self.d, [((self.ax, self.bx), (self.ay, self.by))] = lattice(
+            [alpha, beta])
 
     def value(self, p: int, q: int) -> QuadReal:
-        a1, a2, b1, b2, c = self._coef
-        return QuadReal._raw(a1 * p + a2 * q, b1 * p + b2 * q, c, self.d)
+        return QuadReal._raw(self.ax * p + self.bx * q,
+                             self.ay * p + self.by * q, self.c, self.d)
 
     def coords(self, vecs: Sequence[TileVector]) -> tuple[list[int], list[int]]:
         """Lattice coordinates (xs, ys) of tile vectors: the value of
-        vecs[i] is (xs[i] + ys[i]*sqrt(d)) / c, with c = ``_coef[4]``."""
-        a1, a2, b1, b2, _ = self._coef
-        return ([a1 * p + a2 * q for p, q in vecs],
-                [b1 * p + b2 * q for p, q in vecs])
+        vecs[i] is (xs[i] + ys[i]*sqrt(d)) / c."""
+        ax, ay, bx, by = self.ax, self.ay, self.bx, self.by
+        return ([ax * p + bx * q for p, q in vecs],
+                [ay * p + by * q for p, q in vecs])
 
     def __repr__(self):
         return f"Params(alpha={self.alpha}, beta={self.beta}, rho={self.rho})"
@@ -187,10 +185,10 @@ def enumerate_tileable(params: Params, lo: QuadReal,
         p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
         ps += range(p_lo, p_hi + 1)
         qs += repeat(q, p_hi + 1 - p_lo)  # none when p_hi < p_lo
-    a1, a2, b1, b2, _ = params._coef
+    ax, ay, bx, by = params.ax, params.ay, params.bx, params.by
     order = lattice_order(
-        list(map(add, map(mul, ps, repeat(a1)), map(mul, qs, repeat(a2)))),
-        list(map(add, map(mul, ps, repeat(b1)), map(mul, qs, repeat(b2)))), d)
+        list(map(add, map(mul, ps, repeat(ax)), map(mul, qs, repeat(bx)))),
+        list(map(add, map(mul, ps, repeat(ay)), map(mul, qs, repeat(by)))), d)
     # tuple.__new__ builds the named tuples without TileVector.__new__'s
     # Python frame
     return list(map(tuple.__new__, repeat(TileVector),
@@ -231,7 +229,7 @@ def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
         return DensityReport(True, None)  # no admissible x at all
     # member i is m*(xs[i] + ys[i]*sqrt(d))/c; lo is (lx + ly*sqrt(d))/c, ...
     xs, ys = params.coords(members)
-    m = c // params._coef[4]
+    m = c // params.c
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
     k = spread.bit_length() + quadratic.KEY_BITS
     s = math.isqrt(d << 2 * k)
@@ -316,7 +314,7 @@ class DensityWitness:
     constructor takes the n gaps' lattice coordinates in one pass: a
     negative one refuses the offsets, and the gaps that reach eps are
     kept, so :meth:`dense_in` decides a window from its slice's ends
-    alone.
+    alone.  ``xs, ys`` and ``ux, uy`` are the offsets' and base's coordinates.
     """
 
     def __init__(self, params: Params, band: FreqBand, eps: QuadReal,
@@ -326,12 +324,12 @@ class DensityWitness:
         # eps is (ex + ey*sqrt(d))/c, and a vector of lattice coordinates
         # (x, y) has the value m*(x + y*sqrt(d))/c
         c, d, [((ex,), (ey,)), _] = lattice([eps], [params.alpha, params.beta])
-        m = c // params._coef[4]
+        m = c // params.c
         xs, ys = params.coords(offsets)
-        (bx,), (by,) = params.coords([base])
+        (ux,), (uy,) = params.coords([base])
         n = len(offsets)
-        dxs = list(map(sub, xs[1:] + [xs[0] + bx], xs))
-        dys = list(map(sub, ys[1:] + [ys[0] + by], ys))
+        dxs = list(map(sub, xs[1:] + [xs[0] + ux], xs))
+        dys = list(map(sub, ys[1:] + [ys[0] + uy], ys))
         # the keys of eps_dense: a step is within spread of 2**k times a gap
         spread = max(map(abs, dys))
         k = spread.bit_length() + quadratic.KEY_BITS
@@ -354,6 +352,7 @@ class DensityWitness:
         self.eps = eps
         self.base = base
         self.offsets = offsets
+        self.xs, self.ys, self.ux, self.uy = xs, ys, ux, uy
         self.k_min = k_min
         self.threshold = self.member(k_min, 0).value(params)
 
@@ -365,36 +364,28 @@ class DensityWitness:
                     d: int) -> tuple[int, int]:
         """(start, stop): members start..stop - 1 are those with value in
         [lo, hi], for lo = (lx + ly*sqrt(d))/c, hi = (hx + hy*sqrt(d))/c
-        and c = m * ``params._coef[4]``.
+        and c = m * ``params.c``: offset i is m*(xs[i] + ys[i]*sqrt(d))/c.
 
         Run k has a member at or above lo from k = ceil((lo - s[n-1])/x)
         on, and one at or below hi up to k = floor((hi - s[0])/x).  Those
         two runs bisect their offsets; every run between lies inside.
         """
-        offsets, n = self.offsets, len(self.offsets)
-        a1, a2, b1, b2, _ = (m * v for v in self.params._coef)
-
-        def xy(v: TileVector) -> tuple[int, int]:
-            # the value of v is (x + y*sqrt(d))/c
-            p, q = v
-            return a1 * p + a2 * q, b1 * p + b2 * q
-
-        ux, uy = xy(self.base)
-        (fx, fy), (lastx, lasty) = xy(offsets[0]), xy(offsets[-1])
+        xs, ys, n = self.xs, self.ys, len(self.xs)
+        ux, uy = m * self.ux, m * self.uy
 
         def first_past(k: int, vx: int, vy: int, strict: bool) -> int:
             # the first member of run k above v = (vx + vy*sqrt(d))/c, or at
             # v unless strict: a sign of at least strict
             vx, vy = vx - k * ux, vy - k * uy
 
-            def past(s: TileVector) -> bool:
-                x, y = xy(s)
-                return sign_of(x - vx, y - vy, d) >= strict
-            return k * n + bisect_left(offsets, True, key=past)
+            def past(i: int) -> bool:
+                return sign_of(m * xs[i] - vx, m * ys[i] - vy, d) >= strict
+            return k * n + bisect_left(range(n), True, key=past)
 
-        k = max(self.k_min, -_floor_ratio(lastx - lx, lasty - ly, ux, uy, d))
+        k = max(self.k_min,
+                -_floor_ratio(m * xs[-1] - lx, m * ys[-1] - ly, ux, uy, d))
         start = first_past(k, lx, ly, False)
-        k = _floor_ratio(hx - fx, hy - fy, ux, uy, d)
+        k = _floor_ratio(hx - m * xs[0], hy - m * ys[0], ux, uy, d)
         return start, max(start, first_past(k, hx, hy, True))
 
     def values_in(self, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
@@ -404,8 +395,7 @@ class DensityWitness:
         params = self.params
         c, d, [((lx, hx), (ly, hy)), _] = lattice(
             [lo, hi], [params.alpha, params.beta])
-        start, stop = self._members_in(lx, ly, hx, hy,
-                                       c // params._coef[4], d)
+        start, stop = self._members_in(lx, ly, hx, hy, c // params.c, d)
         n = len(self.offsets)
         bp, bq = self.base
         # tuple.__new__ builds the named tuples without TileVector.__new__'s
@@ -439,7 +429,7 @@ class DensityWitness:
             raise ValueError("empty interval")
         if sign_of(hx - lx - ex, hy - ly - ey, d) < 0:
             return DensityReport(True, None)  # no admissible x at all
-        m = c // params._coef[4]
+        m = c // params.c
 
         def miss(x: int, y: int) -> DensityReport:
             """The report of a miss at (x + y*sqrt(d)) / (2*c)."""

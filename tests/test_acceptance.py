@@ -260,8 +260,7 @@ def test_08_block_structure():
 
 
 def test_09_class_preservation():
-    sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)],
-                           verify_windows=2)
+    sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)])
     count = 0
     for seed in range(10):
         rng = random.Random(seed)

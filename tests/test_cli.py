@@ -491,10 +491,14 @@ class TestCli:
         (["gen", "--kind", "rotation_suspension"],
          "--angle is missing: --kind rotation_suspension needs the rotation "
          "angle"),
+        (["gen", "--k0", "-5"],
+         "k0 must exceed -1 for uniform gaps to be positive, got -5"),
+        (["gen", "--kind", "sparse_geometric", "--k0", "0"],
+         "k0 must exceed 0 for sparse_geometric gaps to be positive, got 0"),
     ], ids=["gen_n_0", "gen_rational_angle", "tile_rho_0", "tile_rho_1",
             "tile_alpha_above_beta", "gen_angle_uniform", "gen_angle_sparse", "gen_ratio_uniform",
             "gen_seed_rotation", "gen_k0_seed_ratio_rotation",
-            "gen_angle_missing"])
+            "gen_angle_missing", "gen_k0_uniform", "gen_k0_sparse"])
     def test_out_of_range_value_is_usage_error(self, argv, message, tmp_path,
                                                capsys):
         out = str(tmp_path / "out.json")

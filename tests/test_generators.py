@@ -36,6 +36,23 @@ class TestSparseGeometric:
             generate(GeneratorSpec("sparse_geometric", count=10, ratio=1))
 
 
+class TestK0:
+    @pytest.mark.parametrize("kind,k0,least", [
+        ("uniform", quad(-5), -1), ("uniform", quad(-1), -1),
+        ("sparse_geometric", quad(0), 0), ("sparse_geometric", -sqrtD(), 0)])
+    def test_k0_that_can_draw_a_gap_of_at_most_0_rejected(self, kind, k0,
+                                                          least):
+        with pytest.raises(ValueError, match=f"^k0 must exceed {least} for "
+                           f"{kind} gaps to be positive, got "):
+            generate(GeneratorSpec(kind, count=10, k0=k0))
+
+    @pytest.mark.parametrize("kind,k0", [("uniform", quad(F(-63, 64))),
+                                         ("sparse_geometric", quad(F(1, 64)))])
+    def test_least_gaps_are_positive(self, kind, k0):
+        w = generate(GeneratorSpec(kind, count=400, seed=2, k0=k0))
+        assert min(w.gaps()) == quad(F(1, 64))
+
+
 class TestRotation:
     def test_three_distance_gap_structure(self):
         w = generate(GeneratorSpec("rotation_suspension", count=60,

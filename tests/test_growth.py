@@ -70,7 +70,7 @@ GROWTH_PARAMS = [
 
 @pytest.fixture(scope="module", params=GROWTH_PARAMS, ids=str)
 def schedule(request):
-    return build_schedule(request.param, depth=2, verify_windows=2)
+    return build_schedule(request.param, depth=2)
 
 
 def windows(schedule: Schedule) -> dict[str, OrbitWindow]:
@@ -103,8 +103,8 @@ def compare(w: OrbitWindow, schedule: Schedule, pairs: list[int]):
     """The plan and the notes of ``_pair_words`` equal the reference's,
     pair by pair, or both raise the same text; returns the plan."""
     params = schedule.params
-    got_t = TiledSection.from_window(params, w, schedule)
-    want_t = TiledSection.from_window(params, w, schedule)
+    got_t = TiledSection.from_window(params, w)
+    want_t = TiledSection.from_window(params, w)
     got = outcome(pipeline._pair_words, got_t, pairs, schedule)
     want = outcome(lambda: {i: _pair_word_reference(want_t, i, schedule)
                             for i in pairs})
@@ -149,8 +149,7 @@ def test_grown_section_matches_reference(schedule, kind, monkeypatch):
 
 @pytest.fixture(scope="module")
 def schedule_rho17():
-    return build_schedule(Params(quad(1), sqrtD(), F(1, 7)), depth=2,
-                          verify_windows=2)
+    return build_schedule(Params(quad(1), sqrtD(), F(1, 7)), depth=2)
 
 
 def test_repeated_band_misses_note_once(schedule_rho17, monkeypatch):
@@ -170,7 +169,7 @@ def test_repeated_band_misses_note_once(schedule_rho17, monkeypatch):
     assert plan[3] == plan[0]
     # one lookup per distinct gap: 9 and 6
     assert len(calls) == 2
-    t = TiledSection.from_window(schedule_rho17.params, w, schedule_rho17)
+    t = TiledSection.from_window(schedule_rho17.params, w)
     pipeline._pair_words(t, list(range(6)), schedule_rho17)
     assert t.notes == [BAND_MISSED]
 

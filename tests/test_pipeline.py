@@ -14,12 +14,13 @@ from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (BAND_MISSED, FINITE_CLASSES, FULLY_REGULAR,
                                HALF_TILED, PartitionWitness, RunScan,
                                Schedule, TiledSection, TilingError,
-                               WitnessError,
+                               WitnessError, attach_witnesses,
                                build_rank_blocks, build_schedule,
                                check_section, classify_section,
                                full_pipeline, sparse_tile,
                                verify_uniform_frequency)
-from flowtile.quadratic import on_lattice, parse_quadreal, qmin, quad, sqrtD
+from flowtile.quadratic import (QuadReal, lattice, on_lattice,
+                                parse_quadreal, qmin, quad, sqrtD)
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             default_params, enumerate_tileable)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
@@ -105,7 +106,7 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Schedule(P, 2, K, [])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_schedule(P, depth=2, k_seq=K, verify_windows=1)
+            build_schedule(P, depth=2, k_seq=K)
 
     def test_derived_constants_follow_k(self, schedule2):
         s = Schedule(P, 2, schedule2.K, [])
@@ -126,20 +127,17 @@ class TestSchedule:
             build_schedule(P, depth=depth)
 
     def test_supplied_k_seq_verified(self):
-        s = build_schedule(P, depth=1, k_seq=[quad(7), quad(11)],
-                           verify_windows=2)
+        s = build_schedule(P, depth=1, k_seq=[quad(7), quad(11)])
         assert [str(k) for k in s.K] == ["7", "11"]
         with pytest.raises(ValueError):
-            build_schedule(P, depth=1, k_seq=[quad(1), quad(5)],
-                           verify_windows=1)
+            build_schedule(P, depth=1, k_seq=[quad(1), quad(5)])
 
     def test_supplied_k0_meets_the_search_density(self):
         # the K-search skips K_0 = 6: its stage-1 corridor [4, 14] is not
         # 2*eps_1-dense, and a supplied K_0 passes the same test
-        assert build_schedule(P, depth=1, verify_windows=1).K[0] == quad(7)
+        assert build_schedule(P, depth=1).K[0] == quad(7)
         with pytest.raises(ValueError, match="K_0 fails the stage-1"):
-            build_schedule(P, depth=1, k_seq=[quad(6), quad(11)],
-                           verify_windows=1)
+            build_schedule(P, depth=1, k_seq=[quad(6), quad(11)])
 
     def test_witnesses_cover_all_stages(self, schedule4):
         stages = {n for n, _, _ in schedule4.witnesses}
@@ -157,7 +155,7 @@ TABLE_PARAMS = [
 class TestTileableTable:
     @pytest.mark.parametrize("params", TABLE_PARAMS)
     def test_lookup_matches_enumeration(self, params):
-        sched = build_schedule(params, depth=2, verify_windows=1)
+        sched = build_schedule(params, depth=2)
         top = sched.K[2] + 1
         assert sched.table.top == top
         for bits in (0, 32):
@@ -172,6 +170,19 @@ class TestTileableTable:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(quadratic, "KEY_BITS", query_bits)
                     self.check_lookups(params, table)
+
+    @pytest.mark.parametrize("params", TABLE_PARAMS)
+    def test_params_and_table_hold_one_lattice(self, params):
+        # Params holds alpha and beta as quadratic.lattice puts them, and
+        # the table keeps exactly the coordinates of its vectors there
+        c, d, [(xs, ys)] = lattice([params.alpha, params.beta])
+        assert (params.c, params.d) == (c, d)
+        assert (params.ax, params.bx, params.ay, params.by) == (*xs, *ys)
+        table = pipeline.TileableTable(params, quad(30, 0, params.d))
+        assert len(table.vectors) > 30
+        assert (table.xs, table.ys) == params.coords(table.vectors)
+        assert [QuadReal._raw(x, y, c, d) for x, y in zip(table.xs, table.ys)] \
+            == [v.value(params) for v in table.vectors]
 
     @staticmethod
     def check_lookups(params, table):
@@ -228,23 +239,25 @@ class TestTileableTable:
 
 class TestShiftBound:
     @staticmethod
-    def two_points(schedule, gap):
-        t = TiledSection(P, [quad(0), gap], [None], [0, 0], [0, 1], schedule)
+    def two_points(gap):
+        t = TiledSection(P, [quad(0), gap], [None], [0, 0], [0, 1])
         t.origin_pos = {0: quad(0), 1: gap}
         return t
 
     def test_carry_reaching_eps_raises(self, schedule2):
         # six alpha tiles on a gap of 6 - eps_1 carry point 1 by exactly eps_1
-        t = self.two_points(schedule2, 6 - schedule2.eps[1])
+        t = self.two_points(6 - schedule2.eps[1])
         with pytest.raises(TilingError, match="exceeds its bound"):
-            pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
+            pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1,
+                                     schedule2.eps[1])
 
     def test_shift_error_text(self, schedule2):
         # the carry, on the lattice of the section and eps_1, comes back as
         # one exact value; the point keeps its rank until promotion
-        t = self.two_points(schedule2, 6 - schedule2.eps[1] * 2)
+        t = self.two_points(6 - schedule2.eps[1] * 2)
         with pytest.raises(TilingError) as err:
-            pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
+            pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1,
+                                     schedule2.eps[1])
         assert str(err.value) == ("shift 1/3 at point 1 (rank 0) exceeds "
                                   "its bound 1/6")
         # the section is left as it was
@@ -252,8 +265,8 @@ class TestShiftBound:
         assert t.letters == [None]
 
     def test_carry_below_eps_passes(self, schedule2):
-        t = self.two_points(schedule2, 6 - schedule2.eps[1] + F(1, 1000))
-        pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1)
+        t = self.two_points(6 - schedule2.eps[1] + F(1, 1000))
+        pipeline._apply_gap_plan(t, {0: TileVector(6, 0)}, 1, schedule2.eps[1])
         assert t.letters == ["a"] * 6
         assert abs(t.displacements()[1]) < schedule2.eps[1]
 
@@ -400,14 +413,12 @@ class TestSparseTile:
 
     def test_idempotent_on_regular_section(self, schedule2):
         t = section_from_letters("abab")
-        t.schedule = schedule2
         before = list(t.positions)
         out = sparse_tile(t, schedule2)
         assert out.positions == before
 
     def test_multiscale_window_class_preservation(self):
-        sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)],
-                               verify_windows=2)
+        sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)])
         rng = random.Random(6)
         pos = [quad(0)]
         for _ in range(30):
@@ -427,8 +438,7 @@ class TestSparseTile:
     def test_one_class_signature_per_stage_boundary(self, monkeypatch):
         # stage 2 starts from stage 1's closing signature less K_1, so the
         # section's classes are not computed twice between the stages
-        sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)],
-                               verify_windows=2)
+        sched = build_schedule(P, depth=2, k_seq=[quad(7), quad(11), quad(25)])
         rng = random.Random(0)
         pos = [quad(0)]
         for _ in range(24):
@@ -461,8 +471,8 @@ class TestFullPipeline:
         from flowtile.tiles import Params
         p1 = Params(quad(1), sqrtD(), F(1, 3))
         p2 = Params(quad(1), sqrtD(), F(2, 3))
-        s1 = build_schedule(p1, depth=1, verify_windows=2)
-        s2 = build_schedule(p2, depth=1, verify_windows=2)
+        s1 = build_schedule(p1, depth=1)
+        s2 = build_schedule(p2, depth=1)
         w1 = generate(GeneratorSpec("uniform", count=150, seed=8, k0=s1.K[0]))
         w2 = generate(GeneratorSpec("uniform", count=150, seed=8, k0=s2.K[0]))
         t1 = full_pipeline(w1, s1, seed=8)
@@ -711,7 +721,7 @@ COORD_PARAMS = SCHEDULE_PARAMS + [
 
 @functools.lru_cache(maxsize=None)
 def coord_schedule(k: int) -> Schedule:
-    return build_schedule(COORD_PARAMS[k], depth=2, verify_windows=1)
+    return build_schedule(COORD_PARAMS[k], depth=2)
 
 
 @st.composite
@@ -753,12 +763,12 @@ class TestCoordinates:
     def test_constructors_agree(self, case):
         sched, w = case
         params = sched.params
-        t = TiledSection.from_window(params, w, sched)
+        t = TiledSection.from_window(params, w)
         assert t.positions == list(w.positions)
         u = TiledSection(params, w.positions, t.letters, t.ranks, t.orig_ids)
         assert (u.c, u.d, u.xs, u.ys) == (t.c, t.d, t.xs, t.ys)
         # alpha and beta lie on the section's lattice
-        assert params._coef[4] * (t.c // params._coef[4]) == t.c
+        assert t.c % params.c == 0
         try:
             t = sparse_tile(t, sched)
         except TilingError:
@@ -840,6 +850,20 @@ class TestSectionJson:
         # ranks are not stored
         assert t2.ranks == [0] * len(t.positions)
 
+    def test_read_back_section_gets_the_same_witnesses(self, schedule4):
+        # a section holds no schedule: the one it was tiled under certifies
+        # it again after a round trip through its file
+        w = generate(GeneratorSpec("uniform", count=300, seed=5,
+                                   k0=schedule4.K[0]))
+        t = full_pipeline(w, schedule4, seed=5)
+        assert len(t.witnesses) == schedule4.depth
+        back = TiledSection.from_json(json.loads(json.dumps(t.to_json())))
+        assert not hasattr(back, "schedule")
+        back.witnesses = []
+        attach_witnesses(back, schedule4)
+        assert back.witnesses == t.witnesses
+        check_section(back)
+
     def test_untiled_gap_is_not_written(self):
         t = TiledSection.from_window(P, OrbitWindow([quad(0), quad(9)]))
         with pytest.raises(ValueError, match="gap 0 is untiled"):
@@ -855,7 +879,7 @@ class TestPipelineBoundaries:
                                    "positions": ["0", "9"]})
 
     def test_insufficient_depth_flagged(self):
-        sched = build_schedule(P, depth=1, verify_windows=2)
+        sched = build_schedule(P, depth=1)
         # a gap far above K_1 stays untiled and gets flagged
         w = OrbitWindow([quad(0), quad(9), quad(500), quad(509)])
         t = sparse_tile(w, sched)
@@ -868,7 +892,7 @@ class TestParameterRegimes:
         from flowtile.quadratic import sqrtD
         from flowtile.tiles import Params
         p3 = Params(quad(1, 0, 3), sqrtD(3), F(1, 2))
-        s3 = build_schedule(p3, depth=2, verify_windows=2)
+        s3 = build_schedule(p3, depth=2)
         w = generate(GeneratorSpec("uniform", count=120, seed=1, k0=s3.K[0]))
         t = full_pipeline(w, s3, seed=1)
         assert t.is_fully_regular()
@@ -877,7 +901,7 @@ class TestParameterRegimes:
     def test_irrational_short_tile(self):
         from flowtile.tiles import Params
         p = Params(sqrtD(), quad(2), F(2, 5))
-        s = build_schedule(p, depth=2, verify_windows=2)
+        s = build_schedule(p, depth=2)
         w = generate(GeneratorSpec("uniform", count=120, seed=2, k0=s.K[0]))
         t = full_pipeline(w, s, seed=2)
         assert t.is_fully_regular()
@@ -890,7 +914,7 @@ class TestParameterRegimes:
     def test_skewed_rho(self):
         from flowtile.tiles import Params
         p = Params(quad(1), sqrtD(), F(1, 5))
-        s = build_schedule(p, depth=2, verify_windows=2)
+        s = build_schedule(p, depth=2)
         w = generate(GeneratorSpec("uniform", count=200, seed=5, k0=s.K[0]))
         t = full_pipeline(w, s, seed=5)
         assert t.is_fully_regular()

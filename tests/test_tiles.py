@@ -430,6 +430,13 @@ class TestDensityWitness:
         hi = lo + beta * 20
         assert eps_dense(P, wit.values_in(lo, hi), lo, hi, beta).ok
 
+    @pytest.mark.parametrize("params", [P, Params(quad(-1, 1, 3),
+                                                  quad(3, 0, 3), F(2, 5))])
+    def test_keeps_the_coordinates_of_its_offsets_and_base(self, params):
+        wit = density_witness(params, quad(F(1, 2)), FreqBand(F(1, 3), F(1, 2)))
+        assert (wit.xs, wit.ys) == params.coords(wit.offsets)
+        assert ([wit.ux], [wit.uy]) == params.coords([wit.base])
+
     def test_zero_width_band_rejected(self):
         with pytest.raises(ValueError):
             density_witness(P, quad(1), FreqBand(F(1, 2), F(1, 2)))
