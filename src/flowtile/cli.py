@@ -5,7 +5,9 @@ every number in the canonical exact text form; decimal approximations
 are printed with a leading "~" and never read back.  Every input file is
 read by ``_read_json``, which rejects an object that repeats a key.
 Exit status: 0 success, 1 verification failure, 2 usage error.  A
-failure is one ``verification failure:`` line on stderr.
+failure is one ``verification failure:`` line on stderr.  A path that
+cannot be opened, and an input file that is not UTF-8 JSON text, are
+usage errors.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -75,7 +77,7 @@ def _read_json(path: str):
     """The JSON document stored at path.  An object that repeats a key
     raises ValueError naming the key: ``json.load`` alone would keep the
     last value and hide the first."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 
@@ -265,7 +267,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as e:
+    # a path that cannot be opened, or a file that is not UTF-8 JSON text
+    except (UsageError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, TilingError, WitnessError) as e:

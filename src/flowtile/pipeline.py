@@ -10,7 +10,8 @@ Two cooperating constructions, driven by one :class:`Schedule`:
 * gap finishing (:func:`sparse_tile`): within each chain class, walk the
   untiled gaps left to right, steering each onto a nearby tileable value
   while the running deviation stays inside the stage corridor, then tile
-  with evenly mixed words.
+  with evenly mixed words.  Each distinct corridor of a stage is looked
+  up once, and the carry walk stops only where the carry changes.
 
 :func:`full_pipeline` composes them: grow blocks, classify what remains,
 finish every class, and attach partition witnesses certifying the uniform
@@ -523,9 +524,11 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     against ``bound``, the schedule's eps[stage], before promotion.
 
     The walk runs on the section's coordinates, over a denominator that
-    also holds the bound (``quadratic.on_lattice``).  The carry is
-    constant from one planned or bare gap to the next, so it is checked
-    once per such stretch, at its first point.  The new gaps are the
+    also holds the bound (``quadratic.on_lattice``).  The carry changes
+    only at a planned gap and at a bare gap reached with a nonzero carry,
+    so the walk stops there and at the last point, and checks the carry
+    once per stretch between stops, at its first point.  A bare gap reached
+    with zero carry is copied with its stretch.  The new gaps are the
     lettered gaps, the letters of the planned words and the bare gaps less
     the carry they absorb; their running sums from the first point, which
     never moves, are the section's new coordinates.
@@ -549,14 +552,20 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     new_orig: list[Optional[int]] = []
     planned_letter_idx: list[int] = []
     last = len(xs) - 1
-    # the carry changes only at a planned or a bare gap
+    # the carry changes only at a planned gap and at a bare gap, which
+    # absorbs it; a bare gap reached with zero carry is passed over and
+    # copied with the stretch that ends at the next stop
     stops = sorted({g for g in plan if g < last}.union(
         compress(count(), map(is_, letters, repeat(None)))))
     stops.append(last)
     cx = cy = 0  # the carry
     start = 0
     for g in stops:
-        # points start..g move by the carry; gaps start..g-1 are lettered
+        vec = plan.get(g)
+        if vec is None and not (cx or cy) and g < last:
+            continue
+        # points start..g move by the carry; gaps start..g-1 are lettered,
+        # or bare with no carry to absorb
         # |carry| < bound: bound - carry > 0 and bound + carry > 0
         if (cx or cy) and (sign_of(ex - cx, ey - cy, d) <= 0
                            or sign_of(ex + cx, ey + cy, d) <= 0):
@@ -570,8 +579,7 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
         new_orig += orig[start:g + 1]
         if g == last:
             break
-        if g in plan:
-            vec = plan[g]
+        if vec is not None:
             p, q = vec
             cx += p * ax + q * bx - gxs[g]
             cy += p * ay + q * by - gys[g]
@@ -819,7 +827,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     denominator c that also holds the stage constants
     (``quadratic.on_lattice``), and the table is looked up with
     them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
-    an error text.
+    an error text.  Within one call c and the corridor width 2*eps_n are
+    fixed, so a corridor's low end names it: each distinct corridor is
+    looked up once, and its answer is kept in a dict that ends with the
+    call.  A corridor holding a single tileable plans it without a choice.
     """
     params = t.params
     letters = t.letters
@@ -842,6 +853,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     stops = [g for g in range(n_gaps) if letters[g] is None or above[g]]
     stops.append(n_gaps)
     plan: dict[int, TileVector] = {}
+    # the table's answer for each corridor read so far, by its low end, as
+    # a tuple: holding lists made the cyclic collector run far more often
+    corridors: dict[tuple[int, int], tuple[TileVector, ...]] = {}
+    wx, wy = 2 * ex, 2 * ey  # corridor width
     start = 0  # first point of the current class
     cx = cy = 0  # carry
     vp = vq = 0  # letters of the vectors planned in this class
@@ -850,22 +865,27 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
             start = g + 1
             cx = cy = vp = vq = 0
             continue
-        # the class's letters up to the end of the block right of gap g
-        e = stops[s_i + 1]
-        peek = TileVector(count_a[e] - count_a[start] + vp,
-                          count_b[e] - count_b[start] + vq)
-        lx, ly = gxs[g] - cx - ex, gys[g] - cy - ey
-        hx, hy = gxs[g] - cx + ex, gys[g] - cy + ey
-        try:
-            cands = inside(lx, ly, hx, hy, c)
-        except TilingError as err:
-            raise TilingError(f"stage {stage}, gap {g}: {err}") from None
-        vec = _choose_gap_word(cands, peek, rho)
+        low = lx, ly = gxs[g] - cx - ex, gys[g] - cy - ey
+        cands = corridors.get(low)
+        if cands is None:
+            try:
+                cands = tuple(inside(lx, ly, lx + wx, ly + wy, c))
+            except TilingError as err:
+                raise TilingError(f"stage {stage}, gap {g}: {err}") from None
+            corridors[low] = cands
+        if len(cands) == 1:
+            vec = cands[0]
+        else:
+            # the class's letters up to the end of the block right of gap g
+            e = stops[s_i + 1]
+            peek = TileVector(count_a[e] - count_a[start] + vp,
+                              count_b[e] - count_b[start] + vq)
+            vec = _choose_gap_word(cands, peek, rho)
         if vec is None:
             raise TilingError(f"stage {stage}: no tileable in the corridor "
                               f"of gap {g} (window "
                               f"({QuadReal._raw(lx, ly, c, d)}, "
-                              f"{QuadReal._raw(hx, hy, c, d)}))")
+                              f"{QuadReal._raw(lx + wx, ly + wy, c, d)}))")
         plan[g] = vec
         p, q = vec
         cx += p * ax + q * bx - gxs[g]
@@ -875,7 +895,7 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     return plan
 
 
-def _choose_gap_word(cands: list[TileVector], running: TileVector,
+def _choose_gap_word(cands: Sequence[TileVector], running: TileVector,
                      rho: Fraction) -> Optional[TileVector]:
     """The candidate that best steers the running counts toward rho.
 
@@ -950,9 +970,11 @@ def full_pipeline(w: OrbitWindow, schedule: Schedule,
     """Grow blocks, classify, finish, certify.
 
     The result is fully regular on the window interior; every original
-    point's total displacement stays strictly under min(alpha, 1)/3, and
-    partition witnesses for every level up to the schedule depth are
-    attached; :func:`check_section` checks all of it before returning.
+    point's total displacement stays strictly under min(alpha, 1)/3.
+    Partition witnesses are attached from level 1 up, for as many levels
+    as the section reaches (:func:`attach_witnesses` stops at the first it
+    cannot meet, so a rotation section may carry none);
+    :func:`check_section` checks all of it before returning.
     """
     t = build_rank_blocks(w, schedule, seed=seed)
     cls = classify_section(t)

@@ -148,6 +148,29 @@ class TestCli:
                     "--out", str(tmp_path / "t.json")]) == 2
         assert run(["gen", "--kind", "bogus", "--out", "x.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{dir}"],
+        ["tile", "--in", "{dir}", "--out", "t.json"],
+        ["loe", "--a", "{dir}", "--b", "{dir}", "--out", "m.json"],
+        ["plot", "{dir}", "--svg", "s.svg"],
+        ["gen", "--out", "{dir}"],
+        ["verify", "{bytes}"],
+        ["tile", "--in", "{bytes}", "--out", "t.json"],
+    ], ids=["verify-dir", "tile-in-dir", "loe-dir", "plot-dir", "gen-out-dir",
+            "verify-not-utf8", "tile-not-utf8"])
+    def test_unreadable_path_is_usage_error(self, argv, tmp_path, monkeypatch,
+                                            capsys):
+        # a directory cannot be opened as a file; 0xff starts no UTF-8 text
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "b.json").write_bytes(b'\xff{"boundary": "open"}')
+        argv = [a.format(dir="d", bytes="b.json") for a in argv]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.json").exists()
+
     def test_subcommands_are_the_artifact_path(self, capsys):
         assert run(["--help"]) == 0
         assert "{gen,tile,verify,loe,plot}" in capsys.readouterr().out

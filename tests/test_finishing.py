@@ -6,15 +6,19 @@ oracles (renamed, and calling each other), except that each reads the
 section's ``positions`` view once and ``_apply_gap_plan_reference``
 stores its result with ``set_positions``; ``between_reference`` is the
 table's former bisection over its ``QuadReal`` values.  Plans, sections,
-notes and error texts must be equal.
+notes and error texts must be equal.  Near the end, the lattice planner
+and carry walk from before the per-corridor lookup are kept the same way.
 """
 
 import copy
+import json
 import random
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import accumulate, compress, count, islice, repeat
+from operator import eq, gt, is_, sub
 from typing import Optional
 from unittest import mock
 
@@ -24,10 +28,12 @@ from hypothesis import strategies as st
 
 from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
-from flowtile.pipeline import (Schedule, TiledSection, TilingError,
-                               WitnessError, build_rank_blocks, build_schedule,
-                               check_section, full_pipeline)
-from flowtile.quadratic import QuadReal, lattice, qmin, quad, sqrtD
+from flowtile.pipeline import (Schedule, TileableTable, TiledSection,
+                               TilingError, WitnessError, _choose_gap_word,
+                               _promote_runs, build_rank_blocks,
+                               build_schedule, check_section, full_pipeline)
+from flowtile.quadratic import (QuadReal, lattice, on_lattice, qmin, quad,
+                                sign_of, sqrtD)
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             balanced_word, default_params)
 from flowtile.windows import ChainClasses, OrbitWindow, chain_classes
@@ -641,3 +647,395 @@ class TestRegularRuns:
                          letters, [0] * n, list(range(n)))
         assert t.regular_runs() == regular_runs_reference(t)
         assert t.is_fully_regular() == is_fully_regular_reference(t)
+
+
+# -- one lookup per corridor, one stop per carry change -----------------------
+#
+# The two functions below are the planner and the carry walk as they were
+# before the planner looked each distinct corridor up once and took a lone
+# candidate without a choice, and before the walk copied a bare gap reached
+# with zero carry along with its stretch.  They are kept verbatim as
+# oracles, renamed.  Plans, sections and error texts must be equal.
+
+
+def _finish_stage_plan_lattice_reference(
+        t: TiledSection, schedule: Schedule,
+        stage: int) -> dict[int, TileVector]:
+    """Greedy gap steering for one stage, class by class.
+
+    Within a class the running carry (sum of value changes so far) stays
+    strictly inside the stage corridor; each gap's candidate tileables are
+    read from the corridor-shifted window, preferring the frequency side
+    that rebalances the class mix including the next block.
+
+    Gaps, carry and corridors are the section's coordinates over a
+    denominator c that also holds the stage constants
+    (``quadratic.on_lattice``), and the table is looked up with
+    them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
+    an error text.
+    """
+    params = t.params
+    letters = t.letters
+    # eps_s, K_n, alpha and beta are (ex, ey), (kx, ky), (ax, ay), (bx, by)
+    c, d, xs, ys, [((ex, kx, ax, bx), (ey, ky, ay, by))] = on_lattice(
+        t.c, t.d, t.xs, t.ys,
+        [schedule.eps[stage], schedule.K[stage], params.alpha, params.beta])
+    inside = schedule.table.inside
+    rho = params.rho
+    n_gaps = len(xs) - 1
+    gxs = list(map(sub, islice(xs, 1, None), xs))
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    # gap g above K_n ends a chain class; no other gap can
+    above = list(map(gt, map(sign_of, map(sub, gxs, repeat(kx)),
+                             map(sub, gys, repeat(ky)), repeat(d)), repeat(0)))
+    # count_a[g], count_b[g]: the letters before gap g
+    count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+    count_b = list(accumulate(map(eq, letters, repeat("b")), initial=0))
+    # the gaps the walk stops at: bare gaps and class ends
+    stops = [g for g in range(n_gaps) if letters[g] is None or above[g]]
+    stops.append(n_gaps)
+    plan: dict[int, TileVector] = {}
+    start = 0  # first point of the current class
+    cx = cy = 0  # carry
+    vp = vq = 0  # letters of the vectors planned in this class
+    for s_i, g in enumerate(stops[:-1]):
+        if above[g]:
+            start = g + 1
+            cx = cy = vp = vq = 0
+            continue
+        # the class's letters up to the end of the block right of gap g
+        e = stops[s_i + 1]
+        peek = TileVector(count_a[e] - count_a[start] + vp,
+                          count_b[e] - count_b[start] + vq)
+        lx, ly = gxs[g] - cx - ex, gys[g] - cy - ey
+        hx, hy = gxs[g] - cx + ex, gys[g] - cy + ey
+        try:
+            cands = inside(lx, ly, hx, hy, c)
+        except TilingError as err:
+            raise TilingError(f"stage {stage}, gap {g}: {err}") from None
+        vec = _choose_gap_word(cands, peek, rho)
+        if vec is None:
+            raise TilingError(f"stage {stage}: no tileable in the corridor "
+                              f"of gap {g} (window "
+                              f"({QuadReal._raw(lx, ly, c, d)}, "
+                              f"{QuadReal._raw(hx, hy, c, d)}))")
+        plan[g] = vec
+        p, q = vec
+        cx += p * ax + q * bx - gxs[g]
+        cy += p * ay + q * by - gys[g]
+        vp += p
+        vq += q
+    return plan
+
+
+def _apply_gap_plan_lattice_reference(t: TiledSection,
+                                      plan: dict[int, TileVector],
+                                      stage: int, bound: QuadReal):
+    """Retile the planned gaps and propagate the induced shifts.
+
+    Walking left to right, a running carry holds the displacement of the
+    current point: a planned gap adds (new value - old gap) to it, a
+    lettered gap transports it rigidly (blocks move as one), and a bare
+    unplanned gap absorbs it back to zero.  Every shifted point is checked
+    against ``bound``, the schedule's eps[stage], before promotion.
+
+    The walk runs on the section's coordinates, over a denominator that
+    also holds the bound (``quadratic.on_lattice``).  The carry is
+    constant from one planned or bare gap to the next, so it is checked
+    once per such stretch, at its first point.  The new gaps are the
+    lettered gaps, the letters of the planned words and the bare gaps less
+    the carry they absorb; their running sums from the first point, which
+    never moves, are the section's new coordinates.
+    """
+    params = t.params
+    letters = t.letters
+    ranks, orig = t.ranks, t.orig_ids
+    # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
+    c, d, xs, ys, [((ex, ax, bx), (ey, ay, by))] = on_lattice(
+        t.c, t.d, t.xs, t.ys, [bound, params.alpha, params.beta])
+    step_x = {"a": ax, "b": bx}.__getitem__
+    step_y = {"a": ay, "b": by}.__getitem__
+    words: dict[TileVector, tuple] = {}  # vector: letters and their steps
+    gxs = list(map(sub, islice(xs, 1, None), xs))
+    gys = list(map(sub, islice(ys, 1, None), ys))
+    x0, y0 = xs[0], ys[0]
+    new_gx: list[int] = []
+    new_gy: list[int] = []
+    new_letters: list[Optional[str]] = []
+    new_ranks: list[int] = []
+    new_orig: list[Optional[int]] = []
+    planned_letter_idx: list[int] = []
+    last = len(xs) - 1
+    # the carry changes only at a planned or a bare gap
+    stops = sorted({g for g in plan if g < last}.union(
+        compress(count(), map(is_, letters, repeat(None)))))
+    stops.append(last)
+    cx = cy = 0  # the carry
+    start = 0
+    for g in stops:
+        # points start..g move by the carry; gaps start..g-1 are lettered
+        # |carry| < bound: bound - carry > 0 and bound + carry > 0
+        if (cx or cy) and (sign_of(ex - cx, ey - cy, d) <= 0
+                           or sign_of(ex + cx, ey + cy, d) <= 0):
+            raise TilingError(
+                f"shift {QuadReal._raw(cx, cy, c, d)} at point {start} "
+                f"(rank {ranks[start]}) exceeds its bound {bound}")
+        new_gx += gxs[start:g]
+        new_gy += gys[start:g]
+        new_letters += letters[start:g]
+        new_ranks += ranks[start:g + 1]
+        new_orig += orig[start:g + 1]
+        if g == last:
+            break
+        if g in plan:
+            vec = plan[g]
+            p, q = vec
+            cx += p * ax + q * bx - gxs[g]
+            cy += p * ay + q * by - gys[g]
+            if vec not in words:
+                word = balanced_word(vec)
+                words[vec] = (word, tuple(map(step_x, word)),
+                              tuple(map(step_y, word)))
+            word, steps_x, steps_y = words[vec]
+            planned_letter_idx.append(len(new_letters))
+            new_gx += steps_x
+            new_gy += steps_y
+            new_letters += word
+            new_ranks += repeat(stage, len(word) - 1)
+            new_orig += repeat(None, len(word) - 1)
+        else:
+            new_gx.append(gxs[g] - cx)
+            new_gy.append(gys[g] - cy)
+            new_letters.append(None)
+            cx = cy = 0
+        start = g + 1
+    t.c = c
+    t.xs = list(accumulate(new_gx, initial=x0))
+    t.ys = list(accumulate(new_gy, initial=y0))
+    t.letters = new_letters
+    t.ranks = new_ranks
+    t.orig_ids = new_orig
+    _promote_runs(t, planned_letter_idx, stage)
+
+
+def lattice_state(t: TiledSection):
+    return (t.c, t.xs, t.ys, t.letters, t.ranks, t.orig_ids)
+
+
+def short_table(schedule: Schedule) -> Schedule:
+    """The schedule with a table that stops at K_1 + 1, so that a later
+    stage reads corridors above its top."""
+    short = copy.copy(schedule)
+    short.table = TileableTable(schedule.params, schedule.K[1] + 1)
+    return short
+
+
+def section_of_gaps(schedule: Schedule, gaps) -> TiledSection:
+    """A bare section of original points with the given gaps."""
+    pos = [quad(0, 0, schedule.params.d)]
+    for g in gaps:
+        pos.append(pos[-1] + g)
+    n = len(pos)
+    t = TiledSection(schedule.params, pos, [None] * (n - 1), [0] * n,
+                     list(range(n)))
+    t.origin_pos = dict(enumerate(pos))
+    return t
+
+
+# D in {2, 3}, alpha rational or irrational, rho 1/2 or 1/7
+MEMO_REGIMES = {
+    f"d{d}_{kind}_rho{rho.denominator}": Params(alpha, beta, rho)
+    for d in (2, 3)
+    for kind, alpha, beta in (("alpha1", quad(1, 0, d), sqrtD(d)),
+                              ("alpha_irrational", sqrtD(d) - 1,
+                               quad(1, 0, d)))
+    for rho in (F(1, 2), F(1, 7))
+}
+
+
+@lru_cache(maxsize=None)
+def memo_schedule(name: str, depth: int) -> Schedule:
+    return build_schedule(MEMO_REGIMES[name], depth=depth)
+
+
+@st.composite
+def staged_sections(draw):
+    """A depth-2 or depth-3 schedule and a bare or grown section of a
+    uniform or rotation window whose gaps reach every stage."""
+    name = draw(st.sampled_from(sorted(MEMO_REGIMES)))
+    sched = memo_schedule(name, draw(st.sampled_from([2, 3])))
+    d = sched.params.d
+    count = draw(st.integers(2, 80))
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        # uniform blocks of gaps in [k0 + 1, k0 + 2], around K_m: a stage
+        # finishes some blocks and leaves the others bare
+        gaps = []
+        for block in range(draw(st.integers(1, 4))):
+            m = draw(st.integers(0, sched.depth))
+            k0 = sched.K[m] - F(draw(st.integers(2, 8)), 4)
+            gaps += generate(GeneratorSpec("uniform", count, seed + block,
+                                           k0=k0)).gaps()
+        w = OrbitWindow(list(accumulate(gaps, initial=quad(0, 0, d))))
+    else:
+        # gaps floor(1/angle) and one more, stretched by scale
+        num = draw(st.integers(1, 255))
+        angle = quad(F(draw(st.integers(64, 255)), 256), F(num, 256), d)
+        angle = angle - angle.floor()
+        if not quad(F(1, 8), 0, d) < angle:
+            angle = angle + F(1, 4)
+        w = generate(GeneratorSpec("rotation_suspension", count, angle=angle))
+        scale = draw(st.integers(1, 8))
+        w = OrbitWindow([p * scale for p in w.positions])
+    t = TiledSection.from_window(sched.params, w)
+    if draw(st.booleans()):
+        grown = outcome(build_rank_blocks, w, sched, seed)
+        if grown[0] == "ok":
+            t = grown[1]
+    return sched, t
+
+
+class TestCorridorMemoMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(staged_sections(), st.booleans())
+    def test_plans_and_sections_equal(self, case, short):
+        # with a short table, a later stage reads corridors above its top
+        sched, t = case
+        if short:
+            sched = short_table(sched)
+        for stage in range(1, sched.depth + 1):
+            plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
+            assert plan == outcome(_finish_stage_plan_lattice_reference, t,
+                                   sched, stage)
+            if plan[0] != "ok":
+                return
+            ref = copy.copy(t)
+            bound = sched.eps[stage]
+            applied = outcome(pipeline._apply_gap_plan, t, plan[1], stage,
+                              bound)
+            assert applied == outcome(_apply_gap_plan_lattice_reference, ref,
+                                      plan[1], stage, bound)
+            if applied[0] != "ok":
+                return
+            assert lattice_state(t) == lattice_state(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(staged_sections(), st.randoms(use_true_random=False))
+    def test_edited_plans_apply_alike(self, case, rng):
+        # a dropped entry leaves a bare gap that absorbs the carry, or finds
+        # none to absorb; a bumped entry moves its points past the bound
+        sched, t = case
+        stage = rng.randint(1, sched.depth)
+        kind, plan = outcome(_finish_stage_plan_lattice_reference, t, sched,
+                             stage)
+        edited = {}
+        for g, (p, q) in (plan.items() if kind == "ok" else ()):
+            r = rng.random()
+            if r < 0.3:
+                continue
+            if r < 0.35:
+                p += 1
+            elif r < 0.4:
+                q += 1
+            edited[g] = TileVector(p, q)
+        ref = copy.copy(t)
+        bound = sched.eps[stage]
+        got = outcome(pipeline._apply_gap_plan, t, edited, stage, bound)
+        assert got == outcome(_apply_gap_plan_lattice_reference, ref, edited,
+                              stage, bound)
+        if got[0] == "ok":
+            assert lattice_state(t) == lattice_state(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 60),
+           st.integers(0, 60), st.sampled_from([F(1, 2), F(1, 7), F(2, 5)]))
+    def test_single_candidate_is_its_own_best(self, p, q, rp, rq, rho):
+        v = TileVector(p, q) if p or q else TileVector(1, 0)
+        assert pipeline._choose_gap_word([v], TileVector(rp, rq), rho) is v
+
+
+class TestCorridorMemoFailures:
+    def test_corridor_above_the_table_top(self, schedule2):
+        # gap K_2 at stage 2, after two looked-up corridors of the same gap
+        k1, k2 = schedule2.K[1], schedule2.K[2]
+        t = section_of_gaps(schedule2, [k1, k1, k2, k1, k2])
+        short = short_table(schedule2)
+        got = outcome(pipeline._finish_stage_plan, t, short, 2)
+        assert got == outcome(_finish_stage_plan_lattice_reference, t, short,
+                              2)
+        assert got[0] == "TilingError"
+        assert got[1].startswith("stage 2, gap 2: corridor (")
+        assert got[1].endswith(f"reaches above the tileable table's top "
+                               f"{short.table.top}")
+
+    def test_empty_corridor_after_memo_hits(self, schedule2):
+        t = section_of_gaps(schedule2, [quad(7), quad(7), quad(F(1, 2)),
+                                        quad(7), quad(F(1, 2))])
+        got = outcome(pipeline._finish_stage_plan, t, schedule2, 1)
+        assert got == outcome(_finish_stage_plan_lattice_reference, t,
+                              schedule2, 1)
+        assert got[0] == "TilingError"
+        assert got[1].startswith("stage 1: no tileable in the corridor of "
+                                 "gap 2 (window (")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shift_over_its_bound_after_skipped_gaps(self, schedule2, sign):
+        # gaps 0 and 1 are bare and unplanned with zero carry; the shift
+        # of gap 2's word is checked at point 3, as before
+        eps = schedule2.eps[1]
+        gaps = [quad(30), quad(30), 6 - eps * sign, quad(30)]
+        plan = {2: TileVector(6, 0)}
+        texts = []
+        for apply in (pipeline._apply_gap_plan,
+                      _apply_gap_plan_lattice_reference):
+            texts.append(outcome(apply, section_of_gaps(schedule2, gaps),
+                                 plan, 1, eps))
+        assert texts[0] == texts[1]
+        assert texts[0] == ("TilingError", f"shift {eps * sign} at point 3 "
+                            f"(rank 0) exceeds its bound {eps}")
+
+    @pytest.mark.parametrize("carry", ["rational", "irrational"])
+    def test_absorbed_carry_then_skipped_gaps(self, schedule2, carry):
+        # a carry inside the bound, eps_1/2 or sqrt(2)/10 with no rational
+        # part, is absorbed by gap 1; gaps 3 and 4 are bare with zero carry
+        # and copied as they are
+        eps = schedule2.eps[1]
+        shift = eps / 2 if carry == "rational" else quad(0, F(1, 10))
+        assert shift < eps
+        gaps = [6 - shift, quad(30), quad(7), quad(30), quad(30), quad(7)]
+        plan = {0: TileVector(6, 0), 2: TileVector(7, 0), 5: TileVector(7, 0)}
+        t = section_of_gaps(schedule2, gaps)
+        ref = section_of_gaps(schedule2, gaps)
+        pipeline._apply_gap_plan(t, plan, 1, eps)
+        _apply_gap_plan_lattice_reference(ref, plan, 1, eps)
+        assert lattice_state(t) == lattice_state(ref)
+        # point 2 stays where it was
+        assert t.positions[7] == 6 - shift + 30
+
+
+class TestNoLookupStateOutlivesACall:
+    def test_table_unchanged_and_first_window_repeats(self, schedule4):
+        table = schedule4.table
+        assert TileableTable.__slots__ == ("params", "top", "vectors", "xs",
+                                           "ys", "bits", "keys")
+        before = {name: copy.copy(getattr(table, name))
+                  for name in ("vectors", "xs", "ys", "bits", "keys")}
+        params, top = table.params, table.top
+        d = schedule4.params.d
+        windows = [generate(GeneratorSpec("uniform", 300, s,
+                                          k0=schedule4.K[0]))
+                   for s in range(3)]
+        windows.append(generate(GeneratorSpec(
+            "rotation_suspension", 300, angle=quad(F(1, 3), F(1, 7), d))))
+
+        def tiled(w):
+            t = full_pipeline(w, schedule4)
+            return json.dumps(t.to_json()), t.ranks, t.notes
+
+        first = tiled(windows[0])
+        for w in windows[1:]:
+            tiled(w)
+        assert table.params is params and table.top is top
+        for name, value in before.items():
+            assert getattr(table, name) == value, name
+        assert tiled(windows[0]) == first
