@@ -7,7 +7,7 @@ read by ``_read_json``, which rejects an object that repeats a key.
 Exit status: 0 success, 1 verification failure, 2 usage error.  A
 failure is one ``verification failure:`` line on stderr.  A path that
 cannot be opened, and an input file that is not UTF-8 JSON text, are
-usage errors.
+usage errors; an error while an opened file is read or written is not.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -77,13 +77,22 @@ def _read_json(path: str):
     """The JSON document stored at path.  An object that repeats a key
     raises ValueError naming the key: ``json.load`` alone would keep the
     last value and hide the first."""
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _write_json(path: str, data: dict):
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump(data, fh, indent=1)
+
+
+def _open(path: str, mode: str = "r"):
+    """path opened as UTF-8 text.  A path that cannot be opened is a usage
+    error; an error while reading or writing the open file is not."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as e:
+        raise UsageError(str(e)) from None
 
 
 def _load_schedule(args) -> Schedule:
@@ -199,7 +208,7 @@ def cmd_loe(args) -> int:
 
 def cmd_plot(args) -> int:
     svg = section_svg(_read_section(args.infile))
-    with open(args.svg, "w") as fh:
+    with _open(args.svg, "w") as fh:
         fh.write(svg)
     print(f"wrote {args.svg}")
     return 0
@@ -267,9 +276,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    # a path that cannot be opened, or a file that is not UTF-8 JSON text
-    except (UsageError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as e:
+    # a file that is not UTF-8 JSON text
+    except (UsageError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, TilingError, WitnessError) as e:

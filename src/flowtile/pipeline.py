@@ -528,10 +528,11 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     only at a planned gap and at a bare gap reached with a nonzero carry,
     so the walk stops there and at the last point, and checks the carry
     once per stretch between stops, at its first point.  A bare gap reached
-    with zero carry is copied with its stretch.  The new gaps are the
-    lettered gaps, the letters of the planned words and the bare gaps less
-    the carry they absorb; their running sums from the first point, which
-    never moves, are the section's new coordinates.
+    with zero carry is copied with its stretch; block growth plans one gap
+    in several, so most of its bare gaps are copied that way.  The new
+    gaps are the lettered gaps, the letters of the planned words and the
+    bare gaps less the carry they absorb; their running sums from the
+    first point, which never moves, are the section's new coordinates.
     """
     params = t.params
     letters = t.letters

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 
@@ -170,6 +171,15 @@ class TestCli:
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "t.json").exists()
+
+    def test_write_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # a disk that fills while the output is written is no fault of the
+        # command line: the error propagates
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cli.json, "dump", full)
+        with pytest.raises(OSError, match="No space left"):
+            run(["gen", "--out", str(tmp_path / "w.json")])
 
     def test_subcommands_are_the_artifact_path(self, capsys):
         assert run(["--help"]) == 0

@@ -6,8 +6,7 @@ oracles (renamed, and calling each other), except that each reads the
 section's ``positions`` view once and ``_apply_gap_plan_reference``
 stores its result with ``set_positions``; ``between_reference`` is the
 table's former bisection over its ``QuadReal`` values.  Plans, sections,
-notes and error texts must be equal.  Near the end, the lattice planner
-and carry walk from before the per-corridor lookup are kept the same way.
+notes and error texts must be equal.
 """
 
 import copy
@@ -17,8 +16,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import accumulate, compress, count, islice, repeat
-from operator import eq, gt, is_, sub
+from itertools import accumulate
 from typing import Optional
 from unittest import mock
 
@@ -29,11 +27,9 @@ from hypothesis import strategies as st
 from flowtile import pipeline
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (Schedule, TileableTable, TiledSection,
-                               TilingError, WitnessError, _choose_gap_word,
-                               _promote_runs, build_rank_blocks,
+                               TilingError, WitnessError, build_rank_blocks,
                                build_schedule, check_section, full_pipeline)
-from flowtile.quadratic import (QuadReal, lattice, on_lattice, qmin, quad,
-                                sign_of, sqrtD)
+from flowtile.quadratic import QuadReal, lattice, qmin, quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             balanced_word, default_params)
 from flowtile.windows import ChainClasses, OrbitWindow, chain_classes
@@ -649,185 +645,25 @@ class TestRegularRuns:
         assert t.is_fully_regular() == is_fully_regular_reference(t)
 
 
-# -- one lookup per corridor, one stop per carry change -----------------------
+# -- more inputs for the planner and the carry walk ---------------------------
 #
-# The two functions below are the planner and the carry walk as they were
-# before the planner looked each distinct corridor up once and took a lone
-# candidate without a choice, and before the walk copied a bare gap reached
-# with zero carry along with its stretch.  They are kept verbatim as
-# oracles, renamed.  Plans, sections and error texts must be equal.
+# Windows of several uniform blocks around different thresholds K_m, and
+# stretched rotation windows, at depth 2 or 3 over D in {2, 3}; with a
+# table cut short, later corridors reach above its top.  The planner keeps
+# what the table returned for each distinct corridor during one call, and
+# the carry walk passes over a bare gap reached with zero carry: both are
+# compared with the oracles above.
 
 
-def _finish_stage_plan_lattice_reference(
-        t: TiledSection, schedule: Schedule,
-        stage: int) -> dict[int, TileVector]:
-    """Greedy gap steering for one stage, class by class.
-
-    Within a class the running carry (sum of value changes so far) stays
-    strictly inside the stage corridor; each gap's candidate tileables are
-    read from the corridor-shifted window, preferring the frequency side
-    that rebalances the class mix including the next block.
-
-    Gaps, carry and corridors are the section's coordinates over a
-    denominator c that also holds the stage constants
-    (``quadratic.on_lattice``), and the table is looked up with
-    them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
-    an error text.
-    """
-    params = t.params
-    letters = t.letters
-    # eps_s, K_n, alpha and beta are (ex, ey), (kx, ky), (ax, ay), (bx, by)
-    c, d, xs, ys, [((ex, kx, ax, bx), (ey, ky, ay, by))] = on_lattice(
-        t.c, t.d, t.xs, t.ys,
-        [schedule.eps[stage], schedule.K[stage], params.alpha, params.beta])
-    inside = schedule.table.inside
-    rho = params.rho
-    n_gaps = len(xs) - 1
-    gxs = list(map(sub, islice(xs, 1, None), xs))
-    gys = list(map(sub, islice(ys, 1, None), ys))
-    # gap g above K_n ends a chain class; no other gap can
-    above = list(map(gt, map(sign_of, map(sub, gxs, repeat(kx)),
-                             map(sub, gys, repeat(ky)), repeat(d)), repeat(0)))
-    # count_a[g], count_b[g]: the letters before gap g
-    count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
-    count_b = list(accumulate(map(eq, letters, repeat("b")), initial=0))
-    # the gaps the walk stops at: bare gaps and class ends
-    stops = [g for g in range(n_gaps) if letters[g] is None or above[g]]
-    stops.append(n_gaps)
-    plan: dict[int, TileVector] = {}
-    start = 0  # first point of the current class
-    cx = cy = 0  # carry
-    vp = vq = 0  # letters of the vectors planned in this class
-    for s_i, g in enumerate(stops[:-1]):
-        if above[g]:
-            start = g + 1
-            cx = cy = vp = vq = 0
-            continue
-        # the class's letters up to the end of the block right of gap g
-        e = stops[s_i + 1]
-        peek = TileVector(count_a[e] - count_a[start] + vp,
-                          count_b[e] - count_b[start] + vq)
-        lx, ly = gxs[g] - cx - ex, gys[g] - cy - ey
-        hx, hy = gxs[g] - cx + ex, gys[g] - cy + ey
-        try:
-            cands = inside(lx, ly, hx, hy, c)
-        except TilingError as err:
-            raise TilingError(f"stage {stage}, gap {g}: {err}") from None
-        vec = _choose_gap_word(cands, peek, rho)
-        if vec is None:
-            raise TilingError(f"stage {stage}: no tileable in the corridor "
-                              f"of gap {g} (window "
-                              f"({QuadReal._raw(lx, ly, c, d)}, "
-                              f"{QuadReal._raw(hx, hy, c, d)}))")
-        plan[g] = vec
-        p, q = vec
-        cx += p * ax + q * bx - gxs[g]
-        cy += p * ay + q * by - gys[g]
-        vp += p
-        vq += q
-    return plan
-
-
-def _apply_gap_plan_lattice_reference(t: TiledSection,
-                                      plan: dict[int, TileVector],
-                                      stage: int, bound: QuadReal):
-    """Retile the planned gaps and propagate the induced shifts.
-
-    Walking left to right, a running carry holds the displacement of the
-    current point: a planned gap adds (new value - old gap) to it, a
-    lettered gap transports it rigidly (blocks move as one), and a bare
-    unplanned gap absorbs it back to zero.  Every shifted point is checked
-    against ``bound``, the schedule's eps[stage], before promotion.
-
-    The walk runs on the section's coordinates, over a denominator that
-    also holds the bound (``quadratic.on_lattice``).  The carry is
-    constant from one planned or bare gap to the next, so it is checked
-    once per such stretch, at its first point.  The new gaps are the
-    lettered gaps, the letters of the planned words and the bare gaps less
-    the carry they absorb; their running sums from the first point, which
-    never moves, are the section's new coordinates.
-    """
-    params = t.params
-    letters = t.letters
-    ranks, orig = t.ranks, t.orig_ids
-    # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
-    c, d, xs, ys, [((ex, ax, bx), (ey, ay, by))] = on_lattice(
-        t.c, t.d, t.xs, t.ys, [bound, params.alpha, params.beta])
-    step_x = {"a": ax, "b": bx}.__getitem__
-    step_y = {"a": ay, "b": by}.__getitem__
-    words: dict[TileVector, tuple] = {}  # vector: letters and their steps
-    gxs = list(map(sub, islice(xs, 1, None), xs))
-    gys = list(map(sub, islice(ys, 1, None), ys))
-    x0, y0 = xs[0], ys[0]
-    new_gx: list[int] = []
-    new_gy: list[int] = []
-    new_letters: list[Optional[str]] = []
-    new_ranks: list[int] = []
-    new_orig: list[Optional[int]] = []
-    planned_letter_idx: list[int] = []
-    last = len(xs) - 1
-    # the carry changes only at a planned or a bare gap
-    stops = sorted({g for g in plan if g < last}.union(
-        compress(count(), map(is_, letters, repeat(None)))))
-    stops.append(last)
-    cx = cy = 0  # the carry
-    start = 0
-    for g in stops:
-        # points start..g move by the carry; gaps start..g-1 are lettered
-        # |carry| < bound: bound - carry > 0 and bound + carry > 0
-        if (cx or cy) and (sign_of(ex - cx, ey - cy, d) <= 0
-                           or sign_of(ex + cx, ey + cy, d) <= 0):
-            raise TilingError(
-                f"shift {QuadReal._raw(cx, cy, c, d)} at point {start} "
-                f"(rank {ranks[start]}) exceeds its bound {bound}")
-        new_gx += gxs[start:g]
-        new_gy += gys[start:g]
-        new_letters += letters[start:g]
-        new_ranks += ranks[start:g + 1]
-        new_orig += orig[start:g + 1]
-        if g == last:
-            break
-        if g in plan:
-            vec = plan[g]
-            p, q = vec
-            cx += p * ax + q * bx - gxs[g]
-            cy += p * ay + q * by - gys[g]
-            if vec not in words:
-                word = balanced_word(vec)
-                words[vec] = (word, tuple(map(step_x, word)),
-                              tuple(map(step_y, word)))
-            word, steps_x, steps_y = words[vec]
-            planned_letter_idx.append(len(new_letters))
-            new_gx += steps_x
-            new_gy += steps_y
-            new_letters += word
-            new_ranks += repeat(stage, len(word) - 1)
-            new_orig += repeat(None, len(word) - 1)
-        else:
-            new_gx.append(gxs[g] - cx)
-            new_gy.append(gys[g] - cy)
-            new_letters.append(None)
-            cx = cy = 0
-        start = g + 1
-    t.c = c
-    t.xs = list(accumulate(new_gx, initial=x0))
-    t.ys = list(accumulate(new_gy, initial=y0))
-    t.letters = new_letters
-    t.ranks = new_ranks
-    t.orig_ids = new_orig
-    _promote_runs(t, planned_letter_idx, stage)
-
-
-def lattice_state(t: TiledSection):
-    return (t.c, t.xs, t.ys, t.letters, t.ranks, t.orig_ids)
-
-
-def short_table(schedule: Schedule) -> Schedule:
-    """The schedule with a table that stops at K_1 + 1, so that a later
-    stage reads corridors above its top."""
-    short = copy.copy(schedule)
-    short.table = TileableTable(schedule.params, schedule.K[1] + 1)
-    return short
+@lru_cache(maxsize=None)
+def memo_schedule(name: str, depth: int, short: bool = False) -> Schedule:
+    """The schedule; if short, with a table that stops at K_1 + 1, so that
+    a later stage reads corridors above its top."""
+    sched = build_schedule(MEMO_REGIMES[name], depth=depth)
+    if short:
+        sched = copy.copy(sched)
+        sched.table = TileableTable(sched.params, sched.K[1] + 1)
+    return sched
 
 
 def section_of_gaps(schedule: Schedule, gaps) -> TiledSection:
@@ -853,17 +689,14 @@ MEMO_REGIMES = {
 }
 
 
-@lru_cache(maxsize=None)
-def memo_schedule(name: str, depth: int) -> Schedule:
-    return build_schedule(MEMO_REGIMES[name], depth=depth)
-
-
 @st.composite
 def staged_sections(draw):
-    """A depth-2 or depth-3 schedule and a bare or grown section of a
-    uniform or rotation window whose gaps reach every stage."""
+    """A depth-2 or depth-3 schedule, its table cut short or not, and a
+    bare or grown section of a uniform or rotation window whose gaps reach
+    every stage."""
     name = draw(st.sampled_from(sorted(MEMO_REGIMES)))
-    sched = memo_schedule(name, draw(st.sampled_from([2, 3])))
+    depth = draw(st.sampled_from([2, 3]))
+    sched = memo_schedule(name, depth)
     d = sched.params.d
     count = draw(st.integers(2, 80))
     seed = draw(st.integers(0, 2 ** 16))
@@ -892,42 +725,38 @@ def staged_sections(draw):
         grown = outcome(build_rank_blocks, w, sched, seed)
         if grown[0] == "ok":
             t = grown[1]
-    return sched, t
+    return memo_schedule(name, depth, draw(st.booleans())), t
 
 
-class TestCorridorMemoMatchesReference:
-    @settings(max_examples=150, deadline=None)
-    @given(staged_sections(), st.booleans())
-    def test_plans_and_sections_equal(self, case, short):
-        # with a short table, a later stage reads corridors above its top
+class TestMoreInputsMatchReference:
+    @settings(max_examples=100, deadline=None)
+    @given(staged_sections())
+    def test_plans_and_sections_equal(self, case):
         sched, t = case
-        if short:
-            sched = short_table(sched)
         for stage in range(1, sched.depth + 1):
             plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
-            assert plan == outcome(_finish_stage_plan_lattice_reference, t,
-                                   sched, stage)
+            assert plan == outcome(_finish_stage_plan_reference, t, sched,
+                                   stage)
             if plan[0] != "ok":
                 return
             ref = copy.copy(t)
             bound = sched.eps[stage]
             applied = outcome(pipeline._apply_gap_plan, t, plan[1], stage,
                               bound)
-            assert applied == outcome(_apply_gap_plan_lattice_reference, ref,
-                                      plan[1], stage, bound)
+            assert applied == outcome(_apply_gap_plan_reference, ref, plan[1],
+                                      stage, bound)
             if applied[0] != "ok":
                 return
-            assert lattice_state(t) == lattice_state(ref)
+            assert section_state(t) == section_state(ref)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(staged_sections(), st.randoms(use_true_random=False))
     def test_edited_plans_apply_alike(self, case, rng):
         # a dropped entry leaves a bare gap that absorbs the carry, or finds
         # none to absorb; a bumped entry moves its points past the bound
         sched, t = case
         stage = rng.randint(1, sched.depth)
-        kind, plan = outcome(_finish_stage_plan_lattice_reference, t, sched,
-                             stage)
+        kind, plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
         edited = {}
         for g, (p, q) in (plan.items() if kind == "ok" else ()):
             r = rng.random()
@@ -941,10 +770,10 @@ class TestCorridorMemoMatchesReference:
         ref = copy.copy(t)
         bound = sched.eps[stage]
         got = outcome(pipeline._apply_gap_plan, t, edited, stage, bound)
-        assert got == outcome(_apply_gap_plan_lattice_reference, ref, edited,
-                              stage, bound)
+        assert got == outcome(_apply_gap_plan_reference, ref, edited, stage,
+                              bound)
         if got[0] == "ok":
-            assert lattice_state(t) == lattice_state(ref)
+            assert section_state(t) == section_state(ref)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 60),
@@ -954,40 +783,38 @@ class TestCorridorMemoMatchesReference:
         assert pipeline._choose_gap_word([v], TileVector(rp, rq), rho) is v
 
 
-class TestCorridorMemoFailures:
-    def test_corridor_above_the_table_top(self, schedule2):
+class TestRepeatedCorridorFailures:
+    def test_corridor_above_the_table_top(self):
         # gap K_2 at stage 2, after two looked-up corridors of the same gap
-        k1, k2 = schedule2.K[1], schedule2.K[2]
-        t = section_of_gaps(schedule2, [k1, k1, k2, k1, k2])
-        short = short_table(schedule2)
+        short = memo_schedule("d2_alpha1_rho2", 2, short=True)
+        k1, k2 = short.K[1], short.K[2]
+        t = section_of_gaps(short, [k1, k1, k2, k1, k2])
         got = outcome(pipeline._finish_stage_plan, t, short, 2)
-        assert got == outcome(_finish_stage_plan_lattice_reference, t, short,
-                              2)
+        assert got == outcome(_finish_stage_plan_reference, t, short, 2)
         assert got[0] == "TilingError"
         assert got[1].startswith("stage 2, gap 2: corridor (")
         assert got[1].endswith(f"reaches above the tileable table's top "
                                f"{short.table.top}")
 
-    def test_empty_corridor_after_memo_hits(self, schedule2):
+    def test_empty_corridor_after_repeated_corridors(self, schedule2):
         t = section_of_gaps(schedule2, [quad(7), quad(7), quad(F(1, 2)),
                                         quad(7), quad(F(1, 2))])
         got = outcome(pipeline._finish_stage_plan, t, schedule2, 1)
-        assert got == outcome(_finish_stage_plan_lattice_reference, t,
-                              schedule2, 1)
+        assert got == outcome(_finish_stage_plan_reference, t, schedule2, 1)
         assert got[0] == "TilingError"
         assert got[1].startswith("stage 1: no tileable in the corridor of "
                                  "gap 2 (window (")
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_shift_over_its_bound_after_skipped_gaps(self, schedule2, sign):
+    def test_shift_over_its_bound_after_carry_free_gaps(self, schedule2,
+                                                        sign):
         # gaps 0 and 1 are bare and unplanned with zero carry; the shift
-        # of gap 2's word is checked at point 3, as before
+        # of gap 2's word is checked at point 3
         eps = schedule2.eps[1]
         gaps = [quad(30), quad(30), 6 - eps * sign, quad(30)]
         plan = {2: TileVector(6, 0)}
         texts = []
-        for apply in (pipeline._apply_gap_plan,
-                      _apply_gap_plan_lattice_reference):
+        for apply in (pipeline._apply_gap_plan, _apply_gap_plan_reference):
             texts.append(outcome(apply, section_of_gaps(schedule2, gaps),
                                  plan, 1, eps))
         assert texts[0] == texts[1]
@@ -995,7 +822,7 @@ class TestCorridorMemoFailures:
                             f"(rank 0) exceeds its bound {eps}")
 
     @pytest.mark.parametrize("carry", ["rational", "irrational"])
-    def test_absorbed_carry_then_skipped_gaps(self, schedule2, carry):
+    def test_absorbed_carry_then_carry_free_gaps(self, schedule2, carry):
         # a carry inside the bound, eps_1/2 or sqrt(2)/10 with no rational
         # part, is absorbed by gap 1; gaps 3 and 4 are bare with zero carry
         # and copied as they are
@@ -1007,8 +834,8 @@ class TestCorridorMemoFailures:
         t = section_of_gaps(schedule2, gaps)
         ref = section_of_gaps(schedule2, gaps)
         pipeline._apply_gap_plan(t, plan, 1, eps)
-        _apply_gap_plan_lattice_reference(ref, plan, 1, eps)
-        assert lattice_state(t) == lattice_state(ref)
+        _apply_gap_plan_reference(ref, plan, 1, eps)
+        assert section_state(t) == section_state(ref)
         # point 2 stays where it was
         assert t.positions[7] == 6 - shift + 30
 
