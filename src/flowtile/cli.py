@@ -7,7 +7,8 @@ read by ``_read_json``, which rejects an object that repeats a key.
 Exit status: 0 success, 1 verification failure, 2 usage error.  A
 failure is one ``verification failure:`` line on stderr.  A path that
 cannot be opened, and an input file that is not UTF-8 JSON text, are
-usage errors; an error while an opened file is read or written is not.
+usage errors whose line names the path; an error while an opened file
+is read or written is not.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -53,10 +54,10 @@ def _literal(parse, flag: str, text: str):
 
 
 def _params(args) -> Params:
-    alpha = (_literal(parse_quadreal, "--alpha", args.alpha) if args.alpha
-             else quad(1))
-    beta = (_literal(parse_quadreal, "--beta", args.beta) if args.beta
-            else quad(0, 1))
+    alpha = (quad(1) if args.alpha is None
+             else _literal(parse_quadreal, "--alpha", args.alpha))
+    beta = (quad(0, 1) if args.beta is None
+            else _literal(parse_quadreal, "--beta", args.beta))
     rho = (Fraction(1, 2) if args.rho is None
            else _literal(Fraction, "--rho", args.rho))
     try:
@@ -74,11 +75,15 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _read_json(path: str):
-    """The JSON document stored at path.  An object that repeats a key
+    """The JSON document stored at path.  A file that is not UTF-8 JSON
+    text is a usage error naming the path.  An object that repeats a key
     raises ValueError naming the key: ``json.load`` alone would keep the
     last value and hide the first."""
     with _open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise UsageError(f"{path}: {e}") from None
 
 
 def _write_json(path: str, data: dict):
@@ -276,8 +281,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    # a file that is not UTF-8 JSON text
-    except (UsageError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, TilingError, WitnessError) as e:

@@ -157,20 +157,37 @@ class TestCli:
         ["gen", "--out", "{dir}"],
         ["verify", "{bytes}"],
         ["tile", "--in", "{bytes}", "--out", "t.json"],
+        ["verify", "{cut}"],
+        ["loe", "--a", "{good}", "--b", "{bytes}", "--out", "m.json"],
+        ["loe", "--a", "{good}", "--b", "{cut}", "--out", "m.json"],
     ], ids=["verify-dir", "tile-in-dir", "loe-dir", "plot-dir", "gen-out-dir",
-            "verify-not-utf8", "tile-not-utf8"])
+            "verify-not-utf8", "tile-not-utf8", "verify-truncated",
+            "loe-b-not-utf8", "loe-b-truncated"])
     def test_unreadable_path_is_usage_error(self, argv, tmp_path, monkeypatch,
                                             capsys):
-        # a directory cannot be opened as a file; 0xff starts no UTF-8 text
+        # a directory cannot be opened as a file; 0xff starts no UTF-8 text;
+        # c.json stops inside its object; g.json is a tiled section
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         (tmp_path / "b.json").write_bytes(b'\xff{"boundary": "open"}')
-        argv = [a.format(dir="d", bytes="b.json") for a in argv]
+        (tmp_path / "c.json").write_text('{"positions": ["0",\n')
+        if "{good}" in argv:
+            assert run(["gen", "--n", "20", "--out", "w.json"]) == 0
+            assert run(["tile", "--in", "w.json", "--out", "g.json"]) == 0
+            capsys.readouterr()
+        bad = {"{dir}": "'d'", "{bytes}": "b.json: ", "{cut}": "c.json: "}
+        named = [bad[a] for a in argv if a in bad]
+        argv = [a.format(dir="d", bytes="b.json", cut="c.json", good="g.json")
+                for a in argv]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "t.json").exists()
+        assert not (tmp_path / "m.json").exists()
+        # the line names the file that failed, and no other
+        assert named and all(name in captured.err for name in named)
+        assert "g.json" not in captured.err
 
     def test_write_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
         # a disk that fills while the output is written is no fault of the
@@ -191,7 +208,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["gen", "--k0", "foo", "--out", "out.json"],
         ["--rho", "abc", "tile", "--in", "w.json", "--out", "t.json"],
-    ], ids=["k", "rho"])
+        ["--alpha", "", "tile", "--in", "w.json", "--out", "t.json"],
+        ["--beta", "", "tile", "--in", "w.json", "--out", "t.json"],
+    ], ids=["k", "rho", "alpha-empty", "beta-empty"])
     def test_malformed_literal_is_usage_error(self, argv, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,23 +1,21 @@
-"""Finishing, the table lookup, chain classes and the displacement check on
-lattice coordinates, against the ``QuadReal`` code they replaced.
+"""Finishing, the table lookup and the displacement check, against the
+``QuadReal`` code they replaced.
 
-The ``*_reference`` functions below are that code, kept verbatim as
-oracles (renamed, and calling each other), except that each reads the
-section's ``positions`` view once and ``_apply_gap_plan_reference``
-stores its result with ``set_positions``; ``between_reference`` is the
-table's former bisection over its ``QuadReal`` values.  Plans, sections,
-notes and error texts must be equal.
+That code is kept in ``tests/oracles.py`` as the oracle of each function:
+``_finish_stage_plan_reference``, ``_apply_gap_plan_reference`` and what
+they call, ``between_reference`` (the table's former bisection over its
+``QuadReal`` values) and ``check_displacements_reference``; whole runs
+also patch in ``chain_classes_reference``.  Plans, sections, notes and
+error texts must be equal.
 """
 
 import copy
 import json
 import random
-from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
 from unittest import mock
 
 import pytest
@@ -29,244 +27,13 @@ from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (Schedule, TileableTable, TiledSection,
                                TilingError, WitnessError, build_rank_blocks,
                                build_schedule, check_section, full_pipeline)
-from flowtile.quadratic import QuadReal, lattice, qmin, quad, sqrtD
-from flowtile.tiles import (Params, TileVector, alpha_frequency,
-                            balanced_word, default_params)
-from flowtile.windows import ChainClasses, OrbitWindow, chain_classes
-
-# -- the replaced code --------------------------------------------------------
-
-
-def regular_runs_reference(self) -> list[tuple[int, int]]:
-    """Maximal point-index runs [i, j] joined by lettered gaps."""
-    runs = []
-    i = 0
-    npts = len(self.positions)
-    while i < npts:
-        j = i
-        while j < npts - 1 and self.letters[j] is not None:
-            j += 1
-        runs.append((i, j))
-        i = j + 1
-    return runs
-
-
-def is_fully_regular_reference(self) -> bool:
-    return all(ch is not None for ch in self.letters)
-
-
-def _apply_gap_plan_reference(t: TiledSection, plan: dict[int, TileVector],
-                              stage: int, bound: QuadReal):
-    """Retile the planned gaps and propagate the induced shifts.
-
-    Walking left to right, a running carry holds the displacement of the
-    current point: a planned gap adds (new value - old gap) to it, a
-    lettered gap transports it rigidly (blocks move as one), and a bare
-    unplanned gap absorbs it back to zero.  Every shifted point is checked
-    against the stage bound eps[stage] before promotion.
-    """
-    params = t.params
-    zero = quad(0, 0, params.d)
-    new_pos: list[QuadReal] = []
-    new_letters: list[Optional[str]] = []
-    new_ranks: list[int] = []
-    new_orig: list[Optional[int]] = []
-    planned_letter_idx: list[int] = []
-    carry = zero
-    positions = t.positions
-    npts = len(positions)
-    for i in range(npts):
-        pos = positions[i] + carry
-        if not carry.is_zero() and not abs(carry) < bound:
-            raise TilingError(
-                f"shift {carry} at point {i} (rank {t.ranks[i]}) exceeds "
-                f"its bound {bound}")
-        new_pos.append(pos)
-        new_ranks.append(t.ranks[i])
-        new_orig.append(t.orig_ids[i])
-        if i == npts - 1:
-            break
-        if i in plan:
-            vec = plan[i]
-            d_old = positions[i + 1] - positions[i]
-            carry = carry + (vec.value(params) - d_old)
-            word = balanced_word(vec)
-            planned_letter_idx.append(len(new_letters))
-            run = pos
-            for ch in word[:-1]:
-                run = run + (params.alpha if ch == "a" else params.beta)
-                new_letters.append(ch)
-                new_pos.append(run)
-                new_ranks.append(stage)
-                new_orig.append(None)
-            new_letters.append(word[-1])
-        else:
-            new_letters.append(t.letters[i])
-            if t.letters[i] is None:
-                carry = zero
-    set_positions(t, new_pos)
-    t.letters = new_letters
-    t.ranks = new_ranks
-    t.orig_ids = new_orig
-    _promote_runs_reference(t, planned_letter_idx, stage)
-
-
-def set_positions(t: TiledSection, positions: list[QuadReal]):
-    """Store positions in t as the section holds them: lattice
-    coordinates, with alpha and beta on the same lattice."""
-    t.c, t.d, [(t.xs, t.ys), _] = lattice(positions,
-                                          [t.params.alpha, t.params.beta])
-
-
-def _promote_runs_reference(t: TiledSection, marks: list[int], stage: int):
-    """Raise to `stage` the ranks of every regular run that swallowed a
-    planned gap.  marks, the planned gaps' letter indices, increase
-    strictly, so run [i, j] holds one exactly when bisection separates i
-    from j."""
-    for i, j in regular_runs_reference(t):
-        if bisect_left(marks, i) < bisect_left(marks, j):
-            for k in range(i, j + 1):
-                t.ranks[k] = max(t.ranks[k], stage)
-
-
-def _finish_stage_plan_reference(t: TiledSection, schedule: Schedule,
-                                 stage: int) -> dict[int, TileVector]:
-    """Greedy gap steering for one stage, class by class.
-
-    Within a class the running carry (sum of value changes so far) stays
-    strictly inside the stage corridor; each gap's candidate tileables are
-    read from the corridor-shifted window, preferring the frequency side
-    that rebalances the class mix including the next block.
-    """
-    params = t.params
-    rho = params.rho
-    eps_s = schedule.eps[stage]
-    k_n = schedule.K[stage]
-    zero = quad(0, 0, params.d)
-    plan: dict[int, TileVector] = {}
-    positions = t.positions
-    npts = len(positions)
-    i = 0
-    while i < npts - 1:
-        # find the start of a chain class at threshold K_stage
-        j = i
-        while j < npts - 1 and not k_n < (positions[j + 1] - positions[j]):
-            j += 1
-        # class spans points [i, j]
-        if j == i:
-            i += 1
-            continue
-        carry = zero
-        totals = TileVector(0, 0)
-        g = i
-        while g < j:
-            if t.letters[g] is not None:
-                k = g
-                p = q = 0
-                while k < j and t.letters[k] is not None:
-                    p += t.letters[k] == "a"
-                    q += t.letters[k] == "b"
-                    k += 1
-                totals = totals + TileVector(p, q)
-                g = k
-                continue
-            d = positions[g + 1] - positions[g]
-            if k_n < d:
-                g += 1
-                continue
-            # peek the block right of this gap for the side rule
-            k = g + 1
-            p = q = 0
-            while k < j and t.letters[k] is not None:
-                p += t.letters[k] == "a"
-                q += t.letters[k] == "b"
-                k += 1
-            peek = totals + TileVector(p, q)
-            lo = d - carry - eps_s
-            hi = d - carry + eps_s
-            try:
-                vec = _choose_gap_word_reference(schedule, lo, hi, peek)
-            except TilingError as e:
-                raise TilingError(f"stage {stage}, gap {g}: {e}") from None
-            if vec is None:
-                raise TilingError(f"stage {stage}: no tileable in the corridor "
-                                  f"of gap {g} (window ({lo}, {hi}))")
-            plan[g] = vec
-            carry = carry + (vec.value(params) - d)
-            totals = totals + vec
-            g += 1
-        i = j + 1
-    return plan
-
-
-def _choose_gap_word_reference(schedule: Schedule, lo: QuadReal, hi: QuadReal,
-                               running: TileVector) -> Optional[TileVector]:
-    rho = schedule.params.rho
-    cands = between_reference(schedule.table, lo, hi)
-    if not cands:
-        return None
-    want_high = _wants_alpha_reference(rho, running)
-
-    def key(v):
-        f = alpha_frequency(v)
-        side_miss = 0 if ((f > rho) == want_high or f == rho) else 1
-        after = running + v
-        return (side_miss, abs(alpha_frequency(after) - rho), abs(f - rho),
-                v.p + v.q)
-
-    return min(cands, key=key)
-
-
-def _wants_alpha_reference(rho: F, counts: TileVector) -> bool:
-    if counts.is_zero():
-        return True
-    return alpha_frequency(counts) <= rho
-
-
-_TABLE_VALUES: dict[int, tuple] = {}
-
-
-def between_reference(table, lo: QuadReal, hi: QuadReal) -> list[TileVector]:
-    """Nonzero tile vectors of value strictly inside (lo, hi), in value
-    order."""
-    if id(table) not in _TABLE_VALUES:
-        _TABLE_VALUES[id(table)] = (
-            table, [v.value(table.params) for v in table.vectors])
-    values = _TABLE_VALUES[id(table)][1]
-    if table.top < hi:
-        raise TilingError(f"corridor ({lo}, {hi}) reaches above the "
-                          f"tileable table's top {table.top}")
-    return table.vectors[bisect_right(values, lo):
-                         bisect_left(values, hi)]
-
-
-def chain_classes_reference(w: OrbitWindow, k: QuadReal) -> ChainClasses:
-    if k.sign() <= 0:
-        raise ValueError("threshold must be positive")
-    runs: list[list[int]] = [[0]]
-    for i, g in enumerate(w.gaps()):
-        if k < g:
-            runs.append([i + 1])
-        else:
-            runs[-1].append(i + 1)
-    return ChainClasses(k, tuple(tuple(r) for r in runs))
-
-
-def check_displacements_reference(t: TiledSection):
-    """Every original point lies strictly within min(alpha, 1)/3 of its
-    origin position; raises :class:`TilingError` otherwise, also for an
-    original point without an origin position."""
-    p = t.params
-    budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-    for pos, oid in zip(t.positions, t.orig_ids):
-        if oid is None:
-            continue
-        if oid not in t.origin_pos:
-            raise TilingError(f"original point {oid} has no origin position")
-        disp = pos - t.origin_pos[oid]
-        if not abs(disp) < budget:
-            raise TilingError(f"original point {oid} displaced {disp}, not "
-                              f"strictly below the min(alpha,1)/3 budget")
+from flowtile.quadratic import qmin, quad, sqrtD
+from flowtile.tiles import Params, TileVector, default_params
+from flowtile.windows import OrbitWindow
+from oracles import (_apply_gap_plan_reference, _choose_gap_word_reference,
+                     _finish_stage_plan_reference, between_reference,
+                     chain_classes_reference, check_displacements_reference,
+                     is_fully_regular_reference, regular_runs_reference)
 
 
 def reference_code() -> ExitStack:
@@ -537,57 +304,6 @@ class TestChooseGapWord:
             rho) == (2, 0)
 
 
-# -- chain classes ------------------------------------------------------------
-
-
-@st.composite
-def chain_windows(draw):
-    d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 30))
-    steps = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(-3, 3)),
-                          min_size=n - 1, max_size=n - 1))
-    pos = [quad(0, 0, d)]
-    for r, s in steps:
-        step = quad(F(r, 4), F(s, 5), d)
-        if step.sign() <= 0:
-            step = quad(F(r, 4), 0, d)
-        pos.append(pos[-1] + step)
-    k = quad(F(draw(st.integers(1, 40)), 4), F(draw(st.integers(-3, 3)), 5), d)
-    if k.sign() <= 0:
-        k = quad(1, 0, d)
-    return OrbitWindow(pos), k
-
-
-class TestChainClasses:
-    @settings(max_examples=300, deadline=None)
-    @given(chain_windows())
-    def test_matches_reference(self, case):
-        w, k = case
-        assert chain_classes(w, k) == chain_classes_reference(w, k)
-        # thresholds exactly on a gap
-        for g in w.gaps()[:3]:
-            assert chain_classes(w, g) == chain_classes_reference(w, g)
-
-    def test_one_point_windows(self):
-        w = OrbitWindow([quad(5)])
-        for k in (quad(1), quad(2)):
-            assert chain_classes(w, k) == chain_classes_reference(w, k)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3)),
-                    min_size=1, max_size=12), st.sampled_from([2, 3]))
-    def test_window_order_check_matches_comparisons(self, coords, d):
-        pos = [quad(F(r, 3), F(s, 7), d) for r, s in coords]
-        increasing = all(a < b for a, b in zip(pos, pos[1:]))
-        try:
-            OrbitWindow(pos)
-            accepted = True
-        except ValueError as e:
-            assert str(e) == "positions must be strictly increasing"
-            accepted = False
-        assert accepted == increasing
-
-
 # -- displacements ------------------------------------------------------------
 
 
@@ -652,7 +368,7 @@ class TestRegularRuns:
 # table cut short, later corridors reach above its top.  The planner keeps
 # what the table returned for each distinct corridor during one call, and
 # the carry walk passes over a bare gap reached with zero carry: both are
-# compared with the oracles above.
+# compared with their oracles.
 
 
 @lru_cache(maxsize=None)

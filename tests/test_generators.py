@@ -1,13 +1,17 @@
-import random
+"""Orbit window generators.  Every kind is compared with
+``oracles.generate_reference``, the ``QuadReal`` loops the lattice
+generator replaced."""
+
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowtile.generators import GRID, LEVELS, GeneratorSpec, generate
+from flowtile.generators import GeneratorSpec, generate
 from flowtile.quadratic import quad, sqrtD
 from flowtile.windows import OrbitWindow, is_sparse_window
+from oracles import generate_reference
 
 
 class TestUniform:
@@ -65,43 +69,6 @@ class TestRotation:
             generate(GeneratorSpec("rotation_suspension", count=10,
                                    angle=quad(F(1, 3))))
 
-
-
-# -- the QuadReal loops the lattice generator replaced, kept verbatim as
-# oracles
-
-def generate_reference(spec: GeneratorSpec) -> OrbitWindow:
-    spec.validate()
-    rng = random.Random(spec.seed)
-    if spec.kind == "uniform":
-        k0 = spec.k0 if spec.k0 is not None else quad(7)
-        pos = [quad(0, 0, k0.d)]
-        for _ in range(spec.count - 1):
-            gap = k0 + 1 + F(rng.randint(0, GRID), GRID)
-            pos.append(pos[-1] + gap)
-        return OrbitWindow(pos)
-    if spec.kind == "sparse_geometric":
-        k0 = spec.k0 if spec.k0 is not None else quad(7)
-        pos = [quad(0, 0, k0.d)]
-        for i in range(spec.count - 1):
-            # cycle the scales so both window halves see every gap size
-            level = i % LEVELS
-            gap = k0 * (spec.ratio ** level) + F(rng.randint(0, GRID), GRID)
-            pos.append(pos[-1] + gap)
-        return OrbitWindow(pos)
-    # rotation_suspension: visit times of an exact circle rotation to [0, angle)
-    theta = spec.angle
-    pos = []
-    j = 0
-    x = quad(0, 0, theta.d)  # orbit point: fractional part of j*theta
-    while len(pos) < spec.count:
-        if x < theta:
-            pos.append(quad(j, 0, theta.d))
-        j += 1
-        x = x + theta
-        if not x < 1:
-            x = x - 1
-    return OrbitWindow(pos)
 
 
 def rationals(max_num, max_den):

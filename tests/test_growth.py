@@ -1,12 +1,12 @@
 """Block growth's pair words on integers, against the ``QuadReal`` code
 they replaced.
 
-``_pair_word_reference`` below is that code, kept verbatim as the oracle
-(renamed): one pair at a time, its menu filtered on ``QuadReal`` values
-and ranked by ``Fraction`` keys.  ``pipeline._pair_words`` must choose
-the same word for every pair, leave the same notes and raise the same
-error text.  Both call the library's ``enumerate_tileable``, which
-``tests/test_tiles.py`` checks against its own former code.
+That code is ``oracles._pair_word_reference``, kept verbatim as the
+oracle (renamed): one pair at a time, its menu filtered on ``QuadReal``
+values and ranked by ``Fraction`` keys.  ``pipeline._pair_words`` must
+choose the same word for every pair, leave the same notes and raise the
+same error text.  Both call the library's ``enumerate_tileable``, which
+``tests/test_tiles.py`` checks against ``oracles.brute_tileable``.
 """
 
 import random
@@ -22,38 +22,7 @@ from flowtile.quadratic import quad, sqrtD
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             enumerate_tileable)
 from flowtile.windows import OrbitWindow
-
-# -- the replaced code --------------------------------------------------------
-
-
-def _pair_word_reference(t: TiledSection, i: int,
-                         schedule: Schedule) -> TileVector:
-    """The tileable that retiles the bare gap (i, i+1) of a growth pair.
-
-    The candidates lie strictly within eps_1 of the gap.  Those within
-    eta_1 of rho in frequency are preferred; among the preferred, the one
-    closest to rho in frequency, then closest to the gap, is taken, the
-    first in value order on a tie.  When no candidate is in the band, the
-    section's notes get ``BAND_MISSED`` once.
-    """
-    params = t.params
-    rho = params.rho
-    span = t.gap(i)
-    eps1 = schedule.eps[1]
-    menu = [v for v in enumerate_tileable(params, span - eps1, span + eps1)
-            if not v.is_zero() and abs(v.value(params) - span) < eps1]
-    if not menu:
-        raise TilingError(f"stage 1: no admissible composite shift "
-                          f"between blocks at points {i}..{i + 1}")
-    banded = [v for v in menu
-              if abs(alpha_frequency(v) - rho) <= schedule.eta[1]]
-    if banded:
-        menu = banded
-    elif BAND_MISSED not in t.notes:
-        t.notes.append(BAND_MISSED)
-    return min(menu, key=lambda v: (abs(alpha_frequency(v) - rho),
-                                    abs(v.value(params) - span)))
-
+from oracles import _pair_word_reference
 
 # -- the comparison -----------------------------------------------------------
 

@@ -24,6 +24,8 @@ from flowtile.quadratic import (QuadReal, lattice, on_lattice,
 from flowtile.tiles import (Params, TileVector, alpha_frequency,
                             default_params, enumerate_tileable)
 from flowtile.windows import OrbitWindow, chain_classes, insert_blocks
+from oracles import (brute_uniform_frequency, promote_runs_reference,
+                     replay_reference)
 
 P = default_params()
 # D in {2, 3}, irrational alpha, skewed rho
@@ -513,25 +515,6 @@ class TestUniformFrequency:
         assert str(err.value) == "level 1 witness failed replay"
 
 
-def brute_uniform_frequency(letters, rho, eta):
-    """(n_eta, counterexample) from every window of every length."""
-    n = len(letters)
-    pre = [0]
-    for ch in letters:
-        pre.append(pre[-1] + (ch == "a"))
-
-    def good(r):
-        return all(abs(F(pre[i + r] - pre[i], r) - rho) < eta
-                   for i in range(n - r + 1))
-
-    if not good(n):
-        return None, (0, n)
-    n_eta = n
-    while n_eta > 1 and good(n_eta - 1):
-        n_eta -= 1
-    return n_eta, None
-
-
 RHOS = [F(1, 2), F(2, 5), F(5, 7), F(13, 32)]
 ETAS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 100)]
 
@@ -602,32 +585,11 @@ class TestUniformFrequencyOracle:
         assert (rep.n_eta, rep.counterexample) == (None, (0, 4))
 
 
-def replay_by_slices(wit, section):
-    """Reference replay: every piece sliced, counted and tested with
-    Fractions."""
-    params = section.params
-    n = len(section.letters)
-    if not wit.cuts or wit.cuts[0] != 0 or wit.cuts[-1] != n:
-        return False
-    for a, b in zip(wit.cuts, wit.cuts[1:]):
-        if not a < b:
-            return False
-        seg = section.letters[a:b]
-        if any(ch is None for ch in seg):
-            return False
-        p = seg.count("a")
-        if wit.max_value < params.value(p, len(seg) - p):
-            return False
-        if abs(F(p, len(seg)) - params.rho) > wit.eta:
-            return False
-    return True
-
-
 class TestReplay:
     @staticmethod
     def check(wit, t):
         got = wit.replay(t)
-        assert got == replay_by_slices(wit, t)
+        assert got == replay_reference(wit, t)
         return got
 
     def test_piece_exactly_eta_from_rho_passes(self):
@@ -676,14 +638,6 @@ class TestReplay:
             self.check(wit, t)
 
 
-def promote_any(t, marks, stage):
-    # reference: a run [i, j] is promoted when any mark g has i <= g < j
-    for i, j in t.regular_runs():
-        if any(i <= g < j for g in set(marks)):
-            for k in range(i, j + 1):
-                t.ranks[k] = max(t.ranks[k], stage)
-
-
 class TestPromotion:
     def test_bisection_matches_any_reference(self):
         rng = random.Random(5)
@@ -696,7 +650,7 @@ class TestPromotion:
                                       letters, ranks, range(n + 1))
                          for _ in range(2))
             pipeline._promote_runs(got, marks, 2)
-            promote_any(want, marks, 2)
+            promote_runs_reference(want, marks, 2)
             assert got.ranks == want.ranks
 
     def test_full_pipeline_ranks_match_any_reference(self, schedule4,
@@ -704,7 +658,7 @@ class TestPromotion:
         w = generate(GeneratorSpec("uniform", count=300, seed=8,
                                    k0=schedule4.K[0]))
         got = full_pipeline(w, schedule4, seed=8).ranks
-        monkeypatch.setattr(pipeline, "_promote_runs", promote_any)
+        monkeypatch.setattr(pipeline, "_promote_runs", promote_runs_reference)
         want = full_pipeline(w, schedule4, seed=8).ranks
         assert got == want
         # growth leaves rank-0 points, so finishing had runs to promote

@@ -1,21 +1,21 @@
-import math
-import re
-from fractions import Fraction
+"""Exact quadratic-field arithmetic: order, gcds, floors, the text form,
+lattice keys and ``on_lattice``.  The parser is compared with
+``oracles.parse_quadreal_reference``; ``on_lattice`` and ``lattice`` are
+checked clause by clause with ``oracles.on_lattice_violations``."""
+
 from fractions import Fraction as F
-from types import SimpleNamespace
-from typing import Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile import quadratic
 from flowtile.quadratic import (ConfigError, QuadReal, format_quadreal,
                                 gcd_ladder, lattice, lattice_key,
                                 lattice_keys, lattice_order, on_lattice,
-                                parse_quadreal, quad, quads, radicand_of,
-                                real_gcd, sqrtD)
+                                parse_quadreal, quad, quads, real_gcd, sqrtD)
 from flowtile.tiles import Params
+from oracles import on_lattice_violations, parse_quadreal_reference
 
 
 def rationals(max_num=50, max_den=12):
@@ -226,47 +226,6 @@ class TestLadder:
         assert survivor == g
 
 
-# -- the Fraction-based parser the integer parser replaced, kept verbatim as
-# an oracle: every literal it accepts must read to the same (a, b, c, d)
-
-_SQRT_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\)$")
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
-
-def parse_quadreal_reference(text: str, d: int | None = None) -> QuadReal:
-    """Parse the canonical text form (inverse of :func:`format_quadreal`)."""
-    if not isinstance(text, str):
-        raise ValueError(f"QuadReal literal must be a string, not {text!r}")
-    s = text.strip()
-    if not s:
-        raise ValueError("empty QuadReal literal")
-    # split on top-level +/- separators surrounded by spaces, keep leading sign
-    tokens = s.replace(" - ", " + -").split(" + ")
-    r_acc = Fraction(0)
-    s_acc = Fraction(0)
-    d_seen: int | None = None
-    for tok in tokens:
-        tok = tok.strip()
-        neg = tok.startswith("-") and tok[1:].lstrip().startswith("sqrt")
-        m = _SQRT_RE.match(tok[1:].lstrip() if neg else tok)
-        if m:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            if neg:
-                coef = -coef
-            td = int(m.group("d"))
-            if d_seen is not None and td != d_seen:
-                raise ValueError(f"mixed radicands in {text!r}")
-            d_seen = td
-            s_acc += coef
-        elif _RAT_RE.match(tok):
-            r_acc += Fraction(tok)
-        else:
-            raise ValueError(f"cannot parse QuadReal term {tok!r}")
-    if d_seen is not None and d is not None and d_seen != d:
-        raise ValueError(f"radicand mismatch: literal has {d_seen}, expected {d}")
-    return QuadReal(r_acc, s_acc, d_seen if d_seen is not None else d)
-
-
 def coords(x: QuadReal):
     return x.a, x.b, x.c, x.d
 
@@ -364,65 +323,6 @@ class TestConstructorRadicand:
         assert x * x == (2 if d is None else d)
 
 
-# -- the rescales that ``on_lattice`` replaced, kept verbatim as oracles
-# (renamed; ``self`` is anything with c, d, xs and ys): the window's and
-# the section's ``on_lattice`` and the block of ``loe.verify_loe`` that put
-# a map's lengths beside alpha and beta.  Each must give what
-# ``on_lattice`` gives, or raise the same error, except that the section's
-# copy read values of another radicand than an irrational section's as if
-# they had its radicand.
-
-def window_on_lattice_reference(self, values: Sequence[QuadReal]):
-    """(c, d, xs, ys, vx, vy): the positions and the nonempty ``values``
-    over one common denominator c, the least common multiple of the
-    window's and theirs, with d as ``quadratic.lattice`` finds it for
-    the positions followed by the values.  xs and ys are the window's
-    own tuples when c is its denominator.  Values of two radicands
-    raise ConfigError."""
-    d = radicand_of(values, also=self.d if any(self.ys) else None)
-    c = math.lcm(self.c, *(v.c for v in values))
-    xs, ys = self.xs, self.ys
-    f = c // self.c
-    if f != 1:
-        xs, ys = [x * f for x in xs], [y * f for y in ys]
-    return (c, d, xs, ys, [v.a * (c // v.c) for v in values],
-            [v.b * (c // v.c) for v in values])
-
-
-def section_on_lattice_reference(self, *groups: Sequence[QuadReal]):
-    """(c, xs, ys, coords): the positions and the values of each group
-    over one common denominator c, a multiple of the section's, with
-    coords as ``quadratic.lattice`` gives them.  xs and ys are the
-    section's own lists when c is its denominator, so they are only
-    read.  Values of two radicands raise ConfigError."""
-    c, _, coords = lattice(*groups)
-    c2 = math.lcm(c, self.c)
-    f, g = c2 // self.c, c2 // c
-    xs, ys = self.xs, self.ys
-    if f != 1:
-        xs, ys = [x * f for x in xs], [y * f for y in ys]
-    if g != 1:
-        coords = [([x * g for x in gx], [y * g for y in gy])
-                  for gx, gy in coords]
-    return c2, xs, ys, coords
-
-
-def verify_loe_rescale_reference(c, d, lx, ly, params):
-    """The map's lengths (lx, ly) over c, of radicand d, with alpha and
-    beta: (c2, lx, ly, alpha, beta)."""
-    cab, dab, [((ax, bx), (ay, by))] = lattice([params.alpha, params.beta])
-    if dab != d and any(ly):
-        raise ConfigError(f"mixed radicands: sqrt({min(d, dab)}) vs "
-                          f"sqrt({max(d, dab)})")
-    # lengths, alpha and beta over one denominator
-    c2 = math.lcm(c, cab)
-    f, g = c2 // c, c2 // cab
-    if f != 1:
-        lx, ly = [x * f for x in lx], [y * f for y in ly]
-    alpha, beta = (ax * g, ay * g), (bx * g, by * g)
-    return c2, lx, ly, alpha, beta
-
-
 @st.composite
 def held_coordinates(draw):
     """(c, d, xs, ys) for c up to 13, d of 2 or 3, and rational (every y
@@ -452,87 +352,36 @@ def value_groups(draw):
     return out
 
 
-def outcome(fn, *args):
-    """What a call returned, or the type and text of what it raised."""
+def called(fn, *args):
+    """What a call returned, or the exception it raised."""
     try:
-        return "returned", fn(*args)
+        return fn(*args)
     except ValueError as e:
-        return "raised", type(e), str(e)
+        return e
 
 
-# on_lattice's result in the shape of each copy's
-
-def window_form(c, d, xs, ys, values):
-    c2, d2, xs, ys, [(vx, vy)] = on_lattice(c, d, xs, ys, values)
-    return c2, d2, xs, ys, vx, vy
-
-
-def section_form(c, d, xs, ys, *groups):
-    c2, _, xs, ys, coords = on_lattice(c, d, xs, ys, *groups)
-    return c2, xs, ys, coords
-
-
-def verify_loe_form(c, d, lx, ly, params):
-    c2, _, lx, ly, [((ax, bx), (ay, by))] = on_lattice(
-        c, d, lx, ly, [params.alpha, params.beta])
-    return c2, lx, ly, (ax, ay), (bx, by)
-
-
-def lattice_form(d, *groups):
-    c, d, _, _, coords = on_lattice(1, d, (), (), *groups)
-    return c, d, coords
-
-
-class TestOnLatticeOracle:
+class TestOnLatticeDefinition:
     @settings(max_examples=400, deadline=None)
-    @given(held_coordinates(), value_groups())
-    def test_window_copy(self, held, groups):
+    @given(held_coordinates(), value_groups(), st.booleans())
+    def test_meets_its_definition(self, held, groups, as_tuples):
+        # held lists or tuples, as sections and windows hold them
         c, d, xs, ys = held
-        w = SimpleNamespace(c=c, d=d, xs=tuple(xs), ys=tuple(ys))
-        values = groups[-1]
-        want = outcome(window_on_lattice_reference, w, values)
-        got = outcome(window_form, c, d, w.xs, w.ys, values)
-        assert got == want
-        if got[0] == "returned":
-            assert (got[1][2] is w.xs) == (want[1][2] is w.xs)
-
-    @settings(max_examples=400, deadline=None)
-    @given(held_coordinates(), value_groups())
-    def test_section_copy(self, held, groups):
-        c, d, xs, ys = held
-        t = SimpleNamespace(c=c, d=d, xs=xs, ys=ys)
-        want = outcome(section_on_lattice_reference, t, *groups)
-        got = outcome(section_form, c, d, xs, ys, *groups)
-        ds = {v.d for g in groups for v in g if v.b}
-        if any(ys) and len(ds) == 1 and ds != {d}:
-            # the section's copy never looked at its own radicand
-            assert got == ("raised", ConfigError,
-                           "mixed radicands: sqrt(2) vs sqrt(3)")
-            return
-        assert got == want
-        if got[0] == "returned":
-            assert (got[1][1] is xs) == (want[1][1] is xs)
-
-    @settings(max_examples=400, deadline=None)
-    @given(held_coordinates(), value_groups(), value_groups())
-    def test_verify_loe_block(self, held, first, second):
-        c, d, lx, ly = held
-        params = SimpleNamespace(alpha=first[-1][0], beta=second[-1][0])
-        # Params refuses two rational tile lengths
-        assume(params.alpha.b or params.beta.b)
-        assert outcome(verify_loe_form, c, d, lx, ly, params) == \
-            outcome(verify_loe_rescale_reference, c, d, lx, ly, params)
+        if as_tuples:
+            xs, ys = tuple(xs), tuple(ys)
+        got = called(on_lattice, c, d, xs, ys, *groups)
+        assert on_lattice_violations(c, d, xs, ys, groups, got) == []
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 3]), value_groups())
-    def test_lattice_holds_nothing(self, d, groups):
-        assert outcome(lattice_form, d, *groups) == outcome(lattice, *groups)
+    @given(value_groups())
+    def test_lattice_meets_the_definition_with_nothing_held(self, groups):
+        got = called(lattice, *groups)
+        if not isinstance(got, Exception):
+            c, d, coords = got
+            got = c, d, (), (), coords
+        assert on_lattice_violations(1, 2, (), (), groups, got) == []
 
-    def test_section_copy_misread_another_radicand(self):
+    def test_held_radicand_conflict_text(self):
         # the positions 0, 7 and 15 + sqrt(2), with the value sqrt(3)
-        t = SimpleNamespace(c=1, d=2, xs=[0, 7, 15], ys=[0, 0, 1])
-        assert section_on_lattice_reference(t, [quad(0, 1, 3)]) == \
-            (1, [0, 7, 15], [0, 0, 1], [([0], [1])])
         with pytest.raises(ConfigError, match=r"^mixed radicands: "
                                               r"sqrt\(2\) vs sqrt\(3\)$"):
-            on_lattice(t.c, t.d, t.xs, t.ys, [quad(0, 1, 3)])
+            on_lattice(1, 2, [0, 7, 15], [0, 0, 1], [quad(0, 1, 3)])

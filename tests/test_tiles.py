@@ -1,22 +1,25 @@
+"""Tile lengths, tileable enumeration, eps-density and density
+witnesses.  ``enumerate_tileable`` is compared with
+``oracles.brute_tileable``; ``eps_dense``, ``values_in``, ``dense_in`` and
+``check_windows`` with their oracles in ``tests/oracles.py``."""
+
 import hashlib
 import itertools
 import random
-from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
-from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtile import build_schedule, quadratic, tiles
-from flowtile.quadratic import (ConfigError, QuadReal, floor_of, lattice,
-                                lattice_order, qmax, quad, sqrtD)
-from flowtile.tiles import (DensityReport, DensityWitness, FreqBand, Params,
-                            TileVector, WindowCheck, alpha_frequency,
-                            balanced_word, default_params, density_witness,
-                            enumerate_tileable, eps_dense,
+from flowtile.quadratic import ConfigError, qmax, quad, sqrtD
+from flowtile.tiles import (DensityWitness, FreqBand, Params, TileVector,
+                            alpha_frequency, balanced_word, default_params,
+                            density_witness, enumerate_tileable, eps_dense,
                             frequency_stability_ratio)
+from oracles import (brute_tileable, brute_values_in, check_windows_reference,
+                     dense_in_reference, eps_dense_reference)
 
 P = default_params()
 
@@ -68,44 +71,6 @@ class TestFrequency:
             alpha_frequency(TileVector(0, 0))
 
 
-def brute_tileable(lo, hi, params=P):
-    """Oracle: every (p, q) up to hi/alpha and hi/beta, filtered, then
-    sorted by exact value."""
-    out = []
-    for p in range((hi / params.alpha).floor() + 1):
-        for q in range((hi / params.beta).floor() + 1):
-            if lo <= params.value(p, q) <= hi:
-                out.append(TileVector(p, q))
-    return sorted(out, key=lambda v: v.value(params))
-
-
-def enumerate_tileable_reference(params: Params, lo: QuadReal,
-                                 hi: QuadReal) -> list[TileVector]:
-    """enumerate_tileable as it was written before it built its rows as
-    runs of counts, kept verbatim (renamed): a ``TileVector`` per member
-    in row order, then a reordered copy.
-
-    All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
-
-    Row q holds the p from ceil((lo - q*beta)/alpha) to
-    floor((hi - q*beta)/alpha), two exact floors of lattice values.  The
-    rows are merged by ``quadratic.lattice_order`` on the lattice
-    coordinates of the vectors.
-    """
-    if hi < lo:
-        return []
-    # lo/alpha, hi/alpha and beta/alpha over one denominator w
-    alpha = params.alpha
-    w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
-        [lo / alpha, hi / alpha, params.beta / alpha])
-    out: list[TileVector] = []
-    for q in range((hi / params.beta).floor() + 1):
-        p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
-        p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
-        out += map(TileVector, range(p_lo, p_hi + 1), repeat(q))
-    return list(map(out.__getitem__, lattice_order(*params.coords(out), d)))
-
-
 class TestEnumerate:
     def test_zero_to_three(self):
         got = enumerate_tileable(P, quad(0), quad(3))
@@ -124,23 +89,12 @@ class TestEnumerate:
         assert enumerate_tileable(P, lo, hi) == brute_tileable(lo, hi)
 
     @pytest.mark.parametrize("params", PARAM_SETS)
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(-8, 160), st.integers(0, 60), st.sampled_from([0, 32]))
-    def test_matches_brute_force_across_params(self, params, lo8, width8,
-                                               bits):
-        lo = quad(F(lo8, 8), F(lo8 % 3, 5), params.d)
-        hi = lo + F(width8, 8)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quadratic, "KEY_BITS", bits)
-            assert enumerate_tileable(params, lo, hi) == \
-                brute_tileable(lo, hi, params)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(PARAM_SETS), st.integers(-80, 400),
-           st.integers(-4, 4), st.sampled_from([1, 3, 7]),
-           st.integers(-24, 120), st.integers(-4, 4), st.sampled_from([0, 32]))
-    def test_matches_reference(self, params, lo8, lo_s, lo_den, width8,
-                               width_s, bits):
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-80, 400), st.integers(-4, 4),
+           st.sampled_from([1, 3, 7]), st.integers(-24, 120),
+           st.integers(-4, 4), st.sampled_from([0, 32]))
+    def test_matches_brute_force_across_params(self, params, lo8, lo_s,
+                                               lo_den, width8, width_s, bits):
         # hi below lo, lo below 0, and rational or irrational ends
         d = params.d
         lo = quad(F(lo8, 8), F(lo_s, lo_den), d)
@@ -148,37 +102,13 @@ class TestEnumerate:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "KEY_BITS", bits)
             got = enumerate_tileable(params, lo, hi)
-            assert got == enumerate_tileable_reference(params, lo, hi)
+        assert got == brute_tileable(lo, hi, params)
         assert all(type(v) is TileVector for v in got)
 
     def test_values_pairwise_distinct(self):
         vecs = enumerate_tileable(P, quad(0), quad(40))
         vals = {v.value(P) for v in vecs}
         assert len(vals) == len(vecs)
-
-
-def eps_dense_reference(points, lo, hi, eps):
-    """eps_dense as it was written on QuadReal objects: sort, clip by
-    bisection, then compare every gap with eps."""
-    if eps.sign() <= 0:
-        raise ValueError("eps must be positive")
-    if hi < lo:
-        raise ValueError("empty interval")
-    half = eps / 2
-    if hi - lo < eps:
-        return DensityReport(True, None)  # no admissible x at all
-    pts = sorted(points)
-    pts = pts[bisect_left(pts, lo):bisect_right(pts, hi)]
-    if not pts:
-        return DensityReport(False, lo + half)
-    if not pts[0] - lo < eps:
-        return DensityReport(False, lo + half)
-    for a, b in zip(pts, pts[1:]):
-        if not b - a < eps:
-            return DensityReport(False, (a + b) / 2)
-    if not hi - pts[-1] < eps:
-        return DensityReport(False, hi - half)
-    return DensityReport(True, None)
 
 
 # convergents b/a of sqrt(2) and sqrt(3): |a*sqrt(d) - b| < 1/(2a)
@@ -539,23 +469,6 @@ class TestDensityWitness:
         assert not eps_dense(params, members, anchor, anchor + x, half).ok
 
 
-def brute_values_in(wit, lo, hi):
-    """Oracle: every k x every offset, filtered, then stably sorted by
-    value; the members."""
-    params = wit.params
-    x = params.alpha * wit.base.p + params.beta * wit.base.q
-    out = []
-    k = wit.k_min
-    while not hi < x * k:  # offset values are >= 0
-        for s in wit.offsets:
-            p, q = k * wit.base.p + s.p, k * wit.base.q + s.q
-            val = params.alpha * p + params.beta * q
-            if lo <= val <= hi:
-                out.append((val, TileVector(p, q)))
-        k += 1
-    return [m for _, m in sorted(out, key=lambda e: e[0])]
-
-
 def witness_windows(wit):
     params = wit.params
     n = len(wit.offsets)
@@ -619,22 +532,6 @@ class TestValuesIn:
         wit = density_witness(P, quad(1), FreqBand(F(1, 4), F(3, 4)))
         with pytest.raises(ConfigError):
             wit.values_in(wit.threshold + r3, wit.threshold + r3 + 5)
-
-
-def check_windows_reference(wit, windows):
-    """check_windows as it was written: eps_dense over values_in."""
-    width = wit.params.beta * 20
-    for i in range(windows):
-        lo = wit.threshold + width * (2 * i)
-        hi = lo + width
-        members = wit.values_in(lo, hi)
-        yield WindowCheck(lo, hi,
-                          eps_dense(wit.params, members, lo, hi, wit.eps))
-
-
-def dense_in_reference(wit, lo, hi):
-    """eps_dense over every member of [lo, hi], found by brute force."""
-    return eps_dense(wit.params, brute_values_in(wit, lo, hi), lo, hi, wit.eps)
 
 
 def checks(triples):

@@ -1,22 +1,25 @@
+"""Orbit windows, chain classes, markers, two-class blocks and block
+insertion.  Chain classes are compared with
+``oracles.chain_classes_reference``; the closed forms of
+``marker_subsection``, ``two_class_block`` and ``_nested_runs_ok`` are
+checked against the definitions in their docstrings, with the oracles in
+``tests/oracles.py``."""
+
 import random
 from fractions import Fraction as F
-from typing import Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itertools import compress, count, islice, repeat
-from operator import gt, sub
-
-from flowtile import windows
 from flowtile.generators import GeneratorSpec, generate
-from flowtile.quadratic import ConfigError, QuadReal, lattice, quad, sign_of
-from flowtile.windows import (ChainClasses, MarkerResult, OrbitWindow,
-                              SparsityError, _nested_runs_ok, chain_classes,
-                              insert_blocks, is_sparse_window, level_midpoints,
-                              marker_subsection, ruler_levels, two_class_block)
+from flowtile.quadratic import ConfigError, quad
+from flowtile.windows import (OrbitWindow, SparsityError, _nested_runs_ok,
+                              chain_classes, insert_blocks, is_sparse_window,
+                              level_midpoints, marker_subsection, ruler_levels,
+                              two_class_block)
+from oracles import (brute_nested_runs_ok, chain_classes_reference,
+                     marker_subsection_violations, two_class_block_violations)
 
 
 def window_from_gaps(gaps):
@@ -47,6 +50,20 @@ class TestOrbitWindow:
         with pytest.raises(ValueError, match="boundary"):
             OrbitWindow.from_json(data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3)),
+                    min_size=1, max_size=12), st.sampled_from([2, 3]))
+    def test_window_order_check_matches_comparisons(self, coords, d):
+        pos = [quad(F(r, 3), F(s, 7), d) for r, s in coords]
+        increasing = all(a < b for a, b in zip(pos, pos[1:]))
+        try:
+            OrbitWindow(pos)
+            accepted = True
+        except ValueError as e:
+            assert str(e) == "positions must be strictly increasing"
+            accepted = False
+        assert accepted == increasing
+
 
 class TestChainClasses:
     def test_basic_partition(self):
@@ -63,17 +80,7 @@ class TestChainClasses:
             gaps = [quad(F(rng.randint(1, 40), 4)) for _ in range(rng.randint(1, 15))]
             w = window_from_gaps(gaps)
             k = quad(F(rng.randint(1, 40), 4))
-            got = chain_classes(w, k).classes
-            # oracle: adjacency graph components
-            comps, cur = [], [0]
-            for i, g in enumerate(gaps):
-                if k < g:
-                    comps.append(tuple(cur))
-                    cur = [i + 1]
-                else:
-                    cur.append(i + 1)
-            comps.append(tuple(cur))
-            assert got == tuple(comps)
+            assert chain_classes(w, k) == chain_classes_reference(w, k)
 
     def test_refinement(self):
         rng = random.Random(5)
@@ -163,34 +170,17 @@ class TestInsertBlocks:
         rng = random.Random(seed)
         return window_from_gaps([quad(rng.choice(choices)) for _ in range(n)])
 
-    def check_posts(self, out, ks, eps):
+    @staticmethod
+    def check_posts(out, ks, eps):
         mids = level_midpoints(ks)
-        gaps = out.gaps()
         levels = []
-        for g in gaps:
+        for g in out.gaps():
             assert ks[0] < g  # (i)
             lev = next((i for i, m in enumerate(mids) if abs(g - m) < eps), None)
             assert lev is not None  # (iii)
             levels.append(lev)
-        # (ii) interior classes at each realized threshold split in two+
-        realized = sorted(set(levels))
-        for n in realized:
-            runs = []
-            cur = None
-            for j, lev in enumerate(levels):
-                if lev <= n:
-                    cur = [j, j] if cur is None else [cur[0], j]
-                else:
-                    if cur is not None:
-                        runs.append(tuple(cur))
-                    cur = None
-            tail_open = cur is not None
-            if cur is not None:
-                runs.append(tuple(cur))
-            for idx, (lo, hi) in enumerate(runs):
-                interior = lo > 0 and not (idx == len(runs) - 1 and tail_open)
-                if interior:
-                    assert any(levels[j] == n for j in range(lo, hi + 1))
+        # (ii) interior classes at each threshold split in two or more
+        assert brute_nested_runs_ok(levels)
 
     def test_synthetic_window_posts(self):
         w = self.synthetic(3)
@@ -241,112 +231,7 @@ class TestRulerLevels:
         assert ruler_levels(2) == [0, 1, 0, 2, 0, 1, 0]
 
 
-# -- closed forms against the loops they replaced ------------------------------
-
-
-def marker_subsection_reference(w: OrbitWindow, d: int) -> MarkerResult:
-    """Thin the window to markers whose index gaps are exactly d or d+1.
-
-    Anchored at the leftmost index.  A final stretch too short to split as
-    m*d + n*(d+1) is left unmarked and flagged as truncated.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    total = len(w) - 1
-    if total == 0:
-        return MarkerResult((0,), False)
-
-    def split(base: int, length: int) -> list[int]:
-        # length = (q - r)*d + r*(d+1) with q = length//d, r = length%d
-        q, r = divmod(length, d)
-        out = []
-        pos = base
-        for _ in range(q - r):
-            pos += d
-            out.append(pos)
-        for _ in range(r):
-            pos += d + 1
-            out.append(pos)
-        return out
-
-    def splittable(length: int) -> bool:
-        q, r = divmod(length, d)
-        return q >= r
-
-    dd = d * d
-    segs = total // dd
-    tail = total - segs * dd
-    marks = [0]
-    base = 0
-    for s in range(segs):
-        length = dd
-        if s == segs - 1 and tail and splittable(dd + tail):
-            length = dd + tail
-            tail = 0
-        marks.extend(split(base, length))
-        base = marks[-1]
-    truncated = False
-    if tail:
-        if splittable(tail):
-            marks.extend(split(base, tail))
-        else:
-            truncated = True
-    return MarkerResult(tuple(marks), truncated)
-
-
-def two_class_block_reference(k_list: Sequence[QuadReal]) -> tuple[list[QuadReal], QuadReal]:
-    """The nested block for an increasing threshold list, plus its length.
-
-    One point for a single threshold; each further threshold doubles the
-    block, the copy offset by the current length plus the midpoint of the
-    two newest thresholds.  Every chain class at threshold k_{n+1} inside
-    the block splits into exactly two classes at k_n.
-    """
-    if not k_list:
-        raise ValueError("need at least one threshold")
-    for x, y in zip(k_list, k_list[1:]):
-        if not x < y:
-            raise ValueError("thresholds must be strictly increasing")
-    zero = quad(0, 0, k_list[0].d)
-    pts = [zero]
-    length = zero
-    for prev, nxt in zip(k_list, k_list[1:]):
-        shift = length + (prev + nxt) / 2
-        pts = pts + [p + shift for p in pts]
-        length = length + shift
-    return pts, length
-
-
-def nested_runs_ok_reference(levels: list[int]) -> bool:
-    """Interior maximal runs of levels <= n must contain an n, and no two
-    adjacent gaps may both exceed level 0 (no singleton interior classes)."""
-    if not levels:
-        return True
-    for a, b in zip(levels, levels[1:]):
-        if a >= 1 and b >= 1:
-            return False
-    top = max(levels)
-    for n in range(top):
-        runs = []
-        cur = None
-        for j, lev in enumerate(levels):
-            if lev <= n:
-                if cur is None:
-                    cur = [j, j]
-                cur[1] = j
-            else:
-                if cur is not None:
-                    runs.append((cur, True))
-                cur = None
-        if cur is not None:
-            runs.append((cur, False))  # touches right boundary
-        for idx, ((lo, hi), closed_right) in enumerate(runs):
-            interior = (lo > 0) and (closed_right or idx < len(runs) - 1)
-            if not interior:
-                continue  # boundary classes exempt in open windows
-            if not any(levels[j] == n for j in range(lo, hi + 1)):
-                return False
-    return True
+# -- closed forms against their definitions ----------------------------------
 
 
 def outcome(fn, *args):
@@ -357,17 +242,18 @@ def outcome(fn, *args):
         return "raised", type(e), str(e)
 
 
-class TestClosedFormsMatchReference:
+class TestClosedFormsMeetTheirDefinitions:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 400), st.integers(1, 30))
     def test_markers(self, n, d):
         w = OrbitWindow([quad(i) for i in range(n)])
-        assert marker_subsection(w, d) == marker_subsection_reference(w, d)
+        assert marker_subsection_violations(n, d, marker_subsection(w, d)) \
+            == []
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.integers(0, 4), max_size=14))
     def test_nested_runs_ok(self, levels):
-        assert _nested_runs_ok(levels) == nested_runs_ok_reference(levels)
+        assert _nested_runs_ok(levels) == brute_nested_runs_ok(levels)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3]),
@@ -377,47 +263,23 @@ class TestClosedFormsMatchReference:
     def test_two_class_block(self, radicand, coeffs):
         ks = sorted({quad(r, s, radicand) for r, s in coeffs})
         pts, length = two_class_block(ks)
-        want_pts, want_length = two_class_block_reference(ks)
-        assert [str(p) for p in pts] == [str(p) for p in want_pts]
-        assert str(length) == str(want_length)
+        assert two_class_block_violations(ks, pts, length) == []
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5),
            st.lists(st.sampled_from([10, 100, 1000]), min_size=1,
                     max_size=25))
     def test_insert_blocks(self, n_thresholds, gaps):
-        # the acceptance-08 windows: the reference run swaps the two
-        # rewritten helpers back in, insert_blocks itself is unchanged
+        # the acceptance-08 windows: a filled window keeps every original
+        # point and meets the guarantees, or a gap is named as hopeless
         ks = [quad(2 ** i) for i in range(1, n_thresholds + 1)]
         w = window_from_gaps([quad(g) for g in gaps])
         got = outcome(insert_blocks, w, ks, EPS)
-        with mock.patch.object(windows, "two_class_block",
-                               two_class_block_reference), \
-                mock.patch.object(windows, "_nested_runs_ok",
-                                  nested_runs_ok_reference):
-            want = outcome(insert_blocks, w, ks, EPS)
-        if got[0] == "returned":
-            got = got[0], [str(p) for p in got[1].positions]
-        if want[0] == "returned":
-            want = want[0], [str(p) for p in want[1].positions]
-        assert got == want
-
-
-def chain_classes_reference(w: OrbitWindow, k: QuadReal) -> ChainClasses:
-    """Maximal runs of points joined by gaps of at most k.  Every gap is
-    compared with k on lattice coordinates over one common denominator."""
-    if k.sign() <= 0:
-        raise ValueError("threshold must be positive")
-    pos = w.positions
-    _, d, [(xs, ys), ((kx,), (ky,))] = lattice(pos, [k])
-    # gap i, from point i to point i + 1, above k starts a class at i + 1
-    above = map(sign_of,
-                map(sub, map(sub, islice(xs, 1, None), xs), repeat(kx)),
-                map(sub, map(sub, islice(ys, 1, None), ys), repeat(ky)),
-                repeat(d))
-    starts = [0, *compress(count(1), map(gt, above, repeat(0))), len(pos)]
-    return ChainClasses(k, tuple(tuple(range(a, b))
-                                 for a, b in zip(starts, starts[1:])))
+        if got[0] == "raised":
+            assert got[1] is SparsityError and got[2].startswith("gap ")
+            return
+        TestInsertBlocks.check_posts(got[1], ks, EPS)
+        assert set(w.positions) <= set(got[1].positions)
 
 
 @st.composite
@@ -457,15 +319,17 @@ def chain_thresholds(draw, d):
 
 
 class TestChainClassesMatchReference:
-    """chain_classes on the window's coordinates against the version that
-    put every position and k on one lattice."""
+    """chain_classes on the window's coordinates against
+    ``oracles.chain_classes_reference``, which compares every gap with k
+    as a ``QuadReal``."""
 
     @settings(max_examples=400, deadline=None)
     @given(chain_windows(), st.data())
     def test_random_windows(self, w, data):
-        k = data.draw(chain_thresholds(w.d))
-        assert (outcome(chain_classes, w, k)
-                == outcome(chain_classes_reference, w, k))
+        # a drawn threshold, and thresholds exactly on a gap
+        for k in [data.draw(chain_thresholds(w.d)), *w.gaps()[:3]]:
+            assert (outcome(chain_classes, w, k)
+                    == outcome(chain_classes_reference, w, k))
 
     def test_threshold_denominator_not_dividing_window(self):
         # positions over 4, thresholds over 3, 7 and 5
