@@ -5,10 +5,11 @@ every number in the canonical exact text form; decimal approximations
 are printed with a leading "~" and never read back.  Every input file is
 read by ``_read_json``, which rejects an object that repeats a key.
 Exit status: 0 success, 1 verification failure, 2 usage error.  A
-failure is one ``verification failure:`` line on stderr.  A path that
-cannot be opened, and an input file that is not UTF-8 JSON text, are
-usage errors whose line names the path; an error while an opened file
-is read or written is not.
+failure is one ``verification failure:`` line on stderr.  The global
+``--alpha``, ``--beta`` and ``--rho`` are read by ``tile`` alone; with any
+other command they are a usage error.  A path that cannot be opened, and
+an input file that is not UTF-8 JSON text, are usage errors whose line
+names the path; an error while an opened file is read or written is not.
 
 ``tile`` (both modes) ends with ``pipeline.check_section``.  ``verify``,
 ``loe`` and ``plot`` read each section file through the same
@@ -39,6 +40,8 @@ from .windows import OrbitWindow, json_field
 
 
 TILE_DEPTH = 2  # the schedule depth of `tile` without --depth or --schedule
+# the global flags, which only `tile` reads; any other command refuses them
+PARAM_FLAGS = ("alpha", "beta", "rho")
 
 
 class UsageError(ValueError):
@@ -222,9 +225,12 @@ def cmd_plot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flowtile",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--alpha", help="short tile length (exact text form)")
-    ap.add_argument("--beta", help="long tile length (exact text form)")
-    ap.add_argument("--rho", help="target alpha frequency (default 1/2)")
+    ap.add_argument("--alpha", help="short tile length (exact text form; "
+                                    "tile only)")
+    ap.add_argument("--beta", help="long tile length (exact text form; "
+                                   "tile only)")
+    ap.add_argument("--rho", help="target alpha frequency (default 1/2; "
+                                  "tile only)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic orbit window")
@@ -280,6 +286,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        unread = [f"--{flag}" for flag in PARAM_FLAGS
+                  if getattr(args, flag) is not None]
+        if unread and args.fn is not cmd_tile:
+            raise UsageError(f"{args.command} does not read "
+                             f"{', '.join(unread)}; only tile does")
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -15,7 +15,8 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
-from itertools import groupby
+from itertools import groupby, islice
+from operator import eq
 from typing import Iterable, Sequence, Union
 
 DEFAULT_D = 2
@@ -309,7 +310,9 @@ def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
     equal keys settled by :func:`sign_of`."""
     keys = lattice_keys(xs, ys, 1, d)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    if len(set(keys)) == len(keys):
+    # equal keys are neighbours in key order
+    ordered = list(map(keys.__getitem__, order))
+    if not any(map(eq, ordered, islice(ordered, 1, None))):
         return order
     exact = cmp_to_key(lambda i, j: sign_of(xs[i] - xs[j], ys[i] - ys[j], d))
     return [i for _, run in groupby(order, key=keys.__getitem__)

@@ -42,6 +42,20 @@ floor(x/alpha) + 1 to a row.  One exact comparison of rows*per_row + 1
 times e/2 with x then rules an anchor out; every anchor it skips would
 have failed, so the family is the one the full search finds.
 
+Each anchor's tileables are enumerated, placed and gap-checked once.
+``_tileable_rows``, the engine behind ``enumerate_tileable``, gives their
+counts, lattice coordinates and value order; the anchor check is
+``_dense_scan``, the scan behind ``eps_dense``, on the ordered
+coordinates; and only the kept anchor's offsets are built as tile
+vectors.  Its witness skips the constructor's gap pass, because no gap
+of the family reaches eps.  If the check accepts the n offsets of
+[A, A + x] at width e = eps/2, they are sorted by value and lie in
+[A, A + x]; each offset gap is below e, s[0] - A < e and
+A + x - s[n-1] < e, so the junction x - (s[n-1] - s[0]) is below
+2e = eps.  When x < e the check accepts without a scan, but then every
+gap is at most x < e.  One exact sign test of the junction against eps
+still fills the witness's wide gaps.
+
 Gap finishing in :mod:`flowtile.pipeline` runs on the same coordinates,
 and so does its lookup in the tileable table, which keeps its vectors'
 coordinates beside their ``quadratic.lattice_keys``.
@@ -162,38 +176,61 @@ def balanced_word(v: TileVector) -> str:
     return "".join(out)
 
 
-def enumerate_tileable(params: Params, lo: QuadReal,
-                       hi: QuadReal) -> list[TileVector]:
-    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
+def _tileable_rows(params: Params, lo: QuadReal, hi: QuadReal
+                   ) -> tuple[list[int], list[int], list[int], list[int],
+                              list[int]]:
+    """(ps, qs, xs, ys, order) for the tile vectors with
+    lo <= p*alpha + q*beta <= hi: their counts row by row, their lattice
+    coordinates (``Params.coords``) and the indices in ascending value
+    order, as ``quadratic.lattice_order`` gives them.
 
     Row q holds the p from ceil((lo - q*beta)/alpha) to
     floor((hi - q*beta)/alpha), two exact floors of lattice values; the
-    rows are runs of p and q counts.  Their lattice coordinates are
-    ordered once by ``quadratic.lattice_order``, and each vector is built
-    once, in that order.
+    rows are runs of p and q counts, and each row's coordinates step by
+    alpha's, (ax, ay).
     """
     if hi < lo:
-        return []
+        return [], [], [], [], []
     # lo/alpha, hi/alpha and beta/alpha over one denominator w
     alpha = params.alpha
     w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
         [lo / alpha, hi / alpha, params.beta / alpha])
+    ax, ay, bx, by = params.ax, params.ay, params.bx, params.by
     ps: list[int] = []
     qs: list[int] = []
+    xs: list[int] = []
+    ys: list[int] = []
     for q in range((hi / params.beta).floor() + 1):
         p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
-        p_hi = floor_of(hx - q * sx, hy - q * sy, w, d)
-        ps += range(p_lo, p_hi + 1)
-        qs += repeat(q, p_hi + 1 - p_lo)  # none when p_hi < p_lo
-    ax, ay, bx, by = params.ax, params.ay, params.bx, params.by
-    order = lattice_order(
-        list(map(add, map(mul, ps, repeat(ax)), map(mul, qs, repeat(bx)))),
-        list(map(add, map(mul, ps, repeat(ay)), map(mul, qs, repeat(by)))), d)
+        n = floor_of(hx - q * sx, hy - q * sy, w, d) + 1 - p_lo
+        if n > 0:
+            ps += range(p_lo, p_lo + n)
+            qs += repeat(q, n)
+            x, y = ax * p_lo + bx * q, ay * p_lo + by * q
+            xs += range(x, x + n * ax, ax) if ax else repeat(x, n)
+            ys += range(y, y + n * ay, ay) if ay else repeat(y, n)
+    return ps, qs, xs, ys, lattice_order(xs, ys, d)
+
+
+def _vectors(ps: list[int], qs: list[int],
+             order: list[int]) -> list[TileVector]:
+    """The tile vectors (ps[i], qs[i]) for i in order."""
     # tuple.__new__ builds the named tuples without TileVector.__new__'s
     # Python frame
     return list(map(tuple.__new__, repeat(TileVector),
                     zip(map(ps.__getitem__, order),
                         map(qs.__getitem__, order))))
+
+
+def enumerate_tileable(params: Params, lo: QuadReal,
+                       hi: QuadReal) -> list[TileVector]:
+    """All tile vectors with lo <= p*alpha + q*beta <= hi, sorted by value.
+
+    The rows, their lattice coordinates and their order come from
+    ``_tileable_rows``, and each vector is built once, in that order.
+    """
+    ps, qs, _, _, order = _tileable_rows(params, lo, hi)
+    return _vectors(ps, qs, order)
 
 
 class DensityReport(NamedTuple):
@@ -217,6 +254,13 @@ def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
     2**k*(dA + dB*sqrt(D)); only gaps near 0 or near eps reach the exact
     sign test.
     """
+    return _dense_scan(params, *params.coords(members), lo, hi, eps)
+
+
+def _dense_scan(params: Params, xs: list[int], ys: list[int], lo: QuadReal,
+                hi: QuadReal, eps: QuadReal) -> DensityReport:
+    """:func:`eps_dense` on the members' lattice coordinates xs, ys, as
+    ``Params.coords`` gives them."""
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
     # alpha and beta bring the members' denominator into c and their
@@ -228,7 +272,6 @@ def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
     if sign_of(hx - lx - ex, hy - ly - ey, d) < 0:
         return DensityReport(True, None)  # no admissible x at all
     # member i is m*(xs[i] + ys[i]*sqrt(d))/c; lo is (lx + ly*sqrt(d))/c, ...
-    xs, ys = params.coords(members)
     m = c // params.c
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
     k = spread.bit_length() + quadratic.KEY_BITS
@@ -347,6 +390,31 @@ class DensityWitness:
         bar = -((abs(ey) - (ex << k) - ey * s) // m) - spread
         self._wide = [t for t in compress(range(n), map(ge, steps, repeat(bar)))
                       if sign_of(ex - m * dxs[t], ey - m * dys[t], d) <= 0]
+        self._keep(params, band, eps, base, offsets, xs, ys, ux, uy, k_min)
+
+    @classmethod
+    def _from_anchor(cls, params: Params, band: FreqBand, eps: QuadReal,
+                     base: TileVector, offsets: list[TileVector],
+                     xs: list[int], ys: list[int],
+                     k_min: int) -> DensityWitness:
+        """The constructor's family on the tileables of an anchor interval
+        that :func:`density_witness` accepted as eps/2-dense, with their
+        coordinates xs, ys, built without the gap pass: that check proves
+        no gap of the family reaches eps.  One exact sign test of the
+        junction against eps fills the wide gaps."""
+        self = object.__new__(cls)
+        c, d, [((ex,), (ey,)), _] = lattice([eps], [params.alpha, params.beta])
+        m = c // params.c
+        (ux,), (uy,) = params.coords([base])
+        jx, jy = xs[0] + ux - xs[-1], ys[0] + uy - ys[-1]
+        self._wide = ([len(xs) - 1]
+                      if sign_of(ex - m * jx, ey - m * jy, d) <= 0 else [])
+        self._keep(params, band, eps, base, offsets, xs, ys, ux, uy, k_min)
+        return self
+
+    def _keep(self, params: Params, band: FreqBand, eps: QuadReal,
+              base: TileVector, offsets: list[TileVector], xs: list[int],
+              ys: list[int], ux: int, uy: int, k_min: int) -> None:
         self.params = params
         self.band = band
         self.eps = eps
@@ -529,6 +597,16 @@ def density_witness(params: Params, eps: QuadReal,
     and at most floor(x/alpha) + 1 of them share a q.  So when
     eps/2 * (rows*per_row + 1) <= x, one exact ``QuadReal`` comparison,
     the anchor would fail, and skipping it changes no family.
+
+    Each anchor's rows, coordinates and order are computed once, and the
+    eps/2 check scans the ordered coordinates; only the kept anchor's
+    offsets are built as tile vectors.  Its witness skips the constructor's gap
+    pass: the check proved the offsets sorted, inside [A, A + x] and
+    every gap below eps/2, with the first offset and the last within
+    eps/2 of the interval's ends.  So no offset gap reaches eps, and the
+    junction x - (s[n-1] - s[0]), the sum of those two end distances, is
+    below eps/2 + eps/2 (or at most x < eps/2, when the interval is too
+    narrow for the check to scan).
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -551,8 +629,11 @@ def density_witness(params: Params, eps: QuadReal,
         # n members are eps/2-dense on [A, A + xval] only if
         # xval < (n + 1)*half, and n <= rows*per_row
         if half * (rows * per_row + 1) > xval:
-            offsets = enumerate_tileable(params, anchor, anchor + xval)
-            if offsets and eps_dense(params, offsets, anchor, anchor + xval,
+            ps, qs, xs, ys, order = _tileable_rows(params, anchor,
+                                                   anchor + xval)
+            xs = list(map(xs.__getitem__, order))
+            ys = list(map(ys.__getitem__, order))
+            if order and _dense_scan(params, xs, ys, anchor, anchor + xval,
                                      half).ok:
                 break
         anchor = anchor * 2
@@ -562,4 +643,5 @@ def density_witness(params: Params, eps: QuadReal,
     ratio = frequency_stability_ratio(params, zeta)
     off_max = anchor + xval
     k_min = max(1, (off_max / (ratio * xval)).floor() + 1)
-    return DensityWitness(params, band, eps, base, offsets, k_min)
+    return DensityWitness._from_anchor(params, band, eps, base,
+                                       _vectors(ps, qs, order), xs, ys, k_min)

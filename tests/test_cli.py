@@ -563,6 +563,27 @@ class TestCli:
         assert_usage_error(argv, message, capsys)
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--rho", "abc"], "--rho"),
+        (["--alpha", ""], "--alpha"),
+        (["--beta", "sqrt(3)"], "--beta"),
+        (["--rho", "1/3", "--alpha", "1"], "--alpha, --rho"),
+    ], ids=["rho_malformed", "alpha_empty", "beta_wellformed", "two_flags"])
+    @pytest.mark.parametrize("command", ["gen", "verify", "loe", "plot"])
+    def test_global_params_only_with_tile(self, flags, named, command,
+                                          tmp_path, capsys):
+        # only tile reads --alpha, --beta and --rho; every other command
+        # names the unread flags before it opens or writes a file
+        out = str(tmp_path / "out")
+        args = {"gen": ["--n", "5", "--out", out],
+                "verify": [str(tmp_path / "t.json")],
+                "loe": ["--a", "a.json", "--b", "b.json", "--out", out],
+                "plot": [str(tmp_path / "t.json"), "--svg", out]}[command]
+        assert_usage_error(flags + [command] + args,
+                           f"{command} does not read {named}; only tile does",
+                           capsys)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("tamper", [
         lambda d: d.update(beta="sqrt(4)"),
         lambda d: d["origin_positions"].__setitem__(3, "1/0"),

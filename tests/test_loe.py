@@ -6,7 +6,7 @@ with ``oracles.build_loe_violations``."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flowtile import loe, quadratic
@@ -535,7 +535,11 @@ class TestLoeOracle:
         rep = verify_loe(PiecewiseTranslationMap([p2, p1]), P)
         assert rep.ok and rep.mapped_length == P.alpha + P.beta
 
-    @settings(max_examples=150, deadline=None)
+    # no shrink phase: shrinking the st.data() draws of unique QuadReal
+    # lists takes minutes and hundreds of MB, while generation finds a
+    # broken build_loe in about a second
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(st.text("ab", min_size=1, max_size=14), st.data())
     def test_build_loe_meets_its_definition(self, letters, data):
         # the target has the same letters in another order, so the alpha

@@ -6,7 +6,7 @@ checked clause by clause with ``oracles.on_lattice_violations``."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtile import quadratic
@@ -135,6 +135,9 @@ class TestLatticeKeys:
                               st.integers(-40, 40)), max_size=12),
            st.integers(1, 30), st.sampled_from([2, 3]),
            st.sampled_from([0, 5, 32]))
+    # two values whose keys tie, in reverse index order: 2*sqrt(2) - 1 and
+    # 3 - sqrt(2) both have the key 1 at 0 bits
+    @example([(-1, 2), (3, -1)], 1, 2, 0)
     def test_keys_and_order_match_quadreal(self, pairs, c, d, bits):
         xs = [x for x, _ in pairs]
         ys = [y for _, y in pairs]

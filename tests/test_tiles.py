@@ -425,16 +425,22 @@ class TestDensityWitness:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.STOCK_FAMILIES[index]
 
-    def test_stock_anchor_search_enumerates_13_times(self, monkeypatch):
+    def test_stock_anchor_search_enumerates_13_times(self, monkeypatch,
+                                                      schedule4):
         # the anchors a tile count proves too sparse are skipped: without
-        # the skip rule the same build enumerates 56 anchor intervals
+        # the skip rule the same searches enumerate 56 anchor intervals.
+        # The search enumerates through the engine behind
+        # enumerate_tileable, which the K search calls as well, so the
+        # families' searches are run on their own
         calls = []
+        rows = tiles._tileable_rows
 
         def counting(*args):
             calls.append(args)
-            return enumerate_tileable(*args)
-        monkeypatch.setattr(tiles, "enumerate_tileable", counting)
-        build_schedule(P, depth=4)
+            return rows(*args)
+        monkeypatch.setattr(tiles, "_tileable_rows", counting)
+        for _, band, wit in schedule4.witnesses:
+            density_witness(P, wit.eps, band)
         assert len(calls) == 13
 
     def test_give_up_without_enumerating(self, monkeypatch):
@@ -442,10 +448,32 @@ class TestDensityWitness:
         # last of them holds about 4*10**19
         def refuse(*args):
             raise AssertionError("enumerated an anchor interval")
-        monkeypatch.setattr(tiles, "enumerate_tileable", refuse)
+        monkeypatch.setattr(tiles, "_tileable_rows", refuse)
         with pytest.raises(ValueError,
                            match="no eps/2-dense anchor interval found"):
             density_witness(P, quad(F(1, 2**100)), FreqBand(F(1, 4), F(3, 4)))
+
+    # depth-3 schedules off the stock parameters: D = 3, an irrational
+    # alpha, and two skewed rho
+    SCHEDULE_PARAMS = [Params(quad(1), quad(0, 1, 3), F(1, 2)),
+                       Params(quad(-1, 1), quad(1), F(1, 2)),
+                       default_params(F(2, 5)), default_params(F(1, 7))]
+
+    @pytest.mark.parametrize("index", range(len(SCHEDULE_PARAMS) + 1))
+    def test_families_equal_the_public_constructor(self, index, schedule4):
+        # density_witness builds its family without the constructor's gap
+        # pass: the constructor on the same offsets gives the same family
+        sched = (schedule4 if index == len(self.SCHEDULE_PARAMS) else
+                 build_schedule(self.SCHEDULE_PARAMS[index], depth=3))
+        for _, band, wit in sched.witnesses:
+            pub = DensityWitness(wit.params, band, wit.eps, wit.base,
+                                 wit.offsets, wit.k_min)
+            assert ((wit.offsets, wit.xs, wit.ys, wit._wide, wit.k_min,
+                     wit.threshold) ==
+                    (pub.offsets, pub.xs, pub.ys, pub._wide, pub.k_min,
+                     pub.threshold))
+            assert checks(wit.check_windows(10)) == \
+                checks(pub.check_windows(10))
 
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(PARAM_SETS),
