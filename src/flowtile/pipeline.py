@@ -32,19 +32,34 @@ position is an integer pair (A, B) over the section's one denominator C,
 standing for (A + B*sqrt(D)) / C.  Growth, finishing, the tileable table
 lookup and :func:`check_section` read those pairs, with gaps, carries,
 corridor ends and stage constants on the same lattice, rescaled to a
-common multiple of C only when a constant needs one; an order is the
-exact sign of a lattice difference (``quadratic.sign_of``).  The table
-is bisected on exact floor(2**KEY_BITS * value) keys, with key ties
-settled by that sign test, and candidate words are ranked by integer
-cross-multiplication of frequencies.  Growth ranks its pair menu the
-same way: eps_1, alpha and beta go on the lattice of the pair gaps once,
-each candidate's distance to its gap is a ``sign_of`` test, and its band
-and frequency rank are integer cross-multiplications.  A section starts
-from its window's coordinates (``quadratic.on_lattice``), and the
-chain-class check builds its window of original points from the
-section's lists.  ``QuadReal`` stays the type of every argument, result
-and serialized value: one is built for each position a caller reads, for
-each original point's origin and for error texts.
+common multiple of C only when a constant needs one.  Finishing and the
+checker decide on integers, and the exact sign of a lattice difference
+(``quadratic.sign_of``) runs only where a screen cannot decide:
+
+* a stage's class ends, the gaps above K_n, take one exact floor per
+  distinct sqrt(D) part (``windows._gaps_above``, as in chain classes);
+* the table is bisected on exact floor(2**KEY_BITS * value) keys.  A
+  corridor end (x + y*sqrt(D))/c is screened as (x << k) + y*r, with
+  r = ``quadratic.screen_root(D, k)`` at the table's k, which lies within
+  |y| of 2**k * (x + y*sqrt(D)); that brackets the end's key, and only
+  entries keyed inside the bracket meet ``sign_of``.  Whether a corridor
+  reaches above the table's top is screened the same way;
+* the carry bound |carry| < eps_n and the displacement bound
+  |disp| < min(alpha, 1)/3 hold without a sign test when the screened
+  size |(x << k) + y*r| + |y| lies below the bound's screened lower end,
+  at k = KEY_BITS; the rest, the values within a margin of the bound,
+  take both exact sign tests.
+
+Candidate words are ranked by integer cross-multiplication of
+frequencies.  Growth ranks its pair menu the same way: eps_1, alpha and
+beta go on the lattice of the pair gaps once, each candidate's distance
+to its gap is a ``sign_of`` test, and its band and frequency rank are
+integer cross-multiplications.  A section starts from its window's
+coordinates (``quadratic.on_lattice``), and the chain-class check builds
+its window of original points from the section's lists.  ``QuadReal``
+stays the type of every argument, result and serialized value: one is
+built for each position a caller reads, for each original point's origin
+and for error texts.
 """
 
 from __future__ import annotations
@@ -55,17 +70,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, compress, count, islice, repeat
-from operator import add, and_, eq, gt, is_, le, ne, or_, rshift, sub
+from operator import (add, and_, eq, ge, is_, is_not, le, lshift, mul, ne,
+                      not_, or_, rshift, sub)
 from typing import NamedTuple, Optional, Sequence
 
 from . import quadratic
-from .quadratic import (QuadReal, json_type, lattice, lattice_key,
-                        lattice_keys, on_lattice, parse_quadreal, qmax, qmin,
-                        quad, quads, sign_of)
+from .quadratic import (QuadReal, json_type, lattice, lattice_keys,
+                        on_lattice, parse_quadreal, qmax, qmin, quad, quads,
+                        screen_root, sign_of)
 from .tiles import (DensityWitness, FreqBand, Params, TileVector,
                     balanced_word, density_witness, enumerate_tileable,
                     eps_dense)
-from .windows import OrbitWindow, chain_classes, json_field
+from .windows import OrbitWindow, _gaps_above, chain_classes, json_field
 
 FULLY_REGULAR = "fully_regular"
 HALF_TILED = "half_tiled"
@@ -92,9 +108,13 @@ class TileableTable:
     ``xs, ys`` are the vectors' lattice coordinates (:meth:`Params.coords`)
     and ``keys[i]`` is the ``quadratic.lattice_key`` of the value of
     ``vectors[i]``, at the ``bits`` of ``quadratic.KEY_BITS`` when the
-    table was built.  A lookup bisects the keys of its two corridor ends,
-    taken at the same bits; only the entries whose key equals an end's are
-    compared with it exactly, by the sign of their lattice difference.
+    table was built.  A lookup decides on integer screens
+    (``quadratic.screen_root`` at the table's bits): each corridor end's
+    screened value brackets its exact key, so the bisection skips every
+    entry keyed outside that bracket, and only the entries keyed inside it
+    are compared with the end exactly, by ``sign_of`` of their lattice
+    difference.  The check against ``top`` is screened the same way, and
+    ``sign_of`` decides it only inside the screen's margin.
     """
 
     __slots__ = ("params", "top", "vectors", "xs", "ys", "bits", "keys")
@@ -123,21 +143,31 @@ class TileableTable:
         hi = (hx + hy*sqrt(d))/c, given on lattice coordinates."""
         d = self.params.d
         top = self.top
-        if sign_of(hx * top.c - top.a * c, hy * top.c - top.b * c, d) > 0:
+        bits, cv = self.bits, self.params.c
+        r = screen_root(d, bits)
+        # hi - top is (tx + ty*sqrt(d)) / (c*top.c), whose screened value
+        # lies within |ty| of 2**bits * (tx + ty*sqrt(d))
+        tx, ty = hx * top.c - top.a * c, hy * top.c - top.b * c
+        above = (tx << bits) + ty * r
+        if above > -abs(ty) and (above > abs(ty) or sign_of(tx, ty, d) > 0):
             raise TilingError(f"corridor ({QuadReal._raw(lx, ly, c, d)}, "
                               f"{QuadReal._raw(hx, hy, c, d)}) reaches above "
                               f"the tileable table's top {top}")
         vectors, xs, ys, keys = self.vectors, self.xs, self.ys, self.keys
-        bits, cv = self.bits, self.params.c
 
         def first_above(x: int, y: int, strict: bool) -> int:
             # the first entry above (x + y*sqrt(d))/c, or not below it
-            # when not strict
-            key = lattice_key(x, y, c, d, bits)
-            i = bisect_left(keys, key)
-            while i < len(keys) and keys[i] == key:
-                s = sign_of(xs[i] * c - x * cv, ys[i] * c - y * cv, d)
-                if s > 0 or (s == 0 and not strict):
+            # when not strict.  Its exact key, floor(2**bits * value), lies
+            # between the floors of the screened value s and of s + y over
+            # c; an entry keyed below that bracket is below the end, one
+            # keyed above it is above
+            s = (x << bits) + y * r
+            lo, hi = (s // c, (s + y) // c) if y >= 0 else ((s + y) // c,
+                                                             s // c)
+            i = bisect_left(keys, lo)
+            while i < len(keys) and keys[i] <= hi:
+                e = sign_of(xs[i] * c - x * cv, ys[i] * c - y * cv, d)
+                if e > 0 or (e == 0 and not strict):
                     break
                 i += 1
             return i
@@ -527,9 +557,12 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     also holds the bound (``quadratic.on_lattice``).  The carry changes
     only at a planned gap and at a bare gap reached with a nonzero carry,
     so the walk stops there and at the last point, and checks the carry
-    once per stretch between stops, at its first point.  A bare gap reached
-    with zero carry is copied with its stretch; block growth plans one gap
-    in several, so most of its bare gaps are copied that way.  The new
+    once per stretch between stops, at its first point: on the integer
+    screen of ``quadratic.screen_root``, and by exact sign tests only
+    when the carry lies within the screen's margin of the bound.  A bare
+    gap reached with zero carry is copied with its stretch; block growth
+    plans one gap in several, so most of its bare gaps are copied that
+    way.  The new
     gaps are the lettered gaps, the letters of the planned words and the
     bare gaps less the carry they absorb; their running sums from the
     first point, which never moves, are the section's new coordinates.
@@ -540,6 +573,11 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
     # the bound, alpha and beta are (ex, ey), (ax, ay) and (bx, by)
     c, d, xs, ys, [((ex, ax, bx), (ey, ay, by))] = on_lattice(
         t.c, t.d, t.xs, t.ys, [bound, params.alpha, params.beta])
+    # a carry whose screened size |(cx << k) + cy*r| + |cy| lies below the
+    # bound's screened lower end is inside the bound
+    k = quadratic.KEY_BITS
+    r = screen_root(d, k)
+    bar = (ex << k) + ey * r - abs(ey)
     step_x = {"a": ax, "b": bx}.__getitem__
     step_y = {"a": ay, "b": by}.__getitem__
     words: dict[TileVector, tuple] = {}  # vector: letters and their steps
@@ -567,9 +605,11 @@ def _apply_gap_plan(t: TiledSection, plan: dict[int, TileVector], stage: int,
             continue
         # points start..g move by the carry; gaps start..g-1 are lettered,
         # or bare with no carry to absorb
-        # |carry| < bound: bound - carry > 0 and bound + carry > 0
-        if (cx or cy) and (sign_of(ex - cx, ey - cy, d) <= 0
-                           or sign_of(ex + cx, ey + cy, d) <= 0):
+        # |carry| < bound, on the screen or else as bound - carry > 0 and
+        # bound + carry > 0
+        if ((cx or cy) and abs((cx << k) + cy * r) + abs(cy) >= bar
+                and (sign_of(ex - cx, ey - cy, d) <= 0
+                     or sign_of(ex + cx, ey + cy, d) <= 0)):
             raise TilingError(
                 f"shift {QuadReal._raw(cx, cy, c, d)} at point {start} "
                 f"(rank {ranks[start]}) exceeds its bound {bound}")
@@ -803,7 +843,7 @@ def _class_signature(t: TiledSection, schedule: Schedule, stage: int):
     """Cardinalities, in order, of chain classes over original points at
     each threshold from the current stage up; the window's order and its
     classes are decided on lattice coordinates."""
-    kept = [oid is not None for oid in t.orig_ids]
+    kept = list(map(is_not, t.orig_ids, repeat(None)))
     if sum(kept) < 2:
         return ()
     w = OrbitWindow.from_lattice(t.c, t.d, compress(t.xs, kept),
@@ -826,9 +866,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
 
     Gaps, carry and corridors are the section's coordinates over a
     denominator c that also holds the stage constants
-    (``quadratic.on_lattice``), and the table is looked up with
-    them (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for
-    an error text.  Within one call c and the corridor width 2*eps_n are
+    (``quadratic.on_lattice``); the class ends are ``windows._gaps_above``
+    of K_n, and the table is looked up with them
+    (:meth:`TileableTable.inside`); a ``QuadReal`` is built only for an
+    error text.  Within one call c and the corridor width 2*eps_n are
     fixed, so a corridor's low end names it: each distinct corridor is
     looked up once, and its answer is kept in a dict that ends with the
     call.  A corridor holding a single tileable plans it without a choice.
@@ -845,8 +886,7 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     gxs = list(map(sub, islice(xs, 1, None), xs))
     gys = list(map(sub, islice(ys, 1, None), ys))
     # gap g above K_n ends a chain class; no other gap can
-    above = list(map(gt, map(sign_of, map(sub, gxs, repeat(kx)),
-                             map(sub, gys, repeat(ky)), repeat(d)), repeat(0)))
+    above = list(_gaps_above(xs, ys, kx, ky, d))
     # count_a[g], count_b[g]: the letters before gap g
     count_a = list(accumulate(map(eq, letters, repeat("a")), initial=0))
     count_b = list(accumulate(map(eq, letters, repeat("b")), initial=0))
@@ -879,8 +919,8 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
         else:
             # the class's letters up to the end of the block right of gap g
             e = stops[s_i + 1]
-            peek = TileVector(count_a[e] - count_a[start] + vp,
-                              count_b[e] - count_b[start] + vq)
+            peek = (count_a[e] - count_a[start] + vp,
+                    count_b[e] - count_b[start] + vq)
             vec = _choose_gap_word(cands, peek, rho)
         if vec is None:
             raise TilingError(f"stage {stage}: no tileable in the corridor "
@@ -896,9 +936,10 @@ def _finish_stage_plan(t: TiledSection, schedule: Schedule,
     return plan
 
 
-def _choose_gap_word(cands: Sequence[TileVector], running: TileVector,
+def _choose_gap_word(cands: Sequence[TileVector], running: tuple[int, int],
                      rho: Fraction) -> Optional[TileVector]:
-    """The candidate that best steers the running counts toward rho.
+    """The candidate that best steers the running counts (p, q) toward
+    rho.
 
     Candidates on the side of rho that rebalances ``running`` come first;
     among them the least |f(running + v) - rho|, then the least
@@ -997,14 +1038,16 @@ def check_section(t: TiledSection):
     (checked in point order); the j-th witness has level j and the eta of
     :func:`stage_bounds` for level j, and replays.  Positions, origins
     and lengths are lattice coordinates over one denominator
-    (``quadratic.on_lattice``)."""
+    (``quadratic.on_lattice``), and a displacement meets ``sign_of`` only
+    when the integer screen of ``quadratic.screen_root`` puts it within
+    its margin of the budget."""
     p = t.params
     budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
     letters = t.letters
-    idx = [i for i, oid in enumerate(t.orig_ids) if oid is not None]
+    idx = list(compress(count(), map(is_not, t.orig_ids, repeat(None))))
     ids = list(map(t.orig_ids.__getitem__, idx))
-    missing = next((k for k, oid in enumerate(ids)
-                    if oid not in t.origin_pos), len(ids))
+    missing = next(compress(count(), map(not_, map(t.origin_pos.__contains__,
+                                                   ids))), len(ids))
     c, d, xs, ys, [(ox, oy), ((ax, bx, ux), (ay, by, uy))] = on_lattice(
         t.c, t.d, t.xs, t.ys, [t.origin_pos[oid] for oid in ids[:missing]],
         [p.alpha, p.beta, budget])
@@ -1038,16 +1081,21 @@ def check_section(t: TiledSection):
     # the displacements of the points before the first without an origin
     dxs = list(map(sub, map(xs.__getitem__, idx), ox))
     dys = list(map(sub, map(ys.__getitem__, idx), oy))
-    # |disp| < budget: budget - disp > 0 and budget + disp > 0
-    inside = map(min, map(sign_of, map(sub, repeat(ux), dxs),
-                          map(sub, repeat(uy), dys), repeat(d)),
-                 map(sign_of, map(add, repeat(ux), dxs),
-                     map(add, repeat(uy), dys), repeat(d)))
-    far = next(compress(count(), map(le, inside, repeat(0))), None)
-    if far is not None:
-        raise TilingError(f"original point {ids[far]} displaced "
-                          f"{QuadReal._raw(dxs[far], dys[far], c, d)}, not "
-                          f"strictly below the min(alpha,1)/3 budget")
+    # |disp| < budget holds for a displacement whose screened size
+    # |(dx << k) + dy*r| + |dy| lies below the budget's screened lower end;
+    # the others are tested exactly, as budget - disp > 0 and
+    # budget + disp > 0
+    k = quadratic.KEY_BITS
+    r = screen_root(d, k)
+    bar = (ux << k) + uy * r - abs(uy)
+    sizes = map(add, map(abs, map(add, map(lshift, dxs, repeat(k)),
+                                  map(mul, dys, repeat(r)))), map(abs, dys))
+    for far in compress(count(), map(ge, sizes, repeat(bar))):
+        if (sign_of(ux - dxs[far], uy - dys[far], d) <= 0
+                or sign_of(ux + dxs[far], uy + dys[far], d) <= 0):
+            raise TilingError(f"original point {ids[far]} displaced "
+                              f"{QuadReal._raw(dxs[far], dys[far], c, d)}, "
+                              f"not strictly below the min(alpha,1)/3 budget")
     if missing < len(ids):
         raise TilingError(f"original point {ids[missing]} has no origin "
                           f"position")
@@ -1163,17 +1211,20 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     the run of r letters from gap i fails when |dev[i+r] - dev[i]| >= thr,
     thr = ceil(eta * b * r).  With S = max(dev) - min(dev), the shifted
     prefixes dev[i] - min(dev), each in [0, S], are packed once into one
-    int: lane i holds bits [i*w, (i+1)*w), for a whole number of bytes w
+    int P: lane i holds bits [i*w, (i+1)*w), for a whole number of bytes w
     with 2**(w-1) > 2*S.  A run length r has k = n + 1 - r windows.  Let
-    high be the packed int shifted down by r lanes, low its k lowest
-    lanes, and c = 2**(w-1) - thr.  Then lane i of high + c*ones_k - low
-    is dev[i+r] - dev[i] + c, and of low + c*ones_k - high it is
-    dev[i] - dev[i+r] + c.  For 0 < thr <= S we have c > S, so every lane
-    of high + c*ones_k or low + c*ones_k is more than S, the most a lane
-    of the term subtracted can hold, and every result lane is below
-    S + c < 2**w: no borrow or carry crosses a lane.  The run length fails
-    exactly when some lane of either result has its top bit set.  The
-    whole section, a single window, is tested from dev[n] first.
+    high be P shifted down by r lanes, c = 2**(w-1) - thr and C = c*ones,
+    c in each of the n + 1 lanes.  For i < k, lane i of high + C - P is
+    dev[i+r] - dev[i] + c, and of P + C - high it is dev[i] - dev[i+r] + c.
+    Past them high's lanes are 0, so lane i >= k of the two results is
+    c - dev'[i] and dev'[i] + c, with dev'[i] = dev[i] - min(dev) in
+    [0, S].  For 0 < thr <= S we have c > S >= dev'[i], so every lane of
+    high + C or P + C exceeds the lane of the term subtracted from it, and
+    every result lane is below S + c < 2**w: no borrow or carry crosses a
+    lane.  The mask (ones << (w-1)) >> r*w keeps the top bits of exactly
+    the k lanes of windows, and the run length fails exactly when one of
+    them is set in either result.  The whole section, a single window, is
+    tested from dev[n] first.
     """
     eta = Fraction(eta)
     if not t.is_fully_regular():
@@ -1199,18 +1250,17 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     width = scan.width
     top = 1 << (width - 1)
     packed, ones = scan.packed, scan.ones
+    tops = ones << (width - 1)  # the top bit of every lane
 
     def fails(run: int) -> bool:
         thr = threshold(run)
         if thr > spread:
             return False
-        mask = (1 << (n + 1 - run) * width) - 1
-        high = packed >> run * width
-        low = packed & mask
-        ones_k = ones & mask
-        bias = (top - thr) * ones_k
-        return bool(((high + bias - low) | (low + bias - high))
-                    & (ones_k << (width - 1)))
+        shift = run * width
+        high = packed >> shift
+        bias = (top - thr) * ones
+        return bool(((high + bias - packed) | (packed + bias - high))
+                    & (tops >> shift))
 
     n_eta = start
     run = start - 1

@@ -267,6 +267,20 @@ def floor_of(a: int, b: int, c: int, d: int) -> int:
     return (a + w) // c
 
 
+def screen_root(d: int, k: int) -> int:
+    """r = floor(2**k * sqrt(d)), the root of the integer screens.  For
+    integers x and y the screened value (x << k) + y*r lies within |y| of
+    2**k * (x + y*sqrt(d)):
+
+        |(x << k) + y*r - 2**k*(x + y*sqrt(d))| < |y|,
+
+    and the two are equal when y == 0, since 0 < 2**k*sqrt(d) - r < 1 for
+    d not a perfect square.  Below the screened value by that margin a
+    value is certainly below, above it by the margin certainly above;
+    only values inside the margin need :func:`sign_of`."""
+    return math.isqrt(d << 2 * k)
+
+
 # Bits of resolution below the unit of the lattice keys, read at each call;
 # any value is exact, larger ones leave fewer ties to the sign test.
 KEY_BITS = 32

@@ -15,12 +15,12 @@ the tile lattice that :class:`Params` holds, the value of (p, q) is
 an order is the exact sign of A + B*sqrt(D), decided by
 ``quadratic.sign_of`` from integer squares.  Runs are sorted by
 ``quadratic.lattice_order`` and gaps are screened with the key
-``A*2**k + B*isqrt(D*4**k)``, which lies within |B| of
-2**k * (A + B*sqrt(D)).  A key difference decides a comparison only when
-it clears that error bound; every other comparison, and every tie of
-keys, goes to the exact sign test.  So no float decides anything, the
-results are those of ``QuadReal`` arithmetic on the members' values,
-and no ``QuadReal`` is built per member.
+``A*2**k + B*r``, r = isqrt(D*4**k) from ``quadratic.screen_root``, which
+lies within |B| of 2**k * (A + B*sqrt(D)).  A key difference decides a
+comparison only when it clears that error bound; every other comparison,
+and every tie of keys, goes to the exact sign test.  So no float decides
+anything, the results are those of ``QuadReal`` arithmetic on the
+members' values, and no ``QuadReal`` is built per member.
 
 A :class:`DensityWitness` is checked without listing its members.  Its
 members ``k*x + s`` come in runs, one per k, and the gap from a member to
@@ -63,7 +63,6 @@ coordinates beside their ``quadratic.lattice_keys``.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +72,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import quadratic
 from .quadratic import (QuadReal, floor_of, lattice, lattice_order, quad,
-                        real_gcd, sign_of, sqrtD)
+                        real_gcd, screen_root, sign_of, sqrtD)
 
 
 class Params:
@@ -250,9 +249,9 @@ def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
     lo, hi and eps go through ``quadratic.lattice``.  One pass checks the
     order of the members, which are sorted only when out of order.
     Consecutive members are screened by the key difference
-    ``(dA << k) + dB*s``, s = isqrt(D*4**k), which is within |dB| of
-    2**k*(dA + dB*sqrt(D)); only gaps near 0 or near eps reach the exact
-    sign test.
+    ``(dA << k) + dB*s``, s = ``quadratic.screen_root(D, k)``, which is
+    within |dB| of 2**k*(dA + dB*sqrt(D)); only gaps near 0 or near eps
+    reach the exact sign test.
     """
     return _dense_scan(params, *params.coords(members), lo, hi, eps)
 
@@ -275,7 +274,7 @@ def _dense_scan(params: Params, xs: list[int], ys: list[int], lo: QuadReal,
     m = c // params.c
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
     k = spread.bit_length() + quadratic.KEY_BITS
-    s = math.isqrt(d << 2 * k)
+    s = screen_root(d, k)
 
     def key_steps() -> list[int]:
         dxs = map(sub, islice(xs, 1, None), xs)
@@ -376,7 +375,7 @@ class DensityWitness:
         # the keys of eps_dense: a step is within spread of 2**k times a gap
         spread = max(map(abs, dys))
         k = spread.bit_length() + quadratic.KEY_BITS
-        s = math.isqrt(d << 2 * k)
+        s = screen_root(d, k)
         steps = list(map(add, map(lshift, dxs, repeat(k)),
                          map(mul, dys, repeat(s))))
         # a step of at least spread is an exact gap >= 0

@@ -10,9 +10,10 @@ error texts must be equal.
 """
 
 import copy
+import hashlib
 import json
 import random
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import accumulate
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtile import pipeline
+from flowtile import pipeline, quadratic
 from flowtile.generators import GeneratorSpec, generate
 from flowtile.pipeline import (Schedule, TileableTable, TiledSection,
                                TilingError, WitnessError, build_rank_blocks,
@@ -112,6 +113,49 @@ def windows(draw):
             angle = angle + F(1, 4)
         spec = GeneratorSpec(kind, count, angle=angle)
     return sched, generate(spec), seed
+
+
+# -- key widths ---------------------------------------------------------------
+#
+# The table lookup, the carry check and the displacement check decide on
+# integer screens (``quadratic.screen_root``) and call ``sign_of`` only
+# inside a screen's margin.  The carry and displacement checks read
+# KEY_BITS at each call, and a table keeps the width it was built at.  The
+# property tests of the planner, the carry walk and the displacement check
+# draw a width from KEY_WIDTHS, and TestScreensAtEveryKeyWidth runs each
+# screen's edge cases at every width, where only the exact test can
+# decide: a value exactly on a bound or a table value, and one a hair off.
+
+KEY_WIDTHS = [0, 5, 32]
+
+# tiny positive u - w*sqrt(2): about 5e-3, 9e-4 and 3e-12
+HAIRS = [quad(99, -70), quad(577, -408),
+         quad(152139002499, -107578520350)]
+
+# alpha = 2 - sqrt(2): every tileable with an alpha tile has y < 0
+NEGATIVE_Y = Params(quad(2, -1), quad(1), F(1, 2))
+
+
+@contextmanager
+def key_bits(bits: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "KEY_BITS", bits)
+        yield
+
+
+_AT_WIDTH: dict[tuple[int, int], tuple[Schedule, Schedule]] = {}
+
+
+def table_at(sched: Schedule, bits: int) -> Schedule:
+    """A copy of a kept schedule with its table built at KEY_BITS = bits,
+    made once per pair."""
+    key = (id(sched), bits)
+    if key not in _AT_WIDTH:
+        copied = copy.copy(sched)
+        with key_bits(bits):
+            copied.table = TileableTable(sched.params, sched.table.top)
+        _AT_WIDTH[key] = (sched, copied)
+    return _AT_WIDTH[key][1]
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -307,35 +351,46 @@ class TestChooseGapWord:
 # -- displacements ------------------------------------------------------------
 
 
+def displaced_section(name, moves, drop):
+    """A lettered 12-point section of the regime whose origin i is moved
+    by frac times the budget, plus s/7 sqrt(d), for each (i, frac, s) of
+    moves, less the origin of point drop when drop >= 0."""
+    p = regime_schedule(name).params
+    budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
+    letters = ["b" if i % 3 else "a" for i in range(11)]
+    pos = [quad(0, 0, p.d)]
+    for ch in letters:
+        pos.append(pos[-1] + (p.alpha if ch == "a" else p.beta))
+    t = TiledSection(p, pos, letters, [0] * 12, list(range(12)))
+    t.origin_pos = dict(enumerate(pos))
+    for i, frac, s in moves:
+        # a shift of frac times the budget, plus s/7 sqrt(d) for s != 0,
+        # made by moving the origin the other way
+        t.origin_pos[i] = t.origin_pos[i] - budget * frac * 3 - \
+            quad(0, F(s, 7), p.d)
+    if drop >= 0:
+        del t.origin_pos[drop]
+    return t
+
+
+DISPLACED = (st.sampled_from(["stock", "d3_irrational_alpha",
+                              "irrational_alpha"]),
+             st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
+                 [F(0), F(1, 3), F(-1, 3), F(1, 3) - F(1, 10 ** 9),
+                  F(1, 5), F(-1, 2)]), st.integers(-2, 2)), max_size=4),
+             st.integers(-1, 11))
+
+
 class TestCheckDisplacements:
     # check_section on lettered sections, whose provenance is complete:
     # the displacements decide its verdict and text
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["stock", "d3_irrational_alpha",
-                            "irrational_alpha"]),
-           st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
-               [F(0), F(1, 3), F(-1, 3), F(1, 3) - F(1, 10 ** 9),
-                F(1, 5), F(-1, 2)]), st.integers(-2, 2)), max_size=4),
-           st.integers(-1, 11))
-    def test_matches_reference(self, name, moves, drop):
-        sched = regime_schedule(name)
-        p = sched.params
-        budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-        letters = ["b" if i % 3 else "a" for i in range(11)]
-        pos = [quad(0, 0, p.d)]
-        for ch in letters:
-            pos.append(pos[-1] + (p.alpha if ch == "a" else p.beta))
-        t = TiledSection(p, pos, letters, [0] * 12, list(range(12)))
-        t.origin_pos = dict(enumerate(pos))
-        for i, frac, s in moves:
-            # a shift of frac times the budget, plus s/7 sqrt(d) for s != 0,
-            # made by moving the origin the other way
-            t.origin_pos[i] = t.origin_pos[i] - budget * frac * 3 - \
-                quad(0, F(s, 7), p.d)
-        if drop >= 0:
-            del t.origin_pos[drop]
-        assert outcome(check_section, t) == \
-            outcome(check_displacements_reference, t)
+    @given(*DISPLACED, st.sampled_from(KEY_WIDTHS))
+    def test_matches_reference(self, name, moves, drop, bits):
+        t = displaced_section(name, moves, drop)
+        with key_bits(bits):
+            assert outcome(check_section, t) == \
+                outcome(check_displacements_reference, t)
 
     def test_budget_exactly_reached_fails(self, schedule2):
         alpha = schedule2.params.alpha
@@ -446,24 +501,29 @@ def staged_sections(draw):
 
 class TestMoreInputsMatchReference:
     @settings(max_examples=100, deadline=None)
-    @given(staged_sections())
-    def test_plans_and_sections_equal(self, case):
+    @given(staged_sections(), st.sampled_from(KEY_WIDTHS))
+    def test_plans_and_sections_equal(self, case, bits):
         sched, t = case
-        for stage in range(1, sched.depth + 1):
-            plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
-            assert plan == outcome(_finish_stage_plan_reference, t, sched,
-                                   stage)
-            if plan[0] != "ok":
-                return
-            ref = copy.copy(t)
-            bound = sched.eps[stage]
-            applied = outcome(pipeline._apply_gap_plan, t, plan[1], stage,
-                              bound)
-            assert applied == outcome(_apply_gap_plan_reference, ref, plan[1],
-                                      stage, bound)
-            if applied[0] != "ok":
-                return
-            assert section_state(t) == section_state(ref)
+        sched = table_at(sched, bits)
+        with key_bits(bits):
+            for stage in range(1, sched.depth + 1):
+                plan = outcome(pipeline._finish_stage_plan, t, sched, stage)
+                assert plan == outcome(_finish_stage_plan_reference, t, sched,
+                                       stage)
+                if plan[0] != "ok":
+                    return
+                ref = copy.copy(t)
+                bound = sched.eps[stage]
+                applied = outcome(pipeline._apply_gap_plan, t, plan[1], stage,
+                                  bound)
+                assert applied == outcome(_apply_gap_plan_reference, ref,
+                                          plan[1], stage, bound)
+                if applied[0] != "ok":
+                    return
+                assert section_state(t) == section_state(ref)
+            if t.is_fully_regular():
+                assert outcome(check_section, t) == \
+                    outcome(check_displacements_reference, t)
 
     @settings(max_examples=100, deadline=None)
     @given(staged_sections(), st.randoms(use_true_random=False))
@@ -582,3 +642,132 @@ class TestNoLookupStateOutlivesACall:
         for name, value in before.items():
             assert getattr(table, name) == value, name
         assert tiled(windows[0]) == first
+
+
+class TestScreensAtEveryKeyWidth:
+    @pytest.mark.parametrize("bits", KEY_WIDTHS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_carry_exactly_eps_with_an_irrational_part(self, bits, sign):
+        sched = regime_schedule("irrational_alpha")
+        eps = sched.eps[1]
+        assert not eps.is_rational()
+        word = TileVector(6, 0)
+        six = word.value(sched.params)
+        with key_bits(bits):
+            got = [outcome(apply, two_points(sched, six - eps * sign),
+                           {0: word}, 1, eps)
+                   for apply in (pipeline._apply_gap_plan,
+                                 _apply_gap_plan_reference)]
+            assert got[0] == got[1] == (
+                "TilingError",
+                f"shift {eps * sign} at point 1 (rank 0) exceeds its bound "
+                f"{eps}")
+            # a hair inside the bound is inside
+            for hair in HAIRS:
+                t = two_points(sched, six - (eps - hair) * sign)
+                ref = copy.copy(t)
+                pipeline._apply_gap_plan(t, {0: word}, 1, eps)
+                _apply_gap_plan_reference(ref, {0: word}, 1, eps)
+                assert section_state(t) == section_state(ref)
+
+    @pytest.mark.parametrize("bits", KEY_WIDTHS)
+    @pytest.mark.parametrize("name", ["stock", "irrational_alpha"])
+    def test_displacement_exactly_the_budget(self, bits, name):
+        sched = regime_schedule(name)
+        alpha = sched.params.alpha
+        budget = qmin(alpha, quad(1)) / 3
+        with key_bits(bits):
+            for sign in (1, -1):
+                t = two_points(sched, alpha, "a")
+                t.origin_pos[1] = t.origin_pos[1] - budget * sign
+                got = outcome(check_section, t)
+                assert got == outcome(check_displacements_reference, t)
+                assert got == ("TilingError", f"original point 1 displaced "
+                               f"{budget * sign}, not strictly below the "
+                               f"min(alpha,1)/3 budget")
+                for hair in HAIRS:
+                    t = two_points(sched, alpha, "a")
+                    t.origin_pos[1] = t.origin_pos[1] - (budget - hair) * sign
+                    assert outcome(check_section, t) == ("ok", None)
+                    assert outcome(check_displacements_reference, t) == \
+                        ("ok", None)
+
+    @pytest.mark.parametrize("bits", KEY_WIDTHS)
+    def test_corridor_end_on_a_table_value_with_negative_y(self, bits):
+        with key_bits(bits):
+            table = TileableTable(NEGATIVE_Y, quad(6))
+        values = [v.value(NEGATIVE_Y) for v in table.vectors]
+        ends = [v for v in values if v.b < 0]
+        assert len(ends) > 20
+        for v in ends:
+            for lo, hi in ((v - 1, v), (v, v + 1), (v, v), (v - F(1, 7), v),
+                           (v, v + F(1, 7)), (v - HAIRS[2], v),
+                           (v, v + HAIRS[2])):
+                assert outcome(table.between, lo, hi) == \
+                    outcome(between_reference, table, lo, hi)
+
+    @pytest.mark.parametrize("bits", KEY_WIDTHS)
+    @pytest.mark.parametrize("top", [quad(12), quad(10, 1)],
+                             ids=["rational", "irrational"])
+    def test_corridor_just_above_the_top(self, bits, top):
+        with key_bits(bits):
+            table = TileableTable(default_params(), top)
+        offs = HAIRS + [(sqrtD() - 1) / n for n in (1, 2, 7, 1000)] + \
+            [quad(F(1, 10 ** 12))]
+        for hi in [top] + [top + off for off in offs] + \
+                [top - off for off in offs]:
+            lo = top - 2
+            got = outcome(table.between, lo, hi)
+            assert got == outcome(between_reference, table, lo, hi)
+            assert (got[0] == "TilingError") == (top < hi)
+
+
+# -- the bench's tiling pools at every key width ------------------------------
+
+
+def bench_window_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of the bench's uniform windows (``bench/workloads.py``)."""
+    rng = random.Random(seed)
+    return [rng.randrange(2 ** 32) for _ in range(count)]
+
+
+def bench_rotation_angles(seed: int, count: int) -> list:
+    """The angles of the bench's rotation windows, in (1/4, 1)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        x = quad(F(rng.randrange(256), 256), F(rng.randrange(1, 256), 256))
+        theta = x - x.floor()
+        if quad(F(1, 4)) < theta:
+            out.append(theta)
+    return out
+
+
+# the sha256 of the tiled states below at KEY_BITS 32, as the code before
+# the integer screens tiled them
+BENCH_POOLS = ("ec7335498162fcd72627bc9808026613"
+               "317f434c4143ee5719d2cfee9b44a826")
+
+
+class TestBenchPoolsAtEveryKeyWidth:
+    def test_first_windows_tile_alike(self):
+        # the first 12 windows of the bench's uniform pool (depth 4) and
+        # rotation pool (depth 2), seed 1, tiled as the bench tiles them
+        states = []
+        for bits in KEY_WIDTHS:
+            with key_bits(bits):
+                s4 = build_schedule(default_params(), depth=4)
+                s2 = build_schedule(default_params(), depth=2)
+                jobs = [(generate(GeneratorSpec("uniform", 1000, s,
+                                                k0=s4.K[0])), s4)
+                        for s in bench_window_seeds(1, 12)]
+                jobs += [(generate(GeneratorSpec("rotation_suspension", 1000,
+                                                 angle=a)), s2)
+                         for a in bench_rotation_angles(1, 12)]
+                tiled = [full_pipeline(w, sched, seed=k % 12)
+                         for k, (w, sched) in enumerate(jobs)]
+            states.append([(json.dumps(t.to_json()), t.c, t.xs, t.ys, t.ranks,
+                            t.orig_ids) for t in tiled])
+        assert states[0] == states[1] == states[2]
+        assert hashlib.sha256(repr(states[2]).encode()).hexdigest() == \
+            BENCH_POOLS

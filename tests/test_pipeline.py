@@ -547,6 +547,33 @@ class TestUniformFrequencyOracle:
         assert (rep.n_eta, rep.counterexample) == \
             brute_uniform_frequency(letters, rho, eta)
 
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_lanes_just_below_half_full(self, rho):
+        # random letters whose prefix deviations stay in [0, cap], with
+        # 2 * spread just below 2**7, where a lane is one byte and its top
+        # bit 2**7; the lanes past a run length's windows hold bits the
+        # mask must drop
+        rng = random.Random(rho.denominator)
+        up, down = rho.denominator - rho.numerator, rho.numerator
+        for cap in (62, 63):
+            letters, dev, hi = [], 0, 0
+            while len(letters) < 120:
+                # climb to the cap first, then wander inside [0, cap]
+                ch = "a" if hi < cap - up and rng.random() < 0.8 else \
+                    rng.choice("ab")
+                step = up if ch == "a" else -down
+                if 0 <= dev + step <= cap:
+                    letters.append(ch)
+                    dev += step
+                    hi = max(hi, dev)
+            t = section_from_letters(letters, Params(P.alpha, P.beta, rho))
+            scan = RunScan(t)
+            assert scan.width == 8 and 120 <= 2 * scan.spread < 128
+            for m in range(2, 17):
+                rep = verify_uniform_frequency(t, F(1, m), scan=scan)
+                assert (rep.n_eta, rep.counterexample) == \
+                    brute_uniform_frequency(letters, rho, F(1, m))
+
     @pytest.mark.parametrize("n", [8191, 8192, 8193])
     def test_two_byte_lane_boundary(self, n):
         # spread 2n crosses 2**14, where lanes go from two bytes to three;
