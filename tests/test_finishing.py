@@ -351,43 +351,33 @@ class TestChooseGapWord:
 # -- displacements ------------------------------------------------------------
 
 
-def displaced_section(name, moves, drop):
-    """A lettered 12-point section of the regime whose origin i is moved
-    by frac times the budget, plus s/7 sqrt(d), for each (i, frac, s) of
-    moves, less the origin of point drop when drop >= 0."""
-    p = regime_schedule(name).params
-    budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
-    letters = ["b" if i % 3 else "a" for i in range(11)]
-    pos = [quad(0, 0, p.d)]
-    for ch in letters:
-        pos.append(pos[-1] + (p.alpha if ch == "a" else p.beta))
-    t = TiledSection(p, pos, letters, [0] * 12, list(range(12)))
-    t.origin_pos = dict(enumerate(pos))
-    for i, frac, s in moves:
-        # a shift of frac times the budget, plus s/7 sqrt(d) for s != 0,
-        # made by moving the origin the other way
-        t.origin_pos[i] = t.origin_pos[i] - budget * frac * 3 - \
-            quad(0, F(s, 7), p.d)
-    if drop >= 0:
-        del t.origin_pos[drop]
-    return t
-
-
-DISPLACED = (st.sampled_from(["stock", "d3_irrational_alpha",
-                              "irrational_alpha"]),
-             st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
-                 [F(0), F(1, 3), F(-1, 3), F(1, 3) - F(1, 10 ** 9),
-                  F(1, 5), F(-1, 2)]), st.integers(-2, 2)), max_size=4),
-             st.integers(-1, 11))
-
-
 class TestCheckDisplacements:
     # check_section on lettered sections, whose provenance is complete:
     # the displacements decide its verdict and text
     @settings(max_examples=150, deadline=None)
-    @given(*DISPLACED, st.sampled_from(KEY_WIDTHS))
+    @given(st.sampled_from(["stock", "d3_irrational_alpha",
+                            "irrational_alpha"]),
+           st.lists(st.tuples(st.integers(0, 11), st.sampled_from(
+               [F(0), F(1, 3), F(-1, 3), F(1, 3) - F(1, 10 ** 9),
+                F(1, 5), F(-1, 2)]), st.integers(-2, 2)), max_size=4),
+           st.integers(-1, 11), st.sampled_from(KEY_WIDTHS))
     def test_matches_reference(self, name, moves, drop, bits):
-        t = displaced_section(name, moves, drop)
+        sched = regime_schedule(name)
+        p = sched.params
+        budget = qmin(p.alpha, quad(1, 0, p.d)) / 3
+        letters = ["b" if i % 3 else "a" for i in range(11)]
+        pos = [quad(0, 0, p.d)]
+        for ch in letters:
+            pos.append(pos[-1] + (p.alpha if ch == "a" else p.beta))
+        t = TiledSection(p, pos, letters, [0] * 12, list(range(12)))
+        t.origin_pos = dict(enumerate(pos))
+        for i, frac, s in moves:
+            # a shift of frac times the budget, plus s/7 sqrt(d) for s != 0,
+            # made by moving the origin the other way
+            t.origin_pos[i] = t.origin_pos[i] - budget * frac * 3 - \
+                quad(0, F(s, 7), p.d)
+        if drop >= 0:
+            del t.origin_pos[drop]
         with key_bits(bits):
             assert outcome(check_section, t) == \
                 outcome(check_displacements_reference, t)
