@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--angle", help="rotation angle (exact text form; "
                                    "rotation_suspension only, and required)")
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen)
 
     t = sub.add_parser("tile", help="run a tiling pipeline on a window")
     t.add_argument("--mode", choices=["sparse", "full"], default="full")
@@ -259,39 +258,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth pair seed (default 0; full mode only)")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", required=True)
-    t.set_defaults(fn=cmd_tile)
 
     v = sub.add_parser("verify", help="check a tiled section end to end")
     v.add_argument("--eta", default="1/8")
     v.add_argument("infile")
-    v.set_defaults(fn=cmd_verify)
 
     lo = sub.add_parser("loe", help="piecewise-translation map between sections")
     lo.add_argument("--a", required=True)
     lo.add_argument("--b", required=True)
     lo.add_argument("--out", required=True)
-    lo.set_defaults(fn=cmd_loe)
 
     p = sub.add_parser("plot", help="render a tiled section to SVG")
     p.add_argument("infile")
     p.add_argument("--svg", required=True)
-    p.set_defaults(fn=cmd_plot)
     return ap
 
 
+# the parser, built on the first call of main and reused after it
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         unread = [f"--{flag}" for flag in PARAM_FLAGS
                   if getattr(args, flag) is not None]
-        if unread and args.fn is not cmd_tile:
+        if unread and args.command != "tile":
             raise UsageError(f"{args.command} does not read "
                              f"{', '.join(unread)}; only tile does")
-        return args.fn(args)
+        # looked up at each call, so a rebound cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -16,13 +16,15 @@ each side and for the lengths, so a start or length is
 fresh list of ``Piece`` built on each read.  ``build_loe`` reads the
 sections' coordinates directly and emits the pieces in source order, one
 walk over the source gaps.  ``verify_loe`` orders the starts by
-``quadratic.lattice_order`` and decides each overlap by the exact sign of
-an integer difference (``quadratic.sign_of``); ``cover_failures`` checks
-the map against the two sections on the same coordinates.  Coordinates
-of two denominators meet over a common multiple, with alpha and beta put
-beside them by ``quadratic.on_lattice``, or rescaled by
-``quadratic.scaled`` where no value joins them.  No float decides
-anything.
+``quadratic.lattice_order``, on the integer screen with close keys
+settled exactly, decides each overlap by the exact sign of an integer
+difference (``quadratic.sign_of``), and checks the lengths with two
+whole-list comparisons, piece by piece only when one fails;
+``cover_failures`` checks the map against the two sections on the same
+coordinates.  Coordinates of two denominators meet over a common
+multiple, with alpha and beta put beside them by ``quadratic.on_lattice``,
+or rescaled by ``quadratic.scaled`` where no value joins them.  No float
+decides anything.
 """
 
 from __future__ import annotations
@@ -228,7 +230,10 @@ def verify_loe(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     declared kind must match its length under params; lengths are shared
     exactly by construction, so the check is on overlaps and kinds.  An
     empty map passes vacuously.  Every test reads the map's coordinates;
-    a value is built only for a failure text and the mapped length.
+    a value is built only for a failure text and the mapped length.  The
+    lengths' xs and ys are compared with the lengths of the pieces' kinds
+    as two whole lists, and only when either differs does a pass over the
+    pieces name each failure.
     """
     if not m.kinds:
         return LoeReport(True, [], 0, None)
@@ -238,13 +243,16 @@ def verify_loe(m: PiecewiseTranslationMap, params: Params) -> LoeReport:
     # lengths, alpha and beta over one denominator
     c2, _, lx, ly, [((ax, bx), (ay, by))] = on_lattice(
         c, d, lx, ly, [params.alpha, params.beta])
-    alpha, beta = (ax, ay), (bx, by)
-    for i, kind, x, y in zip(count(), m.kinds, lx, ly):
-        if kind not in ("a", "b"):
-            failures.append(f"piece {i}: unknown kind {kind!r}")
-        if (x, y) != (alpha if kind == "a" else beta):
-            failures.append(f"piece {i}: kind {kind} but length "
-                            f"{QuadReal._raw(x, y, c2, d)}")
+    # the length of each piece's kind, None for an unknown kind
+    if (list(map({"a": ax, "b": bx}.get, m.kinds)) != lx
+            or list(map({"a": ay, "b": by}.get, m.kinds)) != ly):
+        alpha, beta = (ax, ay), (bx, by)
+        for i, kind, x, y in zip(count(), m.kinds, lx, ly):
+            if kind not in ("a", "b"):
+                failures.append(f"piece {i}: unknown kind {kind!r}")
+            if (x, y) != (alpha if kind == "a" else beta):
+                failures.append(f"piece {i}: kind {kind} but length "
+                                f"{QuadReal._raw(x, y, c2, d)}")
     total = QuadReal._raw(sum(lx), sum(ly), c2, d)
     return LoeReport(not failures, failures, len(m.kinds), total)
 

@@ -334,17 +334,19 @@ class PartitionWitness(NamedTuple):
         """Every piece is lettered, of value at most max_value, and of
         alpha-frequency within eta of rho; the cuts run strictly up from 0
         to the letter count.  ``count_a`` is the section's
-        :func:`count_a_prefix`, built here when not given;
-        :func:`check_section` builds one for all its witnesses."""
+        :func:`count_a_prefix`, built here when not given, and then the
+        letters are checked here too; a caller that passes it vouches that
+        every gap is lettered.  :func:`check_section` builds one for all
+        its witnesses after its gap check has proved that."""
         params = section.params
         letters = section.letters
         cuts = self.cuts
         if not cuts or cuts[0] != 0 or cuts[-1] != len(letters):
             return False
-        # cuts that pass the checks below cover every letter
-        if None in letters:
-            return False
         if count_a is None:
+            # cuts that pass the checks below cover every letter
+            if None in letters:
+                return False
             count_a = count_a_prefix(letters)
         lengths = list(map(sub, cuts[1:], cuts))
         if min(lengths, default=1) <= 0:
@@ -1203,8 +1205,10 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     alpha-frequency within eta of rho, by exact integer scanning.
 
     Returns a counterexample window when even the full section fails.
-    ``scan`` is the section's :class:`RunScan`, built here when not given;
-    :func:`attach_witnesses` builds one for all its levels.
+    ``scan`` is the section's :class:`RunScan`, built here when not given,
+    and then the section is checked to be regular here too; a caller that
+    passes a scan vouches for that.  :func:`attach_witnesses` checks once
+    and builds one scan for all its levels.
 
     The scan is word-parallel and exact.  With b the denominator of rho,
     dev[i] = b * (count of 'a' - rho * i) over the first i letters, and
@@ -1227,12 +1231,12 @@ def verify_uniform_frequency(t: TiledSection, eta: Fraction,
     tested from dev[n] first.
     """
     eta = Fraction(eta)
-    if not t.is_fully_regular():
-        raise ValueError("section must be regular on its interior")
     n = len(t.letters)
     if n == 0:
         return UniformFrequencyReport(eta, 1, None)
     if scan is None:
+        if not t.is_fully_regular():
+            raise ValueError("section must be regular on its interior")
         scan = RunScan(t)
     b_ = scan.b
     lim = eta.numerator * b_

@@ -15,8 +15,8 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
-from itertools import groupby, islice
-from operator import eq
+from itertools import compress, count, islice, repeat
+from operator import ge, sub
 from typing import Iterable, Sequence, Union
 
 DEFAULT_D = 2
@@ -235,7 +235,10 @@ class QuadReal:
 # :mod:`flowtile.tiles`, finishing and the tileable table in
 # :mod:`flowtile.pipeline`, chain classes in :mod:`flowtile.windows` and the
 # orbit maps of :mod:`flowtile.loe`, which keep many values over one common
-# c and order them by :func:`lattice_key` and :func:`lattice_order`.
+# c.  :func:`lattice_order` sorts them on the integer screen of
+# :func:`screen_root` and calls :func:`sign_of` only for keys closer than
+# the screen's margin; :func:`lattice_key` and :func:`lattice_keys` give
+# exact floors, where a bisection or a maximum needs them.
 
 
 def sign_of(a: int, b: int, d: int) -> int:
@@ -320,17 +323,36 @@ def _root_floors(ys: set[int], k: int, d: int) -> dict[int, int]:
 
 def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
     """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
-    values in index order: a stable sort by :func:`lattice_keys`, with
-    equal keys settled by :func:`sign_of`."""
-    keys = lattice_keys(xs, ys, 1, d)
+    values in index order: a stable sort on the screen of
+    :func:`screen_root`, with close keys settled by :func:`sign_of`.
+
+    The key (x << k) + y*r, k = KEY_BITS and r = screen_root(d, k), lies
+    less than M = max |y| from 2**k*(x + y*sqrt(d)) when M > 0, and on it
+    when M is 0.  So a key at least margin = 2*M above another belongs to
+    a strictly larger value, and keys that far apart in sorted order are
+    already in exact value order.  Otherwise each run of consecutive keys
+    closer than the margin is sorted exactly.  Equal values have equal
+    coordinates, hence equal keys, and stay in index order."""
+    if len(xs) < 2:
+        return list(range(len(xs)))
+    k = KEY_BITS
+    r = screen_root(d, k)
+    keys = [(x << k) + y * r for x, y in zip(xs, ys)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    # equal keys are neighbours in key order
     ordered = list(map(keys.__getitem__, order))
-    if not any(map(eq, ordered, islice(ordered, 1, None))):
+    margin = 2 * max(max(ys), -min(ys))
+    if min(map(sub, islice(ordered, 1, None), ordered)) >= margin:
         return order
     exact = cmp_to_key(lambda i, j: sign_of(xs[i] - xs[j], ys[i] - ys[j], d))
-    return [i for _, run in groupby(order, key=keys.__getitem__)
-            for i in sorted(run, key=exact)]
+    # a run ends where the next key is at least the margin above
+    ends = compress(count(1), map(ge, map(sub, islice(ordered, 1, None),
+                                          ordered), repeat(margin)))
+    out: list[int] = []
+    start = 0
+    for end in (*ends, len(order)):
+        out += sorted(order[start:end], key=exact)
+        start = end
+    return out
 
 
 def radicand_of(*groups: Sequence[QuadReal], also: int | None = None) -> int:

@@ -34,6 +34,41 @@ class TestCli:
                     "--in", str(w), "--out", str(t)]) == 0
         assert run(["verify", "--eta", "1/8", str(t)]) == 0
 
+    def test_patched_command_after_first_call(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the parser is built once, and each call looks its command up by
+        # name, so a command patched after the first call is the one run
+        assert run(["verify", str(tmp_path / "none.json")]) == 2
+        called = []
+
+        def patched(args):
+            called.append(args.infile)
+            return 0
+
+        def no_rebuild():
+            raise AssertionError("parser built again")
+
+        monkeypatch.setattr(cli, "cmd_verify", patched)
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        assert run(["verify", "--eta", "1/4", "s.json"]) == 0
+        assert called == ["s.json"]
+
+    def test_subcommands_one_after_another(self, tmp_path, capsys):
+        # each call of main parses its own arguments on the shared parser
+        w = tmp_path / "w.json"
+        t = tmp_path / "t.json"
+        assert run(["gen", "--kind", "uniform", "--n", "30", "--seed", "4",
+                    "--k0", "7", "--out", str(w)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote 30 points to {w}")
+        assert run(["--rho", "1/2", "tile", "--depth", "2", "--in", str(w),
+                    "--out", str(t)]) == 0
+        assert capsys.readouterr().out.startswith("tiled ")
+        assert run(["--rho", "1/2", "verify", str(t)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: verify does not read --rho; only tile does\n")
+        assert run(["verify", str(t)]) == 0
+        assert capsys.readouterr().out.startswith("OK: N(1/8) = ")
+
     def test_verify_rejects_corrupt_section(self, tmp_path):
         w = tmp_path / "w.json"
         t = tmp_path / "t.json"

@@ -193,6 +193,26 @@ class TestVerifyLoe:
         assert not rep.ok
         assert any("kind" in f or "length" in f for f in rep.failures)
 
+    def test_tampered_length_and_unknown_kind_lines(self):
+        # pieces a, b, a, b; piece 1 keeps its rational part 0 and only
+        # its sqrt(2) part changes, piece 2 gets a kind with no length
+        m = build_loe(*[section_from_letters("abab")] * 2)
+        pieces = m.pieces
+        short = pieces[1]._replace(length=quad(0, F(1, 2)))
+        unknown = pieces[2]._replace(kind="c")
+        length_line = "piece 1: kind b but length 1/2*sqrt(2)"
+        kind_lines = ["piece 2: unknown kind 'c'",
+                      "piece 2: kind c but length 1"]
+        for tampered, lines in (
+                ([pieces[0], short, *pieces[2:]], [length_line]),
+                ([*pieces[:2], unknown, pieces[3]], kind_lines),
+                ([pieces[0], short, unknown, pieces[3]],
+                 [length_line, *kind_lines])):
+            m2 = PiecewiseTranslationMap(tampered)
+            rep = verify_loe(m2, P)
+            assert rep == verify_loe_reference(m2, P)
+            assert rep.failures == lines
+
     def test_overlap_detected(self):
         p1 = Piece(quad(0), quad(10), P.alpha, "a")
         p2 = Piece(quad(F(1, 2)), quad(20), P.alpha, "a")

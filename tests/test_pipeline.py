@@ -514,6 +514,29 @@ class TestUniformFrequency:
             check_section(t)
         assert str(err.value) == "level 1 witness failed replay"
 
+    def test_bare_gap_fails_before_any_replay(self, schedule2, monkeypatch):
+        # replay and the frequency scan check the letters themselves when
+        # they build their own prefix counts or scan; check_section passes
+        # counts only after its gap check has proved every gap lettered
+        w = generate(GeneratorSpec("uniform", count=120, seed=7, k0=schedule2.K[0]))
+        t = full_pipeline(w, schedule2, seed=7)
+        assert t.witnesses
+        n = len(t.letters)
+        t.letters[n // 2] = None
+        assert not any(wit.replay(t) for wit in t.witnesses)
+        with pytest.raises(ValueError,
+                           match="^section must be regular on its interior$"):
+            verify_uniform_frequency(t, F(1, 8))
+
+        def no_replay(wit, section, count_a=None):
+            raise AssertionError("replayed a witness of an untiled section")
+
+        monkeypatch.setattr(PartitionWitness, "replay", no_replay)
+        with pytest.raises(TilingError) as err:
+            check_section(t)
+        assert str(err.value) == (f"1 of {n} gaps untiled, the first is "
+                                  f"gap {n // 2}")
+
 
 RHOS = [F(1, 2), F(2, 5), F(5, 7), F(13, 32)]
 ETAS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(3, 16), F(1, 100)]

@@ -129,6 +129,22 @@ class TestFloor:
         assert (-sqrtD()).floor() == -2
 
 
+def at_key_widths(*cases):
+    """An @example of each (pairs, c, d) case at KEY_BITS 0, 5 and 32."""
+    def stack(test):
+        for pairs, c, d in cases:
+            for bits in (0, 5, 32):
+                test = example(pairs, c, d, bits)(test)
+        return test
+    return stack
+
+
+# Pell near-ties 1393u - 985u*sqrt(2), about 3.6e-4 * u, beside 0 and 1:
+# at 0 and 5 bits their keys put all of them above 1
+PELL = [(1393 * u, -985 * u) for u in range(-5, 6)] + [(0, 0), (1, 0)] + [
+    (1 + 1393 * u, -985 * u) for u in range(-5, 6)]
+
+
 class TestLatticeKeys:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
@@ -138,6 +154,16 @@ class TestLatticeKeys:
     # two values whose keys tie, in reverse index order: 2*sqrt(2) - 1 and
     # 3 - sqrt(2) both have the key 1 at 0 bits
     @example([(-1, 2), (3, -1)], 1, 2, 0)
+    # keys one apart, values in reverse order: sqrt(3) and 3 - sqrt(3) have
+    # the screened keys 1 and 2 at 0 bits, within the margin 2*max|y| = 2
+    @example([(0, 1), (3, -1)], 1, 3, 0)
+    @at_key_widths((PELL, 1, 2),
+                   # repeated values
+                   ([(3, -1), (-1, 2), (3, -1), (3, -1), (-1, 2)], 1, 2),
+                   # all-zero ys: the screen is exact, with no margin
+                   ([(5, 0), (-2, 0), (5, 0), (0, 0)], 3, 3),
+                   ([(7, 3)], 1, 2),
+                   ([], 1, 2))
     def test_keys_and_order_match_quadreal(self, pairs, c, d, bits):
         xs = [x for x, _ in pairs]
         ys = [y for _, y in pairs]
@@ -151,6 +177,25 @@ class TestLatticeKeys:
             assert lattice_order(xs, ys, d) == sorted(
                 range(len(values)), key=values.__getitem__)
 
+    def test_sign_of_only_for_keys_within_the_margin(self, monkeypatch):
+        # at 0 bits the screened keys of 1 + sqrt(2), 3 + sqrt(2) and 6
+        # (twice) are 2, 4, 6 and 6, against a margin of 2*max|y| = 2: the
+        # steps of 2 are decided by the screen, and only the tied pair
+        # meets the exact test
+        seen = []
+        exact = quadratic.sign_of
+
+        def counted(a, b, d):
+            seen.append((a, b, d))
+            return exact(a, b, d)
+
+        monkeypatch.setattr(quadratic, "KEY_BITS", 0)
+        monkeypatch.setattr(quadratic, "sign_of", counted)
+        assert lattice_order([6, 1, 3, 6], [0, 1, 1, 0], 2) == [1, 2, 0, 3]
+        assert seen and set(seen) == {(0, 0, 2)}
+        seen.clear()
+        assert lattice_order([3, 1, 6], [1, 1, 0], 2) == [1, 0, 2]
+        assert seen == []
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(-10 ** 9, 10 ** 9),
