@@ -237,8 +237,12 @@ class QuadReal:
 # orbit maps of :mod:`flowtile.loe`, which keep many values over one common
 # c.  :func:`lattice_order` sorts them on the integer screen of
 # :func:`screen_root` and calls :func:`sign_of` only for keys closer than
-# the screen's margin; :func:`lattice_key` and :func:`lattice_keys` give
-# exact floors, where a bisection or a maximum needs them.
+# the screen's margin.  Its sort body is :func:`key_order`, which takes
+# the screened values ready made: the tileable rows of
+# :mod:`flowtile.tiles` build theirs as ranges, a row's keys stepping by
+# alpha's, and keep them for the density scan and the witnesses'
+# bisections.  :func:`lattice_key` and :func:`lattice_keys` give exact
+# floors, where a bisection or a maximum needs them.
 
 
 def sign_of(a: int, b: int, d: int) -> int:
@@ -323,21 +327,29 @@ def _root_floors(ys: set[int], k: int, d: int) -> dict[int, int]:
 
 def lattice_order(xs: Sequence[int], ys: Sequence[int], d: int) -> list[int]:
     """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
-    values in index order: a stable sort on the screen of
-    :func:`screen_root`, with close keys settled by :func:`sign_of`.
-
-    The key (x << k) + y*r, k = KEY_BITS and r = screen_root(d, k), lies
-    less than M = max |y| from 2**k*(x + y*sqrt(d)) when M > 0, and on it
-    when M is 0.  So a key at least margin = 2*M above another belongs to
-    a strictly larger value, and keys that far apart in sorted order are
-    already in exact value order.  Otherwise each run of consecutive keys
-    closer than the margin is sorted exactly.  Equal values have equal
-    coordinates, hence equal keys, and stay in index order."""
-    if len(xs) < 2:
-        return list(range(len(xs)))
+    values in index order: :func:`key_order` on the keys (x << k) + y*r,
+    k = KEY_BITS and r = screen_root(d, k)."""
     k = KEY_BITS
     r = screen_root(d, k)
-    keys = [(x << k) + y * r for x, y in zip(xs, ys)]
+    return key_order([(x << k) + y * r for x, y in zip(xs, ys)], xs, ys, d)
+
+
+def key_order(keys: Sequence[int], xs: Sequence[int], ys: Sequence[int],
+              d: int) -> list[int]:
+    """Indices of the values xs[i] + ys[i]*sqrt(d) in ascending order, equal
+    values in index order, given their screened values
+    keys[i] = (xs[i] << k) + ys[i]*r for one k and r = screen_root(d, k):
+    a stable sort of the keys, with close keys settled by :func:`sign_of`.
+
+    A key lies less than M = max |y| from 2**k*(x + y*sqrt(d)) when
+    M > 0, and on it when M is 0.  So a key at least margin = 2*M above
+    another belongs to a strictly larger value, and keys that far apart
+    in sorted order are already in exact value order.  Otherwise each run
+    of consecutive keys closer than the margin is sorted exactly.  Equal
+    values have equal coordinates, hence equal keys, and stay in index
+    order."""
+    if len(keys) < 2:
+        return list(range(len(keys)))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ordered = list(map(keys.__getitem__, order))
     margin = 2 * max(max(ys), -min(ys))

@@ -13,12 +13,14 @@ the tile lattice that :class:`Params` holds, the value of (p, q) is
 (A + B*sqrt(D)) / c with A = ax*p + bx*q and B = ay*p + by*q
 (:meth:`Params.coords`): a difference is two integer subtractions, and
 an order is the exact sign of A + B*sqrt(D), decided by
-``quadratic.sign_of`` from integer squares.  Runs are sorted by
-``quadratic.lattice_order`` and gaps are screened with the key
-``A*2**k + B*r``, r = isqrt(D*4**k) from ``quadratic.screen_root``, which
-lies within |B| of 2**k * (A + B*sqrt(D)).  A key difference decides a
-comparison only when it clears that error bound; every other comparison,
-and every tie of keys, goes to the exact sign test.  So no float decides
+``quadratic.sign_of`` from integer squares.  Values are keyed by
+``A*2**k + B*r``, k = ``quadratic.KEY_BITS`` and r = isqrt(D*4**k) from
+``quadratic.screen_root``, which lies within |B| of
+2**k * (A + B*sqrt(D)); runs are sorted on these keys by
+``quadratic.key_order``, and gaps are screened by their differences.  A
+key difference decides a comparison only when it clears that error
+bound; every other comparison, and every tie of keys, goes to the exact
+sign test.  So no float decides
 anything, the results are those of ``QuadReal`` arithmetic on the
 members' values, and no ``QuadReal`` is built per member.
 
@@ -29,8 +31,13 @@ and value(x) less the offsets' span between runs.  The constructor finds,
 once, which of these gaps reach eps; a window is then decided by a head
 and a tail test on the members :meth:`DensityWitness.values_in` finds
 within eps of its ends, and one bisect for the first wide gap after the
-window's first member.  ``values_in`` bisects the offsets' lattice
-coordinates, which the witness keeps, in the first and the last run only.
+window's first member.  ``values_in`` bisects the offsets in the first
+and the last run only.  Each bisection is first bracketed by two C
+bisects on the witness's sorted key list: a key more than the screen's
+error below or above the target's screened value proves its offset
+below or above the target, and as the offsets are sorted by value, the
+count of such keys bounds the answer on either side.  Only the offsets
+inside that bracket meet the exact sign test.
 
 :func:`density_witness` searches for its anchor interval [A, A + x] by
 doubling A, and skips without enumerating every interval a tile count
@@ -42,15 +49,19 @@ floor(x/alpha) + 1 to a row.  One exact comparison of rows*per_row + 1
 times e/2 with x then rules an anchor out; every anchor it skips would
 have failed, so the family is the one the full search finds.
 
-Each anchor's tileables are enumerated, placed and gap-checked once.
-``_tileable_rows``, the engine behind ``enumerate_tileable``, gives their
-counts, lattice coordinates and value order; the anchor check is
-``_dense_scan``, the scan behind ``eps_dense``, on the ordered
-coordinates; and only the kept anchor's offsets are built as tile
-vectors.  Its witness skips the constructor's gap pass, because no gap
-of the family reaches eps.  If the check accepts the n offsets of
-[A, A + x] at width e = eps/2, they are sorted by value and lie in
-[A, A + x]; each offset gap is below e, s[0] - A < e and
+Each anchor's tileables are enumerated, placed, keyed and gap-checked
+once.  ``_tileable_rows``, the engine behind ``enumerate_tileable``,
+gives their counts, lattice coordinates, keys and value order: a row's
+keys step by alpha's key, so each row's keys are one ``range``, and
+``quadratic.key_order`` sorts on them.  Those keys, in value order, are
+the one key list of the anchor: the anchor check is ``_dense_scan``,
+the scan behind ``eps_dense``, whose steps are differences of
+consecutive keys, and the kept anchor's witness keeps them, sorted, for
+its bisections, with the offsets as count lists.  No offset is built as
+a tile vector, and the witness skips the constructor's gap pass,
+because no gap of the family reaches eps.  If the check accepts the n
+offsets of [A, A + x] at width e = eps/2, they are sorted by value and
+lie in [A, A + x]; each offset gap is below e, s[0] - A < e and
 A + x - s[n-1] < e, so the junction x - (s[n-1] - s[0]) is below
 2e = eps.  When x < e the check accepts without a scan, but then every
 gap is at most x < e.  One exact sign test of the junction against eps
@@ -67,11 +78,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
-from operator import add, ge, itemgetter, lshift, lt, mul, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from operator import add, ge, lt, sub
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import quadratic
-from .quadratic import (QuadReal, floor_of, lattice, lattice_order, quad,
+from .quadratic import (QuadReal, floor_of, key_order, lattice, quad,
                         real_gcd, screen_root, sign_of, sqrtD)
 
 
@@ -177,29 +188,44 @@ def balanced_word(v: TileVector) -> str:
 
 def _tileable_rows(params: Params, lo: QuadReal, hi: QuadReal
                    ) -> tuple[list[int], list[int], list[int], list[int],
-                              list[int]]:
-    """(ps, qs, xs, ys, order) for the tile vectors with
+                              list[int], list[int]]:
+    """(ps, qs, xs, ys, keys, order) for the tile vectors with
     lo <= p*alpha + q*beta <= hi: their counts row by row, their lattice
-    coordinates (``Params.coords``) and the indices in ascending value
-    order, as ``quadratic.lattice_order`` gives them.
+    coordinates (``Params.coords``), their keys (x << k) + y*r at
+    k = ``quadratic.KEY_BITS`` and r = ``screen_root(d, k)``, and the
+    indices in ascending value order, as ``quadratic.key_order`` gives
+    them from those keys.
 
     Row q holds the p from ceil((lo - q*beta)/alpha) to
     floor((hi - q*beta)/alpha), two exact floors of lattice values; the
     rows are runs of p and q counts, and each row's coordinates step by
-    alpha's, (ax, ay).
+    alpha's, (ax, ay), and its keys by (ax << k) + ay*r.  lo/alpha,
+    hi/alpha and beta/alpha are products with alpha's conjugate, taken
+    once on the lattice of lo, hi, alpha and beta.
     """
-    if hi < lo:
-        return [], [], [], [], []
-    # lo/alpha, hi/alpha and beta/alpha over one denominator w
-    alpha = params.alpha
-    w, d, [((lx, hx, sx), (ly, hy, sy))] = lattice(
-        [lo / alpha, hi / alpha, params.beta / alpha])
+    c, d, [((lx, hx), (ly, hy)), ((ux, vx), (uy, vy))] = lattice(
+        [lo, hi], [params.alpha, params.beta])
+    if sign_of(hx - lx, hy - ly, d) < 0:
+        return [], [], [], [], [], []
+    rows = _floor_ratio(hx, hy, vx, vy, d) + 1  # q up to floor(hi/beta)
+    # z/alpha is z times alpha's conjugate ux - uy*sqrt(d), over its norm:
+    # lo/alpha, hi/alpha and beta/alpha over one denominator w > 0
+    w = ux * ux - uy * uy * d
+    f = 1 if w > 0 else -1
+    w *= f
+    lx, ly = f * (lx * ux - ly * uy * d), f * (ly * ux - lx * uy)
+    hx, hy = f * (hx * ux - hy * uy * d), f * (hy * ux - hx * uy)
+    sx, sy = f * (vx * ux - vy * uy * d), f * (vy * ux - vx * uy)
     ax, ay, bx, by = params.ax, params.ay, params.bx, params.by
+    k = quadratic.KEY_BITS
+    r = screen_root(d, k)
+    step = (ax << k) + ay * r
     ps: list[int] = []
     qs: list[int] = []
     xs: list[int] = []
     ys: list[int] = []
-    for q in range((hi / params.beta).floor() + 1):
+    keys: list[int] = []
+    for q in range(rows):
         p_lo = max(0, -floor_of(q * sx - lx, q * sy - ly, w, d))
         n = floor_of(hx - q * sx, hy - q * sy, w, d) + 1 - p_lo
         if n > 0:
@@ -208,17 +234,19 @@ def _tileable_rows(params: Params, lo: QuadReal, hi: QuadReal
             x, y = ax * p_lo + bx * q, ay * p_lo + by * q
             xs += range(x, x + n * ax, ax) if ax else repeat(x, n)
             ys += range(y, y + n * ay, ay) if ay else repeat(y, n)
-    return ps, qs, xs, ys, lattice_order(xs, ys, d)
+            key = (x << k) + y * r
+            # the step is 0 where alpha's screen rounds to 0, as for
+            # sqrt(3) - 1 at k = 0
+            keys += (range(key, key + n * step, step) if step
+                     else repeat(key, n))
+    return ps, qs, xs, ys, keys, key_order(keys, xs, ys, d)
 
 
-def _vectors(ps: list[int], qs: list[int],
-             order: list[int]) -> list[TileVector]:
-    """The tile vectors (ps[i], qs[i]) for i in order."""
+def _vectors(ps: Iterable[int], qs: Iterable[int]) -> list[TileVector]:
+    """The tile vectors (p, q) of ps and qs, taken pairwise."""
     # tuple.__new__ builds the named tuples without TileVector.__new__'s
     # Python frame
-    return list(map(tuple.__new__, repeat(TileVector),
-                    zip(map(ps.__getitem__, order),
-                        map(qs.__getitem__, order))))
+    return list(map(tuple.__new__, repeat(TileVector), zip(ps, qs)))
 
 
 def enumerate_tileable(params: Params, lo: QuadReal,
@@ -228,8 +256,8 @@ def enumerate_tileable(params: Params, lo: QuadReal,
     The rows, their lattice coordinates and their order come from
     ``_tileable_rows``, and each vector is built once, in that order.
     """
-    ps, qs, _, _, order = _tileable_rows(params, lo, hi)
-    return _vectors(ps, qs, order)
+    ps, qs, _, _, _, order = _tileable_rows(params, lo, hi)
+    return _vectors(map(ps.__getitem__, order), map(qs.__getitem__, order))
 
 
 class DensityReport(NamedTuple):
@@ -246,20 +274,27 @@ def eps_dense(params: Params, members: Sequence[TileVector], lo: QuadReal,
     scanning consecutive gaps of the values clipped to [lo, hi]; on failure
     the witness is such an uncovered x, the one ``QuadReal`` built.
 
-    lo, hi and eps go through ``quadratic.lattice``.  One pass checks the
-    order of the members, which are sorted only when out of order.
-    Consecutive members are screened by the key difference
-    ``(dA << k) + dB*s``, s = ``quadratic.screen_root(D, k)``, which is
-    within |dB| of 2**k*(dA + dB*sqrt(D)); only gaps near 0 or near eps
-    reach the exact sign test.
+    lo, hi and eps go through ``quadratic.lattice``.  Each member is
+    screened once, by the key (A << k) + B*r of its lattice coordinates,
+    k = ``quadratic.KEY_BITS`` and r = ``quadratic.screen_root(D, k)``; the
+    difference of two consecutive keys is within |dB| of 2**k*(dA +
+    dB*sqrt(D)).  One pass checks the order of the members, which are
+    sorted only when out of order, and only gaps near 0 or near eps reach
+    the exact sign test.
     """
-    return _dense_scan(params, *params.coords(members), lo, hi, eps)
+    xs, ys = params.coords(members)
+    k = quadratic.KEY_BITS
+    r = screen_root(params.d, k)
+    keys = [(x << k) + y * r for x, y in zip(xs, ys)]
+    return _dense_scan(params, xs, ys, keys, lo, hi, eps)
 
 
-def _dense_scan(params: Params, xs: list[int], ys: list[int], lo: QuadReal,
-                hi: QuadReal, eps: QuadReal) -> DensityReport:
+def _dense_scan(params: Params, xs: list[int], ys: list[int], keys: list[int],
+                lo: QuadReal, hi: QuadReal, eps: QuadReal) -> DensityReport:
     """:func:`eps_dense` on the members' lattice coordinates xs, ys, as
-    ``Params.coords`` gives them."""
+    ``Params.coords`` gives them, and their keys (x << k) + y*r at
+    k = ``quadratic.KEY_BITS``: the scan's steps are the differences of
+    consecutive keys, so no key is computed twice."""
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
     # alpha and beta bring the members' denominator into c and their
@@ -273,27 +308,20 @@ def _dense_scan(params: Params, xs: list[int], ys: list[int], lo: QuadReal,
     # member i is m*(xs[i] + ys[i]*sqrt(d))/c; lo is (lx + ly*sqrt(d))/c, ...
     m = c // params.c
     spread = max(ys, default=0) - min(ys, default=0)  # bounds every |dB|
-    k = spread.bit_length() + quadratic.KEY_BITS
+    k = quadratic.KEY_BITS
     s = screen_root(d, k)
-
-    def key_steps() -> list[int]:
-        dxs = map(sub, islice(xs, 1, None), xs)
-        dys = map(sub, islice(ys, 1, None), ys)
-        return list(map(add, map(lshift, dxs, repeat(k)),
-                        map(mul, dys, repeat(s))))
 
     def miss(x: int, y: int) -> DensityReport:
         """The report of a miss at (x + y*sqrt(d)) / (2*c)."""
         return DensityReport(False, QuadReal._raw(x, y, 2 * c, d))
 
     # a step of at least spread is an exact gap >= 0
-    steps = key_steps()
+    steps = list(map(sub, islice(keys, 1, None), keys))
     if any(sign_of(xs[t + 1] - xs[t], ys[t + 1] - ys[t], d) < 0
            for t in compress(count(), map(lt, steps, repeat(spread)))):
-        order = lattice_order(xs, ys, d)
-        xs = [xs[t] for t in order]
-        ys = [ys[t] for t in order]
-        steps = key_steps()
+        order = key_order(keys, xs, ys, d)
+        xs, ys, keys = ([v[t] for t in order] for v in (xs, ys, keys))
+        steps = list(map(sub, islice(keys, 1, None), keys))
     # clip to [lo, hi]: the members below lo lead, those above hi trail
     i, j = 0, len(xs)
     while i < j and sign_of(m * xs[i] - lx, m * ys[i] - ly, d) < 0:
@@ -353,10 +381,17 @@ class DensityWitness:
     from a member at offset t to the next member, is the same for every
     k: the offset gap s[t+1] - s[t] for t < n - 1, and the junction
     value(x) - (s[n-1] - s[0]) between two runs for t = n - 1.  The
-    constructor takes the n gaps' lattice coordinates in one pass: a
-    negative one refuses the offsets, and the gaps that reach eps are
-    kept, so :meth:`dense_in` decides a window from its slice's ends
-    alone.  ``xs, ys`` and ``ux, uy`` are the offsets' and base's coordinates.
+    constructor screens the n gaps in one pass, as differences of the
+    offsets' keys: a negative one refuses the offsets, and the gaps that
+    reach eps are kept, so :meth:`dense_in` decides a window from its
+    slice's ends alone.
+
+    The offsets are kept as count lists ``ps, qs`` in value order, with
+    their lattice coordinates ``xs, ys`` and the base's ``ux, uy``;
+    :attr:`offsets` builds them as tile vectors on each read.  ``keys``
+    is the one key list of the offsets: their keys (x << k) + y*r at
+    k = ``bits``, the ``quadratic.KEY_BITS`` of construction, sorted.
+    :meth:`values_in` brackets its bisections with it.
     """
 
     def __init__(self, params: Params, band: FreqBand, eps: QuadReal,
@@ -369,15 +404,17 @@ class DensityWitness:
         m = c // params.c
         xs, ys = params.coords(offsets)
         (ux,), (uy,) = params.coords([base])
+        k = quadratic.KEY_BITS
+        s = screen_root(d, k)
+        keys = [(x << k) + y * s for x, y in zip(xs, ys)]
         n = len(offsets)
+        # the steps of eps_dense, the last the junction's: a step is within
+        # |dy| <= spread of 2**k times a gap
+        steps = list(map(sub, keys[1:] + [keys[0] + (ux << k) + uy * s],
+                         keys))
         dxs = list(map(sub, xs[1:] + [xs[0] + ux], xs))
         dys = list(map(sub, ys[1:] + [ys[0] + uy], ys))
-        # the keys of eps_dense: a step is within spread of 2**k times a gap
         spread = max(map(abs, dys))
-        k = spread.bit_length() + quadratic.KEY_BITS
-        s = screen_root(d, k)
-        steps = list(map(add, map(lshift, dxs, repeat(k)),
-                         map(mul, dys, repeat(s))))
         # a step of at least spread is an exact gap >= 0
         for t in compress(range(n), map(lt, steps, repeat(spread))):
             if sign_of(dxs[t], dys[t], d) < 0:
@@ -389,18 +426,20 @@ class DensityWitness:
         bar = -((abs(ey) - (ex << k) - ey * s) // m) - spread
         self._wide = [t for t in compress(range(n), map(ge, steps, repeat(bar)))
                       if sign_of(ex - m * dxs[t], ey - m * dys[t], d) <= 0]
-        self._keep(params, band, eps, base, offsets, xs, ys, ux, uy, k_min)
+        self._keep(params, band, eps, base, [p for p, _ in offsets],
+                   [q for _, q in offsets], xs, ys, keys, ux, uy, k_min)
 
     @classmethod
     def _from_anchor(cls, params: Params, band: FreqBand, eps: QuadReal,
-                     base: TileVector, offsets: list[TileVector],
-                     xs: list[int], ys: list[int],
+                     base: TileVector, ps: list[int], qs: list[int],
+                     xs: list[int], ys: list[int], keys: list[int],
                      k_min: int) -> DensityWitness:
         """The constructor's family on the tileables of an anchor interval
-        that :func:`density_witness` accepted as eps/2-dense, with their
-        coordinates xs, ys, built without the gap pass: that check proves
-        no gap of the family reaches eps.  One exact sign test of the
-        junction against eps fills the wide gaps."""
+        that :func:`density_witness` accepted as eps/2-dense, given by
+        their counts, coordinates and keys in value order, built without
+        the gap pass: that check proves no gap of the family reaches eps.
+        One exact sign test of the junction against eps fills the wide
+        gaps."""
         self = object.__new__(cls)
         c, d, [((ex,), (ey,)), _] = lattice([eps], [params.alpha, params.beta])
         m = c // params.c
@@ -408,24 +447,35 @@ class DensityWitness:
         jx, jy = xs[0] + ux - xs[-1], ys[0] + uy - ys[-1]
         self._wide = ([len(xs) - 1]
                       if sign_of(ex - m * jx, ey - m * jy, d) <= 0 else [])
-        self._keep(params, band, eps, base, offsets, xs, ys, ux, uy, k_min)
+        self._keep(params, band, eps, base, ps, qs, xs, ys, keys, ux, uy,
+                   k_min)
         return self
 
     def _keep(self, params: Params, band: FreqBand, eps: QuadReal,
-              base: TileVector, offsets: list[TileVector], xs: list[int],
-              ys: list[int], ux: int, uy: int, k_min: int) -> None:
+              base: TileVector, ps: list[int], qs: list[int], xs: list[int],
+              ys: list[int], keys: list[int], ux: int, uy: int,
+              k_min: int) -> None:
         self.params = params
         self.band = band
         self.eps = eps
         self.base = base
-        self.offsets = offsets
+        self.ps, self.qs = ps, qs
         self.xs, self.ys, self.ux, self.uy = xs, ys, ux, uy
+        # in value order the keys are sorted but for close ones
+        self.keys, self.bits = sorted(keys), quadratic.KEY_BITS
+        self._ymax = max(map(abs, ys))  # bounds each key's error
         self.k_min = k_min
         self.threshold = self.member(k_min, 0).value(params)
 
+    @property
+    def offsets(self) -> list[TileVector]:
+        """The offsets in value order, as a new list of tile vectors built
+        on each read from the counts ``ps, qs``."""
+        return _vectors(self.ps, self.qs)
+
     def member(self, k: int, i: int) -> TileVector:
-        s = self.offsets[i]
-        return TileVector(k * self.base.p + s.p, k * self.base.q + s.q)
+        return TileVector(k * self.base.p + self.ps[i],
+                          k * self.base.q + self.qs[i])
 
     def _members_in(self, lx: int, ly: int, hx: int, hy: int, m: int,
                     d: int) -> tuple[int, int]:
@@ -436,18 +486,35 @@ class DensityWitness:
         Run k has a member at or above lo from k = ceil((lo - s[n-1])/x)
         on, and one at or below hi up to k = floor((hi - s[0])/x).  Those
         two runs bisect their offsets; every run between lies inside.
+
+        Each bisection is bracketed on the key list first.  For a target
+        v = (vx + vy*sqrt(d))/c, screened as t = (vx << bits) + vy*r at
+        the keys' bits, 2**bits*v lies within |vy| of t, and 2**bits
+        times an offset's value lies within M = max |y| of its key.  So an offset keyed
+        below floor((t - |vy|)/m) - M is certainly below v, and one keyed
+        at or above floor((t + |vy|)/m) + M + 1 is certainly above it.
+        The offsets are sorted by value: when i keys lie below the first
+        bound, offsets 0..i - 1 are below v, and when j keys lie below the
+        second, offsets j..n - 1 are above v.  The bracket counts keys
+        alone, so it holds where key order and value order differ; only
+        offsets i..j - 1 meet the exact sign test.
         """
-        xs, ys, n = self.xs, self.ys, len(self.xs)
+        xs, ys, keys, n = self.xs, self.ys, self.keys, len(self.xs)
         ux, uy = m * self.ux, m * self.uy
+        bits, err = self.bits, self._ymax
+        r = screen_root(d, bits)
 
         def first_past(k: int, vx: int, vy: int, strict: bool) -> int:
             # the first member of run k above v = (vx + vy*sqrt(d))/c, or at
             # v unless strict: a sign of at least strict
             vx, vy = vx - k * ux, vy - k * uy
+            t, e = (vx << bits) + vy * r, abs(vy)
+            i = bisect_left(keys, (t - e) // m - err)
+            j = bisect_left(keys, (t + e) // m + err + 1, i)
 
             def past(i: int) -> bool:
                 return sign_of(m * xs[i] - vx, m * ys[i] - vy, d) >= strict
-            return k * n + bisect_left(range(n), True, key=past)
+            return k * n + bisect_left(range(n), True, i, j, key=past)
 
         k = max(self.k_min,
                 -_floor_ratio(m * xs[-1] - lx, m * ys[-1] - ly, ux, uy, d))
@@ -463,17 +530,13 @@ class DensityWitness:
         c, d, [((lx, hx), (ly, hy)), _] = lattice(
             [lo, hi], [params.alpha, params.beta])
         start, stop = self._members_in(lx, ly, hx, hy, c // params.c, d)
-        n = len(self.offsets)
+        ps, qs, n = self.ps, self.qs, len(self.ps)
         bp, bq = self.base
-        # tuple.__new__ builds the named tuples without TileVector.__new__'s
-        # Python frame
-        vector = tuple.__new__
         out: list[TileVector] = []
         for k in range(start // n, -(-stop // n)):
-            run = self.offsets[max(start - k * n, 0):min(stop - k * n, n)]
-            out += map(vector, repeat(TileVector),
-                       zip(map(add, map(itemgetter(0), run), repeat(k * bp)),
-                           map(add, map(itemgetter(1), run), repeat(k * bq))))
+            i, j = max(start - k * n, 0), min(stop - k * n, n)
+            out += _vectors(map(add, ps[i:j], repeat(k * bp)),
+                            map(add, qs[i:j], repeat(k * bq)))
         return out
 
     def dense_in(self, lo: QuadReal, hi: QuadReal) -> DensityReport:
@@ -506,7 +569,7 @@ class DensityWitness:
         if not xs or sign_of(ex + lx - m * xs[0], ey + ly - m * ys[0], d) <= 0:
             return miss(2 * lx + ex, 2 * ly + ey)  # lo + eps/2
         start, stop = self._members_in(lx, ly, hx, hy, m, d)
-        wide, n = self._wide, len(self.offsets)
+        wide, n = self._wide, len(self.ps)
         if wide:
             k, t = divmod(start, n)
             f = bisect_left(wide, t)
@@ -535,7 +598,7 @@ class DensityWitness:
 
     def describe(self) -> str:
         return (f"members k*({self.base.p},{self.base.q}) + s, k >= "
-                f"{self.k_min}, s one of {len(self.offsets)} tileables in "
+                f"{self.k_min}, s one of {len(self.ps)} tileables in "
                 f"the anchor window")
 
 
@@ -597,15 +660,15 @@ def density_witness(params: Params, eps: QuadReal,
     eps/2 * (rows*per_row + 1) <= x, one exact ``QuadReal`` comparison,
     the anchor would fail, and skipping it changes no family.
 
-    Each anchor's rows, coordinates and order are computed once, and the
-    eps/2 check scans the ordered coordinates; only the kept anchor's
-    offsets are built as tile vectors.  Its witness skips the constructor's gap
-    pass: the check proved the offsets sorted, inside [A, A + x] and
-    every gap below eps/2, with the first offset and the last within
-    eps/2 of the interval's ends.  So no offset gap reaches eps, and the
-    junction x - (s[n-1] - s[0]), the sum of those two end distances, is
-    below eps/2 + eps/2 (or at most x < eps/2, when the interval is too
-    narrow for the check to scan).
+    Each anchor's rows, coordinates, keys and order are computed once,
+    and the eps/2 check scans the ordered coordinates and keys; the kept
+    anchor's witness keeps them, and its offsets as count lists.  It
+    skips the constructor's gap pass: the check proved the offsets
+    sorted, inside [A, A + x] and every gap below eps/2, with the first
+    offset and the last within eps/2 of the interval's ends.  So no
+    offset gap reaches eps, and the junction x - (s[n-1] - s[0]), the
+    sum of those two end distances, is below eps/2 + eps/2 (or at most
+    x < eps/2, when the interval is too narrow for the check to scan).
     """
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
@@ -628,12 +691,12 @@ def density_witness(params: Params, eps: QuadReal,
         # n members are eps/2-dense on [A, A + xval] only if
         # xval < (n + 1)*half, and n <= rows*per_row
         if half * (rows * per_row + 1) > xval:
-            ps, qs, xs, ys, order = _tileable_rows(params, anchor,
-                                                   anchor + xval)
-            xs = list(map(xs.__getitem__, order))
-            ys = list(map(ys.__getitem__, order))
-            if order and _dense_scan(params, xs, ys, anchor, anchor + xval,
-                                     half).ok:
+            ps, qs, xs, ys, keys, order = _tileable_rows(
+                params, anchor, anchor + xval)
+            xs, ys, keys = (list(map(v.__getitem__, order))
+                            for v in (xs, ys, keys))
+            if order and _dense_scan(params, xs, ys, keys, anchor,
+                                     anchor + xval, half).ok:
                 break
         anchor = anchor * 2
     else:
@@ -642,5 +705,6 @@ def density_witness(params: Params, eps: QuadReal,
     ratio = frequency_stability_ratio(params, zeta)
     off_max = anchor + xval
     k_min = max(1, (off_max / (ratio * xval)).floor() + 1)
-    return DensityWitness._from_anchor(params, band, eps, base,
-                                       _vectors(ps, qs, order), xs, ys, k_min)
+    return DensityWitness._from_anchor(
+        params, band, eps, base, list(map(ps.__getitem__, order)),
+        list(map(qs.__getitem__, order)), xs, ys, keys, k_min)

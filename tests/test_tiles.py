@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtile import build_schedule, quadratic, tiles
@@ -104,6 +104,26 @@ class TestEnumerate:
             got = enumerate_tileable(params, lo, hi)
         assert got == brute_tileable(lo, hi, params)
         assert all(type(v) is TileVector for v in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PARAM_SETS), st.integers(-40, 400),
+           st.integers(-4, 4), st.integers(0, 120),
+           st.sampled_from([0, 5, 32]))
+    # alpha = sqrt(3) - 1 screens to (-1 << 0) + 1*isqrt(3) = 0 at k = 0:
+    # each row's keys stand still as p grows
+    @example(PARAM_SETS[3], 0, 0, 80, 0)
+    def test_row_keys_screen_their_coordinates(self, params, lo8, lo_s,
+                                               width8, bits):
+        d = params.d
+        lo = quad(F(lo8, 8), F(lo_s, 4), d)
+        hi = lo + F(width8, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            ps, qs, xs, ys, keys, order = tiles._tileable_rows(params, lo, hi)
+        r = quadratic.screen_root(d, bits)
+        assert (xs, ys) == params.coords(list(zip(ps, qs)))
+        assert keys == [(x << bits) + y * r for x, y in zip(xs, ys)]
+        assert order == quadratic.lattice_order(xs, ys, d)
 
     def test_values_pairwise_distinct(self):
         vecs = enumerate_tileable(P, quad(0), quad(40))
@@ -366,6 +386,19 @@ class TestDensityWitness:
         wit = density_witness(params, quad(F(1, 2)), FreqBand(F(1, 3), F(1, 2)))
         assert (wit.xs, wit.ys) == params.coords(wit.offsets)
         assert ([wit.ux], [wit.uy]) == params.coords([wit.base])
+        k, r = wit.bits, quadratic.screen_root(params.d, wit.bits)
+        assert wit.keys == sorted((x << k) + y * r
+                                  for x, y in zip(wit.xs, wit.ys))
+
+    def test_offsets_are_a_fresh_list_on_each_read(self):
+        wit = density_witness(P, quad(1), FreqBand(F(1, 4), F(3, 4)))
+        lo, hi = wit.threshold, wit.threshold + 30
+        want = wit.values_in(lo, hi)
+        first = wit.offsets
+        assert first == wit.offsets and first is not wit.offsets
+        first.reverse()
+        first[0] = TileVector(0, 0)
+        assert wit.values_in(lo, hi) == want == brute_values_in(wit, lo, hi)
 
     def test_zero_width_band_rejected(self):
         with pytest.raises(ValueError):
@@ -468,10 +501,10 @@ class TestDensityWitness:
         for _, band, wit in sched.witnesses:
             pub = DensityWitness(wit.params, band, wit.eps, wit.base,
                                  wit.offsets, wit.k_min)
-            assert ((wit.offsets, wit.xs, wit.ys, wit._wide, wit.k_min,
-                     wit.threshold) ==
-                    (pub.offsets, pub.xs, pub.ys, pub._wide, pub.k_min,
-                     pub.threshold))
+            assert ((wit.offsets, wit.xs, wit.ys, wit.keys, wit._wide,
+                     wit.k_min, wit.threshold) ==
+                    (pub.offsets, pub.xs, pub.ys, pub.keys, pub._wide,
+                     pub.k_min, pub.threshold))
             assert checks(wit.check_windows(10)) == \
                 checks(pub.check_windows(10))
 
@@ -518,6 +551,15 @@ class TestValuesIn:
             got = wit.values_in(lo, hi)
             assert got and got == brute_values_in(wit, lo, hi)
 
+    def test_ends_on_members_without_a_sqrt_part(self):
+        # every offset and the base have y = 0, so each key is exact, and
+        # both ends of [1, 2] are members
+        wit = DensityWitness(TENTH, FreqBand(F(0), F(1)), quad(F(7, 20)),
+                             TileVector(10, 0), tenths(0, 1, 5, 6), 1)
+        got = wit.values_in(quad(1), quad(2))
+        assert values(TENTH, got) == [quad(F(n, 10))
+                                      for n in (10, 11, 15, 16, 20)]
+
     def test_offsets_spanning_exactly_value_x(self):
         # the last offset of run k and the first of run k + 1 coincide
         base = TileVector(1, 1)
@@ -539,6 +581,23 @@ class TestValuesIn:
         lo = wit.threshold + F(start4, 4)
         hi = lo + F(width4, 4) * params.beta
         assert wit.values_in(lo, hi) == brute_values_in(wit, lo, hi)
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @pytest.mark.parametrize("eps", [F(1), F(1, 3)])
+    def test_rational_windows_where_key_order_differs(self, params, eps):
+        # at k = 0 the keys err by up to max |y| units: the offsets' key
+        # order differs from their value order, and rational window ends
+        # carry no error of their own, so the bracket's bounds are tight
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", 0)
+            wit = density_witness(params, quad(eps, 0, params.d),
+                                  FreqBand(F(1, 4), F(3, 4)))
+            r = quadratic.screen_root(params.d, 0)
+            assert [x + y * r for x, y in zip(wit.xs, wit.ys)] != wit.keys
+            for a in range(0, 200, 6):
+                lo = wit.threshold + F(a, 8)
+                hi = lo + F(13, 8)
+                assert wit.values_in(lo, hi) == brute_values_in(wit, lo, hi)
 
     def test_check_windows_matches_reference(self):
         wit = density_witness(P, quad(F(1, 3)), FreqBand(F(3, 8), F(1, 2)))
@@ -608,37 +667,50 @@ class TestDenseIn:
     every member."""
 
     @settings(max_examples=120, deadline=None)
-    @given(family_cases(), st.integers(-40, 160), st.integers(0, 100),
-           st.integers(-2, 2), st.sampled_from([0, 32]))
-    def test_matches_reference(self, case, start8, width8, root5, bits):
+    @given(family_cases(), st.booleans(), st.sampled_from([F(1), F(1, 3)]),
+           st.integers(-40, 160), st.integers(0, 100), st.integers(-2, 2),
+           st.sampled_from([0, 5, 32]))
+    def test_matches_reference(self, case, anchored, anchor_eps, start8,
+                               width8, root5, bits):
         # windows narrower than eps, starting below the threshold, with a
-        # sqrt part or without
+        # sqrt part or without, on families from the public constructor
+        # or from density_witness; at k = 0 close keys reorder the
+        # offsets, so the key list and the value order differ where
+        # values_in brackets its bisections
+        params, base, offsets, eps, k_min = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "KEY_BITS", bits)
+            wit = (density_witness(params, quad(anchor_eps, 0, params.d),
+                                   FreqBand(F(1, 4), F(3, 4))) if anchored
+                   else DensityWitness(params, FreqBand(F(0), F(1)), eps,
+                                       base, offsets, k_min))
+            lo = wit.threshold + quad(F(start8, 8), F(root5, 5), params.d)
+            hi = lo + F(width8, 8)
+            got = wit.values_in(lo, hi), wit.dense_in(lo, hi)
+        want = dense_in_reference(wit, lo, hi)
+        assert got[0] == brute_values_in(wit, lo, hi)
+        assert (got[1], str(got[1].witness)) == (want, str(want.witness))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_cases(), st.integers(0, 30), st.integers(0, 30),
+           st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+           st.sampled_from([0, 5, 32]))
+    def test_windows_ending_near_members(self, case, g, w, dlo, dhi, bits):
+        # lo and hi on a member, or eps away from one, where the bracket
+        # of each bisection is closest to its target
         params, base, offsets, eps, k_min = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "KEY_BITS", bits)
             wit = DensityWitness(params, FreqBand(F(0), F(1)), eps, base,
                                  offsets, k_min)
-            lo = wit.threshold + quad(F(start8, 8), F(root5, 5), params.d)
-            hi = lo + F(width8, 8)
-            got = wit.dense_in(lo, hi)
+            n = len(offsets)
+            lo = wit.member(k_min + g // n, g % n).value(params) + eps * dlo
+            hi = qmax(lo, wit.member(k_min + (g + w) // n, (g + w) % n)
+                      .value(params) + eps * dhi)
+            got = wit.values_in(lo, hi), wit.dense_in(lo, hi)
         want = dense_in_reference(wit, lo, hi)
-        assert (got, str(got.witness)) == (want, str(want.witness))
-
-    @settings(max_examples=40, deadline=None)
-    @given(family_cases(), st.integers(0, 30), st.integers(0, 30),
-           st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
-    def test_windows_ending_near_members(self, case, g, w, dlo, dhi):
-        # lo and hi on a member, or eps away from one
-        params, base, offsets, eps, k_min = case
-        wit = DensityWitness(params, FreqBand(F(0), F(1)), eps, base,
-                             offsets, k_min)
-        n = len(offsets)
-        lo = wit.member(k_min + g // n, g % n).value(params) + eps * dlo
-        hi = qmax(lo, wit.member(k_min + (g + w) // n, (g + w) % n)
-                  .value(params) + eps * dhi)
-        got = wit.dense_in(lo, hi)
-        want = dense_in_reference(wit, lo, hi)
-        assert (got, str(got.witness)) == (want, str(want.witness))
+        assert got[0] == brute_values_in(wit, lo, hi)
+        assert (got[1], str(got[1].witness)) == (want, str(want.witness))
 
     @settings(max_examples=30, deadline=None)
     @given(family_cases())
