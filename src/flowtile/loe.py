@@ -4,8 +4,9 @@ Two fully tiled sections with the same (alpha, beta, rho) are matched by
 a piecewise translation: the k-th alpha gap of one maps to the k-th alpha
 gap of the other, and each beta gap follows its alpha through the
 section's own matching (`match_equidense`, which pairs two index sets by
-successor steps, smallest displacement first).  Every piece is a pure
-translation of length alpha or beta, so lengths match piece by piece.
+successor steps, smallest displacement first, and keeps only its nonempty
+stages, keyed by displacement).  Every piece is a pure translation of
+length alpha or beta, so lengths match piece by piece.
 Whatever stays unmatched at finite scale, the alpha surplus of the
 section with more alphas included, is reported as residue, never hidden.
 
@@ -15,11 +16,13 @@ each side and for the lengths, so a start or length is
 (x + y*sqrt(d)) / c (``quadratic.lattice``).  ``pieces`` is a view, a
 fresh list of ``Piece`` built on each read.  ``build_loe`` reads the
 sections' coordinates directly and emits the pieces in source order, one
-walk over the source gaps.  ``verify_loe`` orders the starts by
-``quadratic.lattice_order``, on the integer screen with close keys
-settled exactly, decides each overlap by the exact sign of an integer
-difference (``quadratic.sign_of``), and checks the lengths with two
-whole-list comparisons, piece by piece only when one fails;
+walk over the source gaps; it conjugates the matchings on lists indexed
+by gap, so its time grows with the gaps, not with the farthest pair.
+``verify_loe`` orders the starts by ``quadratic.lattice_order``, on the
+integer screen with close keys settled exactly, decides each overlap by
+the exact sign of an integer difference (``quadratic.sign_of``), and
+checks the lengths with two whole-list comparisons, piece by piece only
+when one fails;
 ``cover_failures`` checks the map against the two sections on the same
 coordinates.  Coordinates of two denominators meet over a common
 multiple, with alpha and beta put beside them by ``quadratic.on_lattice``,
@@ -30,8 +33,9 @@ decides anything.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import compress, count, islice, repeat
-from operator import is_, is_not, sub
+from operator import is_, is_not
 from typing import NamedTuple, Optional, Sequence
 
 from .quadratic import (DEFAULT_D, QuadReal, lattice, lattice_order,
@@ -43,8 +47,8 @@ from .tiles import Params
 class MatchState(NamedTuple):
     """Stages of the displacement-k matching and its leftover residue."""
 
-    stages: list[tuple[list[int], list[int]]]   # (A_k, B_k) per k
-    pairing: dict[int, int]                     # matched a -> b = a + k
+    stages: dict[int, tuple[list[int], list[int]]]  # k -> (A_k, B_k)
+    pairing: dict[int, int]                         # matched a -> b = a + k
     residue_a: list[int]
     residue_b: list[int]
 
@@ -58,8 +62,9 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int]) -> MatchState:
     points on either side are returned as residue.
 
     That is the matching of brackets: one left-to-right pass in which each
-    b takes the nearest free a at or before it.  The stages run from 0 to
-    the farthest paired displacement.
+    b takes the nearest free a at or before it.  The stages are keyed by
+    displacement k in increasing order, and only the nonempty ones are
+    kept, so the cost follows the pairs made, not the farthest pair.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
@@ -77,13 +82,13 @@ def match_equidense(a_set: Sequence[int], b_set: Sequence[int]) -> MatchState:
             pb.append(b)
         else:
             residue_b.append(b)
-    n_stages = max(map(sub, pb, pa), default=-1) + 1
-    stages: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_stages)]
+    groups = defaultdict(lambda: ([], []))   # (A_k, B_k) by k, as met
     # b runs up, so each stage's a's come out in increasing order
     for a, b in zip(pa, pb):
-        ak, bk = stages[b - a]
+        ak, bk = groups[b - a]
         ak.append(a)
         bk.append(b)
+    stages = {k: groups[k] for k in sorted(groups)}
     return MatchState(stages, dict(zip(pa, pb)), free + a_sorted[i:], residue_b)
 
 
@@ -187,16 +192,22 @@ def build_loe(t1: TiledSection, t2: TiledSection) -> PiecewiseTranslationMap:
     image: list[Optional[int]] = [None] * len(t1.letters)
     for i, j in zip(a1, a2):
         image[i] = j
-    theta2 = match_equidense(a2, b2).pairing
+    # theta2[j]: the beta that t2's own matching pairs with alpha gap j
+    theta2: list[Optional[int]] = [None] * len(t2.letters)
+    for a, b in match_equidense(a2, b2).pairing.items():
+        theta2[a] = b
     # beta points extend the base map: image(theta1(x)) = theta2(image(x))
     for a, b in match_equidense(a1, b1).pairing.items():
         j = image[a]
-        if j is not None and j in theta2:
+        if j is not None:
             image[b] = theta2[j]
     residue_src = list(compress(count(), map(is_, image, repeat(None))))
     src = list(compress(count(), map(is_not, image, repeat(None))))
     dst = list(map(image.__getitem__, src))
-    residue_dst = sorted(set(range(len(t2.letters))).difference(dst))
+    free = [True] * len(t2.letters)
+    for j in dst:
+        free[j] = False
+    residue_dst = list(compress(count(), free))
     # alpha and beta over a multiple of both sections' denominators
     c, d, _, _, [((ax, bx), (ay, by))] = on_lattice(
         math.lcm(t1.c, t2.c), p1.d, (), (), [p1.alpha, p1.beta])

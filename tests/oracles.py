@@ -646,8 +646,9 @@ def match_equidense_reference(a_set: Sequence[int], b_set: Sequence[int],
 
     Stage k matches every still-unmatched a in the first set whose k-step
     successor a + k is a still-unmatched member of the second set; a point
-    enters stage k only if no smaller displacement worked.  Unmatched
-    points on either side are returned as residue.
+    enters stage k only if no smaller displacement worked.  Only the
+    nonempty stages are kept, keyed by k.  Unmatched points on either side
+    are returned as residue.
     """
     a_sorted = sorted(set(a_set))
     b_sorted = sorted(set(b_set))
@@ -656,7 +657,7 @@ def match_equidense_reference(a_set: Sequence[int], b_set: Sequence[int],
         max_k = hi + 1
     b_free = set(b_sorted)
     a_free = list(a_sorted)
-    stages: list[tuple[list[int], list[int]]] = []
+    stages: dict[int, tuple[list[int], list[int]]] = {}
     pairing: dict[int, int] = {}
     for k in range(max_k + 1):
         ak = [a for a in a_free if a + k in b_free]
@@ -666,9 +667,7 @@ def match_equidense_reference(a_set: Sequence[int], b_set: Sequence[int],
                 pairing[a] = b
                 b_free.discard(b)
             a_free = [a for a in a_free if a not in pairing]
-            stages.append((ak, bk))
-        else:
-            stages.append(([], []))
+            stages[k] = (ak, bk)
         if not a_free or not b_free:
             break
     return MatchState(stages, pairing, a_free, sorted(b_free))

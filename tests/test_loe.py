@@ -58,6 +58,11 @@ class TestMatch:
         st = match_equidense([5], [0])
         assert st.residue_a == [5] and st.residue_b == [0]
 
+    def test_only_nonempty_stages(self):
+        # only nonempty stages are kept, however far the pair reaches
+        st = match_equidense([0], [10**5])
+        assert st.stages == {10**5: ([0], [10**5])}
+
 
 def rotation_set(n, theta_num, theta_den, offset=0):
     # quasi-uniform frequency-1/2 index sets from a circle rotation
@@ -584,14 +589,11 @@ class TestLoeOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.sets(st.integers(0, 60)), st.sets(st.integers(0, 60)))
     def test_match_equidense_matches_reference(self, a, b):
-        # the same matching; the stages end at the farthest pair, where
-        # the reference may run on through empty ones
+        # the same matching, the same nonempty stages in increasing k
         got = match_equidense(a, b)
         want = match_equidense_reference(a, b, None)
-        stages = list(want.stages)
-        while stages and stages[-1] == ([], []):
-            stages.pop()
-        assert got == want._replace(stages=stages)
+        assert got == want
+        assert list(got.stages) == list(want.stages)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_depth4_sections_meet_the_definitions(self, seed, schedule4):
